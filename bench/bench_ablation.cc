@@ -63,7 +63,7 @@ void PrintBufferPoolTable() {
     util::WorkloadGenerator gen(Spec());
     std::string v;
     for (int i = 0; i < 2000; ++i) {
-      f.tree->GetCurrent(gen.KeyFor(rnd.Uniform(gen.spec().num_ops / 3)), &v);
+      f.tree->Get({}, gen.KeyFor(rnd.Uniform(gen.spec().num_ops / 3)), &v);
     }
     const auto& st = f.tree->buffer_pool()->stats();
     printf("%8zu | %10llu %10llu | %14.0f\n", frames,
@@ -87,10 +87,9 @@ void PrintHistCacheTable() {
     Random rnd(9);
     util::WorkloadGenerator gen(Spec());
     for (int i = 0; i < 100; ++i) {
-      auto it = f.tree->NewHistoryIterator(
-          gen.KeyFor(rnd.Uniform(gen.spec().num_ops / 4)));
-      it->SeekToNewest();
-      while (it->Valid()) it->Next();
+      auto it = f.tree->NewCursor({});
+      it->Seek(gen.KeyFor(rnd.Uniform(gen.spec().num_ops / 4)));
+      while (it->Valid()) it->NextVersion();
     }
     printf("%8zu | %12llu %12llu | %14.0f\n", blobs,
            (unsigned long long)f.tree->hist_store()->cache_hits(),
@@ -100,7 +99,7 @@ void PrintHistCacheTable() {
   printf("\n");
 }
 
-void BM_GetCurrentByPageSize(benchmark::State& state) {
+void BM_GetLatestByPageSize(benchmark::State& state) {
   tsb_tree::TsbOptions opts;
   opts.page_size = static_cast<uint32_t>(state.range(0));
   TsbFixture f = TsbFixture::Build(Spec(), opts);
@@ -109,11 +108,11 @@ void BM_GetCurrentByPageSize(benchmark::State& state) {
   std::string v;
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        f.tree->GetCurrent(gen.KeyFor(rnd.Uniform(kOps / 3)), &v));
+        f.tree->Get({}, gen.KeyFor(rnd.Uniform(kOps / 3)), &v));
   }
   state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_GetCurrentByPageSize)->Arg(512)->Arg(2048)->Arg(8192);
+BENCHMARK(BM_GetLatestByPageSize)->Arg(512)->Arg(2048)->Arg(8192);
 
 }  // namespace
 }  // namespace bench

@@ -119,7 +119,7 @@ RunResult RunMix(tsb_tree::TsbTree* tree, int n_readers) {
         rng = rng * 6364136223846793005ull + 1442695040888963407ull;
         const int ki = static_cast<int>((rng >> 33) % kKeys);
         std::string value;
-        Status s = tree->GetAsOf(KeyOf(ki), t, &value);
+        Status s = tree->Get({.as_of = t}, KeyOf(ki), &value);
         if (!s.ok()) {
           failed.store(true);
           break;

@@ -232,8 +232,8 @@ FaultRun MeasureFault() {
                     .count();
   r.stats = db->error_stats();
   std::string got;
-  r.acked_survived = resumed && db->Get(KeyOf(0, 63), &got).ok();
-  r.doomed_absent = doomed_rejected && db->Get("doomed", &got).IsNotFound();
+  r.acked_survived = resumed && db->Get({}, KeyOf(0, 63), &got).ok();
+  r.doomed_absent = doomed_rejected && db->Get({}, "doomed", &got).IsNotFound();
   db.reset();
   db::MultiVersionDB::Destroy(path);
   return r;

@@ -30,8 +30,7 @@
 // ---- binary-wide allocation counter ----
 // Counts every operator-new call so the historical as-of section can
 // report allocations per lookup: the zero-copy read path must show ~0 on
-// the cache-hit path, the legacy owning-decode baseline shows the per-
-// entry materialization cost.
+// the cache-hit path.
 //
 // All replacement news below are malloc/aligned_alloc-backed, so free()
 // in the deletes is correct; GCC's pairing heuristic cannot see that.
@@ -155,7 +154,7 @@ void PrintIoTable() {
     std::string v;
     for (int i = 0; i < 1000; ++i) {
       const std::string k = f.KeyAt(rnd.Next());
-      f.tsb.tree->GetCurrent(k, &v);
+      f.tsb.tree->Get({}, k, &v);
       f.wobt->GetCurrent(k, &v);
       f.bpt->Get(k, &v);
     }
@@ -165,7 +164,7 @@ void PrintIoTable() {
     for (int i = 0; i < 1000; ++i) {
       const std::string k = f.KeyAt(rnd.Next());
       const Timestamp t = 1 + rnd.Uniform(kOps / 4);  // oldest quarter
-      f.tsb.tree->GetAsOf(k, t, &v);
+      f.tsb.tree->Get({.as_of = t}, k, &v);
       f.wobt->GetAsOf(k, t, &v);
       f.bpt->Get(k, &v);  // B+ has no history: current read for contrast
     }
@@ -173,9 +172,9 @@ void PrintIoTable() {
   run("version-history scans", [&] {
     for (int i = 0; i < 100; ++i) {
       const std::string k = f.KeyAt(rnd.Next());
-      auto it = f.tsb.tree->NewHistoryIterator(k);
-      it->SeekToNewest();
-      while (it->Valid()) it->Next();
+      auto it = f.tsb.tree->NewCursor({});
+      it->Seek(k);
+      while (it->Valid()) it->NextVersion();
       std::vector<std::pair<Timestamp, std::string>> versions;
       f.wobt->GetVersions(k, &versions);
     }
@@ -185,18 +184,22 @@ void PrintIoTable() {
          "seeks; the WOBT pays optical seeks for EVERYTHING)\n\n");
 }
 
-// ---- historical as-of workload: zero-copy views vs owning decodes ----
+// ---- historical as-of workload: the zero-copy read path ----
 //
 // Measures SearchPoint phase 2 on its cache-hit path (the shared-blob
 // cache is sized to the whole historical working set) and writes
-// BENCH_query.json: ops/sec and allocations per op for the zero-copy view
-// path and for the legacy owning-decode baseline (the pre-change read
-// path, kept behind TsbOptions::zero_copy_hist_reads = false).
+// BENCH_query.json: ops/sec, allocations per op and owning node decodes
+// (which the point-read path never performs) for string and pinned Gets.
+// The owning-decode read path this replaced ran 169,451 ops/s on the same
+// workload (Release build, 1-core machine); that rate is recorded as the
+// floor both paths must stay above.
+constexpr double kOwnedDecodeFloorOpsPerSec = 169451.0;
 
 struct HistAsOfResult {
   double ops_per_sec = 0;
   double allocs_per_op = 0;
   double cache_hit_ratio = 0;
+  uint64_t owned_decodes = 0;
 };
 
 // ---- cold-read fixtures: FileDevice-backed historical store ----
@@ -272,7 +275,11 @@ ColdReadResult MeasureColdRead(
   std::string v;
   // First pass pays the one-time costs (CRC verification on the mmap
   // path, value capacity growth); the measured rounds are pure re-pins.
-  for (const auto& [k, t] : probes) tree->GetAsOf(k, t, &v);
+  tsb_tree::ReadOptions opts;
+  for (const auto& [k, t] : probes) {
+    opts.as_of = t;
+    tree->Get(opts, k, &v);
+  }
   tree->hist_store()->ClearCache();
   const uint64_t allocs_before = g_alloc_count.load(std::memory_order_relaxed);
   const auto start = std::chrono::steady_clock::now();
@@ -280,7 +287,8 @@ ColdReadResult MeasureColdRead(
   for (int r = 0; r < rounds; ++r) {
     tree->hist_store()->ClearCache();  // no warmth across rounds
     for (const auto& [k, t] : probes) {
-      benchmark::DoNotOptimize(tree->GetAsOf(k, t, &v));
+      opts.as_of = t;
+      benchmark::DoNotOptimize(tree->Get(opts, k, &v));
       ++ops;
     }
   }
@@ -294,13 +302,14 @@ ColdReadResult MeasureColdRead(
   return r;
 }
 
-// ---- v3 vs v2 node bytes on a prefix-heavy key workload ----
+// ---- node bytes vs uncompressed size on a prefix-heavy key workload ----
 //
 // Mirrors what time splits consolidate: runs of versions for keys that
-// share long prefixes, chunked into node-sized blobs.
+// share long prefixes, chunked into node-sized blobs. `raw_bytes` is the
+// builder's uncompressed slotted size (header, cells, one offset each).
 
 struct NodeBytesResult {
-  uint64_t v2_bytes = 0;
+  uint64_t raw_bytes = 0;
   uint64_t v3_bytes = 0;
 };
 
@@ -329,11 +338,9 @@ NodeBytesResult MeasureHistNodeBytes() {
     const size_t n = std::min(kEntriesPerNode, entries.size() - i);
     const std::vector<DataEntry> node(entries.begin() + i,
                                       entries.begin() + i + n);
-    tsb_tree::SerializeHistDataNode(node, &blob,
-                                    tsb_tree::HistNodeFormat::kV2);
-    r.v2_bytes += blob.size();
-    tsb_tree::SerializeHistDataNode(node, &blob,
-                                    tsb_tree::HistNodeFormat::kV3);
+    uint64_t raw = 0;
+    tsb_tree::SerializeHistDataNode(node, &blob, &raw);
+    r.raw_bytes += raw;
     r.v3_bytes += blob.size();
   }
   return r;
@@ -469,6 +476,7 @@ HistAsOfResult MeasureHistAsOfPinned(
   HistAsOfResult r;
   r.ops_per_sec = secs > 0 ? static_cast<double>(ops) / secs : 0;
   r.allocs_per_op = static_cast<double>(allocs) / static_cast<double>(ops);
+  r.owned_decodes = after_stats.owned_decodes - before_stats.owned_decodes;
   const uint64_t lookups = (after_stats.cache_hits + after_stats.cache_misses) -
                            (before_stats.cache_hits + before_stats.cache_misses);
   const uint64_t hits = after_stats.cache_hits - before_stats.cache_hits;
@@ -483,16 +491,21 @@ HistAsOfResult MeasureHistAsOf(
     const std::vector<std::pair<std::string, Timestamp>>& probes,
     int rounds) {
   std::string v;
+  tsb_tree::ReadOptions opts;
   // Warmup populates the shared-blob cache; the measured loop then runs
   // entirely on cache hits.
-  for (const auto& [k, t] : probes) tree->GetAsOf(k, t, &v);
+  for (const auto& [k, t] : probes) {
+    opts.as_of = t;
+    tree->Get(opts, k, &v);
+  }
   const HistReadStats before_stats = tree->HistStats();
   const uint64_t allocs_before = g_alloc_count.load(std::memory_order_relaxed);
   const auto start = std::chrono::steady_clock::now();
   size_t ops = 0;
   for (int r = 0; r < rounds; ++r) {
     for (const auto& [k, t] : probes) {
-      benchmark::DoNotOptimize(tree->GetAsOf(k, t, &v));
+      opts.as_of = t;
+      benchmark::DoNotOptimize(tree->Get(opts, k, &v));
       ++ops;
     }
   }
@@ -504,6 +517,7 @@ HistAsOfResult MeasureHistAsOf(
   HistAsOfResult r;
   r.ops_per_sec = secs > 0 ? static_cast<double>(ops) / secs : 0;
   r.allocs_per_op = static_cast<double>(allocs) / static_cast<double>(ops);
+  r.owned_decodes = after_stats.owned_decodes - before_stats.owned_decodes;
   const uint64_t lookups = (after_stats.cache_hits + after_stats.cache_misses) -
                            (before_stats.cache_hits + before_stats.cache_misses);
   const uint64_t hits = after_stats.cache_hits - before_stats.cache_hits;
@@ -519,9 +533,6 @@ void WriteHistAsOfJson() {
   topts.buffer_pool_frames = 1024;  // current axis fully resident
   topts.hist_cache_blobs = 4096;    // whole historical working set cached
   TsbFixture view_f = TsbFixture::Build(QuerySpec(), topts);
-  tsb_tree::TsbOptions owned_opts = topts;
-  owned_opts.zero_copy_hist_reads = false;
-  TsbFixture owned_f = TsbFixture::Build(QuerySpec(), owned_opts);
 
   // Probe set: deep-past as-of lookups that land on a version, so the
   // measured loop exercises full descents into historical data nodes.
@@ -540,7 +551,7 @@ void WriteHistAsOfJson() {
   for (int attempt = 0; attempt < 20000 && probes.size() < 512; ++attempt) {
     std::string k = gen.KeyFor(rnd.Uniform(keys));
     const Timestamp t = 1 + rnd.Uniform(kOps / 4);  // oldest quarter
-    if (view_f.tree->GetAsOf(k, t, &v).ok()) {
+    if (view_f.tree->Get({.as_of = t}, k, &v).ok()) {
       probes.emplace_back(std::move(k), t);
     }
   }
@@ -554,12 +565,6 @@ void WriteHistAsOfJson() {
   const HistAsOfResult view = MeasureHistAsOf(view_f.tree.get(), probes, rounds);
   const HistAsOfResult pinned =
       MeasureHistAsOfPinned(view_f.tree.get(), probes, rounds);
-  const HistAsOfResult owned =
-      MeasureHistAsOf(owned_f.tree.get(), probes, rounds);
-  const double speedup =
-      owned.ops_per_sec > 0 ? view.ops_per_sec / owned.ops_per_sec : 0;
-  const double pinned_speedup =
-      owned.ops_per_sec > 0 ? pinned.ops_per_sec / owned.ops_per_sec : 0;
 
   // ---- checksum overhead: the same warm pinned-Get loop with
   // verify-on-read disabled (what DbOptions::paranoid_checks = false
@@ -584,17 +589,19 @@ void WriteHistAsOfJson() {
           ? pinned_verify.ops_per_sec / pinned_noverify.ops_per_sec
           : 0;
 
-  printf("== historical as-of lookups: zero-copy views vs owning decodes ==\n");
+  printf("== historical as-of lookups: zero-copy views ==\n");
   printf("(%zu probes x %d rounds, shared-blob cache covers the working set)\n",
          probes.size(), rounds);
-  printf("view path : %12.0f ops/s  %6.2f allocs/op  hit ratio %.3f\n",
-         view.ops_per_sec, view.allocs_per_op, view.cache_hit_ratio);
-  printf("pinned Get: %12.0f ops/s  %6.2f allocs/op  hit ratio %.3f "
-         "(zero value memcpy)\n",
-         pinned.ops_per_sec, pinned.allocs_per_op, pinned.cache_hit_ratio);
-  printf("owned path: %12.0f ops/s  %6.2f allocs/op  hit ratio %.3f\n",
-         owned.ops_per_sec, owned.allocs_per_op, owned.cache_hit_ratio);
-  printf("speedup: %.2fx (pinned %.2fx)\n", speedup, pinned_speedup);
+  printf("view path : %12.0f ops/s  %6.2f allocs/op  hit ratio %.3f  "
+         "owned decodes %llu\n",
+         view.ops_per_sec, view.allocs_per_op, view.cache_hit_ratio,
+         static_cast<unsigned long long>(view.owned_decodes));
+  printf("pinned Get: %12.0f ops/s  %6.2f allocs/op  hit ratio %.3f  "
+         "owned decodes %llu (zero value memcpy)\n",
+         pinned.ops_per_sec, pinned.allocs_per_op, pinned.cache_hit_ratio,
+         static_cast<unsigned long long>(pinned.owned_decodes));
+  printf("floor (retired owning-decode path): %.0f ops/s\n",
+         kOwnedDecodeFloorOpsPerSec);
   printf("checksum overhead (warm pinned Get): verify-on %.0f ops/s vs "
          "verify-off %.0f ops/s = %.3fx\n\n",
          pinned_verify.ops_per_sec, pinned_noverify.ops_per_sec,
@@ -631,16 +638,16 @@ void WriteHistAsOfJson() {
   printf("written-node compression (workload keys, v3): %.3f\n\n",
          mmap_stats.compression_ratio());
 
-  // ---- node bytes: v3 prefix compression vs v2 ----
+  // ---- node bytes: prefix compression vs the uncompressed size ----
   const NodeBytesResult nb = MeasureHistNodeBytes();
-  const double v3_over_v2 =
-      nb.v2_bytes > 0
-          ? static_cast<double>(nb.v3_bytes) / static_cast<double>(nb.v2_bytes)
+  const double v3_over_raw =
+      nb.raw_bytes > 0
+          ? static_cast<double>(nb.v3_bytes) / static_cast<double>(nb.raw_bytes)
           : 1.0;
   printf("== historical node bytes, prefix-heavy keys ==\n");
-  printf("v2: %llu bytes  v3: %llu bytes  ratio %.3f\n\n",
-         static_cast<unsigned long long>(nb.v2_bytes),
-         static_cast<unsigned long long>(nb.v3_bytes), v3_over_v2);
+  printf("raw: %llu bytes  v3: %llu bytes  ratio %.3f\n\n",
+         static_cast<unsigned long long>(nb.raw_bytes),
+         static_cast<unsigned long long>(nb.v3_bytes), v3_over_raw);
 
   // ---- snapshot scans: zero-copy frames, forward and reverse ----
   const Timestamp t_now = view_f.tree->VisibleNow();
@@ -705,13 +712,12 @@ void WriteHistAsOfJson() {
           "  \"workload\": {\"ops\": %zu, \"update_fraction\": %.2f, "
           "\"probes\": %zu, \"rounds\": %d},\n"
           "  \"hist_asof_view\": {\"ops_per_sec\": %.1f, "
-          "\"allocs_per_op\": %.4f, \"cache_hit_ratio\": %.4f},\n"
+          "\"allocs_per_op\": %.4f, \"cache_hit_ratio\": %.4f, "
+          "\"owned_decodes\": %llu},\n"
           "  \"hist_asof_pinned\": {\"ops_per_sec\": %.1f, "
-          "\"allocs_per_op\": %.4f, \"cache_hit_ratio\": %.4f},\n"
-          "  \"hist_asof_owned_baseline\": {\"ops_per_sec\": %.1f, "
-          "\"allocs_per_op\": %.4f, \"cache_hit_ratio\": %.4f},\n"
-          "  \"speedup_view_vs_owned\": %.3f,\n"
-          "  \"speedup_pinned_vs_owned\": %.3f,\n"
+          "\"allocs_per_op\": %.4f, \"cache_hit_ratio\": %.4f, "
+          "\"owned_decodes\": %llu},\n"
+          "  \"floor_ops_per_sec\": %.1f,\n"
           "  \"checksum_overhead\": {\"pinned_verify_ops_per_sec\": %.1f, "
           "\"pinned_noverify_ops_per_sec\": %.1f, "
           "\"verify_over_noverify\": %.3f},\n"
@@ -720,7 +726,7 @@ void WriteHistAsOfJson() {
           "\"allocs_per_op_repin\": %.4f, \"mapped_bytes\": %llu, "
           "\"copied_bytes\": %llu, \"rounds\": %d},\n"
           "  \"hist_node_bytes\": {\"workload\": \"prefix-heavy\", "
-          "\"v2_bytes\": %llu, \"v3_bytes\": %llu, \"v3_over_v2\": %.3f, "
+          "\"raw_bytes\": %llu, \"v3_bytes\": %llu, \"v3_over_raw\": %.3f, "
           "\"tree_compression_ratio\": %.3f},\n"
           "  \"scan\": {\n"
           "    \"forward_current\": {\"entries_per_sec\": %.1f, "
@@ -741,18 +747,19 @@ void WriteHistAsOfJson() {
           "  }\n"
           "}\n",
           kOps, kUpdateFraction, probes.size(), rounds, view.ops_per_sec,
-          view.allocs_per_op, view.cache_hit_ratio, pinned.ops_per_sec,
-          pinned.allocs_per_op, pinned.cache_hit_ratio, owned.ops_per_sec,
-          owned.allocs_per_op, owned.cache_hit_ratio, speedup,
-          pinned_speedup, pinned_verify.ops_per_sec,
+          view.allocs_per_op, view.cache_hit_ratio,
+          static_cast<unsigned long long>(view.owned_decodes),
+          pinned.ops_per_sec, pinned.allocs_per_op, pinned.cache_hit_ratio,
+          static_cast<unsigned long long>(pinned.owned_decodes),
+          kOwnedDecodeFloorOpsPerSec, pinned_verify.ops_per_sec,
           pinned_noverify.ops_per_sec, verify_over_noverify,
           cold_mmap.ops_per_sec, cold_copy.ops_per_sec, cold_speedup,
           cold_mmap.allocs_per_op,
           static_cast<unsigned long long>(mmap_stats.mapped_bytes),
           static_cast<unsigned long long>(copy_stats.copied_bytes),
           cold_rounds,
-          static_cast<unsigned long long>(nb.v2_bytes),
-          static_cast<unsigned long long>(nb.v3_bytes), v3_over_v2,
+          static_cast<unsigned long long>(nb.raw_bytes),
+          static_cast<unsigned long long>(nb.v3_bytes), v3_over_raw,
           mmap_stats.compression_ratio(),
           scan_fwd_cur.entries_per_sec, scan_fwd_cur.allocs_per_entry,
           scan_fwd_cur.entries_per_scan,
@@ -769,16 +776,16 @@ void WriteHistAsOfJson() {
   printf("wrote %s\n\n", path);
 }
 
-void BM_TsbGetCurrent(benchmark::State& state) {
+void BM_TsbGetLatest(benchmark::State& state) {
   Fixtures& f = Fixtures::Get();
   Random rnd(2);
   std::string v;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(f.tsb.tree->GetCurrent(f.KeyAt(rnd.Next()), &v));
+    benchmark::DoNotOptimize(f.tsb.tree->Get({}, f.KeyAt(rnd.Next()), &v));
   }
   state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_TsbGetCurrent);
+BENCHMARK(BM_TsbGetLatest);
 
 void BM_WobtGetCurrent(benchmark::State& state) {
   Fixtures& f = Fixtures::Get();
@@ -802,17 +809,18 @@ void BM_BptGetCurrent(benchmark::State& state) {
 }
 BENCHMARK(BM_BptGetCurrent);
 
-void BM_TsbGetAsOfDeep(benchmark::State& state) {
+void BM_TsbGetDeepPast(benchmark::State& state) {
   Fixtures& f = Fixtures::Get();
   Random rnd(3);
   std::string v;
   for (auto _ : state) {
     const Timestamp t = 1 + rnd.Uniform(kOps / 4);
-    benchmark::DoNotOptimize(f.tsb.tree->GetAsOf(f.KeyAt(rnd.Next()), t, &v));
+    benchmark::DoNotOptimize(
+        f.tsb.tree->Get({.as_of = t}, f.KeyAt(rnd.Next()), &v));
   }
   state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_TsbGetAsOfDeep);
+BENCHMARK(BM_TsbGetDeepPast);
 
 void BM_WobtGetAsOfDeep(benchmark::State& state) {
   Fixtures& f = Fixtures::Get();
@@ -830,7 +838,7 @@ void BM_TsbSnapshotScan(benchmark::State& state) {
   Fixtures& f = Fixtures::Get();
   const Timestamp t = state.range(0) == 0 ? kOps / 4 : kOps;  // old vs now
   for (auto _ : state) {
-    auto it = f.tsb.tree->NewSnapshotIterator(t);
+    auto it = f.tsb.tree->NewCursor({.as_of = t});
     it->SeekToFirst();
     size_t n = 0;
     while (it->Valid()) {

@@ -76,7 +76,7 @@ struct DbFixture {
 size_t BruteForceCount(db::MultiVersionDB* mvdb, const std::string& region,
                        Timestamp t) {
   size_t n = 0;
-  auto it = mvdb->NewSnapshotIterator(t);
+  auto it = mvdb->NewCursor({.as_of = t});
   it->SeekToFirst();
   while (it->Valid()) {
     auto r = ExtractRegion(it->value());
@@ -144,7 +144,7 @@ void BM_FindBySecondaryJoined(benchmark::State& state) {
     const std::string region =
         "region-" + std::to_string(rnd.Uniform(kRegions));
     benchmark::DoNotOptimize(
-        f.mvdb->FindBySecondaryAsOf("by_region", region, f.mid, &kvs));
+        f.mvdb->FindBySecondary({.as_of = f.mid}, "by_region", region, &kvs));
   }
   state.SetItemsProcessed(state.iterations());
 }

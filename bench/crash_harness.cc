@@ -140,7 +140,8 @@ bool Verify(MultiVersionDB* db, const std::vector<Ack>& acks,
       std::string value;
       Timestamp version_ts = 0;
       Status s =
-          db->GetAsOf(Key(a.writer, a.cycle, n), a.ts, &value, &version_ts);
+          db->Get({.as_of = a.ts}, Key(a.writer, a.cycle, n), &value,
+                  &version_ts);
       if (!s.ok()) {
         fprintf(stderr,
                 "FAIL: acked commit lost: cycle %d writer %d seq %d key %d "
@@ -172,7 +173,7 @@ bool Verify(MultiVersionDB* db, const std::vector<Ack>& acks,
       int present = 0;
       for (int i = 0; i < cfg.batch; ++i) {
         std::string value;
-        if (db->Get(Key(cw.second, cw.first, probe * cfg.batch + i), &value)
+        if (db->Get({}, Key(cw.second, cw.first, probe * cfg.batch + i), &value)
                 .ok()) {
           ++present;
         }

@@ -119,8 +119,8 @@ int VerifyDb(MultiVersionDB* db, const CycleState& st, const Config& cfg,
     for (int i = 0; i < cfg.batch; ++i) {
       std::string value;
       Timestamp version_ts = 0;
-      Status s = db->GetAsOf(Key(a.writer, a.attempt, i), a.ts, &value,
-                             &version_ts);
+      Status s = db->Get({.as_of = a.ts}, Key(a.writer, a.attempt, i),
+                         &value, &version_ts);
       if (!s.ok()) {
         fprintf(stderr,
                 "FAIL cycle %d (%s): acked commit lost: writer %d attempt "
@@ -142,7 +142,7 @@ int VerifyDb(MultiVersionDB* db, const CycleState& st, const Config& cfg,
   for (const auto& [writer, attempt] : st.rejected) {
     for (int i = 0; i < cfg.batch; ++i) {
       std::string value;
-      Status s = db->Get(Key(writer, attempt, i), &value);
+      Status s = db->Get({}, Key(writer, attempt, i), &value);
       if (!s.IsNotFound()) {
         fprintf(stderr,
                 "FAIL cycle %d (%s): rejected commit leaked: writer %d "

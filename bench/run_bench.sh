@@ -1,13 +1,15 @@
 #!/usr/bin/env bash
 # Builds the benchmarks in Release mode and runs the query + concurrency
 # benches as a smoke test. bench_query writes BENCH_query.json (historical
-# as-of ops/sec and allocations per lookup for the zero-copy view path vs
-# the legacy owning-decode baseline, cold mmap reads, v3 node bytes, and
-# the scan phase: forward/reverse snapshot scans — warm, old-snapshot and
-# cold — with entries/sec and allocs per emitted entry), which is copied
-# to the repo root for CI artifact upload. bench_concurrency writes
-# BENCH_concurrency.json (N-writer scaling, serial vs optimistic latch
-# coupling, with conflict/restart/side-step counters). bench_durability
+# as-of ops/sec, allocations and owning node decodes per lookup for string
+# and pinned Gets against a recorded ops/sec floor, the checksum overhead
+# on warm pinned Gets, cold mmap reads, node bytes against the
+# uncompressed size, and the scan phase: forward/reverse snapshot scans —
+# warm, old-snapshot and cold — with entries/sec and allocs per emitted
+# entry), which is copied to the repo root for CI artifact upload.
+# bench_concurrency writes BENCH_concurrency.json (N-writer scaling,
+# serial vs optimistic latch coupling, with conflict/restart/side-step
+# counters). bench_durability
 # writes BENCH_durability.json (WAL sync-mode ladder, fsync'd group-commit
 # scaling at 1/2/4/8 writers, crash-recovery replay MB/sec, and a
 # silent-corruption scrub section the recap below FAILS on if any

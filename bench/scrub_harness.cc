@@ -210,7 +210,7 @@ CycleResult RunCycle(const Config& cfg, int cycle, std::mt19937* rng) {
   uint64_t read_errors = 0;
   for (const auto& [key, value] : expected) {
     std::string got;
-    Status gs = db->Get(key, &got);
+    Status gs = db->Get({}, key, &got);
     if (gs.ok()) {
       if (got != value) {
         fprintf(stderr,
@@ -276,7 +276,7 @@ CycleResult RunCycle(const Config& cfg, int cycle, std::mt19937* rng) {
   }
   for (const auto& [key, value] : expected) {
     std::string got;
-    Status gs = doctored->Get(key, &got);
+    Status gs = doctored->Get({}, key, &got);
     if (!gs.ok() || got != value) {
       fprintf(stderr,
               "FAIL cycle %d (%s): salvage lost record %s (%s)\n", cycle,

@@ -185,7 +185,7 @@ bool Verify(ShardedDB* db, const std::vector<Ack>& acks, const Config& cfg,
       int present = 0;
       for (int i = 0; i < cfg.batch; ++i) {
         std::string value;
-        if (db->Get(Key(cw.second, cw.first, probe * cfg.batch + i), &value)
+        if (db->Get({}, Key(cw.second, cw.first, probe * cfg.batch + i), &value)
                 .ok()) {
           ++present;
         }

@@ -702,34 +702,9 @@ Status MultiVersionDB::Get(const ReadOptions& options, const Slice& key,
   return tree_->Get(options, key, value);
 }
 
-Status MultiVersionDB::Get(const Slice& key, std::string* value,
-                           Timestamp* ts) {
-  // Default ReadOptions read at the committed watermark: a reader must
-  // never observe the partial stamps of an in-flight (or failed)
-  // transaction. Quiesced, this is identical to a latest-version read.
-  return Get(ReadOptions(), key, value, ts);
-}
-
-Status MultiVersionDB::GetAsOf(const Slice& key, Timestamp t,
-                               std::string* value, Timestamp* ts) {
-  ReadOptions options;
-  options.as_of = t;
-  return Get(options, key, value, ts);
-}
-
 std::unique_ptr<VersionCursor> MultiVersionDB::NewCursor(
     const ReadOptions& options) {
   return tree_->NewCursor(options);
-}
-
-std::unique_ptr<tsb_tree::SnapshotIterator> MultiVersionDB::NewSnapshotIterator(
-    Timestamp t) {
-  return tree_->NewSnapshotIterator(t);
-}
-
-std::unique_ptr<tsb_tree::HistoryIterator> MultiVersionDB::NewHistoryIterator(
-    const Slice& key) {
-  return tree_->NewHistoryIterator(key);
 }
 
 // ---------------------------------------------------------------- indexes
@@ -903,14 +878,6 @@ Status MultiVersionDB::FindBySecondary(
   return Status::OK();
 }
 
-Status MultiVersionDB::FindBySecondaryAsOf(
-    const std::string& index_name, const Slice& secondary, Timestamp t,
-    std::vector<std::pair<std::string, std::string>>* key_values) {
-  ReadOptions options;
-  options.as_of = t;
-  return FindBySecondary(options, index_name, secondary, key_values);
-}
-
 // ---------------------------------------------------------------- stats
 
 HistReadStats MultiVersionDB::HistStats() const {
@@ -1026,8 +993,10 @@ Status MultiVersionDB::ApplyWalCommit(const wal::WalCommit& commit) {
   {
     std::string unused;
     Timestamp version_ts = 0;
-    Status probe = tree_->GetAsOf(commit.ops.front().first, commit.ts,
-                                  &unused, &version_ts);
+    ReadOptions at_commit;
+    at_commit.as_of = commit.ts;
+    Status probe = tree_->Get(at_commit, commit.ops.front().first, &unused,
+                              &version_ts);
     if (probe.ok() && version_ts == commit.ts) return Status::OK();
     if (!probe.ok() && !probe.IsNotFound()) return probe;
   }
@@ -1049,8 +1018,10 @@ Status MultiVersionDB::ApplyWalCommit(const wal::WalCommit& commit) {
     // the same old-value the original commit hook saw.
     std::optional<std::string> old_value;
     if (maintain && commit.ts > 0) {
+      ReadOptions before_commit;
+      before_commit.as_of = commit.ts - 1;
       std::string prev;
-      Status s = tree_->GetAsOf(key, commit.ts - 1, &prev);
+      Status s = tree_->Get(before_commit, key, &prev);
       if (s.ok()) {
         old_value = std::move(prev);
       } else if (!s.IsNotFound()) {

@@ -220,22 +220,11 @@ class MultiVersionDB {
   Status Get(const ReadOptions& options, const Slice& key,
              PinnableValue* value);
 
-  /// Legacy wrappers over the ReadOptions surface.
-  Status Get(const Slice& key, std::string* value, Timestamp* ts = nullptr);
-  Status GetAsOf(const Slice& key, Timestamp t, std::string* value,
-                 Timestamp* ts = nullptr);
-
   /// The unified traversal surface: Seek/Next/Prev over keys as of
   /// options.as_of, NextVersion/SeekTimestamp along the current key's
   /// time axis.
   std::unique_ptr<VersionCursor> NewCursor(
       const ReadOptions& options = ReadOptions());
-
-  /// Legacy wrappers: key-ordered state as of `t` (a VersionCursor), and
-  /// all committed versions of `key`, newest first.
-  std::unique_ptr<tsb_tree::SnapshotIterator> NewSnapshotIterator(Timestamp t);
-  std::unique_ptr<tsb_tree::HistoryIterator> NewHistoryIterator(
-      const Slice& key);
 
   // ---- transactions ----
 
@@ -275,12 +264,6 @@ class MultiVersionDB {
                          const Slice& secondary,
                          std::vector<std::pair<std::string, std::string>>*
                              key_values);
-
-  /// Legacy wrapper over FindBySecondary.
-  Status FindBySecondaryAsOf(const std::string& index_name,
-                             const Slice& secondary, Timestamp t,
-                             std::vector<std::pair<std::string, std::string>>*
-                                 key_values);
 
   // ---- maintenance ----
 

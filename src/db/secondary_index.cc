@@ -75,7 +75,9 @@ Status SecondaryIndex::LookupAsOf(const Slice& secondary, Timestamp t,
                                   std::vector<std::string>* primary_keys) {
   primary_keys->clear();
   const std::string prefix = CompositePrefix(secondary);
-  auto it = tree_->NewSnapshotIterator(t);
+  tsb_tree::ReadOptions options;
+  options.as_of = t;
+  auto it = tree_->NewCursor(options);
   TSB_RETURN_IF_ERROR(it->Seek(prefix));
   while (it->Valid() && it->key().starts_with(prefix)) {
     if (it->value() == Slice(kLinked)) {

@@ -473,10 +473,6 @@ Status ShardedDB::Get(const ReadOptions& options, const Slice& key,
   return shards_[ShardOf(key)]->Get(options, key, value);
 }
 
-Status ShardedDB::Get(const Slice& key, std::string* value, Timestamp* ts) {
-  return shards_[ShardOf(key)]->Get(key, value, ts);
-}
-
 std::unique_ptr<ShardedCursor> ShardedDB::NewCursor(
     const ReadOptions& options) {
   // Resolve the as-of time ONCE against the shared clock: handing

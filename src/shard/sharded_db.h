@@ -166,7 +166,6 @@ class ShardedDB {
              std::string* value, Timestamp* ts = nullptr);
   Status Get(const ReadOptions& options, const Slice& key,
              PinnableValue* value);
-  Status Get(const Slice& key, std::string* value, Timestamp* ts = nullptr);
 
   /// K-way merging cursor over all shards, pinned at one resolved as-of
   /// time (see shard/sharded_cursor.h).

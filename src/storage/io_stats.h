@@ -68,8 +68,8 @@ struct HistReadStats {
   uint64_t copied_bytes = 0;   ///< miss bytes copied into heap buffers
   uint64_t view_decodes = 0;   ///< nodes parsed zero-copy over pinned blobs
   uint64_t owned_decodes = 0;  ///< nodes materialized into owning vectors
-  uint64_t node_raw_bytes = 0;     ///< v2-equivalent bytes of written nodes
-  uint64_t node_stored_bytes = 0;  ///< bytes actually written (v3 compresses)
+  uint64_t node_raw_bytes = 0;     ///< uncompressed bytes of written nodes
+  uint64_t node_stored_bytes = 0;  ///< bytes actually written (compressed)
 
   /// Cache hits per lookup; 1.0 when the cache was never consulted.
   double hit_ratio() const {
@@ -79,8 +79,8 @@ struct HistReadStats {
                               static_cast<double>(lookups);
   }
 
-  /// Stored bytes per raw (uncompressed v2-equivalent) byte of written
-  /// historical nodes; 1.0 when nothing was written.
+  /// Stored bytes per raw (uncompressed) byte of written historical
+  /// nodes; 1.0 when nothing was written.
   double compression_ratio() const {
     return node_raw_bytes == 0
                ? 1.0

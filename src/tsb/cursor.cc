@@ -500,36 +500,5 @@ Status VersionCursor::ProbeVersion(Timestamp t) {
   return Status::OK();
 }
 
-// ---------------------------------------------------------------- shims
-
-HistoryIterator::HistoryIterator(TsbTree* tree, const Slice& key)
-    : tree_(tree), key_(key.ToString()) {}
-
-Status HistoryIterator::SeekToNewest() { return Probe(kMaxCommittedTs); }
-
-Status HistoryIterator::Probe(Timestamp t) {
-  ReadOptions options;
-  options.as_of = t;
-  Timestamp got_ts = 0;
-  Status s = tree_->Get(options, Slice(key_), &value_, &got_ts);
-  if (s.IsNotFound()) {
-    valid_ = false;
-    return Status::OK();
-  }
-  TSB_RETURN_IF_ERROR(s);
-  ts_ = got_ts;
-  valid_ = true;
-  return Status::OK();
-}
-
-Status HistoryIterator::Next() {
-  if (!valid_) return Status::InvalidArgument("Next on invalid iterator");
-  if (ts_ <= 1) {
-    valid_ = false;
-    return Status::OK();
-  }
-  return Probe(ts_ - 1);
-}
-
 }  // namespace tsb_tree
 }  // namespace tsb

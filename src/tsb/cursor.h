@@ -28,10 +28,6 @@
 // and is amortized O(1) like Next. The O(height) descent recurs only as
 // the invalidation fallback (a frame's page version moved) and on
 // direction switches.
-//
-// The legacy iterators are thin shims: SnapshotIterator is an alias for
-// VersionCursor (declared in tsb_tree.h) and HistoryIterator drives the
-// cursor's time axis.
 #ifndef TSBTREE_TSB_CURSOR_H_
 #define TSBTREE_TSB_CURSOR_H_
 
@@ -245,32 +241,6 @@ class VersionCursor {
   bool valid_ = false;
   std::string key_, value_;
   Timestamp ts_ = 0;
-};
-
-/// Legacy shim: newest-first scan of all committed versions of one key.
-/// Chained as-of point probes through the ReadOptions read surface —
-/// deliberately NOT a key-axis cursor seek, which would materialize a
-/// whole leaf's worth of records to use one.
-class HistoryIterator {
- public:
-  HistoryIterator(TsbTree* tree, const Slice& key);
-
-  /// Positions at the newest version (call first).
-  Status SeekToNewest();
-  bool Valid() const { return valid_; }
-  Status Next();
-
-  Timestamp ts() const { return ts_; }
-  Slice value() const { return Slice(value_); }
-
- private:
-  Status Probe(Timestamp t);
-
-  TsbTree* tree_;
-  std::string key_;
-  bool valid_ = false;
-  Timestamp ts_ = 0;
-  std::string value_;
 };
 
 }  // namespace tsb_tree

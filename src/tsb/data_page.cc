@@ -131,10 +131,10 @@ Status DataPageRef::Load(const std::vector<DataEntry>& entries) {
 }
 
 void SerializeHistDataNode(const std::vector<DataEntry>& entries,
-                           std::string* out, HistNodeFormat format,
-                           uint64_t* raw_bytes, uint32_t restart_interval) {
+                           std::string* out, uint64_t* raw_bytes,
+                           uint32_t restart_interval) {
   HistNodeBuilder builder(0, static_cast<uint32_t>(entries.size()), out,
-                          format, restart_interval);
+                          restart_interval);
   std::string cell;
   for (const DataEntry& e : entries) {
     cell.clear();
@@ -143,21 +143,6 @@ void SerializeHistDataNode(const std::vector<DataEntry>& entries,
   }
   builder.Finish();
   if (raw_bytes != nullptr) *raw_bytes = builder.raw_bytes();
-}
-
-void SerializeHistDataNodeV1(const std::vector<DataEntry>& entries,
-                             std::string* out) {
-  out->clear();
-  out->push_back(0);  // level 0 = data
-  out->push_back(0);  // pad == 0 marks the v1 wire format
-  PutVarint32(out, static_cast<uint32_t>(entries.size()));
-  std::string cell;
-  for (const DataEntry& e : entries) {
-    cell.clear();
-    EncodeDataCell(&cell, e.key, e.ts, e.txn, e.value);
-    PutVarint32(out, static_cast<uint32_t>(cell.size()));
-    out->append(cell);
-  }
 }
 
 Status HistNodeLevel(const Slice& blob, uint8_t* level) {
@@ -189,7 +174,7 @@ Status HistDataNodeRef::At(int i, DataEntryView* view,
 Status HistDataNodeRef::LowerBound(const Slice& key, Timestamp t,
                                    int* pos) const {
   int lo = 0, hi = Count();
-  if (node_.v3() && node_.RestartCount() > 1) {
+  if (node_.RestartCount() > 1) {
     // Phase 1: binary-search restart cells (always stored whole, O(1) to
     // decode) for the last block whose restart entry precedes (key, t).
     // The lower bound then lies inside that block or exactly at the next

@@ -10,9 +10,8 @@
 // entries into an exactly-sized blob for the append store (section 3.4).
 //
 // Record cell: [varint klen][key][fixed64 ts][varint64 txn][value...]
-// Historical blob: a hist_node.h container (v2 slotted or v3
-// prefix-compressed) holding record cells; legacy v1 length-prefixed
-// blobs remain decodable.
+// Historical blob: a hist_node.h container (prefix-compressed
+// restart blocks) holding record cells.
 #ifndef TSBTREE_TSB_DATA_PAGE_H_
 #define TSBTREE_TSB_DATA_PAGE_H_
 
@@ -134,34 +133,23 @@ class DataPageRef {
   SlottedView slots_;
 };
 
-/// Serializes entries as a consolidated historical data node in `format`
-/// (v2 slotted or v3 prefix-compressed). When `raw_bytes` is non-null it
-/// receives the v2-equivalent size, for compression accounting.
-/// `restart_interval` sets the v3 restart-block size (ignored for v2).
+/// Serializes entries as a consolidated historical data node. When
+/// `raw_bytes` is non-null it receives the uncompressed size, for
+/// compression accounting. `restart_interval` sets the restart-block size.
 void SerializeHistDataNode(const std::vector<DataEntry>& entries,
-                           std::string* out,
-                           HistNodeFormat format = HistNodeFormat::kV3,
-                           uint64_t* raw_bytes = nullptr,
+                           std::string* out, uint64_t* raw_bytes = nullptr,
                            uint32_t restart_interval = kHistRestartInterval);
-
-/// Serializes the legacy v1 wire format (no slot directory). Kept for
-/// compatibility tests; new nodes are written as v2 or v3 (see
-/// TsbOptions::hist_node_format).
-void SerializeHistDataNodeV1(const std::vector<DataEntry>& entries,
-                             std::string* out);
 
 /// Parses a historical node blob of either kind; returns its level.
 /// For level 0 use HistDataNodeRef (zero-copy) or DecodeHistDataNode.
 Status HistNodeLevel(const Slice& blob, uint8_t* level);
 
-/// Zero-copy accessor over a historical data node blob (any version). The
-/// caller keeps the blob alive (pinned BlobHandle) while the ref and any
-/// views from it are in use. v2 blobs binary-search the trailing slot
-/// directory with no allocation; v3 blobs binary-search restart blocks and
-/// reassemble delta-encoded cells into the ref's scratch buffer; v1 blobs
-/// fall back to a one-pass offset table.
+/// Zero-copy accessor over a historical data node blob. The caller keeps
+/// the blob alive (pinned BlobHandle) while the ref and any views from it
+/// are in use. Lookups binary-search restart blocks and reassemble
+/// delta-encoded cells into the ref's scratch buffer.
 ///
-/// View lifetime: because v3 cells may live in the shared scratch, a
+/// View lifetime: because cells may live in the shared scratch, a
 /// DataEntryView is valid only until the NEXT At/LowerBound/FindVersion
 /// call on the same ref. Callers that need two entries at once (or an
 /// entry across another probe) must copy first.
@@ -171,21 +159,19 @@ class HistDataNodeRef {
   Status Parse(const Slice& blob);
 
   int Count() const { return node_.Count(); }
-  uint8_t version() const { return node_.version(); }
-  bool v2() const { return node_.v2(); }
   Status At(int i, DataEntryView* view) const;
 
-  /// Like At, but reassembles a delta-encoded v3 cell into the CALLER's
+  /// Like At, but reassembles a delta-encoded cell into the CALLER's
   /// scratch: the returned view stays valid as long as `scratch` and the
   /// blob live, surviving later calls on this ref. Pinned point lookups
   /// use this to hand the user a stable zero-copy view.
   Status At(int i, DataEntryView* view, CellScratch* scratch) const;
 
   /// First index with (key, ts) >= (k, t) into *pos; Count() if none.
-  /// Binary search over the slot directory (v3: restart blocks first, then
-  /// within one block). Unlike the in-page DataPageRef search, a bad cell
-  /// is reported as Corruption rather than folded into a miss — historical
-  /// blobs are supposed to be immutable.
+  /// Binary search over the restart blocks first, then within one block.
+  /// Unlike the in-page DataPageRef search, a bad cell is reported as
+  /// Corruption rather than folded into a miss — historical blobs are
+  /// supposed to be immutable.
   Status LowerBound(const Slice& key, Timestamp t, int* pos) const;
 
   /// Index of the version of `key` valid at time `t` into *pos: the last
@@ -197,7 +183,7 @@ class HistDataNodeRef {
   mutable CellScratch scratch_;
 };
 
-/// Parses a historical data node blob (any version) into owning entries.
+/// Parses a historical data node blob into owning entries.
 Status DecodeHistDataNode(const Slice& blob, std::vector<DataEntry>* out);
 
 }  // namespace tsb_tree

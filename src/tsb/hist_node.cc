@@ -1,6 +1,5 @@
 #include "tsb/hist_node.h"
 
-#include <algorithm>
 #include <cassert>
 #include <cstring>
 
@@ -10,8 +9,8 @@ namespace tsb {
 namespace tsb_tree {
 
 namespace {
-constexpr uint32_t kV2HeaderSize = 6;  // level + version + fixed32 count
-constexpr uint32_t kV3HeaderSize = 8;  // ... + fixed16 restart interval
+// level + version + fixed32 count + fixed16 restart interval
+constexpr uint32_t kHeaderSize = 8;
 
 size_t SharedPrefix(const Slice& a, const Slice& b) {
   const size_t n = a.size() < b.size() ? a.size() : b.size();
@@ -22,34 +21,21 @@ size_t SharedPrefix(const Slice& a, const Slice& b) {
 }  // namespace
 
 HistNodeBuilder::HistNodeBuilder(uint8_t level, uint32_t count,
-                                 std::string* out, HistNodeFormat format,
-                                 uint32_t restart_interval)
-    : out_(out),
-      format_(format),
-      count_(count),
-      // The interval is fixed16 on the wire: clamp to what Parse can read
-      // back, so no legal builder call can write an unreadable node.
-      interval_(restart_interval == 0
-                    ? 1
-                    : std::min<uint32_t>(restart_interval, UINT16_MAX)) {
+                                 std::string* out, uint32_t restart_interval)
+    : out_(out), count_(count), interval_(restart_interval) {
+  // The interval is fixed16 on the wire.
+  assert(restart_interval >= 1 && restart_interval <= UINT16_MAX);
   out_->clear();
   out_->push_back(static_cast<char>(level));
-  out_->push_back(static_cast<char>(format_));
+  out_->push_back(static_cast<char>(kHistNodeVersion3));
   PutFixed32(out_, count);
-  if (format_ == HistNodeFormat::kV3) {
-    PutFixed16(out_, static_cast<uint16_t>(interval_));
-    offsets_.reserve((count + interval_ - 1) / interval_);
-  } else {
-    offsets_.reserve(count);
-  }
+  PutFixed16(out_, static_cast<uint16_t>(interval_));
+  offsets_.reserve((count + interval_ - 1) / interval_);
 }
 
 void HistNodeBuilder::AddCell(const Slice& cell) {
   cell_bytes_ += cell.size();
-  if (format_ != HistNodeFormat::kV3) {
-    offsets_.push_back(static_cast<uint32_t>(out_->size()));
-    out_->append(cell.data(), cell.size());
-  } else if (in_block_ == 0) {
+  if (in_block_ == 0) {
     offsets_.push_back(static_cast<uint32_t>(out_->size()));
     restart_cell_.assign(cell.data(), cell.size());
     PutVarint32(out_, 0);
@@ -74,111 +60,71 @@ Status HistNodeRef::Parse(const Slice& blob) {
   blob_ = blob;
   dir_ = nullptr;
   dir_entries_ = 0;
-  v1_cells_.clear();
   count_ = 0;
   interval_ = 1;
   if (blob.size() < 2) {
     return Status::Corruption("historical node too short");
   }
   level_ = static_cast<uint8_t>(blob[0]);
-  version_ = static_cast<uint8_t>(blob[1]);
-  if (version_ == kHistNodeVersion2 || version_ == kHistNodeVersion3) {
-    const uint32_t header =
-        version_ == kHistNodeVersion2 ? kV2HeaderSize : kV3HeaderSize;
-    if (blob.size() < header) {
-      return Status::Corruption("historical node truncated header");
-    }
-    count_ = DecodeFixed32(blob.data() + 2);
-    if (version_ == kHistNodeVersion3) {
-      interval_ = DecodeFixed16(blob.data() + 6);
-      if (interval_ == 0) {
-        return Status::Corruption("historical v3 node zero restart interval");
-      }
-      dir_entries_ = count_ == 0 ? 0 : (count_ + interval_ - 1) / interval_;
-    } else {
-      dir_entries_ = count_;
-    }
-    const uint64_t dir_bytes = 4ull * dir_entries_;
-    if (header + dir_bytes > blob.size()) {
-      return Status::Corruption("historical node truncated directory");
-    }
-    cells_end_ = static_cast<uint32_t>(blob.size() - dir_bytes);
-    dir_ = blob.data() + cells_end_;
-    return Status::OK();
-  }
-  if (version_ != 0) {
+  const uint8_t version = static_cast<uint8_t>(blob[1]);
+  if (version != kHistNodeVersion3) {
     return Status::Corruption("unknown historical node version",
-                              std::to_string(version_));
+                              std::to_string(version));
   }
-  // v1: one linear walk over the length-prefixed cells builds the offset
-  // table (per-node vector; no per-entry materialization).
-  Slice in = blob_;
-  in.remove_prefix(2);
-  if (!GetVarint32(&in, &count_)) {
-    return Status::Corruption("bad historical node count");
+  if (blob.size() < kHeaderSize) {
+    return Status::Corruption("historical node truncated header");
   }
-  v1_cells_.reserve(count_);
-  for (uint32_t i = 0; i < count_; ++i) {
-    Slice cell;
-    if (!GetLengthPrefixedSlice(&in, &cell)) {
-      return Status::Corruption("bad historical node cell");
-    }
-    v1_cells_.emplace_back(static_cast<uint32_t>(cell.data() - blob_.data()),
-                           static_cast<uint32_t>(cell.size()));
+  count_ = DecodeFixed32(blob.data() + 2);
+  interval_ = DecodeFixed16(blob.data() + 6);
+  if (interval_ == 0) {
+    return Status::Corruption("historical node zero restart interval");
   }
+  dir_entries_ = count_ == 0 ? 0 : (count_ + interval_ - 1) / interval_;
+  const uint64_t dir_bytes = 4ull * dir_entries_;
+  if (kHeaderSize + dir_bytes > blob.size()) {
+    return Status::Corruption("historical node truncated directory");
+  }
+  cells_end_ = static_cast<uint32_t>(blob.size() - dir_bytes);
+  dir_ = blob.data() + cells_end_;
   return Status::OK();
 }
 
 Slice HistNodeRef::Cell(int i, CellScratch* scratch) const {
   if (i < 0 || static_cast<uint32_t>(i) >= count_) return Slice();
-  if (version_ == kHistNodeVersion2) {
-    const uint32_t start = DecodeFixed32(dir_ + 4 * i);
-    const uint32_t end = (static_cast<uint32_t>(i) + 1 < count_)
-                             ? DecodeFixed32(dir_ + 4 * (i + 1))
-                             : cells_end_;
-    if (start < kV2HeaderSize || start > end || end > cells_end_) {
-      return Slice();  // corrupt directory; decoders report it
-    }
-    return Slice(blob_.data() + start, end - start);
+  const uint32_t block = static_cast<uint32_t>(i) / interval_;
+  const uint32_t start = DecodeFixed32(dir_ + 4 * block);
+  const uint32_t end = (block + 1 < dir_entries_)
+                           ? DecodeFixed32(dir_ + 4 * (block + 1))
+                           : cells_end_;
+  if (start < kHeaderSize || start > end || end > cells_end_) {
+    return Slice();  // corrupt directory; decoders report it
   }
-  if (version_ == kHistNodeVersion3) {
-    const uint32_t block = static_cast<uint32_t>(i) / interval_;
-    const uint32_t start = DecodeFixed32(dir_ + 4 * block);
-    const uint32_t end = (block + 1 < dir_entries_)
-                             ? DecodeFixed32(dir_ + 4 * (block + 1))
-                             : cells_end_;
-    if (start < kV3HeaderSize || start > end || end > cells_end_) {
+  Slice in(blob_.data() + start, end - start);
+  // Decode the restart cell (stored whole: shared must be 0).
+  uint32_t shared0 = 0, len0 = 0;
+  if (!GetVarint32(&in, &shared0) || shared0 != 0 ||
+      !GetVarint32(&in, &len0) || in.size() < len0) {
+    return Slice();
+  }
+  const char* restart_body = in.data();
+  const uint32_t target = static_cast<uint32_t>(i) % interval_;
+  if (target == 0) return Slice(restart_body, len0);
+  in.remove_prefix(len0);
+  for (uint32_t j = 1;; ++j) {
+    uint32_t shared = 0, rest = 0;
+    if (!GetVarint32(&in, &shared) || !GetVarint32(&in, &rest) ||
+        in.size() < rest || shared > len0) {
       return Slice();
     }
-    Slice in(blob_.data() + start, end - start);
-    // Decode the restart cell (stored whole: shared must be 0).
-    uint32_t shared0 = 0, len0 = 0;
-    if (!GetVarint32(&in, &shared0) || shared0 != 0 ||
-        !GetVarint32(&in, &len0) || in.size() < len0) {
-      return Slice();
+    if (j == target) {
+      if (shared == 0) return Slice(in.data(), rest);
+      char* buf = scratch->Acquire(shared + rest);
+      memcpy(buf, restart_body, shared);
+      memcpy(buf + shared, in.data(), rest);
+      return Slice(buf, shared + rest);
     }
-    const char* restart_body = in.data();
-    const uint32_t target = static_cast<uint32_t>(i) % interval_;
-    if (target == 0) return Slice(restart_body, len0);
-    in.remove_prefix(len0);
-    for (uint32_t j = 1;; ++j) {
-      uint32_t shared = 0, rest = 0;
-      if (!GetVarint32(&in, &shared) || !GetVarint32(&in, &rest) ||
-          in.size() < rest || shared > len0) {
-        return Slice();
-      }
-      if (j == target) {
-        if (shared == 0) return Slice(in.data(), rest);
-        char* buf = scratch->Acquire(shared + rest);
-        memcpy(buf, restart_body, shared);
-        memcpy(buf + shared, in.data(), rest);
-        return Slice(buf, shared + rest);
-      }
-      in.remove_prefix(rest);
-    }
+    in.remove_prefix(rest);
   }
-  const auto& [off, len] = v1_cells_[i];
-  return Slice(blob_.data() + off, len);
 }
 
 }  // namespace tsb_tree

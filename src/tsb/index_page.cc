@@ -180,10 +180,10 @@ Status IndexPageRef::Load(const std::vector<IndexEntry>& entries) {
 
 void SerializeHistIndexNode(uint8_t level,
                             const std::vector<IndexEntry>& entries,
-                            std::string* out, HistNodeFormat format,
-                            uint64_t* raw_bytes, uint32_t restart_interval) {
+                            std::string* out, uint64_t* raw_bytes,
+                            uint32_t restart_interval) {
   HistNodeBuilder builder(level, static_cast<uint32_t>(entries.size()), out,
-                          format, restart_interval);
+                          restart_interval);
   std::string cell;
   for (const IndexEntry& e : entries) {
     cell.clear();
@@ -192,22 +192,6 @@ void SerializeHistIndexNode(uint8_t level,
   }
   builder.Finish();
   if (raw_bytes != nullptr) *raw_bytes = builder.raw_bytes();
-}
-
-void SerializeHistIndexNodeV1(uint8_t level,
-                              const std::vector<IndexEntry>& entries,
-                              std::string* out) {
-  out->clear();
-  out->push_back(static_cast<char>(level));
-  out->push_back(0);  // pad == 0 marks the v1 wire format
-  PutVarint32(out, static_cast<uint32_t>(entries.size()));
-  std::string cell;
-  for (const IndexEntry& e : entries) {
-    cell.clear();
-    EncodeIndexCell(&cell, e);
-    PutVarint32(out, static_cast<uint32_t>(cell.size()));
-    out->append(cell);
-  }
 }
 
 Status HistIndexNodeRef::Parse(const Slice& blob) {
@@ -233,7 +217,7 @@ Status HistIndexNodeRef::FindContaining(const Slice& key, Timestamp t,
   // match is almost always within the run of entries sharing the nearest
   // key_lo, so the walk is short in practice.
   int lo = 0, hi = Count();
-  if (node_.v3() && node_.RestartCount() > 1) {
+  if (node_.RestartCount() > 1) {
     // Restart phase: the first entry with key_lo > key lies inside (or at
     // the far edge of) the last block whose restart key_lo <= key.
     int blo = 0, bhi = node_.RestartCount() - 1, best = -1;

@@ -26,9 +26,8 @@
 // time floors across key splits; the hint is tight where the rectangle
 // is not). Cells are length-delimited by their slotted container, so the
 // trailing varint decodes iff present and legacy cells stay readable.
-// Historical index blob: a hist_node.h container (v2 slotted or v3
-// prefix-compressed) holding index cells; legacy v1 length-prefixed
-// blobs remain decodable.
+// Historical index blob: a hist_node.h container (prefix-compressed
+// restart blocks) holding index cells.
 #ifndef TSBTREE_TSB_INDEX_PAGE_H_
 #define TSBTREE_TSB_INDEX_PAGE_H_
 
@@ -169,27 +168,19 @@ class IndexPageRef {
   SlottedView slots_;
 };
 
-/// Serializes a historical index node (level > 0) in `format`. When
-/// `raw_bytes` is non-null it receives the v2-equivalent size.
-/// `restart_interval` sets the v3 restart-block size (ignored for v2).
+/// Serializes a historical index node (level > 0). When `raw_bytes` is
+/// non-null it receives the uncompressed size. `restart_interval` sets the
+/// restart-block size.
 void SerializeHistIndexNode(uint8_t level, const std::vector<IndexEntry>& entries,
-                            std::string* out,
-                            HistNodeFormat format = HistNodeFormat::kV3,
-                            uint64_t* raw_bytes = nullptr,
+                            std::string* out, uint64_t* raw_bytes = nullptr,
                             uint32_t restart_interval = kHistRestartInterval);
 
-/// Serializes the legacy v1 wire format. Kept for compatibility tests;
-/// new nodes are written as v2 or v3 (see TsbOptions::hist_node_format).
-void SerializeHistIndexNodeV1(uint8_t level,
-                              const std::vector<IndexEntry>& entries,
-                              std::string* out);
-
-/// Zero-copy accessor over a historical index node blob (any version).
+/// Zero-copy accessor over a historical index node blob.
 /// The caller keeps the blob alive while the ref and its views are in use.
 ///
-/// View lifetime: as with HistDataNodeRef, a v3 cell may live in the
-/// ref's scratch buffer, so an IndexEntryView is valid only until the
-/// next AtView/FindContaining call on the same ref.
+/// View lifetime: as with HistDataNodeRef, a cell may live in the ref's
+/// scratch buffer, so an IndexEntryView is valid only until the next
+/// AtView/FindContaining call on the same ref.
 class HistIndexNodeRef {
  public:
   /// Parses `blob`; fails unless it is a level>0 historical node.
@@ -197,14 +188,12 @@ class HistIndexNodeRef {
 
   uint8_t Level() const { return node_.level(); }
   int Count() const { return node_.Count(); }
-  uint8_t version() const { return node_.version(); }
-  bool v2() const { return node_.v2(); }
   /// Named like IndexPageRef::AtView so generic code can use either.
   Status AtView(int i, IndexEntryView* e) const;
 
   /// Index of the unique entry containing (key, t) into *pos; -1 if none.
-  /// Binary search on key_lo (entries are (key_lo, t_lo)-sorted; v3 nodes
-  /// search restart blocks first), then a backward scan over the
+  /// Binary search on key_lo (entries are (key_lo, t_lo)-sorted; restart
+  /// blocks are searched first), then a backward scan over the
   /// candidates whose key_lo <= key. A bad cell is Corruption, not a
   /// miss — historical blobs are supposed to be immutable.
   Status FindContaining(const Slice& key, Timestamp t, int* pos) const;
@@ -214,7 +203,7 @@ class HistIndexNodeRef {
   mutable CellScratch scratch_;
 };
 
-/// Parses a historical index node blob (any version) into owning entries.
+/// Parses a historical index node blob into owning entries.
 Status DecodeHistIndexNode(const Slice& blob, uint8_t* level,
                            std::vector<IndexEntry>* out);
 

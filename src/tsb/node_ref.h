@@ -96,7 +96,7 @@ using HistIndexVisitor = FnRef<Status(BlobHandle&, HistIndexNodeRef&)>;
 /// `addr` (ReadView with `hints` — checksum/cache/access-pattern behavior
 /// threaded down from the public ReadOptions), counts the decode in
 /// `counters` (may be null), probes the level byte and parses the matching
-/// ref type — any wire version, v1 through v3 — then invokes the
+/// ref type (rejecting unknown format versions) — then invokes the
 /// corresponding visitor. The blob stays pinned for the duration of the
 /// visit; a visitor may move the handle and ref into longer-lived state to
 /// extend the pin (cursor frames do).

@@ -70,12 +70,10 @@ SplitKind SplitPolicy::DecideDataSplit(const DataNodeStats& stats,
   return SplitKind::kTimeSplit;
 }
 
-uint32_t SplitPolicy::ChooseRestartInterval(uint32_t base, size_t entries,
+uint32_t SplitPolicy::ChooseRestartInterval(size_t entries,
                                             size_t distinct_keys,
-                                            size_t key_bytes) const {
-  if (!config_.adaptive_restart_interval || entries == 0 || base == 0) {
-    return base;
-  }
+                                            size_t key_bytes) {
+  if (entries == 0) return kHistRestartInterval;
   const size_t avg_key = key_bytes / entries;
   const double versions_per_key =
       distinct_keys == 0
@@ -84,14 +82,14 @@ uint32_t SplitPolicy::ChooseRestartInterval(uint32_t base, size_t entries,
   if (avg_key >= 48) {
     // Long keys: every non-restart cell pays a suffix reassembly, so
     // small blocks bound the cells decoded per probe.
-    return std::max<uint32_t>(4, base / 4);
+    return kHistRestartInterval / 4;
   }
   if (versions_per_key >= 4.0) {
     // Version runs: consecutive cells share the whole key, so a bigger
     // block amortizes the restart cell across more of them.
-    return std::min<uint32_t>(128, base * 4);
+    return kHistRestartInterval * 4;
   }
-  return base;
+  return kHistRestartInterval;
 }
 
 size_t SplitPolicy::RedundantAt(const std::vector<DataEntry>& entries,

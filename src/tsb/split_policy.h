@@ -57,13 +57,6 @@ struct SplitPolicyConfig {
   /// kCostBased: per-byte storage prices.
   double cost_magnetic = 1.0;
   double cost_optical = 0.2;
-  /// Pick the v3 restart-block size per consolidated node instead of
-  /// using TsbOptions::hist_restart_interval verbatim: long-key nodes get
-  /// small blocks (fewer cells decoded per probe), dense version-run
-  /// nodes get large blocks (the shared key compresses across more
-  /// cells). Read-compatible either way — the interval is stored per
-  /// node.
-  bool adaptive_restart_interval = true;
   /// Stamp content-floor min_ts hints on index cells at split time so
   /// scans prune subtrees by timestamp. Disabling reproduces pre-hint
   /// databases (cells store min_ts = 0); TreeChecker::RepairContentFloors
@@ -106,14 +99,14 @@ class SplitPolicy {
   Timestamp ChooseSplitTime(const std::vector<DataEntry>& entries,
                             Timestamp t_lo, Timestamp now) const;
 
-  /// The v3 restart-block size for ONE consolidated historical node about
-  /// to be written. `base` is the tree-level default
-  /// (TsbOptions::hist_restart_interval); `entries`, `distinct_keys` and
-  /// `key_bytes` describe the node's cells. Returns `base` unchanged when
-  /// adaptive_restart_interval is off.
-  uint32_t ChooseRestartInterval(uint32_t base, size_t entries,
-                                 size_t distinct_keys,
-                                 size_t key_bytes) const;
+  /// The restart-block size for ONE consolidated historical node about to
+  /// be written; `entries`, `distinct_keys` and `key_bytes` describe its
+  /// cells. Long-key nodes get small blocks (fewer cells decoded per
+  /// probe), dense version-run nodes get large blocks (the shared key
+  /// compresses across more cells), everything else kHistRestartInterval.
+  /// The interval is stored per node, so readers need no configuration.
+  static uint32_t ChooseRestartInterval(size_t entries, size_t distinct_keys,
+                                        size_t key_bytes);
 
   /// Number of entries that would be stored redundantly (in both the
   /// historical and the current node) if the node split at time T — i.e.

@@ -550,10 +550,7 @@ Status TsbTree::SearchPoint(const Slice& key, Timestamp t, TxnId txn,
     // no latches are needed past this point.
     const HistAddr addr = e.child.addr;
     h.Release();
-    if (options_.zero_copy_hist_reads) {
-      return SearchHistPoint(addr, key, t, hints, sink);
-    }
-    return SearchHistPointOwned(addr, key, t, sink);
+    return SearchHistPoint(addr, key, t, hints, sink);
   }
 }
 
@@ -578,7 +575,7 @@ Status TsbTree::SearchHistPoint(HistAddr addr, const Slice& key, Timestamp t,
           DataEntryView v;
           if (sink.pinned != nullptr) {
             // Decode into the sink's own scratch so the view outlives
-            // this dispatch (v3 delta cells reassemble there; v1/v2
+            // this dispatch (delta cells reassemble there; restart
             // cells stay views into the pinned blob).
             TSB_RETURN_IF_ERROR(node.At(pos, &v, sink.pinned->scratch()));
             if (sink.ts != nullptr) *sink.ts = v.ts;
@@ -610,50 +607,6 @@ Status TsbTree::SearchHistPoint(HistAddr addr, const Slice& key, Timestamp t,
   }
 }
 
-Status TsbTree::SearchHistPointOwned(HistAddr addr, const Slice& key,
-                                     Timestamp t, const PointSink& sink) {
-  for (;;) {
-    std::string blob;
-    TSB_RETURN_IF_ERROR(hist_->Read(addr, &blob));
-    hist_decodes_.owned_decodes.fetch_add(1, std::memory_order_relaxed);
-    uint8_t level = 0;
-    TSB_RETURN_IF_ERROR(HistNodeLevel(Slice(blob), &level));
-    if (level == 0) {
-      std::vector<DataEntry> entries;
-      TSB_RETURN_IF_ERROR(DecodeHistDataNode(Slice(blob), &entries));
-      const DataEntry* best = nullptr;
-      for (const DataEntry& de : entries) {
-        if (de.uncommitted()) continue;
-        if (Slice(de.key) == key && de.ts <= t) {
-          if (best == nullptr || de.ts > best->ts) best = &de;
-        }
-      }
-      if (best == nullptr) return Status::NotFound("no version at time");
-      if (sink.pinned != nullptr) {
-        sink.pinned->SetCopied(Slice(best->value), best->ts);
-      } else {
-        *sink.value = best->value;
-      }
-      if (sink.ts != nullptr) *sink.ts = best->ts;
-      return Status::OK();
-    }
-    std::vector<IndexEntry> entries;
-    TSB_RETURN_IF_ERROR(DecodeHistIndexNode(Slice(blob), &level, &entries));
-    const IndexEntry* next = nullptr;
-    for (const IndexEntry& ie : entries) {
-      if (ie.Contains(key, t)) {
-        next = &ie;
-        break;
-      }
-    }
-    if (next == nullptr) return Status::NotFound("time precedes database");
-    if (!next->child.historical) {
-      return Status::Corruption("historical index references current node");
-    }
-    addr = next->child.addr;
-  }
-}
-
 // ---------------------------------------------------------------- reads
 
 Status TsbTree::Get(const ReadOptions& options, const Slice& key,
@@ -681,26 +634,6 @@ Status TsbTree::Get(const ReadOptions& options, const Slice& key,
   PointSink sink;
   sink.pinned = value;
   return SearchPoint(key, t, kNoTxn, MakeBlobReadHints(options), sink);
-}
-
-Status TsbTree::GetCurrent(const Slice& key, std::string* value,
-                           Timestamp* ts) {
-  // kMaxCommittedTs, not the watermark: internal callers (commit-time
-  // old-value capture, transaction reads) must observe versions stamped
-  // by a commit that has not published yet.
-  ReadOptions options;
-  options.as_of = kMaxCommittedTs;
-  return Get(options, key, value, ts);
-}
-
-Status TsbTree::GetAsOf(const Slice& key, Timestamp t, std::string* value,
-                        Timestamp* ts) {
-  if (t > kMaxCommittedTs) {
-    return Status::InvalidArgument("as-of time out of range");
-  }
-  ReadOptions options;
-  options.as_of = t;
-  return Get(options, key, value, ts);
 }
 
 Status TsbTree::GetUncommitted(const Slice& key, TxnId txn,
@@ -1020,11 +953,7 @@ void TsbTree::PartitionByTime(const std::vector<DataEntry>& all, Timestamp t,
   while (i < all.size()) {
     size_t j = i;
     const DataEntry* latest_lt = nullptr;  // largest committed ts < t
-    bool has_at_or_after = false;          // committed version with ts in [t, ...]
-    bool has_exact_le = false;             // committed version with ts == t? no:
-    // We need: the largest committed ts <= t. Versions with ts == t fall in
-    // the "ts >= t" bucket (rule 2) and satisfy rule 3 with no duplication.
-    (void)has_at_or_after;
+    bool has_exact = false;                // committed version with ts == t
     for (; j < all.size() && all[j].key == all[i].key; ++j) {
       const DataEntry& e = all[j];
       if (e.uncommitted()) {
@@ -1036,11 +965,12 @@ void TsbTree::PartitionByTime(const std::vector<DataEntry>& all, Timestamp t,
         latest_lt = &e;
       } else {
         current->push_back(e);  // rule 2
-        if (e.ts == t) has_exact_le = true;
+        if (e.ts == t) has_exact = true;
       }
     }
-    // Rule 3: the version valid at the split time must be in the new node.
-    if (latest_lt != nullptr && !has_exact_le) {
+    // Rule 3: the version valid at the split time must be in the new node
+    // (a version stamped exactly t already is, by rule 2).
+    if (latest_lt != nullptr && !has_exact) {
       current->push_back(*latest_lt);
       (*redundant)++;
     }
@@ -1105,17 +1035,16 @@ Status TsbTree::SplitDataPage(const std::vector<PathElem>& path) {
       TSB_RETURN_IF_ERROR(EnsureIndexRoom(path, leaf_idx - 1, need, &changed));
       if (changed) return Status::OK();
 
-      // Migrate: consolidate and append one node (section 3.1). The v3
+      // Migrate: consolidate and append one node (section 3.1). The
       // restart interval is chosen per node from its key shape.
       size_t distinct = 0, key_bytes = 0;
       DataNodeShape(hist_set, &distinct, &key_bytes);
-      const uint32_t interval = policy_.ChooseRestartInterval(
-          options_.hist_restart_interval, hist_set.size(), distinct,
-          key_bytes);
+      const uint32_t interval =
+          SplitPolicy::ChooseRestartInterval(hist_set.size(), distinct,
+                                             key_bytes);
       std::string blob;
       uint64_t raw_bytes = 0;
-      SerializeHistDataNode(hist_set, &blob, options_.hist_node_format,
-                            &raw_bytes, interval);
+      SerializeHistDataNode(hist_set, &blob, &raw_bytes, interval);
       HistAddr addr;
       TSB_RETURN_IF_ERROR(AppendHistNode(blob, raw_bytes, &addr));
 
@@ -1158,9 +1087,6 @@ Status TsbTree::SplitDataPage(const std::vector<PathElem>& path) {
           return Status::Corruption("parent lost reserved space");
         }
         parent_h.MarkDirty();
-        // Bump the epoch BEFORE dropping the latches: a reader that can
-        // observe the new structure must also observe the new epoch.
-        structure_epoch_.fetch_add(1, std::memory_order_acq_rel);
       }
       counters_.data_time_splits++;
       counters_.hist_data_nodes++;
@@ -1269,8 +1195,6 @@ Status TsbTree::SplitDataPage(const std::vector<PathElem>& path) {
       return Status::Corruption("parent lost reserved space (key split)");
     }
     parent_h.MarkDirty();
-    // Epoch bump inside the latch scope (see time-split comment).
-    structure_epoch_.fetch_add(1, std::memory_order_acq_rel);
   }
   counters_.data_key_splits++;
   return Status::OK();
@@ -1294,9 +1218,6 @@ Status TsbTree::GrowRoot() {
     return Status::Corruption("fresh root cannot hold one entry");
   }
   h.MarkDirty();
-  // Epoch first, then the root pointer: a reader that sees the new root
-  // must also see the new epoch.
-  structure_epoch_.fetch_add(1, std::memory_order_acq_rel);
   root_.store(h.id(), std::memory_order_release);
   height_.fetch_add(1, std::memory_order_acq_rel);
   counters_.root_grows++;
@@ -1458,8 +1379,6 @@ Status TsbTree::SplitIndexPage(const std::vector<PathElem>& path, size_t idx) {
       return Status::Corruption("index key split: parent lost space");
     }
     parent_h.MarkDirty();
-    // Epoch bump inside the latch scope (see time-split comment).
-    structure_epoch_.fetch_add(1, std::memory_order_acq_rel);
   }
   counters_.index_key_splits++;
   counters_.redundant_index_copies += dupes;
@@ -1494,13 +1413,11 @@ Status TsbTree::TimeSplitIndexPage(const std::vector<PathElem>& path,
   he.min_ts = ContentFloorHint(IndexContentFloor(hist_entries));
   size_t distinct = 0, key_bytes = 0;
   IndexNodeShape(hist_entries, &distinct, &key_bytes);
-  const uint32_t interval = policy_.ChooseRestartInterval(
-      options_.hist_restart_interval, hist_entries.size(), distinct,
-      key_bytes);
+  const uint32_t interval = SplitPolicy::ChooseRestartInterval(
+      hist_entries.size(), distinct, key_bytes);
   std::string blob;
   uint64_t raw_bytes = 0;
-  SerializeHistIndexNode(level, hist_entries, &blob,
-                         options_.hist_node_format, &raw_bytes, interval);
+  SerializeHistIndexNode(level, hist_entries, &blob, &raw_bytes, interval);
   HistAddr addr;
   TSB_RETURN_IF_ERROR(AppendHistNode(blob, raw_bytes, &addr));
 
@@ -1531,8 +1448,6 @@ Status TsbTree::TimeSplitIndexPage(const std::vector<PathElem>& path,
       return Status::Corruption("index time split: parent lost space");
     }
     parent_h.MarkDirty();
-    // Epoch bump inside the latch scope (see time-split comment).
-    structure_epoch_.fetch_add(1, std::memory_order_acq_rel);
   }
   counters_.index_time_splits++;
   counters_.hist_index_nodes++;
@@ -1678,15 +1593,15 @@ Status TsbTree::ScanHistoryRange(const Slice& key_lo, const Slice& key_hi,
   // The walk holds no latch across levels; instead every CURRENT index
   // page stays pinned while its subtrees are visited and its per-frame
   // mutation counter is revalidated after each child (see
-  // ScanHistoryRangeRec) — far finer-grained than the old whole-tree
-  // structure-epoch check, which restarted the scan on ANY split anywhere.
-  // Two escalations remain: a page that will not stabilize reports Busy,
-  // and a root swap mid-walk means entries may have moved to a page only
-  // reachable from the NEW root. Both retry the walk; the final attempt
-  // quiesces every mutator via the exclusive writer lock. The accumulator
-  // persists across attempts: each emission is a committed version decoded
-  // consistently under a latch, and the (key, ts) keying dedups re-visits,
-  // so earlier partial walks only save work.
+  // ScanHistoryRangeRec), so only a split of a page on the walk's own
+  // path makes it re-read anything. Two escalations remain: a page that
+  // will not stabilize reports Busy, and a root swap mid-walk means
+  // entries may have moved to a page only reachable from the NEW root.
+  // Both retry the walk; the final attempt quiesces every mutator via the
+  // exclusive writer lock. The accumulator persists across attempts: each
+  // emission is a committed version decoded consistently under a latch,
+  // and the (key, ts) keying dedups re-visits, so earlier partial walks
+  // only save work.
   constexpr int kOptimisticScanAttempts = 4;
   std::map<std::pair<std::string, Timestamp>, std::string> acc;
   std::vector<HistAddr> seen;
@@ -1829,17 +1744,6 @@ Status TsbTree::ScanHistoryRangeRec(
 
 std::unique_ptr<VersionCursor> TsbTree::NewCursor(const ReadOptions& options) {
   return std::make_unique<VersionCursor>(this, options);
-}
-
-std::unique_ptr<SnapshotIterator> TsbTree::NewSnapshotIterator(Timestamp t) {
-  ReadOptions options;
-  options.as_of = t;
-  return NewCursor(options);
-}
-
-std::unique_ptr<HistoryIterator> TsbTree::NewHistoryIterator(
-    const Slice& key) {
-  return std::make_unique<HistoryIterator>(this, key);
 }
 
 }  // namespace tsb_tree

@@ -31,11 +31,6 @@ namespace tsb {
 namespace tsb_tree {
 
 class VersionCursor;
-class HistoryIterator;
-
-/// Legacy name: a key-ordered snapshot scan is a VersionCursor pinned at
-/// one as-of time (the cursor subsumed the old iterator).
-using SnapshotIterator = VersionCursor;
 
 /// Sentinel for ReadOptions::as_of: read at the committed watermark (the
 /// newest time at which every finished transaction is visible and no
@@ -63,20 +58,6 @@ struct TsbOptions {
   /// hits pin the cached blob — no copy, no decode — so sizing this to the
   /// historical working set makes as-of reads allocation-free.
   size_t hist_cache_blobs = 8;
-  /// Point lookups into the historical store binary-search pinned blobs
-  /// through view refs (zero-copy). Off = legacy owning decode of every
-  /// visited node; kept only as a measurable baseline for benchmarks.
-  bool zero_copy_hist_reads = true;
-  /// Wire format for NEWLY written historical nodes. v3 prefix-compresses
-  /// keys per restart block (smaller nodes, slightly more decode work);
-  /// v2 is the uncompressed slotted format. Every format ever written
-  /// stays readable, so the knob can change between runs freely.
-  HistNodeFormat hist_node_format = HistNodeFormat::kV3;
-  /// Cells per restart block in newly written v3 nodes. Smaller blocks
-  /// decode fewer cells per lookup (long-key workloads); larger blocks
-  /// compress better (many short versions per key). Read-compatible in
-  /// every direction — the interval is stored per node.
-  uint32_t hist_restart_interval = kHistRestartInterval;
   /// Parallel write path. Off (default): every mutator serializes behind
   /// one writer mutex — the paper's single-updater discipline, zero
   /// overhead, the measurable baseline. On: mutators run concurrently
@@ -131,10 +112,11 @@ struct DecodedNode {
 ///  - PutUncommitted(key, value, txn) version without timestamp (section 4)
 ///  - StampCommitted(key, txn, ts)   commit an uncommitted version in place
 ///  - EraseUncommitted(key, txn)     abort cleanup (erasable current DB)
-/// Reads:
-///  - GetCurrent / GetAsOf / GetUncommitted
-///  - NewSnapshotIterator(T)         key-ordered state as of T
-///  - NewHistoryIterator(key)        all committed versions, newest first
+/// Reads (every committed read is parameterised by ReadOptions::as_of):
+///  - Get(options, key)              version valid at options.as_of
+///  - GetUncommitted(key, txn)       a transaction's own pending version
+///  - NewCursor(options)             key-ordered state as of options.as_of
+///                                   plus each key's versions (NextVersion)
 ///
 /// Thread model (paper section 4.1 extended with optimistic latch
 /// coupling on the write path):
@@ -161,7 +143,7 @@ struct DecodedNode {
 ///    simultaneously, so a reader can never observe a parent entry and a
 ///    child page from different structural states. Historical nodes are
 ///    immutable blobs and need no latches.
-///  - Scans (SnapshotIterator, ScanHistoryRange) keep pinned frames and
+///  - Scans (VersionCursor, ScanHistoryRange) keep pinned frames and
 ///    revalidate per-page mutation counters, transparently re-reading a
 ///    page a split rewrote underneath them; as-of-T results are stable
 ///    because commit timestamps only grow (section 4.1).
@@ -214,31 +196,15 @@ class TsbTree {
   Status Get(const ReadOptions& options, const Slice& key,
              PinnableValue* value);
 
-  /// Legacy wrapper: latest committed version (including any not yet
-  /// published by an in-flight multi-key commit — internal callers rely
-  /// on this; user code should prefer Get with default ReadOptions).
-  Status GetCurrent(const Slice& key, std::string* value,
-                    Timestamp* ts = nullptr);
-
-  /// Legacy wrapper: version valid at time `t`.
-  Status GetAsOf(const Slice& key, Timestamp t, std::string* value,
-                 Timestamp* ts = nullptr);
-
   /// Reads a transaction's own uncommitted version.
   Status GetUncommitted(const Slice& key, TxnId txn, std::string* value);
 
   /// The unified traversal surface: key-ordered Seek/Next/Prev at
   /// options.as_of plus NextVersion/SeekTimestamp along the current key's
-  /// time axis. Safe to use while an updater runs (structure-epoch
-  /// restarts; the as-of state is immutable).
+  /// time axis. Safe to use while an updater runs (per-page version
+  /// revalidation re-seeks past a concurrent split; the as-of state is
+  /// immutable).
   std::unique_ptr<VersionCursor> NewCursor(const ReadOptions& options);
-
-  /// Legacy wrapper: key-ordered state as of time `t` (a VersionCursor).
-  std::unique_ptr<SnapshotIterator> NewSnapshotIterator(Timestamp t);
-
-  /// Legacy wrapper: all committed versions of `key`, newest first (a
-  /// VersionCursor walking the time axis).
-  std::unique_ptr<HistoryIterator> NewHistoryIterator(const Slice& key);
 
   /// Resolves a ReadOptions::as_of value (kAsOfLatest = the committed
   /// watermark) into a concrete timestamp.
@@ -344,12 +310,6 @@ class TsbTree {
   }
   uint32_t height() const { return height_.load(std::memory_order_acquire); }
 
-  /// Monotone counter bumped by every structural change (split, root
-  /// grow). Scans snapshot it to detect concurrent restructuring.
-  uint64_t structure_epoch() const {
-    return structure_epoch_.load(std::memory_order_acquire);
-  }
-
   /// Decodes any node (current page or historical blob).
   Status ReadNode(const NodeRef& ref, DecodedNode* out);
 
@@ -398,13 +358,8 @@ class TsbTree {
   Status SearchHistPoint(HistAddr addr, const Slice& key, Timestamp t,
                          const BlobReadHints& hints, const PointSink& sink);
 
-  /// Legacy phase 2 using owning decodes of every visited node; kept as a
-  /// measurable baseline (options_.zero_copy_hist_reads == false).
-  Status SearchHistPointOwned(HistAddr addr, const Slice& key, Timestamp t,
-                              const PointSink& sink);
-
-  /// Serializes + appends one consolidated historical node in the
-  /// configured wire format and maintains the compression counters.
+  /// Appends one serialized historical node and maintains the compression
+  /// counters.
   Status AppendHistNode(const std::string& blob, uint64_t raw_bytes,
                         HistAddr* addr);
 
@@ -525,7 +480,6 @@ class TsbTree {
 
   std::atomic<uint32_t> root_{kInvalidPageId};
   std::atomic<uint32_t> height_{1};
-  std::atomic<uint64_t> structure_epoch_{0};
   TsbCounters counters_;  // atomic fields; see tsb_stats.h
   mutable HistDecodeCounters hist_decodes_;  // bumped by lock-free readers
   // Written-node compression accounting (writer-only stores, but read by

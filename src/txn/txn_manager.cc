@@ -30,7 +30,11 @@ Status Transaction::Get(const Slice& key, std::string* value) {
     *value = it->second;
     return Status::OK();
   }
-  return mgr_->tree_->GetCurrent(key, value);
+  // kMaxCommittedTs, not the watermark: a transaction must observe
+  // versions stamped by a commit that has not published yet.
+  tsb_tree::ReadOptions options;
+  options.as_of = kMaxCommittedTs;
+  return mgr_->tree_->Get(options, key, value);
 }
 
 Status Transaction::Commit(Timestamp* commit_ts) {
@@ -237,9 +241,13 @@ Status TxnManager::CommitInternal(Transaction* txn, Timestamp* commit_ts,
   std::vector<std::pair<bool, std::string>> old_values;
   if (hook_) {
     old_values.reserve(txn->writes_.size());
+    // Newest committed version, published or not: an earlier commit to
+    // the same key may still be waiting for the watermark.
+    tsb_tree::ReadOptions latest;
+    latest.as_of = kMaxCommittedTs;
     for (const auto& [key, value] : txn->writes_) {
       std::string old_value;
-      const bool had_old = tree_->GetCurrent(key, &old_value).ok();
+      const bool had_old = tree_->Get(latest, key, &old_value).ok();
       old_values.emplace_back(had_old, std::move(old_value));
     }
   }

@@ -92,7 +92,9 @@ class ReadTransaction {
   /// Reads the version of `key` valid at the transaction's timestamp.
   Status Get(const Slice& key, std::string* value,
              Timestamp* version_ts = nullptr) {
-    return tree_->GetAsOf(key, ts_, value, version_ts);
+    tsb_tree::ReadOptions options;
+    options.as_of = ts_;
+    return tree_->Get(options, key, value, version_ts);
   }
 
   /// Zero-copy read at the transaction's timestamp (see
@@ -104,17 +106,12 @@ class ReadTransaction {
   }
 
   /// Cursor over the key x time rectangle pinned at the transaction's
-  /// timestamp.
+  /// timestamp — key-ordered, it is the paper's lock-free backup/unload
+  /// scan.
   std::unique_ptr<tsb_tree::VersionCursor> NewCursor() {
     tsb_tree::ReadOptions options;
     options.as_of = ts_;
     return tree_->NewCursor(options);
-  }
-
-  /// Key-ordered scan of the database as of the transaction's timestamp —
-  /// the paper's lock-free backup/unload use case.
-  std::unique_ptr<tsb_tree::SnapshotIterator> NewIterator() {
-    return tree_->NewSnapshotIterator(ts_);
   }
 
  private:

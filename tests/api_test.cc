@@ -1,7 +1,7 @@
 // Tests for the public API surface: path-based Open with owned devices,
 // ReadOptions/PinnableValue zero-copy point reads, atomic WriteBatch, and
-// the unified VersionCursor (key axis + time axis) — including parity
-// against the legacy iterators and reopen-from-path persistence.
+// the unified VersionCursor (key axis + time axis) checked against a
+// recorded-commit oracle, and reopen-from-path persistence.
 #include <gtest/gtest.h>
 #include <unistd.h>
 
@@ -216,11 +216,11 @@ TEST_F(ApiTest, WriteBatchLastPutWinsWithinBatch) {
   ASSERT_TRUE(db_->Get(ReadOptions(), "dup", &v).ok());
   EXPECT_EQ("second", v);
   // Exactly one version exists (one key, one timestamp).
-  auto hist = db_->NewHistoryIterator("dup");
-  ASSERT_TRUE(hist->SeekToNewest().ok());
+  auto hist = db_->NewCursor();
+  ASSERT_TRUE(hist->Seek("dup").ok());
   ASSERT_TRUE(hist->Valid());
   EXPECT_EQ(cts, hist->ts());
-  ASSERT_TRUE(hist->Next().ok());
+  ASSERT_TRUE(hist->NextVersion().ok());
   EXPECT_FALSE(hist->Valid());
 }
 
@@ -258,33 +258,19 @@ TEST_F(ApiTest, WriteBatchMaintainsSecondaryIndexes) {
 
 // ---------------------------------------------------------------- cursor
 
-TEST_F(ApiTest, CursorParityWithLegacySnapshotIteratorAndOracle) {
+TEST_F(ApiTest, CursorMatchesOracle) {
   LoadWorkload();
   const Timestamp now = db_->Now();
   for (Timestamp t : {Timestamp(1), Timestamp(now / 3), Timestamp(now / 2),
                       now}) {
-    // Legacy entry point...
-    std::vector<std::tuple<std::string, Timestamp, std::string>> legacy;
-    auto it = db_->NewSnapshotIterator(t);
-    ASSERT_TRUE(it->SeekToFirst().ok());
-    while (it->Valid()) {
-      legacy.emplace_back(it->key().ToString(), it->ts(),
-                          it->value().ToString());
-      ASSERT_TRUE(it->Next().ok());
-    }
-    // ...the new cursor...
-    ReadOptions opts;
-    opts.as_of = t;
     std::vector<std::tuple<std::string, Timestamp, std::string>> cursor;
-    auto c = db_->NewCursor(opts);
+    auto c = db_->NewCursor({.as_of = t});
     ASSERT_TRUE(c->SeekToFirst().ok());
     while (c->Valid()) {
       cursor.emplace_back(c->key().ToString(), c->ts(),
                           c->value().ToString());
       ASSERT_TRUE(c->Next().ok());
     }
-    EXPECT_EQ(legacy, cursor) << "as of t=" << t;
-    // ...and the recorded-commit oracle all agree.
     std::vector<std::tuple<std::string, Timestamp, std::string>> oracle;
     for (const auto& [key, tsv] : OracleAsOf(t)) {
       oracle.emplace_back(key, tsv.first, tsv.second);
@@ -293,17 +279,16 @@ TEST_F(ApiTest, CursorParityWithLegacySnapshotIteratorAndOracle) {
   }
 }
 
-TEST_F(ApiTest, CursorVersionAxisParityWithHistoryIterator) {
+TEST_F(ApiTest, CursorVersionAxisMatchesOracle) {
   LoadWorkload();
   for (int k = 0; k < kKeys; k += 3) {
-    std::vector<std::pair<Timestamp, std::string>> legacy;
-    auto hist = db_->NewHistoryIterator(Key(k));
-    ASSERT_TRUE(hist->SeekToNewest().ok());
-    while (hist->Valid()) {
-      legacy.emplace_back(hist->ts(), hist->value().ToString());
-      ASSERT_TRUE(hist->Next().ok());
+    // Commits were recorded in timestamp order: newest-first reverses them.
+    std::vector<std::pair<Timestamp, std::string>> oracle;
+    for (auto it = commits_.rbegin(); it != commits_.rend(); ++it) {
+      const auto& [key, ts, value] = *it;
+      if (key == Key(k)) oracle.emplace_back(ts, value);
     }
-    EXPECT_EQ(static_cast<size_t>(kRounds), legacy.size());
+    ASSERT_EQ(static_cast<size_t>(kRounds), oracle.size());
 
     std::vector<std::pair<Timestamp, std::string>> axis;
     auto c = db_->NewCursor();
@@ -312,7 +297,7 @@ TEST_F(ApiTest, CursorVersionAxisParityWithHistoryIterator) {
       axis.emplace_back(c->ts(), c->value().ToString());
       ASSERT_TRUE(c->NextVersion().ok());
     }
-    EXPECT_EQ(legacy, axis) << Key(k);
+    EXPECT_EQ(oracle, axis) << Key(k);
   }
 }
 

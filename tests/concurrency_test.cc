@@ -158,7 +158,7 @@ TEST(ConcurrencyTest, SnapshotScansStayExactUnderConcurrentSplits) {
     scanners.emplace_back([&] {
       while (!stop.load(std::memory_order_acquire) && !failed.load()) {
         txn::ReadTransaction snap = f.db->BeginReadOnly();
-        auto it = snap.NewIterator();
+        auto it = snap.NewCursor();
         Status s = it->SeekToFirst();
         int count = 0;
         std::string prev_key;
@@ -389,7 +389,7 @@ TEST(ConcurrencyTest, ConcurrentUpdatersConflictCleanly) {
   for (int i = 0; i < kKeys; ++i) {
     std::string value, key;
     uint64_t seq = 0;
-    Status s = f.db->Get(KeyOf(i), &value);
+    Status s = f.db->Get({}, KeyOf(i), &value);
     if (s.IsNotFound()) continue;
     ASSERT_TRUE(s.ok()) << s.ToString();
     EXPECT_TRUE(DecodeValue(value, &key, &seq));

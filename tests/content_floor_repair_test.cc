@@ -59,7 +59,8 @@ class ContentFloorRepairTest : public ::testing::Test {
       std::string value;
       Timestamp version_ts = 0;
       ASSERT_TRUE(
-          tree_->GetAsOf(Key(kr.first), tv.first, &value, &version_ts).ok())
+          tree_->Get({.as_of = tv.first}, Key(kr.first), &value, &version_ts)
+              .ok())
           << "key " << kr.first << " round " << kr.second;
       EXPECT_EQ(value, tv.second);
       EXPECT_EQ(version_ts, tv.first);

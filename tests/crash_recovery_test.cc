@@ -147,7 +147,8 @@ class CrashRecoveryTest : public ::testing::Test {
         const int n = a.seq * batch_size + i;
         std::string value;
         Timestamp version_ts = 0;
-        Status s = db->GetAsOf(Key(a.writer, n), a.ts, &value, &version_ts);
+        Status s =
+            db->Get({.as_of = a.ts}, Key(a.writer, n), &value, &version_ts);
         ASSERT_TRUE(s.ok()) << "acked commit lost: writer " << a.writer
                             << " seq " << a.seq << " key " << n << ": "
                             << s.ToString();
@@ -166,11 +167,11 @@ class CrashRecoveryTest : public ::testing::Test {
       for (int probe = seq + 1; probe < seq + 3; ++probe) {
         std::string first;
         const bool have_first =
-            db->Get(Key(writer, probe * batch_size), &first).ok();
+            db->Get({}, Key(writer, probe * batch_size), &first).ok();
         for (int i = 1; i < batch_size; ++i) {
           std::string value;
           const bool have =
-              db->Get(Key(writer, probe * batch_size + i), &value).ok();
+              db->Get({}, Key(writer, probe * batch_size + i), &value).ok();
           EXPECT_EQ(have, have_first)
               << "torn batch: writer " << writer << " seq " << probe;
         }
@@ -238,7 +239,7 @@ TEST_F(CrashRecoveryTest, CleanShutdownReplaysNothing) {
   EXPECT_EQ(db->recovery_stats().purged_uncommitted, 0u);
   EXPECT_FALSE(db->recovery_stats().journal_applied);
   std::string value;
-  ASSERT_TRUE(db->Get(Key(0, 199), &value).ok());
+  ASSERT_TRUE(db->Get({}, Key(0, 199), &value).ok());
   EXPECT_EQ(value, Value(0, 199));
   EXPECT_EQ(db->Now(), last_ts);
 }
@@ -298,7 +299,7 @@ TEST_F(CrashRecoveryTest, UncommittedGhostsArePurged) {
   ASSERT_TRUE(MultiVersionDB::Open(path_, opts, &db).ok());
   EXPECT_GE(db->recovery_stats().purged_uncommitted, 1u);
   std::string value;
-  EXPECT_TRUE(db->Get("committed", &value).ok());
+  EXPECT_TRUE(db->Get({}, "committed", &value).ok());
   std::unique_ptr<txn::Transaction> probe;
   ASSERT_TRUE(db->Begin(&probe).ok());
   EXPECT_TRUE(probe->Get("ghost", &value).IsNotFound());
@@ -341,7 +342,7 @@ TEST_F(CrashRecoveryTest, SecondaryIndexRecoversWithPrimary) {
   std::map<std::string, int> expect;
   for (int i = 0; i < 60; ++i) {
     std::string value;
-    if (db->Get(Key(0, i), &value).ok()) {
+    if (db->Get({}, Key(0, i), &value).ok()) {
       expect[value.substr(value.find("owner=") + 6, 1)]++;
     }
   }
@@ -415,7 +416,7 @@ TEST_F(CrashRecoveryTest, LeftoverManifestTmpBesideManifestIsDiscarded) {
   std::unique_ptr<MultiVersionDB> db;
   ASSERT_TRUE(MultiVersionDB::Open(path_, opts, &db).ok());
   std::string value;
-  ASSERT_TRUE(db->Get("k", &value).ok());
+  ASSERT_TRUE(db->Get({}, "k", &value).ok());
   EXPECT_EQ(value, "v");
   struct stat st;
   EXPECT_NE(::stat(tmp.c_str(), &st), 0) << "leftover tmp not cleaned up";
@@ -437,7 +438,7 @@ TEST_F(CrashRecoveryTest, OrphanManifestTmpIsPromotedWhenComplete) {
   std::unique_ptr<MultiVersionDB> db;
   ASSERT_TRUE(MultiVersionDB::Open(path_, opts, &db).ok());
   std::string value;
-  ASSERT_TRUE(db->Get("k", &value).ok());
+  ASSERT_TRUE(db->Get({}, "k", &value).ok());
   EXPECT_EQ(value, "v");
   EXPECT_EQ(db->recovery_stats().frames_replayed, 0u) << "clean flag lost";
   struct stat st;
@@ -545,9 +546,9 @@ class SidecarCorruptionTest : public CrashRecoveryTest {
     std::unique_ptr<MultiVersionDB> db;
     ASSERT_TRUE(MultiVersionDB::Open(path_, opts, &db).ok());
     for (int k = 0; k < 24; ++k) {
-      auto it = db->NewHistoryIterator(Key(0, k));
-      ASSERT_TRUE(it->SeekToNewest().ok());
-      while (it->Valid()) ASSERT_TRUE(it->Next().ok());
+      auto it = db->NewCursor();
+      ASSERT_TRUE(it->Seek(Key(0, k)).ok());
+      while (it->Valid()) ASSERT_TRUE(it->NextVersion().ok());
     }
   }
 
@@ -557,12 +558,12 @@ class SidecarCorruptionTest : public CrashRecoveryTest {
         << "sidecar damage must never fail Open";
     // History reads fall back to lazy re-verification and still succeed.
     for (int k = 0; k < 24; ++k) {
-      auto it = db->NewHistoryIterator(Key(0, k));
-      ASSERT_TRUE(it->SeekToNewest().ok());
+      auto it = db->NewCursor();
+      ASSERT_TRUE(it->Seek(Key(0, k)).ok());
       int versions = 0;
-      while (it->Valid() && versions < 50) {
+      while (it->Valid() && it->key() == Slice(Key(0, k)) && versions < 50) {
         ++versions;
-        ASSERT_TRUE(it->Next().ok());
+        ASSERT_TRUE(it->NextVersion().ok());
       }
       EXPECT_GT(versions, 0) << "history lost for key " << k;
     }

@@ -1,5 +1,5 @@
 // MultiVersionDB facade tests: autocommit, transactions with secondary
-// index maintenance, temporal joins through FindBySecondaryAsOf, and flush.
+// index maintenance, temporal joins through FindBySecondary, and flush.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -60,9 +60,10 @@ TEST_F(DbTest, PoolAndHistStatsDiagnoseBothAxes) {
   }
   std::string v;
   for (int k = 0; k < 8; ++k) {
-    ASSERT_TRUE(db_->Get("acct-" + std::to_string(k), &v).ok());
+    ASSERT_TRUE(db_->Get({}, "acct-" + std::to_string(k), &v).ok());
     ASSERT_TRUE(
-        db_->GetAsOf("acct-" + std::to_string(k), first_round_done, &v).ok());
+        db_->Get({.as_of = first_round_done}, "acct-" + std::to_string(k), &v)
+            .ok());
   }
   const BufferPoolStats pool = db_->PoolStats();
   EXPECT_GT(pool.hits, 0u);
@@ -84,7 +85,7 @@ TEST_F(DbTest, AutocommitPutGet) {
   EXPECT_GT(cts, 0u);
   std::string v;
   Timestamp ts = 0;
-  ASSERT_TRUE(db_->Get("acct-1", &v, &ts).ok());
+  ASSERT_TRUE(db_->Get({}, "acct-1", &v, &ts).ok());
   EXPECT_EQ("owner=ann;balance=100", v);
   EXPECT_EQ(cts, ts);
 }
@@ -95,11 +96,11 @@ TEST_F(DbTest, AsOfReadsReconstructHistory) {
   ASSERT_TRUE(db_->Put("acct", "owner=ann;balance=250", &t2).ok());
   ASSERT_TRUE(db_->Put("acct", "owner=bob;balance=250", &t3).ok());
   std::string v;
-  ASSERT_TRUE(db_->GetAsOf("acct", t1, &v).ok());
+  ASSERT_TRUE(db_->Get({.as_of = t1}, "acct", &v).ok());
   EXPECT_EQ("owner=ann;balance=100", v);
-  ASSERT_TRUE(db_->GetAsOf("acct", t2, &v).ok());
+  ASSERT_TRUE(db_->Get({.as_of = t2}, "acct", &v).ok());
   EXPECT_EQ("owner=ann;balance=250", v);
-  ASSERT_TRUE(db_->GetAsOf("acct", t3, &v).ok());
+  ASSERT_TRUE(db_->Get({.as_of = t3}, "acct", &v).ok());
   EXPECT_EQ("owner=bob;balance=250", v);
 }
 
@@ -138,7 +139,7 @@ TEST_F(DbTest, SecondaryIndexUnchangedFieldNotTouched) {
   EXPECT_EQ(puts_before, db_->index("by_owner")->tree()->counters().puts);
 }
 
-TEST_F(DbTest, FindBySecondaryAsOfJoinsPrimary) {
+TEST_F(DbTest, FindBySecondaryJoinsPrimary) {
   ASSERT_TRUE(db_->CreateSecondaryIndex("by_owner", ExtractOwner).ok());
   Timestamp t_ann = 0;
   ASSERT_TRUE(db_->Put("acct-1", "owner=ann;balance=10", &t_ann).ok());
@@ -147,17 +148,16 @@ TEST_F(DbTest, FindBySecondaryAsOfJoinsPrimary) {
 
   std::vector<std::pair<std::string, std::string>> kvs;
   // As of t_ann both accounts... acct-2 did not exist yet at t_ann.
-  ASSERT_TRUE(db_->FindBySecondaryAsOf("by_owner", "ann", t_ann, &kvs).ok());
+  ASSERT_TRUE(
+      db_->FindBySecondary({.as_of = t_ann}, "by_owner", "ann", &kvs).ok());
   ASSERT_EQ(1u, kvs.size());
   EXPECT_EQ("acct-1", kvs[0].first);
   EXPECT_EQ("owner=ann;balance=10", kvs[0].second);
   // Now: only acct-2 belongs to ann.
-  ASSERT_TRUE(
-      db_->FindBySecondaryAsOf("by_owner", "ann", db_->Now(), &kvs).ok());
+  ASSERT_TRUE(db_->FindBySecondary({}, "by_owner", "ann", &kvs).ok());
   ASSERT_EQ(1u, kvs.size());
   EXPECT_EQ("acct-2", kvs[0].first);
-  ASSERT_TRUE(
-      db_->FindBySecondaryAsOf("by_owner", "cho", db_->Now(), &kvs).ok());
+  ASSERT_TRUE(db_->FindBySecondary({}, "by_owner", "cho", &kvs).ok());
   ASSERT_EQ(1u, kvs.size());
   EXPECT_EQ("acct-1", kvs[0].first);
 }
@@ -188,14 +188,14 @@ TEST_F(DbTest, AbortedTxnNeverReachesIndexes) {
   ASSERT_TRUE(db_->index("by_owner")->Lookup("ghost", &pks).ok());
   EXPECT_TRUE(pks.empty());
   std::string v;
-  EXPECT_TRUE(db_->Get("a1", &v).IsNotFound());
+  EXPECT_TRUE(db_->Get({}, "a1", &v).IsNotFound());
 }
 
 TEST_F(DbTest, UnindexedValuesSkipped) {
   ASSERT_TRUE(db_->CreateSecondaryIndex("by_owner", ExtractOwner).ok());
   ASSERT_TRUE(db_->Put("weird", "no owner field here").ok());
   std::string v;
-  ASSERT_TRUE(db_->Get("weird", &v).ok());
+  ASSERT_TRUE(db_->Get({}, "weird", &v).ok());
   // Transition into indexed state works too.
   ASSERT_TRUE(db_->Put("weird", "owner=late;balance=0").ok());
   std::vector<std::string> pks;
@@ -219,7 +219,7 @@ TEST_F(DbTest, SnapshotAndHistoryIterationThroughFacade) {
   ASSERT_TRUE(db_->Put("k1", "v1", &first).ok());
   ASSERT_TRUE(db_->Put("k2", "v2").ok());
   ASSERT_TRUE(db_->Put("k1", "v1b").ok());
-  auto snap = db_->NewSnapshotIterator(first);
+  auto snap = db_->NewCursor({.as_of = first});
   ASSERT_TRUE(snap->SeekToFirst().ok());
   ASSERT_TRUE(snap->Valid());
   EXPECT_EQ("k1", snap->key().ToString());
@@ -227,13 +227,13 @@ TEST_F(DbTest, SnapshotAndHistoryIterationThroughFacade) {
   ASSERT_TRUE(snap->Next().ok());
   EXPECT_FALSE(snap->Valid());
 
-  auto hist = db_->NewHistoryIterator("k1");
-  ASSERT_TRUE(hist->SeekToNewest().ok());
+  auto hist = db_->NewCursor();
+  ASSERT_TRUE(hist->Seek("k1").ok());
   ASSERT_TRUE(hist->Valid());
   EXPECT_EQ("v1b", hist->value().ToString());
-  ASSERT_TRUE(hist->Next().ok());
+  ASSERT_TRUE(hist->NextVersion().ok());
   EXPECT_EQ("v1", hist->value().ToString());
-  ASSERT_TRUE(hist->Next().ok());
+  ASSERT_TRUE(hist->NextVersion().ok());
   EXPECT_FALSE(hist->Valid());
 }
 

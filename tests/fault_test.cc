@@ -81,7 +81,7 @@ TEST_F(FaultTest, CurrentPageBitRotDetected) {
   for (int k = 0; k < 8; ++k) {
     for (Timestamp t = 1; t <= reopened->Now(); t += 17) {
       std::string v;
-      Status s = reopened->GetAsOf(Key(k), t, &v);
+      Status s = reopened->Get({.as_of = t}, Key(k), &v);
       if (s.IsCorruption()) saw_corruption = true;
       if (s.ok()) {
         // Any successful read must be internally consistent: value suffix
@@ -105,7 +105,7 @@ TEST_F(FaultTest, HistoricalBlobBitRotDetected) {
   for (int k = 0; k < 8 && !saw_corruption; ++k) {
     for (Timestamp t = 1; t <= tree_->Now(); ++t) {
       std::string v;
-      Status s = tree_->GetAsOf(Key(k), t, &v);
+      Status s = tree_->Get({.as_of = t}, Key(k), &v);
       if (s.IsCorruption()) {
         saw_corruption = true;
         break;
@@ -122,7 +122,7 @@ TEST_F(FaultTest, CurrentReadsSurviveHistoricalRot) {
   ASSERT_TRUE(hist_->Write(0, zeros).ok());
   for (int k = 0; k < 8; ++k) {
     std::string v;
-    EXPECT_TRUE(tree_->GetCurrent(Key(k), &v).ok()) << k;
+    EXPECT_TRUE(tree_->Get({}, Key(k), &v).ok()) << k;
   }
 }
 
@@ -219,7 +219,7 @@ TEST_F(FaultTest, TruncatedHistoricalStoreYieldsIOError) {
   for (int k = 0; k < 8 && !saw_error; ++k) {
     for (Timestamp t = 1; t <= tree_->Now(); t += 3) {
       std::string v;
-      Status s = tree_->GetAsOf(Key(k), t, &v);
+      Status s = tree_->Get({.as_of = t}, Key(k), &v);
       if (s.IsIOError() || s.IsCorruption()) {
         saw_error = true;
         break;
@@ -387,7 +387,7 @@ class DegradedModeTest : public ::testing::Test {
   void ExpectBaseline(int n) {
     for (int i = 0; i < n; ++i) {
       std::string v;
-      ASSERT_TRUE(db_->Get(DbKey(i), &v).ok()) << DbKey(i);
+      ASSERT_TRUE(db_->Get({}, DbKey(i), &v).ok()) << DbKey(i);
       EXPECT_EQ("base-" + std::to_string(i), v);
     }
   }
@@ -444,7 +444,7 @@ TEST_F(DegradedModeTest, GroupCommitSyncFailureAcksNothing) {
   EXPECT_TRUE(db_->BackgroundError().ok());
   for (int w = 0; w < kWriters; ++w) {
     std::string v;
-    EXPECT_TRUE(db_->Get("doomed-" + std::to_string(w), &v).IsNotFound());
+    EXPECT_TRUE(db_->Get({}, "doomed-" + std::to_string(w), &v).IsNotFound());
   }
   ASSERT_TRUE(db_->Put("post-resume", "v").ok());
 
@@ -459,10 +459,10 @@ TEST_F(DegradedModeTest, GroupCommitSyncFailureAcksNothing) {
   ExpectBaseline(kBase);
   for (int w = 0; w < kWriters; ++w) {
     std::string v;
-    EXPECT_TRUE(db_->Get("doomed-" + std::to_string(w), &v).IsNotFound());
+    EXPECT_TRUE(db_->Get({}, "doomed-" + std::to_string(w), &v).IsNotFound());
   }
   std::string v;
-  ASSERT_TRUE(db_->Get("post-resume", &v).ok());
+  ASSERT_TRUE(db_->Get({}, "post-resume", &v).ok());
   EXPECT_EQ("v", v);
 }
 
@@ -492,7 +492,7 @@ TEST_F(DegradedModeTest, EioOnNthPageWriteDegradesUntilResume) {
   OpenDb(Options());
   ExpectBaseline(kBase);
   std::string v;
-  ASSERT_TRUE(db_->Get("after-eio", &v).ok());
+  ASSERT_TRUE(db_->Get({}, "after-eio", &v).ok());
   EXPECT_EQ("y", v);
 }
 
@@ -521,7 +521,7 @@ TEST_F(DegradedModeTest, EnospcDuringCheckpointResumesAfterSpaceReturns) {
   OpenDb(Options());
   ExpectBaseline(kBase);
   std::string v;
-  ASSERT_TRUE(db_->Get("after-enospc", &v).ok());
+  ASSERT_TRUE(db_->Get({}, "after-enospc", &v).ok());
   EXPECT_EQ("z", v);
 }
 
@@ -541,11 +541,11 @@ TEST_F(DegradedModeTest, DegradedReadsMatchPostReopenReads) {
   std::vector<std::pair<bool, std::string>> during(kBase + 1);
   for (int i = 0; i < kBase; ++i) {
     std::string v;
-    during[i] = {db_->GetAsOf(DbKey(i), frozen, &v).ok(), v};
+    during[i] = {db_->Get({.as_of = frozen}, DbKey(i), &v).ok(), v};
   }
   {
     std::string v;
-    during[kBase] = {db_->GetAsOf("doomed", frozen, &v).ok(), v};
+    during[kBase] = {db_->Get({.as_of = frozen}, "doomed", &v).ok(), v};
     EXPECT_FALSE(during[kBase].first);  // never acked, never visible
   }
 
@@ -556,14 +556,15 @@ TEST_F(DegradedModeTest, DegradedReadsMatchPostReopenReads) {
   OpenDb(Options());
   for (int i = 0; i < kBase; ++i) {
     std::string v;
-    const bool found = db_->GetAsOf(DbKey(i), frozen, &v).ok();
+    const bool found = db_->Get({.as_of = frozen}, DbKey(i), &v).ok();
     EXPECT_EQ(during[i].first, found) << DbKey(i);
     if (found) {
       EXPECT_EQ(during[i].second, v) << DbKey(i);
     }
   }
   std::string v;
-  EXPECT_EQ(during[kBase].first, db_->GetAsOf("doomed", frozen, &v).ok());
+  EXPECT_EQ(during[kBase].first,
+            db_->Get({.as_of = frozen}, "doomed", &v).ok());
 }
 
 // auto_resume: a transient fault heals itself in the background without

@@ -1,9 +1,9 @@
-// The slotted (v2) and restart-block prefix-compressed (v3) historical
-// node formats and their zero-copy view refs: v1 <-> v2 <-> v3 compat
-// decode, view binary-search parity against the legacy linear scan on
-// randomized entry sets (including prefix-heavy keys and single-cell
-// restart blocks), container corruption handling, and the current index
-// page's binary-search FindContaining parity against a linear scan.
+// The restart-block prefix-compressed historical node format and its
+// zero-copy view refs: round trips, view binary-search parity against a
+// linear scan on randomized entry sets at every restart interval the
+// split policy can pick (plus the degenerate ones), rejection of every
+// other version byte, container corruption handling, and the current
+// index page's binary-search FindContaining parity against a linear scan.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -11,6 +11,7 @@
 #include <string>
 #include <vector>
 
+#include "common/coding.h"
 #include "common/random.h"
 #include "tsb/data_page.h"
 #include "tsb/hist_node.h"
@@ -40,7 +41,8 @@ std::vector<DataEntry> MakeEntries(Random* rnd, int keys, int max_versions) {
   return entries;
 }
 
-// Keys sharing a long common prefix — the workload v3 exists for.
+// Keys sharing a long common prefix — the workload prefix compression
+// exists for.
 std::vector<DataEntry> MakePrefixHeavyEntries(Random* rnd, int keys,
                                               int max_versions) {
   std::vector<DataEntry> entries;
@@ -62,7 +64,7 @@ std::vector<DataEntry> MakePrefixHeavyEntries(Random* rnd, int keys,
   return entries;
 }
 
-// Reference implementation: the pre-view linear scan over owned entries.
+// Reference implementation: a linear scan over owned entries.
 int LinearFindVersion(const std::vector<DataEntry>& entries, const Slice& key,
                       Timestamp t) {
   int best = -1;
@@ -86,297 +88,10 @@ void ExpectSameEntries(const std::vector<DataEntry>& expected,
   }
 }
 
-TEST(HistDataNodeTest, V2RoundTrip) {
-  Random rnd(7);
-  const std::vector<DataEntry> entries = MakeEntries(&rnd, 40, 5);
-  std::string blob;
-  SerializeHistDataNode(entries, &blob, HistNodeFormat::kV2);
-
-  std::vector<DataEntry> decoded;
-  ASSERT_TRUE(DecodeHistDataNode(Slice(blob), &decoded).ok());
-  ExpectSameEntries(entries, decoded);
-
-  HistDataNodeRef ref;
-  ASSERT_TRUE(ref.Parse(Slice(blob)).ok());
-  EXPECT_TRUE(ref.v2());
-  ASSERT_EQ(static_cast<int>(entries.size()), ref.Count());
-  for (int i = 0; i < ref.Count(); ++i) {
-    DataEntryView v;
-    ASSERT_TRUE(ref.At(i, &v).ok());
-    EXPECT_EQ(Slice(entries[i].key), v.key);
-    EXPECT_EQ(entries[i].ts, v.ts);
-    EXPECT_EQ(Slice(entries[i].value), v.value);
-  }
-}
-
-TEST(HistDataNodeTest, V3RoundTrip) {
-  Random rnd(7);
-  const std::vector<DataEntry> entries = MakePrefixHeavyEntries(&rnd, 40, 5);
-  std::string blob;
-  SerializeHistDataNode(entries, &blob, HistNodeFormat::kV3);
-
-  std::vector<DataEntry> decoded;
-  ASSERT_TRUE(DecodeHistDataNode(Slice(blob), &decoded).ok());
-  ExpectSameEntries(entries, decoded);
-
-  HistDataNodeRef ref;
-  ASSERT_TRUE(ref.Parse(Slice(blob)).ok());
-  EXPECT_EQ(kHistNodeVersion3, ref.version());
-  ASSERT_EQ(static_cast<int>(entries.size()), ref.Count());
-  // One view at a time (the v3 contract): compare then move on.
-  for (int i = 0; i < ref.Count(); ++i) {
-    DataEntryView v;
-    ASSERT_TRUE(ref.At(i, &v).ok());
-    EXPECT_EQ(Slice(entries[i].key), v.key);
-    EXPECT_EQ(entries[i].ts, v.ts);
-    EXPECT_EQ(Slice(entries[i].value), v.value);
-  }
-  // Random access out of order exercises per-block reassembly.
-  Random probe(23);
-  for (int q = 0; q < 200; ++q) {
-    const int i = static_cast<int>(probe.Uniform(ref.Count()));
-    DataEntryView v;
-    ASSERT_TRUE(ref.At(i, &v).ok());
-    EXPECT_EQ(Slice(entries[i].key), v.key);
-    EXPECT_EQ(Slice(entries[i].value), v.value);
-  }
-}
-
-TEST(HistDataNodeTest, V3CompressesPrefixHeavyKeys) {
-  Random rnd(31);
-  const std::vector<DataEntry> entries = MakePrefixHeavyEntries(&rnd, 30, 6);
-  std::string v2_blob, v3_blob;
-  uint64_t raw2 = 0, raw3 = 0;
-  SerializeHistDataNode(entries, &v2_blob, HistNodeFormat::kV2, &raw2);
-  SerializeHistDataNode(entries, &v3_blob, HistNodeFormat::kV3, &raw3);
-  EXPECT_EQ(raw2, v2_blob.size());  // raw_bytes == the v2-equivalent size
-  EXPECT_EQ(raw2, raw3);
-  EXPECT_LE(v3_blob.size() * 10, v2_blob.size() * 8)
-      << "v3 should be <= 0.8x of v2 on prefix-heavy keys";
-}
-
-TEST(HistDataNodeTest, V1BlobsStillDecode) {
-  Random rnd(11);
-  const std::vector<DataEntry> entries = MakeEntries(&rnd, 25, 4);
-  std::string v1_blob;
-  SerializeHistDataNodeV1(entries, &v1_blob);
-  std::string v2_blob;
-  SerializeHistDataNode(entries, &v2_blob, HistNodeFormat::kV2);
-  ASSERT_NE(v1_blob, v2_blob);
-
-  // The owning decoder and the view ref both accept the legacy format.
-  std::vector<DataEntry> decoded;
-  ASSERT_TRUE(DecodeHistDataNode(Slice(v1_blob), &decoded).ok());
-  ASSERT_EQ(entries.size(), decoded.size());
-  for (size_t i = 0; i < entries.size(); ++i) {
-    EXPECT_EQ(entries[i].key, decoded[i].key);
-    EXPECT_EQ(entries[i].value, decoded[i].value);
-  }
-
-  HistDataNodeRef ref;
-  ASSERT_TRUE(ref.Parse(Slice(v1_blob)).ok());
-  EXPECT_FALSE(ref.v2());
-  ASSERT_EQ(static_cast<int>(entries.size()), ref.Count());
-  DataEntryView v;
-  ASSERT_TRUE(ref.At(ref.Count() - 1, &v).ok());
-  EXPECT_EQ(Slice(entries.back().value), v.value);
-}
-
-TEST(HistDataNodeTest, FindVersionParityRandomizedAcrossFormats) {
-  Random rnd(13);
-  for (int round = 0; round < 20; ++round) {
-    const std::vector<DataEntry> entries =
-        round % 2 == 0
-            ? MakeEntries(&rnd, 1 + static_cast<int>(rnd.Uniform(30)), 6)
-            : MakePrefixHeavyEntries(
-                  &rnd, 1 + static_cast<int>(rnd.Uniform(30)), 6);
-    std::string v3_blob, v2_blob, v1_blob;
-    SerializeHistDataNode(entries, &v3_blob, HistNodeFormat::kV3);
-    SerializeHistDataNode(entries, &v2_blob, HistNodeFormat::kV2);
-    SerializeHistDataNodeV1(entries, &v1_blob);
-    HistDataNodeRef v3_ref, v2_ref, v1_ref;
-    ASSERT_TRUE(v3_ref.Parse(Slice(v3_blob)).ok());
-    ASSERT_TRUE(v2_ref.Parse(Slice(v2_blob)).ok());
-    ASSERT_TRUE(v1_ref.Parse(Slice(v1_blob)).ok());
-
-    const Timestamp max_ts = entries.back().ts + 2;
-    for (int q = 0; q < 200; ++q) {
-      std::string key;
-      if (round % 2 == 0) {
-        char buf[16];
-        snprintf(buf, sizeof(buf), "key%05d",
-                 static_cast<int>(rnd.Uniform(35 * 3)));
-        key = buf;
-      } else {
-        char buf[48];
-        snprintf(buf, sizeof(buf), "tenant-0042/user-%08d/balance",
-                 static_cast<int>(rnd.Uniform(35 * 7)));
-        key = buf;
-      }
-      const Timestamp t = 1 + rnd.Uniform(max_ts);
-      const int expected = LinearFindVersion(entries, key, t);
-      int got_v3 = -2, got_v2 = -2, got_v1 = -2;
-      ASSERT_TRUE(v3_ref.FindVersion(key, t, &got_v3).ok());
-      ASSERT_TRUE(v2_ref.FindVersion(key, t, &got_v2).ok());
-      ASSERT_TRUE(v1_ref.FindVersion(key, t, &got_v1).ok());
-      EXPECT_EQ(expected, got_v3) << "key=" << key << " t=" << t;
-      EXPECT_EQ(expected, got_v2) << "key=" << key << " t=" << t;
-      EXPECT_EQ(expected, got_v1) << "key=" << key << " t=" << t;
-    }
-  }
-}
-
-TEST(HistDataNodeTest, V3SingleCellBlocksRoundTrip) {
-  // restart_interval == 1: every cell is a restart (stored whole); the
-  // directory indexes every cell, degenerating to v2-with-framing.
-  Random rnd(41);
-  const std::vector<DataEntry> entries = MakePrefixHeavyEntries(&rnd, 12, 3);
-  std::string blob;
-  {
-    HistNodeBuilder builder(0, static_cast<uint32_t>(entries.size()), &blob,
-                            HistNodeFormat::kV3, /*restart_interval=*/1);
-    std::string cell;
-    for (const DataEntry& e : entries) {
-      cell.clear();
-      EncodeDataCell(&cell, e.key, e.ts, e.txn, e.value);
-      builder.AddCell(cell);
-    }
-    builder.Finish();
-  }
-  std::vector<DataEntry> decoded;
-  ASSERT_TRUE(DecodeHistDataNode(Slice(blob), &decoded).ok());
-  ExpectSameEntries(entries, decoded);
-
-  HistDataNodeRef ref;
-  ASSERT_TRUE(ref.Parse(Slice(blob)).ok());
-  EXPECT_EQ(static_cast<int>(entries.size()), ref.Count());
-  {
-    HistNodeRef container;
-    ASSERT_TRUE(container.Parse(Slice(blob)).ok());
-    EXPECT_EQ(container.Count(), container.RestartCount());  // K == 1
-  }
-  const Timestamp max_ts = entries.back().ts + 2;
-  for (int q = 0; q < 100; ++q) {
-    const DataEntry& probe = entries[rnd.Uniform(entries.size())];
-    const Timestamp t = 1 + rnd.Uniform(max_ts);
-    int got = -2;
-    ASSERT_TRUE(ref.FindVersion(probe.key, t, &got).ok());
-    EXPECT_EQ(LinearFindVersion(entries, probe.key, t), got);
-  }
-}
-
-TEST(HistDataNodeTest, V3FewerCellsThanOneBlock) {
-  // count < restart_interval: a single restart block.
-  std::vector<DataEntry> entries;
-  DataEntry e;
-  e.key = "shared/prefix/key-a";
-  e.ts = 5;
-  e.value = "va";
-  entries.push_back(e);
-  e.key = "shared/prefix/key-b";
-  e.ts = 7;
-  e.value = "vb";
-  entries.push_back(e);
-  std::string blob;
-  SerializeHistDataNode(entries, &blob, HistNodeFormat::kV3);
-  HistDataNodeRef ref;
-  ASSERT_TRUE(ref.Parse(Slice(blob)).ok());
-  ASSERT_EQ(2, ref.Count());
-  {
-    HistNodeRef container;
-    ASSERT_TRUE(container.Parse(Slice(blob)).ok());
-    EXPECT_EQ(1, container.RestartCount());
-  }
-  DataEntryView v;
-  ASSERT_TRUE(ref.At(1, &v).ok());
-  EXPECT_EQ(Slice("shared/prefix/key-b"), v.key);
-  EXPECT_EQ(Slice("vb"), v.value);
-}
-
-TEST(HistDataNodeTest, EmptyNodeRoundTripsAllFormats) {
-  for (const HistNodeFormat format :
-       {HistNodeFormat::kV2, HistNodeFormat::kV3}) {
-    std::string blob;
-    SerializeHistDataNode({}, &blob, format);
-    HistDataNodeRef ref;
-    ASSERT_TRUE(ref.Parse(Slice(blob)).ok());
-    EXPECT_EQ(0, ref.Count());
-    int pos = -2;
-    ASSERT_TRUE(ref.FindVersion("any", 100, &pos).ok());
-    EXPECT_EQ(-1, pos);
-    std::vector<DataEntry> decoded;
-    ASSERT_TRUE(DecodeHistDataNode(Slice(blob), &decoded).ok());
-    EXPECT_TRUE(decoded.empty());
-  }
-}
-
-TEST(HistNodeTest, CorruptContainersRejected) {
-  std::vector<DataEntry> entries;
-  DataEntry e;
-  e.key = "k";
-  e.ts = 5;
-  e.value = "v";
-  entries.push_back(e);
-  std::string blob;
-  SerializeHistDataNode(entries, &blob, HistNodeFormat::kV2);
-
-  HistNodeRef ref;
-  // Truncated below the fixed header.
-  EXPECT_TRUE(ref.Parse(Slice(blob.data(), 1)).IsCorruption());
-  // Too short to hold the slot directory.
-  EXPECT_TRUE(ref.Parse(Slice(blob.data(), 9)).IsCorruption());
-  // A directory entry pointing outside the cell area parses (the container
-  // cannot know cell sizes) but fails at access time.
-  std::string bad_dir = blob;
-  bad_dir[bad_dir.size() - 4] = static_cast<char>(0xff);
-  bad_dir[bad_dir.size() - 3] = static_cast<char>(0xff);
-  HistDataNodeRef data_ref;
-  ASSERT_TRUE(data_ref.Parse(Slice(bad_dir)).ok());
-  DataEntryView v;
-  EXPECT_TRUE(data_ref.At(0, &v).IsCorruption());
-  // Unknown version byte.
-  std::string bad = blob;
-  bad[1] = 9;
-  EXPECT_TRUE(ref.Parse(Slice(bad)).IsCorruption());
-  // An index decoder must reject a data node and vice versa.
-  uint8_t level = 0;
-  std::vector<IndexEntry> ignored;
-  EXPECT_TRUE(DecodeHistIndexNode(Slice(blob), &level, &ignored)
-                  .IsCorruption());
-}
-
-TEST(HistNodeTest, CorruptV3ContainersRejected) {
-  std::vector<DataEntry> entries;
-  for (int i = 0; i < 20; ++i) {
-    DataEntry e;
-    e.key = "prefix/key-" + std::to_string(100 + i);
-    e.ts = 10 + i;
-    e.value = "v" + std::to_string(i);
-    entries.push_back(e);
-  }
-  std::string blob;
-  SerializeHistDataNode(entries, &blob, HistNodeFormat::kV3);
-
-  HistNodeRef ref;
-  // Truncated below the v3 header (level/version/count/interval).
-  EXPECT_TRUE(ref.Parse(Slice(blob.data(), 7)).IsCorruption());
-  // A restart directory entry pointing outside the cell area fails at
-  // access time for every cell of that block.
-  std::string bad_dir = blob;
-  bad_dir[bad_dir.size() - 4] = static_cast<char>(0xff);
-  bad_dir[bad_dir.size() - 3] = static_cast<char>(0xff);
-  HistDataNodeRef data_ref;
-  ASSERT_TRUE(data_ref.Parse(Slice(bad_dir)).ok());
-  DataEntryView v;
-  EXPECT_TRUE(data_ref.At(0, &v).IsCorruption());
-  // Zero restart interval is rejected at parse time.
-  std::string bad_interval = blob;
-  bad_interval[6] = 0;
-  bad_interval[7] = 0;
-  EXPECT_TRUE(ref.Parse(Slice(bad_interval)).IsCorruption());
-}
-
-// ---------------- index nodes ----------------
+// Restart intervals the parity tests sweep: the three the split policy
+// picks (4 for long keys, 64 for version runs, 16 otherwise), plus
+// single-cell blocks, tiny blocks, and blocks larger than most nodes.
+constexpr uint32_t kIntervals[] = {1, 2, 4, 16, 64, 128};
 
 // A tiling set of entries: `key_cuts`+1 key stripes x per-stripe time
 // cells, mirroring what time/key splits produce. Entries are
@@ -420,58 +135,298 @@ int LinearFindContaining(const std::vector<IndexEntry>& entries,
   return -1;
 }
 
-TEST(HistIndexNodeTest, RoundTripAndCompatAllFormats) {
-  Random rnd(17);
-  const std::vector<IndexEntry> entries = MakeTiling(&rnd, 4, 3, 300);
-  std::string v3_blob, v2_blob, v1_blob;
-  SerializeHistIndexNode(2, entries, &v3_blob, HistNodeFormat::kV3);
-  SerializeHistIndexNode(2, entries, &v2_blob, HistNodeFormat::kV2);
-  SerializeHistIndexNodeV1(2, entries, &v1_blob);
+TEST(HistDataNodeTest, RoundTrip) {
+  Random rnd(7);
+  const std::vector<DataEntry> entries = MakePrefixHeavyEntries(&rnd, 40, 5);
+  std::string blob;
+  SerializeHistDataNode(entries, &blob);
 
-  for (const std::string& blob : {v3_blob, v2_blob, v1_blob}) {
-    uint8_t level = 0;
-    std::vector<IndexEntry> decoded;
-    ASSERT_TRUE(DecodeHistIndexNode(Slice(blob), &level, &decoded).ok());
-    EXPECT_EQ(2, level);
-    ASSERT_EQ(entries.size(), decoded.size());
-    for (size_t i = 0; i < entries.size(); ++i) {
-      EXPECT_EQ(entries[i].key_lo, decoded[i].key_lo);
-      EXPECT_EQ(entries[i].key_hi_inf, decoded[i].key_hi_inf);
-      EXPECT_EQ(entries[i].t_lo, decoded[i].t_lo);
-      EXPECT_EQ(entries[i].t_hi, decoded[i].t_hi);
-      EXPECT_EQ(entries[i].child, decoded[i].child);
+  std::vector<DataEntry> decoded;
+  ASSERT_TRUE(DecodeHistDataNode(Slice(blob), &decoded).ok());
+  ExpectSameEntries(entries, decoded);
+
+  HistDataNodeRef ref;
+  ASSERT_TRUE(ref.Parse(Slice(blob)).ok());
+  EXPECT_EQ(kHistNodeVersion3, static_cast<uint8_t>(blob[1]));
+  ASSERT_EQ(static_cast<int>(entries.size()), ref.Count());
+  // One view at a time (the scratch contract): compare then move on.
+  for (int i = 0; i < ref.Count(); ++i) {
+    DataEntryView v;
+    ASSERT_TRUE(ref.At(i, &v).ok());
+    EXPECT_EQ(Slice(entries[i].key), v.key);
+    EXPECT_EQ(entries[i].ts, v.ts);
+    EXPECT_EQ(Slice(entries[i].value), v.value);
+  }
+  // Random access out of order exercises per-block reassembly.
+  Random probe(23);
+  for (int q = 0; q < 200; ++q) {
+    const int i = static_cast<int>(probe.Uniform(ref.Count()));
+    DataEntryView v;
+    ASSERT_TRUE(ref.At(i, &v).ok());
+    EXPECT_EQ(Slice(entries[i].key), v.key);
+    EXPECT_EQ(Slice(entries[i].value), v.value);
+  }
+}
+
+TEST(HistDataNodeTest, CompressesPrefixHeavyKeys) {
+  Random rnd(31);
+  const std::vector<DataEntry> entries = MakePrefixHeavyEntries(&rnd, 30, 6);
+  std::string blob;
+  uint64_t raw = 0;
+  SerializeHistDataNode(entries, &blob, &raw);
+  // raw_bytes is the uncompressed slotted size: header, cells, offsets.
+  uint64_t cells = 0;
+  for (const DataEntry& e : entries) cells += e.EncodedSize();
+  EXPECT_EQ(6 + cells + 4 * entries.size(), raw);
+  EXPECT_LE(blob.size() * 10, raw * 8)
+      << "should be <= 0.8x of uncompressed on prefix-heavy keys";
+  // Smaller blocks must not compress better than bigger ones on this
+  // prefix-heavy set (more restarts = more whole cells stored).
+  std::string blob4, blob64;
+  SerializeHistDataNode(entries, &blob4, nullptr, 4);
+  SerializeHistDataNode(entries, &blob64, nullptr, 64);
+  EXPECT_GT(blob4.size(), blob64.size());
+}
+
+TEST(HistDataNodeTest, FindVersionParityRandomizedAcrossIntervals) {
+  Random rnd(13);
+  for (const uint32_t interval : kIntervals) {
+    for (int round = 0; round < 10; ++round) {
+      const std::vector<DataEntry> entries =
+          round % 2 == 0
+              ? MakeEntries(&rnd, 1 + static_cast<int>(rnd.Uniform(30)), 6)
+              : MakePrefixHeavyEntries(
+                    &rnd, 1 + static_cast<int>(rnd.Uniform(30)), 6);
+      std::string blob;
+      SerializeHistDataNode(entries, &blob, nullptr, interval);
+      std::vector<DataEntry> decoded;
+      ASSERT_TRUE(DecodeHistDataNode(Slice(blob), &decoded).ok());
+      ExpectSameEntries(entries, decoded);
+      HistNodeRef container;
+      ASSERT_TRUE(container.Parse(Slice(blob)).ok());
+      EXPECT_EQ(interval, container.restart_interval());
+      EXPECT_EQ((entries.size() + interval - 1) / interval,
+                static_cast<size_t>(container.RestartCount()));
+      HistDataNodeRef ref;
+      ASSERT_TRUE(ref.Parse(Slice(blob)).ok());
+
+      const Timestamp max_ts = entries.back().ts + 2;
+      for (int q = 0; q < 100; ++q) {
+        std::string key;
+        if (round % 2 == 0) {
+          char buf[16];
+          snprintf(buf, sizeof(buf), "key%05d",
+                   static_cast<int>(rnd.Uniform(35 * 3)));
+          key = buf;
+        } else {
+          char buf[48];
+          snprintf(buf, sizeof(buf), "tenant-0042/user-%08d/balance",
+                   static_cast<int>(rnd.Uniform(35 * 7)));
+          key = buf;
+        }
+        const Timestamp t = 1 + rnd.Uniform(max_ts);
+        int got = -2;
+        ASSERT_TRUE(ref.FindVersion(key, t, &got).ok());
+        EXPECT_EQ(LinearFindVersion(entries, key, t), got)
+            << "interval=" << interval << " key=" << key << " t=" << t;
+      }
     }
   }
 }
 
-TEST(HistIndexNodeTest, FindContainingParityRandomizedAcrossFormats) {
-  Random rnd(19);
-  for (int round = 0; round < 20; ++round) {
-    const std::vector<IndexEntry> entries =
-        MakeTiling(&rnd, 1 + static_cast<int>(rnd.Uniform(6)),
-                   1 + static_cast<int>(rnd.Uniform(5)), 400);
-    std::string v3_blob, v2_blob, v1_blob;
-    SerializeHistIndexNode(1, entries, &v3_blob, HistNodeFormat::kV3);
-    SerializeHistIndexNode(1, entries, &v2_blob, HistNodeFormat::kV2);
-    SerializeHistIndexNodeV1(1, entries, &v1_blob);
-    HistIndexNodeRef v3_ref, v2_ref, v1_ref;
-    ASSERT_TRUE(v3_ref.Parse(Slice(v3_blob)).ok());
-    ASSERT_TRUE(v2_ref.Parse(Slice(v2_blob)).ok());
-    ASSERT_TRUE(v1_ref.Parse(Slice(v1_blob)).ok());
-    EXPECT_EQ(1, v3_ref.Level());
+TEST(HistDataNodeTest, FewerCellsThanOneBlock) {
+  // count < restart_interval: a single restart block.
+  std::vector<DataEntry> entries;
+  DataEntry e;
+  e.key = "shared/prefix/key-a";
+  e.ts = 5;
+  e.value = "va";
+  entries.push_back(e);
+  e.key = "shared/prefix/key-b";
+  e.ts = 7;
+  e.value = "vb";
+  entries.push_back(e);
+  std::string blob;
+  SerializeHistDataNode(entries, &blob);
+  HistDataNodeRef ref;
+  ASSERT_TRUE(ref.Parse(Slice(blob)).ok());
+  ASSERT_EQ(2, ref.Count());
+  {
+    HistNodeRef container;
+    ASSERT_TRUE(container.Parse(Slice(blob)).ok());
+    EXPECT_EQ(1, container.RestartCount());
+  }
+  DataEntryView v;
+  ASSERT_TRUE(ref.At(1, &v).ok());
+  EXPECT_EQ(Slice("shared/prefix/key-b"), v.key);
+  EXPECT_EQ(Slice("vb"), v.value);
+}
 
-    for (int q = 0; q < 200; ++q) {
-      const std::string key =
-          "key" + std::to_string(990 + rnd.Uniform(60));
-      const Timestamp t = rnd.Uniform(500);
-      const int expected = LinearFindContaining(entries, key, t);
-      int got_v3 = -2, got_v2 = -2, got_v1 = -2;
-      ASSERT_TRUE(v3_ref.FindContaining(key, t, &got_v3).ok());
-      ASSERT_TRUE(v2_ref.FindContaining(key, t, &got_v2).ok());
-      ASSERT_TRUE(v1_ref.FindContaining(key, t, &got_v1).ok());
-      EXPECT_EQ(expected, got_v3) << "key=" << key << " t=" << t;
-      EXPECT_EQ(expected, got_v2) << "key=" << key << " t=" << t;
-      EXPECT_EQ(expected, got_v1) << "key=" << key << " t=" << t;
+TEST(HistDataNodeTest, EmptyNodeRoundTrips) {
+  std::string blob;
+  SerializeHistDataNode({}, &blob);
+  HistDataNodeRef ref;
+  ASSERT_TRUE(ref.Parse(Slice(blob)).ok());
+  EXPECT_EQ(0, ref.Count());
+  int pos = -2;
+  ASSERT_TRUE(ref.FindVersion("any", 100, &pos).ok());
+  EXPECT_EQ(-1, pos);
+  std::vector<DataEntry> decoded;
+  ASSERT_TRUE(DecodeHistDataNode(Slice(blob), &decoded).ok());
+  EXPECT_TRUE(decoded.empty());
+}
+
+// A well-formed blob in one of the retired formats: v1 (byte 1 == 0,
+// length-prefixed cells) or v2 (byte 1 == 2, cells then a u32 offset per
+// cell).
+std::string LegacyBlob(uint8_t version, uint8_t level,
+                       const std::vector<std::string>& cells) {
+  std::string out;
+  out.push_back(static_cast<char>(level));
+  out.push_back(static_cast<char>(version));
+  if (version == 0) {
+    PutVarint32(&out, static_cast<uint32_t>(cells.size()));
+    for (const std::string& c : cells) PutLengthPrefixedSlice(&out, c);
+    return out;
+  }
+  PutFixed32(&out, static_cast<uint32_t>(cells.size()));
+  std::vector<uint32_t> offsets;
+  for (const std::string& c : cells) {
+    offsets.push_back(static_cast<uint32_t>(out.size()));
+    out.append(c);
+  }
+  for (const uint32_t off : offsets) PutFixed32(&out, off);
+  return out;
+}
+
+TEST(HistNodeTest, RetiredVersionsRejected) {
+  Random rnd(5);
+  std::vector<std::string> data_cells, index_cells;
+  for (const DataEntry& e : MakeEntries(&rnd, 20, 3)) {
+    data_cells.emplace_back();
+    EncodeDataCell(&data_cells.back(), e.key, e.ts, e.txn, e.value);
+  }
+  for (const IndexEntry& e : MakeTiling(&rnd, 3, 3, 300)) {
+    index_cells.emplace_back();
+    EncodeIndexCell(&index_cells.back(), e);
+  }
+  for (const uint8_t version : {uint8_t{0}, uint8_t{2}}) {
+    for (const uint8_t level : {uint8_t{0}, uint8_t{1}}) {
+      const std::string blob =
+          LegacyBlob(version, level, level == 0 ? data_cells : index_cells);
+      HistNodeRef ref;
+      const Status s = ref.Parse(Slice(blob));
+      EXPECT_TRUE(s.IsCorruption()) << "version " << int{version};
+      EXPECT_NE(std::string::npos,
+                s.ToString().find("unknown historical node version"))
+          << s.ToString();
+      std::vector<DataEntry> data;
+      EXPECT_TRUE(DecodeHistDataNode(Slice(blob), &data).IsCorruption());
+      EXPECT_TRUE(data.empty());
+      uint8_t got_level = 0;
+      std::vector<IndexEntry> index;
+      EXPECT_TRUE(DecodeHistIndexNode(Slice(blob), &got_level, &index)
+                      .IsCorruption());
+      EXPECT_TRUE(index.empty());
+    }
+  }
+}
+
+TEST(HistNodeTest, CorruptContainersRejected) {
+  std::vector<DataEntry> entries;
+  for (int i = 0; i < 20; ++i) {
+    DataEntry e;
+    e.key = "prefix/key-" + std::to_string(100 + i);
+    e.ts = 10 + i;
+    e.value = "v" + std::to_string(i);
+    entries.push_back(e);
+  }
+  std::string blob;
+  SerializeHistDataNode(entries, &blob);
+
+  HistNodeRef ref;
+  // Truncated below the version byte, then below the fixed header
+  // (level/version/count/interval).
+  EXPECT_TRUE(ref.Parse(Slice(blob.data(), 1)).IsCorruption());
+  EXPECT_TRUE(ref.Parse(Slice(blob.data(), 7)).IsCorruption());
+  // Too short to hold the restart directory (two restarts = 8 bytes).
+  EXPECT_TRUE(ref.Parse(Slice(blob.data(), 9)).IsCorruption());
+  // A restart directory entry pointing outside the cell area parses (the
+  // container cannot know cell sizes) but fails at access time for every
+  // cell of that block.
+  std::string bad_dir = blob;
+  bad_dir[bad_dir.size() - 4] = static_cast<char>(0xff);
+  bad_dir[bad_dir.size() - 3] = static_cast<char>(0xff);
+  HistDataNodeRef data_ref;
+  ASSERT_TRUE(data_ref.Parse(Slice(bad_dir)).ok());
+  DataEntryView v;
+  EXPECT_TRUE(data_ref.At(16, &v).IsCorruption());
+  // Zero restart interval is rejected at parse time.
+  std::string bad_interval = blob;
+  bad_interval[6] = 0;
+  bad_interval[7] = 0;
+  EXPECT_TRUE(ref.Parse(Slice(bad_interval)).IsCorruption());
+  // Unknown version byte.
+  std::string bad = blob;
+  bad[1] = 9;
+  EXPECT_TRUE(ref.Parse(Slice(bad)).IsCorruption());
+  // An index decoder must reject a data node.
+  uint8_t level = 0;
+  std::vector<IndexEntry> ignored;
+  EXPECT_TRUE(DecodeHistIndexNode(Slice(blob), &level, &ignored)
+                  .IsCorruption());
+}
+
+TEST(HistIndexNodeTest, RoundTrip) {
+  Random rnd(17);
+  const std::vector<IndexEntry> entries = MakeTiling(&rnd, 4, 3, 300);
+  std::string blob;
+  SerializeHistIndexNode(2, entries, &blob);
+  uint8_t level = 0;
+  std::vector<IndexEntry> decoded;
+  ASSERT_TRUE(DecodeHistIndexNode(Slice(blob), &level, &decoded).ok());
+  EXPECT_EQ(2, level);
+  ASSERT_EQ(entries.size(), decoded.size());
+  for (size_t i = 0; i < entries.size(); ++i) {
+    EXPECT_EQ(entries[i].key_lo, decoded[i].key_lo);
+    EXPECT_EQ(entries[i].key_hi_inf, decoded[i].key_hi_inf);
+    EXPECT_EQ(entries[i].t_lo, decoded[i].t_lo);
+    EXPECT_EQ(entries[i].t_hi, decoded[i].t_hi);
+    EXPECT_EQ(entries[i].child, decoded[i].child);
+  }
+}
+
+TEST(HistIndexNodeTest, FindContainingParityRandomizedAcrossIntervals) {
+  Random rnd(19);
+  for (const uint32_t interval : kIntervals) {
+    for (int round = 0; round < 10; ++round) {
+      const std::vector<IndexEntry> entries =
+          MakeTiling(&rnd, 1 + static_cast<int>(rnd.Uniform(6)),
+                     1 + static_cast<int>(rnd.Uniform(5)), 400);
+      const uint8_t level = static_cast<uint8_t>(1 + round % 3);
+      std::string blob;
+      SerializeHistIndexNode(level, entries, &blob, nullptr, interval);
+      HistIndexNodeRef ref;
+      ASSERT_TRUE(ref.Parse(Slice(blob)).ok());
+      EXPECT_EQ(level, ref.Level());
+      ASSERT_EQ(static_cast<int>(entries.size()), ref.Count());
+      for (size_t i = 0; i < entries.size(); ++i) {
+        IndexEntryView v;
+        ASSERT_TRUE(ref.AtView(static_cast<int>(i), &v).ok());
+        EXPECT_EQ(Slice(entries[i].key_lo), v.key_lo)
+            << "interval=" << interval;
+        EXPECT_EQ(entries[i].t_hi, v.t_hi);
+      }
+
+      for (int q = 0; q < 100; ++q) {
+        const std::string key =
+            "key" + std::to_string(990 + rnd.Uniform(60));
+        const Timestamp t = rnd.Uniform(500);
+        int got = -2;
+        ASSERT_TRUE(ref.FindContaining(key, t, &got).ok());
+        EXPECT_EQ(LinearFindContaining(entries, key, t), got)
+            << "interval=" << interval << " key=" << key << " t=" << t;
+      }
     }
   }
 }
@@ -496,90 +451,6 @@ TEST(IndexPageFindContainingTest, BinarySearchParityWithLinearScan) {
       EXPECT_EQ(LinearFindContaining(entries, key, t),
                 page.FindContaining(key, t))
           << "key=" << key << " t=" << t;
-    }
-  }
-}
-
-TEST(HistDataNodeTest, ConfigurableRestartIntervalRoundTrips) {
-  // TsbOptions::hist_restart_interval plumbs through to the builder: tiny
-  // blocks (4) and huge blocks (64, larger than the node) must both
-  // round-trip cell-exactly and binary-search correctly. The interval is
-  // stored per node, so mixed-interval stores decode freely.
-  Random rnd(31);
-  const std::vector<DataEntry> entries = MakePrefixHeavyEntries(&rnd, 40, 5);
-  const Timestamp max_ts = entries.back().ts + 2;
-  for (uint32_t interval : {4u, 64u}) {
-    std::string blob;
-    SerializeHistDataNode(entries, &blob, HistNodeFormat::kV3,
-                          /*raw_bytes=*/nullptr, interval);
-    HistDataNodeRef ref;
-    ASSERT_TRUE(ref.Parse(Slice(blob)).ok()) << "interval=" << interval;
-    ASSERT_EQ(static_cast<int>(entries.size()), ref.Count());
-    for (int i = 0; i < ref.Count(); ++i) {
-      DataEntryView v;
-      ASSERT_TRUE(ref.At(i, &v).ok());
-      EXPECT_EQ(Slice(entries[i].key), v.key) << "interval=" << interval;
-      EXPECT_EQ(entries[i].ts, v.ts);
-      EXPECT_EQ(Slice(entries[i].value), v.value);
-    }
-    std::vector<DataEntry> decoded;
-    ASSERT_TRUE(DecodeHistDataNode(Slice(blob), &decoded).ok());
-    ExpectSameEntries(entries, decoded);
-    for (int q = 0; q < 200; ++q) {
-      char buf[48];
-      snprintf(buf, sizeof(buf), "tenant-0042/user-%08d/balance",
-               static_cast<int>(rnd.Uniform(40 * 7)));
-      const Timestamp t = 1 + rnd.Uniform(max_ts);
-      int got = -2;
-      ASSERT_TRUE(ref.FindVersion(Slice(buf), t, &got).ok());
-      EXPECT_EQ(LinearFindVersion(entries, Slice(buf), t), got)
-          << "interval=" << interval << " key=" << buf << " t=" << t;
-    }
-  }
-  // Smaller blocks must not compress better than bigger ones on this
-  // prefix-heavy set (more restarts = more whole cells stored).
-  std::string blob4, blob64;
-  SerializeHistDataNode(entries, &blob4, HistNodeFormat::kV3, nullptr, 4);
-  SerializeHistDataNode(entries, &blob64, HistNodeFormat::kV3, nullptr, 64);
-  EXPECT_GT(blob4.size(), blob64.size());
-}
-
-TEST(HistIndexNodeTest, ConfigurableRestartIntervalRoundTrips) {
-  Random rnd(37);
-  std::vector<IndexEntry> entries;
-  for (int i = 0; i < 30; ++i) {
-    IndexEntry e;
-    char lo[32];
-    snprintf(lo, sizeof(lo), "region-%04d/key-%04d", i / 5, i * 3);
-    e.key_lo = lo;
-    e.key_hi = std::string(lo) + "~";
-    e.key_hi_inf = i == 29;
-    e.t_lo = 1 + i;
-    e.t_hi = 100 + i;
-    e.child = NodeRef::Historical(HistAddr{uint64_t(i) * 512, 128});
-    entries.push_back(std::move(e));
-  }
-  std::sort(entries.begin(), entries.end());
-  for (uint32_t interval : {4u, 64u}) {
-    std::string blob;
-    SerializeHistIndexNode(3, entries, &blob, HistNodeFormat::kV3,
-                           /*raw_bytes=*/nullptr, interval);
-    uint8_t level = 0;
-    std::vector<IndexEntry> decoded;
-    ASSERT_TRUE(DecodeHistIndexNode(Slice(blob), &level, &decoded).ok());
-    EXPECT_EQ(3, level);
-    ASSERT_EQ(entries.size(), decoded.size());
-    HistIndexNodeRef ref;
-    ASSERT_TRUE(ref.Parse(Slice(blob)).ok());
-    for (size_t i = 0; i < entries.size(); ++i) {
-      EXPECT_EQ(entries[i].key_lo, decoded[i].key_lo);
-      EXPECT_EQ(entries[i].t_lo, decoded[i].t_lo);
-      EXPECT_EQ(entries[i].child, decoded[i].child);
-      IndexEntryView v;
-      ASSERT_TRUE(ref.AtView(static_cast<int>(i), &v).ok());
-      EXPECT_EQ(Slice(entries[i].key_lo), v.key_lo)
-          << "interval=" << interval;
-      EXPECT_EQ(entries[i].t_hi, v.t_hi);
     }
   }
 }

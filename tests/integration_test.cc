@@ -84,7 +84,7 @@ TEST(IntegrationTest, FullStackWorkloadWithTxnsAndIndex) {
   EXPECT_TRUE(cs.ok()) << cs.ToString();
 
   // 2. Every current record's region matches its secondary index entry.
-  auto it = mvdb->NewSnapshotIterator(mvdb->Now());
+  auto it = mvdb->NewCursor({.as_of = mvdb->Now()});
   ASSERT_TRUE(it->SeekToFirst().ok());
   size_t checked = 0;
   while (it->Valid()) {
@@ -105,12 +105,12 @@ TEST(IntegrationTest, FullStackWorkloadWithTxnsAndIndex) {
 
   // 3. Read-only snapshot at an old time agrees with as-of reads.
   const Timestamp old_t = mvdb->Now() / 2;
-  auto old_it = mvdb->NewSnapshotIterator(old_t);
+  auto old_it = mvdb->NewCursor({.as_of = old_t});
   ASSERT_TRUE(old_it->SeekToFirst().ok());
   while (old_it->Valid()) {
     std::string v;
     Timestamp ts = 0;
-    ASSERT_TRUE(mvdb->GetAsOf(old_it->key(), old_t, &v, &ts).ok());
+    ASSERT_TRUE(mvdb->Get({.as_of = old_t}, old_it->key(), &v, &ts).ok());
     EXPECT_EQ(old_it->value().ToString(), v);
     EXPECT_EQ(old_it->ts(), ts);
     ASSERT_TRUE(old_it->Next().ok());
@@ -159,7 +159,7 @@ TEST(IntegrationTest, ThreeStructuresAgreeOnCurrentState) {
   Random rnd(spec.seed);
   for (const auto& [key, versions] : model) {
     std::string vt, vw, vb;
-    ASSERT_TRUE(tsb->GetCurrent(key, &vt).ok()) << key;
+    ASSERT_TRUE(tsb->Get({}, key, &vt).ok()) << key;
     ASSERT_TRUE(wobt.GetCurrent(key, &vw).ok()) << key;
     ASSERT_TRUE(bpt->Get(key, &vb).ok()) << key;
     EXPECT_EQ(versions.rbegin()->second, vt);
@@ -171,7 +171,7 @@ TEST(IntegrationTest, ThreeStructuresAgreeOnCurrentState) {
     const std::string key = gen.KeyFor(rnd.Uniform(gen.keys_created()));
     const Timestamp t = 1 + rnd.Uniform(spec.num_ops);
     std::string vt, vw;
-    Status st = tsb->GetAsOf(key, t, &vt);
+    Status st = tsb->Get({.as_of = t}, key, &vt);
     Status sw = wobt.GetAsOf(key, t, &vw);
     EXPECT_EQ(st.ok(), sw.ok()) << key << "@" << t;
     if (st.ok() && sw.ok()) {
@@ -229,9 +229,9 @@ TEST(IntegrationTest, FileBackedDevicesSurviveReopen) {
     std::unique_ptr<tsb_tree::TsbTree> tree;
     ASSERT_TRUE(tsb_tree::TsbTree::Open(mag.get(), hist.get(), opts, &tree).ok());
     std::string v;
-    ASSERT_TRUE(tree->GetCurrent("k0010", &v).ok());
+    ASSERT_TRUE(tree->Get({}, "k0010", &v).ok());
     EXPECT_EQ("v460", v);
-    ASSERT_TRUE(tree->GetAsOf("k0010", 11, &v).ok());
+    ASSERT_TRUE(tree->Get({.as_of = 11}, "k0010", &v).ok());
     EXPECT_EQ("v10", v);
     tsb_tree::TreeChecker checker(tree.get());
     EXPECT_TRUE(checker.Check().ok());

@@ -196,7 +196,7 @@ class ScrubDbTest : public ::testing::Test {
   void ExpectAllReadable(int n) {
     for (int i = 0; i < n; ++i) {
       std::string v;
-      ASSERT_TRUE(db_->Get(Key(i), &v).ok()) << Key(i);
+      ASSERT_TRUE(db_->Get({}, Key(i), &v).ok()) << Key(i);
       EXPECT_EQ((i % 2 == 0 ? "gen1-" : "gen0-") + std::to_string(i), v);
     }
   }
@@ -303,7 +303,7 @@ TEST_F(ScrubDbTest, WalTailRotDegradesTransientAndResumeHeals) {
   EXPECT_FALSE(db_->degraded());
   for (int i = 0; i < 30; ++i) {
     std::string v;
-    ASSERT_TRUE(db_->Get(Key(i), &v).ok());
+    ASSERT_TRUE(db_->Get({}, Key(i), &v).ok());
     EXPECT_EQ("wal-resident-" + std::to_string(i), v);
   }
   ScrubStats after;
@@ -349,7 +349,7 @@ TEST_F(ScrubDbTest, HistoricalRotIsStickyDetected) {
   // The early version must be readable from history before the rot.
   std::string v;
   Timestamp vts = 0;
-  ASSERT_TRUE(db_->GetAsOf(Key(0), early, &v, &vts).ok());
+  ASSERT_TRUE(db_->Get({.as_of = early}, Key(0), &v, &vts).ok());
   ASSERT_EQ("r10", v);
 
   // Rot EVERY blob (one flip per 32 bytes) so any as-of read that leaves
@@ -367,9 +367,9 @@ TEST_F(ScrubDbTest, HistoricalRotIsStickyDetected) {
   EXPECT_FALSE(db_->degraded());
   // Sticky detection: the verified memo was evicted, so the same as-of
   // read now FAILS instead of serving unverified bytes.
-  EXPECT_FALSE(db_->GetAsOf(Key(0), early, &v, &vts).ok());
+  EXPECT_FALSE(db_->Get({.as_of = early}, Key(0), &v, &vts).ok());
   // Current reads keep working — history rot does not take down the now.
-  ASSERT_TRUE(db_->Get(Key(0), &v).ok());
+  ASSERT_TRUE(db_->Get({}, Key(0), &v).ok());
   EXPECT_EQ("r119", v);
 }
 
@@ -416,7 +416,7 @@ TEST_F(ScrubDbTest, ConcurrentReadsDuringScrubAndQuarantine) {
       while (!stop.load(std::memory_order_relaxed)) {
         for (int i = 0; i < 60; ++i) {
           std::string v;
-          Status s = db_->Get(Key(i), &v);
+          Status s = db_->Get({}, Key(i), &v);
           if (s.ok()) {
             const std::string want =
                 (i % 2 == 0 ? "gen1-" : "gen0-") + std::to_string(i);
@@ -481,7 +481,7 @@ TEST_F(ScrubDbTest, SalvageRecoversEverythingStillChecksummed) {
   ASSERT_TRUE(MultiVersionDB::Open(dst, plain, &doctored).ok());
   for (int i = 0; i < 50; ++i) {
     std::string v;
-    ASSERT_TRUE(doctored->Get(Key(i), &v).ok()) << Key(i);
+    ASSERT_TRUE(doctored->Get({}, Key(i), &v).ok()) << Key(i);
     EXPECT_EQ((i % 2 == 0 ? "gen1-" : "gen0-") + std::to_string(i), v);
   }
   doctored.reset();

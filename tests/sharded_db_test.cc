@@ -69,17 +69,17 @@ TEST_F(ShardedDbTest, RoutingDistributesAndRoundTrips) {
   EXPECT_EQ(4u, used.size());
   for (int i = 0; i < kKeys; ++i) {
     std::string v;
-    ASSERT_TRUE(db_->Get(Key(i), &v).ok()) << Key(i);
+    ASSERT_TRUE(db_->Get({}, Key(i), &v).ok()) << Key(i);
     EXPECT_EQ("v" + std::to_string(i), v);
     // The facade and the raw router must agree, and the key must live on
     // exactly the shard the router names.
     const uint32_t home = ShardOfKey(Key(i), 4, db_->hash_seed());
     EXPECT_EQ(home, db_->ShardOf(Key(i)));
     std::string direct;
-    EXPECT_TRUE(db_->shard(home)->Get(Key(i), &direct).ok());
+    EXPECT_TRUE(db_->shard(home)->Get({}, Key(i), &direct).ok());
   }
   std::string missing;
-  EXPECT_TRUE(db_->Get("never-written", &missing).IsNotFound());
+  EXPECT_TRUE(db_->Get({}, "never-written", &missing).IsNotFound());
 }
 
 TEST_F(ShardedDbTest, MultiShardBatchIsAtomicAtOneTimestamp) {
@@ -140,7 +140,7 @@ TEST_F(ShardedDbTest, SingleShardBatchTakesTheFastPath) {
   dup.Put(Key(1), "second");
   ASSERT_TRUE(db_->Write(dup).ok());
   std::string v;
-  ASSERT_TRUE(db_->Get(Key(1), &v).ok());
+  ASSERT_TRUE(db_->Get({}, Key(1), &v).ok());
   EXPECT_EQ("second", v);
 
   // Empty batch: trivially OK, reports the current watermark.
@@ -173,7 +173,7 @@ TEST_F(ShardedDbTest, CleanReopenPreservesDataAndRouting) {
   for (int i = 0; i < 96; ++i) {
     std::string v;
     Timestamp vts = 0;
-    ASSERT_TRUE(db_->Get(Key(i), &v, &vts).ok()) << Key(i);
+    ASSERT_TRUE(db_->Get({}, Key(i), &v, &vts).ok()) << Key(i);
     EXPECT_EQ((i < 64 ? "v" : "b") + std::to_string(i), v);
     if (i >= 64) {
       EXPECT_EQ(batch_ts, vts);
@@ -228,12 +228,12 @@ TEST_F(ShardedDbTest, InDoubtDecisionResolvedAtOpen) {
   for (const auto& [key, value] : ops) {
     std::string v;
     Timestamp vts = 0;
-    ASSERT_TRUE(db_->Get(key, &v, &vts).ok()) << key;
+    ASSERT_TRUE(db_->Get({}, key, &v, &vts).ok()) << key;
     EXPECT_EQ(value, v);
     EXPECT_EQ(decided, vts);
   }
   std::string v;
-  ASSERT_TRUE(db_->Get("existing", &v).ok());
+  ASSERT_TRUE(db_->Get({}, "existing", &v).ok());
   EXPECT_EQ("pre", v);
 
   // Before the decision's timestamp the batch is fully absent.
@@ -247,7 +247,7 @@ TEST_F(ShardedDbTest, InDoubtDecisionResolvedAtOpen) {
   db_.reset();
   OpenDb(Options(0));
   EXPECT_EQ(0u, db_->in_doubt_replayed());
-  ASSERT_TRUE(db_->Get(Key(0), &v).ok());
+  ASSERT_TRUE(db_->Get({}, Key(0), &v).ok());
   EXPECT_EQ("indoubt-0", v);
 }
 

@@ -109,7 +109,7 @@ TEST_F(ShardedFaultTest, OneSickShardDegradesAlone) {
   // durable AND visible (the failed commit aborted in the ledger, so the
   // watermark is not pinned).
   std::string v;
-  ASSERT_TRUE(db_->Get(baseline[kSick], &v).ok());
+  ASSERT_TRUE(db_->Get({}, baseline[kSick], &v).ok());
   EXPECT_EQ("base", v);
   EXPECT_TRUE(db_->Put(KeyOnShard(kSick, 2), "x").IsIOError());
   for (uint32_t s = 0; s < kShards; ++s) {
@@ -117,7 +117,7 @@ TEST_F(ShardedFaultTest, OneSickShardDegradesAlone) {
     const std::string k = KeyOnShard(s, /*salt=*/3);
     Timestamp cts = 0;
     ASSERT_TRUE(db_->Put(k, "healthy-write", &cts).ok()) << "shard " << s;
-    ASSERT_TRUE(db_->Get(k, &v).ok());
+    ASSERT_TRUE(db_->Get({}, k, &v).ok());
     EXPECT_EQ("healthy-write", v);
     EXPECT_GE(db_->Now(), cts);
   }
@@ -135,10 +135,10 @@ TEST_F(ShardedFaultTest, OneSickShardDegradesAlone) {
   ASSERT_TRUE(resume.ok()) << resume.ToString();
   EXPECT_FALSE(db_->degraded());
   ASSERT_TRUE(db_->Put(sick_key, "recovered").ok());
-  ASSERT_TRUE(db_->Get(sick_key, &v).ok());
+  ASSERT_TRUE(db_->Get({}, sick_key, &v).ok());
   EXPECT_EQ("recovered", v);
   // The doomed pre-heal write never surfaces.
-  EXPECT_TRUE(db_->Get(KeyOnShard(kSick, 2), &v).IsNotFound());
+  EXPECT_TRUE(db_->Get({}, KeyOnShard(kSick, 2), &v).IsNotFound());
 }
 
 TEST_F(ShardedFaultTest, DecidedBatchSurvivesMidCommitShardFailure) {
@@ -174,7 +174,7 @@ TEST_F(ShardedFaultTest, DecidedBatchSurvivesMidCommitShardFailure) {
   std::string v;
   for (const auto& k : batch_keys) {
     EXPECT_TRUE(snap.Get(k, &v).IsNotFound()) << k;
-    EXPECT_TRUE(db_->Get(k, &v).IsNotFound()) << k;
+    EXPECT_TRUE(db_->Get({}, k, &v).IsNotFound()) << k;
   }
 
   // Healthy shards still accept writes; they are durable but invisible
@@ -183,7 +183,7 @@ TEST_F(ShardedFaultTest, DecidedBatchSurvivesMidCommitShardFailure) {
   Timestamp healthy_ts = 0;
   ASSERT_TRUE(db_->Put(healthy_key, "behind-the-pin", &healthy_ts).ok());
   EXPECT_GT(healthy_ts, cts);
-  EXPECT_TRUE(db_->Get(healthy_key, &v).IsNotFound());
+  EXPECT_TRUE(db_->Get({}, healthy_key, &v).IsNotFound());
 
   // Heal + resume: the pending decision completes on the healed shard
   // and the pin lifts — the batch becomes visible atomically, at its
@@ -196,11 +196,11 @@ TEST_F(ShardedFaultTest, DecidedBatchSurvivesMidCommitShardFailure) {
   EXPECT_GE(db_->Now(), healthy_ts);
   for (uint32_t s = 0; s < kShards; ++s) {
     Timestamp vts = 0;
-    ASSERT_TRUE(db_->Get(batch_keys[s], &v, &vts).ok()) << batch_keys[s];
+    ASSERT_TRUE(db_->Get({}, batch_keys[s], &v, &vts).ok()) << batch_keys[s];
     EXPECT_EQ("decided-" + std::to_string(s), v);
     EXPECT_EQ(cts, vts);
   }
-  ASSERT_TRUE(db_->Get(healthy_key, &v).ok());
+  ASSERT_TRUE(db_->Get({}, healthy_key, &v).ok());
   EXPECT_EQ("behind-the-pin", v);
 }
 
@@ -235,7 +235,7 @@ TEST_F(ShardedFaultTest, CrashWithPendingDecisionRecoversWholeBatch) {
   std::string v;
   for (uint32_t s = 0; s < kShards; ++s) {
     Timestamp vts = 0;
-    ASSERT_TRUE(db_->Get(batch_keys[s], &v, &vts).ok()) << batch_keys[s];
+    ASSERT_TRUE(db_->Get({}, batch_keys[s], &v, &vts).ok()) << batch_keys[s];
     EXPECT_EQ("crashed-" + std::to_string(s), v);
     EXPECT_EQ(cts, vts);
   }
@@ -271,7 +271,7 @@ TEST_F(ShardedFaultTest, CoordinatorAppendFaultAbortsCleanly) {
   }
   std::string v;
   for (const auto& k : batch_keys) {
-    EXPECT_TRUE(db_->Get(k, &v).IsNotFound()) << k;
+    EXPECT_TRUE(db_->Get({}, k, &v).IsNotFound()) << k;
   }
   // One-shot fault spent: the same batch retries to a clean commit.
   Timestamp cts = 0;
@@ -281,7 +281,7 @@ TEST_F(ShardedFaultTest, CoordinatorAppendFaultAbortsCleanly) {
   db_.reset();
   OpenDb();
   for (const auto& k : batch_keys) {
-    ASSERT_TRUE(db_->Get(k, &v).ok()) << k;
+    ASSERT_TRUE(db_->Get({}, k, &v).ok()) << k;
     EXPECT_EQ("retried", v);
   }
 }
@@ -305,7 +305,7 @@ TEST_F(ShardedFaultTest, CoordinatorSyncFaultResolvesToAbortViaResume) {
   EXPECT_TRUE(db_->Write(batch).IsIOError());
   std::string v;
   for (const auto& k : batch_keys) {
-    EXPECT_TRUE(db_->Get(k, &v).IsNotFound()) << k;
+    EXPECT_TRUE(db_->Get({}, k, &v).IsNotFound()) << k;
   }
   // No shard degraded, but visibility is pinned: later writes stay
   // durable-but-invisible behind the indeterminate timestamp.
@@ -316,7 +316,7 @@ TEST_F(ShardedFaultTest, CoordinatorSyncFaultResolvesToAbortViaResume) {
   Timestamp later_ts = 0;
   ASSERT_TRUE(db_->Put(later, "queued", &later_ts).ok());
   EXPECT_EQ(before_ts, db_->Now());
-  EXPECT_TRUE(db_->Get(later, &v).IsNotFound());
+  EXPECT_TRUE(db_->Get({}, later, &v).IsNotFound());
 
   // Resume resolves the ghost to ABORT: the coordinator log is rebuilt
   // without the frame, the pin lifts, and everything queued behind it
@@ -324,10 +324,10 @@ TEST_F(ShardedFaultTest, CoordinatorSyncFaultResolvesToAbortViaResume) {
   Status resume = db_->Resume();
   ASSERT_TRUE(resume.ok()) << resume.ToString();
   EXPECT_GE(db_->Now(), later_ts);
-  ASSERT_TRUE(db_->Get(later, &v).ok());
+  ASSERT_TRUE(db_->Get({}, later, &v).ok());
   EXPECT_EQ("queued", v);
   for (const auto& k : batch_keys) {
-    EXPECT_TRUE(db_->Get(k, &v).IsNotFound()) << k;
+    EXPECT_TRUE(db_->Get({}, k, &v).IsNotFound()) << k;
   }
   Timestamp cts = 0;
   ASSERT_TRUE(db_->Write(batch, &cts).ok());
@@ -340,7 +340,7 @@ TEST_F(ShardedFaultTest, CoordinatorSyncFaultResolvesToAbortViaResume) {
   EXPECT_EQ(0u, db_->in_doubt_replayed());
   for (const auto& k : batch_keys) {
     Timestamp vts = 0;
-    ASSERT_TRUE(db_->Get(k, &v, &vts).ok()) << k;
+    ASSERT_TRUE(db_->Get({}, k, &v, &vts).ok()) << k;
     EXPECT_EQ("ghost", v);
     EXPECT_EQ(cts, vts);
   }

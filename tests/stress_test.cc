@@ -49,7 +49,7 @@ TEST(StressTest, TinyBufferPoolColdReadsStayCorrect) {
     const std::string k = gen.KeyFor(rnd.Uniform(gen.keys_created()));
     const Timestamp t = 1 + rnd.Uniform(spec.num_ops);
     std::string v;
-    Status s = tree->GetAsOf(k, t, &v);
+    Status s = tree->Get({.as_of = t}, k, &v);
     auto& versions = model[k];
     auto it = versions.upper_bound(t);
     if (it == versions.begin()) {
@@ -110,13 +110,13 @@ TEST(StressTest, ThousandVersionChainFullyWalkable) {
                     .ok());
   }
   // Walk the complete chain through many migrated nodes.
-  auto it = tree->NewHistoryIterator("chain");
-  ASSERT_TRUE(it->SeekToNewest().ok());
+  auto it = tree->NewCursor({});
+  ASSERT_TRUE(it->Seek("chain").ok());
   int expect = kVersions;
   while (it->Valid()) {
     ASSERT_EQ(static_cast<Timestamp>(expect), it->ts());
     --expect;
-    ASSERT_TRUE(it->Next().ok());
+    ASSERT_TRUE(it->NextVersion().ok());
   }
   EXPECT_EQ(0, expect);
   // Random point probes across the whole chain.
@@ -124,7 +124,7 @@ TEST(StressTest, ThousandVersionChainFullyWalkable) {
   std::string v;
   for (int probe = 0; probe < 200; ++probe) {
     const Timestamp t = 1 + rnd.Uniform(kVersions);
-    ASSERT_TRUE(tree->GetAsOf("chain", t, &v).ok());
+    ASSERT_TRUE(tree->Get({.as_of = t}, "chain", &v).ok());
     EXPECT_EQ("v" + std::to_string(t), v);
   }
 }
@@ -160,7 +160,7 @@ TEST(StressTest, TxnChurnWithAbortsAtScale) {
   }
   for (const auto& [k, v] : committed) {
     std::string got;
-    ASSERT_TRUE(tree->GetCurrent(k, &got).ok()) << k;
+    ASSERT_TRUE(tree->Get({}, k, &got).ok()) << k;
     EXPECT_EQ(v, got);
   }
   TreeChecker checker(tree.get());

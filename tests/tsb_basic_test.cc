@@ -47,8 +47,8 @@ class TsbBasicTest : public ::testing::Test {
 TEST_F(TsbBasicTest, EmptyTreeGets) {
   Open();
   std::string v;
-  EXPECT_TRUE(tree_->GetCurrent("x", &v).IsNotFound());
-  EXPECT_TRUE(tree_->GetAsOf("x", 100, &v).IsNotFound());
+  EXPECT_TRUE(tree_->Get({}, "x", &v).IsNotFound());
+  EXPECT_TRUE(tree_->Get({.as_of = 100}, "x", &v).IsNotFound());
 }
 
 TEST_F(TsbBasicTest, PutGetRoundTrip) {
@@ -56,7 +56,7 @@ TEST_F(TsbBasicTest, PutGetRoundTrip) {
   ASSERT_TRUE(tree_->Put("alpha", "one", 1).ok());
   std::string v;
   Timestamp ts = 0;
-  ASSERT_TRUE(tree_->GetCurrent("alpha", &v, &ts).ok());
+  ASSERT_TRUE(tree_->Get({}, "alpha", &v, &ts).ok());
   EXPECT_EQ("one", v);
   EXPECT_EQ(1u, ts);
   ExpectChecked();
@@ -68,19 +68,19 @@ TEST_F(TsbBasicTest, VersionsAreKeptNotOverwritten) {
   ASSERT_TRUE(tree_->Put("acct", "180", 5).ok());
   ASSERT_TRUE(tree_->Put("acct", "75", 9).ok());
   std::string v;
-  ASSERT_TRUE(tree_->GetCurrent("acct", &v).ok());
+  ASSERT_TRUE(tree_->Get({}, "acct", &v).ok());
   EXPECT_EQ("75", v);
-  ASSERT_TRUE(tree_->GetAsOf("acct", 1, &v).ok());
+  ASSERT_TRUE(tree_->Get({.as_of = 1}, "acct", &v).ok());
   EXPECT_EQ("100", v);
-  ASSERT_TRUE(tree_->GetAsOf("acct", 4, &v).ok());
+  ASSERT_TRUE(tree_->Get({.as_of = 4}, "acct", &v).ok());
   EXPECT_EQ("100", v);  // stepwise constant between transactions
-  ASSERT_TRUE(tree_->GetAsOf("acct", 5, &v).ok());
+  ASSERT_TRUE(tree_->Get({.as_of = 5}, "acct", &v).ok());
   EXPECT_EQ("180", v);
-  ASSERT_TRUE(tree_->GetAsOf("acct", 8, &v).ok());
+  ASSERT_TRUE(tree_->Get({.as_of = 8}, "acct", &v).ok());
   EXPECT_EQ("180", v);
-  ASSERT_TRUE(tree_->GetAsOf("acct", 1000, &v).ok());
+  ASSERT_TRUE(tree_->Get({.as_of = 1000}, "acct", &v).ok());
   EXPECT_EQ("75", v);
-  EXPECT_TRUE(tree_->GetAsOf("acct", 0, &v).IsNotFound());
+  EXPECT_TRUE(tree_->Get({.as_of = 0}, "acct", &v).IsNotFound());
 }
 
 TEST_F(TsbBasicTest, TimestampDisciplineEnforced) {
@@ -97,7 +97,7 @@ TEST_F(TsbBasicTest, SameKeySameTsReplaces) {
   ASSERT_TRUE(tree_->Put("k", "first", 3).ok());
   ASSERT_TRUE(tree_->Put("k", "second", 3).ok());
   std::string v;
-  ASSERT_TRUE(tree_->GetCurrent("k", &v).ok());
+  ASSERT_TRUE(tree_->Get({}, "k", &v).ok());
   EXPECT_EQ("second", v);
   // Only one version exists.
   SpaceStats stats;
@@ -110,9 +110,9 @@ TEST_F(TsbBasicTest, UncommittedInvisibleToReaders) {
   ASSERT_TRUE(tree_->Put("k", "committed", 1).ok());
   ASSERT_TRUE(tree_->PutUncommitted("k", "dirty", 42).ok());
   std::string v;
-  ASSERT_TRUE(tree_->GetCurrent("k", &v).ok());
+  ASSERT_TRUE(tree_->Get({}, "k", &v).ok());
   EXPECT_EQ("committed", v);  // readers never see uncommitted data
-  ASSERT_TRUE(tree_->GetAsOf("k", 1000, &v).ok());
+  ASSERT_TRUE(tree_->Get({.as_of = 1000}, "k", &v).ok());
   EXPECT_EQ("committed", v);
   // The owning transaction reads its own write.
   ASSERT_TRUE(tree_->GetUncommitted("k", 42, &v).ok());
@@ -124,10 +124,11 @@ TEST_F(TsbBasicTest, StampCommittedMakesVisible) {
   Open();
   ASSERT_TRUE(tree_->PutUncommitted("k", "pending", 7).ok());
   std::string v;
-  EXPECT_TRUE(tree_->GetCurrent("k", &v).IsNotFound());
+  EXPECT_TRUE(tree_->Get({}, "k", &v).IsNotFound());
   ASSERT_TRUE(tree_->StampCommitted("k", 7, 20).ok());
+  // A bare stamp does not publish the watermark: read past it.
   Timestamp ts;
-  ASSERT_TRUE(tree_->GetCurrent("k", &v, &ts).ok());
+  ASSERT_TRUE(tree_->Get({.as_of = kMaxCommittedTs}, "k", &v, &ts).ok());
   EXPECT_EQ("pending", v);
   EXPECT_EQ(20u, ts);
   // The uncommitted version is gone.
@@ -141,7 +142,7 @@ TEST_F(TsbBasicTest, EraseUncommittedAbortPath) {
   ASSERT_TRUE(tree_->PutUncommitted("k", "doomed", 9).ok());
   ASSERT_TRUE(tree_->EraseUncommitted("k", 9).ok());
   std::string v;
-  ASSERT_TRUE(tree_->GetCurrent("k", &v).ok());
+  ASSERT_TRUE(tree_->Get({}, "k", &v).ok());
   EXPECT_EQ("keep", v);
   EXPECT_TRUE(tree_->GetUncommitted("k", 9, &v).IsNotFound());
   EXPECT_TRUE(tree_->EraseUncommitted("k", 9).IsNotFound());
@@ -156,7 +157,7 @@ TEST_F(TsbBasicTest, UncommittedReplacedBySecondWrite) {
   ASSERT_TRUE(tree_->GetUncommitted("k", 5, &v).ok());
   EXPECT_EQ("v2", v);
   ASSERT_TRUE(tree_->StampCommitted("k", 5, 3).ok());
-  ASSERT_TRUE(tree_->GetCurrent("k", &v).ok());
+  ASSERT_TRUE(tree_->Get({.as_of = kMaxCommittedTs}, "k", &v).ok());
   EXPECT_EQ("v2", v);
 }
 
@@ -185,7 +186,7 @@ TEST_F(TsbBasicTest, ManyKeysSplitAndStayReachable) {
   EXPECT_GT(tree_->height(), 1u);
   for (int i = 0; i < n; ++i) {
     std::string v;
-    ASSERT_TRUE(tree_->GetCurrent(Key(i), &v).ok()) << i;
+    ASSERT_TRUE(tree_->Get({}, Key(i), &v).ok()) << i;
     EXPECT_EQ("v" + std::to_string(i), v);
   }
   ExpectChecked();
@@ -204,9 +205,9 @@ TEST_F(TsbBasicTest, ManyUpdatesMigrateToHistorical) {
   EXPECT_GT(worm_->sectors_burned(), 0u);
   // Everything still reachable: current and deep past.
   std::string v;
-  ASSERT_TRUE(tree_->GetCurrent(Key(3), &v).ok());
+  ASSERT_TRUE(tree_->Get({}, Key(3), &v).ok());
   EXPECT_EQ("r59", v);
-  ASSERT_TRUE(tree_->GetAsOf(Key(3), 4, &v).ok());
+  ASSERT_TRUE(tree_->Get({.as_of = 4}, Key(3), &v).ok());
   EXPECT_EQ("r0", v);
   ExpectChecked();
 }
@@ -232,9 +233,9 @@ TEST_F(TsbBasicTest, PersistsAcrossReopen) {
   ASSERT_TRUE(
       TsbTree::Open(magnetic_.get(), worm_.get(), opts, &reopened).ok());
   std::string v;
-  ASSERT_TRUE(reopened->GetCurrent(Key(5), &v).ok());
+  ASSERT_TRUE(reopened->Get({}, Key(5), &v).ok());
   EXPECT_EQ("v275", v);
-  ASSERT_TRUE(reopened->GetAsOf(Key(5), 6, &v).ok());
+  ASSERT_TRUE(reopened->Get({.as_of = 6}, Key(5), &v).ok());
   EXPECT_EQ("v5", v);
   // Clock restored: stale timestamps still rejected.
   EXPECT_TRUE(reopened->Put("z", "x", 5).IsInvalidArgument());
@@ -276,19 +277,22 @@ TEST_F(TsbBasicTest, HistoricalDeviceIsAppendOnly) {
   ExpectChecked();
 }
 
-TEST_F(TsbBasicTest, GetAsOfRejectsReservedTimes) {
+TEST_F(TsbBasicTest, GetRejectsReservedTimes) {
   Open();
   ASSERT_TRUE(tree_->Put("k", "v", 1).ok());
   std::string v;
-  EXPECT_TRUE(tree_->GetAsOf("k", kUncommittedTs, &v).IsInvalidArgument());
-  EXPECT_TRUE(tree_->GetAsOf("k", kInfiniteTs, &v).IsInvalidArgument());
+  EXPECT_TRUE(
+      tree_->Get({.as_of = kUncommittedTs}, "k", &v).IsInvalidArgument());
+  // kInfiniteTs is kAsOfLatest: the committed watermark, not an error.
+  ASSERT_TRUE(tree_->Get({.as_of = kAsOfLatest}, "k", &v).ok());
+  EXPECT_EQ("v", v);
 }
 
 TEST_F(TsbBasicTest, EmptyValueSupported) {
   Open();
   ASSERT_TRUE(tree_->Put("k", "", 1).ok());
   std::string v = "junk";
-  ASSERT_TRUE(tree_->GetCurrent("k", &v).ok());
+  ASSERT_TRUE(tree_->Get({}, "k", &v).ok());
   EXPECT_TRUE(v.empty());
 }
 
@@ -298,7 +302,7 @@ TEST_F(TsbBasicTest, BinaryKeysAndValues) {
   std::string val("\xde\xad\x00\xbe", 4);
   ASSERT_TRUE(tree_->Put(key, val, 1).ok());
   std::string v;
-  ASSERT_TRUE(tree_->GetCurrent(key, &v).ok());
+  ASSERT_TRUE(tree_->Get({}, key, &v).ok());
   EXPECT_EQ(val, v);
 }
 

@@ -88,7 +88,8 @@ TEST_F(TsbIndexSplitTest, DeepTreeRemainsSound) {
   for (int probe = 0; probe < 100; ++probe) {
     const int k = static_cast<int>(rnd.Uniform(300));
     const Timestamp t = 1 + rnd.Uniform(ts);
-    tree_->GetAsOf(Key(k), t, &v);  // NotFound acceptable; must not corrupt
+    // NotFound acceptable; must not corrupt.
+    tree_->Get({.as_of = t}, Key(k), &v);
   }
 }
 
@@ -208,7 +209,7 @@ TEST_F(TsbIndexSplitTest, RootGrowsAndEveryEraStaysReadable) {
     const int k = static_cast<int>(rnd.Uniform(150));
     const Timestamp t = 1 + rnd.Uniform(ts);
     std::string got;
-    Status s = tree_->GetAsOf(Key(k), t, &got);
+    Status s = tree_->Get({.as_of = t}, Key(k), &got);
     const auto& versions = model[k];
     auto it = versions.upper_bound(t);
     if (it == versions.begin()) {
@@ -242,7 +243,7 @@ TEST_F(TsbIndexSplitTest, HistoricalIndexNodesChainToHistoricalData) {
     // Key(k) is first written at the smallest ts >= 1 with ts % 4 == k.
     const Timestamp first = (k == 0) ? 4 : static_cast<Timestamp>(k);
     for (Timestamp t = first; t < 50; t += 4) {
-      Status s = tree_->GetAsOf(Key(k), t, &v);
+      Status s = tree_->Get({.as_of = t}, Key(k), &v);
       EXPECT_TRUE(s.ok()) << Key(k) << "@" << t << " " << s.ToString();
     }
   }

@@ -28,8 +28,8 @@ class Oracle {
     versions_[k][ts] = v;
   }
   // Returns nullptr if no version at or before t.
-  const std::string* GetAsOf(const std::string& k, Timestamp t,
-                             Timestamp* ts = nullptr) const {
+  const std::string* VersionAt(const std::string& k, Timestamp t,
+                               Timestamp* ts = nullptr) const {
     auto kit = versions_.find(k);
     if (kit == versions_.end()) return nullptr;
     auto it = kit->second.upper_bound(t);
@@ -95,7 +95,7 @@ TEST_P(TsbPropertyTest, AgreesWithOracleEverywhere) {
   for (const auto& [k, versions] : oracle.all()) {
     std::string v;
     Timestamp ts = 0;
-    ASSERT_TRUE(tree->GetCurrent(k, &v, &ts).ok()) << k;
+    ASSERT_TRUE(tree->Get({}, k, &v, &ts).ok()) << k;
     EXPECT_EQ(versions.rbegin()->second, v);
     EXPECT_EQ(versions.rbegin()->first, ts);
   }
@@ -107,9 +107,9 @@ TEST_P(TsbPropertyTest, AgreesWithOracleEverywhere) {
     const Timestamp t = rnd.Uniform(now + 2);
     std::string v;
     Timestamp got_ts = 0;
-    Status s = tree->GetAsOf(k, t, &v, &got_ts);
+    Status s = tree->Get({.as_of = t}, k, &v, &got_ts);
     Timestamp want_ts = 0;
-    const std::string* want = oracle.GetAsOf(k, t, &want_ts);
+    const std::string* want = oracle.VersionAt(k, t, &want_ts);
     if (want == nullptr) {
       EXPECT_TRUE(s.IsNotFound()) << k << "@" << t;
     } else {
@@ -121,11 +121,11 @@ TEST_P(TsbPropertyTest, AgreesWithOracleEverywhere) {
 
   // 3. Snapshot scans at three times, exact match including order.
   for (Timestamp t : {now / 4, now / 2, now}) {
-    auto it = tree->NewSnapshotIterator(t);
+    auto it = tree->NewCursor({.as_of = t});
     ASSERT_TRUE(it->SeekToFirst().ok());
     for (const auto& [k, versions] : oracle.all()) {
       Timestamp want_ts = 0;
-      const std::string* want = oracle.GetAsOf(k, t, &want_ts);
+      const std::string* want = oracle.VersionAt(k, t, &want_ts);
       if (want == nullptr) continue;
       ASSERT_TRUE(it->Valid()) << "snapshot " << t << " ended before " << k;
       EXPECT_EQ(k, it->key().ToString());
@@ -141,13 +141,13 @@ TEST_P(TsbPropertyTest, AgreesWithOracleEverywhere) {
     const std::string k = gen.KeyFor(rnd.Uniform(gen.keys_created()));
     auto kit = oracle.all().find(k);
     if (kit == oracle.all().end()) continue;
-    auto hist = tree->NewHistoryIterator(k);
-    ASSERT_TRUE(hist->SeekToNewest().ok());
+    auto hist = tree->NewCursor({});
+    ASSERT_TRUE(hist->Seek(k).ok());
     for (auto vit = kit->second.rbegin(); vit != kit->second.rend(); ++vit) {
-      ASSERT_TRUE(hist->Valid()) << k;
+      ASSERT_TRUE(hist->Valid() && hist->key() == Slice(k)) << k;
       EXPECT_EQ(vit->first, hist->ts());
       EXPECT_EQ(vit->second, hist->value().ToString());
-      ASSERT_TRUE(hist->Next().ok());
+      ASSERT_TRUE(hist->NextVersion().ok());
     }
     EXPECT_FALSE(hist->Valid());
   }
@@ -227,10 +227,10 @@ TEST_P(TsbAbortPropertyTest, AbortsLeaveNoTrace) {
       ASSERT_TRUE(tree->EraseUncommitted(k, txn).ok());
     }
   }
-  // Exhaustive comparison.
+  // Exhaustive comparison (bare stamps never publish the watermark).
   for (const auto& [k, versions] : oracle.all()) {
     std::string v;
-    ASSERT_TRUE(tree->GetCurrent(k, &v).ok()) << k;
+    ASSERT_TRUE(tree->Get({.as_of = kMaxCommittedTs}, k, &v).ok()) << k;
     EXPECT_EQ(versions.rbegin()->second, v);
   }
   SpaceStats stats;

@@ -59,7 +59,7 @@ TEST_F(TsbQueryTest, Fig1StepwiseConstant) {
   };
   for (const Probe& p : probes) {
     std::string v;
-    Status s = tree_->GetAsOf("account", p.t, &v);
+    Status s = tree_->Get({.as_of = p.t}, "account", &v);
     if (p.expect == nullptr) {
       EXPECT_TRUE(s.IsNotFound()) << "t=" << p.t;
     } else {
@@ -69,21 +69,21 @@ TEST_F(TsbQueryTest, Fig1StepwiseConstant) {
   }
 }
 
-TEST_F(TsbQueryTest, SnapshotIteratorEmptyTree) {
+TEST_F(TsbQueryTest, SnapshotCursorEmptyTree) {
   Open();
-  auto it = tree_->NewSnapshotIterator(10);
+  auto it = tree_->NewCursor({.as_of = 10});
   ASSERT_TRUE(it->SeekToFirst().ok());
   EXPECT_FALSE(it->Valid());
 }
 
-TEST_F(TsbQueryTest, SnapshotIteratorSmall) {
+TEST_F(TsbQueryTest, SnapshotCursorSmall) {
   Open();
   ASSERT_TRUE(tree_->Put("b", "2", 1).ok());
   ASSERT_TRUE(tree_->Put("a", "1", 2).ok());
   ASSERT_TRUE(tree_->Put("c", "3", 3).ok());
   ASSERT_TRUE(tree_->Put("b", "2new", 4).ok());
   // Snapshot at 3: a=1, b=2 (old), c=3.
-  auto it = tree_->NewSnapshotIterator(3);
+  auto it = tree_->NewCursor({.as_of = 3});
   ASSERT_TRUE(it->SeekToFirst().ok());
   ASSERT_TRUE(it->Valid());
   EXPECT_EQ("a", it->key().ToString());
@@ -98,11 +98,11 @@ TEST_F(TsbQueryTest, SnapshotIteratorSmall) {
   EXPECT_FALSE(it->Valid());
 }
 
-TEST_F(TsbQueryTest, SnapshotIteratorSkipsUncommitted) {
+TEST_F(TsbQueryTest, SnapshotCursorSkipsUncommitted) {
   Open();
   ASSERT_TRUE(tree_->Put("a", "1", 1).ok());
   ASSERT_TRUE(tree_->PutUncommitted("b", "dirty", 7).ok());
-  auto it = tree_->NewSnapshotIterator(kMaxCommittedTs);
+  auto it = tree_->NewCursor({.as_of = kMaxCommittedTs});
   ASSERT_TRUE(it->SeekToFirst().ok());
   ASSERT_TRUE(it->Valid());
   EXPECT_EQ("a", it->key().ToString());
@@ -110,12 +110,12 @@ TEST_F(TsbQueryTest, SnapshotIteratorSkipsUncommitted) {
   EXPECT_FALSE(it->Valid());
 }
 
-TEST_F(TsbQueryTest, SnapshotIteratorSeek) {
+TEST_F(TsbQueryTest, SnapshotCursorSeek) {
   Open();
   for (int i = 0; i < 50; ++i) {
     ASSERT_TRUE(tree_->Put(Key(i * 2), "v", i + 1).ok());
   }
-  auto it = tree_->NewSnapshotIterator(kMaxCommittedTs);
+  auto it = tree_->NewCursor({.as_of = kMaxCommittedTs});
   ASSERT_TRUE(it->Seek(Key(25)).ok());  // absent; lands on 26
   ASSERT_TRUE(it->Valid());
   EXPECT_EQ(Key(26), it->key().ToString());
@@ -159,7 +159,7 @@ TEST_F(TsbQueryTest, SnapshotMatchesOracleAcrossEras) {
       }
     }
     // Tree snapshot.
-    auto it = tree_->NewSnapshotIterator(snap_t);
+    auto it = tree_->NewCursor({.as_of = snap_t});
     ASSERT_TRUE(it->SeekToFirst().ok());
     auto eit = expect.begin();
     size_t n = 0;
@@ -178,7 +178,7 @@ TEST_F(TsbQueryTest, SnapshotMatchesOracleAcrossEras) {
   }
 }
 
-TEST_F(TsbQueryTest, HistoryIteratorFullChain) {
+TEST_F(TsbQueryTest, VersionAxisFullChain) {
   SplitPolicyConfig cfg;
   cfg.kind_policy = SplitKindPolicy::kWobtStyle;
   Open(cfg);
@@ -189,39 +189,39 @@ TEST_F(TsbQueryTest, HistoryIteratorFullChain) {
                     .ok());
   }
   ASSERT_GT(tree_->counters().data_time_splits, 0u);
-  auto it = tree_->NewHistoryIterator("acct");
-  ASSERT_TRUE(it->SeekToNewest().ok());
+  auto it = tree_->NewCursor({});
+  ASSERT_TRUE(it->Seek("acct").ok());
   int expect = kVersions;
   while (it->Valid()) {
     EXPECT_EQ(static_cast<Timestamp>(expect), it->ts());
     EXPECT_EQ("v" + std::to_string(expect), it->value().ToString());
     --expect;
-    ASSERT_TRUE(it->Next().ok());
+    ASSERT_TRUE(it->NextVersion().ok());
   }
   EXPECT_EQ(0, expect);  // all versions seen exactly once
 }
 
-TEST_F(TsbQueryTest, HistoryIteratorAbsentKey) {
+TEST_F(TsbQueryTest, VersionAxisAbsentKey) {
   Open();
   ASSERT_TRUE(tree_->Put("a", "1", 1).ok());
-  auto it = tree_->NewHistoryIterator("zzz");
-  ASSERT_TRUE(it->SeekToNewest().ok());
+  auto it = tree_->NewCursor({});
+  ASSERT_TRUE(it->Seek("zzz").ok());
   EXPECT_FALSE(it->Valid());
 }
 
-TEST_F(TsbQueryTest, HistoryIteratorSkipsUncommitted) {
+TEST_F(TsbQueryTest, VersionAxisSkipsUncommitted) {
   Open();
   ASSERT_TRUE(tree_->Put("k", "one", 1).ok());
   ASSERT_TRUE(tree_->Put("k", "two", 5).ok());
   ASSERT_TRUE(tree_->PutUncommitted("k", "dirty", 3).ok());
-  auto it = tree_->NewHistoryIterator("k");
-  ASSERT_TRUE(it->SeekToNewest().ok());
+  auto it = tree_->NewCursor({});
+  ASSERT_TRUE(it->Seek("k").ok());
   ASSERT_TRUE(it->Valid());
   EXPECT_EQ("two", it->value().ToString());
-  ASSERT_TRUE(it->Next().ok());
+  ASSERT_TRUE(it->NextVersion().ok());
   ASSERT_TRUE(it->Valid());
   EXPECT_EQ("one", it->value().ToString());
-  ASSERT_TRUE(it->Next().ok());
+  ASSERT_TRUE(it->NextVersion().ok());
   EXPECT_FALSE(it->Valid());
 }
 
@@ -230,7 +230,7 @@ TEST_F(TsbQueryTest, SnapshotAtTimeZeroIsEmpty) {
   for (int i = 0; i < 20; ++i) {
     ASSERT_TRUE(tree_->Put(Key(i), "v", i + 1).ok());
   }
-  auto it = tree_->NewSnapshotIterator(0);
+  auto it = tree_->NewCursor({.as_of = 0});
   ASSERT_TRUE(it->SeekToFirst().ok());
   EXPECT_FALSE(it->Valid());
 }
@@ -246,7 +246,7 @@ TEST_F(TsbQueryTest, SnapshotCountsGrowMonotonically) {
   }
   size_t prev = 0;
   for (Timestamp t : {ts / 8, ts / 4, ts / 2, ts}) {
-    auto it = tree_->NewSnapshotIterator(t);
+    auto it = tree_->NewCursor({.as_of = t});
     ASSERT_TRUE(it->SeekToFirst().ok());
     size_t n = 0;
     std::string last;

@@ -44,7 +44,7 @@ TEST_F(TsbRangeTest, SeekRangeBasic) {
   for (int i = 0; i < 50; ++i) {
     ASSERT_TRUE(tree_->Put(Key(i), "v" + std::to_string(i), i + 1).ok());
   }
-  auto it = tree_->NewSnapshotIterator(kMaxCommittedTs);
+  auto it = tree_->NewCursor({.as_of = kMaxCommittedTs});
   ASSERT_TRUE(it->SeekRange(Key(10), Key(20)).ok());
   int expect = 10;
   while (it->Valid()) {
@@ -60,7 +60,7 @@ TEST_F(TsbRangeTest, SeekRangeEmptyAndDegenerate) {
   for (int i = 0; i < 10; ++i) {
     ASSERT_TRUE(tree_->Put(Key(i * 2), "v", i + 1).ok());
   }
-  auto it = tree_->NewSnapshotIterator(kMaxCommittedTs);
+  auto it = tree_->NewCursor({.as_of = kMaxCommittedTs});
   // Range between existing keys.
   ASSERT_TRUE(it->SeekRange(Key(3), Key(4)).ok());
   EXPECT_FALSE(it->Valid());
@@ -89,7 +89,7 @@ TEST_F(TsbRangeTest, SeekRangeAcrossSplitsMatchesOracle) {
     const int lo = static_cast<int>(rnd.Uniform(190));
     const int hi = lo + 1 + static_cast<int>(rnd.Uniform(30));
     const Timestamp t = 1 + rnd.Uniform(ts);
-    auto it = tree_->NewSnapshotIterator(t);
+    auto it = tree_->NewCursor({.as_of = t});
     ASSERT_TRUE(it->SeekRange(Key(lo), Key(hi)).ok());
     for (auto& [k, versions] : model) {
       if (k < Key(lo) || k >= Key(hi)) continue;

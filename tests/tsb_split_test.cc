@@ -131,23 +131,14 @@ TEST(SplitPolicyTest, RedundantAtMatchesRule3) {
 }
 
 TEST(SplitPolicyTest, RestartIntervalAdaptsToNodeShape) {
-  SplitPolicyConfig cfg;
-  SplitPolicy policy(cfg);
-  // Short keys, few versions per key: the base interval stands.
-  EXPECT_EQ(16u, policy.ChooseRestartInterval(16, 100, 50, 100 * 8));
+  // Short keys, few versions per key: the default interval stands.
+  EXPECT_EQ(16u, SplitPolicy::ChooseRestartInterval(100, 50, 100 * 8));
   // Long keys (avg >= 48 bytes): small blocks bound per-probe decodes.
-  EXPECT_EQ(4u, policy.ChooseRestartInterval(16, 100, 100, 100 * 64));
+  EXPECT_EQ(4u, SplitPolicy::ChooseRestartInterval(100, 100, 100 * 64));
   // Dense version runs (>= 4 versions/key): large blocks compress better.
-  EXPECT_EQ(64u, policy.ChooseRestartInterval(16, 100, 10, 100 * 8));
-  // Clamps: never below 4, never above 128.
-  EXPECT_EQ(4u, policy.ChooseRestartInterval(8, 10, 10, 10 * 64));
-  EXPECT_EQ(128u, policy.ChooseRestartInterval(64, 100, 10, 100 * 8));
-  // Degenerate inputs pass the base through.
-  EXPECT_EQ(16u, policy.ChooseRestartInterval(16, 0, 0, 0));
-  // Knob off: the tree-level default is used verbatim.
-  cfg.adaptive_restart_interval = false;
-  SplitPolicy fixed(cfg);
-  EXPECT_EQ(16u, fixed.ChooseRestartInterval(16, 100, 100, 100 * 64));
+  EXPECT_EQ(64u, SplitPolicy::ChooseRestartInterval(100, 10, 100 * 8));
+  // Degenerate inputs get the default.
+  EXPECT_EQ(16u, SplitPolicy::ChooseRestartInterval(0, 0, 0));
 }
 
 TEST(SplitPolicyTest, ChooseSplitTimeCurrentTime) {
@@ -273,7 +264,7 @@ TEST_F(TsbSplitTest, Fig6TimeSplitAtLastUpdateNoRedundancy) {
   // All old versions remain reachable.
   std::string v;
   for (Timestamp t = 1; t <= tree_->Now(); ++t) {
-    ASSERT_TRUE(tree_->GetAsOf("a", t, &v).ok()) << t;
+    ASSERT_TRUE(tree_->Get({.as_of = t}, "a", &v).ok()) << t;
   }
   EXPECT_TRUE(Check().ok());
 }
@@ -296,8 +287,8 @@ TEST_F(TsbSplitTest, Fig6TimeSplitAtCurrentTimeCreatesRedundancy) {
   EXPECT_GT(tree_->counters().redundant_record_copies, 0u);
   // "mary" readable both before and after the split time.
   std::string v;
-  ASSERT_TRUE(tree_->GetAsOf("mary", 1, &v).ok());
-  ASSERT_TRUE(tree_->GetCurrent("mary", &v).ok());
+  ASSERT_TRUE(tree_->Get({.as_of = 1}, "mary", &v).ok());
+  ASSERT_TRUE(tree_->Get({}, "mary", &v).ok());
   EXPECT_TRUE(Check().ok());
 }
 
@@ -392,9 +383,9 @@ TEST_F(TsbSplitTest, SingleKeyOverflowHandledByRepeatedTimeSplits) {
   EXPECT_EQ(0u, tree_->counters().data_key_splits);
   EXPECT_GT(tree_->counters().data_time_splits, 2u);
   std::string v;
-  ASSERT_TRUE(tree_->GetAsOf("solo", 1, &v).ok());
-  ASSERT_TRUE(tree_->GetAsOf("solo", 200, &v).ok());
-  ASSERT_TRUE(tree_->GetCurrent("solo", &v).ok());
+  ASSERT_TRUE(tree_->Get({.as_of = 1}, "solo", &v).ok());
+  ASSERT_TRUE(tree_->Get({.as_of = 200}, "solo", &v).ok());
+  ASSERT_TRUE(tree_->Get({}, "solo", &v).ok());
   EXPECT_TRUE(Check().ok());
 }
 

@@ -43,14 +43,14 @@ TEST_F(TxnTest, CommitMakesWritesVisibleAtOneTimestamp) {
   ASSERT_TRUE(t->Put("b", "2").ok());
   // Invisible before commit.
   std::string v;
-  EXPECT_TRUE(tree_->GetCurrent("a", &v).IsNotFound());
+  EXPECT_TRUE(tree_->Get({}, "a", &v).IsNotFound());
   Timestamp cts = 0;
   ASSERT_TRUE(t->Commit(&cts).ok());
   EXPECT_GT(cts, 0u);
   Timestamp ats = 0, bts = 0;
-  ASSERT_TRUE(tree_->GetCurrent("a", &v, &ats).ok());
+  ASSERT_TRUE(tree_->Get({}, "a", &v, &ats).ok());
   EXPECT_EQ("1", v);
-  ASSERT_TRUE(tree_->GetCurrent("b", &v, &bts).ok());
+  ASSERT_TRUE(tree_->Get({}, "b", &v, &bts).ok());
   EXPECT_EQ("2", v);
   EXPECT_EQ(cts, ats);  // one commit timestamp for the whole transaction
   EXPECT_EQ(cts, bts);
@@ -64,9 +64,9 @@ TEST_F(TxnTest, AbortErasesEverything) {
   ASSERT_TRUE(t->Put("b", "doomed too").ok());
   ASSERT_TRUE(t->Abort().ok());
   std::string v;
-  ASSERT_TRUE(tree_->GetCurrent("a", &v).ok());
+  ASSERT_TRUE(tree_->Get({}, "a", &v).ok());
   EXPECT_EQ("keep", v);
-  EXPECT_TRUE(tree_->GetCurrent("b", &v).IsNotFound());
+  EXPECT_TRUE(tree_->Get({}, "b", &v).IsNotFound());
   tsb_tree::TreeChecker checker(tree_.get());
   EXPECT_TRUE(checker.Check().ok());
 }
@@ -79,7 +79,7 @@ TEST_F(TxnTest, DestructionAbortsActiveTxn) {
     // dropped without Commit/Abort
   }
   std::string v;
-  EXPECT_TRUE(tree_->GetCurrent("ghost", &v).IsNotFound());
+  EXPECT_TRUE(tree_->Get({}, "ghost", &v).IsNotFound());
   EXPECT_EQ(0u, mgr_->active_txns());
   // The lock is released: a new transaction can write the key.
   std::unique_ptr<Transaction> t2;
@@ -101,7 +101,7 @@ TEST_F(TxnTest, WriteWriteConflictRejected) {
   EXPECT_TRUE(t2->Put("contested", "two").ok());
   ASSERT_TRUE(t2->Commit().ok());
   std::string v;
-  ASSERT_TRUE(tree_->GetCurrent("contested", &v).ok());
+  ASSERT_TRUE(tree_->Get({}, "contested", &v).ok());
   EXPECT_EQ("two", v);
 }
 
@@ -116,7 +116,7 @@ TEST_F(TxnTest, ReadYourOwnWrites) {
   ASSERT_TRUE(t->Get("k", &v).ok());
   EXPECT_EQ("mine", v);
   // Others still see the committed version.
-  ASSERT_TRUE(tree_->GetCurrent("k", &v).ok());
+  ASSERT_TRUE(tree_->Get({}, "k", &v).ok());
   EXPECT_EQ("committed", v);
   ASSERT_TRUE(t->Abort().ok());
 }
@@ -129,7 +129,7 @@ TEST_F(TxnTest, RepeatedPutInTxnOverwritesOwnWrite) {
   EXPECT_EQ(1u, t->write_count());
   ASSERT_TRUE(t->Commit().ok());
   std::string v;
-  ASSERT_TRUE(tree_->GetCurrent("k", &v).ok());
+  ASSERT_TRUE(tree_->Get({}, "k", &v).ok());
   EXPECT_EQ("v2", v);
 }
 
@@ -189,7 +189,7 @@ TEST_F(TxnTest, ReadOnlyBackupScanIgnoresConcurrentUncommitted) {
   ASSERT_TRUE(w->Put("k010", "dirty").ok());
   ASSERT_TRUE(w->Put("zz-new", "dirty").ok());
 
-  auto it = backup.NewIterator();
+  auto it = backup.NewCursor();
   ASSERT_TRUE(it->SeekToFirst().ok());
   size_t n = 0;
   while (it->Valid()) {

@@ -133,7 +133,7 @@ TEST(WalConcurrencyTest, DbWritersRaceCheckpoints) {
     for (int i = 0; i < kCommits; ++i) {
       std::string value;
       ASSERT_TRUE(
-          db->Get("w" + std::to_string(w) + "-" + std::to_string(i), &value)
+          db->Get({}, "w" + std::to_string(w) + "-" + std::to_string(i), &value)
               .ok())
           << "lost w" << w << " i" << i;
       EXPECT_EQ(value, "value-" + std::to_string(i));
@@ -184,7 +184,7 @@ TEST(WalConcurrencyTest, SizeTriggeredRotationRacesWriters) {
     for (int i = 0; i < kCommits; ++i) {
       std::string value;
       ASSERT_TRUE(
-          db->Get("r" + std::to_string(w) + "-" + std::to_string(i), &value)
+          db->Get({}, "r" + std::to_string(w) + "-" + std::to_string(i), &value)
               .ok())
           << "lost r" << w << " i" << i;
     }

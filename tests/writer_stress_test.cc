@@ -78,7 +78,7 @@ TEST(WriterStressTest, DisjointWritersScaleUnderForcedSplits) {
         const int ki =
             static_cast<int>((rng >> 33) % (kWriters * kKeysPerWriter));
         std::string value;
-        Status s = f.db->Get(KeyOf(ki), &value);
+        Status s = f.db->Get({}, KeyOf(ki), &value);
         // NotFound before the owner's first commit is fine; any payload we
         // do see must be whole (a torn read would fail this format check).
         if (s.ok()) {
@@ -139,7 +139,7 @@ TEST(WriterStressTest, DisjointWritersScaleUnderForcedSplits) {
       const int expect_seq =
           last_op < kOpsPerWriter ? last_op : last_op - kKeysPerWriter;
       std::string value;
-      ASSERT_TRUE(f.db->Get(KeyOf(w * kKeysPerWriter + k), &value).ok());
+      ASSERT_TRUE(f.db->Get({}, KeyOf(w * kKeysPerWriter + k), &value).ok());
       EXPECT_EQ(value, ValueOf(w, expect_seq));
     }
   }
@@ -191,7 +191,7 @@ TEST(WriterStressTest, OverlappingWritersConflictCleanly) {
   // The database stays fully readable afterwards.
   for (int i = 0; i < kKeys; ++i) {
     std::string value;
-    Status s = f.db->Get(KeyOf(i), &value);
+    Status s = f.db->Get({}, KeyOf(i), &value);
     EXPECT_TRUE(s.ok() || s.IsNotFound()) << s.ToString();
   }
 }
@@ -249,10 +249,10 @@ TEST(WriterStressTest, MultiKeyCommitsAreAllOrNothingAtEveryTimestamp) {
       const std::string key = KeyOf((rec.first_key + j) % kKeys);
       std::string value;
       Timestamp version_ts = 0;
-      ASSERT_TRUE(f.db->GetAsOf(key, rec.ts, &value, &version_ts).ok());
+      ASSERT_TRUE(f.db->Get({.as_of = rec.ts}, key, &value, &version_ts).ok());
       EXPECT_EQ(value, tag) << key << " at t=" << rec.ts;
       EXPECT_EQ(version_ts, rec.ts);
-      Status before = f.db->GetAsOf(key, rec.ts - 1, &value);
+      Status before = f.db->Get({.as_of = rec.ts - 1}, key, &value);
       if (before.ok()) {
         EXPECT_NE(value, tag) << key << " visible before its commit";
       } else {
