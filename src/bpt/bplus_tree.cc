@@ -24,9 +24,7 @@ uint32_t NextLeaf(const char* buf) { return DecodeFixed32(buf + 26); }
 void SetNextLeaf(char* buf, uint32_t id) { EncodeFixed32(buf + 26, id); }
 
 SlottedView Slots(char* buf, uint32_t page_size) {
-  // Capacity follows the page's own format: v2 pages reserve the checksum
-  // trailer, legacy v1 pages keep their full payload area.
-  return SlottedView(buf + kSlotBase, PageUsableSize(buf, page_size) - kSlotBase);
+  return SlottedView(buf + kSlotBase, PageUsableSize(page_size) - kSlotBase);
 }
 
 // Leaf cell: [varint klen][key][value...].

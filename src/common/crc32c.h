@@ -11,7 +11,13 @@ namespace crc32c {
 
 /// Returns the CRC32C of data[0,n) seeded with `init_crc` (use Value() with
 /// init_crc = 0 for a fresh checksum; Extend chains block checksums).
+/// Runs the SSE4.2 crc32 instruction where the CPU has it (chosen once, at
+/// first call) and ExtendPortable elsewhere; both give identical values.
 uint32_t Extend(uint32_t init_crc, const char* data, size_t n);
+
+/// The byte-at-a-time table loop: the path for CPUs without a CRC32C
+/// instruction, and the reference the hardware path is tested against.
+uint32_t ExtendPortable(uint32_t init_crc, const char* data, size_t n);
 
 /// CRC32C of data[0,n).
 inline uint32_t Value(const char* data, size_t n) { return Extend(0, data, n); }

@@ -19,26 +19,19 @@ void InitPage(char* buf, uint32_t page_size, uint32_t page_id, PageType type) {
 }
 
 void SealPage(char* buf, uint32_t page_size) {
-  if (PageHasTrailer(buf)) {
-    // Keep the trailer magic/id faithful to the header even when callers
-    // reseal an image they mutated in place.
-    char* trailer = buf + page_size - kPageTrailerSize;
-    EncodeFixed32(trailer, kPageTrailerMagic);
-    EncodeFixed32(trailer + 4, PageId(buf));
-    const uint32_t hcrc = crc32c::Value(buf + 8, page_size - 8 - 4);
-    EncodeFixed32(buf + 4, crc32c::Mask(hcrc));
-    const uint32_t tcrc = crc32c::Value(buf, page_size - 4);
-    EncodeFixed32(buf + page_size - 4, crc32c::Mask(tcrc));
-  } else {
-    const uint32_t crc = crc32c::Value(buf + 8, page_size - 8);
-    EncodeFixed32(buf + 4, crc32c::Mask(crc));
-  }
+  // Keep the trailer magic/id faithful to the header even when callers
+  // reseal an image they mutated in place.
+  char* trailer = buf + page_size - kPageTrailerSize;
+  EncodeFixed32(trailer, kPageTrailerMagic);
+  EncodeFixed32(trailer + 4, PageId(buf));
+  const uint32_t hcrc = crc32c::Value(buf + 8, page_size - 8 - 4);
+  EncodeFixed32(buf + 4, crc32c::Mask(hcrc));
+  const uint32_t tcrc = crc32c::Value(buf, page_size - 4);
+  EncodeFixed32(buf + page_size - 4, crc32c::Mask(tcrc));
 }
 
 void SealPageWithLsn(char* buf, uint32_t page_size, uint64_t flush_lsn) {
-  if (PageHasTrailer(buf)) {
-    EncodeFixed64(buf + page_size - kPageTrailerSize + 8, flush_lsn);
-  }
+  EncodeFixed64(buf + page_size - kPageTrailerSize + 8, flush_lsn);
   SealPage(buf, page_size);
 }
 
@@ -46,36 +39,32 @@ Status VerifyPage(const char* buf, uint32_t page_size, uint32_t expected_id) {
   if (DecodeFixed32(buf) != kPageMagic) {
     return Status::Corruption("bad page magic");
   }
+  if ((PageFlags(buf) & kPageFlagHasTrailer) == 0) {
+    return Status::Corruption("unknown page format",
+                              "page " + std::to_string(PageId(buf)));
+  }
+  const char* trailer = buf + page_size - kPageTrailerSize;
+  if (DecodeFixed32(trailer) != kPageTrailerMagic) {
+    return Status::Corruption("bad page trailer magic",
+                              "page " + std::to_string(PageId(buf)));
+  }
   const uint32_t stored = crc32c::Unmask(DecodeFixed32(buf + 4));
-  if (PageHasTrailer(buf)) {
-    const char* trailer = buf + page_size - kPageTrailerSize;
-    if (DecodeFixed32(trailer) != kPageTrailerMagic) {
-      return Status::Corruption("bad page trailer magic",
-                                "page " + std::to_string(PageId(buf)));
-    }
-    const uint32_t actual = crc32c::Value(buf + 8, page_size - 8 - 4);
-    if (stored != actual) {
-      return Status::Corruption("page checksum mismatch",
-                                "page " + std::to_string(PageId(buf)));
-    }
-    const uint32_t tstored = crc32c::Unmask(DecodeFixed32(buf + page_size - 4));
-    const uint32_t tactual = crc32c::Value(buf, page_size - 4);
-    if (tstored != tactual) {
-      return Status::Corruption("page trailer checksum mismatch",
-                                "page " + std::to_string(PageId(buf)));
-    }
-    if (DecodeFixed32(trailer + 4) != PageId(buf)) {
-      return Status::Corruption(
-          "page trailer id mismatch",
-          "header " + std::to_string(PageId(buf)) + " trailer " +
-              std::to_string(DecodeFixed32(trailer + 4)));
-    }
-  } else {
-    const uint32_t actual = crc32c::Value(buf + 8, page_size - 8);
-    if (stored != actual) {
-      return Status::Corruption("page checksum mismatch",
-                                "page " + std::to_string(PageId(buf)));
-    }
+  const uint32_t actual = crc32c::Value(buf + 8, page_size - 8 - 4);
+  if (stored != actual) {
+    return Status::Corruption("page checksum mismatch",
+                              "page " + std::to_string(PageId(buf)));
+  }
+  const uint32_t tstored = crc32c::Unmask(DecodeFixed32(buf + page_size - 4));
+  const uint32_t tactual = crc32c::Value(buf, page_size - 4);
+  if (tstored != tactual) {
+    return Status::Corruption("page trailer checksum mismatch",
+                              "page " + std::to_string(PageId(buf)));
+  }
+  if (DecodeFixed32(trailer + 4) != PageId(buf)) {
+    return Status::Corruption(
+        "page trailer id mismatch",
+        "header " + std::to_string(PageId(buf)) + " trailer " +
+            std::to_string(DecodeFixed32(trailer + 4)));
   }
   if (expected_id != UINT32_MAX && PageId(buf) != expected_id) {
     return Status::Corruption("page id mismatch",
@@ -85,17 +74,8 @@ Status VerifyPage(const char* buf, uint32_t page_size, uint32_t expected_id) {
   return Status::OK();
 }
 
-bool PageHasTrailer(const char* buf) {
-  return (PageFlags(buf) & kPageFlagHasTrailer) != 0;
-}
-
 uint64_t PageFlushLsn(const char* buf, uint32_t page_size) {
-  if (!PageHasTrailer(buf)) return 0;
   return DecodeFixed64(buf + page_size - kPageTrailerSize + 8);
-}
-
-uint32_t PageUsableSize(const char* buf, uint32_t page_size) {
-  return PageHasTrailer(buf) ? page_size - kPageTrailerSize : page_size;
 }
 
 uint32_t PageId(const char* buf) { return DecodeFixed32(buf + 8); }

@@ -10,9 +10,8 @@
 //   [20..24) reserved (0)
 //   [24.. )  type-specific payload
 //
-// v2 pages (flag kPageFlagHasTrailer, set on every page formatted since
-// the trailer was introduced) additionally reserve the LAST 20 bytes for
-// an end-of-page trailer:
+// Every page (flag kPageFlagHasTrailer, set by InitPage) also reserves the
+// LAST 20 bytes for an end-of-page trailer:
 //   [ps-20..ps-16) trailer magic (0x32565354 "TSV2")
 //   [ps-16..ps-12) page id (redundant copy — catches misdirected writes
 //                  even when the header bytes were overwritten wholesale)
@@ -21,12 +20,10 @@
 //   [ps-4..ps)     masked CRC32C of bytes [0, ps-4) — covers the header
 //                  INCLUDING its CRC field, so header and trailer vouch
 //                  for each other.
-// On v2 pages the header CRC covers [8, ps-4): excluding the trailer CRC
-// field breaks the circular dependency, and because the flags word is
-// inside both CRC ranges a flipped format bit fails verification in either
-// direction (v1->v2 flips fail the trailer magic, v2->v1 flips change the
-// header CRC range). Legacy v1 pages keep their full payload capacity and
-// header-only CRC forever; pages upgrade when they are next formatted.
+// The header CRC covers [8, ps-4): excluding the trailer CRC field breaks
+// the circular dependency. The flags word is inside both CRC ranges, and a
+// page without the trailer flag (the retired trailer-less v1 format) is
+// rejected as an unknown format.
 #ifndef TSBTREE_STORAGE_PAGE_H_
 #define TSBTREE_STORAGE_PAGE_H_
 
@@ -57,31 +54,28 @@ enum class PageType : uint16_t {
 /// for SealPage). Every freshly formatted page carries the trailer.
 void InitPage(char* buf, uint32_t page_size, uint32_t page_id, PageType type);
 
-/// Computes and stores the CRCs for the page's own format: header-only for
-/// legacy v1 pages, header + trailer for v2 pages (the trailer's flush LSN
+/// Computes and stores the header and trailer CRCs (the trailer's flush LSN
 /// bytes are preserved as-is — use SealPageWithLsn to stamp a new one).
 void SealPage(char* buf, uint32_t page_size);
 
-/// SealPage plus stamping `flush_lsn` into the v2 trailer (no-op LSN-wise
-/// on legacy v1 pages). The pager uses this on every page write so a lost
-/// write is detectable as a stale trailer LSN.
+/// SealPage plus stamping `flush_lsn` into the trailer. The pager uses this
+/// on every page write so a lost write is detectable as a stale trailer LSN.
 void SealPageWithLsn(char* buf, uint32_t page_size, uint64_t flush_lsn);
 
-/// Verifies magic and CRC(s); v2 pages additionally verify the trailer
-/// magic, trailer CRC and the redundant trailer page id. `expected_id`
-/// checks the stored page id (pass UINT32_MAX to skip).
+/// Verifies magic, format flag, both CRCs, the trailer magic and the
+/// redundant trailer page id. `expected_id` checks the stored page id (pass
+/// UINT32_MAX to skip).
 Status VerifyPage(const char* buf, uint32_t page_size, uint32_t expected_id);
 
-/// True when the page was formatted with the v2 end-of-page trailer.
-bool PageHasTrailer(const char* buf);
-
-/// The flush LSN stamped in the v2 trailer (0 for legacy v1 pages).
+/// The flush LSN stamped in the trailer.
 uint64_t PageFlushLsn(const char* buf, uint32_t page_size);
 
-/// Bytes usable by type-specific payload: page_size minus the trailer
-/// reservation when the page carries one. Payload views must size their
-/// regions with this so cells never overlap the trailer.
-uint32_t PageUsableSize(const char* buf, uint32_t page_size);
+/// Bytes usable by type-specific payload: page_size minus the trailer.
+/// Payload views must size their regions with this so cells never overlap
+/// the trailer.
+inline constexpr uint32_t PageUsableSize(uint32_t page_size) {
+  return page_size - kPageTrailerSize;
+}
 
 uint32_t PageId(const char* buf);
 PageType GetPageType(const char* buf);

@@ -65,8 +65,7 @@ Status Pager::VerifyRead(uint32_t id, const char* buf) {
         have_expected = true;
       }
     }
-    if (have_expected &&
-        (!PageHasTrailer(buf) || PageFlushLsn(buf, page_size_) != expected)) {
+    if (have_expected && PageFlushLsn(buf, page_size_) != expected) {
       s = Status::Corruption(
           "lost page write",
           "page " + std::to_string(id) + " expected flush lsn " +
@@ -98,7 +97,7 @@ Status Pager::Write(uint32_t id, char* buf) {
   SealPageWithLsn(buf, page_size_, lsn);
   Status s = device_->Write(static_cast<uint64_t>(id) * page_size_,
                             Slice(buf, page_size_));
-  if (s.ok() && PageHasTrailer(buf)) {
+  if (s.ok()) {
     std::lock_guard<std::mutex> lock(lsn_mu_);
     stamped_lsn_[id] = lsn;
   }
@@ -167,15 +166,12 @@ Status Pager::VerifyStampedPages(
     }
     TSB_RETURN_IF_ERROR(device_->Read(offset, page_size_, buf.get()));
     Status s = VerifyPage(buf.get(), page_size_, id);
-    if (s.ok() && (!PageHasTrailer(buf.get()) ||
-                   PageFlushLsn(buf.get(), page_size_) != lsn)) {
+    if (s.ok() && PageFlushLsn(buf.get(), page_size_) != lsn) {
       s = Status::Corruption(
           "lost page write",
           "page " + std::to_string(id) + " expected flush lsn " +
               std::to_string(lsn) + " got " +
-              std::to_string(PageHasTrailer(buf.get())
-                                 ? PageFlushLsn(buf.get(), page_size_)
-                                 : 0));
+              std::to_string(PageFlushLsn(buf.get(), page_size_)));
     }
     if (!s.ok() && on_corrupt) on_corrupt(id, s);
   }
@@ -191,7 +187,7 @@ Status Pager::WriteMeta(char* buf) {
   const uint64_t lsn = flush_lsn_.load(std::memory_order_relaxed);
   SealPageWithLsn(buf, page_size_, lsn);
   Status s = device_->Write(0, Slice(buf, page_size_));
-  if (s.ok() && PageHasTrailer(buf)) {
+  if (s.ok()) {
     std::lock_guard<std::mutex> lock(lsn_mu_);
     stamped_lsn_[0] = lsn;
   }

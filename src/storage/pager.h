@@ -32,7 +32,7 @@ class Pager {
   uint32_t page_size() const { return page_size_; }
   Device* device() const { return device_; }
 
-  /// LSN stamped into v2 page trailers by subsequent Write calls. The DB
+  /// LSN stamped into page trailers by subsequent Write calls. The DB
   /// advances this to the checkpoint LSN before flushing dirty pages, so a
   /// page whose write the disk dropped still carries the previous stamp.
   void set_flush_lsn(uint64_t lsn) {

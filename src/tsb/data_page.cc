@@ -34,7 +34,7 @@ bool DecodeDataCell(const Slice& cell, DataEntryView* view) {
 
 void DataPageRef::Format(char* buf, uint32_t page_size) {
   SetTsbPageLevel(buf, 0);
-  SlottedView(buf + kTsbSlotBase, PageUsableSize(buf, page_size) - kTsbSlotBase)
+  SlottedView(buf + kTsbSlotBase, PageUsableSize(page_size) - kTsbSlotBase)
       .Init();
 }
 

@@ -80,14 +80,9 @@ bool DecodeDataCell(const Slice& cell, DataEntryView* view);
 /// caller keeps the page pinned while a ref is live.
 class DataPageRef {
  public:
-  // Capacity follows the page's own format: v2 pages reserve the checksum
-  // trailer, legacy v1 pages keep their full payload area (their cells were
-  // laid out against the untrailed capacity and Compact() re-packs cells
-  // downward from it, so shrinking a live v1 page would corrupt it).
   DataPageRef(char* buf, uint32_t page_size)
       : buf_(buf),
-        slots_(buf + kTsbSlotBase,
-               PageUsableSize(buf, page_size) - kTsbSlotBase) {}
+        slots_(buf + kTsbSlotBase, PageUsableSize(page_size) - kTsbSlotBase) {}
 
   /// Initializes the sub-header + slotted area of a freshly created page.
   static void Format(char* buf, uint32_t page_size);

@@ -76,7 +76,7 @@ bool DecodeIndexCell(const Slice& cell, IndexEntry* e) {
 
 void IndexPageRef::Format(char* buf, uint32_t page_size, uint8_t level) {
   SetTsbPageLevel(buf, level);
-  SlottedView(buf + kTsbSlotBase, PageUsableSize(buf, page_size) - kTsbSlotBase)
+  SlottedView(buf + kTsbSlotBase, PageUsableSize(page_size) - kTsbSlotBase)
       .Init();
 }
 

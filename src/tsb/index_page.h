@@ -125,12 +125,9 @@ bool DecodeIndexCellView(const Slice& cell, IndexEntryView* e);
 /// Accessor over a current index page. Caller keeps the page pinned.
 class IndexPageRef {
  public:
-  // Capacity follows the page's own format (see DataPageRef): v2 pages
-  // reserve the checksum trailer, legacy v1 pages keep full capacity.
   IndexPageRef(char* buf, uint32_t page_size)
       : buf_(buf),
-        slots_(buf + kTsbSlotBase,
-               PageUsableSize(buf, page_size) - kTsbSlotBase) {}
+        slots_(buf + kTsbSlotBase, PageUsableSize(page_size) - kTsbSlotBase) {}
 
   static void Format(char* buf, uint32_t page_size, uint8_t level);
 

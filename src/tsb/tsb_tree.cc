@@ -134,7 +134,7 @@ Status TsbTree::Load() {
     clock_->Publish(DecodeFixed64(p + 12));  // persisted state is committed
     // Restore the free list persisted after the fixed fields.
     const size_t fixed = 20;
-    Slice rest(p + fixed, PageUsableSize(meta.data(), options_.page_size) -
+    Slice rest(p + fixed, PageUsableSize(options_.page_size) -
                               kPageHeaderSize - fixed);
     Status s = pager_->DecodeFreeList(rest);
     if (!s.ok()) {
@@ -165,7 +165,7 @@ Status TsbTree::Flush() {
   const size_t fixed = 20;
   std::string free_list;
   pager_->EncodeFreeList(&free_list,
-                         PageUsableSize(meta.data(), options_.page_size) -
+                         PageUsableSize(options_.page_size) -
                              kPageHeaderSize - fixed - 8);
   memcpy(p + fixed, free_list.data(), free_list.size());
   TSB_RETURN_IF_ERROR(pager_->WriteMeta(meta.data()));
@@ -192,7 +192,7 @@ Status TsbTree::BeginCheckpoint(CheckpointScope* scope) {
   const size_t fixed = 20;
   std::string free_list;
   pager_->EncodeFreeList(&free_list,
-                         PageUsableSize(meta.data(), options_.page_size) -
+                         PageUsableSize(options_.page_size) -
                              kPageHeaderSize - fixed - 8);
   memcpy(p + fixed, free_list.data(), free_list.size());
   scope->meta_image.assign(meta.data(), options_.page_size);
@@ -682,10 +682,7 @@ Status TsbTree::PutUncommitted(const Slice& key, const Slice& value,
 }
 
 Status TsbTree::InsertEntry(const DataEntry& e) {
-  // Sized against v2 pages (trailer reserved) — the tighter of the two
-  // formats, so a record accepted here fits on every page.
-  const uint32_t capacity =
-      options_.page_size - kTsbSlotBase - kPageTrailerSize;
+  const uint32_t capacity = PageUsableSize(options_.page_size) - kTsbSlotBase;
   if (e.EncodedSize() + kCellOverhead > capacity / 3) {
     return Status::InvalidArgument("record too large for page size");
   }

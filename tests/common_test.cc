@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "common/arena.h"
@@ -211,6 +213,56 @@ TEST(Crc32cTest, ExtendEqualsWhole) {
   uint32_t whole = crc32c::Value(data, 12);
   uint32_t part = crc32c::Extend(crc32c::Value(data, 5), data + 5, 7);
   EXPECT_EQ(whole, part);
+}
+
+// The dispatched Extend (the hardware crc32 instruction on SSE4.2 CPUs)
+// must agree with the portable table loop byte for byte: every length up
+// to just past a 4 KiB page, at every alignment of the start pointer,
+// from random seeds, so the 8-byte word loop and the byte tail both run.
+TEST(Crc32cTest, DispatchedMatchesPortableAtEveryLengthAndOffset) {
+  Random rnd(301);
+  std::string buf(4200 + 8, '\0');
+  for (char& c : buf) c = static_cast<char>(rnd.Next());
+  for (size_t offset = 0; offset < 8; ++offset) {
+    for (size_t n = 0; n <= 4200; ++n) {
+      const auto seed = static_cast<uint32_t>(rnd.Next());
+      const char* p = buf.data() + offset;
+      ASSERT_EQ(crc32c::ExtendPortable(seed, p, n), crc32c::Extend(seed, p, n))
+          << "offset " << offset << " length " << n;
+    }
+  }
+}
+
+TEST(Crc32cTest, ExtendChainsAtEverySplit) {
+  Random rnd(17);
+  char buf[64];
+  for (char& c : buf) c = static_cast<char>(rnd.Next());
+  const auto seed = static_cast<uint32_t>(rnd.Next());
+  const uint32_t whole = crc32c::Extend(seed, buf, sizeof(buf));
+  EXPECT_EQ(crc32c::ExtendPortable(seed, buf, sizeof(buf)), whole);
+  for (size_t split = 0; split <= sizeof(buf); ++split) {
+    const uint32_t head = crc32c::Extend(seed, buf, split);
+    EXPECT_EQ(whole, crc32c::Extend(head, buf + split, sizeof(buf) - split))
+        << "split " << split;
+  }
+}
+
+// RFC 3720 (iSCSI) appendix B.4 test vectors, through both paths.
+TEST(Crc32cTest, Rfc3720Vectors) {
+  char zeros[32], ones[32], up[32], down[32];
+  for (int i = 0; i < 32; ++i) {
+    zeros[i] = 0;
+    ones[i] = static_cast<char>(0xff);
+    up[i] = static_cast<char>(i);
+    down[i] = static_cast<char>(31 - i);
+  }
+  const std::pair<const char*, uint32_t> vectors[] = {
+      {zeros, 0x8a9136aau}, {ones, 0x62a8ab43u},
+      {up, 0x46dd794eu},    {down, 0x113fdb5cu}};
+  for (const auto& [data, want] : vectors) {
+    EXPECT_EQ(want, crc32c::Value(data, 32));
+    EXPECT_EQ(want, crc32c::ExtendPortable(0, data, 32));
+  }
 }
 
 TEST(Crc32cTest, MaskUnmaskRoundTrip) {

@@ -256,6 +256,21 @@ TEST(PageTest, BadMagicDetected) {
   EXPECT_TRUE(VerifyPage(buf.data(), kDefaultPageSize, 0).IsCorruption());
 }
 
+// A page without the trailer flag (the retired v1 format) is rejected,
+// even when every checksum over its bytes is right.
+TEST(PageTest, PageWithoutTrailerFlagFailsVerification) {
+  std::string buf(kDefaultPageSize, 0);
+  InitPage(buf.data(), kDefaultPageSize, 5, PageType::kTsbData);
+  SealPage(buf.data(), kDefaultPageSize);
+  SetPageFlags(buf.data(), PageFlags(buf.data()) & ~kPageFlagHasTrailer);
+  EXPECT_TRUE(VerifyPage(buf.data(), kDefaultPageSize, 5).IsCorruption());
+  SealPage(buf.data(), kDefaultPageSize);  // checksums now match again
+  const Status s = VerifyPage(buf.data(), kDefaultPageSize, 5);
+  EXPECT_TRUE(s.IsCorruption());
+  EXPECT_NE(std::string::npos, s.ToString().find("unknown page format"))
+      << s.ToString();
+}
+
 TEST(PageTest, FlagsRoundTrip) {
   std::string buf(kDefaultPageSize, 0);
   InitPage(buf.data(), kDefaultPageSize, 1, PageType::kTsbIndex);
