@@ -1,8 +1,9 @@
 #include "storage/slotted.h"
 
+#include <algorithm>
 #include <cassert>
 #include <cstring>
-#include <vector>
+#include <string>
 
 #include "common/coding.h"
 
@@ -58,18 +59,26 @@ bool SlottedView::HasRoomFor(uint32_t payload_size) const {
 }
 
 void SlottedView::Compact() {
+  // Every cell takes at least a slot and a length prefix, so a 16-bit
+  // region holds fewer than this many cells.
+  constexpr int kMaxCells = 65536 / (kSlot + kCellHeader);
   const int n = count();
-  std::vector<std::string> cells;
-  cells.reserve(n);
-  for (int i = 0; i < n; ++i) {
-    cells.push_back(Cell(i).ToString());
-  }
+  assert(n < kMaxCells);
+  // Slide cells toward the end of the region in descending-offset order:
+  // every cell above the one being moved is already packed, so a move
+  // only ever lands on holes or on its own old bytes.
+  uint16_t order[kMaxCells];
+  for (int i = 0; i < n; ++i) order[i] = static_cast<uint16_t>(i);
+  std::sort(order, order + n,
+            [this](uint16_t a, uint16_t b) { return slot(a) > slot(b); });
   uint16_t write = static_cast<uint16_t>(cap_);
-  for (int i = 0; i < n; ++i) {
-    const uint16_t need = static_cast<uint16_t>(cells[i].size() + kCellHeader);
-    write = static_cast<uint16_t>(write - need);
-    EncodeFixed16(base_ + write, static_cast<uint16_t>(cells[i].size()));
-    memcpy(base_ + write + kCellHeader, cells[i].data(), cells[i].size());
+  for (int k = 0; k < n; ++k) {
+    const int i = order[k];
+    const uint16_t off = slot(i);
+    const uint16_t size =
+        static_cast<uint16_t>(DecodeFixed16(base_ + off) + kCellHeader);
+    write = static_cast<uint16_t>(write - size);
+    if (write != off) memmove(base_ + write, base_ + off, size);
     set_slot(i, write);
   }
   set_cell_start(write);
@@ -108,6 +117,28 @@ void SlottedView::Remove(int pos) {
     // remove/insert patterns don't force compaction.
     set_cell_start(static_cast<uint16_t>(off + len + kCellHeader));
   }
+}
+
+char* SlottedView::MutableCell(int pos) {
+  assert(pos >= 0 && pos < count());
+  return base_ + slot(pos) + kCellHeader;
+}
+
+void SlottedView::ShrinkCell(int pos, uint32_t new_len) {
+  assert(pos >= 0 && pos < count());
+  const uint16_t off = slot(pos);
+  const uint16_t len = DecodeFixed16(base_ + off);
+  assert(new_len <= len);
+  EncodeFixed16(base_ + off, static_cast<uint16_t>(new_len));
+  set_live_bytes(static_cast<uint16_t>(live_bytes() - (len - new_len)));
+}
+
+void SlottedView::MoveSlot(int from, int to) {
+  assert(to >= 0 && to <= from && from < count());
+  const uint16_t off = slot(from);
+  memmove(base_ + kHeader + kSlot * (to + 1), base_ + kHeader + kSlot * to,
+          kSlot * static_cast<size_t>(from - to));
+  set_slot(to, off);
 }
 
 bool SlottedView::Replace(int pos, const Slice& cell) {

@@ -8,7 +8,8 @@
 //   [cell_start..cap)  cells, allocated downward, possibly with holes
 // Cells are opaque byte strings; each cell is stored as [u16 len][bytes].
 // The slot array keeps logical order (callers keep it sorted); holes from
-// removals are reclaimed by compaction when contiguous space runs out.
+// removals and shrunk cells are reclaimed by an in-place compaction when
+// contiguous space runs out.
 #ifndef TSBTREE_STORAGE_SLOTTED_H_
 #define TSBTREE_STORAGE_SLOTTED_H_
 
@@ -48,6 +49,18 @@ class SlottedView {
   /// Replaces cell `pos` with `cell`; false if no room (cell removed is
   /// reclaimed first, so shrinking always succeeds).
   bool Replace(int pos, const Slice& cell);
+
+  /// Writable bytes of cell `pos`, for in-place rewrites that keep or
+  /// shrink its length (see ShrinkCell).
+  char* MutableCell(int pos);
+
+  /// Cuts cell `pos` to its first `new_len` bytes. The cut tail becomes a
+  /// hole that compaction reclaims.
+  void ShrinkCell(int pos, uint32_t new_len);
+
+  /// Moves slot `from` left to position `to` (to <= from), shifting the
+  /// slots in between right by one. Cell bytes stay where they are.
+  void MoveSlot(int from, int to);
 
   /// Drops all cells.
   void Clear() { Init(); }

@@ -1,15 +1,20 @@
 #include "tsb/data_page.h"
 
 #include <algorithm>
+#include <cstring>
 
 #include "common/coding.h"
 
 namespace tsb {
 namespace tsb_tree {
 
-size_t DataEntry::EncodedSize() const {
+size_t DataCellSize(const Slice& key, TxnId txn, const Slice& value) {
   return VarintLength(key.size()) + key.size() + 8 + VarintLength(txn) +
          value.size();
+}
+
+size_t DataEntry::EncodedSize() const {
+  return DataCellSize(key, txn, value);
 }
 
 void EncodeDataCell(std::string* out, const Slice& key, Timestamp ts,
@@ -46,7 +51,11 @@ Status DataPageRef::At(int i, DataEntryView* view) const {
 }
 
 int DataPageRef::LowerBound(const Slice& key, Timestamp t) const {
-  int lo = 0, hi = Count();
+  return LowerBound(key, t, Count());
+}
+
+int DataPageRef::LowerBound(const Slice& key, Timestamp t, int hi) const {
+  int lo = 0;
   while (lo < hi) {
     const int mid = (lo + hi) / 2;
     DataEntryView v;
@@ -93,17 +102,42 @@ int DataPageRef::FindUncommitted(const Slice& key, TxnId txn) const {
   return -1;
 }
 
-bool DataPageRef::Insert(const DataEntry& e) {
-  std::string cell;
-  EncodeDataCell(&cell, e.key, e.ts, e.txn, e.value);
-  const int pos = LowerBound(e.key, e.ts);
+bool DataPageRef::Put(const Slice& key, Timestamp ts, TxnId txn,
+                      const Slice& cell) {
+  const int pos = LowerBound(key, ts);
+  for (int i = pos; i < Count(); ++i) {
+    DataEntryView v;
+    if (!DecodeDataCell(slots_.Cell(i), &v) || v.key != key || v.ts != ts) {
+      break;
+    }
+    // Committed: the same (key, ts). Uncommitted: the run of uncommitted
+    // versions of the key, one per transaction.
+    if (v.txn == txn) return slots_.Replace(i, cell);
+    if (ts != kUncommittedTs) break;
+  }
   return slots_.Insert(pos, cell);
 }
 
-bool DataPageRef::Replace(int i, const DataEntry& e) {
-  std::string cell;
-  EncodeDataCell(&cell, e.key, e.ts, e.txn, e.value);
-  return slots_.Replace(i, cell);
+Status DataPageRef::StampAt(int pos, Timestamp ts) {
+  const Slice cell = slots_.Cell(pos);
+  DataEntryView v;
+  if (!DecodeDataCell(cell, &v) || !v.uncommitted()) {
+    return Status::Corruption("stamp target is not an uncommitted cell");
+  }
+  // Cell: [varint klen][key][fixed64 ts][varint64 txn][value...]
+  char* const base = slots_.MutableCell(pos);
+  char* const ts_at = base + (v.key.data() + v.key.size() - cell.data());
+  char* const value_at = base + (v.value.data() - cell.data());
+  EncodeFixed64(ts_at, ts);
+  char* const new_value_at = EncodeVarint64(ts_at + 8, kNoTxn);
+  memmove(new_value_at, value_at, v.value.size());
+  slots_.ShrinkCell(pos, static_cast<uint32_t>(new_value_at - base +
+                                               v.value.size()));
+  // Everything after `pos` sorts at or after (key, kUncommittedTs), so the
+  // stamped version can only belong further left.
+  const int target = LowerBound(v.key, ts, pos);
+  if (target < pos) slots_.MoveSlot(pos, target);
+  return Status::OK();
 }
 
 Status DataPageRef::DecodeAll(std::vector<DataEntry>* out) const {

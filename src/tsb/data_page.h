@@ -72,6 +72,9 @@ struct DataEntryView {
   }
 };
 
+/// Encoded size of the record cell for (key, txn, value); the ts is a
+/// fixed64, so the size does not depend on it.
+size_t DataCellSize(const Slice& key, TxnId txn, const Slice& value);
 void EncodeDataCell(std::string* out, const Slice& key, Timestamp ts,
                     TxnId txn, const Slice& value);
 bool DecodeDataCell(const Slice& cell, DataEntryView* view);
@@ -100,16 +103,28 @@ class DataPageRef {
   /// Index of the uncommitted entry for (key, txn); -1 if none.
   int FindUncommitted(const Slice& key, TxnId txn) const;
 
-  bool HasRoomFor(const DataEntry& e) const {
-    return slots_.HasRoomFor(static_cast<uint32_t>(e.EncodedSize()));
+  /// True if a cell of `cell_size` encoded bytes fits.
+  bool HasRoomFor(size_t cell_size) const {
+    return slots_.HasRoomFor(static_cast<uint32_t>(cell_size));
   }
 
-  /// Inserts keeping sort order; false when full. An existing cell with the
-  /// same (key, ts/txn) position is NOT replaced — callers decide.
-  bool Insert(const DataEntry& e);
+  /// Writes `cell` (the encoding of (key, ts, txn)) at its sorted position,
+  /// replacing the version already there: the transaction's own uncommitted
+  /// version when `ts` is kUncommittedTs, else the committed version with
+  /// the same (key, ts). False when the page is full.
+  bool Put(const Slice& key, Timestamp ts, TxnId txn, const Slice& cell);
+
+  /// Commits the uncommitted cell at `pos` in place: rewrites its ts,
+  /// sets its txn to kNoTxn and slides the value down over the shorter
+  /// txn varint, so the cell shrinks to exactly its committed encoding.
+  /// The slot normally stays put, because a commit ts sorts after every
+  /// committed version of the key. When it does not (another
+  /// transaction's uncommitted version of the key precedes the cell, or
+  /// `ts` is below an existing version), the slot rotates to
+  /// LowerBound(key, ts).
+  Status StampAt(int pos, Timestamp ts);
 
   void Remove(int i) { slots_.Remove(i); }
-  bool Replace(int i, const DataEntry& e);
   void Clear() { slots_.Clear(); }
 
   /// Decodes every entry (owning copies, for split staging).
@@ -124,6 +139,9 @@ class DataPageRef {
   }
 
  private:
+  /// LowerBound restricted to entries [0, hi).
+  int LowerBound(const Slice& key, Timestamp t, int hi) const;
+
   char* buf_;
   SlottedView slots_;
 };

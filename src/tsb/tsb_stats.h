@@ -26,6 +26,10 @@ struct HistDecodeCounters {
 struct TsbCounters {
   std::atomic<uint64_t> puts{0};   ///< committed record versions inserted
   std::atomic<uint64_t> uncommitted_puts{0};
+  /// Leaf descents performed to insert them: a batch inserts every key
+  /// landing on one leaf in a single descent, so this grows with leaves
+  /// touched plus splits, not keys inserted.
+  std::atomic<uint64_t> put_descents{0};
   std::atomic<uint64_t> stamps{0}; ///< uncommitted records committed in place
   /// Leaf descents performed to stamp them: batched commits stamp every
   /// key landing on one leaf in a single descent, so for large batches

@@ -219,12 +219,8 @@ Status TsbTree::ReplayCommitted(const Slice& key, const Slice& value,
   // No monotone-clock check: the persisted clock already advanced past
   // the timestamps the log re-inserts. Same-(key, ts) inserts replace in
   // place, so replaying an already-applied frame is idempotent.
-  DataEntry e;
-  e.key = key.ToString();
-  e.ts = ts;
-  e.txn = kNoTxn;
-  e.value = value.ToString();
-  TSB_RETURN_IF_ERROR(InsertEntry(e));
+  const KeyValue kv(key, value);
+  TSB_RETURN_IF_ERROR(InsertRecords({&kv, 1}, ts, kNoTxn));
   clock_->AdvanceTo(ts);
   counters_.puts++;
   return Status::OK();
@@ -646,6 +642,21 @@ Status TsbTree::GetUncommitted(const Slice& key, TxnId txn,
 
 // ---------------------------------------------------------------- writes
 
+Status TsbTree::LatchLeaf(const Slice& key, PageHandle* leaf,
+                          IndexEntry* pe) {
+  // Concurrent mode: optimistic descent, exclusive latch on the target
+  // leaf only; the routing entry is captured during the descent (index
+  // pages may not be read unlatched while other writers split).
+  if (options_.concurrent_writers) return LatchLeafOLC(key, leaf, pe);
+  std::vector<PathElem> path;
+  TSB_RETURN_IF_ERROR(DescendCurrent(key, &path));
+  int pe_pos;
+  TSB_RETURN_IF_ERROR(ParentEntryFor(path, path.size() - 1, pe, &pe_pos));
+  // Exclusive leaf latch: concurrent readers of this page must not see
+  // the slotted layout mid-mutation.
+  return pool_->FetchExclusive(path.back().page_id, leaf);
+}
+
 Status TsbTree::Put(const Slice& key, const Slice& value, Timestamp ts) {
   WriterGuard wl(this);
   if (ts == kMinTimestamp || ts > kMaxCommittedTs) {
@@ -654,12 +665,8 @@ Status TsbTree::Put(const Slice& key, const Slice& value, Timestamp ts) {
   if (ts < clock_->Now()) {
     return Status::InvalidArgument("timestamps must be non-decreasing");
   }
-  DataEntry e;
-  e.key = key.ToString();
-  e.ts = ts;
-  e.txn = kNoTxn;
-  e.value = value.ToString();
-  TSB_RETURN_IF_ERROR(InsertEntry(e));
+  const KeyValue kv(key, value);
+  TSB_RETURN_IF_ERROR(InsertRecords({&kv, 1}, ts, kNoTxn));
   clock_->AdvanceTo(ts);
   // A direct Put is a complete single-record commit: publish immediately.
   clock_->Publish(ts);
@@ -667,79 +674,71 @@ Status TsbTree::Put(const Slice& key, const Slice& value, Timestamp ts) {
   return Status::OK();
 }
 
-Status TsbTree::PutUncommitted(const Slice& key, const Slice& value,
-                               TxnId txn) {
+Status TsbTree::PutUncommittedBatch(std::span<const KeyValue> kvs,
+                                    TxnId txn) {
   WriterGuard wl(this);
   if (txn == kNoTxn) return Status::InvalidArgument("txn id required");
-  DataEntry e;
-  e.key = key.ToString();
-  e.ts = kUncommittedTs;
-  e.txn = txn;
-  e.value = value.ToString();
-  TSB_RETURN_IF_ERROR(InsertEntry(e));
-  counters_.uncommitted_puts++;
+  TSB_RETURN_IF_ERROR(InsertRecords(kvs, kUncommittedTs, txn));
+  counters_.uncommitted_puts += kvs.size();
   return Status::OK();
 }
 
-Status TsbTree::InsertEntry(const DataEntry& e) {
+Status TsbTree::PutUncommitted(const Slice& key, const Slice& value,
+                               TxnId txn) {
+  const KeyValue kv(key, value);
+  return PutUncommittedBatch({&kv, 1}, txn);
+}
+
+Status TsbTree::InsertRecords(std::span<const KeyValue> kvs, Timestamp ts,
+                              TxnId txn) {
+  const bool uncommitted = ts == kUncommittedTs;
+  // Reject a record that can never fit before touching any page, so the
+  // call fails with nothing inserted.
   const uint32_t capacity = PageUsableSize(options_.page_size) - kTsbSlotBase;
-  if (e.EncodedSize() + kCellOverhead > capacity / 3) {
-    return Status::InvalidArgument("record too large for page size");
+  for (const auto& [key, value] : kvs) {
+    if (DataCellSize(key, txn, value) + kCellOverhead > capacity / 3) {
+      return Status::InvalidArgument("record too large for page size");
+    }
   }
-  const bool concurrent = options_.concurrent_writers;
-  for (int attempt = 0; attempt < kMaxInsertRetries; ++attempt) {
+  std::string cell;
+  size_t i = 0;
+  int splits = 0;  // splits made for kvs[i] without it fitting yet
+  while (i < kvs.size()) {
+    assert(i == 0 || kvs[i - 1].first < kvs[i].first);  // sorted + distinct
     PageHandle h;
     IndexEntry pe;
-    if (concurrent) {
-      // Optimistic descent: exclusive latch on the target leaf only; the
-      // routing entry is captured during the descent (index pages may not
-      // be read unlatched while other writers split).
-      TSB_RETURN_IF_ERROR(LatchLeafOLC(Slice(e.key), &h, &pe));
-    } else {
-      std::vector<PathElem> path;
-      TSB_RETURN_IF_ERROR(DescendCurrent(Slice(e.key), &path));
-      // Exclusive leaf latch: concurrent readers of this page must not
-      // see the slotted layout mid-mutation.
-      TSB_RETURN_IF_ERROR(pool_->FetchExclusive(path.back().page_id, &h));
-      int pe_pos;
-      TSB_RETURN_IF_ERROR(
-          ParentEntryFor(path, path.size() - 1, &pe, &pe_pos));
-    }
-    DataPageRef page(h.data(), options_.page_size);
-
+    TSB_RETURN_IF_ERROR(LatchLeaf(kvs[i].first, &h, &pe));
+    if (uncommitted) counters_.put_descents++;
     // Region lower time bound: committed inserts must not predate it.
-    if (!e.uncommitted() && e.ts < pe.t_lo) {
+    if (!uncommitted && ts < pe.t_lo) {
       return Status::InvalidArgument(
           "timestamp predates the node's time-split boundary");
     }
-
-    // Same-position overwrite: own uncommitted version or same (key, ts).
-    int existing = -1;
-    if (e.uncommitted()) {
-      existing = page.FindUncommitted(Slice(e.key), e.txn);
-    } else {
-      const int pos = page.LowerBound(Slice(e.key), e.ts);
-      if (pos < page.Count()) {
-        DataEntryView v;
-        TSB_RETURN_IF_ERROR(page.At(pos, &v));
-        if (v.key == Slice(e.key) && v.ts == e.ts && !v.uncommitted()) {
-          existing = pos;
-        }
+    DataPageRef page(h.data(), options_.page_size);
+    // One descent inserts this key and every following key whose point
+    // falls inside the same leaf's key region, while the leaf has room.
+    const size_t first = i;
+    bool full = false;
+    do {
+      cell.clear();
+      EncodeDataCell(&cell, kvs[i].first, ts, txn, kvs[i].second);
+      if (!page.Put(kvs[i].first, ts, txn, cell)) {
+        full = true;
+        break;
       }
-    }
-    bool ok;
-    if (existing >= 0) {
-      ok = page.Replace(existing, e);
-    } else {
-      ok = page.Insert(e);
-    }
-    if (ok) {
+      ++i;
+    } while (i < kvs.size() && pe.ContainsKey(kvs[i].first));
+    if (i > first) {
       h.MarkDirty();
-      return Status::OK();
+      splits = 0;
     }
+    if (!full) continue;
     h.Release();
-    Status split = SplitForInsert(e);
-    if (concurrent && split.IsOutOfSpace() &&
+    if (++splits > kMaxInsertRetries) {
+      return Status::Corruption("insert did not converge after splits");
+    }
+    Status split = SplitForInsert(kvs[i].first, cell.size());
+    if (options_.concurrent_writers && split.IsOutOfSpace() &&
         clock_->Visible() < clock_->Now()) {
       // The page looks wedged only because the time-split boundary is
       // capped at the PUBLISHED watermark and in-flight commits are still
@@ -751,14 +750,14 @@ Status TsbTree::InsertEntry(const DataEntry& e) {
            ++spin) {
         std::this_thread::yield();
       }
-      split = SplitForInsert(e);
+      split = SplitForInsert(kvs[i].first, cell.size());
     }
     TSB_RETURN_IF_ERROR(split);
   }
-  return Status::Corruption("insert did not converge after splits");
+  return Status::OK();
 }
 
-Status TsbTree::SplitForInsert(const DataEntry& e) {
+Status TsbTree::SplitForInsert(const Slice& key, size_t cell_size) {
   // Structural changes are serialized on structure_mu_ (uncontended in
   // single-writer mode). Index pages are mutated ONLY by the split/grow
   // code running under this mutex, so the unlatched index reads below it
@@ -768,101 +767,47 @@ Status TsbTree::SplitForInsert(const DataEntry& e) {
   // leaf's mutation counter before installing its rewrite.
   std::lock_guard<std::mutex> sl(structure_mu_);
   std::vector<PathElem> path;
-  TSB_RETURN_IF_ERROR(
-      DescendCurrent(Slice(e.key), &path, options_.concurrent_writers));
+  TSB_RETURN_IF_ERROR(DescendCurrent(key, &path, options_.concurrent_writers));
   {
     // Another writer may have split this leaf while we waited on the
-    // mutex: skip when the entry now fits (the caller retries the insert
+    // mutex: skip when the cell now fits (the caller retries the insert
     // with a fresh descent either way).
     PageHandle h;
     TSB_RETURN_IF_ERROR(pool_->FetchShared(path.back().page_id, &h));
     DataPageRef page(h.data(), options_.page_size);
-    if (page.HasRoomFor(e)) return Status::OK();
+    if (page.HasRoomFor(cell_size)) return Status::OK();
   }
   return SplitDataPage(path);
 }
 
-Status TsbTree::StampCommitted(const Slice& key, TxnId txn, Timestamp ts) {
+Status TsbTree::StampCommittedBatch(std::span<const Slice> keys, TxnId txn,
+                                    Timestamp ts) {
   WriterGuard wl(this);
   if (ts == kMinTimestamp || ts > kMaxCommittedTs) {
     return Status::InvalidArgument("timestamp out of committed range");
   }
-  PageHandle h;
-  IndexEntry pe;
-  if (options_.concurrent_writers) {
-    TSB_RETURN_IF_ERROR(LatchLeafOLC(key, &h, &pe));
-  } else {
-    std::vector<PathElem> path;
-    TSB_RETURN_IF_ERROR(DescendCurrent(key, &path));
-    int pe_pos;
-    TSB_RETURN_IF_ERROR(ParentEntryFor(path, path.size() - 1, &pe, &pe_pos));
-    TSB_RETURN_IF_ERROR(pool_->FetchExclusive(path.back().page_id, &h));
-  }
-  // Defense in depth: stamping below the region's time-split boundary
-  // would make the version unreachable for as-of reads (the region
-  // [t_lo, inf) no longer covers it). Commits can never legally hit this
-  // — serialized commits never split above an in-flight timestamp, and
-  // concurrent-mode splits cap the boundary at the published watermark,
-  // which trails every in-flight commit — so treat it as corruption, not
-  // data loss.
-  if (ts < pe.t_lo) {
-    return Status::Corruption(
-        "commit timestamp predates the node's time-split boundary");
-  }
-  DataPageRef page(h.data(), options_.page_size);
-  const int pos = page.FindUncommitted(key, txn);
-  if (pos < 0) return Status::NotFound("no uncommitted version for txn");
-  DataEntryView v;
-  TSB_RETURN_IF_ERROR(page.At(pos, &v));
-  DataEntry committed;
-  committed.key = v.key.ToString();
-  committed.ts = ts;
-  committed.txn = kNoTxn;
-  committed.value = v.value.ToString();
-  page.Remove(pos);
-  if (!page.Insert(committed)) {
-    return Status::Corruption("stamp lost space on rewrite");
-  }
-  h.MarkDirty();
-  clock_->AdvanceTo(ts);
-  counters_.stamps++;
-  counters_.stamp_descents++;
-  return Status::OK();
-}
-
-Status TsbTree::StampCommittedBatch(const std::vector<Slice>& keys,
-                                    TxnId txn, Timestamp ts) {
-  WriterGuard wl(this);
-  if (ts == kMinTimestamp || ts > kMaxCommittedTs) {
-    return Status::InvalidArgument("timestamp out of committed range");
-  }
-  const bool concurrent = options_.concurrent_writers;
   size_t i = 0;
   while (i < keys.size()) {
     assert(i == 0 || keys[i - 1] < keys[i]);  // sorted + distinct
     PageHandle h;
-    // The region boundary check of StampCommitted, hoisted per leaf: every
-    // key stamped below shares this leaf's region.
     IndexEntry pe;
-    if (concurrent) {
-      TSB_RETURN_IF_ERROR(LatchLeafOLC(keys[i], &h, &pe));
-    } else {
-      std::vector<PathElem> path;
-      TSB_RETURN_IF_ERROR(DescendCurrent(keys[i], &path));
-      int pe_pos;
-      TSB_RETURN_IF_ERROR(
-          ParentEntryFor(path, path.size() - 1, &pe, &pe_pos));
-      TSB_RETURN_IF_ERROR(pool_->FetchExclusive(path.back().page_id, &h));
-    }
+    TSB_RETURN_IF_ERROR(LatchLeaf(keys[i], &h, &pe));
+    // Defense in depth: stamping below the region's time-split boundary
+    // would make the version unreachable for as-of reads (the region
+    // [t_lo, inf) no longer covers it). Commits can never legally hit this
+    // — serialized commits never split above an in-flight timestamp, and
+    // concurrent-mode splits cap the boundary at the published watermark,
+    // which trails every in-flight commit — so treat it as corruption, not
+    // data loss. Every key stamped below shares this leaf's region.
     if (ts < pe.t_lo) {
       return Status::Corruption(
           "commit timestamp predates the node's time-split boundary");
     }
     // Dirty (and version-bump) the leaf BEFORE mutating it: an error
     // return mid-leaf must leave the already-applied stamps flagged for
-    // write-back, exactly like per-key stamping would (the caller
-    // poisons the watermark, so they stay invisible either way). A
-    // spurious mark when the very first lookup fails costs one rewrite.
+    // write-back (the caller poisons the watermark, so they stay
+    // invisible either way). A spurious mark when the very first lookup
+    // fails costs one rewrite.
     h.MarkDirty();
     DataPageRef page(h.data(), options_.page_size);
     // One descent stamps this key and every following key whose point
@@ -870,17 +815,7 @@ Status TsbTree::StampCommittedBatch(const std::vector<Slice>& keys,
     do {
       const int pos = page.FindUncommitted(keys[i], txn);
       if (pos < 0) return Status::NotFound("no uncommitted version for txn");
-      DataEntryView v;
-      TSB_RETURN_IF_ERROR(page.At(pos, &v));
-      DataEntry committed;
-      committed.key = v.key.ToString();
-      committed.ts = ts;
-      committed.txn = kNoTxn;
-      committed.value = v.value.ToString();
-      page.Remove(pos);
-      if (!page.Insert(committed)) {
-        return Status::Corruption("stamp lost space on rewrite");
-      }
+      TSB_RETURN_IF_ERROR(page.StampAt(pos, ts));
       counters_.stamps++;
       ++i;
     } while (i < keys.size() && pe.ContainsKey(keys[i]));
@@ -890,17 +825,15 @@ Status TsbTree::StampCommittedBatch(const std::vector<Slice>& keys,
   return Status::OK();
 }
 
+Status TsbTree::StampCommitted(const Slice& key, TxnId txn, Timestamp ts) {
+  return StampCommittedBatch({&key, 1}, txn, ts);
+}
+
 Status TsbTree::EraseUncommitted(const Slice& key, TxnId txn) {
   WriterGuard wl(this);
   PageHandle h;
-  if (options_.concurrent_writers) {
-    IndexEntry pe;
-    TSB_RETURN_IF_ERROR(LatchLeafOLC(key, &h, &pe));
-  } else {
-    std::vector<PathElem> path;
-    TSB_RETURN_IF_ERROR(DescendCurrent(key, &path));
-    TSB_RETURN_IF_ERROR(pool_->FetchExclusive(path.back().page_id, &h));
-  }
+  IndexEntry pe;
+  TSB_RETURN_IF_ERROR(LatchLeaf(key, &h, &pe));
   DataPageRef page(h.data(), options_.page_size);
   const int pos = page.FindUncommitted(key, txn);
   if (pos < 0) return Status::NotFound("no uncommitted version for txn");

@@ -11,6 +11,7 @@
 #include <memory>
 #include <mutex>
 #include <shared_mutex>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -109,8 +110,10 @@ struct DecodedNode {
 ///
 /// Writes:
 ///  - Put(key, value, ts)            committed version, ts non-decreasing
-///  - PutUncommitted(key, value, txn) version without timestamp (section 4)
-///  - StampCommitted(key, txn, ts)   commit an uncommitted version in place
+///  - PutUncommittedBatch(kvs, txn)  versions without timestamp (section 4)
+///  - StampCommittedBatch(keys, txn, ts)
+///                                   commit them in place: the cell's ts
+///                                   and txn are rewritten in the page
 ///  - EraseUncommitted(key, txn)     abort cleanup (erasable current DB)
 /// Reads (every committed read is parameterised by ReadOptions::as_of):
 ///  - Get(options, key)              version valid at options.as_of
@@ -163,22 +166,36 @@ class TsbTree {
   /// timestamp (commit order; the tree advances its clock to ts).
   Status Put(const Slice& key, const Slice& value, Timestamp ts);
 
-  /// Inserts an uncommitted version for transaction `txn`. At most one
-  /// uncommitted version per (key, txn); a second Put replaces it.
+  /// One key/value pair of a batched insert (views; the caller keeps the
+  /// bytes alive for the call).
+  using KeyValue = std::pair<Slice, Slice>;
+
+  /// Inserts uncommitted versions for transaction `txn`, at most one per
+  /// (key, txn): a second Put of the key replaces the first. `kvs` must be
+  /// sorted ascending by key and distinct (a WriteBatch). Every key that
+  /// lands on the same leaf is inserted in ONE descent while the leaf has
+  /// room, so a batch costs O(leaves touched + splits) descents — see
+  /// counters().put_descents. A full leaf is split and the descent redone
+  /// for the key that did not fit. On a mid-batch error the keys before
+  /// it stay inserted; the caller erases them (transaction abort).
+  Status PutUncommittedBatch(std::span<const KeyValue> kvs, TxnId txn);
+
+  /// The one-key PutUncommittedBatch.
   Status PutUncommitted(const Slice& key, const Slice& value, TxnId txn);
 
-  /// Stamps the uncommitted version of (key, txn) with commit time `ts`.
-  Status StampCommitted(const Slice& key, TxnId txn, Timestamp ts);
-
-  /// Stamps every (key, txn) pair in `keys` with the same commit time.
-  /// `keys` must be sorted ascending and distinct (a WriteBatch commit);
-  /// all keys landing on the same leaf are stamped in ONE descent, so a
-  /// large batch costs O(leaves touched) descents instead of O(keys) —
-  /// see counters().stamp_descents. Equivalent to per-key StampCommitted
-  /// calls, including the mid-batch failure behavior (the caller poisons
-  /// the watermark on error, so partial stamps never become visible).
-  Status StampCommittedBatch(const std::vector<Slice>& keys, TxnId txn,
+  /// Stamps every (key, txn) pair in `keys` with the same commit time, in
+  /// place (DataPageRef::StampAt: no re-encode, no re-insert). `keys`
+  /// must be sorted ascending and distinct (a WriteBatch commit); all keys
+  /// landing on the same leaf are stamped in ONE descent, so a large batch
+  /// costs O(leaves touched) descents instead of O(keys) — see
+  /// counters().stamp_descents. On a mid-batch failure the keys before it
+  /// stay stamped (the caller poisons the watermark on error, so partial
+  /// stamps never become visible).
+  Status StampCommittedBatch(std::span<const Slice> keys, TxnId txn,
                              Timestamp ts);
+
+  /// The one-key StampCommittedBatch.
+  Status StampCommitted(const Slice& key, TxnId txn, Timestamp ts);
 
   /// Erases the uncommitted version of (key, txn) — abort path.
   Status EraseUncommitted(const Slice& key, TxnId txn);
@@ -339,6 +356,12 @@ class TsbTree {
   /// B-link sibling or restart from the root (bounded).
   Status LatchLeafOLC(const Slice& key, PageHandle* leaf, IndexEntry* pe);
 
+  /// The writer descent of either mode: LatchLeafOLC with concurrent
+  /// writers, else DescendCurrent + ParentEntryFor under the exclusive
+  /// writer lock. Returns the leaf for `key` exclusively latched and its
+  /// parent entry in `*pe`.
+  Status LatchLeaf(const Slice& key, PageHandle* leaf, IndexEntry* pe);
+
   /// Where a point lookup delivers its result: exactly one of `value`
   /// (copying) or `pinned` (zero-copy blob view) is non-null.
   struct PointSink {
@@ -363,8 +386,13 @@ class TsbTree {
   Status AppendHistNode(const std::string& blob, uint64_t raw_bytes,
                         HistAddr* addr);
 
-  /// Inserts `e` (committed or uncommitted), splitting as needed.
-  Status InsertEntry(const DataEntry& e);
+  /// The one insert loop behind Put, ReplayCommitted and
+  /// PutUncommittedBatch: writes every pair of the sorted, distinct `kvs`
+  /// as version (ts, txn) — ts = kUncommittedTs for uncommitted versions —
+  /// with one leaf descent per run of keys sharing a leaf, splitting as
+  /// needed. The caller holds the WriterGuard.
+  Status InsertRecords(std::span<const KeyValue> kvs, Timestamp ts,
+                       TxnId txn);
 
   /// Applies the content_floor_hints knob at every hint-stamping split
   /// site: disabled reproduces legacy cells (stored min_ts = 0), which
@@ -382,9 +410,10 @@ class TsbTree {
   Status PurgeCommittedAtRec(uint32_t page_id, Timestamp ts,
                              uint64_t* purged);
 
-  /// The split slow path of InsertEntry: re-descends under structure_mu_
-  /// and splits the target leaf unless another writer already made room.
-  Status SplitForInsert(const DataEntry& e);
+  /// The split slow path of InsertRecords: re-descends under structure_mu_
+  /// and splits the leaf for `key` unless another writer already made room
+  /// for a cell of `cell_size` bytes.
+  Status SplitForInsert(const Slice& key, size_t cell_size);
 
   /// Splits the full leaf at path.back(); posts to parents; the caller
   /// re-descends afterwards.

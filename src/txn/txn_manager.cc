@@ -17,7 +17,8 @@ Transaction::~Transaction() {
 
 Status Transaction::Put(const Slice& key, const Slice& value) {
   if (!active_) return Status::TxnNotActive("Put on finished transaction");
-  TSB_RETURN_IF_ERROR(mgr_->LockKey(key.ToString(), id_));
+  const tsb_tree::TsbTree::KeyValue kv(key, value);
+  TSB_RETURN_IF_ERROR(mgr_->LockKeys({&kv, 1}, id_));
   TSB_RETURN_IF_ERROR(mgr_->tree_->PutUncommitted(key, value, id_));
   writes_[key.ToString()] = value.ToString();
   return Status::OK();
@@ -62,22 +63,43 @@ Status TxnManager::Write(const WriteBatch& batch, Timestamp* commit_ts) {
   }
   std::unique_ptr<Transaction> txn;
   TSB_RETURN_IF_ERROR(Begin(&txn));
-  for (const auto& [key, value] : batch.ops()) {
-    Status s = txn->Put(key, value);
-    if (!s.ok()) {
-      txn->Abort();  // all-or-nothing: a conflict undoes the whole batch
-      return s;
-    }
+  // A later Put of a key wins; the map leaves the keys sorted and
+  // distinct, as the batched tree calls require.
+  for (const auto& [key, value] : batch.ops()) txn->writes_[key] = value;
+  std::vector<tsb_tree::TsbTree::KeyValue> kvs;
+  kvs.reserve(txn->writes_.size());
+  for (const auto& [key, value] : txn->writes_) kvs.emplace_back(key, value);
+  Status s = LockKeys(kvs, txn->id_);
+  if (!s.ok()) {
+    // Nothing reached the tree and nothing was locked: end the
+    // transaction without erase descents.
+    txn->writes_.clear();
+    txn->Abort();
+    return s;
+  }
+  s = tree_->PutUncommittedBatch(kvs, txn->id_);
+  if (!s.ok()) {
+    txn->Abort();  // erases whatever part of the batch was inserted
+    return s;
   }
   return txn->Commit(commit_ts);
 }
 
-Status TxnManager::LockKey(const std::string& key, TxnId txn) {
+Status TxnManager::LockKeys(
+    std::span<const tsb_tree::TsbTree::KeyValue> writes, TxnId txn) {
   std::lock_guard<std::mutex> lock(lock_mu_);
-  auto [it, inserted] = lock_table_.emplace(key, txn);
-  if (!inserted && it->second != txn) {
-    return Status::TxnConflict("key locked by txn " +
-                               std::to_string(it->second), key);
+  // Check every key before taking any, so a conflict leaves nothing to
+  // undo.
+  for (const auto& [key, value] : writes) {
+    auto it = lock_table_.find(key.ToStringView());
+    if (it != lock_table_.end() && it->second != txn) {
+      return Status::TxnConflict("key locked by txn " +
+                                 std::to_string(it->second),
+                                 key.ToString());
+    }
+  }
+  for (const auto& [key, value] : writes) {
+    lock_table_.try_emplace(key.ToString(), txn);
   }
   return Status::OK();
 }

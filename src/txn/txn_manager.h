@@ -23,6 +23,7 @@
 #include <memory>
 #include <mutex>
 #include <set>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -137,11 +138,13 @@ class TxnManager {
   /// Starts an updater transaction.
   Status Begin(std::unique_ptr<Transaction>* out);
 
-  /// Applies `batch` atomically under one commit timestamp: every key is
-  /// locked (first-writer-wins; a conflict fails the WHOLE batch with
-  /// nothing applied), written uncommitted, then stamped and published as
-  /// one transaction — secondary indexes update with the same timestamp
-  /// through the commit hook.
+  /// Applies `batch` atomically under one commit timestamp. A later Put
+  /// of a key wins. Every key is locked in one lock-table pass
+  /// (first-writer-wins; a conflict fails the WHOLE batch before anything
+  /// reaches the tree), written uncommitted with one descent per leaf
+  /// (TsbTree::PutUncommittedBatch), then stamped in place and published
+  /// as one transaction — secondary indexes update with the same
+  /// timestamp through the commit hook.
   Status Write(const WriteBatch& batch, Timestamp* commit_ts = nullptr);
 
   /// Starts a lock-free reader pinned at the committed watermark (one
@@ -259,7 +262,11 @@ class TxnManager {
  private:
   friend class Transaction;
 
-  Status LockKey(const std::string& key, TxnId txn);
+  /// Locks the key of every write for `txn` in one lock_mu_ section:
+  /// all of them, or — on a conflict with another transaction — none
+  /// (the table is left as it was). Keys `txn` already holds stay locked.
+  Status LockKeys(std::span<const tsb_tree::TsbTree::KeyValue> writes,
+                  TxnId txn);
   void UnlockKeys(const Transaction& txn);
   Status CommitTxn(Transaction* txn, Timestamp* commit_ts);
   /// Shared body of CommitTxn and CommitPrepared. `external_ts` == 0
@@ -283,7 +290,9 @@ class TxnManager {
   std::atomic<TxnId> next_txn_{1};
   std::atomic<size_t> active_count_{0};
   std::mutex lock_mu_;  // guards lock_table_
-  std::map<std::string, TxnId> lock_table_;
+  // Transparent comparator: conflict checks look keys up without
+  // building a std::string.
+  std::map<std::string, TxnId, std::less<>> lock_table_;
   // Serial mode: serializes the commit point (tick -> stamps -> hooks ->
   // publish); see CommitTxn. Concurrent mode (tree option
   // concurrent_writers, no hook): guards only the inflight set around the

@@ -58,7 +58,6 @@ TEST(IntegrationTest, FullStackWorkloadWithTxnsAndIndex) {
       ASSERT_TRUE(mvdb->Begin(&txn).ok());
     }
     Status s = txn->Put(op.key, value);
-    if (s.IsTxnConflict()) continue;  // same key twice in one batch
     ASSERT_TRUE(s.ok()) << s.ToString();
     if (++batch >= 5) {
       Timestamp cts = 0;

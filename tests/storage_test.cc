@@ -348,6 +348,29 @@ TEST_F(SlottedTest, CompactionPreservesContents) {
   EXPECT_EQ(std::string(20, 'j'), view_.Cell(5).ToString());
 }
 
+TEST_F(SlottedTest, ShrinkAndMoveSlotThenCompactInPlace) {
+  // Prepending puts slot order opposite to offset order, so compaction
+  // must slide cells by offset, not by slot.
+  for (int i = 0; i < 12; ++i) {
+    ASSERT_TRUE(view_.Insert(0, Slice(std::string(30, 'a' + i))));
+  }
+  // Slot i now holds letter 'l' - i. Shrink every other cell to 10 bytes
+  // and move the last slot ('a') to the front.
+  for (int i = 0; i < 12; i += 2) view_.ShrinkCell(i, 10);
+  view_.MoveSlot(11, 0);
+  // The cut tails are free space again: fill the page, which compacts.
+  const uint32_t free_before = view_.FreeBytes();
+  int added = 0;
+  while (view_.Insert(view_.count(), Slice(std::string(16, 'z')))) ++added;
+  EXPECT_EQ(free_before / (16 + 2 + 2), static_cast<uint32_t>(added));
+  EXPECT_EQ(std::string(30, 'a'), view_.Cell(0).ToString());
+  for (int i = 0; i < 11; ++i) {
+    const size_t len = i % 2 == 0 ? 10 : 30;
+    EXPECT_EQ(std::string(len, 'l' - i), view_.Cell(i + 1).ToString()) << i;
+  }
+  EXPECT_EQ(std::string(16, 'z'), view_.Cell(12 + added - 1).ToString());
+}
+
 TEST_F(SlottedTest, ReplaceGrowAndShrink) {
   ASSERT_TRUE(view_.Insert(0, Slice("short")));
   ASSERT_TRUE(view_.Replace(0, Slice(std::string(50, 'L'))));

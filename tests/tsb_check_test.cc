@@ -86,10 +86,16 @@ TEST(DataPageTest, SortedInsertAndFind) {
   InitPage(buf.data(), 1024, 1, PageType::kTsbData);
   DataPageRef::Format(buf.data(), 1024);
   DataPageRef page(buf.data(), 1024);
-  ASSERT_TRUE(page.Insert(DataEntry{"b", 5, kNoTxn, "b5"}));
-  ASSERT_TRUE(page.Insert(DataEntry{"a", 9, kNoTxn, "a9"}));
-  ASSERT_TRUE(page.Insert(DataEntry{"b", 2, kNoTxn, "b2"}));
-  ASSERT_TRUE(page.Insert(DataEntry{"b", kUncommittedTs, 7, "dirty"}));
+  auto put = [&page](const Slice& key, Timestamp ts, TxnId txn,
+                     const Slice& value) {
+    std::string cell;
+    EncodeDataCell(&cell, key, ts, txn, value);
+    return page.Put(key, ts, txn, cell);
+  };
+  ASSERT_TRUE(put("b", 5, kNoTxn, "b5"));
+  ASSERT_TRUE(put("a", 9, kNoTxn, "a9"));
+  ASSERT_TRUE(put("b", 2, kNoTxn, "b2"));
+  ASSERT_TRUE(put("b", kUncommittedTs, 7, "dirty"));
   ASSERT_EQ(4, page.Count());
   // Order: a@9, b@2, b@5, b@dirty.
   DataEntryView v;

@@ -1,0 +1,351 @@
+// Leaf-batched WriteBatch apply: uncommitted inserts take one descent per
+// leaf (splitting mid-batch when a leaf fills), commit stamps are written
+// in place (rotating the slot when the stamped version must sort earlier),
+// and the lock table is taken in one all-or-nothing pass per batch.
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <atomic>
+#include <memory>
+#include <string>
+#include <thread>
+#include <vector>
+
+#include "storage/mem_device.h"
+#include "storage/worm_device.h"
+#include "tsb/tree_check.h"
+#include "tsb/tsb_tree.h"
+#include "txn/txn_manager.h"
+
+namespace tsb {
+namespace txn {
+namespace {
+
+using tsb_tree::DecodedNode;
+using tsb_tree::NodeRef;
+using tsb_tree::SpaceStats;
+using tsb_tree::TreeChecker;
+using tsb_tree::TsbOptions;
+using tsb_tree::TsbTree;
+
+std::string Key(int i) {
+  char buf[16];
+  snprintf(buf, sizeof(buf), "k%05d", i);
+  return buf;
+}
+
+uint64_t SplitCount(const TsbTree& tree) {
+  const auto& c = tree.counters();
+  return c.data_key_splits + c.data_time_splits + c.index_key_splits +
+         c.index_time_splits + c.root_grows;
+}
+
+class WriteBatchTest : public ::testing::Test {
+ protected:
+  void Open(bool concurrent_writers = false) {
+    mgr_.reset();
+    tree_.reset();
+    magnetic_ = std::make_unique<MemDevice>();
+    worm_ = std::make_unique<WormDevice>(512);
+    TsbOptions opts;
+    opts.page_size = 512;
+    opts.buffer_pool_frames = 1024;
+    opts.concurrent_writers = concurrent_writers;
+    ASSERT_TRUE(TsbTree::Open(magnetic_.get(), worm_.get(), opts, &tree_).ok());
+    mgr_ = std::make_unique<TxnManager>(tree_.get());
+  }
+
+  void ExpectChecked() {
+    Status s = TreeChecker(tree_.get()).Check();
+    EXPECT_TRUE(s.ok()) << s.ToString();
+  }
+
+  // Key regions [key_lo, key_hi) of every current leaf, in key order.
+  void CurrentLeaves(const NodeRef& ref, std::vector<std::string>* lows) {
+    DecodedNode node;
+    ASSERT_TRUE(tree_->ReadNode(ref, &node).ok());
+    for (const auto& e : node.index) {
+      if (e.child.historical) continue;
+      DecodedNode child;
+      ASSERT_TRUE(tree_->ReadNode(e.child, &child).ok());
+      if (child.is_data()) {
+        lows->push_back(e.key_lo);
+      } else {
+        CurrentLeaves(e.child, lows);
+      }
+    }
+  }
+
+  // How many current leaves hold at least one of the sorted `keys`.
+  size_t LeavesHolding(const std::vector<std::string>& keys) {
+    std::vector<std::string> lows;
+    if (tree_->height() == 1) return 1;
+    CurrentLeaves(tree_->root(), &lows);
+    std::sort(lows.begin(), lows.end());
+    size_t leaves = 0;
+    size_t prev = SIZE_MAX;
+    for (const std::string& k : keys) {
+      // The leaf holding k is the last one whose key_lo <= k.
+      const size_t leaf =
+          std::upper_bound(lows.begin(), lows.end(), k) - lows.begin() - 1;
+      if (leaf != prev) ++leaves;
+      prev = leaf;
+    }
+    return leaves;
+  }
+
+  std::unique_ptr<MemDevice> magnetic_;
+  std::unique_ptr<WormDevice> worm_;
+  std::unique_ptr<TsbTree> tree_;
+  std::unique_ptr<TxnManager> mgr_;
+};
+
+TEST_F(WriteBatchTest, SortedBatchSplitsMidBatchAndReadsBack) {
+  Open();
+  // Epoch e rewrites every existing key and adds 60 new ones. From epoch
+  // 3 on, a leaf holds superseded committed versions, so one batch hits
+  // both leaves that time-split and leaves of fresh keys that key-split.
+  std::vector<Timestamp> commit_ts;
+  int keys = 0;
+  for (int epoch = 0; epoch < 6; ++epoch) {
+    keys += 60;
+    WriteBatch batch;
+    for (int i = 0; i < keys; ++i) {
+      batch.Put(Key(i), "e" + std::to_string(epoch) + "-" + Key(i));
+    }
+    const uint64_t key_splits = tree_->counters().data_key_splits;
+    const uint64_t time_splits = tree_->counters().data_time_splits;
+    Timestamp cts = 0;
+    ASSERT_TRUE(mgr_->Write(batch, &cts).ok());
+    commit_ts.push_back(cts);
+    EXPECT_GT(tree_->counters().data_key_splits, key_splits) << epoch;
+    if (epoch >= 3) {
+      EXPECT_GT(tree_->counters().data_time_splits, time_splits) << epoch;
+    }
+    ExpectChecked();
+  }
+  // Every key reads back at every commit ts that wrote it.
+  for (int epoch = 0; epoch < 6; ++epoch) {
+    for (int i = 0; i < 60 * (epoch + 1); ++i) {
+      std::string v;
+      Timestamp ts = 0;
+      ASSERT_TRUE(
+          tree_->Get({.as_of = commit_ts[epoch]}, Key(i), &v, &ts).ok())
+          << Key(i) << " @" << commit_ts[epoch];
+      EXPECT_EQ("e" + std::to_string(epoch) + "-" + Key(i), v);
+      EXPECT_EQ(commit_ts[epoch], ts);
+    }
+  }
+  EXPECT_EQ(0u, mgr_->active_txns());
+}
+
+TEST_F(WriteBatchTest, SortedBatchDescendsOncePerLeafPlusSplits) {
+  Open();
+  // Preload so the 500-key batch lands on an existing multi-leaf tree.
+  WriteBatch preload;
+  for (int i = 0; i < 500; ++i) preload.Put(Key(2 * i), "old");
+  ASSERT_TRUE(mgr_->Write(preload).ok());
+
+  WriteBatch batch;
+  std::vector<std::string> keys;
+  for (int i = 0; i < 500; ++i) {
+    keys.push_back(Key(2 * i + (i % 2)));  // half updates, half new keys
+    batch.Put(keys.back(), std::string(24, 'n'));  // forces splits
+  }
+  const uint64_t descents = tree_->counters().put_descents;
+  const uint64_t splits = SplitCount(*tree_);
+  const uint64_t stamp_descents = tree_->counters().stamp_descents;
+  ASSERT_TRUE(mgr_->Write(batch).ok());
+  const uint64_t batch_descents = tree_->counters().put_descents - descents;
+  const uint64_t batch_splits = SplitCount(*tree_) - splits;
+  const size_t leaves = LeavesHolding(keys);
+  EXPECT_GT(batch_splits, 0u);
+  EXPECT_LE(batch_descents, leaves + batch_splits);
+  EXPECT_LT(batch_descents, 500u);
+  // Stamping runs after every split, so it costs exactly one descent per
+  // leaf.
+  EXPECT_EQ(leaves, tree_->counters().stamp_descents - stamp_descents);
+  EXPECT_EQ(0u, tree_->HistStats().owned_decodes);
+  ExpectChecked();
+}
+
+TEST_F(WriteBatchTest, StampRotatesPastAnotherTxnsUncommittedVersion) {
+  Open();
+  ASSERT_TRUE(tree_->Put("k", "v1", 1).ok());
+  // Uncommitted inserts go in front of the key's uncommitted run, so txn
+  // 8's version now precedes txn 7's: stamping 7 must move its slot.
+  ASSERT_TRUE(tree_->PutUncommitted("k", "from-7", 7).ok());
+  ASSERT_TRUE(tree_->PutUncommitted("k", "from-8", 8).ok());
+  ASSERT_TRUE(tree_->StampCommitted("k", 7, 5).ok());
+  std::string v;
+  Timestamp ts = 0;
+  ASSERT_TRUE(tree_->Get({.as_of = kMaxCommittedTs}, "k", &v, &ts).ok());
+  EXPECT_EQ("from-7", v);
+  EXPECT_EQ(5u, ts);
+  ASSERT_TRUE(tree_->Get({.as_of = 4}, "k", &v).ok());
+  EXPECT_EQ("v1", v);
+  ASSERT_TRUE(tree_->GetUncommitted("k", 8, &v).ok());
+  EXPECT_EQ("from-8", v);
+  EXPECT_TRUE(tree_->GetUncommitted("k", 7, &v).IsNotFound());
+
+  DecodedNode leaf;
+  ASSERT_TRUE(tree_->ReadNode(tree_->root(), &leaf).ok());
+  ASSERT_EQ(3u, leaf.data.size());
+  EXPECT_EQ(1u, leaf.data[0].ts);
+  EXPECT_EQ(5u, leaf.data[1].ts);
+  EXPECT_EQ(kNoTxn, leaf.data[1].txn);
+  EXPECT_TRUE(leaf.data[2].uncommitted());
+  ExpectChecked();
+}
+
+TEST_F(WriteBatchTest, StampBelowExistingVersionRotatesSlot) {
+  Open();
+  ASSERT_TRUE(tree_->Put("a", "a10", 10).ok());
+  ASSERT_TRUE(tree_->Put("k", "k10", 10).ok());
+  ASSERT_TRUE(tree_->Put("z", "z10", 10).ok());
+  ASSERT_TRUE(tree_->PutUncommitted("k", "k3", 9).ok());
+  ASSERT_TRUE(tree_->StampCommitted("k", 9, 3).ok());
+  std::string v;
+  ASSERT_TRUE(tree_->Get({.as_of = 3}, "k", &v).ok());
+  EXPECT_EQ("k3", v);
+  ASSERT_TRUE(tree_->Get({.as_of = 10}, "k", &v).ok());
+  EXPECT_EQ("k10", v);
+  DecodedNode leaf;
+  ASSERT_TRUE(tree_->ReadNode(tree_->root(), &leaf).ok());
+  ASSERT_EQ(4u, leaf.data.size());
+  EXPECT_EQ("k", leaf.data[1].key);
+  EXPECT_EQ(3u, leaf.data[1].ts);
+  EXPECT_EQ(10u, leaf.data[2].ts);
+  ExpectChecked();
+}
+
+TEST_F(WriteBatchTest, InPlaceStampMatchesCommittedCellFootprint) {
+  // A wide txn id shrinks to the one-byte kNoTxn varint: the page must end
+  // up exactly as full as if the committed cell had been inserted.
+  Open();
+  for (int i = 0; i < 20; ++i) {
+    ASSERT_TRUE(tree_->PutUncommitted(Key(i), "value", TxnId{1} << 40).ok());
+  }
+  for (int i = 0; i < 20; ++i) {
+    ASSERT_TRUE(tree_->StampCommitted(Key(i), TxnId{1} << 40, 7).ok());
+  }
+  SpaceStats stamped;
+  ASSERT_TRUE(tree_->ComputeSpaceStats(&stamped).ok());
+
+  Open();
+  for (int i = 0; i < 20; ++i) {
+    ASSERT_TRUE(tree_->Put(Key(i), "value", 7).ok());
+  }
+  SpaceStats direct;
+  ASSERT_TRUE(tree_->ComputeSpaceStats(&direct).ok());
+  EXPECT_EQ(direct.magnetic_used_bytes, stamped.magnetic_used_bytes);
+  EXPECT_EQ(direct.magnetic_pages, stamped.magnetic_pages);
+}
+
+TEST_F(WriteBatchTest, DuplicateKeysLastValueWinsOneVersion) {
+  Open();
+  WriteBatch batch;
+  batch.Put("k", "first");
+  batch.Put("j", "other");
+  batch.Put("k", "second");
+  batch.Put("k", "last");
+  const uint64_t puts = tree_->counters().uncommitted_puts;
+  Timestamp cts = 0;
+  ASSERT_TRUE(mgr_->Write(batch, &cts).ok());
+  EXPECT_EQ(2u, tree_->counters().uncommitted_puts - puts);
+  std::string v;
+  Timestamp ts = 0;
+  ASSERT_TRUE(tree_->Get({}, "k", &v, &ts).ok());
+  EXPECT_EQ("last", v);
+  EXPECT_EQ(cts, ts);
+  SpaceStats stats;
+  ASSERT_TRUE(tree_->ComputeSpaceStats(&stats).ok());
+  EXPECT_EQ(2u, stats.logical_versions);
+}
+
+TEST_F(WriteBatchTest, ConflictingBatchInsertsNothingAndReleasesLocks) {
+  Open();
+  std::unique_ptr<Transaction> holder;
+  ASSERT_TRUE(mgr_->Begin(&holder).ok());
+  ASSERT_TRUE(holder->Put("b", "held").ok());
+
+  const auto& c = tree_->counters();
+  const uint64_t erases = c.erases;
+  const uint64_t puts = c.uncommitted_puts;
+  const uint64_t descents = c.put_descents;
+  WriteBatch batch;
+  batch.Put("a", "1");
+  batch.Put("b", "2");
+  batch.Put("c", "3");
+  EXPECT_TRUE(mgr_->Write(batch).IsTxnConflict());
+  EXPECT_EQ(erases, c.erases);
+  EXPECT_EQ(puts, c.uncommitted_puts);
+  EXPECT_EQ(descents, c.put_descents);
+  EXPECT_EQ(1u, mgr_->active_txns());
+
+  // The batch's other keys are free at once; the held one is not.
+  std::unique_ptr<Transaction> other;
+  ASSERT_TRUE(mgr_->Begin(&other).ok());
+  EXPECT_TRUE(other->Put("a", "x").ok());
+  EXPECT_TRUE(other->Put("c", "y").ok());
+  EXPECT_TRUE(other->Put("b", "z").IsTxnConflict());
+  ASSERT_TRUE(other->Commit().ok());
+  ASSERT_TRUE(holder->Commit().ok());
+  std::string v;
+  ASSERT_TRUE(tree_->Get({}, "a", &v).ok());
+  EXPECT_EQ("x", v);
+  ASSERT_TRUE(tree_->Get({}, "b", &v).ok());
+  EXPECT_EQ("held", v);
+  ExpectChecked();
+}
+
+TEST_F(WriteBatchTest, ConcurrentWritersCommitInterleavedBatches) {
+  Open(/*concurrent_writers=*/true);
+  constexpr int kWriters = 4;
+  constexpr int kBatchKeys = 64;
+  constexpr int kRounds = 12;
+  // Writer w owns keys w, w+4, w+8, ...: the batches share leaves but
+  // never keys, so every commit must succeed.
+  std::vector<std::vector<Timestamp>> commit_ts(kWriters);
+  std::atomic<int> failures{0};
+  std::vector<std::thread> threads;
+  for (int w = 0; w < kWriters; ++w) {
+    threads.emplace_back([&, w] {
+      for (int r = 0; r < kRounds; ++r) {
+        WriteBatch batch;
+        for (int j = 0; j < kBatchKeys; ++j) {
+          batch.Put(Key(kWriters * j + w),
+                    "w" + std::to_string(w) + "r" + std::to_string(r));
+        }
+        Timestamp cts = 0;
+        if (!mgr_->Write(batch, &cts).ok()) {
+          failures++;
+          return;
+        }
+        commit_ts[w].push_back(cts);
+      }
+    });
+  }
+  for (auto& t : threads) t.join();
+  ASSERT_EQ(0, failures.load());
+  for (int w = 0; w < kWriters; ++w) {
+    ASSERT_EQ(static_cast<size_t>(kRounds), commit_ts[w].size());
+    for (int r = 0; r < kRounds; ++r) {
+      for (int j = 0; j < kBatchKeys; ++j) {
+        std::string v;
+        Timestamp ts = 0;
+        ASSERT_TRUE(tree_->Get({.as_of = commit_ts[w][r]},
+                               Key(kWriters * j + w), &v, &ts)
+                        .ok());
+        EXPECT_EQ("w" + std::to_string(w) + "r" + std::to_string(r), v);
+        EXPECT_EQ(commit_ts[w][r], ts);
+      }
+    }
+  }
+  EXPECT_EQ(0u, mgr_->active_txns());
+  ExpectChecked();
+}
+
+}  // namespace
+}  // namespace txn
+}  // namespace tsb
