@@ -68,7 +68,6 @@ struct ShardedFixture {
     o.num_shards = shards;
     o.base.tree.page_size = 4096;
     o.base.tree.buffer_pool_frames = 4096;
-    o.base.tree.concurrent_writers = true;
     o.base.wal_sync = wal::WalSyncMode::kOff;
     Status s = ShardedDB::Open(f.path, o, &f.db);
     if (!s.ok()) {

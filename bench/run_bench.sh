@@ -7,9 +7,9 @@
 # uncompressed size, and the scan phase: forward/reverse snapshot scans —
 # warm, old-snapshot and cold — with entries/sec and allocs per emitted
 # entry), which is copied to the repo root for CI artifact upload.
-# bench_concurrency writes BENCH_concurrency.json (N-writer scaling,
-# serial vs optimistic latch coupling, with conflict/restart/side-step
-# counters). bench_durability
+# bench_concurrency writes BENCH_concurrency.json (N-writer scaling on the
+# optimistic-latch-coupling write path against a recorded 1-writer floor,
+# with conflict/restart/side-step counters). bench_durability
 # writes BENCH_durability.json (WAL sync-mode ladder, fsync'd group-commit
 # scaling at 1/2/4/8 writers, crash-recovery replay MB/sec, and a
 # silent-corruption scrub section the recap below FAILS on if any
@@ -66,10 +66,10 @@ EOF
   python3 - "$ROOT/BENCH_concurrency.json" <<'EOF'
 import json, sys
 c = json.load(open(sys.argv[1]))
-print("writer recap: %d cores, 4-writer OLC %.2fx of 1-writer (disjoint), "
-      "1-writer OLC %.2fx of serial"
+print("writer recap: %d cores, 4 writers %.2fx of 1 (disjoint), "
+      "1 writer %.2fx of the retired serial floor"
       % (c["hardware_concurrency"], c["speedup_4w_disjoint_vs_1w"],
-         c["olc_1w_over_serial_1w"]))
+         c["one_writer_over_serial_floor"]))
 EOF
   python3 - "$ROOT/BENCH_durability.json" <<'EOF'
 import json, sys

@@ -37,8 +37,8 @@ Status MultiVersionDB::Open(Device* magnetic, Device* historical,
                                               &mvdb->tree_));
   mvdb->txns_ = std::make_unique<txn::TxnManager>(mvdb->tree_.get());
   // No commit hook yet: it is installed lazily with the first secondary
-  // index (InstallCommitHook). A hook forces commits onto the serial
-  // path, so an index-less DB keeps concurrent commits available.
+  // index (InstallCommitHook). A hook serializes whole commits on the
+  // manager's index-order mutex, so an index-less DB never pays for it.
   mvdb->SetupErrorHandler();
   mvdb->InstallCorruptionReporter("primary", mvdb->tree_.get());
   *out = std::move(mvdb);
@@ -944,17 +944,24 @@ Status MultiVersionDB::RecoverWal(bool manifest_clean, bool journal_applied) {
   wal::WalReplayResult rr;
   TSB_RETURN_IF_ERROR(wal::Wal::Replay(
       wal_file, wal_checkpoint_lsn_,
-      [this](const wal::WalCommit& c) { return ApplyWalCommit(c); }, &rr));
+      [this](const wal::WalCommit& c) {
+        TSB_RETURN_IF_ERROR(ApplyWalCommit(c));
+        // ReplayCommitted advances the clocks without publishing. Nothing
+        // reads before Open returns, so publish each frame as it lands:
+        // time splits cap their boundary at the published watermark, and
+        // a watermark held at the checkpoint would leave a key updated
+        // past one page's worth of versions since then unsplittable.
+        tree_->clock().Publish(tree_->clock().Now());
+        for (auto& [name, def] : indexes_) {
+          auto& clock = def.index->tree()->clock();
+          clock.Publish(clock.Now());
+        }
+        return Status::OK();
+      },
+      &rr));
   recovery_stats_.tail_truncated = rr.tail_truncated;
   recovery_stats_.wal_bytes_scanned =
       rr.end_lsn > wal_checkpoint_lsn_ ? rr.end_lsn - wal_checkpoint_lsn_ : 0;
-  // ReplayCommitted advances the clocks without publishing; expose every
-  // recovered commit to readers in one step (whole-prefix, never torn).
-  tree_->clock().Publish(tree_->clock().Now());
-  for (auto& [name, def] : indexes_) {
-    auto& clock = def.index->tree()->clock();
-    clock.Publish(clock.Now());
-  }
   TSB_RETURN_IF_ERROR(wal::Wal::Open(wal_file, options_.wal_sync,
                                      options_.wal_background_sync_ms, &wal_,
                                      options_.wal_fault_plan));

@@ -154,11 +154,10 @@ struct DbOptions {
 ///    the tree under shared page latches only.
 ///  - Writes (Put, Write(batch), transactions) are safe from multiple
 ///    threads; the lock table resolves write-write conflicts
-///    first-writer-wins. With TsbOptions::concurrent_writers the tree
-///    runs writer descents in parallel under optimistic latch coupling;
-///    otherwise page mutations serialize internally (single-writer
-///    discipline). A DB with secondary indexes commits serially either
-///    way — index maintenance must apply in timestamp order.
+///    first-writer-wins. The tree runs writer descents in parallel under
+///    optimistic latch coupling. A DB with secondary indexes runs each
+///    whole commit under one index-order mutex — index maintenance must
+///    apply in timestamp order.
 ///  - CreateSecondaryIndex must complete before concurrent writes begin
 ///    (index registration is not latched — it is a schema operation).
 class MultiVersionDB {
@@ -428,8 +427,8 @@ class MultiVersionDB {
   Status PersistManifest();
 
   /// Installs the TxnManager commit hook once the first index exists.
-  /// Deliberately lazy: a hook forces commits onto the serial path, so an
-  /// index-less DB keeps the concurrent commit path available.
+  /// Deliberately lazy: a hook serializes whole commits on the manager's
+  /// index-order mutex, so an index-less DB never pays for it.
   void InstallCommitHook();
 
   // ---- durability (path-based, WAL-enabled DBs) ----

@@ -9,8 +9,8 @@
 //  - Every frame carries a reader/writer latch. FetchShared pins the frame
 //    and acquires the latch shared (concurrent readers proceed in
 //    parallel); FetchExclusive acquires it exclusively (an updater
-//    mutating the page — with TsbOptions::concurrent_writers several
-//    updaters hold exclusive latches on DIFFERENT pages at once). Latches
+//    mutating the page — several TSB writers hold exclusive latches on
+//    DIFFERENT pages at once). Latches
 //    are acquired AFTER pinning and outside the shard mutex, so a blocked
 //    latch never stalls the shard.
 //  - Fetch (no latch) remains for strictly single-threaded users (the B+

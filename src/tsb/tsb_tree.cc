@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <chrono>
 #include <cstring>
 #include <set>
 #include <thread>
@@ -19,9 +20,9 @@ namespace {
 
 constexpr uint32_t kMetaMagic = 0x54534231;  // "TSB1"
 constexpr int kMaxInsertRetries = 64;
-// Yield budget while waiting for in-flight commits to publish so a
-// watermark-capped time split can migrate history (concurrent mode only).
-constexpr int kMaxWatermarkSpins = 4096;
+// Time budget for waiting on in-flight commits to publish so a
+// watermark-capped time split can migrate history.
+constexpr std::chrono::seconds kMaxWatermarkWait{2};
 
 // Upper bound on the encoded size of an index entry we are about to create
 // whose historical address and content-floor hint are not yet known
@@ -151,13 +152,10 @@ Status TsbTree::Load() {
   return Status::OK();
 }
 
-Status TsbTree::Flush() {
-  // Exclusive writer lock: quiesces every mutator in both writer modes so
-  // the meta snapshot and the page flush are mutually consistent.
-  std::lock_guard<std::shared_mutex> wl(writer_mu_);
-  std::vector<char> meta(options_.page_size);
-  TSB_RETURN_IF_ERROR(pager_->ReadMeta(meta.data()));
-  char* p = meta.data() + kPageHeaderSize;
+Status TsbTree::EncodeMeta(std::vector<char>* meta) {
+  meta->resize(options_.page_size);
+  TSB_RETURN_IF_ERROR(pager_->ReadMeta(meta->data()));
+  char* p = meta->data() + kPageHeaderSize;
   EncodeFixed32(p, kMetaMagic);
   EncodeFixed32(p + 4, root_.load(std::memory_order_acquire));
   EncodeFixed32(p + 8, height_.load(std::memory_order_acquire));
@@ -168,6 +166,15 @@ Status TsbTree::Flush() {
                          PageUsableSize(options_.page_size) -
                              kPageHeaderSize - fixed - 8);
   memcpy(p + fixed, free_list.data(), free_list.size());
+  return Status::OK();
+}
+
+Status TsbTree::Flush() {
+  // Exclusive writer lock: quiesces every mutator so the meta snapshot
+  // and the page flush are mutually consistent.
+  std::lock_guard<std::shared_mutex> wl(writer_mu_);
+  std::vector<char> meta;
+  TSB_RETURN_IF_ERROR(EncodeMeta(&meta));
   TSB_RETURN_IF_ERROR(pager_->WriteMeta(meta.data()));
   return pool_->FlushAll();
 }
@@ -182,19 +189,8 @@ Status TsbTree::BeginCheckpoint(CheckpointScope* scope) {
   // BEFORE the journal commits — recovery re-applies pages verbatim, and
   // a page pointing at a never-synced blob would dangle.
   TSB_RETURN_IF_ERROR(hist_->device()->Sync());
-  std::vector<char> meta(options_.page_size);
-  TSB_RETURN_IF_ERROR(pager_->ReadMeta(meta.data()));
-  char* p = meta.data() + kPageHeaderSize;
-  EncodeFixed32(p, kMetaMagic);
-  EncodeFixed32(p + 4, root_.load(std::memory_order_acquire));
-  EncodeFixed32(p + 8, height_.load(std::memory_order_acquire));
-  EncodeFixed64(p + 12, clock_->Now());
-  const size_t fixed = 20;
-  std::string free_list;
-  pager_->EncodeFreeList(&free_list,
-                         PageUsableSize(options_.page_size) -
-                             kPageHeaderSize - fixed - 8);
-  memcpy(p + fixed, free_list.data(), free_list.size());
+  std::vector<char> meta;
+  TSB_RETURN_IF_ERROR(EncodeMeta(&meta));
   scope->meta_image.assign(meta.data(), options_.page_size);
   scope->dirty_pages.clear();
   pool_->SnapshotDirty(&scope->dirty_pages);
@@ -229,38 +225,9 @@ Status TsbTree::ReplayCommitted(const Slice& key, const Slice& value,
 Status TsbTree::PurgeUncommitted(uint64_t* purged) {
   *purged = 0;
   std::lock_guard<std::shared_mutex> wl(writer_mu_);
-  return PurgeUncommittedRec(root_.load(std::memory_order_acquire), purged);
-}
-
-Status TsbTree::PurgeUncommittedRec(uint32_t page_id, uint64_t* purged) {
-  PageHandle h;
-  TSB_RETURN_IF_ERROR(pool_->Fetch(page_id, &h));
-  if (TsbPageLevel(h.data()) == 0) {
-    DataPageRef page(h.data(), options_.page_size);
-    bool removed = false;
-    for (int i = page.Count() - 1; i >= 0; --i) {
-      DataEntryView v;
-      TSB_RETURN_IF_ERROR(page.At(i, &v));
-      if (v.uncommitted()) {
-        page.Remove(i);
-        ++*purged;
-        removed = true;
-      }
-    }
-    if (removed) h.MarkDirty();
-    return Status::OK();
-  }
-  IndexPageRef page(h.data(), options_.page_size);
-  std::vector<IndexEntry> entries;
-  TSB_RETURN_IF_ERROR(page.DecodeAll(&entries));
-  h.Release();
-  for (const IndexEntry& e : entries) {
-    // Historical nodes are immutable and never hold uncommitted versions.
-    if (!e.child.historical) {
-      TSB_RETURN_IF_ERROR(PurgeUncommittedRec(e.child.page_id, purged));
-    }
-  }
-  return Status::OK();
+  return PurgeRecordsRec(
+      root_.load(std::memory_order_acquire),
+      [](const DataEntryView& v) { return v.uncommitted(); }, purged);
 }
 
 Status TsbTree::PurgeCommittedAt(Timestamp ts, uint64_t* purged) {
@@ -269,12 +236,17 @@ Status TsbTree::PurgeCommittedAt(Timestamp ts, uint64_t* purged) {
     return Status::InvalidArgument("purge timestamp out of committed range");
   }
   std::lock_guard<std::shared_mutex> wl(writer_mu_);
-  return PurgeCommittedAtRec(root_.load(std::memory_order_acquire), ts,
-                             purged);
+  // A failed commit's timestamp sits above the published watermark, and
+  // time splits cap their boundary at that watermark: nothing stamped
+  // `ts` can live under a historical child.
+  return PurgeRecordsRec(
+      root_.load(std::memory_order_acquire),
+      [ts](const DataEntryView& v) { return v.ts == ts; }, purged);
 }
 
-Status TsbTree::PurgeCommittedAtRec(uint32_t page_id, Timestamp ts,
-                                    uint64_t* purged) {
+Status TsbTree::PurgeRecordsRec(
+    uint32_t page_id, const std::function<bool(const DataEntryView&)>& doomed,
+    uint64_t* purged) {
   PageHandle h;
   TSB_RETURN_IF_ERROR(pool_->Fetch(page_id, &h));
   if (TsbPageLevel(h.data()) == 0) {
@@ -283,7 +255,7 @@ Status TsbTree::PurgeCommittedAtRec(uint32_t page_id, Timestamp ts,
     for (int i = page.Count() - 1; i >= 0; --i) {
       DataEntryView v;
       TSB_RETURN_IF_ERROR(page.At(i, &v));
-      if (v.ts == ts) {
+      if (doomed(v)) {
         page.Remove(i);
         ++*purged;
         removed = true;
@@ -297,11 +269,8 @@ Status TsbTree::PurgeCommittedAtRec(uint32_t page_id, Timestamp ts,
   TSB_RETURN_IF_ERROR(page.DecodeAll(&entries));
   h.Release();
   for (const IndexEntry& e : entries) {
-    // A failed commit's timestamp sits above the published watermark, and
-    // time splits cap their boundary at that watermark: nothing stamped
-    // `ts` can live under a historical child.
     if (!e.child.historical) {
-      TSB_RETURN_IF_ERROR(PurgeCommittedAtRec(e.child.page_id, ts, purged));
+      TSB_RETURN_IF_ERROR(PurgeRecordsRec(e.child.page_id, doomed, purged));
     }
   }
   return Status::OK();
@@ -309,18 +278,14 @@ Status TsbTree::PurgeCommittedAtRec(uint32_t page_id, Timestamp ts,
 
 // ---------------------------------------------------------------- descent
 
-Status TsbTree::DescendCurrent(const Slice& key, std::vector<PathElem>* path,
-                               bool latched) {
+Status TsbTree::DescendCurrent(const Slice& key, std::vector<PathElem>* path) {
   path->clear();
   uint32_t id = root_.load(std::memory_order_acquire);
   for (;;) {
     PageHandle h;
-    // `latched` reads each page under a shared latch: required when other
-    // writers may mutate leaves concurrently (split re-descents under
-    // structure_mu_ in concurrent mode; index pages are stable there but
-    // the leaf level byte is not).
-    TSB_RETURN_IF_ERROR(latched ? pool_->FetchShared(id, &h)
-                                : pool_->Fetch(id, &h));
+    // Shared latch per page: index pages are stable under structure_mu_,
+    // but other writers may be mutating the leaf.
+    TSB_RETURN_IF_ERROR(pool_->FetchShared(id, &h));
     if (TsbPageLevel(h.data()) == 0) {
       path->push_back(PathElem{id, -1});
       return Status::OK();
@@ -341,26 +306,24 @@ Status TsbTree::DescendCurrent(const Slice& key, std::vector<PathElem>* path,
   }
 }
 
-// Optimistic latch-coupled writer descent (concurrent_writers mode). At
-// most ONE page latch is held at any moment: internal pages are read under
-// a brief shared latch, their routing entry copied out, and only the pin
-// (not the latch) carried to the next level; after latching the child, the
-// parent's mutation counter is revalidated — a change means the routing
-// entry may be stale, so the descent restarts from the root
-// (counters_.olc_restarts). The target leaf is latched exclusively
+// Optimistic latch-coupled writer descent. At most ONE page latch is held at
+// any moment: internal pages are read under a brief shared latch, their routing
+// entry copied out, and only the pin (not the latch) carried to the next level;
+// after latching the child, the parent's mutation counter is revalidated — a
+// change means the routing entry may be stale, so the descent restarts from the
+// root (counters_.olc_restarts). The target leaf is latched exclusively
 // (TryUpgrade, falling back to a blocking exclusive fetch). If the parent
-// changed while the leaf latch was being acquired, the descent first tries
-// to resolve locally: a concurrent key split leaves the shed upper range
-// reachable through the leaf's B-link right sibling, so the parent entry
-// is re-read and a lateral step (counters_.olc_sidesteps) replaces a full
-// restart. The leaf latch is always RELEASED before relatching the parent
-// — a splitter holds parent-exclusive while waiting for leaf-exclusive,
-// so holding the leaf while waiting on the parent would deadlock.
-// On success `*leaf` holds the exclusive latch and `*pe` the parent's
-// routing entry (identity rectangle when the root is the leaf), valid as
-// of a moment at which the leaf latch was already held.
-Status TsbTree::LatchLeafOLC(const Slice& key, PageHandle* leaf,
-                             IndexEntry* pe) {
+// changed while the leaf latch was being acquired, the descent first tries to
+// resolve locally: a concurrent key split leaves the shed upper range reachable
+// through the leaf's B-link right sibling, so the parent entry is re-read and a
+// lateral step (counters_.olc_sidesteps) replaces a full restart. The leaf
+// latch is always RELEASED before relatching the parent — a splitter holds
+// parent-exclusive while waiting for leaf-exclusive, so holding the leaf while
+// waiting on the parent would deadlock. On success `*leaf` holds the exclusive
+// latch and `*pe` the parent's routing entry (identity rectangle when the root
+// is the leaf), valid as of a moment at which the leaf latch was already held.
+Status TsbTree::LatchLeaf(const Slice& key, PageHandle* leaf,
+                          IndexEntry* pe) {
   constexpr int kMaxOlcRestarts = 64;
   constexpr int kMaxSideSteps = 4;
   for (int restart = 0; restart < kMaxOlcRestarts; ++restart) {
@@ -642,21 +605,6 @@ Status TsbTree::GetUncommitted(const Slice& key, TxnId txn,
 
 // ---------------------------------------------------------------- writes
 
-Status TsbTree::LatchLeaf(const Slice& key, PageHandle* leaf,
-                          IndexEntry* pe) {
-  // Concurrent mode: optimistic descent, exclusive latch on the target
-  // leaf only; the routing entry is captured during the descent (index
-  // pages may not be read unlatched while other writers split).
-  if (options_.concurrent_writers) return LatchLeafOLC(key, leaf, pe);
-  std::vector<PathElem> path;
-  TSB_RETURN_IF_ERROR(DescendCurrent(key, &path));
-  int pe_pos;
-  TSB_RETURN_IF_ERROR(ParentEntryFor(path, path.size() - 1, pe, &pe_pos));
-  // Exclusive leaf latch: concurrent readers of this page must not see
-  // the slotted layout mid-mutation.
-  return pool_->FetchExclusive(path.back().page_id, leaf);
-}
-
 Status TsbTree::Put(const Slice& key, const Slice& value, Timestamp ts) {
   WriterGuard wl(this);
   if (ts == kMinTimestamp || ts > kMaxCommittedTs) {
@@ -738,16 +686,19 @@ Status TsbTree::InsertRecords(std::span<const KeyValue> kvs, Timestamp ts,
       return Status::Corruption("insert did not converge after splits");
     }
     Status split = SplitForInsert(kvs[i].first, cell.size());
-    if (options_.concurrent_writers && split.IsOutOfSpace() &&
-        clock_->Visible() < clock_->Now()) {
+    const Timestamp target = clock_->Now();
+    if (split.IsOutOfSpace() && clock_->Visible() < target) {
       // The page looks wedged only because the time-split boundary is
       // capped at the PUBLISHED watermark and in-flight commits are still
       // holding it back. Those commits finish without our help (we hold
       // no latch here and only a shared writer lock), so yield until the
-      // watermark catches up and the split can migrate history again.
-      for (int spin = 0;
-           spin < kMaxWatermarkSpins && clock_->Visible() < clock_->Now();
-           ++spin) {
+      // watermark covers every commit ticked so far and the split can
+      // migrate history again. The target is fixed: under steady commit
+      // traffic Now() keeps moving and the watermark never catches it.
+      const auto deadline =
+          std::chrono::steady_clock::now() + kMaxWatermarkWait;
+      while (clock_->Visible() < target &&
+             std::chrono::steady_clock::now() < deadline) {
         std::this_thread::yield();
       }
       split = SplitForInsert(kvs[i].first, cell.size());
@@ -758,16 +709,15 @@ Status TsbTree::InsertRecords(std::span<const KeyValue> kvs, Timestamp ts,
 }
 
 Status TsbTree::SplitForInsert(const Slice& key, size_t cell_size) {
-  // Structural changes are serialized on structure_mu_ (uncontended in
-  // single-writer mode). Index pages are mutated ONLY by the split/grow
-  // code running under this mutex, so the unlatched index reads below it
-  // (DescendCurrent's routing, ParentEntryFor, EnsureIndexRoom) are safe;
-  // LEAVES still change under other writers' latches in concurrent mode,
-  // so the re-descent latches pages and SplitDataPage revalidates the
-  // leaf's mutation counter before installing its rewrite.
+  // Structural changes are serialized on structure_mu_. Index pages are
+  // mutated ONLY by the split/grow code running under this mutex, so the
+  // unlatched index reads below it (ParentEntryFor, EnsureIndexRoom) are
+  // safe; LEAVES still change under other writers' latches, so the
+  // re-descent latches pages and SplitDataPage revalidates the leaf's
+  // mutation counter before installing its rewrite.
   std::lock_guard<std::mutex> sl(structure_mu_);
   std::vector<PathElem> path;
-  TSB_RETURN_IF_ERROR(DescendCurrent(key, &path, options_.concurrent_writers));
+  TSB_RETURN_IF_ERROR(DescendCurrent(key, &path));
   {
     // Another writer may have split this leaf while we waited on the
     // mutex: skip when the cell now fits (the caller retries the insert
@@ -795,10 +745,9 @@ Status TsbTree::StampCommittedBatch(std::span<const Slice> keys, TxnId txn,
     // Defense in depth: stamping below the region's time-split boundary
     // would make the version unreachable for as-of reads (the region
     // [t_lo, inf) no longer covers it). Commits can never legally hit this
-    // — serialized commits never split above an in-flight timestamp, and
-    // concurrent-mode splits cap the boundary at the published watermark,
-    // which trails every in-flight commit — so treat it as corruption, not
-    // data loss. Every key stamped below shares this leaf's region.
+    // — splits cap the boundary at the published watermark, which trails
+    // every in-flight commit — so treat it as corruption, not data loss.
+    // Every key stamped below shares this leaf's region.
     if (ts < pe.t_lo) {
       return Status::Corruption(
           "commit timestamp predates the node's time-split boundary");
@@ -939,14 +888,12 @@ Status TsbTree::SplitDataPage(const std::vector<PathElem>& path) {
   SplitKind kind = policy_.DecideDataSplit(stats, capacity);
 
   if (kind == SplitKind::kTimeSplit) {
-    // Concurrent mode caps the split time at the PUBLISHED watermark, not
-    // the raw clock: Now() may already exceed an in-flight commit's
-    // timestamp, and a boundary above it would later make that commit's
-    // stamp land below t_lo (unreachable for as-of reads).
-    const Timestamp now_cap =
-        options_.concurrent_writers ? clock_->Visible() : clock_->Now();
+    // The split time is capped at the PUBLISHED watermark, not the raw
+    // clock: Now() may already exceed an in-flight commit's timestamp,
+    // and a boundary above it would later make that commit's stamp land
+    // below t_lo (unreachable for as-of reads).
     const Timestamp split_t =
-        policy_.ChooseSplitTime(entries, pe.t_lo, now_cap);
+        policy_.ChooseSplitTime(entries, pe.t_lo, clock_->Visible());
     std::vector<DataEntry> hist_set, cur_set;
     size_t redundant = 0;
     PartitionByTime(entries, split_t, &hist_set, &cur_set, &redundant);

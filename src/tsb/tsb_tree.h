@@ -7,6 +7,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -59,19 +60,9 @@ struct TsbOptions {
   /// hits pin the cached blob — no copy, no decode — so sizing this to the
   /// historical working set makes as-of reads allocation-free.
   size_t hist_cache_blobs = 8;
-  /// Parallel write path. Off (default): every mutator serializes behind
-  /// one writer mutex — the paper's single-updater discipline, zero
-  /// overhead, the measurable baseline. On: mutators run concurrently
-  /// using optimistic latch coupling — the descent reads internal pages
-  /// under brief shared latches, validates each page's mutation counter
-  /// after latching the child, takes the exclusive frame latch only on the
-  /// target leaf, and side-steps along B-link sibling pointers when a
-  /// concurrent key split moved the key (see counters().olc_restarts /
-  /// olc_sidesteps). Splits serialize on an internal structure mutex;
-  /// leaf-only writes scale with cores. With concurrent writers, route
-  /// committed writes through ONE discipline: either direct Put calls or
-  /// TxnManager commits, not both interleaved (the commit watermark
-  /// ordering assumes it allocates the timestamps it publishes).
+  /// Ignored: every tree runs the one optimistic-latch-coupling writer
+  /// path (see the TsbTree thread model). Still declared only because the
+  /// end-to-end benchmark (bench/e2e/tsb_e2e.cc) assigns it.
   bool concurrent_writers = false;
   /// Commit clock shared with other trees (must outlive this one).
   /// nullptr = the tree owns a private clock, the historical default.
@@ -123,22 +114,21 @@ struct DecodedNode {
 ///
 /// Thread model (paper section 4.1 extended with optimistic latch
 /// coupling on the write path):
-///  - Default (options.concurrent_writers == false): all write entry
-///    points serialize exclusively on the internal writer mutex — the
-///    paper's single-updater discipline; concurrent writers are safe but
-///    not parallel.
-///  - concurrent_writers == true: mutators hold the writer mutex SHARED
-///    (so N writer threads proceed in parallel) and descend with
-///    optimistic latch coupling — brief shared latch per internal page,
-///    PageHandle::version validation after each child latch, exclusive
-///    latch only on the target leaf. A descent that loses a race
-///    side-steps along the leaf's B-link sibling pointer (concurrent key
-///    split) or restarts from the root. Structural changes (splits, root
-///    growth) additionally serialize on an internal structure mutex, so
-///    index pages mutate one split at a time. Quiescing maintenance
-///    (Flush, ComputeSpaceStats, bounded scan/cursor fallbacks) takes the
-///    writer mutex exclusively and thus still excludes every mutator in
-///    both modes.
+///  - Mutators hold the writer mutex SHARED, so N writer threads proceed
+///    in parallel; with one writer this is the paper's single-updater
+///    model. They descend with optimistic latch coupling — brief shared
+///    latch per internal page, PageHandle::version validation after each
+///    child latch, exclusive latch only on the target leaf. A descent
+///    that loses a race side-steps along the leaf's B-link sibling
+///    pointer (concurrent key split) or restarts from the root.
+///    Structural changes (splits, root growth) additionally serialize on
+///    an internal structure mutex, so index pages mutate one split at a
+///    time. Quiescing maintenance (Flush, checkpoints, purges,
+///    ComputeSpaceStats, bounded scan/cursor fallbacks) takes the writer
+///    mutex exclusively and thus excludes every mutator. Route committed
+///    writes through ONE discipline: either direct Put calls or
+///    TxnManager commits, not both interleaved (the commit watermark
+///    ordering assumes it allocates the timestamps it publishes).
 ///  - Read entry points never take the writer mutex. Point reads descend
 ///    the current pages with latch coupling: the child's shared frame
 ///    latch is acquired before the parent's is dropped, and every
@@ -275,8 +265,8 @@ class TsbTree {
 
   /// WAL recovery insert: like Put but exempt from the monotone-clock
   /// check (replay re-inserts timestamps the persisted clock already
-  /// advanced past) and without publishing (the caller publishes once
-  /// after the whole log is replayed).
+  /// advanced past) and without publishing (the caller decides when the
+  /// replayed state becomes visible).
   Status ReplayCommitted(const Slice& key, const Slice& value, Timestamp ts);
 
   /// Removes every uncommitted (ghost) version left behind by a crash
@@ -335,31 +325,28 @@ class TsbTree {
 
   Status Load();
 
+  /// Reads the meta page and re-encodes it with the live root, height,
+  /// clock and free list into `*meta` (one page, unsealed). Caller holds
+  /// writer_mu_ exclusively.
+  Status EncodeMeta(std::vector<char>* meta);
+
   struct PathElem {
     uint32_t page_id;
     int entry_idx;  // entry followed in THIS page to reach the child (-1 leaf)
   };
 
-  /// Descends the current axis (T = kUncommittedTs) to the leaf for `key`.
-  /// Writer-only. With `latched`, every page is read under a brief shared
-  /// latch (required whenever other writers may mutate leaves, i.e. under
-  /// structure_mu_ in concurrent mode); unlatched reads are only safe when
-  /// the caller holds writer_mu_ exclusively.
-  Status DescendCurrent(const Slice& key, std::vector<PathElem>* path,
-                        bool latched = false);
+  /// Descends the current axis (T = kUncommittedTs) to the leaf for `key`,
+  /// reading every page under a brief shared latch. Split-only: the caller
+  /// holds structure_mu_, so index pages are stable, while leaves may
+  /// still change under other writers' latches.
+  Status DescendCurrent(const Slice& key, std::vector<PathElem>* path);
 
-  /// Concurrent-mode writer descent (optimistic latch coupling): descends
-  /// to the leaf for `key` under brief shared latches with per-page
-  /// version validation, and returns the leaf EXCLUSIVELY latched plus the
-  /// parent entry (`pe`, identity rectangle when the leaf is the root)
-  /// captured consistently with the leaf. Lost races side-step via the
-  /// B-link sibling or restart from the root (bounded).
-  Status LatchLeafOLC(const Slice& key, PageHandle* leaf, IndexEntry* pe);
-
-  /// The writer descent of either mode: LatchLeafOLC with concurrent
-  /// writers, else DescendCurrent + ParentEntryFor under the exclusive
-  /// writer lock. Returns the leaf for `key` exclusively latched and its
-  /// parent entry in `*pe`.
+  /// The writer descent (optimistic latch coupling): descends to the leaf
+  /// for `key` under brief shared latches with per-page version
+  /// validation, and returns the leaf EXCLUSIVELY latched plus the parent
+  /// entry (`pe`, identity rectangle when the leaf is the root) captured
+  /// consistently with the leaf. Lost races side-step via the B-link
+  /// sibling or restart from the root (bounded).
   Status LatchLeaf(const Slice& key, PageHandle* leaf, IndexEntry* pe);
 
   /// Where a point lookup delivers its result: exactly one of `value`
@@ -401,14 +388,13 @@ class TsbTree {
     return policy_.config().content_floor_hints ? floor : 0;
   }
 
-  /// Recursive walk for PurgeUncommitted (current axis only; historical
-  /// nodes are immutable and never hold uncommitted versions).
-  Status PurgeUncommittedRec(uint32_t page_id, uint64_t* purged);
-
-  /// Recursive walk for PurgeCommittedAt (current axis only; see the
-  /// public doc for why historical nodes cannot hold the timestamp).
-  Status PurgeCommittedAtRec(uint32_t page_id, Timestamp ts,
-                             uint64_t* purged);
+  /// Removes every current-axis record matching `doomed` under the page
+  /// `page_id` (historical nodes are immutable; see the public Purge*
+  /// docs for why they never hold a purged record).
+  Status PurgeRecordsRec(
+      uint32_t page_id,
+      const std::function<bool(const DataEntryView&)>& doomed,
+      uint64_t* purged);
 
   /// The split slow path of InsertRecords: re-descends under structure_mu_
   /// and splits the leaf for `key` unless another writer already made room
@@ -480,31 +466,22 @@ class TsbTree {
   /// TsbOptions::external_clock.
   LogicalClock* clock_;
 
-  /// The writer-mode lock. Single-writer mode: every mutator holds it
-  /// exclusively (strict serialization). Concurrent mode: mutators hold
-  /// it SHARED — parallelism comes from per-page latches — while
-  /// quiescing maintenance (Flush, ComputeSpaceStats, scan/cursor
-  /// fallbacks) still takes it exclusively to stop all mutation.
+  /// Mutators hold it SHARED — parallelism comes from per-page latches —
+  /// while quiescing maintenance (Flush, checkpoints, purges,
+  /// ComputeSpaceStats, scan/cursor fallbacks) takes it exclusively to
+  /// stop all mutation.
   std::shared_mutex writer_mu_;
-  /// Serializes structural changes (data/index splits, root growth) in
-  /// concurrent mode. Lock order: writer_mu_ -> structure_mu_ -> page
-  /// latches top-down (parent before child); never acquired while holding
-  /// a page latch. Index pages mutate ONLY under this mutex, so split code
-  /// may read them unlatched while holding it.
+  /// Serializes structural changes (data/index splits, root growth). Lock
+  /// order: writer_mu_ -> structure_mu_ -> page latches top-down (parent
+  /// before child); never acquired while holding a page latch. Index pages
+  /// mutate ONLY under this mutex, so split code may read them unlatched
+  /// while holding it.
   std::mutex structure_mu_;
 
-  /// RAII mutator lock: exclusive writer_mu_ in single-writer mode,
-  /// shared in concurrent mode (see writer_mu_).
+  /// RAII mutator lock: writer_mu_ shared.
   struct WriterGuard {
-    explicit WriterGuard(TsbTree* t) {
-      if (t->options_.concurrent_writers) {
-        shared = std::shared_lock<std::shared_mutex>(t->writer_mu_);
-      } else {
-        exclusive = std::unique_lock<std::shared_mutex>(t->writer_mu_);
-      }
-    }
+    explicit WriterGuard(TsbTree* t) : shared(t->writer_mu_) {}
     std::shared_lock<std::shared_mutex> shared;
-    std::unique_lock<std::shared_mutex> exclusive;
   };
 
   std::atomic<uint32_t> root_{kInvalidPageId};

@@ -46,7 +46,7 @@ class TxnManager;
 /// Commit or Abort (destruction aborts a still-active transaction).
 /// A Transaction object belongs to one thread; different transactions may
 /// run on different threads concurrently (first-writer-wins key locks
-/// resolve conflicts, the tree serializes page mutations internally).
+/// resolve conflicts; the tree latches pages internally).
 class Transaction {
  public:
   ~Transaction();
@@ -123,7 +123,10 @@ class ReadTransaction {
 /// Issues transactions over one TsbTree. Thread-safe: the lock table is
 /// mutex-guarded, transaction ids and the active count are atomic, and
 /// BeginReadOnly is genuinely lock-free (one atomic clock load — paper
-/// section 4.1: readers never wait for updaters).
+/// section 4.1: readers never wait for updaters). Commits of different
+/// transactions stamp in parallel; only the timestamp tick and the
+/// watermark bookkeeping serialize — plus, with a commit hook, the whole
+/// commit (see SetCommitHook).
 class TxnManager {
  public:
   /// Called once per committed key, after stamping, with the previous
@@ -158,9 +161,8 @@ class TxnManager {
 
   /// Not thread-safe relative to in-flight commits; install before
   /// concurrent use (the DB layer does this when the first secondary
-  /// index is registered). A hook also forces commits back onto the
-  /// serial path even when the tree runs with concurrent_writers: index
-  /// maintenance must apply in timestamp order.
+  /// index is registered). With a hook every commit runs whole under one
+  /// index-order mutex: index maintenance must apply in timestamp order.
   void SetCommitHook(CommitHook hook) { hook_ = std::move(hook); }
 
   /// Installs the write-ahead log every commit appends to before
@@ -224,11 +226,10 @@ class TxnManager {
   /// is re-applied from the coordinator log before the pin lifts).
   Status CommitPrepared(Transaction* txn, Timestamp ts);
 
-  /// Commits forced onto the serial stamping path while the tree ran
-  /// with concurrent_writers (a commit hook — secondary-index
-  /// maintenance — requires timestamp-ordered application). A growing
-  /// counter on an indexed workload is the signal that indexed commits
-  /// are the write-scaling bottleneck (ROADMAP carry-over).
+  /// Commits that ran whole under the index-order mutex (a commit hook —
+  /// secondary-index maintenance — requires timestamp-ordered
+  /// application). A growing counter on an indexed workload is the signal
+  /// that indexed commits are the write-scaling bottleneck.
   uint64_t serial_fallback_commits() const {
     return serial_fallback_commits_.load(std::memory_order_relaxed);
   }
@@ -293,10 +294,12 @@ class TxnManager {
   // Transparent comparator: conflict checks look keys up without
   // building a std::string.
   std::map<std::string, TxnId, std::less<>> lock_table_;
-  // Serial mode: serializes the commit point (tick -> stamps -> hooks ->
-  // publish); see CommitTxn. Concurrent mode (tree option
-  // concurrent_writers, no hook): guards only the inflight set around the
-  // stamping phase, which runs unlocked. Always guards publish_cap_,
+  // Held for a whole commit (tick -> stamps -> hooks -> bookkeeping) when
+  // a commit hook is installed, so index maintenance applies in timestamp
+  // order. Acquired before commit_mu_.
+  std::mutex index_order_mu_;
+  // Serializes the tick + WAL append and the watermark bookkeeping around
+  // the stamping phase, which runs unlocked. Guards publish_cap_,
   // inflight_ and completed_max_.
   std::mutex commit_mu_;
   /// Signals commit starts blocked by a freeze and the freezer's drain

@@ -189,7 +189,6 @@ int CrashRecoveryTest::counter_ = 0;
 
 TEST_F(CrashRecoveryTest, KillDuringConcurrentWritesLosesNoAckedCommit) {
   DbOptions opts = SmallPageOptions();
-  opts.tree.concurrent_writers = true;
   std::mt19937 rng(20260808);
   for (int cycle = 0; cycle < 6; ++cycle) {
     std::uniform_int_distribution<int> run_ms(20, 160);
@@ -304,6 +303,38 @@ TEST_F(CrashRecoveryTest, UncommittedGhostsArePurged) {
   ASSERT_TRUE(db->Begin(&probe).ok());
   EXPECT_TRUE(probe->Get("ghost", &value).IsNotFound());
   probe->Abort();
+  tsb_tree::TreeChecker checker(db->primary());
+  EXPECT_TRUE(checker.Check().ok());
+}
+
+TEST_F(CrashRecoveryTest, ReplayTimeSplitsOneKeyUpdatedPastAPage) {
+  // Far more versions of one key than a 512-byte page holds, all still in
+  // the live log: replay can only fit them by time-splitting the leaf,
+  // and a time split caps its boundary at the published watermark.
+  DbOptions opts = SmallPageOptions();
+  opts.wal_checkpoint_bytes = 1ull << 40;
+  constexpr int kVersions = 600;
+  const pid_t pid = ::fork();
+  if (pid == 0) {
+    std::unique_ptr<MultiVersionDB> db;
+    if (!MultiVersionDB::Open(path_, opts, &db).ok()) ::_exit(2);
+    for (int i = 0; i < kVersions; ++i) {
+      if (!db->Put("hot", Value(0, i)).ok()) ::_exit(3);
+    }
+    ::kill(::getpid(), SIGKILL);  // no close-time checkpoint
+    ::_exit(4);
+  }
+  int wstatus = 0;
+  ::waitpid(pid, &wstatus, 0);
+  ASSERT_TRUE(WIFSIGNALED(wstatus));
+  std::unique_ptr<MultiVersionDB> db;
+  Status s = MultiVersionDB::Open(path_, opts, &db);
+  ASSERT_TRUE(s.ok()) << s.ToString();
+  EXPECT_EQ(db->recovery_stats().frames_replayed, uint64_t{kVersions});
+  std::string value;
+  ASSERT_TRUE(db->Get({}, "hot", &value).ok());
+  EXPECT_EQ(value, Value(0, kVersions - 1));
+  EXPECT_GT(db->primary()->counters().data_time_splits, 0u);
   tsb_tree::TreeChecker checker(db->primary());
   EXPECT_TRUE(checker.Check().ok());
 }

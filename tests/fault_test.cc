@@ -402,9 +402,7 @@ class DegradedModeTest : public ::testing::Test {
 // EVERY writer rendezvous'd on it sees the error and NONE acks — and
 // after heal + Resume + reopen, none of those commits ever surfaces.
 TEST_F(DegradedModeTest, GroupCommitSyncFailureAcksNothing) {
-  DbOptions o = Options();
-  o.tree.concurrent_writers = true;
-  OpenDb(o);
+  OpenDb(Options());
   constexpr int kBase = 10;
   PutBaseline(kBase);
   const Timestamp watermark = db_->Now();
@@ -455,7 +453,7 @@ TEST_F(DegradedModeTest, GroupCommitSyncFailureAcksNothing) {
 
   // Reopen: every acked commit present, the never-acked ones still absent.
   db_.reset();
-  OpenDb(o);
+  OpenDb(Options());
   ExpectBaseline(kBase);
   for (int w = 0; w < kWriters; ++w) {
     std::string v;

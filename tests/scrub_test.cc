@@ -374,9 +374,7 @@ TEST_F(ScrubDbTest, HistoricalRotIsStickyDetected) {
 }
 
 TEST_F(ScrubDbTest, FreshFaultDuringResumeRedegrades) {
-  DbOptions o = Options();
-  o.tree.concurrent_writers = true;
-  OpenDb(o);
+  OpenDb(Options());
   SeedTwoGenerations(20);
   // Degrade via a failed group-commit fdatasync (transient).
   wal_plan_->FailNth(FaultOp::kSync, 1, FaultKind::kEIO, /*sticky=*/false);

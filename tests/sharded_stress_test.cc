@@ -41,7 +41,6 @@ class ShardedStressTest : public ::testing::Test {
     o.num_shards = 4;
     o.base.tree.page_size = 512;
     o.base.tree.buffer_pool_frames = 4096;
-    o.base.tree.concurrent_writers = true;
     Status s = ShardedDB::Open(path_, o, &db_);
     ASSERT_TRUE(s.ok()) << s.ToString();
     // Every writer's key group must span shards, or the test silently

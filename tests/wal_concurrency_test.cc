@@ -95,7 +95,6 @@ TEST(WalConcurrencyTest, DbWritersRaceCheckpoints) {
   db::DbOptions opts;
   opts.tree.page_size = 1024;
   opts.tree.buffer_pool_frames = 4096;
-  opts.tree.concurrent_writers = true;
   // Background sync keeps the test fast under TSan while still running
   // the full append path; the checkpoint thread forces real fsyncs.
   opts.wal_sync = wal::WalSyncMode::kBackground;
@@ -156,7 +155,6 @@ TEST(WalConcurrencyTest, SizeTriggeredRotationRacesWriters) {
   db::DbOptions opts;
   opts.tree.page_size = 1024;
   opts.tree.buffer_pool_frames = 4096;
-  opts.tree.concurrent_writers = true;
   opts.wal_sync = wal::WalSyncMode::kOff;  // rotation pressure, not fsyncs
   opts.wal_checkpoint_bytes = 4 << 10;     // rotate every ~4 KiB of log
   constexpr int kWriters = 4;

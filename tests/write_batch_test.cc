@@ -42,7 +42,7 @@ uint64_t SplitCount(const TsbTree& tree) {
 
 class WriteBatchTest : public ::testing::Test {
  protected:
-  void Open(bool concurrent_writers = false) {
+  void Open() {
     mgr_.reset();
     tree_.reset();
     magnetic_ = std::make_unique<MemDevice>();
@@ -50,7 +50,6 @@ class WriteBatchTest : public ::testing::Test {
     TsbOptions opts;
     opts.page_size = 512;
     opts.buffer_pool_frames = 1024;
-    opts.concurrent_writers = concurrent_writers;
     ASSERT_TRUE(TsbTree::Open(magnetic_.get(), worm_.get(), opts, &tree_).ok());
     mgr_ = std::make_unique<TxnManager>(tree_.get());
   }
@@ -300,7 +299,7 @@ TEST_F(WriteBatchTest, ConflictingBatchInsertsNothingAndReleasesLocks) {
 }
 
 TEST_F(WriteBatchTest, ConcurrentWritersCommitInterleavedBatches) {
-  Open(/*concurrent_writers=*/true);
+  Open();
   constexpr int kWriters = 4;
   constexpr int kBatchKeys = 64;
   constexpr int kRounds = 12;

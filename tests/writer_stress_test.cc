@@ -1,5 +1,5 @@
-// N-writer stress for the optimistic-latch-coupling write path
-// (TsbOptions::concurrent_writers): parallel committing writers against the
+// N-writer stress for the optimistic-latch-coupling write path: parallel
+// committing writers against the
 // full stack — MultiVersionDB → TxnManager → TsbTree — with pages small
 // enough that key splits and time splits fire constantly under the
 // descents. A ThreadSanitizer target alongside concurrency_test.
@@ -13,11 +13,18 @@
 //  - commit-log oracle: a multi-key transaction is all-or-nothing at every
 //    timestamp — as of its commit time every key carries its tag, one tick
 //    earlier none do;
-//  - single-writer mode: the OLC restart/side-step counters stay zero
-//    (the optimistic machinery is genuinely gated off).
+//  - one writer: the OLC restart/side-step counters stay zero (nothing
+//    races its descents, even while its own splits restructure the tree);
+//  - indexed commits racing checkpoints: secondary lookups as of every
+//    acked commit match a model, before and after reopen.
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
+#include <algorithm>
 #include <atomic>
+#include <chrono>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -50,19 +57,17 @@ struct Fixture {
   MemDevice optical{DeviceKind::kOpticalErasable, CostParams::OpticalWorm()};
   std::unique_ptr<db::MultiVersionDB> db;
 
-  explicit Fixture(bool concurrent, uint32_t page_size = 1024,
-                   size_t frames = 128) {
+  Fixture() {
     db::DbOptions options;
-    options.tree.page_size = page_size;
-    options.tree.buffer_pool_frames = frames;
-    options.tree.concurrent_writers = concurrent;
+    options.tree.page_size = 1024;
+    options.tree.buffer_pool_frames = 128;
     Status s = db::MultiVersionDB::Open(&magnetic, &optical, options, &db);
     EXPECT_TRUE(s.ok()) << s.ToString();
   }
 };
 
 TEST(WriterStressTest, DisjointWritersScaleUnderForcedSplits) {
-  Fixture f(/*concurrent=*/true);
+  Fixture f;
   constexpr int kWriters = 4;
   constexpr int kKeysPerWriter = 20;
   constexpr int kOpsPerWriter = 250;
@@ -147,10 +152,13 @@ TEST(WriterStressTest, DisjointWritersScaleUnderForcedSplits) {
   EXPECT_GT(uint64_t{counters.data_time_splits} +
                 uint64_t{counters.data_key_splits},
             0u);
+  // No secondary index, no commit hook: no commit took the index-order
+  // mutex.
+  EXPECT_EQ(0u, f.db->txn_manager()->serial_fallback_commits());
 }
 
 TEST(WriterStressTest, OverlappingWritersConflictCleanly) {
-  Fixture f(/*concurrent=*/true);
+  Fixture f;
   constexpr int kWriters = 4;
   constexpr int kKeys = 16;  // small: heavy overlap
   constexpr int kOpsPerWriter = 200;
@@ -197,7 +205,7 @@ TEST(WriterStressTest, OverlappingWritersConflictCleanly) {
 }
 
 TEST(WriterStressTest, MultiKeyCommitsAreAllOrNothingAtEveryTimestamp) {
-  Fixture f(/*concurrent=*/true);
+  Fixture f;
   constexpr int kWriters = 4;
   constexpr int kKeys = 60;
   constexpr int kTxnsPerWriter = 60;
@@ -262,93 +270,135 @@ TEST(WriterStressTest, MultiKeyCommitsAreAllOrNothingAtEveryTimestamp) {
   }
 }
 
-TEST(WriterStressTest, SingleWriterModeNeverTouchesOlcMachinery) {
-  Fixture f(/*concurrent=*/false);
-  constexpr int kThreads = 4;
-  constexpr int kOpsPerThread = 150;
-
-  std::vector<std::thread> writers;
-  std::atomic<int> failures{0};
-  for (int w = 0; w < kThreads; ++w) {
-    writers.emplace_back([&, w] {
-      for (int op = 0; op < kOpsPerThread; ++op) {
-        const int ki = w * kOpsPerThread + op;  // disjoint: all must land
-        Status s = f.db->Put(KeyOf(ki % 200), ValueOf(w, op));
-        if (!s.ok() && !s.IsTxnConflict()) {
-          ADD_FAILURE() << s.ToString();
-          failures.fetch_add(1);
-          return;
-        }
-      }
-    });
+TEST(WriterStressTest, OneWriterNeverRestartsOrSidesteps) {
+  // With one writer the OLC path is the paper's single updater: its own
+  // splits restructure the tree, but only between its descents, so no
+  // descent ever loses a race.
+  Fixture f;
+  constexpr int kOps = 600;
+  for (int op = 0; op < kOps; ++op) {
+    ASSERT_TRUE(f.db->Put(KeyOf(op % 200), ValueOf(0, op)).ok());
   }
-  for (auto& t : writers) t.join();
-  ASSERT_EQ(failures.load(), 0);
-  // Multi-threaded use is legal in single-writer mode — it serializes on
-  // the writer mutex — and the optimistic path must stay cold.
-  EXPECT_EQ(uint64_t{f.db->primary()->counters().olc_restarts}, 0u);
-  EXPECT_EQ(uint64_t{f.db->primary()->counters().olc_sidesteps}, 0u);
+  const auto& counters = f.db->primary()->counters();
+  EXPECT_GT(uint64_t{counters.data_time_splits} +
+                uint64_t{counters.data_key_splits},
+            0u);
+  EXPECT_EQ(uint64_t{counters.olc_restarts}, 0u);
+  EXPECT_EQ(uint64_t{counters.olc_sidesteps}, 0u);
 }
 
-TEST(WriterStressTest, IndexedCommitsTakeTheObservableSerialFallback) {
-  // Plain concurrent workload: no commit hook, so the concurrent stamping
-  // path handles everything and the fallback counter stays cold.
-  constexpr int kThreads = 4;
-  constexpr int kOpsPerThread = 100;
-  {
-    Fixture f(/*concurrent=*/true);
-    std::vector<std::thread> writers;
-    for (int w = 0; w < kThreads; ++w) {
-      writers.emplace_back([&, w] {
-        for (int op = 0; op < kOpsPerThread; ++op) {
-          const int ki = w * kOpsPerThread + op;  // disjoint
-          ASSERT_TRUE(f.db->Put(KeyOf(ki), ValueOf(w, op)).ok());
-        }
-      });
-    }
-    for (auto& t : writers) t.join();
-    EXPECT_EQ(0u, f.db->txn_manager()->serial_fallback_commits());
-  }
+TEST(WriterStressTest, IndexedCommitsRacingCheckpointsMatchTheModel) {
+  // Indexed commits run whole under the index-order mutex (one
+  // serial_fallback_commits() tick each) while their timestamps sit in the
+  // in-flight set; a checkpoint freezes commits and
+  // drains that set. Four writers change the secondary field of disjoint
+  // keys on every commit while a fifth thread checkpoints in a loop, once
+  // per kCommitsPerCheckpoint acks (back-to-back freezes would starve the
+  // writers).
+  constexpr int kWriters = 4;
+  constexpr int kKeysPerWriter = 8;
+  constexpr int kOpsPerWriter = 120;
+  constexpr int kGroups = 3;
+  constexpr int kCommitsPerCheckpoint = 16;
+  auto group_of = [](const Slice& value) -> std::optional<std::string> {
+    const std::string s = value.ToString();
+    return s.substr(0, s.find(':'));
+  };
+  auto value_of = [](int writer, int seq) {
+    // seq % kGroups against seq % kKeysPerWriter: a key's group changes
+    // between its consecutive commits.
+    return "g" + std::to_string(seq % kGroups) + ":" + ValueOf(writer, seq);
+  };
+  const std::string path =
+      "/tmp/tsb_writer_stress." + std::to_string(::getpid());
+  db::MultiVersionDB::Destroy(path);
+  db::DbOptions options;
+  options.tree.page_size = 1024;
+  options.wal_sync = wal::WalSyncMode::kOff;  // ordering, not fsyncs
+  options.index_extractors["grp"] = group_of;
 
-  // The same workload with a secondary index: maintenance requires
-  // timestamp-ordered application, so EVERY commit is forced onto the
-  // serial path — and the counter says so, one tick per commit. This is
-  // the observable cost of indexing under concurrent_writers (the
-  // write-scaling bottleneck the ROADMAP tracks).
+  struct Commit {
+    Timestamp ts;
+    std::string key;
+    std::string value;
+  };
+  std::vector<Commit> commits;
+  // Model: the primary state as of each acked commit (`commits` sorted by
+  // ts), projected onto the index. Every group's lookup returns exactly
+  // its keys and values.
+  auto check = [&](db::MultiVersionDB* db) {
+    std::map<std::string, std::string> state;
+    for (size_t i = 0; i < commits.size(); ++i) {
+      const Commit& c = commits[i];
+      ASSERT_TRUE(i == 0 || commits[i - 1].ts < c.ts) << "duplicate ts";
+      state[c.key] = c.value;
+      for (int g = 0; g < kGroups; ++g) {
+        const std::string group = "g" + std::to_string(g);
+        std::vector<std::pair<std::string, std::string>> expect;
+        for (const auto& [key, value] : state) {
+          if (*group_of(value) == group) expect.emplace_back(key, value);
+        }
+        std::vector<std::pair<std::string, std::string>> hits;
+        ASSERT_TRUE(
+            db->FindBySecondary({.as_of = c.ts}, "grp", group, &hits).ok());
+        std::sort(hits.begin(), hits.end());
+        ASSERT_EQ(hits, expect) << group << " as of t=" << c.ts;
+      }
+    }
+  };
   {
-    Fixture f(/*concurrent=*/true);
-    ASSERT_TRUE(f.db->CreateSecondaryIndex(
-                        "by_writer",
-                        [](const Slice& value) -> std::optional<std::string> {
-                          const std::string s = value.ToString();
-                          const size_t colon = s.find(':');
-                          if (colon == std::string::npos) return std::nullopt;
-                          return s.substr(0, colon);
-                        })
-                    .ok());
+    std::unique_ptr<db::MultiVersionDB> db;
+    ASSERT_TRUE(db::MultiVersionDB::Open(path, options, &db).ok());
+    ASSERT_TRUE(db->CreateSecondaryIndex("grp", group_of).ok());
+    std::atomic<bool> writers_done{false};
+    std::atomic<int> acked{0};
+    std::atomic<int> checkpoints{0};
+    std::thread checkpointer([&] {
+      int last = 0;
+      while (!writers_done.load(std::memory_order_acquire)) {
+        if (acked.load(std::memory_order_acquire) - last <
+            kCommitsPerCheckpoint) {
+          std::this_thread::sleep_for(std::chrono::microseconds(100));
+          continue;
+        }
+        last = acked.load(std::memory_order_acquire);
+        Status s = db->Checkpoint();
+        EXPECT_TRUE(s.ok()) << s.ToString();
+        checkpoints.fetch_add(1, std::memory_order_relaxed);
+      }
+    });
+    std::mutex log_mu;
     std::vector<std::thread> writers;
-    for (int w = 0; w < kThreads; ++w) {
+    for (int w = 0; w < kWriters; ++w) {
       writers.emplace_back([&, w] {
-        for (int op = 0; op < kOpsPerThread; ++op) {
-          const int ki = w * kOpsPerThread + op;  // disjoint
-          ASSERT_TRUE(f.db->Put(KeyOf(ki), ValueOf(w, op)).ok());
+        for (int seq = 0; seq < kOpsPerWriter; ++seq) {
+          const std::string key =
+              KeyOf(w * kKeysPerWriter + seq % kKeysPerWriter);
+          const std::string value = value_of(w, seq);
+          Timestamp ts = 0;
+          Status s = db->Put(key, value, &ts);
+          ASSERT_TRUE(s.ok()) << s.ToString();
+          acked.fetch_add(1, std::memory_order_release);
+          std::lock_guard<std::mutex> lock(log_mu);
+          commits.push_back({ts, key, value});
         }
       });
     }
     for (auto& t : writers) t.join();
-    EXPECT_EQ(uint64_t{kThreads * kOpsPerThread},
-              f.db->txn_manager()->serial_fallback_commits());
-    // The serial fallback kept the index coherent: every record is
-    // reachable through its writer's index key.
-    for (int w = 0; w < kThreads; ++w) {
-      std::vector<std::pair<std::string, std::string>> hits;
-      ASSERT_TRUE(f.db
-                      ->FindBySecondary(db::ReadOptions(), "by_writer",
-                                        "w" + std::to_string(w), &hits)
-                      .ok());
-      EXPECT_EQ(size_t{kOpsPerThread}, hits.size()) << "writer " << w;
-    }
+    writers_done.store(true, std::memory_order_release);
+    checkpointer.join();
+    ASSERT_EQ(commits.size(), size_t{kWriters * kOpsPerWriter});
+    EXPECT_GT(checkpoints.load(), 0);
+    EXPECT_EQ(db->txn_manager()->serial_fallback_commits(), commits.size());
+    std::sort(commits.begin(), commits.end(),
+              [](const Commit& a, const Commit& b) { return a.ts < b.ts; });
+    check(db.get());
   }
+  std::unique_ptr<db::MultiVersionDB> db;
+  ASSERT_TRUE(db::MultiVersionDB::Open(path, options, &db).ok());
+  check(db.get());
+  db.reset();
+  db::MultiVersionDB::Destroy(path);
 }
 
 }  // namespace
