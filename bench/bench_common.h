@@ -1,6 +1,4 @@
-// Shared helpers for the experiment harness. Every bench binary prints the
-// deterministic paper-style table for its experiment row(s) from DESIGN.md,
-// then runs google-benchmark timings.
+// The TSB-tree fixture the query and paper benches build their trees with.
 #ifndef TSBTREE_BENCH_BENCH_COMMON_H_
 #define TSBTREE_BENCH_BENCH_COMMON_H_
 
@@ -57,32 +55,6 @@ struct TsbFixture {
     return stats;
   }
 };
-
-inline double KiB(uint64_t bytes) { return static_cast<double>(bytes) / 1024.0; }
-
-inline const char* KindPolicyName(tsb_tree::SplitKindPolicy p) {
-  switch (p) {
-    case tsb_tree::SplitKindPolicy::kWobtStyle:
-      return "wobt-style";
-    case tsb_tree::SplitKindPolicy::kThreshold:
-      return "threshold";
-    case tsb_tree::SplitKindPolicy::kCostBased:
-      return "cost-based";
-  }
-  return "?";
-}
-
-inline const char* TimeModeName(tsb_tree::SplitTimeMode m) {
-  switch (m) {
-    case tsb_tree::SplitTimeMode::kCurrentTime:
-      return "current-time";
-    case tsb_tree::SplitTimeMode::kLastUpdate:
-      return "last-update";
-    case tsb_tree::SplitTimeMode::kMinRedundancy:
-      return "min-redundancy";
-  }
-  return "?";
-}
 
 }  // namespace bench
 }  // namespace tsb

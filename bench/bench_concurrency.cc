@@ -25,8 +25,9 @@
 #include <thread>
 #include <vector>
 
-#include "bench_common.h"
 #include "common/random.h"
+#include "storage/mem_device.h"
+#include "storage/worm_device.h"
 #include "tsb/cursor.h"
 #include "txn/txn_manager.h"
 #include "txn/write_batch.h"

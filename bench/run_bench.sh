@@ -1,12 +1,14 @@
 #!/usr/bin/env bash
-# Builds the benchmarks in Release mode and runs the query + concurrency
-# benches as a smoke test. bench_query writes BENCH_query.json (historical
-# as-of ops/sec, allocations and owning node decodes per lookup for string
-# and pinned Gets against a recorded ops/sec floor, the checksum overhead
-# on warm pinned Gets, cold mmap reads, node bytes against the
-# uncompressed size, and the scan phase: forward/reverse snapshot scans —
-# warm, old-snapshot and cold — with entries/sec and allocs per emitted
-# entry), which is copied to the repo root for CI artifact upload.
+# Builds the benchmarks in Release mode and runs the query, concurrency,
+# durability, sharding and paper benches' tables as a smoke test (full
+# google-benchmark timings with BENCH_FILTER=all). bench_query writes
+# BENCH_query.json (historical as-of ops/sec, allocations and owning node
+# decodes per lookup for string and pinned Gets against a recorded ops/sec
+# floor, the checksum overhead on warm pinned Gets, cold mmap reads, node
+# bytes against the uncompressed size, and the scan phase: forward/reverse
+# snapshot scans — warm, old-snapshot and cold — with entries/sec and
+# allocs per emitted entry), which is copied to the repo root for CI
+# artifact upload.
 # bench_concurrency writes BENCH_concurrency.json (N-writer scaling on the
 # optimistic-latch-coupling write path against a recorded 1-writer floor,
 # with conflict/restart/side-step counters). bench_durability
@@ -17,6 +19,12 @@
 # bench_sharded writes BENCH_sharded.json (ShardedDB write scaling at
 # 1/2/4/8 shards, disjoint single-shard batches vs uniform multi-shard
 # batches through the coordinator protocol).
+# bench_paper writes BENCH_paper.json: the paper's experiments E1-E9 and
+# the A1-A3 ablations as rows of pages, bytes, copies, sectors and
+# simulated device time, plus the gates on the paper's shapes and the
+# findings where a shape does not hold, and prints its own recap line. It
+# exits non-zero when a gate fails. Its output is deterministic, so the
+# committed file is a golden trajectory: CI fails when a rerun differs.
 #
 # Usage: bench/run_bench.sh [build-dir]   (default: <repo>/build-release)
 set -euo pipefail
@@ -26,7 +34,7 @@ BUILD="${1:-$ROOT/build-release}"
 
 cmake -B "$BUILD" -S "$ROOT" -DCMAKE_BUILD_TYPE=Release
 cmake --build "$BUILD" -j --target bench_query bench_concurrency \
-    bench_durability bench_sharded || {
+    bench_durability bench_sharded bench_paper || {
   echo "error: bench build failed (if the targets are missing entirely," >&2
   echo "check that libbenchmark-dev is installed)" >&2
   exit 1
@@ -44,11 +52,14 @@ FILTER="${BENCH_FILTER:-NONE}"
     ./bench_durability --benchmark_filter="$FILTER")
 (cd "$BUILD" && BENCH_SHARDED_JSON="$ROOT/BENCH_sharded.json" \
     ./bench_sharded --benchmark_filter="$FILTER")
+(cd "$BUILD" && BENCH_PAPER_JSON="$ROOT/BENCH_paper.json" \
+    ./bench_paper --benchmark_filter="$FILTER")
 
 echo "wrote $ROOT/BENCH_query.json"
 echo "wrote $ROOT/BENCH_concurrency.json"
 echo "wrote $ROOT/BENCH_durability.json"
 echo "wrote $ROOT/BENCH_sharded.json"
+echo "wrote $ROOT/BENCH_paper.json"
 
 # One-line scan recap (the numbers CI gates on), when python3 is around.
 if command -v python3 >/dev/null 2>&1; then
