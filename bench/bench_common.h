@@ -3,6 +3,7 @@
 #define TSBTREE_BENCH_BENCH_COMMON_H_
 
 #include <cstdio>
+#include <functional>
 #include <memory>
 #include <string>
 
@@ -19,16 +20,25 @@ namespace bench {
 struct TsbFixture {
   std::unique_ptr<MemDevice> magnetic;
   std::unique_ptr<WormDevice> worm;
+  /// Optional decorator between the tree and `worm` (see Build).
+  std::unique_ptr<Device> historical;
   std::unique_ptr<tsb_tree::TsbTree> tree;
 
-  static TsbFixture Build(const util::WorkloadSpec& spec,
-                          const tsb_tree::TsbOptions& options,
-                          uint32_t sector_size = 1024) {
+  /// `wrap_worm`, when set, returns a decorator the tree writes the WORM
+  /// through; the WORM device still accounts the I/O.
+  static TsbFixture Build(
+      const util::WorkloadSpec& spec, const tsb_tree::TsbOptions& options,
+      uint32_t sector_size = 1024,
+      const std::function<std::unique_ptr<Device>(WormDevice*)>& wrap_worm =
+          nullptr) {
     TsbFixture f;
     f.magnetic = std::make_unique<MemDevice>();
     f.worm = std::make_unique<WormDevice>(sector_size);
-    Status s = tsb_tree::TsbTree::Open(f.magnetic.get(), f.worm.get(),
-                                       options, &f.tree);
+    if (wrap_worm) f.historical = wrap_worm(f.worm.get());
+    Status s = tsb_tree::TsbTree::Open(
+        f.magnetic.get(),
+        f.historical != nullptr ? f.historical.get() : f.worm.get(), options,
+        &f.tree);
     if (!s.ok()) {
       fprintf(stderr, "fixture open failed: %s\n", s.ToString().c_str());
       abort();

@@ -687,6 +687,38 @@ void DeviceModel(Report* report) {
 // only when nodes time-split; index time splits are local ("there will
 // usually be a time before which all entries point to historical data");
 // and the write stream to the WORM is strictly appending.
+
+// Records every write passed to the WORM, in order; the WORM accounts it.
+class WormWriteLog : public Device {
+ public:
+  explicit WormWriteLog(Device* base)
+      : Device(base->kind(), base->cost_params()), base_(base) {}
+  Status Read(uint64_t offset, size_t n, char* scratch) override {
+    return base_->Read(offset, n, scratch);
+  }
+  Status Write(uint64_t offset, const Slice& data) override {
+    writes.emplace_back(offset, data.size());
+    return base_->Write(offset, data);
+  }
+  bool SupportsMappedReads() const override {
+    return base_->SupportsMappedReads();
+  }
+  Status ReadMapped(uint64_t offset, size_t n, MappedRead* out,
+                    AccessPattern pattern) override {
+    return base_->ReadMapped(offset, n, out, pattern);
+  }
+  uint32_t write_once_sector_size() const override {
+    return base_->write_once_sector_size();
+  }
+  uint64_t Size() const override { return base_->Size(); }
+  Status Sync() override { return base_->Sync(); }
+
+  std::vector<std::pair<uint64_t, size_t>> writes;  // (offset, bytes)
+
+ private:
+  Device* base_;
+};
+
 void Migration(Report* report) {
   Table t("e8_migration",
           "== E8: incremental migration, one node per time split ==\n\n"
@@ -699,10 +731,17 @@ void Migration(Report* report) {
            {"appends", " %10.0f"}},
           "\n(hist nodes == time splits: each split migrates exactly one\n"
           "consolidated node; appends == data + index historical nodes)\n\n");
-  bool one_node = true, appends = true;
+  bool one_node = true, appends = true, strictly_append = true;
+  size_t worm_writes = 0;
   for (double uf : {0.5, 0.75, 0.9}) {
-    TsbFixture f =
-        TsbFixture::Build(Spec(20000, uf), Opts(1024, Threshold(0.5)));
+    WormWriteLog* log = nullptr;
+    TsbFixture f = TsbFixture::Build(
+        Spec(20000, uf), Opts(1024, Threshold(0.5)), 1024,
+        [&log](WormDevice* worm) {
+          auto wrapped = std::make_unique<WormWriteLog>(worm);
+          log = wrapped.get();
+          return wrapped;
+        });
     const auto& c = f.tree->counters();
     const uint64_t blobs = f.tree->hist_store()->blob_count();
     t.Add({uf * 100, c.data_time_splits.load(), c.hist_data_nodes.load(),
@@ -711,12 +750,22 @@ void Migration(Report* report) {
     one_node &= c.data_time_splits == c.hist_data_nodes &&
                 c.index_time_splits == c.hist_index_nodes;
     appends &= blobs == c.hist_data_nodes + c.hist_index_nodes;
+    // Each write starts at or past the end of the one before it.
+    for (size_t i = 1; i < log->writes.size(); ++i) {
+      strictly_append &= log->writes[i].first >=
+                         log->writes[i - 1].first + log->writes[i - 1].second;
+    }
+    strictly_append &= !log->writes.empty();
+    worm_writes += log->writes.size();
   }
   report->Add(t);
   report->Gate("e8_one_node_per_time_split", one_node,
                "historical data and index nodes equal time splits");
   report->Gate("e8_appends_eq_hist_nodes", appends,
                "WORM appends equal data + index historical nodes");
+  report->Gate("e8_worm_offsets_strictly_append", strictly_append,
+               Fmt("%zu WORM writes, each at or past the previous one's end",
+                   worm_writes));
   printf("\n");
 }
 

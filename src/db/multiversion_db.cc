@@ -932,6 +932,11 @@ Status MultiVersionDB::RecoverWal(bool manifest_clean, bool journal_applied) {
   }
   recovery_stats_ = RecoveryStats{};
   recovery_stats_.journal_applied = journal_applied;
+  recovery_stats_.orphan_slots_dropped = tree_->orphan_slots_dropped();
+  for (auto& [name, def] : indexes_) {
+    recovery_stats_.orphan_slots_dropped +=
+        def.index->tree()->orphan_slots_dropped();
+  }
   const bool unclean = !manifest_clean || journal_applied;
   if (unclean) {
     // Transactions cut down mid-build left uncommitted records with no
@@ -1141,7 +1146,6 @@ Status MultiVersionDB::CheckpointFrozen(bool for_resume) {
       trees.push_back(
           {def.index->tree(), "index-" + name + ".current.tsb", {}});
     }
-    wal::CheckpointJournal journal(path_, options_.tree.page_size);
     for (auto& t : trees) {
       // Stamp every page this checkpoint flushes with the checkpoint's WAL
       // position. The stamp is what gives the lost-write check teeth: a
@@ -1149,10 +1153,20 @@ Status MultiVersionDB::CheckpointFrozen(bool for_resume) {
       // CRC proves the device acked this flush and then dropped it.
       t.tree->pager()->set_flush_lsn(ckpt_lsn);
       TSB_RETURN_IF_ERROR(t.tree->BeginCheckpoint(&t.scope));
+    }
+    // Fresh pages first, synced: no durable page references them, so a
+    // crash from here to the commit point leaves only orphan slots above
+    // each tree's durable high-water mark (truncated at open).
+    for (auto& t : trees) {
+      TSB_RETURN_IF_ERROR(t.tree->WriteFreshPages(&t.scope));
+    }
+    wal::CheckpointJournal journal(path_, options_.tree.page_size);
+    TSB_RETURN_IF_ERROR(journal.Create());
+    for (auto& t : trees) {
       journal.BeginTree(t.file);
-      journal.AddPage(0, t.scope.meta_image);  // 0 = metadata page
-      for (auto& [id, image] : t.scope.dirty_pages) {
-        journal.AddPage(id, image);
+      journal.AddPage(0, t.scope.meta.data());
+      for (const PageHandle& h : t.scope.journaled) {
+        journal.AddPage(h.id(), h.data());
       }
     }
     // Durability point. After this fsync the checkpoint applies fully —
@@ -1163,12 +1177,20 @@ Status MultiVersionDB::CheckpointFrozen(bool for_resume) {
     for (auto& t : trees) {
       TSB_RETURN_IF_ERROR(t.tree->FinishCheckpoint(&t.scope));
     }
-    // Retire (not delete) the journal: its page images are the repair
-    // source for pages that later rot ON DISK — under no-steal the image
-    // recorded here IS the page's base content until the next checkpoint
-    // rewrites it. Recovery ignores the retired file (only checkpoint.tsb
-    // is re-applied).
+    // Retire (not delete) the journal, with the fresh pages' images
+    // appended: they are the repair source for pages that later rot ON
+    // DISK — under no-steal the image recorded here IS the page's base
+    // content until the next checkpoint rewrites it. Recovery ignores the
+    // retired file (only checkpoint.tsb is re-applied).
+    for (auto& t : trees) {
+      if (t.scope.fresh.empty()) continue;
+      journal.BeginTree(t.file);
+      for (const PageHandle& h : t.scope.fresh) {
+        journal.AddPage(h.id(), h.data());
+      }
+    }
     TSB_RETURN_IF_ERROR(journal.Retire());
+    trees.clear();  // unpins the frames and releases the writer locks
 
     if (for_resume || ckpt_lsn >= options_.wal_checkpoint_bytes) {
       // The whole log is dead: rotate to a fresh file. Manifest first —

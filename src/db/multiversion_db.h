@@ -282,14 +282,20 @@ class MultiVersionDB {
     uint64_t ops_replayed = 0;
     /// Bytes of WAL scanned by replay.
     uint64_t wal_bytes_scanned = 0;
+    /// Current-device page slots truncated at open: pages a checkpoint
+    /// wrote above a tree's durable high-water mark before it died short
+    /// of its commit point.
+    uint64_t orphan_slots_dropped = 0;
   };
   const RecoveryStats& recovery_stats() const { return recovery_stats_; }
 
   /// Forces a checkpoint: freezes commits, makes the WAL durable, writes
-  /// every tree's dirty pages + metadata crash-atomically (double-write
-  /// journal), then truncates or rotates the log. Runs automatically when
-  /// the WAL exceeds DbOptions::wal_checkpoint_bytes and at clean close.
-  /// No-op for DBs without a WAL.
+  /// every tree's dirty pages + metadata crash-atomically (pages above the
+  /// durable high-water mark in place, the rest through the checkpoint
+  /// journal; see wal/checkpoint.h), then truncates or rotates the log.
+  /// Runs automatically when the WAL exceeds
+  /// DbOptions::wal_checkpoint_bytes and at clean close. No-op for DBs
+  /// without a WAL.
   Status Checkpoint();
 
   /// The write-ahead log (nullptr when disabled / raw-device DB). Exposed

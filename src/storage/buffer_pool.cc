@@ -154,14 +154,7 @@ Status BufferPool::PinFrame(uint32_t id, Frame** out) {
     auto it = shard.frames.find(id);
     if (it != shard.frames.end()) {
       f = &it->second;
-      if (f->in_lru) {
-        // Park the node instead of erasing it: the steady-state pin/unpin
-        // cycle then performs no allocation at all.
-        shard.pinned_nodes.splice(shard.pinned_nodes.begin(), shard.lru,
-                                  f->lru_pos);
-        f->in_lru = false;
-      }
-      f->pins++;
+      PinResident(&shard, f);
       shard.stats.hits++;
     } else {
       shard.stats.misses++;
@@ -212,6 +205,17 @@ Status BufferPool::PinFrame(uint32_t id, Frame** out) {
   }
   *out = f;
   return Status::OK();
+}
+
+void BufferPool::PinResident(Shard* shard, Frame* f) {
+  if (f->in_lru) {
+    // Park the node instead of erasing it: the steady-state pin/unpin
+    // cycle then performs no allocation at all.
+    shard->pinned_nodes.splice(shard->pinned_nodes.begin(), shard->lru,
+                               f->lru_pos);
+    f->in_lru = false;
+  }
+  f->pins++;
 }
 
 // Drops a pin on a frame whose load failed; the last pinner removes the
@@ -362,18 +366,24 @@ Status BufferPool::WriteBack(Frame* f) {
   return Status::OK();
 }
 
-void BufferPool::SnapshotDirty(
-    std::vector<std::pair<uint32_t, std::string>>* out) {
+void BufferPool::PinDirty(std::vector<PageHandle>* out) {
   for (size_t i = 0; i < num_shards_; ++i) {
     Shard& shard = shards_[i];
     std::lock_guard<std::mutex> lock(shard.mu);
     for (auto& [id, f] : shard.frames) {
-      if (f.dirty.load(std::memory_order_acquire)) {
-        out->emplace_back(id,
-                          std::string(f.data.get(), pager_->page_size()));
-      }
+      if (!f.dirty.load(std::memory_order_acquire)) continue;
+      PinResident(&shard, &f);
+      out->push_back(PageHandle(this, &f, id, f.data.get(), LatchMode::kNone));
     }
   }
+}
+
+void BufferPool::MarkClean(const PageHandle& handle) {
+  auto* frame = static_cast<Frame*>(handle.frame_);
+  frame->dirty.store(false, std::memory_order_release);
+  Shard& shard = ShardFor(handle.id());
+  std::lock_guard<std::mutex> lock(shard.mu);
+  shard.stats.dirty_writebacks++;
 }
 
 void BufferPool::DirtyIds(std::vector<uint32_t>* out) {

@@ -176,17 +176,21 @@ class BufferPool {
   /// device (the pool over-allocates instead of stealing). WAL-protected
   /// databases run in this mode so the on-disk page graph only changes at
   /// checkpoints — the structurally consistent base logical WAL replay
-  /// requires. FlushAll / Flush still write back (checkpoints use them
-  /// after journaling).
+  /// requires. Checkpoints write the dirty frames through PinDirty.
   void set_no_steal(bool on) {
     no_steal_.store(on, std::memory_order_release);
   }
   bool no_steal() const { return no_steal_.load(std::memory_order_acquire); }
 
-  /// Copies every dirty frame's id + page image into `out` (appended).
-  /// Caller must have quiesced all mutators (checkpoint holds the tree's
-  /// exclusive writer lock); images are raw frame bytes, unsealed.
-  void SnapshotDirty(std::vector<std::pair<uint32_t, std::string>>* out);
+  /// Pins every dirty frame and appends one unlatched handle per frame to
+  /// `out`, so a checkpoint writes straight from the frames. Caller must
+  /// have quiesced all mutators (checkpoint holds the tree's exclusive
+  /// writer lock); the pins keep the frames resident until released.
+  void PinDirty(std::vector<PageHandle>* out);
+
+  /// Marks the frame of a PinDirty handle clean once the checkpoint has
+  /// written it and synced the device (counted as a dirty write-back).
+  void MarkClean(const PageHandle& handle);
 
   /// Ids of the currently dirty frames, no image copies (exact only when
   /// quiesced). Device-side verification uses this to skip pages whose
@@ -243,6 +247,8 @@ class BufferPool {
   /// via atomic wait, never holding the shard — and the page latch is
   /// never touched while the shard mutex is held).
   Status PinFrame(uint32_t id, Frame** out);
+  /// Pins a resident frame (shard mutex held), parking its LRU node.
+  void PinResident(Shard* shard, Frame* f);
   void Unpin(Frame* frame);
   void UnpinDiscard(Frame* frame);
   Status EvictIfNeeded(Shard* shard);

@@ -48,6 +48,19 @@ Status Pager::Free(uint32_t page_id) {
   return Status::OK();
 }
 
+Status Pager::TruncateSlots(uint32_t slots, uint64_t* dropped) {
+  *dropped = 0;
+  const uint64_t end = static_cast<uint64_t>(slots) * page_size_;
+  const uint64_t size = device_->Size();
+  if (slots == 0 || size <= end) return Status::OK();
+  TSB_RETURN_IF_ERROR(device_->Truncate(end));
+  *dropped = (size - end + page_size_ - 1) / page_size_;
+  std::lock_guard<std::mutex> lock(mu_);
+  next_page_ = slots;
+  std::erase_if(free_list_, [slots](uint32_t id) { return id >= slots; });
+  return Status::OK();
+}
+
 Status Pager::VerifyRead(uint32_t id, const char* buf) {
   if (!verify_on_read_) return Status::OK();
   Status s = VerifyPage(buf, page_size_, id);

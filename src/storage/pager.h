@@ -62,6 +62,14 @@ class Pager {
   /// Returns a page to the free list.
   Status Free(uint32_t page_id);
 
+  /// Truncates the device to `slots` page slots (meta included) and
+  /// rewinds the allocator, dropping free-list ids past the end. Owners
+  /// call it at open with the durable high-water mark recorded in their
+  /// meta page: slots above it are orphans of a checkpoint that died
+  /// before its commit point. `*dropped` counts the slots removed (0 when
+  /// the device ends at or below `slots`).
+  Status TruncateSlots(uint32_t slots, uint64_t* dropped);
+
   /// Reads page `id` into `buf` (page_size bytes) and verifies its checksum.
   Status Read(uint32_t id, char* buf);
 

@@ -1,6 +1,6 @@
 // TreeChecker: structural verification of a TSB-tree.
 //
-// Checks, per DESIGN.md section 5:
+// Checks:
 //  - node levels decrease by one per level; data nodes are level 0;
 //  - index entries are (key_lo, t_lo)-sorted, rectangles well-formed;
 //  - finite t_hi <=> historical child (the migration invariant);

@@ -19,6 +19,15 @@ namespace tsb_tree {
 namespace {
 
 constexpr uint32_t kMetaMagic = 0x54534231;  // "TSB1"
+// Tag of the durable high-water mark, stored in the last 8 bytes of the
+// meta page's usable area ([tag][u32 slots]). The free list never reaches
+// them, so metas written before the mark existed hold zeros there and read
+// as "every device slot is durable".
+constexpr uint32_t kHighWaterMagic = 0x4d575448;  // "HTWM"
+uint32_t HighWaterOffset(uint32_t page_size) {
+  return PageUsableSize(page_size) - 8;
+}
+
 constexpr int kMaxInsertRetries = 64;
 // Time budget for waiting on in-flight commits to publish so a
 // watermark-capped time split can migrate history.
@@ -128,7 +137,16 @@ Status TsbTree::Load() {
   std::vector<char> meta(options_.page_size);
   TSB_RETURN_IF_ERROR(pager_->ReadMeta(meta.data()));
   const char* p = meta.data() + kPageHeaderSize;
-  if (DecodeFixed32(p) == kMetaMagic) {
+  const bool formatted = DecodeFixed32(p) == kMetaMagic;
+  const char* mark = meta.data() + HighWaterOffset(options_.page_size);
+  if (formatted && DecodeFixed32(mark) == kHighWaterMagic) {
+    // Slots above the mark are orphans of a checkpoint that died before
+    // its commit point; left in place they would leak and scrub as torn.
+    TSB_RETURN_IF_ERROR(
+        pager_->TruncateSlots(DecodeFixed32(mark + 4), &orphan_slots_dropped_));
+  }
+  durable_high_water_ = pager_->high_water_pages() + 1;
+  if (formatted) {
     root_ = DecodeFixed32(p + 4);
     height_ = DecodeFixed32(p + 8);
     clock_->AdvanceTo(DecodeFixed64(p + 12));
@@ -152,7 +170,7 @@ Status TsbTree::Load() {
   return Status::OK();
 }
 
-Status TsbTree::EncodeMeta(std::vector<char>* meta) {
+Status TsbTree::EncodeMeta(uint32_t high_water, std::vector<char>* meta) {
   meta->resize(options_.page_size);
   TSB_RETURN_IF_ERROR(pager_->ReadMeta(meta->data()));
   char* p = meta->data() + kPageHeaderSize;
@@ -166,6 +184,9 @@ Status TsbTree::EncodeMeta(std::vector<char>* meta) {
                          PageUsableSize(options_.page_size) -
                              kPageHeaderSize - fixed - 8);
   memcpy(p + fixed, free_list.data(), free_list.size());
+  char* mark = meta->data() + HighWaterOffset(options_.page_size);
+  EncodeFixed32(mark, high_water == 0 ? 0 : kHighWaterMagic);
+  EncodeFixed32(mark + 4, high_water);
   return Status::OK();
 }
 
@@ -174,7 +195,7 @@ Status TsbTree::Flush() {
   // and the page flush are mutually consistent.
   std::lock_guard<std::shared_mutex> wl(writer_mu_);
   std::vector<char> meta;
-  TSB_RETURN_IF_ERROR(EncodeMeta(&meta));
+  TSB_RETURN_IF_ERROR(EncodeMeta(/*high_water=*/0, &meta));
   TSB_RETURN_IF_ERROR(pager_->WriteMeta(meta.data()));
   return pool_->FlushAll();
 }
@@ -182,27 +203,48 @@ Status TsbTree::Flush() {
 // ---------------------------------------------------- durability (WAL)
 
 Status TsbTree::BeginCheckpoint(CheckpointScope* scope) {
-  // Exclusive writer lock, held until FinishCheckpoint: the journal
-  // snapshot and the in-place flush must see the same tree state.
+  // Exclusive writer lock, held until the scope is released: the journal,
+  // the fresh writes and the in-place apply must see one tree state.
   scope->quiesce = std::unique_lock<std::shared_mutex>(writer_mu_);
-  // Historical blobs referenced by the snapshotted pages must be durable
+  // Historical blobs referenced by the checkpointed pages must be durable
   // BEFORE the journal commits — recovery re-applies pages verbatim, and
   // a page pointing at a never-synced blob would dangle.
   TSB_RETURN_IF_ERROR(hist_->device()->Sync());
-  std::vector<char> meta;
-  TSB_RETURN_IF_ERROR(EncodeMeta(&meta));
-  scope->meta_image.assign(meta.data(), options_.page_size);
-  scope->dirty_pages.clear();
-  pool_->SnapshotDirty(&scope->dirty_pages);
+  const uint32_t high_water = pager_->high_water_pages() + 1;
+  TSB_RETURN_IF_ERROR(EncodeMeta(high_water, &scope->meta));
+  std::vector<PageHandle> dirty;
+  pool_->PinDirty(&dirty);
+  scope->fresh.clear();
+  scope->journaled.clear();
+  for (PageHandle& h : dirty) {
+    (h.id() >= durable_high_water_ ? scope->fresh : scope->journaled)
+        .push_back(std::move(h));
+  }
+  // From the journal write on, the new meta may be durable, and it
+  // references pages below `high_water`: a later checkpoint must journal
+  // them even if this one fails.
+  durable_high_water_ = high_water;
   return Status::OK();
 }
 
+Status TsbTree::WriteFreshPages(CheckpointScope* scope) {
+  if (scope->fresh.empty()) return Status::OK();
+  for (PageHandle& h : scope->fresh) {
+    TSB_RETURN_IF_ERROR(pager_->Write(h.id(), h.data()));
+  }
+  return pager_->device()->Sync();
+}
+
 Status TsbTree::FinishCheckpoint(CheckpointScope* scope) {
-  std::vector<char> meta(scope->meta_image.begin(), scope->meta_image.end());
-  TSB_RETURN_IF_ERROR(pager_->WriteMeta(meta.data()));
-  TSB_RETURN_IF_ERROR(pool_->FlushAll());
+  for (PageHandle& h : scope->journaled) {
+    TSB_RETURN_IF_ERROR(pager_->Write(h.id(), h.data()));
+  }
+  TSB_RETURN_IF_ERROR(pager_->WriteMeta(scope->meta.data()));
   TSB_RETURN_IF_ERROR(pager_->device()->Sync());
-  scope->quiesce.unlock();
+  // Clean only now: a failure anywhere above leaves every frame dirty,
+  // so the next checkpoint writes them all again.
+  for (const PageHandle& h : scope->fresh) pool_->MarkClean(h);
+  for (const PageHandle& h : scope->journaled) pool_->MarkClean(h);
   return Status::OK();
 }
 

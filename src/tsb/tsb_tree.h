@@ -242,26 +242,39 @@ class TsbTree {
 
   // ---- durability (WAL checkpoint + recovery; see src/wal/) ----
 
-  /// Quiesced image of this tree's dirty state, captured by
-  /// BeginCheckpoint. Holds the exclusive writer lock until
-  /// FinishCheckpoint (or destruction), so no mutator runs between the
-  /// journal snapshot and the in-place flush.
+  /// This tree's share of one crash-atomic checkpoint (protocol in
+  /// wal/checkpoint.h). Holds the exclusive writer lock and pins on the
+  /// dirty frames from BeginCheckpoint until the scope is destroyed, so no
+  /// mutator runs and no frame moves while the pages are written.
   struct CheckpointScope {
     std::unique_lock<std::shared_mutex> quiesce;
-    std::string meta_image;  ///< page-0 image (unsealed)
-    std::vector<std::pair<uint32_t, std::string>> dirty_pages;  ///< unsealed
+    std::vector<char> meta;  ///< page-0 image (unsealed)
+    /// Dirty frames at or above the durable high-water mark: no durable
+    /// page references them, so they go in place before the journal.
+    std::vector<PageHandle> fresh;
+    /// Every other dirty frame: journaled, then applied in place.
+    std::vector<PageHandle> journaled;
   };
 
-  /// Phase 1 of a crash-atomic checkpoint: takes the exclusive writer
-  /// lock, syncs the historical device (journaled pages may reference
-  /// freshly appended blobs), and snapshots the meta image + every dirty
-  /// buffer-pool frame into `scope`. The caller journals the images, then
-  /// calls FinishCheckpoint.
+  /// Takes the exclusive writer lock, syncs the historical device (the
+  /// pages may reference freshly appended blobs), encodes the meta image
+  /// with the new high-water mark and pins every dirty frame into
+  /// `scope`, split into fresh and journaled pages.
   Status BeginCheckpoint(CheckpointScope* scope);
 
-  /// Phase 2: writes the snapshotted images in place (meta + FlushAll),
-  /// syncs the current device, and releases the writer lock.
+  /// Writes the fresh pages in place and syncs the current device. Runs
+  /// before the journal commits.
+  Status WriteFreshPages(CheckpointScope* scope);
+
+  /// Runs after the journal commits: writes the journaled pages and the
+  /// meta image in place, syncs the current device and marks every pinned
+  /// frame clean. The caller releases the scope.
   Status FinishCheckpoint(CheckpointScope* scope);
+
+  /// Page slots dropped at open because they lay above the durable
+  /// high-water mark (orphans of a checkpoint killed before its commit
+  /// point).
+  uint64_t orphan_slots_dropped() const { return orphan_slots_dropped_; }
 
   /// WAL recovery insert: like Put but exempt from the monotone-clock
   /// check (replay re-inserts timestamps the persisted clock already
@@ -328,7 +341,10 @@ class TsbTree {
   /// Reads the meta page and re-encodes it with the live root, height,
   /// clock and free list into `*meta` (one page, unsealed). Caller holds
   /// writer_mu_ exclusively.
-  Status EncodeMeta(std::vector<char>* meta);
+  /// `high_water` is the durable high-water mark the image vouches for (0
+  /// writes none: a plain Flush under steal mode proves nothing about the
+  /// slots above it).
+  Status EncodeMeta(uint32_t high_water, std::vector<char>* meta);
 
   struct PathElem {
     uint32_t page_id;
@@ -486,6 +502,11 @@ class TsbTree {
 
   std::atomic<uint32_t> root_{kInvalidPageId};
   std::atomic<uint32_t> height_{1};
+  /// Page slots (meta included) of the newest checkpoint that may be
+  /// durable; no durable page references a slot at or above it. Guarded
+  /// by writer_mu_ held exclusively.
+  uint32_t durable_high_water_ = 1;
+  uint64_t orphan_slots_dropped_ = 0;  // set once by Load
   TsbCounters counters_;  // atomic fields; see tsb_stats.h
   mutable HistDecodeCounters hist_decodes_;  // bumped by lock-free readers
   // Written-node compression accounting (writer-only stores, but read by

@@ -6,8 +6,10 @@
 // child at a random point, reopens the database in-process, and checks
 // the durability contract: every acknowledged commit is fully present at
 // its commit timestamp, every batch is all-or-nothing, and the tree
-// passes structural verification. Satellite coverage rides along: torn
-// MANIFEST.tmp resolution and corrupted verified.tsb sidecars.
+// passes structural verification. KillAtEachCheckpointWindowRecovers
+// instead stops one deterministic checkpoint at chosen page writes (fresh
+// pages, journaled applies, the meta page). Satellite coverage rides
+// along: torn MANIFEST.tmp resolution and corrupted verified.tsb sidecars.
 #include <fcntl.h>
 #include <gtest/gtest.h>
 #include <signal.h>
@@ -16,6 +18,7 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -425,6 +428,184 @@ TEST_F(CrashRecoveryTest, CheckpointRotationSurvivesCrash) {
   // The log must have rotated at least once: the seq-0 file is gone.
   struct stat st;
   EXPECT_NE(::stat((path_ + "/wal-000000.tsb").c_str(), &st), 0);
+}
+
+// ---- deterministic kills inside one checkpoint ------------------------
+
+// Magnetic-device wrapper for the checkpoint crash windows. While armed it
+// logs every write (page slot) and every sync (-1), and exits the process
+// on the kill_at-th write before that write reaches the base device.
+struct WriteProbe {
+  bool armed = false;
+  int kill_at = 0;  // 1-based; 0 = never
+  int writes = 0;
+  std::vector<int64_t> events;
+};
+
+constexpr int kProbeKillExit = 42;
+
+class ProbeDevice : public Device {
+ public:
+  ProbeDevice(std::unique_ptr<Device> base, uint32_t page_size,
+              WriteProbe* probe)
+      : Device(base->kind(), base->cost_params()),
+        base_(std::move(base)),
+        page_size_(page_size),
+        probe_(probe) {}
+  Status Read(uint64_t offset, size_t n, char* scratch) override {
+    return base_->Read(offset, n, scratch);
+  }
+  Status Write(uint64_t offset, const Slice& data) override {
+    if (probe_->armed) {
+      probe_->events.push_back(static_cast<int64_t>(offset / page_size_));
+      if (++probe_->writes == probe_->kill_at) ::_exit(kProbeKillExit);
+    }
+    return base_->Write(offset, data);
+  }
+  uint64_t Size() const override { return base_->Size(); }
+  Status Truncate(uint64_t size) override { return base_->Truncate(size); }
+  Status Sync() override {
+    if (probe_->armed) probe_->events.push_back(-1);
+    return base_->Sync();
+  }
+
+ private:
+  std::unique_ptr<Device> base_;
+  const uint32_t page_size_;
+  WriteProbe* probe_;
+};
+
+// Deterministic (one thread) workload for the window test: a checkpointed
+// base, then updates of every third key (overwritten pages: journaled) and
+// new keys past the end (pages above the durable high-water mark: fresh).
+constexpr int kWindowBaseKeys = 600;
+constexpr int kWindowNewKeys = 300;
+
+std::string WindowValue(int i) {
+  return i < kWindowBaseKeys && i % 3 == 0 ? "updated-" + Value(0, i)
+                                           : Value(0, i);
+}
+
+bool LoadWindowWorkload(MultiVersionDB* db) {
+  for (int i = 0; i < kWindowBaseKeys; ++i) {
+    if (!db->Put(Key(0, i), Value(0, i)).ok()) return false;
+  }
+  if (!db->Checkpoint().ok()) return false;
+  for (int i = 0; i < kWindowBaseKeys + kWindowNewKeys; ++i) {
+    if (i < kWindowBaseKeys && i % 3 != 0) continue;
+    if (!db->Put(Key(0, i), WindowValue(i)).ok()) return false;
+  }
+  return true;
+}
+
+// Current pages reachable from the root; every one has exactly one parent.
+uint64_t ReachableCurrentPages(tsb_tree::TsbTree* tree) {
+  uint64_t pages = 0;
+  std::vector<tsb_tree::NodeRef> stack = {tree->root()};
+  while (!stack.empty()) {
+    const tsb_tree::NodeRef ref = stack.back();
+    stack.pop_back();
+    if (ref.historical) continue;
+    pages++;
+    tsb_tree::DecodedNode node;
+    EXPECT_TRUE(tree->ReadNode(ref, &node).ok());
+    for (const auto& e : node.index) stack.push_back(e.child);
+  }
+  return pages;
+}
+
+TEST_F(CrashRecoveryTest, KillAtEachCheckpointWindowRecovers) {
+  const DbOptions plain = SmallPageOptions();
+  WriteProbe probe;
+  DbOptions probed = plain;
+  probed.wrap_device = [&probe](const std::string& role,
+                                std::unique_ptr<Device> dev)
+      -> std::unique_ptr<Device> {
+    if (role != "magnetic") return dev;
+    return std::make_unique<ProbeDevice>(std::move(dev), 512, &probe);
+  };
+
+  // Dry run of the same workload: record the checkpoint's write sequence.
+  std::vector<int64_t> events;
+  {
+    const std::string dry = path_ + ".dry";
+    MultiVersionDB::Destroy(dry);
+    std::unique_ptr<MultiVersionDB> db;
+    ASSERT_TRUE(MultiVersionDB::Open(dry, probed, &db).ok());
+    ASSERT_TRUE(LoadWindowWorkload(db.get()));
+    probe.armed = true;
+    ASSERT_TRUE(db->Checkpoint().ok());
+    probe.armed = false;
+    events = probe.events;
+    db.reset();
+    MultiVersionDB::Destroy(dry);
+  }
+  // Expected shape: fresh writes, sync, journaled applies, meta, sync.
+  ASSERT_EQ(2, std::count(events.begin(), events.end(), -1));
+  ASSERT_EQ(-1, events.back());
+  const int fresh = static_cast<int>(
+      std::find(events.begin(), events.end(), -1) - events.begin());
+  const int writes = static_cast<int>(events.size()) - 2;
+  ASSERT_GE(fresh, 3);
+  ASSERT_GE(writes - fresh, 2) << "no journaled page besides the meta";
+  ASSERT_EQ(0, events[events.size() - 2]) << "meta is the last write";
+
+  const struct {
+    const char* window;
+    int kill_at;
+  } kills[] = {
+      {"first fresh write", 1},
+      {"middle fresh write", fresh / 2 + 1},
+      {"last fresh write", fresh},
+      {"first journaled apply", fresh + 1},
+      {"meta write", writes},
+  };
+  for (const auto& kill : kills) {
+    SCOPED_TRACE(kill.window);
+    MultiVersionDB::Destroy(path_);
+    probe = WriteProbe{};
+    probe.kill_at = kill.kill_at;
+    const pid_t pid = ::fork();
+    if (pid == 0) {
+      std::unique_ptr<MultiVersionDB> db;
+      if (!MultiVersionDB::Open(path_, probed, &db).ok()) ::_exit(2);
+      if (!LoadWindowWorkload(db.get())) ::_exit(3);
+      probe.armed = true;
+      (void)db->Checkpoint();
+      ::_exit(4);  // the probe never fired
+    }
+    int wstatus = 0;
+    ::waitpid(pid, &wstatus, 0);
+    ASSERT_TRUE(WIFEXITED(wstatus));
+    ASSERT_EQ(kProbeKillExit, WEXITSTATUS(wstatus));
+
+    std::unique_ptr<MultiVersionDB> db;
+    Status s = MultiVersionDB::Open(path_, plain, &db);
+    ASSERT_TRUE(s.ok()) << s.ToString();
+    const bool after_commit = kill.kill_at > fresh;
+    EXPECT_EQ(after_commit, db->recovery_stats().journal_applied);
+    // Every fresh write before the kill is an orphan slot past the
+    // durable mark when the journal never committed.
+    EXPECT_EQ(!after_commit && kill.kill_at > 1,
+              db->recovery_stats().orphan_slots_dropped > 0);
+    for (int i = 0; i < kWindowBaseKeys + kWindowNewKeys; ++i) {
+      std::string value;
+      ASSERT_TRUE(db->Get({}, Key(0, i), &value).ok()) << "key " << i;
+      EXPECT_EQ(WindowValue(i), value) << "key " << i;
+    }
+    tsb_tree::TreeChecker checker(db->primary());
+    checker.set_verify_checksums(true);
+    EXPECT_TRUE(checker.Check().ok());
+    ScrubStats scrub;
+    ASSERT_TRUE(db->Scrub(&scrub).ok());
+    EXPECT_EQ(0u, scrub.corruptions_detected);
+    // No orphan slots: every allocated slot is reachable or free, and the
+    // device holds no slot past the allocator's high-water mark.
+    Pager* pager = db->primary()->pager();
+    EXPECT_EQ(ReachableCurrentPages(db->primary()), pager->live_pages());
+    EXPECT_EQ(pager->device()->Size(),
+              uint64_t{pager->high_water_pages() + 1} * 512);
+  }
 }
 
 // ---- satellite: MANIFEST torn-write resolution -----------------------

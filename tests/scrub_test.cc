@@ -12,6 +12,10 @@
 //  - MANIFEST rot degrades HARD (Resume refuses);
 //  - historical-blob rot is sticky-detected (later as-of reads fail
 //    rather than serve unverified bytes);
+//  - a page the last checkpoint wrote above the durable high-water mark
+//    (never journaled) is repaired from the retired file's appended images;
+//  - a fresh bulk load journals almost nothing, and an update checkpoint
+//    journals every page it overwrites;
 //  - a fresh fault during Resume() re-degrades instead of half-healing;
 //  - concurrent readers during Scrub + quarantine are race-free (run
 //    under TSan in CI);
@@ -22,6 +26,8 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <cstdio>
+#include <map>
 #include <memory>
 #include <string>
 #include <thread>
@@ -33,6 +39,7 @@
 #include "storage/fault_device.h"
 #include "storage/mem_device.h"
 #include "storage/pager.h"
+#include "wal/checkpoint.h"
 
 namespace tsb {
 namespace db {
@@ -452,6 +459,189 @@ TEST_F(ScrubDbTest, BackgroundScrubDetectsRotUnprompted) {
   EXPECT_GE(db_->quarantined_count(), 1u);
   EXPECT_GE(db_->scrub_stats().passes, 1u);
   EXPECT_FALSE(db_->degraded());
+}
+
+TEST_F(ScrubDbTest, BitFlipOnFreshPageIsRepairedFromRetiredImages) {
+  OpenDb(Options());
+  for (int i = 0; i < 40; ++i) {
+    ASSERT_TRUE(db_->Put(Key(i), "gen0-" + std::to_string(i)).ok());
+  }
+  ASSERT_TRUE(db_->Checkpoint().ok());
+  const uint32_t durable = db_->primary()->pager()->high_water_pages() + 1;
+  // New keys past the end land on pages above the durable high-water
+  // mark, which the checkpoint writes first and never journals.
+  for (int i = 40; i < 120; ++i) {
+    ASSERT_TRUE(db_->Put(Key(i), "gen0-" + std::to_string(i)).ok());
+  }
+  plan_->FailNth(FaultOp::kWrite, 1, FaultKind::kBitFlip, /*sticky=*/false);
+  ASSERT_TRUE(db_->Checkpoint().ok());
+  EXPECT_EQ(1u, plan_->fired(FaultOp::kWrite));
+  plan_->Clear();
+  ScrubStats pass;
+  ASSERT_TRUE(db_->Scrub(&pass).ok());
+  EXPECT_GE(pass.corruptions_detected, 1u);
+  ASSERT_EQ(1u, db_->quarantined_count());
+  EXPECT_GE(db_->quarantined_pages()[0].page_id, durable);
+
+  ASSERT_TRUE(db_->Resume().ok());
+  EXPECT_EQ(0u, db_->quarantined_count());
+  EXPECT_GE(db_->error_stats().pages_repaired, 1u);
+  ScrubStats after;
+  ASSERT_TRUE(db_->Scrub(&after).ok());
+  EXPECT_EQ(0u, after.corruptions_detected);
+  for (int i = 0; i < 120; ++i) {
+    std::string v;
+    ASSERT_TRUE(db_->Get({}, Key(i), &v).ok()) << Key(i);
+    EXPECT_EQ("gen0-" + std::to_string(i), v);
+  }
+}
+
+// ---- what a checkpoint journals ---------------------------------------
+
+// Magnetic-device spy: while armed it counts page bytes written and their
+// slots, and copies the committed journal the first time it sees one.
+// checkpoint.tsb exists only from the commit point to retirement, that is
+// while the journaled pages are applied in place.
+struct CheckpointSpy {
+  std::string dir;
+  std::string copy;  // where the committed journal is copied
+  bool armed = false;
+  uint64_t bytes_written = 0;
+  std::vector<uint32_t> slots;
+  bool copied = false;
+};
+
+class SpyDevice : public Device {
+ public:
+  SpyDevice(std::unique_ptr<Device> base, CheckpointSpy* spy)
+      : Device(base->kind(), base->cost_params()),
+        base_(std::move(base)),
+        spy_(spy) {}
+  Status Read(uint64_t offset, size_t n, char* scratch) override {
+    return base_->Read(offset, n, scratch);
+  }
+  Status Write(uint64_t offset, const Slice& data) override {
+    if (spy_->armed) {
+      spy_->bytes_written += data.size();
+      spy_->slots.push_back(static_cast<uint32_t>(offset / 512));
+      if (!spy_->copied) CopyCommittedJournal();
+    }
+    return base_->Write(offset, data);
+  }
+  uint64_t Size() const override { return base_->Size(); }
+  Status Truncate(uint64_t size) override { return base_->Truncate(size); }
+  Status Sync() override { return base_->Sync(); }
+
+ private:
+  void CopyCommittedJournal() {
+    FILE* in =
+        fopen(wal::CheckpointJournal::JournalPath(spy_->dir).c_str(), "rb");
+    if (in == nullptr) return;
+    FILE* out = fopen(spy_->copy.c_str(), "wb");
+    if (out == nullptr) {
+      fclose(in);
+      return;
+    }
+    char buf[1 << 12];
+    size_t n;
+    while ((n = fread(buf, 1, sizeof(buf), in)) > 0) fwrite(buf, 1, n, out);
+    fclose(out);
+    fclose(in);
+    spy_->copied = true;
+  }
+
+  std::unique_ptr<Device> base_;
+  CheckpointSpy* spy_;
+};
+
+class JournalCountTest : public ScrubDbTest {
+ protected:
+  void SetUp() override {
+    ScrubDbTest::SetUp();
+    spy_.dir = path_;
+    spy_.copy = path_ + ".committed";
+  }
+  void TearDown() override {
+    ScrubDbTest::TearDown();
+    ::unlink(spy_.copy.c_str());
+  }
+
+  DbOptions SpyOptions() {
+    DbOptions o;
+    o.tree.page_size = 512;
+    o.tree.buffer_pool_frames = 1 << 14;
+    o.wrap_device = [this](const std::string& role,
+                           std::unique_ptr<Device> dev)
+        -> std::unique_ptr<Device> {
+      if (role != "magnetic") return dev;
+      return std::make_unique<SpyDevice>(std::move(dev), &spy_);
+    };
+    return o;
+  }
+
+  Status SpiedCheckpoint() {
+    spy_.bytes_written = 0;
+    spy_.slots.clear();
+    spy_.copied = false;
+    spy_.armed = true;
+    Status s = db_->Checkpoint();
+    spy_.armed = false;
+    return s;
+  }
+
+  CheckpointSpy spy_;
+};
+
+TEST_F(JournalCountTest, FreshBulkLoadJournalsAlmostNothing) {
+  DbOptions o = SpyOptions();
+  o.wal_checkpoint_bytes = 1ull << 40;  // only the explicit checkpoint
+  OpenDb(o);
+  int key = 0;
+  for (int b = 0; b < 120; ++b) {
+    WriteBatch batch;
+    for (int i = 0; i < 200; ++i, ++key) {
+      batch.Put(Key(key), std::string(60, 'v') + std::to_string(key));
+    }
+    ASSERT_TRUE(db_->Write(batch, nullptr).ok());
+  }
+  ASSERT_TRUE(SpiedCheckpoint().ok());
+  EXPECT_GE(spy_.bytes_written, 5000u * 512);
+  ASSERT_TRUE(spy_.copied);
+  // The direction-2 gate: fsynced journal bytes <= 0.1 x page bytes.
+  const uint64_t journal = FileSize(spy_.copy);
+  EXPECT_GT(journal, 0u);
+  EXPECT_LE(journal * 10, spy_.bytes_written)
+      << journal << " journal bytes for " << spy_.bytes_written
+      << " page bytes written";
+}
+
+TEST_F(JournalCountTest, UpdateCheckpointJournalsEveryOverwrittenPage) {
+  OpenDb(SpyOptions());
+  for (int i = 0; i < 200; ++i) {
+    ASSERT_TRUE(db_->Put(Key(i), "gen0-" + std::to_string(i)).ok());
+  }
+  ASSERT_TRUE(db_->Checkpoint().ok());
+  const uint32_t durable = db_->primary()->pager()->high_water_pages() + 1;
+  for (int i = 0; i < 200; i += 2) {
+    ASSERT_TRUE(db_->Put(Key(i), "gen1-" + std::to_string(i)).ok());
+  }
+  ASSERT_TRUE(SpiedCheckpoint().ok());
+  ASSERT_TRUE(spy_.copied);
+  std::map<std::pair<std::string, uint32_t>, std::string> journaled;
+  ASSERT_TRUE(
+      wal::CheckpointJournal::LoadImages(spy_.copy, 512, &journaled).ok());
+  size_t overwritten = 0;
+  for (uint32_t slot : spy_.slots) {
+    const bool in_journal = journaled.count({"current.tsb", slot}) == 1;
+    if (slot < durable) {
+      overwritten++;
+      EXPECT_TRUE(in_journal) << "overwritten page " << slot;
+    } else {
+      EXPECT_FALSE(in_journal) << "fresh page " << slot;
+    }
+  }
+  EXPECT_GT(overwritten, 1u) << "the meta and at least one page";
+  EXPECT_EQ(overwritten, journaled.size());
 }
 
 TEST_F(ScrubDbTest, SalvageRecoversEverythingStillChecksummed) {
