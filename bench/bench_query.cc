@@ -626,9 +626,10 @@ void WriteHistAsOfJson() {
   printf("(%zu probes x %d rounds, blob cache disabled + cleared per round)\n",
          probes.size(), cold_rounds);
   printf("mmap path : %12.0f ops/s  %6.2f allocs/op (re-pin)  "
-         "mapped %llu KiB\n",
+         "mapped %llu KiB, copied %llu B\n",
          cold_mmap.ops_per_sec, cold_mmap.allocs_per_op,
-         static_cast<unsigned long long>(mmap_stats.mapped_bytes / 1024));
+         static_cast<unsigned long long>(mmap_stats.mapped_bytes / 1024),
+         static_cast<unsigned long long>(mmap_stats.copied_bytes));
   printf("copy path : %12.0f ops/s  %6.2f allocs/op          "
          "copied %llu KiB\n",
          cold_copy.ops_per_sec, cold_copy.allocs_per_op,
@@ -724,7 +725,8 @@ void WriteHistAsOfJson() {
           "  \"hist_cold_read\": {\"mmap_ops_per_sec\": %.1f, "
           "\"copy_ops_per_sec\": %.1f, \"speedup_mmap_vs_copy\": %.3f, "
           "\"allocs_per_op_repin\": %.4f, \"mapped_bytes\": %llu, "
-          "\"copied_bytes\": %llu, \"rounds\": %d},\n"
+          "\"copied_bytes\": %llu, \"mmap_copied_bytes\": %llu, "
+          "\"rounds\": %d},\n"
           "  \"hist_node_bytes\": {\"workload\": \"prefix-heavy\", "
           "\"raw_bytes\": %llu, \"v3_bytes\": %llu, \"v3_over_raw\": %.3f, "
           "\"tree_compression_ratio\": %.3f},\n"
@@ -757,6 +759,7 @@ void WriteHistAsOfJson() {
           cold_mmap.allocs_per_op,
           static_cast<unsigned long long>(mmap_stats.mapped_bytes),
           static_cast<unsigned long long>(copy_stats.copied_bytes),
+          static_cast<unsigned long long>(mmap_stats.copied_bytes),
           cold_rounds,
           static_cast<unsigned long long>(nb.raw_bytes),
           static_cast<unsigned long long>(nb.v3_bytes), v3_over_raw,

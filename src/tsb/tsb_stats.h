@@ -61,6 +61,10 @@ struct TsbCounters {
   /// Descents that resolved a concurrent key split by stepping laterally
   /// to the just-split page's right sibling instead of restarting.
   std::atomic<uint64_t> olc_sidesteps{0};
+  /// Acquisitions of the tree-global structure mutex. Only index splits
+  /// and root growth take it, so a one-writer load keeps this at or below
+  /// index_key_splits + index_time_splits + root_grows.
+  std::atomic<uint64_t> structure_locks{0};
 };
 
 /// Space snapshot computed by walking the tree (see

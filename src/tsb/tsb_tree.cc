@@ -45,16 +45,24 @@ size_t IndexEntrySizeBound(const IndexEntry& prototype) {
 
 // Content-floor hint for an entry about to reference a data node holding
 // exactly `entries`: the smallest committed timestamp present, or
-// `fallback` when nothing is committed yet (uncommitted records stamp
-// with a later timestamp than every commit so far, so any floor at or
-// below the current clock is sound).
+// `fallback` when nothing is committed yet. An uncommitted record caps the
+// floor at `pending`, the published watermark + 1: parallel commits stamp
+// out of timestamp order, so a record may yet be stamped below a commit
+// that stamped first, but every unpublished commit lies above the
+// watermark.
 Timestamp DataContentFloor(const std::vector<DataEntry>& entries,
-                           Timestamp fallback) {
+                           Timestamp fallback, Timestamp pending) {
   Timestamp min_ts = kInfiniteTs;
+  bool uncommitted = false;
   for (const DataEntry& e : entries) {
-    if (!e.uncommitted() && e.ts < min_ts) min_ts = e.ts;
+    if (e.uncommitted()) {
+      uncommitted = true;
+    } else if (e.ts < min_ts) {
+      min_ts = e.ts;
+    }
   }
-  return min_ts == kInfiniteTs ? fallback : min_ts;
+  if (min_ts == kInfiniteTs) min_ts = fallback;
+  return uncommitted ? std::min(min_ts, pending) : min_ts;
 }
 
 // Content-floor hint for an entry about to reference an index node holding
@@ -325,8 +333,9 @@ Status TsbTree::DescendCurrent(const Slice& key, std::vector<PathElem>* path) {
   uint32_t id = root_.load(std::memory_order_acquire);
   for (;;) {
     PageHandle h;
-    // Shared latch per page: index pages are stable under structure_mu_,
-    // but other writers may be mutating the leaf.
+    // Shared latch per page: under structure_mu_ only the pages at level 2
+    // and above are stable; data splits still rewrite level-1 pages and
+    // writers still mutate leaves.
     TSB_RETURN_IF_ERROR(pool_->FetchShared(id, &h));
     if (TsbPageLevel(h.data()) == 0) {
       path->push_back(PathElem{id, -1});
@@ -365,7 +374,7 @@ Status TsbTree::DescendCurrent(const Slice& key, std::vector<PathElem>* path) {
 // latch and `*pe` the parent's routing entry (identity rectangle when the root
 // is the leaf), valid as of a moment at which the leaf latch was already held.
 Status TsbTree::LatchLeaf(const Slice& key, PageHandle* leaf,
-                          IndexEntry* pe) {
+                          IndexEntry* pe, uint32_t* parent_id) {
   constexpr int kMaxOlcRestarts = 64;
   constexpr int kMaxSideSteps = 4;
   for (int restart = 0; restart < kMaxOlcRestarts; ++restart) {
@@ -443,9 +452,11 @@ Status TsbTree::LatchLeaf(const Slice& key, PageHandle* leaf,
           restart_descent = true;
           break;
         }
+        if (parent_id != nullptr) *parent_id = kInvalidPageId;
         *leaf = std::move(h);
         return Status::OK();
       }
+      if (parent_id != nullptr) *parent_id = parent_h.id();
       if (parent_h.version() == parent_ver) {
         *leaf = std::move(h);
         return Status::OK();
@@ -727,16 +738,19 @@ Status TsbTree::InsertRecords(std::span<const KeyValue> kvs, Timestamp ts,
     if (++splits > kMaxInsertRetries) {
       return Status::Corruption("insert did not converge after splits");
     }
+    const Timestamp visible = clock_->Visible();
     Status split = SplitForInsert(kvs[i].first, cell.size());
     const Timestamp target = clock_->Now();
-    if (split.IsOutOfSpace() && clock_->Visible() < target) {
+    if (split.IsOutOfSpace() && visible < target) {
       // The page looks wedged only because the time-split boundary is
-      // capped at the PUBLISHED watermark and in-flight commits are still
-      // holding it back. Those commits finish without our help (we hold
-      // no latch here and only a shared writer lock), so yield until the
-      // watermark covers every commit ticked so far and the split can
-      // migrate history again. The target is fixed: under steady commit
-      // traffic Now() keeps moving and the watermark never catches it.
+      // capped at the PUBLISHED watermark and in-flight commits were
+      // holding it back when the split read it (they may have published
+      // since, so compare against the watermark from before the split).
+      // Those commits finish without our help (we hold no latch here and
+      // only a shared writer lock), so yield until the watermark covers
+      // every commit ticked so far and the split can migrate history
+      // again. The target is fixed: under steady commit traffic Now()
+      // keeps moving and the watermark never catches it.
       const auto deadline =
           std::chrono::steady_clock::now() + kMaxWatermarkWait;
       while (clock_->Visible() < target &&
@@ -748,28 +762,6 @@ Status TsbTree::InsertRecords(std::span<const KeyValue> kvs, Timestamp ts,
     TSB_RETURN_IF_ERROR(split);
   }
   return Status::OK();
-}
-
-Status TsbTree::SplitForInsert(const Slice& key, size_t cell_size) {
-  // Structural changes are serialized on structure_mu_. Index pages are
-  // mutated ONLY by the split/grow code running under this mutex, so the
-  // unlatched index reads below it (ParentEntryFor, EnsureIndexRoom) are
-  // safe; LEAVES still change under other writers' latches, so the
-  // re-descent latches pages and SplitDataPage revalidates the leaf's
-  // mutation counter before installing its rewrite.
-  std::lock_guard<std::mutex> sl(structure_mu_);
-  std::vector<PathElem> path;
-  TSB_RETURN_IF_ERROR(DescendCurrent(key, &path));
-  {
-    // Another writer may have split this leaf while we waited on the
-    // mutex: skip when the cell now fits (the caller retries the insert
-    // with a fresh descent either way).
-    PageHandle h;
-    TSB_RETURN_IF_ERROR(pool_->FetchShared(path.back().page_id, &h));
-    DataPageRef page(h.data(), options_.page_size);
-    if (page.HasRoomFor(cell_size)) return Status::OK();
-  }
-  return SplitDataPage(path);
 }
 
 Status TsbTree::StampCommittedBatch(std::span<const Slice> keys, TxnId txn,
@@ -848,7 +840,7 @@ Status TsbTree::ParentEntryFor(const std::vector<PathElem>& path, size_t idx,
     return Status::OK();
   }
   PageHandle h;
-  TSB_RETURN_IF_ERROR(pool_->Fetch(path[idx - 1].page_id, &h));
+  TSB_RETURN_IF_ERROR(pool_->FetchShared(path[idx - 1].page_id, &h));
   IndexPageRef parent(h.data(), options_.page_size);
   const int pos = path[idx - 1].entry_idx;
   if (pos < 0 || pos >= parent.Count()) {
@@ -900,124 +892,80 @@ void TsbTree::PartitionByTime(const std::vector<DataEntry>& all, Timestamp t,
   std::sort(current->begin(), current->end());
 }
 
-Status TsbTree::SplitDataPage(const std::vector<PathElem>& path) {
-  const size_t leaf_idx = path.size() - 1;
-  if (leaf_idx == 0) {
-    // Root is still a data page: grow first, split on the retry.
-    return GrowRoot();
-  }
+// A data split planned outside every latch from one decode of the leaf.
+// Both kinds install the same way: the leaf keeps `keep` under the
+// rewritten entry `leaf_e`, and `new_e` is inserted beside it, pointing at
+// the appended historical node (time split) or at the new right sibling
+// holding `right` (key split).
+struct TsbTree::DataSplitPlan {
+  bool time_split = false;
+  /// Free parent bytes the insert of `new_e` needs.
+  uint32_t need = 0;
+  IndexEntry leaf_e;
+  IndexEntry new_e;  ///< child filled in at install
+  std::vector<DataEntry> keep;
+  // Time split: the serialized historical node.
+  std::string blob;
+  uint64_t raw_bytes = 0;
+  size_t migrated = 0;
+  size_t redundant = 0;
+  // Key split: the right sibling's records.
+  std::vector<DataEntry> right;
+};
 
-  IndexEntry pe;
-  int pe_pos;
-  TSB_RETURN_IF_ERROR(ParentEntryFor(path, leaf_idx, &pe, &pe_pos));
-
-  std::vector<DataEntry> entries;
-  uint64_t leaf_ver = 0;
-  {
-    PageHandle h;
-    TSB_RETURN_IF_ERROR(pool_->FetchShared(path[leaf_idx].page_id, &h));
-    DataPageRef page(h.data(), options_.page_size);
-    TSB_RETURN_IF_ERROR(page.DecodeAll(&entries));
-    // Mutation counter baseline: the installs below re-check it under the
-    // exclusive leaf latch and abandon the split if a concurrent writer
-    // mutated the leaf after this decode (rewriting from the stale
-    // snapshot would lose that write).
-    leaf_ver = h.version();
-  }
+Status TsbTree::PlanDataSplit(const std::vector<DataEntry>& entries,
+                              const IndexEntry& pe, DataSplitPlan* plan) {
   const DataNodeStats stats = ComputeDataNodeStats(entries);
   const uint32_t capacity =
       options_.page_size - kTsbSlotBase - kPageTrailerSize;
-  SplitKind kind = policy_.DecideDataSplit(stats, capacity);
-
-  if (kind == SplitKind::kTimeSplit) {
+  // Every commit not yet published stamps above this watermark. A record
+  // still uncommitted in `entries` cannot have been stamped at or below it
+  // by install time either: its stamp would move the leaf's version and
+  // the install would retry.
+  const Timestamp visible = clock_->Visible();
+  const Timestamp pending = visible + 1;
+  if (policy_.DecideDataSplit(stats, capacity) == SplitKind::kTimeSplit) {
     // The split time is capped at the PUBLISHED watermark, not the raw
     // clock: Now() may already exceed an in-flight commit's timestamp,
     // and a boundary above it would later make that commit's stamp land
     // below t_lo (unreachable for as-of reads).
     const Timestamp split_t =
-        policy_.ChooseSplitTime(entries, pe.t_lo, clock_->Visible());
-    std::vector<DataEntry> hist_set, cur_set;
-    size_t redundant = 0;
-    PartitionByTime(entries, split_t, &hist_set, &cur_set, &redundant);
+        policy_.ChooseSplitTime(entries, pe.t_lo, visible);
+    std::vector<DataEntry> hist_set;
+    PartitionByTime(entries, split_t, &hist_set, &plan->keep,
+                    &plan->redundant);
     // Progress = the current page sheds entries.
-    const bool progress =
-        !hist_set.empty() && cur_set.size() < entries.size();
-    if (progress) {
-      // Ensure the parent can take one more (historical) entry BEFORE any
-      // irreversible work; if the structure changed, retry from the top.
-      IndexEntry he = pe;
-      he.t_hi = split_t;
-      he.min_ts = ContentFloorHint(DataContentFloor(hist_set, pe.min_ts));
-      const uint32_t need =
-          static_cast<uint32_t>(IndexEntrySizeBound(he)) + kCellOverhead;
-      bool changed = false;
-      TSB_RETURN_IF_ERROR(EnsureIndexRoom(path, leaf_idx - 1, need, &changed));
-      if (changed) return Status::OK();
-
-      // Migrate: consolidate and append one node (section 3.1). The
-      // restart interval is chosen per node from its key shape.
+    if (!hist_set.empty() && plan->keep.size() < entries.size()) {
+      plan->time_split = true;
+      // Parent: the child's region now starts at split_t; the prefix of
+      // its old region points at the migrated node. Retained-alive
+      // records can predate split_t; with nothing committed, split_t is
+      // sound — the watermark cap keeps every in-flight stamp above it.
+      plan->leaf_e = pe;
+      plan->leaf_e.t_lo = split_t;
+      plan->leaf_e.min_ts =
+          ContentFloorHint(DataContentFloor(plan->keep, split_t, pending));
+      plan->new_e = pe;
+      plan->new_e.t_hi = split_t;
+      plan->new_e.min_ts =
+          ContentFloorHint(DataContentFloor(hist_set, pe.min_ts, pending));
+      plan->need = static_cast<uint32_t>(IndexEntrySizeBound(plan->new_e)) +
+                   kCellOverhead;
+      // Consolidate into one node (section 3.1). The restart interval is
+      // chosen per node from its key shape.
       size_t distinct = 0, key_bytes = 0;
       DataNodeShape(hist_set, &distinct, &key_bytes);
-      const uint32_t interval =
-          SplitPolicy::ChooseRestartInterval(hist_set.size(), distinct,
-                                             key_bytes);
-      std::string blob;
-      uint64_t raw_bytes = 0;
-      SerializeHistDataNode(hist_set, &blob, &raw_bytes, interval);
-      HistAddr addr;
-      TSB_RETURN_IF_ERROR(AppendHistNode(blob, raw_bytes, &addr));
-
-      // Rewrite the leaf and repoint the parent while holding BOTH
-      // exclusive latches (top-down order, same as reader coupling), so a
-      // latch-coupled reader never pairs a stale parent entry with the
-      // rewritten leaf.
-      {
-        PageHandle parent_h;
-        TSB_RETURN_IF_ERROR(
-            pool_->FetchExclusive(path[leaf_idx - 1].page_id, &parent_h));
-        PageHandle leaf_h;
-        TSB_RETURN_IF_ERROR(
-            pool_->FetchExclusive(path[leaf_idx].page_id, &leaf_h));
-        if (leaf_h.version() != leaf_ver) {
-          // Stale decode (concurrent writer): abandon; the caller retries
-          // with a fresh descent. The appended blob stays unreferenced in
-          // the append-only store — bounded garbage, the same state a
-          // crash between append and install leaves behind.
-          return Status::OK();
-        }
-        // Leaf keeps only the TIME-SPLIT RULE survivors.
-        DataPageRef page(leaf_h.data(), options_.page_size);
-        TSB_RETURN_IF_ERROR(page.Load(cur_set));
-        leaf_h.MarkDirty();
-        // Parent: the child's region now starts at split_t; the prefix of
-        // its old region points at the migrated node.
-        IndexPageRef parent(parent_h.data(), options_.page_size);
-        IndexEntry cur_e = pe;
-        cur_e.t_lo = split_t;
-        // Retained-alive records can predate split_t; with nothing
-        // committed, split_t is sound — the watermark cap keeps every
-        // in-flight stamp above it.
-        cur_e.min_ts = ContentFloorHint(DataContentFloor(cur_set, split_t));
-        if (!parent.Replace(pe_pos, cur_e)) {
-          return Status::Corruption("parent entry replace failed");
-        }
-        he.child = NodeRef::Historical(addr);
-        if (!parent.Insert(he)) {
-          return Status::Corruption("parent lost reserved space");
-        }
-        parent_h.MarkDirty();
-      }
-      counters_.data_time_splits++;
-      counters_.hist_data_nodes++;
-      counters_.records_migrated += hist_set.size();
-      counters_.redundant_record_copies += redundant;
+      const uint32_t interval = SplitPolicy::ChooseRestartInterval(
+          hist_set.size(), distinct, key_bytes);
+      SerializeHistDataNode(hist_set, &plan->blob, &plan->raw_bytes,
+                            interval);
+      plan->migrated = hist_set.size();
       return Status::OK();
     }
     // No migratable history: fall through to a key split if possible.
     if (stats.distinct_keys < 2) {
       return Status::OutOfSpace("versions of a single key overflow the page");
     }
-    kind = SplitKind::kKeySplit;
   }
 
   // ---- key split (B+-tree style, erasable medium; Fig 5) ----
@@ -1048,75 +996,125 @@ Status TsbTree::SplitDataPage(const std::vector<PathElem>& path) {
   if (split_at == 0 || split_at >= entries.size()) {
     return Status::OutOfSpace("no key boundary available for split");
   }
-  const std::string split_key = entries[split_at].key;
+  const std::string& split_key = entries[split_at].key;
+  plan->time_split = false;
+  plan->keep.assign(entries.begin(), entries.begin() + split_at);
+  plan->right.assign(entries.begin() + split_at, entries.end());
+  plan->leaf_e = pe;
+  plan->leaf_e.key_hi = split_key;
+  plan->leaf_e.key_hi_inf = false;
+  plan->leaf_e.min_ts =
+      ContentFloorHint(DataContentFloor(plan->keep, pe.min_ts, pending));
+  // The new entry inherits the predecessor's timestamp (Fig 5): t_lo
+  // stays pe.t_lo. The rectangle keeps the predecessor's loose time
+  // floor, but the content floor is tight: old-snapshot readers skip
+  // siblings whose records are all younger than their as-of time.
+  plan->new_e = pe;
+  plan->new_e.key_lo = split_key;
+  plan->new_e.min_ts =
+      ContentFloorHint(DataContentFloor(plan->right, pe.min_ts, pending));
+  plan->need = static_cast<uint32_t>(IndexEntrySizeBound(plan->new_e)) +
+               kCellOverhead;
+  return Status::OK();
+}
 
-  IndexEntry ne = pe;  // prototype for size estimation
-  ne.key_lo = split_key;
-  const uint32_t need =
-      static_cast<uint32_t>(IndexEntrySizeBound(ne)) + kCellOverhead;
-  bool changed = false;
-  TSB_RETURN_IF_ERROR(EnsureIndexRoom(path, leaf_idx - 1, need, &changed));
-  if (changed) return Status::OK();
-
-  std::vector<DataEntry> left(entries.begin(), entries.begin() + split_at);
-  std::vector<DataEntry> right(entries.begin() + split_at, entries.end());
-  // The right sibling is private until the parent publishes it: no latch.
-  PageHandle right_h;
-  TSB_RETURN_IF_ERROR(pool_->New(PageType::kTsbData, &right_h));
-  DataPageRef::Format(right_h.data(), options_.page_size);
+Status TsbTree::SplitForInsert(const Slice& key, size_t cell_size) {
+  PageHandle leaf;
+  IndexEntry pe;
+  uint32_t parent_id = kInvalidPageId;
+  TSB_RETURN_IF_ERROR(LatchLeaf(key, &leaf, &pe, &parent_id));
+  std::vector<DataEntry> entries;
   {
-    DataPageRef rp(right_h.data(), options_.page_size);
-    TSB_RETURN_IF_ERROR(rp.Load(right));
-    right_h.MarkDirty();
-  }
-  // Shrink the leaf and publish the sibling under both exclusive latches.
-  {
-    PageHandle parent_h;
-    TSB_RETURN_IF_ERROR(
-        pool_->FetchExclusive(path[leaf_idx - 1].page_id, &parent_h));
-    PageHandle leaf_h;
-    TSB_RETURN_IF_ERROR(
-        pool_->FetchExclusive(path[leaf_idx].page_id, &leaf_h));
-    if (leaf_h.version() != leaf_ver) {
-      // Stale decode (see the time-split bail-out): drop the unpublished
-      // sibling and let the caller retry.
-      leaf_h.Release();
-      parent_h.Release();
-      const uint32_t right_id = right_h.id();
-      right_h.Release();
-      return pool_->Drop(right_id);
+    DataPageRef page(leaf.data(), options_.page_size);
+    // Another writer may have split this leaf since the caller found it
+    // full: skip when the cell now fits (the caller retries the insert
+    // with a fresh descent either way).
+    if (page.HasRoomFor(cell_size)) return Status::OK();
+    if (parent_id == kInvalidPageId) {
+      // The root is still a data page: grow first, split on the retry.
+      leaf.Release();
+      return GrowIndexFor(key, 0);
     }
+    TSB_RETURN_IF_ERROR(page.DecodeAll(&entries));
+  }
+  // Plan outside every latch. The pin stays, so the frame is not evicted
+  // and reloaded and the version baseline stays comparable.
+  const uint64_t leaf_ver = leaf.version();
+  leaf.Unlatch();
+  DataSplitPlan plan;
+  TSB_RETURN_IF_ERROR(PlanDataSplit(entries, pe, &plan));
+
+  // Install under the parent and leaf exclusive latches, taken top-down
+  // as readers couple, so no reader pairs a stale parent entry with the
+  // rewritten leaf. Every check comes before the first write, so a retry
+  // leaves nothing behind.
+  PageHandle parent_h;
+  TSB_RETURN_IF_ERROR(pool_->FetchExclusive(parent_id, &parent_h));
+  IndexPageRef parent(parent_h.data(), options_.page_size);
+  // An index split moved the leaf's entry to a new sibling of the parent.
+  const int pe_pos = parent.FindChild(leaf.id());
+  if (pe_pos < 0) return Status::OK();
+  if (parent.FreeBytes() < plan.need) {
+    parent_h.Release();
+    leaf.Release();
+    return GrowIndexFor(key, plan.need);
+  }
+  leaf.LatchExclusive();
+  // A writer mutated the leaf after the decode: installing the stale plan
+  // would lose its write. An unchanged version also proves the parent
+  // entry still equals `pe` (only a split of this leaf rewrites it).
+  if (leaf.version() != leaf_ver) return Status::OK();
+  DataPageRef page(leaf.data(), options_.page_size);
+  if (plan.time_split) {
+    HistAddr addr;
+    TSB_RETURN_IF_ERROR(AppendHistNode(plan.blob, plan.raw_bytes, &addr));
+    plan.new_e.child = NodeRef::Historical(addr);
+    // The leaf keeps only the TIME-SPLIT RULE survivors.
+    TSB_RETURN_IF_ERROR(page.Load(plan.keep));
+  } else {
+    // The right sibling is private until the parent publishes it.
+    PageHandle right_h;
+    TSB_RETURN_IF_ERROR(pool_->New(PageType::kTsbData, &right_h));
+    DataPageRef::Format(right_h.data(), options_.page_size);
+    DataPageRef rp(right_h.data(), options_.page_size);
+    TSB_RETURN_IF_ERROR(rp.Load(plan.right));
     // B-link chain: the sibling inherits the leaf's old right link, then
     // the leaf links to the sibling — both set before the parent entry
     // makes the sibling reachable, so a concurrent OLC descent that finds
     // its routing stale can step laterally instead of restarting.
-    SetPageSibling(right_h.data(), PageSibling(leaf_h.data()));
-    DataPageRef page(leaf_h.data(), options_.page_size);
-    TSB_RETURN_IF_ERROR(page.Load(left));
-    SetPageSibling(leaf_h.data(), right_h.id());
-    leaf_h.MarkDirty();
-    IndexPageRef parent(parent_h.data(), options_.page_size);
-    IndexEntry left_e = pe;
-    left_e.key_hi = split_key;
-    left_e.key_hi_inf = false;
-    left_e.min_ts = ContentFloorHint(DataContentFloor(left, pe.min_ts));
-    if (!parent.Replace(pe_pos, left_e)) {
-      return Status::Corruption("parent entry replace failed");
-    }
-    IndexEntry right_e = pe;  // the new entry inherits the predecessor's
-    right_e.key_lo = split_key;  // timestamp (Fig 5): t_lo stays pe.t_lo
-    right_e.child = NodeRef::Current(right_h.id());
-    // The rectangle keeps the predecessor's loose time floor, but the
-    // content floor is tight: old-snapshot readers skip siblings whose
-    // records are all younger than their as-of time.
-    right_e.min_ts = ContentFloorHint(DataContentFloor(right, pe.min_ts));
-    if (!parent.Insert(right_e)) {
-      return Status::Corruption("parent lost reserved space (key split)");
-    }
-    parent_h.MarkDirty();
+    SetPageSibling(right_h.data(), PageSibling(leaf.data()));
+    right_h.MarkDirty();
+    TSB_RETURN_IF_ERROR(page.Load(plan.keep));
+    SetPageSibling(leaf.data(), right_h.id());
+    plan.new_e.child = NodeRef::Current(right_h.id());
   }
-  counters_.data_key_splits++;
+  leaf.MarkDirty();
+  if (!parent.Replace(pe_pos, plan.leaf_e)) {
+    return Status::Corruption("parent entry replace failed");
+  }
+  if (!parent.Insert(plan.new_e)) {
+    return Status::Corruption("parent lost reserved space");
+  }
+  parent_h.MarkDirty();
+  if (plan.time_split) {
+    counters_.data_time_splits++;
+    counters_.hist_data_nodes++;
+    counters_.records_migrated += plan.migrated;
+    counters_.redundant_record_copies += plan.redundant;
+  } else {
+    counters_.data_key_splits++;
+  }
   return Status::OK();
+}
+
+Status TsbTree::GrowIndexFor(const Slice& key, uint32_t need) {
+  std::lock_guard<std::mutex> sl(structure_mu_);
+  counters_.structure_locks++;
+  std::vector<PathElem> path;
+  TSB_RETURN_IF_ERROR(DescendCurrent(key, &path));
+  if (path.size() == 1) return GrowRoot();
+  bool changed = false;
+  return EnsureIndexRoom(path, path.size() - 2, need, &changed);
 }
 
 Status TsbTree::GrowRoot() {
@@ -1147,7 +1145,7 @@ Status TsbTree::EnsureIndexRoom(const std::vector<PathElem>& path, size_t idx,
                                 uint32_t need, bool* changed) {
   {
     PageHandle h;
-    TSB_RETURN_IF_ERROR(pool_->Fetch(path[idx].page_id, &h));
+    TSB_RETURN_IF_ERROR(pool_->FetchShared(path[idx].page_id, &h));
     IndexPageRef page(h.data(), options_.page_size);
     if (page.FreeBytes() >= need) return Status::OK();
   }
@@ -1167,14 +1165,18 @@ Status TsbTree::SplitIndexPage(const std::vector<PathElem>& path, size_t idx) {
   int pe_pos;
   TSB_RETURN_IF_ERROR(ParentEntryFor(path, idx, &pe, &pe_pos));
 
+  // A level-1 page still takes data-split installs while this runs: the
+  // rewrite below installs only if the page's version still matches.
   std::vector<IndexEntry> entries;
   uint8_t level = 0;
+  uint64_t ver = 0;
   {
     PageHandle h;
-    TSB_RETURN_IF_ERROR(pool_->Fetch(path[idx].page_id, &h));
+    TSB_RETURN_IF_ERROR(pool_->FetchShared(path[idx].page_id, &h));
     IndexPageRef page(h.data(), options_.page_size);
     level = page.Level();
     TSB_RETURN_IF_ERROR(page.DecodeAll(&entries));
+    ver = h.version();
   }
 
   // ---- try a local time split (Figs 8-9): find the time before which all
@@ -1200,7 +1202,8 @@ Status TsbTree::SplitIndexPage(const std::vector<PathElem>& path, size_t idx) {
       hist_bytes * 4 >= used_bytes;  // gain check: migrate >= 25% of bytes
 
   if (time_split_useful) {
-    return TimeSplitIndexPage(path, idx, pe, pe_pos, level, entries, split_t);
+    return TimeSplitIndexPage(path, idx, pe, pe_pos, level, entries, ver,
+                              split_t);
   }
 
   // ---- keyspace split (section 3.5 rule). The split value must be a key
@@ -1219,7 +1222,7 @@ Status TsbTree::SplitIndexPage(const std::vector<PathElem>& path, size_t idx) {
     // No key boundary: force a time split if one is at all possible (the
     // gain check above was advisory), else the node cannot shed anything.
     if (split_t > pe.t_lo && split_t != kInfiniteTs && !hist_set.empty()) {
-      return TimeSplitIndexPage(path, idx, pe, pe_pos, level, entries,
+      return TimeSplitIndexPage(path, idx, pe, pe_pos, level, entries, ver,
                                 split_t);
     }
     return Status::OutOfSpace("index node has no key boundary to split at");
@@ -1275,6 +1278,15 @@ Status TsbTree::SplitIndexPage(const std::vector<PathElem>& path, size_t idx) {
         pool_->FetchExclusive(path[idx - 1].page_id, &parent_h));
     PageHandle h;
     TSB_RETURN_IF_ERROR(pool_->FetchExclusive(path[idx].page_id, &h));
+    if (h.version() != ver) {
+      // A data split rewrote the page after the decode: drop the
+      // unpublished sibling; the caller retries from a fresh descent.
+      h.Release();
+      parent_h.Release();
+      const uint32_t right_id = right_h.id();
+      right_h.Release();
+      return pool_->Drop(right_id);
+    }
     // Keep the B-link chain at the index level too (uniform invariant;
     // only leaf links are consulted by the OLC side-step today).
     SetPageSibling(right_h.data(), PageSibling(h.data()));
@@ -1309,7 +1321,7 @@ Status TsbTree::TimeSplitIndexPage(const std::vector<PathElem>& path,
                                    size_t idx, const IndexEntry& pe,
                                    int pe_pos, uint8_t level,
                                    const std::vector<IndexEntry>& entries,
-                                   Timestamp split_t) {
+                                   uint64_t ver, Timestamp split_t) {
   IndexEntry he = pe;
   he.t_hi = split_t;
   const uint32_t need =
@@ -1337,21 +1349,24 @@ Status TsbTree::TimeSplitIndexPage(const std::vector<PathElem>& path,
   std::string blob;
   uint64_t raw_bytes = 0;
   SerializeHistIndexNode(level, hist_entries, &blob, &raw_bytes, interval);
-  HistAddr addr;
-  TSB_RETURN_IF_ERROR(AppendHistNode(blob, raw_bytes, &addr));
 
   std::vector<IndexEntry> keep;
   for (const IndexEntry& e : entries) {
     if (e.t_hi > split_t) keep.push_back(e);
   }
   // Rewrite the node and repoint the parent under both exclusive latches
-  // (top-down order, matching reader latch coupling).
+  // (top-down order, matching reader latch coupling). The node is
+  // appended only once the page's version proves the decode current, so
+  // a retry leaves no unreferenced blob behind.
   {
     PageHandle parent_h;
     TSB_RETURN_IF_ERROR(
         pool_->FetchExclusive(path[idx - 1].page_id, &parent_h));
     PageHandle h;
     TSB_RETURN_IF_ERROR(pool_->FetchExclusive(path[idx].page_id, &h));
+    if (h.version() != ver) return Status::OK();  // caller retries
+    HistAddr addr;
+    TSB_RETURN_IF_ERROR(AppendHistNode(blob, raw_bytes, &addr));
     IndexPageRef page(h.data(), options_.page_size);
     TSB_RETURN_IF_ERROR(page.Load(keep));
     h.MarkDirty();

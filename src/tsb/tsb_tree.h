@@ -121,14 +121,17 @@ struct DecodedNode {
 ///    child latch, exclusive latch only on the target leaf. A descent
 ///    that loses a race side-steps along the leaf's B-link sibling
 ///    pointer (concurrent key split) or restarts from the root.
-///    Structural changes (splits, root growth) additionally serialize on
-///    an internal structure mutex, so index pages mutate one split at a
-///    time. Quiescing maintenance (Flush, checkpoints, purges,
-///    ComputeSpaceStats, bounded scan/cursor fallbacks) takes the writer
-///    mutex exclusively and thus excludes every mutator. Route committed
-///    writes through ONE discipline: either direct Put calls or
-///    TxnManager commits, not both interleaved (the commit watermark
-///    ordering assumes it allocates the timestamps it publishes).
+///    A data split (key or time) takes page latches only: the leaf is
+///    decoded once, the split planned outside every latch, and installed
+///    under the parent and leaf exclusive latches after the leaf's
+///    version proves the plan current. Only index splits and root growth
+///    serialize on an internal structure mutex. Quiescing maintenance
+///    (Flush, checkpoints, purges, ComputeSpaceStats, bounded scan/cursor
+///    fallbacks) takes the writer mutex exclusively and thus excludes
+///    every mutator. Route committed writes through ONE discipline:
+///    either direct Put calls or TxnManager commits, not both interleaved
+///    (the commit watermark ordering assumes it allocates the timestamps
+///    it publishes).
 ///  - Read entry points never take the writer mutex. Point reads descend
 ///    the current pages with latch coupling: the child's shared frame
 ///    latch is acquired before the parent's is dropped, and every
@@ -352,18 +355,23 @@ class TsbTree {
   };
 
   /// Descends the current axis (T = kUncommittedTs) to the leaf for `key`,
-  /// reading every page under a brief shared latch. Split-only: the caller
-  /// holds structure_mu_, so index pages are stable, while leaves may
-  /// still change under other writers' latches.
+  /// reading every page under a brief shared latch. Index-split only: the
+  /// caller holds structure_mu_, so the pages at level 2 and above and the
+  /// root are stable; level-1 pages still take data-split installs and
+  /// leaves still take inserts, so the level-1 entry_idx may go stale and
+  /// every page the caller rewrites is re-validated by version.
   Status DescendCurrent(const Slice& key, std::vector<PathElem>* path);
 
   /// The writer descent (optimistic latch coupling): descends to the leaf
   /// for `key` under brief shared latches with per-page version
   /// validation, and returns the leaf EXCLUSIVELY latched plus the parent
   /// entry (`pe`, identity rectangle when the leaf is the root) captured
-  /// consistently with the leaf. Lost races side-step via the B-link
-  /// sibling or restart from the root (bounded).
-  Status LatchLeaf(const Slice& key, PageHandle* leaf, IndexEntry* pe);
+  /// consistently with the leaf. `parent_id`, when non-null, receives the
+  /// page holding `pe` (kInvalidPageId when the leaf is the root). Lost
+  /// races side-step via the B-link sibling or restart from the root
+  /// (bounded).
+  Status LatchLeaf(const Slice& key, PageHandle* leaf, IndexEntry* pe,
+                   uint32_t* parent_id = nullptr);
 
   /// Where a point lookup delivers its result: exactly one of `value`
   /// (copying) or `pinned` (zero-copy blob view) is non-null.
@@ -412,14 +420,32 @@ class TsbTree {
       const std::function<bool(const DataEntryView&)>& doomed,
       uint64_t* purged);
 
-  /// The split slow path of InsertRecords: re-descends under structure_mu_
-  /// and splits the leaf for `key` unless another writer already made room
-  /// for a cell of `cell_size` bytes.
+  /// A data split planned from one decode of the leaf (tsb_tree.cc).
+  struct DataSplitPlan;
+
+  /// The split slow path of InsertRecords: splits the leaf for `key`
+  /// (time split or key split) unless another writer already made room
+  /// for a cell of `cell_size` bytes. Takes no tree-global lock when the
+  /// parent has room for the new entry: LatchLeaf, decode the leaf and
+  /// drop its latch (keeping the pin), plan outside every latch, then
+  /// latch parent -> leaf exclusively, check that the parent still holds
+  /// the leaf's entry and the leaf's version is unchanged, and only then
+  /// append the historical node (time split) and install. A failed check
+  /// returns OK with nothing written; the caller re-descends and retries.
+  /// A full parent or a root leaf goes to GrowIndexFor instead.
   Status SplitForInsert(const Slice& key, size_t cell_size);
 
-  /// Splits the full leaf at path.back(); posts to parents; the caller
-  /// re-descends afterwards.
-  Status SplitDataPage(const std::vector<PathElem>& path);
+  /// Chooses and prepares the split of a leaf holding `entries` whose
+  /// parent entry is `pe`: partitions, serializes the historical node,
+  /// sizes the parent entry the install will add.
+  Status PlanDataSplit(const std::vector<DataEntry>& entries,
+                       const IndexEntry& pe, DataSplitPlan* plan);
+
+  /// The only structure_mu_ section: re-descends to the leaf for `key` and
+  /// grows the root when it is a leaf, or makes `need` bytes of room in
+  /// the leaf's parent (splitting index pages, possibly growing the root).
+  /// The caller retries its split with a fresh descent.
+  Status GrowIndexFor(const Slice& key, uint32_t need);
 
   /// Ensures the index page at path[idx] can absorb `need` more bytes,
   /// splitting it (and ancestors) if necessary. May grow the root. Sets
@@ -433,10 +459,12 @@ class TsbTree {
   /// Performs the local time split of an index page at `split_t` (Fig 8):
   /// migrates entries with t_hi <= split_t plus straddlers to the append
   /// store, keeps entries with t_hi > split_t, updates the parent.
+  /// `entries` were decoded at page version `ver`; the node is appended
+  /// and installed only if the version still holds.
   Status TimeSplitIndexPage(const std::vector<PathElem>& path, size_t idx,
                             const IndexEntry& pe, int pe_pos, uint8_t level,
                             const std::vector<IndexEntry>& entries,
-                            Timestamp split_t);
+                            uint64_t ver, Timestamp split_t);
 
   /// Creates a new root above the current one (entry covering everything).
   Status GrowRoot();
@@ -487,11 +515,15 @@ class TsbTree {
   /// ComputeSpaceStats, scan/cursor fallbacks) takes it exclusively to
   /// stop all mutation.
   std::shared_mutex writer_mu_;
-  /// Serializes structural changes (data/index splits, root growth). Lock
-  /// order: writer_mu_ -> structure_mu_ -> page latches top-down (parent
-  /// before child); never acquired while holding a page latch. Index pages
-  /// mutate ONLY under this mutex, so split code may read them unlatched
-  /// while holding it.
+  /// Serializes index splits and root growth (GrowIndexFor); data splits
+  /// never take it. Lock order: writer_mu_ -> structure_mu_ -> page latches
+  /// top-down (parent before child); never acquired while holding a page
+  /// latch. Under it the root and the index pages at level 2 and above are
+  /// stable, but level-1 pages still take data-split installs under their
+  /// exclusive latches, so index-split code reads every index page under a
+  /// latch and re-checks the version of each page it rewrites before
+  /// appending or installing. Acquisitions count in
+  /// counters().structure_locks.
   std::mutex structure_mu_;
 
   /// RAII mutator lock: writer_mu_ shared.

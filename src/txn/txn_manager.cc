@@ -19,7 +19,8 @@ Status Transaction::Put(const Slice& key, const Slice& value) {
   if (!active_) return Status::TxnNotActive("Put on finished transaction");
   const tsb_tree::TsbTree::KeyValue kv(key, value);
   TSB_RETURN_IF_ERROR(mgr_->LockKeys({&kv, 1}, id_));
-  TSB_RETURN_IF_ERROR(mgr_->tree_->PutUncommitted(key, value, id_));
+  Status s = mgr_->tree_->PutUncommitted(key, value, id_);
+  if (!s.ok()) return mgr_->ReportInsertError(s);
   writes_[key.ToString()] = value.ToString();
   return Status::OK();
 }
@@ -80,9 +81,17 @@ Status TxnManager::Write(const WriteBatch& batch, Timestamp* commit_ts) {
   s = tree_->PutUncommittedBatch(kvs, txn->id_);
   if (!s.ok()) {
     txn->Abort();  // erases whatever part of the batch was inserted
-    return s;
+    return ReportInsertError(s);
   }
   return txn->Commit(commit_ts);
+}
+
+Status TxnManager::ReportInsertError(const Status& s) {
+  // A device error under an insert (a split's historical append, a page
+  // read) left the tree as it was, but the device is suspect: escalate as
+  // a WAL append failure does.
+  if (s.IsIOError() && reporter_) reporter_("insert", s);
+  return s;
 }
 
 Status TxnManager::LockKeys(

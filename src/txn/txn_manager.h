@@ -196,7 +196,8 @@ class TxnManager {
   void SetCommitGate(CommitGate gate) { gate_ = std::move(gate); }
 
   /// Called (outside internal locks) when a commit fails in a way that
-  /// sickens the database: a WAL append failure, or ANY failure after the
+  /// sickens the database: a WAL append failure, a device I/O error while
+  /// inserting the uncommitted versions, or ANY failure after the
   /// commit timestamp entered the stamping pipeline (mid-stamp, sync,
   /// index hook) — those poison the read watermark until repaired. The DB
   /// layer escalates into its ErrorHandler. Install before concurrent use.
@@ -276,6 +277,9 @@ class TxnManager {
   Status CommitInternal(Transaction* txn, Timestamp* commit_ts,
                         Timestamp external_ts);
   Status AbortTxn(Transaction* txn);
+  /// Hands an insert failure to the error reporter when it is a device
+  /// I/O error; returns `s`.
+  Status ReportInsertError(const Status& s);
 
   tsb_tree::TsbTree* tree_;
   CommitHook hook_;

@@ -21,6 +21,7 @@
 #include "storage/mem_device.h"
 #include "storage/pager.h"
 #include "storage/worm_device.h"
+#include "tsb/tree_check.h"
 #include "tsb/tsb_tree.h"
 #include "wal/wal.h"
 
@@ -591,6 +592,90 @@ TEST_F(DegradedModeTest, AutoResumeHealsTransientFault) {
   EXPECT_GE(db_->error_stats().auto_resumes, 1u);
   ASSERT_TRUE(db_->Put("after-auto", "ok").ok());
   ExpectBaseline(kBase);
+}
+
+// Every current page of `tree` (index entries and data records) in one
+// string, walked under shared latches: equal strings mean no leaf and no
+// parent entry changed, and the walk itself would block on a latch a
+// failed split left held.
+std::string CurrentTreeImage(tsb_tree::TsbTree* tree,
+                             const tsb_tree::NodeRef& ref) {
+  tsb_tree::DecodedNode node;
+  Status s = tree->ReadNode(ref, &node);
+  EXPECT_TRUE(s.ok()) << s.ToString();
+  std::string out = "[" + std::to_string(ref.page_id) + "]";
+  for (const auto& d : node.data) {
+    out += d.key + "@" + std::to_string(d.ts) + "/" + std::to_string(d.txn) +
+           "=" + d.value + ";";
+  }
+  for (const auto& e : node.index) {
+    out += e.ToString() + ";";
+    if (!e.child.historical) out += CurrentTreeImage(tree, e.child);
+  }
+  return out;
+}
+
+// A historical append failure inside a latch-only data time split: the
+// split checks everything before its first write, so the failed append
+// leaves the leaf, its parent entry and the historical store untouched;
+// the commit fails, the DB degrades, and after Resume() the same batch
+// commits into a tree that checks clean.
+TEST_F(DegradedModeTest, HistoricalAppendFailureInDataTimeSplit) {
+  DbOptions o = Options();
+  auto hist_plan = std::make_shared<FaultPlan>();
+  o.wrap_device = [hist_plan](const std::string& role,
+                              std::unique_ptr<Device> dev)
+      -> std::unique_ptr<Device> {
+    if (role != "historical") return dev;
+    return std::make_unique<FaultInjectingDevice>(std::move(dev), hist_plan);
+  };
+  OpenDb(o);
+  tsb_tree::TsbTree* tree = db_->primary();
+  // Key splits only: the root is an index page before the fault is armed.
+  PutBaseline(40);
+  ASSERT_EQ(2u, tree->height());
+  // The first historical write is the first data time split's append.
+  hist_plan->FailNth(FaultOp::kWrite, 1, FaultKind::kEIO, /*sticky=*/false);
+
+  constexpr int kHotKeys = 4;
+  WriteBatch failed;
+  std::string before;
+  uint64_t blobs_before = 0;
+  for (int i = 0; i < 2000 && hist_plan->fired(FaultOp::kWrite) == 0; ++i) {
+    before = CurrentTreeImage(tree, tree->root());
+    blobs_before = tree->hist_store()->blob_count();
+    WriteBatch batch;
+    batch.Put(DbKey(i % kHotKeys),
+              "version-" + std::to_string(i) + "-of-a-hot-key");
+    if (db_->Write(batch).ok()) continue;
+    failed = batch;
+  }
+  ASSERT_EQ(1u, hist_plan->fired(FaultOp::kWrite));
+  ASSERT_FALSE(failed.empty());
+  EXPECT_EQ(0u, tree->counters().data_time_splits);
+  EXPECT_TRUE(db_->degraded());
+  EXPECT_TRUE(db_->BackgroundError().IsIOError());
+  EXPECT_EQ(before, CurrentTreeImage(tree, tree->root()));
+  EXPECT_EQ(blobs_before, tree->hist_store()->blob_count());
+  EXPECT_TRUE(db_->Write(failed).IsIOError());  // fail-fast while degraded
+
+  Status resume = db_->Resume();
+  ASSERT_TRUE(resume.ok()) << resume.ToString();
+  Timestamp ts = 0;
+  Status s = db_->Write(failed, &ts);
+  ASSERT_TRUE(s.ok()) << s.ToString();
+  EXPECT_GT(tree->counters().data_time_splits, 0u);
+  EXPECT_EQ(tree->hist_store()->blob_count(),
+            uint64_t{tree->counters().hist_data_nodes} +
+                uint64_t{tree->counters().hist_index_nodes});
+  const auto& [key, value] = failed.ops().front();
+  std::string v;
+  ASSERT_TRUE(db_->Get({.as_of = ts}, key, &v).ok());
+  EXPECT_EQ(value, v);
+  tsb_tree::TreeChecker checker(tree);
+  checker.set_verify_checksums(true);
+  Status check = checker.Check();
+  EXPECT_TRUE(check.ok()) << check.ToString();
 }
 
 // Hard errors (corruption-class) refuse Resume(): the original cause

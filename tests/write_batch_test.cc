@@ -345,6 +345,61 @@ TEST_F(WriteBatchTest, ConcurrentWritersCommitInterleavedBatches) {
   ExpectChecked();
 }
 
+// Parallel commits stamp out of timestamp order: a record can still be
+// uncommitted when a split sees a LATER commit already stamped beside it.
+// The split's content-floor hint must stay at or below the stamp the
+// record gets afterwards, i.e. above no unpublished commit.
+TEST_F(WriteBatchTest, SplitFloorCoversCommitStampedOutOfOrder) {
+  Open();
+  constexpr TxnId kEarly = 1, kLate = 2, kFill = 3;
+  ASSERT_TRUE(tree_->PutUncommitted("a-early", "e", kEarly).ok());
+  ASSERT_TRUE(tree_->PutUncommitted("a-late", "l", kLate).ok());
+  ASSERT_TRUE(tree_->StampCommitted("a-late", kLate, 2).ok());
+  // Fill the leaf with another transaction's records until it key-splits;
+  // the "a-" keys sort first, so they share the left half.
+  for (int i = 0; tree_->counters().data_key_splits == 0; ++i) {
+    ASSERT_LT(i, 200);
+    ASSERT_TRUE(tree_->PutUncommitted(Key(i), std::string(24, 'f'), kFill)
+                    .ok());
+  }
+  ASSERT_TRUE(tree_->StampCommitted("a-early", kEarly, 1).ok());
+  ExpectChecked();
+  std::string v;
+  ASSERT_TRUE(tree_->Get({.as_of = 1}, "a-early", &v).ok());
+  EXPECT_EQ("e", v);
+}
+
+// Count gate: data splits take page latches only. With one writer the
+// tree-global structure mutex is taken once per index split or root
+// growth and never for a data split.
+TEST_F(WriteBatchTest, DataSplitsTakeNoTreeGlobalLock) {
+  Open();
+  constexpr int kKeys = 20000;
+  constexpr int kVersions = 3;
+  constexpr int kBatchKeys = 500;
+  for (int v = 0; v < kVersions; ++v) {
+    for (int lo = 0; lo < kKeys; lo += kBatchKeys) {
+      WriteBatch batch;
+      for (int i = lo; i < lo + kBatchKeys; ++i) {
+        batch.Put(Key(i), "v" + std::to_string(v));
+      }
+      ASSERT_TRUE(mgr_->Write(batch).ok()) << v << " " << lo;
+    }
+  }
+  const auto& c = tree_->counters();
+  const uint64_t data_splits = c.data_key_splits + c.data_time_splits;
+  const uint64_t index_events =
+      c.index_key_splits + c.index_time_splits + c.root_grows;
+  EXPECT_GT(c.data_time_splits, 0u);
+  EXPECT_GT(c.index_key_splits, 0u);
+  EXPECT_LE(uint64_t{c.structure_locks}, index_events);
+  EXPECT_LT(uint64_t{c.structure_locks}, data_splits);
+  std::string v;
+  ASSERT_TRUE(tree_->Get({}, Key(kKeys - 1), &v).ok());
+  EXPECT_EQ("v" + std::to_string(kVersions - 1), v);
+  ExpectChecked();
+}
+
 }  // namespace
 }  // namespace txn
 }  // namespace tsb

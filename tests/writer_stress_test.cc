@@ -15,6 +15,9 @@
 //    earlier none do;
 //  - one writer: the OLC restart/side-step counters stay zero (nothing
 //    races its descents, even while its own splits restructure the tree);
+//  - hot-key writers: every appended historical node is referenced (a
+//    split that loses a race appends nothing), and every acked version
+//    reads back at its commit timestamp;
 //  - indexed commits racing checkpoints: secondary lookups as of every
 //    acked commit match a model, before and after reopen.
 #include <gtest/gtest.h>
@@ -57,9 +60,9 @@ struct Fixture {
   MemDevice optical{DeviceKind::kOpticalErasable, CostParams::OpticalWorm()};
   std::unique_ptr<db::MultiVersionDB> db;
 
-  Fixture() {
+  explicit Fixture(uint32_t page_size = 1024) {
     db::DbOptions options;
-    options.tree.page_size = 1024;
+    options.tree.page_size = page_size;
     options.tree.buffer_pool_frames = 128;
     Status s = db::MultiVersionDB::Open(&magnetic, &optical, options, &db);
     EXPECT_TRUE(s.ok()) << s.ToString();
@@ -285,6 +288,63 @@ TEST(WriterStressTest, OneWriterNeverRestartsOrSidesteps) {
             0u);
   EXPECT_EQ(uint64_t{counters.olc_restarts}, 0u);
   EXPECT_EQ(uint64_t{counters.olc_sidesteps}, 0u);
+}
+
+// Orphan gate: a split appends its historical node only after the leaf's
+// version check, so a split that loses a race to another writer's insert
+// or stamp strands no unreferenced blob. Writers hammering a few hot keys
+// on small pages keep every split racing the others' commits on the same
+// leaves.
+TEST(WriterStressTest, HotKeyWritersLeaveNoOrphanBlobs) {
+  Fixture f(512);
+  constexpr int kWriters = 4;
+  constexpr int kHotKeys = 6;
+  constexpr int kOpsPerWriter = 1500;
+  struct Acked {
+    int key;
+    Timestamp ts;
+    int op;
+  };
+  std::vector<std::vector<Acked>> acked(kWriters);
+  std::atomic<int> failures{0};
+  std::vector<std::thread> writers;
+  for (int w = 0; w < kWriters; ++w) {
+    writers.emplace_back([&, w] {
+      uint64_t rng = 0xD1B54A32D192ED03ull * (w + 1);
+      for (int op = 0; op < kOpsPerWriter; ++op) {
+        rng = rng * 6364136223846793005ull + 1442695040888963407ull;
+        const int ki = static_cast<int>((rng >> 33) % kHotKeys);
+        Timestamp ts = 0;
+        Status s = f.db->Put(KeyOf(ki), ValueOf(w, op), &ts);
+        if (s.ok()) {
+          acked[w].push_back({ki, ts, op});
+        } else if (!s.IsTxnConflict()) {
+          ADD_FAILURE() << "writer " << w << ": " << s.ToString();
+          failures.fetch_add(1);
+          return;
+        }
+      }
+    });
+  }
+  for (auto& t : writers) t.join();
+  ASSERT_EQ(failures.load(), 0);
+
+  tsb_tree::TsbTree* tree = f.db->primary();
+  const auto& counters = tree->counters();
+  EXPECT_GT(uint64_t{counters.data_time_splits}, 0u);
+  EXPECT_EQ(tree->hist_store()->blob_count(),
+            uint64_t{counters.hist_data_nodes} +
+                uint64_t{counters.hist_index_nodes});
+  for (int w = 0; w < kWriters; ++w) {
+    EXPECT_GT(acked[w].size(), 0u) << "writer " << w;
+    for (const Acked& a : acked[w]) {
+      std::string value;
+      Status s = f.db->Get({.as_of = a.ts}, KeyOf(a.key), &value);
+      ASSERT_TRUE(s.ok()) << KeyOf(a.key) << " @" << a.ts << ": "
+                          << s.ToString();
+      EXPECT_EQ(ValueOf(w, a.op), value) << KeyOf(a.key) << " @" << a.ts;
+    }
+  }
 }
 
 TEST(WriterStressTest, IndexedCommitsRacingCheckpointsMatchTheModel) {
