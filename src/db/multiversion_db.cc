@@ -11,9 +11,8 @@
 #include <cstring>
 #include <set>
 
-#include "common/coding.h"
-#include "common/crc32c.h"
 #include "common/fsync_dir.h"
+#include "common/kv_file.h"
 #include "common/logger.h"
 #include "storage/append_store.h"
 #include "storage/file_device.h"
@@ -99,6 +98,7 @@ void MultiVersionDB::InstallCommitHook() {
 namespace {
 
 constexpr char kManifestName[] = "MANIFEST";
+constexpr char kManifestHeader[] = "tsb-manifest v1";
 
 /// The manifest records the device geometry a path-backed database was
 /// created with, so reopen verifies it instead of relying on caller
@@ -147,113 +147,46 @@ Manifest ManifestFromOptions(const DbOptions& options) {
 }
 
 Status WriteManifest(const std::string& dir, const Manifest& m) {
-  char head[384];
-  snprintf(head, sizeof(head),
-           "tsb-manifest v1\n"
-           "page_size=%u\n"
-           "worm_historical=%d\n"
-           "worm_sector_size=%u\n"
-           "enable_mmap=%d\n"
-           "wal_seq=%" PRIu64 "\n"
-           "checkpoint_lsn=%" PRIu64 "\n"
-           "clean_shutdown=%d\n",
-           m.page_size, m.worm_historical ? 1 : 0, m.worm_sector_size,
-           m.enable_mmap ? 1 : 0, m.wal_seq, m.checkpoint_lsn,
-           m.clean_shutdown ? 1 : 0);
-  std::string body = head;
-  for (const std::string& name : m.indexes) {
-    body += "index=" + name + "\n";
-  }
-  // Terminator: masked CRC32C over every preceding byte. This is what
-  // distinguishes "the writer finished" from "the file happens to parse":
-  // a tmp flushed halfway still yields valid-looking lines.
-  char trailer[24];
-  snprintf(trailer, sizeof(trailer), "crc=%08x\n",
-           crc32c::Mask(crc32c::Value(body.data(), body.size())));
-  body += trailer;
-  // Write-temp-fsync-rename: a crash never leaves a torn manifest behind
-  // (without the fsync, the rename can survive a power cut while the
-  // data blocks do not, leaving an empty MANIFEST that fails every
-  // subsequent Open).
-  const std::string tmp = ManifestPath(dir) + ".tmp";
-  FILE* f = fopen(tmp.c_str(), "w");
-  if (f == nullptr) {
-    return Status::IOError("create " + tmp, strerror(errno));
-  }
-  const bool wrote = fwrite(body.data(), 1, body.size(), f) == body.size() &&
-                     fflush(f) == 0 && ::fsync(fileno(f)) == 0;
-  fclose(f);
-  if (!wrote) return Status::IOError("write " + tmp, strerror(errno));
-  if (::rename(tmp.c_str(), ManifestPath(dir).c_str()) != 0) {
-    return Status::IOError("rename " + tmp, strerror(errno));
-  }
-  // The rename lives in the directory: without this fsync a power cut can
-  // resurrect the previous manifest (or none) after later steps — the
-  // checkpoint path treats this write as its commit point.
-  return SyncDir(dir);
+  KvFields fields = {
+      {"page_size", std::to_string(m.page_size)},
+      {"worm_historical", m.worm_historical ? "1" : "0"},
+      {"worm_sector_size", std::to_string(m.worm_sector_size)},
+      {"enable_mmap", m.enable_mmap ? "1" : "0"},
+      {"wal_seq", std::to_string(m.wal_seq)},
+      {"checkpoint_lsn", std::to_string(m.checkpoint_lsn)},
+      {"clean_shutdown", m.clean_shutdown ? "1" : "0"},
+  };
+  for (const std::string& name : m.indexes) fields.emplace_back("index", name);
+  return WriteKvFile(dir, kManifestName, kManifestHeader, fields);
 }
 
 Status ReadManifestFile(const std::string& file, bool* exists, Manifest* out) {
-  *exists = false;
-  FILE* f = fopen(file.c_str(), "r");
-  if (f == nullptr) {
-    if (errno == ENOENT) return Status::OK();
-    return Status::IOError("open " + file, strerror(errno));
-  }
-  char line[128];
-  bool header_ok = false;
-  uint32_t running_crc = 0;
-  while (fgets(line, sizeof(line), f) != nullptr) {
-    unsigned crc_line = 0;
-    if (header_ok && sscanf(line, "crc=%x", &crc_line) == 1) {
-      // Terminator: validates every byte read so far (the crc line itself
-      // excluded). The writer emits it last, so a matching crc proves the
-      // file is whole — in particular that no trailing index= line was
-      // lost in a torn flush. Anything after it is ignored.
-      if (crc32c::Unmask(static_cast<uint32_t>(crc_line)) != running_crc) {
-        fclose(f);
-        return Status::Corruption("manifest crc mismatch", file);
-      }
-      out->complete = true;
-      break;
-    }
-    // fgets hands back raw chunks in file order (long lines split), so
-    // extending per chunk equals a CRC over the file prefix.
-    running_crc = crc32c::Extend(running_crc, line, strlen(line));
-    if (!header_ok) {
-      if (strncmp(line, "tsb-manifest v1", 15) != 0) break;
-      header_ok = true;
+  KvFields fields;
+  TSB_RETURN_IF_ERROR(
+      ReadKvFile(file, kManifestHeader, exists, &fields, &out->complete));
+  for (const auto& [key, value] : fields) {
+    if (key == "index") {
+      if (!value.empty()) out->indexes.push_back(value);
       continue;
     }
-    unsigned value = 0;
-    unsigned long long value64 = 0;
-    if (sscanf(line, "page_size=%u", &value) == 1) {
-      out->page_size = value;
-    } else if (sscanf(line, "worm_historical=%u", &value) == 1) {
-      out->worm_historical = value != 0;
-    } else if (sscanf(line, "worm_sector_size=%u", &value) == 1) {
-      out->worm_sector_size = value;
-    } else if (sscanf(line, "enable_mmap=%u", &value) == 1) {
-      out->enable_mmap = value != 0;
-    } else if (sscanf(line, "wal_seq=%llu", &value64) == 1) {
-      out->wal_seq = value64;
-    } else if (sscanf(line, "checkpoint_lsn=%llu", &value64) == 1) {
-      out->checkpoint_lsn = value64;
-    } else if (sscanf(line, "clean_shutdown=%u", &value) == 1) {
-      out->clean_shutdown = value != 0;
-    } else if (strncmp(line, "index=", 6) == 0) {
-      std::string name(line + 6);
-      while (!name.empty() && (name.back() == '\n' || name.back() == '\r')) {
-        name.pop_back();
-      }
-      if (!name.empty()) out->indexes.push_back(std::move(name));
+    uint64_t v = 0;
+    if (!ParseKvUint(value, 10, &v)) continue;
+    if (key == "page_size") {
+      out->page_size = static_cast<uint32_t>(v);
+    } else if (key == "worm_historical") {
+      out->worm_historical = v != 0;
+    } else if (key == "worm_sector_size") {
+      out->worm_sector_size = static_cast<uint32_t>(v);
+    } else if (key == "enable_mmap") {
+      out->enable_mmap = v != 0;
+    } else if (key == "wal_seq") {
+      out->wal_seq = v;
+    } else if (key == "checkpoint_lsn") {
+      out->checkpoint_lsn = v;
+    } else if (key == "clean_shutdown") {
+      out->clean_shutdown = v != 0;
     }
   }
-  fclose(f);
-  if (!header_ok) {
-    return Status::Corruption("unrecognized manifest", file);
-  }
-  *exists = true;
   return Status::OK();
 }
 
@@ -386,86 +319,6 @@ void SweepStaleWalFiles(const std::string& dir, uint64_t live_seq) {
   ::closedir(d);
 }
 
-// ---- verified-blob sidecar -------------------------------------------
-//
-// The historical store CRC-checks each blob once, on its first mapped
-// pin, then serves it zero-copy forever (the bytes are immutable). That
-// memo used to die with the process: every reopen re-paid one checksum
-// pass per blob before cold reads reached memory speed. The sidecar
-// persists the memo. Format (all little-endian):
-//   [u32 magic "TSBV"][u32 version][u64 store_size][u64 count]
-//   [count x u64 sorted offsets][u32 masked crc32c of preceding bytes]
-
-constexpr char kVerifiedSidecarName[] = "verified.tsb";
-constexpr uint32_t kVerifiedMagic = 0x56425354;  // "TSBV"
-constexpr uint32_t kVerifiedVersion = 1;
-constexpr size_t kVerifiedHeaderSize = 24;
-
-Status WriteVerifiedSidecar(const std::string& dir, AppendStore* hist) {
-  std::vector<uint64_t> offsets;
-  uint64_t store_size = 0;
-  hist->SnapshotVerified(&offsets, &store_size);
-  std::string body;
-  body.reserve(kVerifiedHeaderSize + offsets.size() * 8 + 4);
-  PutFixed32(&body, kVerifiedMagic);
-  PutFixed32(&body, kVerifiedVersion);
-  PutFixed64(&body, store_size);
-  PutFixed64(&body, offsets.size());
-  for (const uint64_t off : offsets) PutFixed64(&body, off);
-  PutFixed32(&body, crc32c::Mask(crc32c::Value(body.data(), body.size())));
-  // The tmp name keeps the .tsb suffix so Destroy recognizes a leftover
-  // from a crashed rename as ours.
-  const std::string file = dir + "/" + kVerifiedSidecarName;
-  const std::string tmp = dir + "/verified.tmp.tsb";
-  FILE* f = fopen(tmp.c_str(), "wb");
-  if (f == nullptr) return Status::IOError("create " + tmp, strerror(errno));
-  const bool wrote = fwrite(body.data(), 1, body.size(), f) == body.size() &&
-                     fflush(f) == 0 && ::fsync(fileno(f)) == 0;
-  fclose(f);
-  if (!wrote) return Status::IOError("write " + tmp, strerror(errno));
-  if (::rename(tmp.c_str(), file.c_str()) != 0) {
-    return Status::IOError("rename " + tmp, strerror(errno));
-  }
-  return Status::OK();
-}
-
-/// Seeds the verified set from the sidecar. Purely a performance hint:
-/// any validation failure just means cold pins re-verify lazily, so
-/// every suspect condition is a silent return, never an Open error.
-void LoadVerifiedSidecar(const std::string& dir, AppendStore* hist) {
-  FILE* f = fopen((dir + "/" + kVerifiedSidecarName).c_str(), "rb");
-  if (f == nullptr) return;
-  std::string body;
-  char buf[1 << 16];
-  size_t n;
-  while ((n = fread(buf, 1, sizeof(buf), f)) > 0) body.append(buf, n);
-  fclose(f);
-  if (body.size() < kVerifiedHeaderSize + 4) return;
-  const size_t crc_pos = body.size() - 4;
-  if (crc32c::Value(body.data(), crc_pos) !=
-      crc32c::Unmask(DecodeFixed32(body.data() + crc_pos))) {
-    return;
-  }
-  const char* p = body.data();
-  if (DecodeFixed32(p) != kVerifiedMagic) return;
-  if (DecodeFixed32(p + 4) != kVerifiedVersion) return;
-  const uint64_t store_size = DecodeFixed64(p + 8);
-  const uint64_t count = DecodeFixed64(p + 16);
-  if (count != (body.size() - kVerifiedHeaderSize - 4) / 8 ||
-      body.size() != kVerifiedHeaderSize + count * 8 + 4) {
-    return;
-  }
-  // A snapshot larger than the store can only describe a different file;
-  // the store is append-only, so a valid snapshot never shrinks.
-  if (store_size > hist->device_bytes()) return;
-  std::vector<uint64_t> offsets;
-  offsets.reserve(count);
-  for (uint64_t i = 0; i < count; ++i) {
-    offsets.push_back(DecodeFixed64(p + kVerifiedHeaderSize + i * 8));
-  }
-  hist->PreloadVerified(offsets);
-}
-
 /// Opens the file-backed historical device per options: WORM sector
 /// semantics when requested, else a plain erasable file that still pays
 /// optical cost parameters (the simulated 1989 archive medium).
@@ -561,10 +414,6 @@ Status MultiVersionDB::Open(const std::string& path, const DbOptions& options,
                                             /*historical=*/nullptr));
   }
 
-  // Warm-start hint: seed the historical store's verified-blob memo so
-  // cold mapped reads skip the per-blob first-pin checksum pass.
-  LoadVerifiedSidecar(path, mvdb->tree_->hist_store());
-
   if (options.enable_wal) {
     mvdb->wal_seq_ = manifest.wal_seq;
     mvdb->wal_checkpoint_lsn_ = manifest.checkpoint_lsn;
@@ -614,11 +463,6 @@ MultiVersionDB::~MultiVersionDB() {
       }
     }
     wal_.reset();  // joins any background flusher before the trees go
-  }
-  // Best-effort: losing the sidecar only costs re-verification after the
-  // next open, so a failed write must not throw from a destructor path.
-  if (!path_.empty() && tree_ != nullptr) {
-    (void)WriteVerifiedSidecar(path_, tree_->hist_store());
   }
 }
 
@@ -912,10 +756,6 @@ Status MultiVersionDB::Flush() {
     for (auto& [name, def] : indexes_) {
       TSB_RETURN_IF_ERROR(def.index->tree()->Flush());
     }
-  }
-  if (!path_.empty()) {
-    // Persist the verified-blob memo with the data it describes.
-    TSB_RETURN_IF_ERROR(WriteVerifiedSidecar(path_, tree_->hist_store()));
   }
   return Status::OK();
 }

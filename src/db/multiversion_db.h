@@ -173,10 +173,7 @@ class MultiVersionDB {
   /// (enable_mmap is a read-path choice and may change freely). The
   /// MANIFEST also catalogs secondary indexes: Open re-registers each one
   /// automatically (see DbOptions::index_extractors), so index data is
-  /// never silently orphaned by a reopen. A `verified.tsb` sidecar
-  /// persists the historical store's CRC-verified blob set across
-  /// restarts, so a reopened DB serves cold mapped reads at memory speed
-  /// instead of re-checksumming every blob on first touch.
+  /// never silently orphaned by a reopen.
   static Status Open(const std::string& path, const DbOptions& options,
                      std::unique_ptr<MultiVersionDB>* out);
 

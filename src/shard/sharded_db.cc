@@ -9,9 +9,9 @@
 #include <cstdio>
 #include <cstring>
 
-#include "common/crc32c.h"
 #include "common/fsync_dir.h"
 #include "common/hash.h"
+#include "common/kv_file.h"
 #include "common/logger.h"
 
 namespace tsb {
@@ -20,6 +20,7 @@ namespace shard {
 namespace {
 
 constexpr char kShardsManifestName[] = "SHARDS";
+constexpr char kShardsHeader[] = "tsb-shards v1";
 constexpr char kCoordLogName[] = "coord.tsb";
 
 std::string ShardDirName(uint32_t shard) {
@@ -46,80 +47,36 @@ struct ShardsManifest {
 };
 
 Status WriteShardsManifest(const std::string& dir, const ShardsManifest& m) {
-  char head[128];
-  snprintf(head, sizeof(head),
-           "tsb-shards v1\n"
-           "num_shards=%u\n"
-           "hash_seed=%016" PRIx64 "\n",
-           m.num_shards, m.hash_seed);
-  std::string body = head;
-  char trailer[24];
-  snprintf(trailer, sizeof(trailer), "crc=%08x\n",
-           crc32c::Mask(crc32c::Value(body.data(), body.size())));
-  body += trailer;
-  const std::string tmp = ShardsManifestPath(dir) + ".tmp";
-  FILE* f = fopen(tmp.c_str(), "w");
-  if (f == nullptr) {
-    return Status::IOError("create " + tmp, strerror(errno));
-  }
-  const bool wrote = fwrite(body.data(), 1, body.size(), f) == body.size() &&
-                     fflush(f) == 0 && ::fsync(fileno(f)) == 0;
-  fclose(f);
-  if (!wrote) return Status::IOError("write " + tmp, strerror(errno));
-  if (::rename(tmp.c_str(), ShardsManifestPath(dir).c_str()) != 0) {
-    return Status::IOError("rename " + tmp, strerror(errno));
-  }
-  return SyncDir(dir);
+  char seed[24];
+  snprintf(seed, sizeof(seed), "%016" PRIx64, m.hash_seed);
+  return WriteKvFile(dir, kShardsManifestName, kShardsHeader,
+                     {{"num_shards", std::to_string(m.num_shards)},
+                      {"hash_seed", seed}});
 }
 
 Status ReadShardsManifest(const std::string& dir, bool* exists,
                           ShardsManifest* out) {
-  *exists = false;
   const std::string file = ShardsManifestPath(dir);
-  FILE* f = fopen(file.c_str(), "r");
-  if (f == nullptr) {
-    if (errno == ENOENT) return Status::OK();
-    return Status::IOError("open " + file, strerror(errno));
-  }
-  char line[128];
-  bool header_ok = false;
+  KvFields fields;
   bool complete = false;
-  uint32_t running_crc = 0;
-  while (fgets(line, sizeof(line), f) != nullptr) {
-    unsigned crc_line = 0;
-    if (header_ok && sscanf(line, "crc=%x", &crc_line) == 1) {
-      if (crc32c::Unmask(static_cast<uint32_t>(crc_line)) != running_crc) {
-        fclose(f);
-        return Status::Corruption("shards manifest crc mismatch", file);
-      }
-      complete = true;
-      break;
+  TSB_RETURN_IF_ERROR(
+      ReadKvFile(file, kShardsHeader, exists, &fields, &complete));
+  if (!*exists) return Status::OK();
+  for (const auto& [key, value] : fields) {
+    uint64_t v = 0;
+    if (key == "num_shards" && ParseKvUint(value, 10, &v)) {
+      out->num_shards = static_cast<uint32_t>(v);
+    } else if (key == "hash_seed" && ParseKvUint(value, 16, &v)) {
+      out->hash_seed = v;
     }
-    running_crc = crc32c::Extend(running_crc, line, strlen(line));
-    if (!header_ok) {
-      if (strncmp(line, "tsb-shards v1", 13) != 0) break;
-      header_ok = true;
-      continue;
-    }
-    unsigned value = 0;
-    unsigned long long value64 = 0;
-    if (sscanf(line, "num_shards=%u", &value) == 1) {
-      out->num_shards = value;
-    } else if (sscanf(line, "hash_seed=%llx", &value64) == 1) {
-      out->hash_seed = value64;
-    }
-  }
-  fclose(f);
-  if (!header_ok) {
-    return Status::Corruption("unrecognized shards manifest", file);
   }
   // A torn manifest must never silently misroute: without the crc
   // terminator the seed line may be missing, and opening with a default
   // seed would scatter every existing key to the wrong shard.
   if (!complete || out->num_shards == 0) {
+    *exists = false;
     return Status::Corruption("incomplete shards manifest", file);
   }
-  *exists = true;
   return Status::OK();
 }
 

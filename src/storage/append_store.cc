@@ -1,6 +1,5 @@
 #include "storage/append_store.h"
 
-#include <algorithm>
 #include <memory>
 
 #include "common/coding.h"
@@ -194,34 +193,6 @@ Status AppendStore::Read(const HistAddr& addr, std::string* payload) {
   const Slice data = handle.data();
   payload->assign(data.data(), data.size());  // copy outside the cache latch
   return Status::OK();
-}
-
-void AppendStore::SnapshotVerified(std::vector<uint64_t>* offsets,
-                                   uint64_t* store_size) const {
-  {
-    std::lock_guard<std::mutex> lock(append_mu_);
-    *store_size = next_offset_;
-  }
-  std::lock_guard<std::mutex> lock(verified_mu_);
-  offsets->assign(verified_.begin(), verified_.end());
-  std::sort(offsets->begin(), offsets->end());
-}
-
-void AppendStore::PreloadVerified(const std::vector<uint64_t>& offsets) {
-  uint64_t size = 0;
-  {
-    std::lock_guard<std::mutex> lock(append_mu_);
-    size = next_offset_;
-  }
-  std::lock_guard<std::mutex> lock(verified_mu_);
-  for (const uint64_t off : offsets) {
-    // A verified blob has at least a whole frame header inside the store;
-    // anything else is a snapshot from a different (or corrupted) file
-    // and preloading it would mark unverifiable bytes as checked.
-    if (off + kFrameHeaderSize > size) continue;
-    if (verified_.size() >= verified_capacity_) break;
-    verified_.insert(off);
-  }
 }
 
 Status AppendStore::ScrubAll(

@@ -176,20 +176,6 @@ class AppendStore {
     verified_capacity_ = cap;
   }
 
-  /// Snapshots the verified-offset set (sorted) together with the store
-  /// size it is valid against. The DB layer persists this as a sidecar so
-  /// a reopened database serves cold mapped reads without re-paying one
-  /// CRC pass per blob on its first pin.
-  void SnapshotVerified(std::vector<uint64_t>* offsets,
-                        uint64_t* store_size) const;
-
-  /// Seeds the verified-offset set from a persisted snapshot. Offsets at
-  /// or past the current store size cannot name a stored blob and are
-  /// ignored; insertion stops at the capacity bound. Safe because blobs
-  /// are immutable and the store is append-only: an offset that was
-  /// verified before shutdown still holds the same bytes.
-  void PreloadVerified(const std::vector<uint64_t>& offsets);
-
   /// Outcome of one ScrubAll pass.
   struct BlobScrubResult {
     uint64_t blobs_scanned = 0;

@@ -348,11 +348,11 @@ Status VersionCursor::ReadFrameEntry(Frame& f, int cell, NodeRef* child,
 
 Status VersionCursor::Advance() {
   // Liveness: invalidation restarts are optimistic a bounded number of
-  // times, then the walk quiesces the writer (like ScanHistoryRange's
-  // final attempt) for the remainder of this Advance — with writer_mu_
-  // held no page version can move, so the rebuilt stack validates and
-  // the call is guaranteed to emit or conclude. The lock drops when
-  // Advance returns; user-paced iteration never holds it.
+  // times, then the walk quiesces the writer for the remainder of this
+  // Advance — with writer_mu_ held no page version can move, so the
+  // rebuilt stack validates and the call is guaranteed to emit or
+  // conclude. The lock drops when Advance returns; user-paced iteration
+  // never holds it.
   constexpr int kOptimisticRestarts = 4;
   int restarts = 0;
   std::unique_lock<std::shared_mutex> quiesce(tree_->writer_mu_, std::defer_lock);

@@ -57,11 +57,6 @@ struct SplitPolicyConfig {
   /// kCostBased: per-byte storage prices.
   double cost_magnetic = 1.0;
   double cost_optical = 0.2;
-  /// Stamp content-floor min_ts hints on index cells at split time so
-  /// scans prune subtrees by timestamp. Disabling reproduces pre-hint
-  /// databases (cells store min_ts = 0); TreeChecker::RepairContentFloors
-  /// backfills such legacy cells in place.
-  bool content_floor_hints = true;
 };
 
 /// What a full data node looks like to the policy.

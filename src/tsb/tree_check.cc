@@ -339,63 +339,5 @@ Status TreeChecker::CheckDataEntries(const NodeRef& ref,
   return Status::OK();
 }
 
-Status TreeChecker::RepairContentFloors(uint64_t* repaired) {
-  *repaired = 0;
-  hist_floor_memo_.clear();
-  // Exclusive writer lock: the walk reads pages unlatched and rewrites
-  // index cells in place, so every mutator must be stopped.
-  std::lock_guard<std::shared_mutex> wl(tree_->writer_mu_);
-  Timestamp floor = kInfiniteTs;
-  return RepairNodeFloors(tree_->root(), &floor, repaired);
-}
-
-Status TreeChecker::RepairNodeFloors(const NodeRef& ref, Timestamp* floor,
-                                     uint64_t* repaired) {
-  *floor = kInfiniteTs;
-  if (ref.historical) {
-    auto memo = hist_floor_memo_.find(ref.addr.offset);
-    if (memo != hist_floor_memo_.end()) {
-      *floor = memo->second;
-      return Status::OK();
-    }
-  }
-  DecodedNode node;
-  TSB_RETURN_IF_ERROR(tree_->ReadNode(ref, &node));
-  if (node.is_data()) {
-    for (const DataEntry& e : node.data) {
-      if (!e.uncommitted() && e.ts < *floor) *floor = e.ts;
-    }
-  } else {
-    for (size_t i = 0; i < node.index.size(); ++i) {
-      const IndexEntry& e = node.index[i];
-      Timestamp child_floor = kInfiniteTs;
-      TSB_RETURN_IF_ERROR(RepairNodeFloors(e.child, &child_floor, repaired));
-      // Upgrade a legacy cell (min_ts == 0 claims nothing) of a CURRENT
-      // page when the subtree has a real floor. kInfiniteTs (no committed
-      // record yet) must NOT be stamped: a later insert would break the
-      // claim; 0 stays sound. Historical pages are immutable — skip.
-      if (!ref.historical && e.min_ts == 0 && child_floor > 0 &&
-          child_floor != kInfiniteTs) {
-        PageHandle h;
-        TSB_RETURN_IF_ERROR(
-            tree_->pool_->FetchExclusive(ref.page_id, &h));
-        IndexPageRef page(h.data(), tree_->options_.page_size);
-        IndexEntry cell;
-        TSB_RETURN_IF_ERROR(page.At(static_cast<int>(i), &cell));
-        cell.min_ts = child_floor;
-        // Replace fails only when the wider varint does not fit the
-        // page; the 0 claim stays (sound, just unpruned).
-        if (page.Replace(static_cast<int>(i), cell)) {
-          h.MarkDirty();
-          ++*repaired;
-        }
-      }
-      if (child_floor < *floor) *floor = child_floor;
-    }
-  }
-  if (ref.historical) hist_floor_memo_[ref.addr.offset] = *floor;
-  return Status::OK();
-}
-
 }  // namespace tsb_tree
 }  // namespace tsb

@@ -55,19 +55,6 @@ class TreeChecker {
   /// the walk saw the whole tree).
   uint64_t nodes_visited() const { return nodes_visited_; }
 
-  /// Backfills content-floor min_ts hints on legacy index cells (stored
-  /// min_ts == 0, as written before the hints existed or with
-  /// SplitPolicyConfig::content_floor_hints disabled): walks the DAG,
-  /// computes each subtree's exact committed-timestamp floor, and
-  /// upgrades qualifying cells of CURRENT index pages in place via
-  /// IndexPageRef::Replace — skipped when the page has no room for the
-  /// wider varint (a 0 claim stays sound). Historical nodes are immutable
-  /// (their cells keep 0), but the floor computed for a historical
-  /// subtree still upgrades the current parent cell referencing it.
-  /// Quiesces the tree (exclusive writer lock) for the duration.
-  /// `*repaired` counts upgraded cells.
-  Status RepairContentFloors(uint64_t* repaired);
-
  private:
   struct Window {
     std::string key_lo;
@@ -90,12 +77,6 @@ class TreeChecker {
                           const std::vector<DataEntryView>& entries,
                           const Window& win);
 
-  /// Recursive worker for RepairContentFloors: computes the subtree's
-  /// exact committed floor into `*floor` (kInfiniteTs = no committed
-  /// record) and upgrades legacy cells along the way.
-  Status RepairNodeFloors(const NodeRef& ref, Timestamp* floor,
-                          uint64_t* repaired);
-
   TsbTree* tree_;
   bool verify_checksums_ = false;
   /// Pages dirty in the pool when Check() started (checksums mode skips
@@ -103,10 +84,6 @@ class TreeChecker {
   std::set<uint32_t> dirty_at_start_;
   uint64_t nodes_visited_ = 0;
   std::map<uint32_t, int> current_parent_counts_;
-  /// Historical subtree floors memoized by blob offset: the structure is
-  /// a DAG (straddlers give historical nodes several parents), so each
-  /// blob is computed once.
-  std::map<uint64_t, Timestamp> hist_floor_memo_;
 };
 
 }  // namespace tsb_tree

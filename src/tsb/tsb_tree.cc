@@ -943,12 +943,10 @@ Status TsbTree::PlanDataSplit(const std::vector<DataEntry>& entries,
       // sound — the watermark cap keeps every in-flight stamp above it.
       plan->leaf_e = pe;
       plan->leaf_e.t_lo = split_t;
-      plan->leaf_e.min_ts =
-          ContentFloorHint(DataContentFloor(plan->keep, split_t, pending));
+      plan->leaf_e.min_ts = DataContentFloor(plan->keep, split_t, pending);
       plan->new_e = pe;
       plan->new_e.t_hi = split_t;
-      plan->new_e.min_ts =
-          ContentFloorHint(DataContentFloor(hist_set, pe.min_ts, pending));
+      plan->new_e.min_ts = DataContentFloor(hist_set, pe.min_ts, pending);
       plan->need = static_cast<uint32_t>(IndexEntrySizeBound(plan->new_e)) +
                    kCellOverhead;
       // Consolidate into one node (section 3.1). The restart interval is
@@ -1003,16 +1001,14 @@ Status TsbTree::PlanDataSplit(const std::vector<DataEntry>& entries,
   plan->leaf_e = pe;
   plan->leaf_e.key_hi = split_key;
   plan->leaf_e.key_hi_inf = false;
-  plan->leaf_e.min_ts =
-      ContentFloorHint(DataContentFloor(plan->keep, pe.min_ts, pending));
+  plan->leaf_e.min_ts = DataContentFloor(plan->keep, pe.min_ts, pending);
   // The new entry inherits the predecessor's timestamp (Fig 5): t_lo
   // stays pe.t_lo. The rectangle keeps the predecessor's loose time
   // floor, but the content floor is tight: old-snapshot readers skip
   // siblings whose records are all younger than their as-of time.
   plan->new_e = pe;
   plan->new_e.key_lo = split_key;
-  plan->new_e.min_ts =
-      ContentFloorHint(DataContentFloor(plan->right, pe.min_ts, pending));
+  plan->new_e.min_ts = DataContentFloor(plan->right, pe.min_ts, pending);
   plan->need = static_cast<uint32_t>(IndexEntrySizeBound(plan->new_e)) +
                kCellOverhead;
   return Status::OK();
@@ -1298,14 +1294,14 @@ Status TsbTree::SplitIndexPage(const std::vector<PathElem>& path, size_t idx) {
     IndexEntry left_e = pe;
     left_e.key_hi = split_key;
     left_e.key_hi_inf = false;
-    left_e.min_ts = ContentFloorHint(IndexContentFloor(left));
+    left_e.min_ts = IndexContentFloor(left);
     if (!parent.Replace(pe_pos, left_e)) {
       return Status::Corruption("index key split: parent replace failed");
     }
     IndexEntry right_e = pe;  // rule 1: a copy of the time used for the
     right_e.key_lo = split_key;  // previous reference is posted
     right_e.child = NodeRef::Current(right_h.id());
-    right_e.min_ts = ContentFloorHint(IndexContentFloor(right));
+    right_e.min_ts = IndexContentFloor(right);
     if (!parent.Insert(right_e)) {
       return Status::Corruption("index key split: parent lost space");
     }
@@ -1341,7 +1337,7 @@ Status TsbTree::TimeSplitIndexPage(const std::vector<PathElem>& path,
     }
   }
   std::sort(hist_entries.begin(), hist_entries.end());
-  he.min_ts = ContentFloorHint(IndexContentFloor(hist_entries));
+  he.min_ts = IndexContentFloor(hist_entries);
   size_t distinct = 0, key_bytes = 0;
   IndexNodeShape(hist_entries, &distinct, &key_bytes);
   const uint32_t interval = SplitPolicy::ChooseRestartInterval(
@@ -1373,7 +1369,7 @@ Status TsbTree::TimeSplitIndexPage(const std::vector<PathElem>& path,
     IndexPageRef parent(parent_h.data(), options_.page_size);
     IndexEntry cur_e = pe;
     cur_e.t_lo = split_t;
-    cur_e.min_ts = ContentFloorHint(IndexContentFloor(keep));
+    cur_e.min_ts = IndexContentFloor(keep);
     if (!parent.Replace(pe_pos, cur_e)) {
       return Status::Corruption("index time split: parent replace failed");
     }
@@ -1516,163 +1512,6 @@ Status TsbTree::ComputeSpaceStats(SpaceStats* out) {
     }
   }
   out->magnetic_used_bytes = used;
-  return Status::OK();
-}
-
-Status TsbTree::ScanHistoryRange(const Slice& key_lo, const Slice& key_hi,
-                                 Timestamp t_lo, Timestamp t_hi,
-                                 std::vector<VersionRecord>* out) {
-  out->clear();
-  if (t_lo >= t_hi) return Status::OK();
-  // The walk holds no latch across levels; instead every CURRENT index
-  // page stays pinned while its subtrees are visited and its per-frame
-  // mutation counter is revalidated after each child (see
-  // ScanHistoryRangeRec), so only a split of a page on the walk's own
-  // path makes it re-read anything. Two escalations remain: a page that
-  // will not stabilize reports Busy, and a root swap mid-walk means
-  // entries may have moved to a page only reachable from the NEW root.
-  // Both retry the walk; the final attempt quiesces every mutator via the
-  // exclusive writer lock. The accumulator persists across attempts: each
-  // emission is a committed version decoded consistently under a latch,
-  // and the (key, ts) keying dedups re-visits, so earlier partial walks
-  // only save work.
-  constexpr int kOptimisticScanAttempts = 4;
-  std::map<std::pair<std::string, Timestamp>, std::string> acc;
-  std::vector<HistAddr> seen;
-  for (int attempt = 0; attempt <= kOptimisticScanAttempts; ++attempt) {
-    const bool quiesce = attempt == kOptimisticScanAttempts;
-    std::unique_lock<std::shared_mutex> wl(writer_mu_, std::defer_lock);
-    if (quiesce) wl.lock();
-    const NodeRef scan_root = root();
-    Status s = ScanHistoryRangeRec(scan_root, key_lo, key_hi, t_lo, t_hi,
-                                   &acc, &seen);
-    if (s.IsBusy()) continue;
-    TSB_RETURN_IF_ERROR(s);
-    if (!quiesce &&
-        root_.load(std::memory_order_acquire) != scan_root.page_id) {
-      continue;
-    }
-    out->reserve(acc.size());
-    for (auto& [kt, value] : acc) {
-      out->push_back(VersionRecord{kt.first, kt.second, std::move(value)});
-    }
-    return Status::OK();
-  }
-  return Status::Corruption("unreachable: quiesced scan did not return");
-}
-
-Status TsbTree::ScanHistoryRangeRec(
-    const NodeRef& ref, const Slice& key_lo, const Slice& key_hi,
-    Timestamp t_lo, Timestamp t_hi,
-    std::map<std::pair<std::string, Timestamp>, std::string>* acc,
-    std::vector<HistAddr>* seen) {
-  if (ref.historical) {
-    for (const HistAddr& a : *seen) {
-      if (a == ref.addr) return Status::OK();  // DAG: visit each node once
-    }
-    seen->push_back(ref.addr);
-    // Historical nodes scan zero-copy over the pinned blob: only entries
-    // matching the window are materialized into the accumulator; the
-    // dispatch keeps the pin alive across the recursion into children.
-    // Range scans advise sequential access so the mapping gets readahead.
-    BlobReadHints scan_hints;
-    scan_hints.sequential = true;
-    return DispatchHistNode(
-        hist_.get(), &hist_decodes_, ref.addr,
-        [&](BlobHandle&, HistDataNodeRef& node) -> Status {
-          for (int i = 0; i < node.Count(); ++i) {
-            DataEntryView v;
-            TSB_RETURN_IF_ERROR(node.At(i, &v));
-            if (v.uncommitted()) continue;
-            if (v.ts < t_lo || v.ts >= t_hi) continue;
-            if (v.key < key_lo) continue;
-            if (!key_hi.empty() && v.key >= key_hi) continue;
-            acc->emplace(std::make_pair(v.key.ToString(), v.ts),
-                         v.value.ToString());
-          }
-          return Status::OK();
-        },
-        [&](BlobHandle&, HistIndexNodeRef& node) -> Status {
-          for (int i = 0; i < node.Count(); ++i) {
-            IndexEntryView e;
-            TSB_RETURN_IF_ERROR(node.AtView(i, &e));
-            if (e.t_hi <= t_lo || e.t_lo >= t_hi) continue;
-            if (e.min_ts >= t_hi) continue;  // content floor past the window
-            if (!key_hi.empty() && e.key_lo >= key_hi) continue;
-            if (!e.key_hi_inf && e.key_hi <= key_lo) continue;
-            // The recursion only needs the POD child ref; the view itself
-            // dies at the next AtView.
-            const NodeRef child = e.child;
-            TSB_RETURN_IF_ERROR(ScanHistoryRangeRec(child, key_lo, key_hi,
-                                                    t_lo, t_hi, acc, seen));
-          }
-          return Status::OK();
-        },
-        scan_hints);
-  }
-  // Current page. Leaves decode under a brief shared latch and emit their
-  // matching entries. Index pages also decode under a brief latch, then
-  // keep only the PIN while recursing into children; after each child the
-  // frame's mutation counter is revalidated — a change means a split may
-  // have moved entries into a sibling this snapshot of the page does not
-  // reference yet, so the page is re-read and its loop restarts (the
-  // (key, ts)-keyed accumulator and the historical-node dedup make
-  // re-visits idempotent). A page that never stabilizes reports
-  // Status::Busy and the top-level caller escalates to a quiesced walk.
-  PageHandle h;
-  TSB_RETURN_IF_ERROR(pool_->FetchShared(ref.page_id, &h));
-  if (TsbPageLevel(h.data()) == 0) {
-    DataPageRef page(h.data(), options_.page_size);
-    std::vector<DataEntry> data;
-    TSB_RETURN_IF_ERROR(page.DecodeAll(&data));
-    h.Release();
-    for (const DataEntry& e : data) {
-      if (e.uncommitted()) continue;
-      if (e.ts < t_lo || e.ts >= t_hi) continue;
-      if (Slice(e.key) < key_lo) continue;
-      if (!key_hi.empty() && Slice(e.key) >= key_hi) continue;
-      acc->emplace(std::make_pair(e.key, e.ts), e.value);
-    }
-    return Status::OK();
-  }
-  IndexPageRef page(h.data(), options_.page_size);
-  std::vector<IndexEntry> index;
-  TSB_RETURN_IF_ERROR(page.DecodeAll(&index));
-  uint64_t ver = h.version();
-  h.Unlatch();  // keep the pin: the frame cannot be evicted or reloaded
-  constexpr int kMaxPageRereads = 8;
-  int rereads = 0;
-  size_t i = 0;
-  while (i < index.size()) {
-    const IndexEntry& e = index[i];
-    // Prune subtrees whose rectangle misses the query window. This is
-    // complete: every version lives in at least one data node whose time
-    // range CONTAINS its write time (time splits partition by write time;
-    // the rule-3 redundant copies elsewhere are duplicates removed by the
-    // (key, ts) deduplication).
-    const bool pruned = e.t_hi <= t_lo || e.t_lo >= t_hi ||
-                        e.min_ts >= t_hi ||  // content floor past the window
-                        (!key_hi.empty() && Slice(e.key_lo) >= key_hi) ||
-                        (!e.key_hi_inf && Slice(e.key_hi) <= key_lo);
-    if (!pruned) {
-      TSB_RETURN_IF_ERROR(ScanHistoryRangeRec(e.child, key_lo, key_hi, t_lo,
-                                              t_hi, acc, seen));
-    }
-    ++i;
-    if (h.version() != ver) {
-      if (++rereads > kMaxPageRereads) {
-        return Status::Busy("current index page would not stabilize");
-      }
-      h.LatchShared();
-      IndexPageRef repage(h.data(), options_.page_size);
-      index.clear();
-      Status ds = repage.DecodeAll(&index);
-      ver = h.version();
-      h.Unlatch();
-      TSB_RETURN_IF_ERROR(ds);
-      i = 0;
-    }
-  }
   return Status::OK();
 }
 

@@ -8,7 +8,6 @@
 #include <atomic>
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <shared_mutex>
@@ -139,10 +138,12 @@ struct DecodedNode {
 ///    simultaneously, so a reader can never observe a parent entry and a
 ///    child page from different structural states. Historical nodes are
 ///    immutable blobs and need no latches.
-///  - Scans (VersionCursor, ScanHistoryRange) keep pinned frames and
-///    revalidate per-page mutation counters, transparently re-reading a
-///    page a split rewrote underneath them; as-of-T results are stable
-///    because commit timestamps only grow (section 4.1).
+///  - Scans go through VersionCursor, the one scan protocol: it keeps
+///    pinned frames and revalidates per-page mutation counters,
+///    re-seeking past a page a split rewrote underneath it; as-of-T
+///    results are stable because commit timestamps only grow (section
+///    4.1). Range-history queries (every version of a key range written
+///    in a time window) are a cursor at t_hi - 1 walking NextVersion.
 class TsbTree {
  public:
   /// Opens a tree. `magnetic` (erasable) holds the current database,
@@ -221,22 +222,6 @@ class TsbTree {
   Timestamp ResolveAsOf(Timestamp as_of) const {
     return as_of == kAsOfLatest ? VisibleNow() : as_of;
   }
-
-  /// One record of a range-history scan.
-  struct VersionRecord {
-    std::string key;
-    Timestamp ts;
-    std::string value;
-  };
-
-  /// Every committed version WRITTEN during [t_lo, t_hi) whose key lies in
-  /// [key_lo, key_hi) (key_hi empty = unbounded), in (key, ts) order —
-  /// the audit-trail query over a key range and time window. Duplicated
-  /// copies (TIME-SPLIT RULE redundancy, straddler references) are emitted
-  /// once.
-  Status ScanHistoryRange(const Slice& key_lo, const Slice& key_hi,
-                          Timestamp t_lo, Timestamp t_hi,
-                          std::vector<VersionRecord>* out);
 
   // ---- maintenance / stats ----
 
@@ -405,13 +390,6 @@ class TsbTree {
   Status InsertRecords(std::span<const KeyValue> kvs, Timestamp ts,
                        TxnId txn);
 
-  /// Applies the content_floor_hints knob at every hint-stamping split
-  /// site: disabled reproduces legacy cells (stored min_ts = 0), which
-  /// TreeChecker::RepairContentFloors can later backfill.
-  Timestamp ContentFloorHint(Timestamp floor) const {
-    return policy_.config().content_floor_hints ? floor : 0;
-  }
-
   /// Removes every current-axis record matching `doomed` under the page
   /// `page_id` (historical nodes are immutable; see the public Purge*
   /// docs for why they never hold a purged record).
@@ -480,20 +458,6 @@ class TsbTree {
                               std::vector<DataEntry>* hist,
                               std::vector<DataEntry>* current,
                               size_t* redundant);
-
-  /// Recursive walk for ScanHistoryRange. Current index pages are
-  /// processed optimistically: the frame stays pinned (unlatched) across
-  /// the child recursion and the page's mutation counter is revalidated
-  /// after each child — a bumped counter re-reads the page and reprocesses
-  /// it (the (key, ts)-keyed accumulator and the seen-blob set make
-  /// re-visits idempotent). Returns Status::Busy when a page will not
-  /// stabilize within the re-read budget; the caller then quiesces.
-  Status ScanHistoryRangeRec(const NodeRef& ref, const Slice& key_lo,
-                             const Slice& key_hi, Timestamp t_lo,
-                             Timestamp t_hi,
-                             std::map<std::pair<std::string, Timestamp>,
-                                      std::string>* acc,
-                             std::vector<HistAddr>* seen);
 
   Status WalkStats(const NodeRef& ref, SpaceStats* stats,
                    std::vector<std::pair<std::string, Timestamp>>* versions,

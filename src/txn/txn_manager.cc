@@ -18,10 +18,17 @@ Transaction::~Transaction() {
 Status Transaction::Put(const Slice& key, const Slice& value) {
   if (!active_) return Status::TxnNotActive("Put on finished transaction");
   const tsb_tree::TsbTree::KeyValue kv(key, value);
+  std::string key_str = key.ToString();
+  const bool held = writes_.contains(key_str);
   TSB_RETURN_IF_ERROR(mgr_->LockKeys({&kv, 1}, id_));
   Status s = mgr_->tree_->PutUncommitted(key, value, id_);
-  if (!s.ok()) return mgr_->ReportInsertError(s);
-  writes_[key.ToString()] = value.ToString();
+  if (!s.ok()) {
+    // The key never enters writes_, so Abort would not release a lock
+    // this call took: leave the lock table as it was before the call.
+    if (!held) mgr_->UnlockKey(key, id_);
+    return mgr_->ReportInsertError(s);
+  }
+  writes_[std::move(key_str)] = value.ToString();
   return Status::OK();
 }
 
@@ -111,6 +118,12 @@ Status TxnManager::LockKeys(
     lock_table_.try_emplace(key.ToString(), txn);
   }
   return Status::OK();
+}
+
+void TxnManager::UnlockKey(const Slice& key, TxnId txn) {
+  std::lock_guard<std::mutex> lock(lock_mu_);
+  auto it = lock_table_.find(key.ToStringView());
+  if (it != lock_table_.end() && it->second == txn) lock_table_.erase(it);
 }
 
 void TxnManager::UnlockKeys(const Transaction& txn) {

@@ -269,6 +269,8 @@ class TxnManager {
   /// (the table is left as it was). Keys `txn` already holds stay locked.
   Status LockKeys(std::span<const tsb_tree::TsbTree::KeyValue> writes,
                   TxnId txn);
+  /// Releases `key` if `txn` holds it (a failed Transaction::Put).
+  void UnlockKey(const Slice& key, TxnId txn);
   void UnlockKeys(const Transaction& txn);
   Status CommitTxn(Transaction* txn, Timestamp* commit_ts);
   /// Shared body of CommitTxn and CommitPrepared. `external_ts` == 0

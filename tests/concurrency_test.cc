@@ -139,67 +139,101 @@ TEST(ConcurrencyTest, ReadersNeverBlockAndSeeCommittedStateOnly) {
             0u);
 }
 
+// Walks the cursor's current key down its version chain: the values must
+// run ValueOf(key, R), ValueOf(key, R - 1), ..., ValueOf(key, 0) with
+// strictly falling timestamps no greater than `snapshot_ts`, and then the
+// walk must end. False on any deviation or error.
+bool VersionChainExact(tsb_tree::VersionCursor* it, Timestamp snapshot_ts) {
+  const std::string key = it->key().ToString();
+  std::string decoded_key;
+  uint64_t top = 0;
+  if (!DecodeValue(it->value().ToString(), &decoded_key, &top) ||
+      decoded_key != key) {
+    return false;
+  }
+  Timestamp bound = snapshot_ts;  // the next version's ts must be <= this
+  for (uint64_t seq = top + 1; seq-- > 0;) {
+    if (!it->Valid() || it->value().ToString() != ValueOf(key, seq) ||
+        it->ts() > bound || it->ts() == 0) {
+      return false;
+    }
+    bound = it->ts() - 1;
+    if (!it->NextVersion().ok()) return false;
+  }
+  return !it->Valid();
+}
+
 TEST(ConcurrencyTest, SnapshotScansStayExactUnderConcurrentSplits) {
-  Fixture f;
-  constexpr int kKeys = 150;
-  constexpr int kRounds = 25;
-  constexpr int kScanners = 3;
+  // Two inputs: key scans alone, and key scans that also walk every key's
+  // versions with NextVersion inside the same snapshot.
+  for (const bool walk_versions : {false, true}) {
+    SCOPED_TRACE(walk_versions ? "with version walks" : "key scans only");
+    Fixture f;
+    constexpr int kKeys = 150;
+    constexpr int kRounds = 25;
+    constexpr int kScanners = 3;
 
-  for (int i = 0; i < kKeys; ++i) {
-    ASSERT_TRUE(f.db->Put(KeyOf(i), ValueOf(KeyOf(i), 0)).ok());
-  }
-
-  std::atomic<bool> stop{false};
-  std::atomic<bool> failed{false};
-  std::atomic<uint64_t> scans_done{0};
-
-  std::vector<std::thread> scanners;
-  for (int r = 0; r < kScanners; ++r) {
-    scanners.emplace_back([&] {
-      while (!stop.load(std::memory_order_acquire) && !failed.load()) {
-        txn::ReadTransaction snap = f.db->BeginReadOnly();
-        auto it = snap.NewCursor();
-        Status s = it->SeekToFirst();
-        int count = 0;
-        std::string prev_key;
-        while (s.ok() && it->Valid()) {
-          if (!prev_key.empty() && it->key().ToString() <= prev_key) {
-            failed.store(true);  // out of order or duplicate
-            break;
-          }
-          if (it->ts() > snap.timestamp()) {
-            failed.store(true);  // future version leaked into the snapshot
-            break;
-          }
-          prev_key = it->key().ToString();
-          count++;
-          s = it->Next();
-        }
-        if (!s.ok() || count != kKeys) {
-          // Every key was seeded before any snapshot began, so every
-          // snapshot must contain all of them exactly once.
-          failed.store(true);
-        }
-        scans_done.fetch_add(1, std::memory_order_relaxed);
-      }
-    });
-  }
-
-  for (int round = 1; round <= kRounds && !failed.load(); ++round) {
     for (int i = 0; i < kKeys; ++i) {
-      Status s = f.db->Put(KeyOf(i), ValueOf(KeyOf(i), round));
-      if (!s.ok()) {
-        ADD_FAILURE() << "writer Put failed: " << s.ToString();
-        failed.store(true);
-        break;
+      ASSERT_TRUE(f.db->Put(KeyOf(i), ValueOf(KeyOf(i), 0)).ok());
+    }
+
+    std::atomic<bool> stop{false};
+    std::atomic<bool> failed{false};
+    std::atomic<uint64_t> scans_done{0};
+
+    std::vector<std::thread> scanners;
+    for (int r = 0; r < kScanners; ++r) {
+      scanners.emplace_back([&] {
+        while (!stop.load(std::memory_order_acquire) && !failed.load()) {
+          txn::ReadTransaction snap = f.db->BeginReadOnly();
+          auto it = snap.NewCursor();
+          Status s = it->SeekToFirst();
+          int count = 0;
+          std::string prev_key;
+          while (s.ok() && it->Valid()) {
+            if (!prev_key.empty() && it->key().ToString() <= prev_key) {
+              failed.store(true);  // out of order or duplicate
+              break;
+            }
+            if (it->ts() > snap.timestamp()) {
+              failed.store(true);  // future version leaked into the snapshot
+              break;
+            }
+            prev_key = it->key().ToString();
+            count++;
+            if (walk_versions &&
+                !VersionChainExact(it.get(), snap.timestamp())) {
+              failed.store(true);
+              break;
+            }
+            s = it->Next();  // resumes the key scan after a version walk
+          }
+          if (!s.ok() || count != kKeys) {
+            // Every key was seeded before any snapshot began, so every
+            // snapshot must contain all of them exactly once.
+            failed.store(true);
+          }
+          scans_done.fetch_add(1, std::memory_order_relaxed);
+        }
+      });
+    }
+
+    for (int round = 1; round <= kRounds && !failed.load(); ++round) {
+      for (int i = 0; i < kKeys; ++i) {
+        Status s = f.db->Put(KeyOf(i), ValueOf(KeyOf(i), round));
+        if (!s.ok()) {
+          ADD_FAILURE() << "writer Put failed: " << s.ToString();
+          failed.store(true);
+          break;
+        }
       }
     }
-  }
-  stop.store(true, std::memory_order_release);
-  for (auto& t : scanners) t.join();
+    stop.store(true, std::memory_order_release);
+    for (auto& t : scanners) t.join();
 
-  EXPECT_FALSE(failed.load());
-  EXPECT_GT(scans_done.load(), 0u);
+    EXPECT_FALSE(failed.load());
+    EXPECT_GT(scans_done.load(), 0u);
+  }
 }
 
 // Reverse scans ride the same pinned-frame machinery as forward ones:

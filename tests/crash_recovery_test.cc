@@ -9,7 +9,7 @@
 // passes structural verification. KillAtEachCheckpointWindowRecovers
 // instead stops one deterministic checkpoint at chosen page writes (fresh
 // pages, journaled applies, the meta page). Satellite coverage rides
-// along: torn MANIFEST.tmp resolution and corrupted verified.tsb sidecars.
+// along: torn MANIFEST.tmp resolution.
 #include <fcntl.h>
 #include <gtest/gtest.h>
 #include <signal.h>
@@ -734,90 +734,6 @@ TEST_F(CrashRecoveryTest, TerminatedOrphanManifestTmpIsPromoted) {
   EXPECT_NE(db->index("ghost"), nullptr) << "complete tmp was not promoted";
   struct stat st;
   EXPECT_NE(::stat((path_ + "/MANIFEST.tmp").c_str(), &st), 0);
-}
-
-// ---- satellite: verified.tsb sidecar corruption ----------------------
-
-class SidecarCorruptionTest : public CrashRecoveryTest {
- protected:
-  /// Builds a DB with enough churn that blobs reach the historical store,
-  /// then reopens it cold and walks history: blobs verify their CRC on
-  /// first mapped pin, so only this second pass populates the verified
-  /// set (the writer itself served them warm) and makes the close write a
-  /// non-trivial sidecar.
-  void BuildDb(const DbOptions& opts) {
-    {
-      std::unique_ptr<MultiVersionDB> db;
-      ASSERT_TRUE(MultiVersionDB::Open(path_, opts, &db).ok());
-      for (int round = 0; round < 20; ++round) {
-        for (int k = 0; k < 24; ++k) {
-          ASSERT_TRUE(db->Put(Key(0, k), Value(0, round * 100 + k)).ok());
-        }
-      }
-    }
-    std::unique_ptr<MultiVersionDB> db;
-    ASSERT_TRUE(MultiVersionDB::Open(path_, opts, &db).ok());
-    for (int k = 0; k < 24; ++k) {
-      auto it = db->NewCursor();
-      ASSERT_TRUE(it->Seek(Key(0, k)).ok());
-      while (it->Valid()) ASSERT_TRUE(it->NextVersion().ok());
-    }
-  }
-
-  void ReopenAndVerify(const DbOptions& opts) {
-    std::unique_ptr<MultiVersionDB> db;
-    ASSERT_TRUE(MultiVersionDB::Open(path_, opts, &db).ok())
-        << "sidecar damage must never fail Open";
-    // History reads fall back to lazy re-verification and still succeed.
-    for (int k = 0; k < 24; ++k) {
-      auto it = db->NewCursor();
-      ASSERT_TRUE(it->Seek(Key(0, k)).ok());
-      int versions = 0;
-      while (it->Valid() && it->key() == Slice(Key(0, k)) && versions < 50) {
-        ++versions;
-        ASSERT_TRUE(it->NextVersion().ok());
-      }
-      EXPECT_GT(versions, 0) << "history lost for key " << k;
-    }
-    tsb_tree::TreeChecker checker(db->primary());
-    EXPECT_TRUE(checker.Check().ok());
-  }
-};
-
-TEST_F(SidecarCorruptionTest, FlippedBytesFallBackToReverification) {
-  DbOptions opts = SmallPageOptions();
-  BuildDb(opts);
-  const std::string sidecar = path_ + "/verified.tsb";
-  FILE* f = fopen(sidecar.c_str(), "r+b");
-  ASSERT_NE(f, nullptr);
-  fseek(f, 0, SEEK_END);
-  const long size = ftell(f);
-  ASSERT_GT(size, 28);
-  // Flip bytes in the offset table: CRC check must reject the whole file.
-  fseek(f, size / 2, SEEK_SET);
-  const char junk[4] = {'\xde', '\xad', '\xbe', '\xef'};
-  fwrite(junk, 1, sizeof(junk), f);
-  fclose(f);
-  ReopenAndVerify(opts);
-}
-
-TEST_F(SidecarCorruptionTest, TruncatedMidRecordFallsBackToReverification) {
-  DbOptions opts = SmallPageOptions();
-  BuildDb(opts);
-  const std::string sidecar = path_ + "/verified.tsb";
-  struct stat st;
-  ASSERT_EQ(::stat(sidecar.c_str(), &st), 0);
-  ASSERT_GT(st.st_size, 29);
-  // Cut mid-record: neither the count check nor the CRC can pass.
-  ASSERT_EQ(::truncate(sidecar.c_str(), st.st_size - 5), 0);
-  ReopenAndVerify(opts);
-}
-
-TEST_F(SidecarCorruptionTest, EmptySidecarFallsBackToReverification) {
-  DbOptions opts = SmallPageOptions();
-  BuildDb(opts);
-  ASSERT_EQ(::truncate((path_ + "/verified.tsb").c_str(), 0), 0);
-  ReopenAndVerify(opts);
 }
 
 }  // namespace

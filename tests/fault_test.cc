@@ -619,63 +619,83 @@ std::string CurrentTreeImage(tsb_tree::TsbTree* tree,
 // split checks everything before its first write, so the failed append
 // leaves the leaf, its parent entry and the historical store untouched;
 // the commit fails, the DB degrades, and after Resume() the same batch
-// commits into a tree that checks clean.
+// commits into a tree that checks clean. Two inputs drive the same split:
+// a WriteBatch, and an explicit transaction (Begin + Put + Commit), whose
+// failed Put must leave the key unlocked.
 TEST_F(DegradedModeTest, HistoricalAppendFailureInDataTimeSplit) {
-  DbOptions o = Options();
-  auto hist_plan = std::make_shared<FaultPlan>();
-  o.wrap_device = [hist_plan](const std::string& role,
-                              std::unique_ptr<Device> dev)
-      -> std::unique_ptr<Device> {
-    if (role != "historical") return dev;
-    return std::make_unique<FaultInjectingDevice>(std::move(dev), hist_plan);
-  };
-  OpenDb(o);
-  tsb_tree::TsbTree* tree = db_->primary();
-  // Key splits only: the root is an index page before the fault is armed.
-  PutBaseline(40);
-  ASSERT_EQ(2u, tree->height());
-  // The first historical write is the first data time split's append.
-  hist_plan->FailNth(FaultOp::kWrite, 1, FaultKind::kEIO, /*sticky=*/false);
+  for (const bool explicit_txn : {false, true}) {
+    SCOPED_TRACE(explicit_txn ? "explicit transaction" : "WriteBatch");
+    db_.reset();
+    MultiVersionDB::Destroy(path_);
+    auto commit = [&](const WriteBatch& batch, Timestamp* ts) -> Status {
+      if (!explicit_txn) return db_->Write(batch, ts);
+      std::unique_ptr<txn::Transaction> txn;
+      TSB_RETURN_IF_ERROR(db_->Begin(&txn));
+      for (const auto& [key, value] : batch.ops()) {
+        TSB_RETURN_IF_ERROR(txn->Put(key, value));
+      }
+      return txn->Commit(ts);
+    };
+    DbOptions o = Options();
+    auto hist_plan = std::make_shared<FaultPlan>();
+    o.wrap_device = [hist_plan](const std::string& role,
+                                std::unique_ptr<Device> dev)
+        -> std::unique_ptr<Device> {
+      if (role != "historical") return dev;
+      return std::make_unique<FaultInjectingDevice>(std::move(dev),
+                                                    hist_plan);
+    };
+    OpenDb(o);
+    tsb_tree::TsbTree* tree = db_->primary();
+    // Key splits only: the root is an index page before the fault is
+    // armed.
+    PutBaseline(40);
+    ASSERT_EQ(2u, tree->height());
+    // The first historical write is the first data time split's append.
+    hist_plan->FailNth(FaultOp::kWrite, 1, FaultKind::kEIO,
+                       /*sticky=*/false);
 
-  constexpr int kHotKeys = 4;
-  WriteBatch failed;
-  std::string before;
-  uint64_t blobs_before = 0;
-  for (int i = 0; i < 2000 && hist_plan->fired(FaultOp::kWrite) == 0; ++i) {
-    before = CurrentTreeImage(tree, tree->root());
-    blobs_before = tree->hist_store()->blob_count();
-    WriteBatch batch;
-    batch.Put(DbKey(i % kHotKeys),
-              "version-" + std::to_string(i) + "-of-a-hot-key");
-    if (db_->Write(batch).ok()) continue;
-    failed = batch;
+    constexpr int kHotKeys = 4;
+    WriteBatch failed;
+    std::string before;
+    uint64_t blobs_before = 0;
+    for (int i = 0; i < 2000 && hist_plan->fired(FaultOp::kWrite) == 0; ++i) {
+      before = CurrentTreeImage(tree, tree->root());
+      blobs_before = tree->hist_store()->blob_count();
+      WriteBatch batch;
+      batch.Put(DbKey(i % kHotKeys),
+                "version-" + std::to_string(i) + "-of-a-hot-key");
+      if (commit(batch, nullptr).ok()) continue;
+      failed = batch;
+    }
+    ASSERT_EQ(1u, hist_plan->fired(FaultOp::kWrite));
+    ASSERT_FALSE(failed.empty());
+    EXPECT_EQ(0u, tree->counters().data_time_splits);
+    EXPECT_TRUE(db_->degraded());
+    EXPECT_TRUE(db_->BackgroundError().IsIOError());
+    EXPECT_EQ(before, CurrentTreeImage(tree, tree->root()));
+    EXPECT_EQ(blobs_before, tree->hist_store()->blob_count());
+    Status fast = commit(failed, nullptr);  // fail-fast while degraded
+    EXPECT_TRUE(fast.IsIOError()) << fast.ToString();
+
+    Status resume = db_->Resume();
+    ASSERT_TRUE(resume.ok()) << resume.ToString();
+    Timestamp ts = 0;
+    Status s = commit(failed, &ts);
+    ASSERT_TRUE(s.ok()) << s.ToString();
+    EXPECT_GT(tree->counters().data_time_splits, 0u);
+    EXPECT_EQ(tree->hist_store()->blob_count(),
+              uint64_t{tree->counters().hist_data_nodes} +
+                  uint64_t{tree->counters().hist_index_nodes});
+    const auto& [key, value] = failed.ops().front();
+    std::string v;
+    ASSERT_TRUE(db_->Get({.as_of = ts}, key, &v).ok());
+    EXPECT_EQ(value, v);
+    tsb_tree::TreeChecker checker(tree);
+    checker.set_verify_checksums(true);
+    Status check = checker.Check();
+    EXPECT_TRUE(check.ok()) << check.ToString();
   }
-  ASSERT_EQ(1u, hist_plan->fired(FaultOp::kWrite));
-  ASSERT_FALSE(failed.empty());
-  EXPECT_EQ(0u, tree->counters().data_time_splits);
-  EXPECT_TRUE(db_->degraded());
-  EXPECT_TRUE(db_->BackgroundError().IsIOError());
-  EXPECT_EQ(before, CurrentTreeImage(tree, tree->root()));
-  EXPECT_EQ(blobs_before, tree->hist_store()->blob_count());
-  EXPECT_TRUE(db_->Write(failed).IsIOError());  // fail-fast while degraded
-
-  Status resume = db_->Resume();
-  ASSERT_TRUE(resume.ok()) << resume.ToString();
-  Timestamp ts = 0;
-  Status s = db_->Write(failed, &ts);
-  ASSERT_TRUE(s.ok()) << s.ToString();
-  EXPECT_GT(tree->counters().data_time_splits, 0u);
-  EXPECT_EQ(tree->hist_store()->blob_count(),
-            uint64_t{tree->counters().hist_data_nodes} +
-                uint64_t{tree->counters().hist_index_nodes});
-  const auto& [key, value] = failed.ops().front();
-  std::string v;
-  ASSERT_TRUE(db_->Get({.as_of = ts}, key, &v).ok());
-  EXPECT_EQ(value, v);
-  tsb_tree::TreeChecker checker(tree);
-  checker.set_verify_checksums(true);
-  Status check = checker.Check();
-  EXPECT_TRUE(check.ok()) << check.ToString();
 }
 
 // Hard errors (corruption-class) refuse Resume(): the original cause
