@@ -14,6 +14,7 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <memory>
 #include <new>
 #include <string>
@@ -23,14 +24,16 @@
 #include "bench_common.h"
 #include "bpt/bplus_tree.h"
 #include "common/random.h"
+#include "db/multiversion_db.h"
 #include "storage/file_device.h"
 #include "tsb/cursor.h"
 #include "wobt/wobt_tree.h"
 
 // ---- binary-wide allocation counter ----
 // Counts every operator-new call so the historical as-of section can
-// report allocations per lookup: the zero-copy read path must show ~0 on
-// the cache-hit path.
+// report allocations per lookup (the zero-copy read path must show ~0 on
+// the cache-hit path) and the batch-write section allocations per written
+// key.
 //
 // All replacement news below are malloc/aligned_alloc-backed, so free()
 // in the deletes is correct; GCC's pairing heuristic cannot see that.
@@ -339,7 +342,7 @@ NodeBytesResult MeasureHistNodeBytes() {
     const std::vector<DataEntry> node(entries.begin() + i,
                                       entries.begin() + i + n);
     uint64_t raw = 0;
-    tsb_tree::SerializeHistDataNode(node, &blob, &raw);
+    tsb_tree::SerializeHistDataNode(tsb_tree::ViewsOf(node), &blob, &raw);
     r.raw_bytes += raw;
     r.v3_bytes += blob.size();
   }
@@ -435,6 +438,88 @@ ScanResult MeasureScan(tsb_tree::TsbTree* tree, Timestamp t, bool reverse,
       total == 0 ? 0
                  : static_cast<double>(allocs) / static_cast<double>(total);
   r.entries_per_scan = per_scan;
+  return r;
+}
+
+// ---- batch writes: heap allocations per written key ----
+//
+// One thread writes kBatchWriteKeys keys x kBatchWriteVersions versions
+// as kBatchWriteBatch-key WriteBatches through a path-opened
+// MultiVersionDB (WAL on, sync off, no checkpoint): every version after
+// the first supersedes one, so the load is time-split heavy, and with one
+// thread it is deterministic. Only the Write calls are counted — building
+// the batch is the caller's business — so allocs_per_key is what locking,
+// the uncommitted inserts, the WAL frame, splits and stamping cost per
+// key. writer_descents_per_key counts every leaf descent (inserts,
+// splits, stamps): a split works on the leaf its insert latched.
+constexpr uint64_t kBatchWriteKeys = 50000;
+constexpr int kBatchWriteVersions = 10;
+constexpr size_t kBatchWriteBatch = 500;
+
+struct BatchWriteResult {
+  double keys_per_sec = 0;
+  double allocs_per_key = 0;
+  double writer_descents_per_key = 0;
+  uint64_t keys = 0;
+  uint64_t time_splits = 0;
+  uint64_t key_splits = 0;
+};
+
+BatchWriteResult MeasureBatchWrite() {
+  const std::string path =
+      "/tmp/tsb_bench_batch_write." + std::to_string(::getpid());
+  (void)db::MultiVersionDB::Destroy(path);
+  db::DbOptions o;
+  o.tree.page_size = 4096;
+  o.tree.buffer_pool_frames = 8192;  // the current database stays resident
+  o.wal_sync = wal::WalSyncMode::kOff;
+  o.wal_checkpoint_bytes = 1ull << 30;
+  std::unique_ptr<db::MultiVersionDB> db;
+  Status s = db::MultiVersionDB::Open(path, o, &db);
+  if (!s.ok()) {
+    fprintf(stderr, "batch write open failed: %s\n", s.ToString().c_str());
+    abort();
+  }
+  txn::WriteBatch batch;
+  char key[16];
+  char value[100];
+  memset(value, 'v', sizeof(value));
+  uint64_t allocs = 0;
+  double secs = 0;
+  BatchWriteResult r;
+  for (int version = 0; version < kBatchWriteVersions; ++version) {
+    for (uint64_t first = 0; first < kBatchWriteKeys;
+         first += kBatchWriteBatch) {
+      batch.Clear();
+      for (uint64_t id = first;
+           id < std::min(first + kBatchWriteBatch, kBatchWriteKeys); ++id) {
+        snprintf(key, sizeof(key), "k%08u", static_cast<unsigned>(id));
+        snprintf(value, 25, "%08x-%015u", static_cast<unsigned>(id),
+                 static_cast<unsigned>(version));
+        batch.Put(key, Slice(value, sizeof(value)));
+      }
+      const uint64_t before = g_alloc_count.load(std::memory_order_relaxed);
+      const auto start = std::chrono::steady_clock::now();
+      s = db->Write(batch);
+      const auto end = std::chrono::steady_clock::now();
+      allocs += g_alloc_count.load(std::memory_order_relaxed) - before;
+      secs += std::chrono::duration<double>(end - start).count();
+      if (!s.ok()) {
+        fprintf(stderr, "batch write failed: %s\n", s.ToString().c_str());
+        abort();
+      }
+      r.keys += batch.Count();
+    }
+  }
+  const tsb_tree::TsbCounters& c = db->primary()->counters();
+  r.keys_per_sec = secs > 0 ? static_cast<double>(r.keys) / secs : 0;
+  r.allocs_per_key = static_cast<double>(allocs) / static_cast<double>(r.keys);
+  r.writer_descents_per_key = static_cast<double>(c.writer_descents) /
+                              static_cast<double>(r.keys);
+  r.time_splits = c.data_time_splits;
+  r.key_splits = c.data_key_splits;
+  db.reset();
+  (void)db::MultiVersionDB::Destroy(path);
   return r;
 }
 
@@ -701,6 +786,16 @@ void WriteHistAsOfJson() {
          scan_rev_cold.entries_per_sec, scan_rev_cold.allocs_per_entry,
          rev_over_fwd_cold);
 
+  // ---- batch writes: allocations and descents per written key ----
+  const BatchWriteResult bw = MeasureBatchWrite();
+  printf("== batch writes: %llu keys as %zu-key WriteBatches, 1 thread ==\n",
+         static_cast<unsigned long long>(bw.keys), kBatchWriteBatch);
+  printf("%12.0f keys/s  %6.3f allocs/key  %6.3f writer descents/key  "
+         "(%llu time splits, %llu key splits)\n\n",
+         bw.keys_per_sec, bw.allocs_per_key, bw.writer_descents_per_key,
+         static_cast<unsigned long long>(bw.time_splits),
+         static_cast<unsigned long long>(bw.key_splits));
+
   const char* path = std::getenv("BENCH_QUERY_JSON");
   if (path == nullptr) path = "BENCH_query.json";
   FILE* f = fopen(path, "w");
@@ -746,7 +841,11 @@ void WriteHistAsOfJson() {
           "    \"reverse_cold\": {\"entries_per_sec\": %.1f, "
           "\"allocs_per_entry\": %.4f},\n"
           "    \"reverse_over_forward_cold\": %.3f\n"
-          "  }\n"
+          "  },\n"
+          "  \"batch_write\": {\"keys\": %llu, \"batch\": %zu, "
+          "\"keys_per_sec\": %.1f, \"allocs_per_key\": %.4f, "
+          "\"writer_descents_per_key\": %.4f, \"data_time_splits\": %llu, "
+          "\"data_key_splits\": %llu}\n"
           "}\n",
           kOps, kUpdateFraction, probes.size(), rounds, view.ops_per_sec,
           view.allocs_per_op, view.cache_hit_ratio,
@@ -774,7 +873,11 @@ void WriteHistAsOfJson() {
           scan_rev_old.entries_per_scan, rev_over_fwd_old,
           scan_fwd_cold.entries_per_sec, scan_fwd_cold.allocs_per_entry,
           scan_rev_cold.entries_per_sec, scan_rev_cold.allocs_per_entry,
-          rev_over_fwd_cold);
+          rev_over_fwd_cold, static_cast<unsigned long long>(bw.keys),
+          kBatchWriteBatch, bw.keys_per_sec, bw.allocs_per_key,
+          bw.writer_descents_per_key,
+          static_cast<unsigned long long>(bw.time_splits),
+          static_cast<unsigned long long>(bw.key_splits));
   fclose(f);
   printf("wrote %s\n\n", path);
 }

@@ -89,8 +89,8 @@ void MultiVersionDB::InstallCommitHook() {
   hook_installed_ = true;
   MultiVersionDB* raw = this;
   txns_->SetCommitHook(
-      [raw](const std::string& key, const std::string* old_value,
-            const std::string& new_value, Timestamp ts) {
+      [raw](const Slice& key, const Slice* old_value, const Slice& new_value,
+            Timestamp ts) {
         return raw->OnCommit(key, old_value, new_value, ts);
       });
 }
@@ -668,9 +668,8 @@ SecondaryIndex* MultiVersionDB::index(const std::string& name) {
   return it == indexes_.end() ? nullptr : it->second.index.get();
 }
 
-Status MultiVersionDB::OnCommit(const std::string& key,
-                                const std::string* old_value,
-                                const std::string& new_value, Timestamp ts) {
+Status MultiVersionDB::OnCommit(const Slice& key, const Slice* old_value,
+                                const Slice& new_value, Timestamp ts) {
   for (auto& [name, def] : indexes_) {
     if (!def.extract) {
       // Letting the write through would silently leave this index stale
@@ -681,8 +680,8 @@ Status MultiVersionDB::OnCommit(const std::string& key,
                                      name);
     }
     std::optional<std::string> old_sk;
-    if (old_value != nullptr) old_sk = def.extract(Slice(*old_value));
-    std::optional<std::string> new_sk = def.extract(Slice(new_value));
+    if (old_value != nullptr) old_sk = def.extract(*old_value);
+    std::optional<std::string> new_sk = def.extract(new_value);
     if (old_sk == new_sk) continue;  // secondary field unchanged
     if (old_sk.has_value()) {
       TSB_RETURN_IF_ERROR(def.index->Remove(*old_sk, key, ts));

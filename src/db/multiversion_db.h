@@ -404,8 +404,8 @@ class MultiVersionDB {
  private:
   explicit MultiVersionDB(const DbOptions& options) : options_(options) {}
 
-  Status OnCommit(const std::string& key, const std::string* old_value,
-                  const std::string& new_value, Timestamp ts);
+  Status OnCommit(const Slice& key, const Slice* old_value,
+                  const Slice& new_value, Timestamp ts);
 
   struct IndexEntryDef {
     KeyExtractor extract;

@@ -4,6 +4,7 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cinttypes>
 #include <cstdio>
@@ -273,23 +274,28 @@ Status ShardedDB::Write(const WriteBatch& batch, Timestamp* commit_ts) {
     if (commit_ts != nullptr) *commit_ts = clock_->Visible();
     return Status::OK();
   }
-  std::map<uint32_t, std::vector<std::pair<std::string, std::string>>> slices;
-  for (const auto& op : batch.ops()) {
-    slices[ShardOf(op.first)].push_back(op);
-  }
-  if (slices.size() == 1) {
+  const uint32_t first_shard = ShardOf(batch.ops().front().first);
+  if (std::all_of(batch.ops().begin(), batch.ops().end(),
+                  [&](const auto& op) {
+                    return ShardOf(op.first) == first_shard;
+                  })) {
     // The embarrassingly parallel case: the shard's own TxnManager
     // commits through the shared ledger, so even this path publishes the
     // global ordered prefix.
-    return shards_[slices.begin()->first]->Write(batch, commit_ts);
+    return shards_[first_shard]->Write(batch, commit_ts);
   }
-  return WriteMultiShard(slices, batch, commit_ts);
+  // One write set of views, split by shard; the coordinator logs the
+  // whole set and each shard's transaction writes its slice.
+  std::vector<std::pair<Slice, Slice>> ops;
+  batch.SortedOps(&ops);
+  std::map<uint32_t, std::vector<std::pair<Slice, Slice>>> slices;
+  for (const auto& op : ops) slices[ShardOf(op.first)].push_back(op);
+  return WriteMultiShard(slices, ops, commit_ts);
 }
 
 Status ShardedDB::WriteMultiShard(
-    const std::map<uint32_t,
-                   std::vector<std::pair<std::string, std::string>>>& slices,
-    const WriteBatch& batch, Timestamp* commit_ts) {
+    const std::map<uint32_t, std::vector<std::pair<Slice, Slice>>>& slices,
+    std::span<const std::pair<Slice, Slice>> ops, Timestamp* commit_ts) {
   // Shared for the whole append-to-stamped window: Checkpoint's exclusive
   // hold can then never truncate a decision that is not yet fully
   // stamped and checkpointed into its shards.
@@ -299,7 +305,7 @@ Status ShardedDB::WriteMultiShard(
     // it before any new decision can be made durable.
     return Status::IOError("coordinator log unavailable; Resume required");
   }
-  for (const auto& [s, ops] : slices) {
+  for (const auto& [s, slice] : slices) {
     // Fail fast: a degraded shard would reject its CommitPrepared AFTER
     // the decision became durable, turning a routine sick-shard error
     // into a repair cycle for this batch too.
@@ -315,11 +321,11 @@ Status ShardedDB::WriteMultiShard(
       if (txn->active()) txn->Abort();
     }
   };
-  for (const auto& [s, ops] : slices) {
+  for (const auto& [s, slice] : slices) {
     std::unique_ptr<txn::Transaction> txn;
     Status st = shards_[s]->Begin(&txn);
     if (st.ok()) {
-      for (const auto& [key, value] : ops) {
+      for (const auto& [key, value] : slice) {
         st = txn->Put(key, value);
         if (!st.ok()) break;
       }
@@ -336,12 +342,10 @@ Status ShardedDB::WriteMultiShard(
   // on any shard can publish the watermark past it from here on.
   const Timestamp ts = ledger_->TickCommit();
 
-  // 3. The commit point: one self-contained decision record. Duplicate
-  // keys collapse last-wins, matching the per-shard transaction's map.
-  std::map<std::string, std::string> all_ops;
-  for (const auto& [key, value] : batch.ops()) all_ops[key] = value;
+  // 3. The commit point: one self-contained decision record of the
+  // sorted write set (duplicate keys already collapsed last-wins).
   uint64_t end_lsn = 0;
-  Status st = coord_wal_->AppendCommit(ts, all_ops, &end_lsn);
+  Status st = coord_wal_->AppendCommit(ts, ops, &end_lsn);
   if (!st.ok()) {
     // Append failure: the Wal truncated back to the last whole frame, so
     // nothing at ts can ever replay — the batch cleanly never happened.
@@ -385,7 +389,10 @@ Status ShardedDB::WriteMultiShard(
     abort_active();
     {
       std::lock_guard<std::mutex> lock(multi_mu_);
-      failed_multi_[ts] = all_ops;
+      std::map<std::string, std::string>& parked = failed_multi_[ts];
+      for (const auto& [key, value] : ops) {
+        parked.emplace(key.ToString(), value.ToString());
+      }
     }
     ledger_->PoisonCommit(ts);
     TSB_LOG_WARN("multi-shard commit t=%llu decided but unfinished (%s); "

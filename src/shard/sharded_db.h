@@ -60,6 +60,7 @@
 #include <mutex>
 #include <set>
 #include <shared_mutex>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -236,12 +237,12 @@ class ShardedDB {
   /// seed and idempotently re-applies each shard's slice.
   Status ApplyDecision(const wal::WalCommit& commit);
 
-  /// The multi-shard commit protocol (file comment); caller verified the
-  /// batch spans >1 shard.
+  /// The multi-shard commit protocol (file comment). `ops` is the
+  /// batch's write set (WriteBatch::SortedOps) and `slices` the same
+  /// views split by shard; the caller verified there are several.
   Status WriteMultiShard(
-      const std::map<uint32_t, std::vector<std::pair<std::string,
-                                                     std::string>>>& slices,
-      const WriteBatch& batch, Timestamp* commit_ts);
+      const std::map<uint32_t, std::vector<std::pair<Slice, Slice>>>& slices,
+      std::span<const std::pair<Slice, Slice>> ops, Timestamp* commit_ts);
 
   /// Purge + re-apply one decided batch on every touched shard (commits
   /// frozen per shard), then lift its pin. Caller holds coord_mu_

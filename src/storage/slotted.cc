@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cassert>
 #include <cstring>
-#include <string>
 
 #include "common/coding.h"
 
@@ -85,22 +84,28 @@ void SlottedView::Compact() {
 }
 
 bool SlottedView::Insert(int pos, const Slice& cell) {
+  char* dst = Allocate(pos, static_cast<uint32_t>(cell.size()));
+  if (dst == nullptr) return false;
+  memcpy(dst, cell.data(), cell.size());
+  return true;
+}
+
+char* SlottedView::Allocate(int pos, uint32_t size) {
   assert(pos >= 0 && pos <= count());
-  const uint32_t need = static_cast<uint32_t>(cell.size()) + kCellHeader;
-  if (!HasRoomFor(static_cast<uint32_t>(cell.size()))) return false;
+  const uint32_t need = size + kCellHeader;
+  if (!HasRoomFor(size)) return nullptr;
   if (ContiguousFree() < need + kSlot) Compact();
   const int n = count();
   // Shift slots [pos, n) right by one.
   memmove(base_ + kHeader + kSlot * (pos + 1), base_ + kHeader + kSlot * pos,
           kSlot * static_cast<size_t>(n - pos));
   const uint16_t write = static_cast<uint16_t>(cell_start() - need);
-  EncodeFixed16(base_ + write, static_cast<uint16_t>(cell.size()));
-  memcpy(base_ + write + kCellHeader, cell.data(), cell.size());
+  EncodeFixed16(base_ + write, static_cast<uint16_t>(size));
   set_slot(pos, write);
   set_cell_start(write);
   set_count(static_cast<uint16_t>(n + 1));
   set_live_bytes(static_cast<uint16_t>(live_bytes() + need));
-  return true;
+  return base_ + write + kCellHeader;
 }
 
 void SlottedView::Remove(int pos) {
@@ -142,14 +147,16 @@ void SlottedView::MoveSlot(int from, int to) {
 }
 
 bool SlottedView::Replace(int pos, const Slice& cell) {
-  std::string old = Cell(pos).ToString();
+  // Removing the old cell frees its bytes and its slot, which the new
+  // cell takes back: refuse before touching anything when it would still
+  // not fit, so a failed replace leaves the page as it was.
+  const uint32_t old_len = static_cast<uint32_t>(Cell(pos).size());
+  if (FreeBytes() + old_len < cell.size()) return false;
   Remove(pos);
-  if (Insert(pos, cell)) return true;
-  // Roll back.
-  bool ok = Insert(pos, old);
+  const bool ok = Insert(pos, cell);
   assert(ok);
   (void)ok;
-  return false;
+  return true;
 }
 
 }  // namespace tsb

@@ -43,11 +43,17 @@ class SlottedView {
   /// false if there is no room.
   bool Insert(int pos, const Slice& cell);
 
+  /// Inserts an uninitialized cell of `size` bytes so it becomes cell
+  /// `pos` and returns its bytes for the caller to fill in place; nullptr
+  /// if there is no room.
+  char* Allocate(int pos, uint32_t size);
+
   /// Removes cell `pos`.
   void Remove(int pos);
 
-  /// Replaces cell `pos` with `cell`; false if no room (cell removed is
-  /// reclaimed first, so shrinking always succeeds).
+  /// Replaces cell `pos` with `cell`; false, with the page unchanged, if
+  /// no room (the old cell's bytes count as free, so shrinking always
+  /// succeeds).
   bool Replace(int pos, const Slice& cell);
 
   /// Writable bytes of cell `pos`, for in-place rewrites that keep or

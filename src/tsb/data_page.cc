@@ -13,17 +13,22 @@ size_t DataCellSize(const Slice& key, TxnId txn, const Slice& value) {
          value.size();
 }
 
-size_t DataEntry::EncodedSize() const {
-  return DataCellSize(key, txn, value);
+char* EncodeDataCell(char* dst, const Slice& key, Timestamp ts, TxnId txn,
+                     const Slice& value) {
+  dst = EncodeVarint32(dst, static_cast<uint32_t>(key.size()));
+  memcpy(dst, key.data(), key.size());
+  dst += key.size();
+  EncodeFixed64(dst, ts);
+  dst = EncodeVarint64(dst + 8, txn);
+  memcpy(dst, value.data(), value.size());
+  return dst + value.size();
 }
 
 void EncodeDataCell(std::string* out, const Slice& key, Timestamp ts,
                     TxnId txn, const Slice& value) {
-  PutVarint32(out, static_cast<uint32_t>(key.size()));
-  out->append(key.data(), key.size());
-  PutFixed64(out, ts);
-  PutVarint64(out, txn);
-  out->append(value.data(), value.size());
+  const size_t at = out->size();
+  out->resize(at + DataCellSize(key, txn, value));
+  EncodeDataCell(out->data() + at, key, ts, txn, value);
 }
 
 bool DecodeDataCell(const Slice& cell, DataEntryView* view) {
@@ -35,6 +40,15 @@ bool DecodeDataCell(const Slice& cell, DataEntryView* view) {
   if (!GetVarint64(&in, &view->txn)) return false;
   view->value = in;
   return true;
+}
+
+std::vector<DataEntryView> ViewsOf(std::span<const DataEntry> entries) {
+  std::vector<DataEntryView> views;
+  views.reserve(entries.size());
+  for (const DataEntry& e : entries) {
+    views.push_back(DataEntryView{e.key, e.ts, e.txn, e.value});
+  }
+  return views;
 }
 
 void DataPageRef::Format(char* buf, uint32_t page_size) {
@@ -151,26 +165,45 @@ Status DataPageRef::DecodeAll(std::vector<DataEntry>* out) const {
   return Status::OK();
 }
 
-Status DataPageRef::Load(const std::vector<DataEntry>& entries) {
+Status DataPageRef::DecodeViews(std::vector<DataEntryView>* out) const {
+  out->resize(Count());
+  for (int i = 0; i < Count(); ++i) TSB_RETURN_IF_ERROR(At(i, &(*out)[i]));
+  return Status::OK();
+}
+
+Status DataPageRef::Load(std::span<const DataEntryView> entries) {
   slots_.Clear();
   for (size_t i = 0; i < entries.size(); ++i) {
-    std::string cell;
-    EncodeDataCell(&cell, entries[i].key, entries[i].ts, entries[i].txn,
-                   entries[i].value);
-    if (!slots_.Insert(static_cast<int>(i), cell)) {
+    const DataEntryView& e = entries[i];
+    // Encoded straight into the page: no staging copy.
+    char* cell = slots_.Allocate(static_cast<int>(i),
+                                 static_cast<uint32_t>(e.EncodedSize()));
+    if (cell == nullptr) {
       return Status::OutOfSpace("data page bulk load overflow");
     }
+    EncodeDataCell(cell, e.key, e.ts, e.txn, e.value);
   }
   return Status::OK();
 }
 
-void SerializeHistDataNode(const std::vector<DataEntry>& entries,
+void SerializeHistDataNode(std::span<const DataEntryView> entries,
                            std::string* out, uint64_t* raw_bytes,
                            uint32_t restart_interval) {
+  // Upper bound of the node: header, cells with both varints at their
+  // widest, and a directory offset per cell, so `out` grows at most once.
+  // The cell buffer is sized once for the largest cell.
+  size_t bound = 8 + 4 * entries.size();
+  size_t largest = 0;
+  for (const DataEntryView& e : entries) {
+    bound += e.EncodedSize() + 10;
+    largest = std::max(largest, e.EncodedSize());
+  }
+  out->reserve(bound);
+  std::string cell;
+  cell.reserve(largest);
   HistNodeBuilder builder(0, static_cast<uint32_t>(entries.size()), out,
                           restart_interval);
-  std::string cell;
-  for (const DataEntry& e : entries) {
+  for (const DataEntryView& e : entries) {
     cell.clear();
     EncodeDataCell(&cell, e.key, e.ts, e.txn, e.value);
     builder.AddCell(cell);

@@ -16,6 +16,7 @@
 #define TSBTREE_TSB_DATA_PAGE_H_
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -40,6 +41,31 @@ inline void SetTsbPageLevel(char* buf, uint8_t level) {
   buf[24] = static_cast<char>(level);
 }
 
+/// Encoded size of the record cell for (key, txn, value); the ts is a
+/// fixed64, so the size does not depend on it.
+size_t DataCellSize(const Slice& key, TxnId txn, const Slice& value);
+/// Encodes the cell into `dst`, which has DataCellSize bytes; returns the
+/// end of the cell.
+char* EncodeDataCell(char* dst, const Slice& key, Timestamp ts, TxnId txn,
+                     const Slice& value);
+/// Appends the cell to `out`.
+void EncodeDataCell(std::string* out, const Slice& key, Timestamp ts,
+                    TxnId txn, const Slice& value);
+
+struct DataEntry;
+
+/// Non-owning view of a record cell inside a page (or of a DataEntry).
+struct DataEntryView {
+  Slice key;
+  Timestamp ts = 0;
+  TxnId txn = kNoTxn;
+  Slice value;
+
+  bool uncommitted() const { return ts == kUncommittedTs; }
+  size_t EncodedSize() const { return DataCellSize(key, txn, value); }
+  DataEntry ToOwned() const;
+};
+
 /// A decoded record version (owning).
 struct DataEntry {
   std::string key;
@@ -48,7 +74,7 @@ struct DataEntry {
   std::string value;
 
   bool uncommitted() const { return ts == kUncommittedTs; }
-  size_t EncodedSize() const;
+  size_t EncodedSize() const { return DataCellSize(key, txn, value); }
 
   /// Sort order used everywhere: (key, ts); the uncommitted sentinel sorts
   /// after all committed versions of the same key.
@@ -59,25 +85,15 @@ struct DataEntry {
   }
 };
 
-/// Non-owning view of a record cell inside a page.
-struct DataEntryView {
-  Slice key;
-  Timestamp ts = 0;
-  TxnId txn = kNoTxn;
-  Slice value;
+inline DataEntry DataEntryView::ToOwned() const {
+  return DataEntry{key.ToString(), ts, txn, value.ToString()};
+}
 
-  bool uncommitted() const { return ts == kUncommittedTs; }
-  DataEntry ToOwned() const {
-    return DataEntry{key.ToString(), ts, txn, value.ToString()};
-  }
-};
-
-/// Encoded size of the record cell for (key, txn, value); the ts is a
-/// fixed64, so the size does not depend on it.
-size_t DataCellSize(const Slice& key, TxnId txn, const Slice& value);
-void EncodeDataCell(std::string* out, const Slice& key, Timestamp ts,
-                    TxnId txn, const Slice& value);
 bool DecodeDataCell(const Slice& cell, DataEntryView* view);
+
+/// Views of owned entries, for the span-taking helpers below; valid while
+/// `entries` lives unchanged.
+std::vector<DataEntryView> ViewsOf(std::span<const DataEntry> entries);
 
 /// Accessor over a current data page's bytes. Does not own the buffer; the
 /// caller keeps the page pinned while a ref is live.
@@ -127,11 +143,16 @@ class DataPageRef {
   void Remove(int i) { slots_.Remove(i); }
   void Clear() { slots_.Clear(); }
 
-  /// Decodes every entry (owning copies, for split staging).
+  /// Decodes every entry (owning copies, for tools and the checker).
   Status DecodeAll(std::vector<DataEntry>* out) const;
 
-  /// Clears the page and bulk-loads `entries` (must be sorted, must fit).
-  Status Load(const std::vector<DataEntry>& entries);
+  /// Views of every entry, into this page's bytes (split staging decodes
+  /// a private copy of the leaf, so the views outlive the leaf's latch).
+  Status DecodeViews(std::vector<DataEntryView>* out) const;
+
+  /// Clears the page and bulk-loads `entries` (must be sorted, must fit,
+  /// and must not point into this page).
+  Status Load(std::span<const DataEntryView> entries);
 
   /// Live payload bytes (cells + slots).
   uint32_t UsedBytes() const {
@@ -149,7 +170,7 @@ class DataPageRef {
 /// Serializes entries as a consolidated historical data node. When
 /// `raw_bytes` is non-null it receives the uncompressed size, for
 /// compression accounting. `restart_interval` sets the restart-block size.
-void SerializeHistDataNode(const std::vector<DataEntry>& entries,
+void SerializeHistDataNode(std::span<const DataEntryView> entries,
                            std::string* out, uint64_t* raw_bytes = nullptr,
                            uint32_t restart_interval = kHistRestartInterval);
 

@@ -37,12 +37,14 @@ void HistNodeBuilder::AddCell(const Slice& cell) {
   cell_bytes_ += cell.size();
   if (in_block_ == 0) {
     offsets_.push_back(static_cast<uint32_t>(out_->size()));
-    restart_cell_.assign(cell.data(), cell.size());
     PutVarint32(out_, 0);
     PutVarint32(out_, static_cast<uint32_t>(cell.size()));
+    restart_at_ = out_->size();
+    restart_len_ = cell.size();
     out_->append(cell.data(), cell.size());
   } else {
-    const size_t shared = SharedPrefix(Slice(restart_cell_), cell);
+    const size_t shared =
+        SharedPrefix(Slice(out_->data() + restart_at_, restart_len_), cell);
     PutVarint32(out_, static_cast<uint32_t>(shared));
     PutVarint32(out_, static_cast<uint32_t>(cell.size() - shared));
     out_->append(cell.data() + shared, cell.size() - shared);

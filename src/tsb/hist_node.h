@@ -83,7 +83,10 @@ class HistNodeBuilder {
   uint32_t added_ = 0;
   uint32_t in_block_ = 0;
   uint64_t cell_bytes_ = 0;
-  std::string restart_cell_;       // current block's first cell
+  // Current block's first cell, stored whole in *out_ (an offset: out_
+  // may reallocate as it grows).
+  size_t restart_at_ = 0;
+  size_t restart_len_ = 0;
   std::vector<uint32_t> offsets_;  // restart offsets
 };
 

@@ -31,6 +31,7 @@ std::string IndexEntry::ToString() const {
 }
 
 void EncodeIndexCell(std::string* out, const IndexEntry& e) {
+  out->reserve(out->size() + e.EncodedSize());
   out->push_back(static_cast<char>(e.key_hi_inf ? kFlagKeyHiInf : 0));
   PutVarint32(out, static_cast<uint32_t>(e.key_lo.size()));
   out->append(e.key_lo);
@@ -168,8 +169,9 @@ Status IndexPageRef::DecodeAll(std::vector<IndexEntry>* out) const {
 
 Status IndexPageRef::Load(const std::vector<IndexEntry>& entries) {
   slots_.Clear();
+  std::string cell;
   for (size_t i = 0; i < entries.size(); ++i) {
-    std::string cell;
+    cell.clear();
     EncodeIndexCell(&cell, entries[i]);
     if (!slots_.Insert(static_cast<int>(i), cell)) {
       return Status::OutOfSpace("index page bulk load overflow");

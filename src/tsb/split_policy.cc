@@ -5,7 +5,7 @@
 namespace tsb {
 namespace tsb_tree {
 
-DataNodeStats ComputeDataNodeStats(const std::vector<DataEntry>& entries) {
+DataNodeStats ComputeDataNodeStats(std::span<const DataEntryView> entries) {
   DataNodeStats s;
   s.total_entries = entries.size();
   size_t i = 0;
@@ -92,7 +92,7 @@ uint32_t SplitPolicy::ChooseRestartInterval(size_t entries,
   return kHistRestartInterval;
 }
 
-size_t SplitPolicy::RedundantAt(const std::vector<DataEntry>& entries,
+size_t SplitPolicy::RedundantAt(std::span<const DataEntryView> entries,
                                 Timestamp t) {
   // Per key, the version with the largest ts <= T must be in the new node
   // (clause 3); it is redundant iff its ts < T (then clause 1 also places
@@ -116,18 +116,14 @@ size_t SplitPolicy::RedundantAt(const std::vector<DataEntry>& entries,
   return redundant;
 }
 
-Timestamp SplitPolicy::ChooseSplitTime(const std::vector<DataEntry>& entries,
-                                       Timestamp t_lo, Timestamp now) const {
-  // Collect committed timestamps (sorted entries => per-key ascending, but
-  // we need the global distinct set).
-  std::vector<Timestamp> committed;
-  committed.reserve(entries.size());
-  for (const DataEntry& e : entries) {
-    if (!e.uncommitted()) committed.push_back(e.ts);
+Timestamp SplitPolicy::ChooseSplitTime(
+    std::span<const DataEntryView> entries, Timestamp t_lo,
+    Timestamp now) const {
+  Timestamp min_ts = kInfiniteTs;
+  for (const DataEntryView& e : entries) {
+    if (!e.uncommitted() && e.ts < min_ts) min_ts = e.ts;
   }
-  if (committed.empty()) return t_lo + 1;  // caller will fail gracefully
-  std::sort(committed.begin(), committed.end());
-  const Timestamp min_ts = committed.front();
+  if (min_ts == kInfiniteTs) return t_lo + 1;  // caller will fail gracefully
 
   auto clamp = [&](Timestamp t) {
     // Valid range: t_lo < T, min_ts < T (non-empty migration), T <= now.
@@ -168,11 +164,13 @@ Timestamp SplitPolicy::ChooseSplitTime(const std::vector<DataEntry>& entries,
       // handled by clamp) plus `now`. Among redundancy minima prefer the
       // largest T (migrates the most history).
       std::vector<Timestamp> candidates;
-      for (size_t i = 0; i < committed.size(); ++i) {
-        if (i == 0 || committed[i] != committed[i - 1]) {
-          candidates.push_back(committed[i]);
-        }
+      candidates.reserve(entries.size() + 1);
+      for (const DataEntryView& e : entries) {
+        if (!e.uncommitted()) candidates.push_back(e.ts);
       }
+      std::sort(candidates.begin(), candidates.end());
+      candidates.erase(std::unique(candidates.begin(), candidates.end()),
+                       candidates.end());
       candidates.push_back(now);
       Timestamp best_t = clamp(now);
       size_t best_r = SIZE_MAX;

@@ -19,6 +19,7 @@
 #define TSBTREE_TSB_SPLIT_POLICY_H_
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -73,7 +74,7 @@ struct DataNodeStats {
 };
 
 /// Computes stats over a decoded node. `entries` must be (key, ts) sorted.
-DataNodeStats ComputeDataNodeStats(const std::vector<DataEntry>& entries);
+DataNodeStats ComputeDataNodeStats(std::span<const DataEntryView> entries);
 
 /// The pluggable split policy.
 class SplitPolicy {
@@ -90,8 +91,9 @@ class SplitPolicy {
   /// Chooses the split time T for a time split of a data node whose region
   /// starts at `t_lo`, given `now`. Guarantees t_lo < T <= now+1 and that
   /// at least one committed entry has ts < T (callers verified such an
-  /// entry exists). `entries` must be (key, ts) sorted.
-  Timestamp ChooseSplitTime(const std::vector<DataEntry>& entries,
+  /// entry exists). `entries` must be (key, ts) sorted. Only
+  /// kMinRedundancy collects and sorts the timestamps.
+  Timestamp ChooseSplitTime(std::span<const DataEntryView> entries,
                             Timestamp t_lo, Timestamp now) const;
 
   /// The restart-block size for ONE consolidated historical node about to
@@ -107,7 +109,7 @@ class SplitPolicy {
   /// historical and the current node) if the node split at time T — i.e.
   /// per key, the latest committed version with ts < T that persists
   /// through T (TIME-SPLIT RULE clause 3).
-  static size_t RedundantAt(const std::vector<DataEntry>& entries,
+  static size_t RedundantAt(std::span<const DataEntryView> entries,
                             Timestamp t);
 
  private:

@@ -36,6 +36,10 @@ struct TsbCounters {
   /// this grows with leaves touched, not keys stamped.
   std::atomic<uint64_t> stamp_descents{0};
   std::atomic<uint64_t> erases{0}; ///< uncommitted records erased (aborts)
+  /// Writer descents (LatchLeaf calls) of every kind: inserts, stamps,
+  /// erases. A split works on the leaf its insert already latched, so a
+  /// batch's insert phase costs at most leaves touched plus splits.
+  std::atomic<uint64_t> writer_descents{0};
 
   std::atomic<uint64_t> data_key_splits{0};
   std::atomic<uint64_t> data_time_splits{0};

@@ -50,11 +50,11 @@ size_t IndexEntrySizeBound(const IndexEntry& prototype) {
 // out of timestamp order, so a record may yet be stamped below a commit
 // that stamped first, but every unpublished commit lies above the
 // watermark.
-Timestamp DataContentFloor(const std::vector<DataEntry>& entries,
+Timestamp DataContentFloor(std::span<const DataEntryView> entries,
                            Timestamp fallback, Timestamp pending) {
   Timestamp min_ts = kInfiniteTs;
   bool uncommitted = false;
-  for (const DataEntry& e : entries) {
+  for (const DataEntryView& e : entries) {
     if (e.uncommitted()) {
       uncommitted = true;
     } else if (e.ts < min_ts) {
@@ -81,7 +81,7 @@ constexpr uint32_t kCellOverhead = 4;
 
 // Node-shape inputs (distinct keys, total key bytes) for the per-node
 // restart-interval choice; `entries` are sorted, so runs are adjacent.
-void DataNodeShape(const std::vector<DataEntry>& entries, size_t* distinct,
+void DataNodeShape(std::span<const DataEntryView> entries, size_t* distinct,
                    size_t* key_bytes) {
   *distinct = 0;
   *key_bytes = 0;
@@ -377,6 +377,7 @@ Status TsbTree::LatchLeaf(const Slice& key, PageHandle* leaf,
                           IndexEntry* pe, uint32_t* parent_id) {
   constexpr int kMaxOlcRestarts = 64;
   constexpr int kMaxSideSteps = 4;
+  counters_.writer_descents++;
   for (int restart = 0; restart < kMaxOlcRestarts; ++restart) {
     if (restart > 0) counters_.olc_restarts++;
     PageHandle parent_h;  // pinned, UNLATCHED between levels
@@ -703,12 +704,14 @@ Status TsbTree::InsertRecords(std::span<const KeyValue> kvs, Timestamp ts,
   }
   std::string cell;
   size_t i = 0;
-  int splits = 0;  // splits made for kvs[i] without it fitting yet
+  int splits = 0;       // splits made for kvs[i] without it fitting yet
+  bool waited = false;  // the watermark wait below already ran for kvs[i]
   while (i < kvs.size()) {
     assert(i == 0 || kvs[i - 1].first < kvs[i].first);  // sorted + distinct
     PageHandle h;
     IndexEntry pe;
-    TSB_RETURN_IF_ERROR(LatchLeaf(kvs[i].first, &h, &pe));
+    uint32_t parent_id = kInvalidPageId;
+    TSB_RETURN_IF_ERROR(LatchLeaf(kvs[i].first, &h, &pe, &parent_id));
     if (uncommitted) counters_.put_descents++;
     // Region lower time bound: committed inserts must not predate it.
     if (!uncommitted && ts < pe.t_lo) {
@@ -732,24 +735,26 @@ Status TsbTree::InsertRecords(std::span<const KeyValue> kvs, Timestamp ts,
     if (i > first) {
       h.MarkDirty();
       splits = 0;
+      waited = false;
     }
     if (!full) continue;
-    h.Release();
     if (++splits > kMaxInsertRetries) {
       return Status::Corruption("insert did not converge after splits");
     }
+    // The split takes over the leaf this descent latched: no descent of
+    // its own. The insert of kvs[i] re-descends afterwards.
     const Timestamp visible = clock_->Visible();
-    Status split = SplitForInsert(kvs[i].first, cell.size());
+    Status split = SplitForInsert(std::move(h), pe, parent_id, kvs[i].first);
     const Timestamp target = clock_->Now();
-    if (split.IsOutOfSpace() && visible < target) {
+    if (split.IsOutOfSpace() && visible < target && !waited) {
       // The page looks wedged only because the time-split boundary is
       // capped at the PUBLISHED watermark and in-flight commits were
       // holding it back when the split read it (they may have published
       // since, so compare against the watermark from before the split).
       // Those commits finish without our help (we hold no latch here and
       // only a shared writer lock), so yield until the watermark covers
-      // every commit ticked so far and the split can migrate history
-      // again. The target is fixed: under steady commit traffic Now()
+      // every commit ticked so far, then retry the insert and its split
+      // once. The target is fixed: under steady commit traffic Now()
       // keeps moving and the watermark never catches it.
       const auto deadline =
           std::chrono::steady_clock::now() + kMaxWatermarkWait;
@@ -757,25 +762,26 @@ Status TsbTree::InsertRecords(std::span<const KeyValue> kvs, Timestamp ts,
              std::chrono::steady_clock::now() < deadline) {
         std::this_thread::yield();
       }
-      split = SplitForInsert(kvs[i].first, cell.size());
+      waited = true;
+      continue;
     }
     TSB_RETURN_IF_ERROR(split);
   }
   return Status::OK();
 }
 
-Status TsbTree::StampCommittedBatch(std::span<const Slice> keys, TxnId txn,
+Status TsbTree::StampCommittedBatch(std::span<const KeyValue> kvs, TxnId txn,
                                     Timestamp ts) {
   WriterGuard wl(this);
   if (ts == kMinTimestamp || ts > kMaxCommittedTs) {
     return Status::InvalidArgument("timestamp out of committed range");
   }
   size_t i = 0;
-  while (i < keys.size()) {
-    assert(i == 0 || keys[i - 1] < keys[i]);  // sorted + distinct
+  while (i < kvs.size()) {
+    assert(i == 0 || kvs[i - 1].first < kvs[i].first);  // sorted + distinct
     PageHandle h;
     IndexEntry pe;
-    TSB_RETURN_IF_ERROR(LatchLeaf(keys[i], &h, &pe));
+    TSB_RETURN_IF_ERROR(LatchLeaf(kvs[i].first, &h, &pe));
     // Defense in depth: stamping below the region's time-split boundary
     // would make the version unreachable for as-of reads (the region
     // [t_lo, inf) no longer covers it). Commits can never legally hit this
@@ -796,12 +802,12 @@ Status TsbTree::StampCommittedBatch(std::span<const Slice> keys, TxnId txn,
     // One descent stamps this key and every following key whose point
     // falls inside the same leaf's key region.
     do {
-      const int pos = page.FindUncommitted(keys[i], txn);
+      const int pos = page.FindUncommitted(kvs[i].first, txn);
       if (pos < 0) return Status::NotFound("no uncommitted version for txn");
       TSB_RETURN_IF_ERROR(page.StampAt(pos, ts));
       counters_.stamps++;
       ++i;
-    } while (i < keys.size() && pe.ContainsKey(keys[i]));
+    } while (i < kvs.size() && pe.ContainsKey(kvs[i].first));
     counters_.stamp_descents++;
   }
   clock_->AdvanceTo(ts);
@@ -809,7 +815,8 @@ Status TsbTree::StampCommittedBatch(std::span<const Slice> keys, TxnId txn,
 }
 
 Status TsbTree::StampCommitted(const Slice& key, TxnId txn, Timestamp ts) {
-  return StampCommittedBatch({&key, 1}, txn, ts);
+  const KeyValue kv(key, Slice());
+  return StampCommittedBatch({&kv, 1}, txn, ts);
 }
 
 Status TsbTree::EraseUncommitted(const Slice& key, TxnId txn) {
@@ -855,65 +862,72 @@ Status TsbTree::ParentEntryFor(const std::vector<PathElem>& path, size_t idx,
   return Status::OK();
 }
 
-void TsbTree::PartitionByTime(const std::vector<DataEntry>& all, Timestamp t,
-                              std::vector<DataEntry>* hist,
-                              std::vector<DataEntry>* current,
+void TsbTree::PartitionByTime(std::span<const DataEntryView> all, Timestamp t,
+                              std::vector<DataEntryView>* hist,
+                              std::vector<DataEntryView>* current,
                               size_t* redundant) {
   hist->clear();
   current->clear();
   *redundant = 0;
   size_t i = 0;
   while (i < all.size()) {
+    // One key's run [i, j): committed versions ts-ascending, then the
+    // uncommitted ones.
     size_t j = i;
-    const DataEntry* latest_lt = nullptr;  // largest committed ts < t
-    bool has_exact = false;                // committed version with ts == t
+    size_t latest_lt = all.size();  // largest committed ts < t
+    bool has_exact = false;         // committed version with ts == t
     for (; j < all.size() && all[j].key == all[i].key; ++j) {
-      const DataEntry& e = all[j];
-      if (e.uncommitted()) {
-        current->push_back(e);  // never migrated (section 4)
-        continue;
-      }
-      if (e.ts < t) {
-        hist->push_back(e);  // rule 1
-        latest_lt = &e;
-      } else {
-        current->push_back(e);  // rule 2
-        if (e.ts == t) has_exact = true;
+      if (all[j].uncommitted()) continue;
+      if (all[j].ts < t) {
+        latest_lt = j;
+      } else if (all[j].ts == t) {
+        has_exact = true;
       }
     }
     // Rule 3: the version valid at the split time must be in the new node
     // (a version stamped exactly t already is, by rule 2).
-    if (latest_lt != nullptr && !has_exact) {
-      current->push_back(*latest_lt);
-      (*redundant)++;
+    const size_t retained = has_exact ? all.size() : latest_lt;
+    for (size_t k = i; k < j; ++k) {
+      const DataEntryView& e = all[k];
+      if (!e.uncommitted() && e.ts < t) {
+        hist->push_back(e);  // rule 1
+        if (k == retained) {
+          current->push_back(e);
+          (*redundant)++;
+        }
+      } else {
+        // Rule 2; uncommitted versions are never migrated (section 4).
+        current->push_back(e);
+      }
     }
     i = j;
   }
-  std::sort(current->begin(), current->end());
 }
 
-// A data split planned outside every latch from one decode of the leaf.
-// Both kinds install the same way: the leaf keeps `keep` under the
+// A data split planned outside every latch from a private copy of the
+// leaf. Both kinds install the same way: the leaf keeps `keep` under the
 // rewritten entry `leaf_e`, and `new_e` is inserted beside it, pointing at
 // the appended historical node (time split) or at the new right sibling
-// holding `right` (key split).
+// holding `right` (key split). `keep` and `right` view the leaf copy.
 struct TsbTree::DataSplitPlan {
   bool time_split = false;
   /// Free parent bytes the insert of `new_e` needs.
   uint32_t need = 0;
   IndexEntry leaf_e;
   IndexEntry new_e;  ///< child filled in at install
-  std::vector<DataEntry> keep;
-  // Time split: the serialized historical node.
+  std::span<const DataEntryView> keep;
+  // Time split: the TIME-SPLIT RULE survivors `keep` views, and the
+  // serialized historical node.
+  std::vector<DataEntryView> current;
   std::string blob;
   uint64_t raw_bytes = 0;
   size_t migrated = 0;
   size_t redundant = 0;
   // Key split: the right sibling's records.
-  std::vector<DataEntry> right;
+  std::span<const DataEntryView> right;
 };
 
-Status TsbTree::PlanDataSplit(const std::vector<DataEntry>& entries,
+Status TsbTree::PlanDataSplit(std::span<const DataEntryView> entries,
                               const IndexEntry& pe, DataSplitPlan* plan) {
   const DataNodeStats stats = ComputeDataNodeStats(entries);
   const uint32_t capacity =
@@ -931,12 +945,15 @@ Status TsbTree::PlanDataSplit(const std::vector<DataEntry>& entries,
     // below t_lo (unreachable for as-of reads).
     const Timestamp split_t =
         policy_.ChooseSplitTime(entries, pe.t_lo, visible);
-    std::vector<DataEntry> hist_set;
-    PartitionByTime(entries, split_t, &hist_set, &plan->keep,
+    std::vector<DataEntryView> hist_set;
+    hist_set.reserve(entries.size());
+    plan->current.reserve(entries.size());
+    PartitionByTime(entries, split_t, &hist_set, &plan->current,
                     &plan->redundant);
     // Progress = the current page sheds entries.
-    if (!hist_set.empty() && plan->keep.size() < entries.size()) {
+    if (!hist_set.empty() && plan->current.size() < entries.size()) {
       plan->time_split = true;
+      plan->keep = plan->current;
       // Parent: the child's region now starts at split_t; the prefix of
       // its old region points at the migrated node. Retained-alive
       // records can predate split_t; with nothing committed, split_t is
@@ -972,7 +989,7 @@ Status TsbTree::PlanDataSplit(const std::vector<DataEntry>& entries,
   }
   // Choose a distinct-key boundary near the byte midpoint.
   size_t total_bytes = 0;
-  for (const DataEntry& e : entries) total_bytes += e.EncodedSize();
+  for (const DataEntryView& e : entries) total_bytes += e.EncodedSize();
   size_t acc = 0;
   size_t split_at = 0;  // first index of the right node
   for (size_t i = 0; i < entries.size(); ++i) {
@@ -994,12 +1011,12 @@ Status TsbTree::PlanDataSplit(const std::vector<DataEntry>& entries,
   if (split_at == 0 || split_at >= entries.size()) {
     return Status::OutOfSpace("no key boundary available for split");
   }
-  const std::string& split_key = entries[split_at].key;
+  const Slice split_key = entries[split_at].key;
   plan->time_split = false;
-  plan->keep.assign(entries.begin(), entries.begin() + split_at);
-  plan->right.assign(entries.begin() + split_at, entries.end());
+  plan->keep = entries.first(split_at);
+  plan->right = entries.subspan(split_at);
   plan->leaf_e = pe;
-  plan->leaf_e.key_hi = split_key;
+  plan->leaf_e.key_hi.assign(split_key.data(), split_key.size());
   plan->leaf_e.key_hi_inf = false;
   plan->leaf_e.min_ts = DataContentFloor(plan->keep, pe.min_ts, pending);
   // The new entry inherits the predecessor's timestamp (Fig 5): t_lo
@@ -1007,36 +1024,30 @@ Status TsbTree::PlanDataSplit(const std::vector<DataEntry>& entries,
   // floor, but the content floor is tight: old-snapshot readers skip
   // siblings whose records are all younger than their as-of time.
   plan->new_e = pe;
-  plan->new_e.key_lo = split_key;
+  plan->new_e.key_lo.assign(split_key.data(), split_key.size());
   plan->new_e.min_ts = DataContentFloor(plan->right, pe.min_ts, pending);
   plan->need = static_cast<uint32_t>(IndexEntrySizeBound(plan->new_e)) +
                kCellOverhead;
   return Status::OK();
 }
 
-Status TsbTree::SplitForInsert(const Slice& key, size_t cell_size) {
-  PageHandle leaf;
-  IndexEntry pe;
-  uint32_t parent_id = kInvalidPageId;
-  TSB_RETURN_IF_ERROR(LatchLeaf(key, &leaf, &pe, &parent_id));
-  std::vector<DataEntry> entries;
-  {
-    DataPageRef page(leaf.data(), options_.page_size);
-    // Another writer may have split this leaf since the caller found it
-    // full: skip when the cell now fits (the caller retries the insert
-    // with a fresh descent either way).
-    if (page.HasRoomFor(cell_size)) return Status::OK();
-    if (parent_id == kInvalidPageId) {
-      // The root is still a data page: grow first, split on the retry.
-      leaf.Release();
-      return GrowIndexFor(key, 0);
-    }
-    TSB_RETURN_IF_ERROR(page.DecodeAll(&entries));
+Status TsbTree::SplitForInsert(PageHandle leaf, const IndexEntry& pe,
+                               uint32_t parent_id, const Slice& key) {
+  if (parent_id == kInvalidPageId) {
+    // The root is still a data page: grow first, split on the retry.
+    leaf.Release();
+    return GrowIndexFor(key, 0);
   }
-  // Plan outside every latch. The pin stays, so the frame is not evicted
-  // and reloaded and the version baseline stays comparable.
+  // Copy the leaf once and drop its latch, keeping the pin: the plan's
+  // views point into the copy, the frame is not evicted and reloaded,
+  // and the version baseline stays comparable.
+  const std::unique_ptr<char[]> snapshot(new char[options_.page_size]);
+  memcpy(snapshot.get(), leaf.data(), options_.page_size);
   const uint64_t leaf_ver = leaf.version();
   leaf.Unlatch();
+  std::vector<DataEntryView> entries;
+  TSB_RETURN_IF_ERROR(
+      DataPageRef(snapshot.get(), options_.page_size).DecodeViews(&entries));
   DataSplitPlan plan;
   TSB_RETURN_IF_ERROR(PlanDataSplit(entries, pe, &plan));
 

@@ -101,7 +101,7 @@ struct DecodedNode {
 /// Writes:
 ///  - Put(key, value, ts)            committed version, ts non-decreasing
 ///  - PutUncommittedBatch(kvs, txn)  versions without timestamp (section 4)
-///  - StampCommittedBatch(keys, txn, ts)
+///  - StampCommittedBatch(kvs, txn, ts)
 ///                                   commit them in place: the cell's ts
 ///                                   and txn are rewritten in the page
 ///  - EraseUncommitted(key, txn)     abort cleanup (erasable current DB)
@@ -120,11 +120,13 @@ struct DecodedNode {
 ///    child latch, exclusive latch only on the target leaf. A descent
 ///    that loses a race side-steps along the leaf's B-link sibling
 ///    pointer (concurrent key split) or restarts from the root.
-///    A data split (key or time) takes page latches only: the leaf is
-///    decoded once, the split planned outside every latch, and installed
-///    under the parent and leaf exclusive latches after the leaf's
-///    version proves the plan current. Only index splits and root growth
-///    serialize on an internal structure mutex. Quiescing maintenance
+///    A data split (key or time) takes page latches only: it works on
+///    the leaf its insert already latched (no second descent), copies it
+///    once into a private page-sized buffer, plans over views into that
+///    copy outside every latch, and installs under the parent and leaf
+///    exclusive latches after the leaf's version proves the plan current.
+///    Only index splits and root growth serialize on an internal
+///    structure mutex. Quiescing maintenance
 ///    (Flush, checkpoints, purges, ComputeSpaceStats, bounded scan/cursor
 ///    fallbacks) takes the writer mutex exclusively and thus excludes
 ///    every mutator. Route committed writes through ONE discipline:
@@ -169,23 +171,26 @@ class TsbTree {
   /// sorted ascending by key and distinct (a WriteBatch). Every key that
   /// lands on the same leaf is inserted in ONE descent while the leaf has
   /// room, so a batch costs O(leaves touched + splits) descents — see
-  /// counters().put_descents. A full leaf is split and the descent redone
-  /// for the key that did not fit. On a mid-batch error the keys before
+  /// counters().put_descents. A full leaf is split in place (the split
+  /// reuses the insert's descent) and the descent redone for the key that
+  /// did not fit. On a mid-batch error the keys before
   /// it stay inserted; the caller erases them (transaction abort).
   Status PutUncommittedBatch(std::span<const KeyValue> kvs, TxnId txn);
 
   /// The one-key PutUncommittedBatch.
   Status PutUncommitted(const Slice& key, const Slice& value, TxnId txn);
 
-  /// Stamps every (key, txn) pair in `keys` with the same commit time, in
-  /// place (DataPageRef::StampAt: no re-encode, no re-insert). `keys`
-  /// must be sorted ascending and distinct (a WriteBatch commit); all keys
+  /// Stamps the (key, txn) version of every key in `kvs` (the values are
+  /// not read: the same write set PutUncommittedBatch took) with the same
+  /// commit time, in place (DataPageRef::StampAt: no re-encode, no
+  /// re-insert). `kvs` must be sorted ascending by key and distinct (a
+  /// WriteBatch commit); all keys
   /// landing on the same leaf are stamped in ONE descent, so a large batch
   /// costs O(leaves touched) descents instead of O(keys) — see
   /// counters().stamp_descents. On a mid-batch failure the keys before it
   /// stay stamped (the caller poisons the watermark on error, so partial
   /// stamps never become visible).
-  Status StampCommittedBatch(std::span<const Slice> keys, TxnId txn,
+  Status StampCommittedBatch(std::span<const KeyValue> kvs, TxnId txn,
                              Timestamp ts);
 
   /// The one-key StampCommittedBatch.
@@ -401,22 +406,26 @@ class TsbTree {
   /// A data split planned from one decode of the leaf (tsb_tree.cc).
   struct DataSplitPlan;
 
-  /// The split slow path of InsertRecords: splits the leaf for `key`
-  /// (time split or key split) unless another writer already made room
-  /// for a cell of `cell_size` bytes. Takes no tree-global lock when the
-  /// parent has room for the new entry: LatchLeaf, decode the leaf and
-  /// drop its latch (keeping the pin), plan outside every latch, then
-  /// latch parent -> leaf exclusively, check that the parent still holds
-  /// the leaf's entry and the leaf's version is unchanged, and only then
+  /// The split slow path of InsertRecords. Takes over `leaf`, the leaf
+  /// InsertRecords found full (exclusively latched), with the parent entry
+  /// `pe` and parent page `parent_id` its LatchLeaf returned, so a split
+  /// makes no descent of its own. Splits by time or by key and takes no
+  /// tree-global lock when the parent has room for the new entry: copy the
+  /// leaf once into a page-sized buffer and drop its latch (keeping the
+  /// pin), plan over views into the copy outside every latch, then latch
+  /// parent -> leaf exclusively, check that the parent still holds the
+  /// leaf's entry and the leaf's version is unchanged, and only then
   /// append the historical node (time split) and install. A failed check
   /// returns OK with nothing written; the caller re-descends and retries.
-  /// A full parent or a root leaf goes to GrowIndexFor instead.
-  Status SplitForInsert(const Slice& key, size_t cell_size);
+  /// A full parent or a root leaf goes to GrowIndexFor(`key`) instead.
+  Status SplitForInsert(PageHandle leaf, const IndexEntry& pe,
+                        uint32_t parent_id, const Slice& key);
 
   /// Chooses and prepares the split of a leaf holding `entries` whose
   /// parent entry is `pe`: partitions, serializes the historical node,
-  /// sizes the parent entry the install will add.
-  Status PlanDataSplit(const std::vector<DataEntry>& entries,
+  /// sizes the parent entry the install will add. The plan views
+  /// `entries`' bytes, which must outlive it.
+  Status PlanDataSplit(std::span<const DataEntryView> entries,
                        const IndexEntry& pe, DataSplitPlan* plan);
 
   /// The only structure_mu_ section: re-descends to the leaf for `key` and
@@ -452,11 +461,13 @@ class TsbTree {
   Status ParentEntryFor(const std::vector<PathElem>& path, size_t idx,
                         IndexEntry* entry, int* pos_in_parent);
 
-  /// Applies a time split to decoded data entries: partitions into
-  /// historical and current sets per the TIME-SPLIT RULE.
-  static void PartitionByTime(const std::vector<DataEntry>& all, Timestamp t,
-                              std::vector<DataEntry>* hist,
-                              std::vector<DataEntry>* current,
+  /// Applies a time split to a leaf's (key, ts)-sorted entries:
+  /// partitions them into historical and current sets per the TIME-SPLIT
+  /// RULE, both in the same order.
+  static void PartitionByTime(std::span<const DataEntryView> all,
+                              Timestamp t,
+                              std::vector<DataEntryView>* hist,
+                              std::vector<DataEntryView>* current,
                               size_t* redundant);
 
   Status WalkStats(const NodeRef& ref, SpaceStats* stats,

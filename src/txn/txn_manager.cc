@@ -1,5 +1,7 @@
 #include "txn/txn_manager.h"
 
+#include <algorithm>
+#include <cstring>
 #include <utility>
 #include <vector>
 
@@ -15,28 +17,58 @@ Transaction::~Transaction() {
   }
 }
 
+size_t Transaction::LowerBound(const Slice& key) const {
+  return std::lower_bound(
+             writes_.begin(), writes_.end(), key,
+             [](const KeyValue& kv, const Slice& k) { return kv.first < k; }) -
+         writes_.begin();
+}
+
+Slice Transaction::Own(const Slice& s) {
+  return Slice(bytes_.AllocateCopy(s.data(), s.size()), s.size());
+}
+
 Status Transaction::Put(const Slice& key, const Slice& value) {
   if (!active_) return Status::TxnNotActive("Put on finished transaction");
-  const tsb_tree::TsbTree::KeyValue kv(key, value);
-  std::string key_str = key.ToString();
-  const bool held = writes_.contains(key_str);
-  TSB_RETURN_IF_ERROR(mgr_->LockKeys({&kv, 1}, id_));
+  const size_t pos = LowerBound(key);
+  if (pos < writes_.size() && writes_[pos].first == key) {
+    // Already locked and owned: only the value changes.
+    TSB_RETURN_IF_ERROR(mgr_->ReportInsertError(
+        mgr_->tree_->PutUncommitted(key, value, id_)));
+    Slice& old_value = writes_[pos].second;
+    if (value.size() <= old_value.size()) {
+      // Rewrite in place: a rewritten key costs the arena nothing.
+      memmove(const_cast<char*>(old_value.data()), value.data(), value.size());
+      old_value = Slice(old_value.data(), value.size());
+    } else {
+      old_value = Own(value);
+    }
+    return Status::OK();
+  }
+  // Lock through the caller's bytes; only a lock that was taken costs a
+  // copy of the key.
+  const KeyValue kv(key, value);
+  TSB_RETURN_IF_ERROR(mgr_->locks_.Lock({&kv, 1}, id_));
   Status s = mgr_->tree_->PutUncommitted(key, value, id_);
   if (!s.ok()) {
-    // The key never enters writes_, so Abort would not release a lock
-    // this call took: leave the lock table as it was before the call.
-    if (!held) mgr_->UnlockKey(key, id_);
+    // The key never enters writes_, so Abort would not release the lock
+    // this call took.
+    mgr_->locks_.Unlock({&kv, 1}, id_);
     return mgr_->ReportInsertError(s);
   }
-  writes_[std::move(key_str)] = value.ToString();
+  // The lock table views the key until the transaction ends: move it onto
+  // bytes that live as long as the transaction.
+  const Slice owned_key = Own(key);
+  mgr_->locks_.Rebind(key, owned_key.data(), id_);
+  writes_.insert(writes_.begin() + pos, KeyValue(owned_key, Own(value)));
   return Status::OK();
 }
 
 Status Transaction::Get(const Slice& key, std::string* value) {
   if (!active_) return Status::TxnNotActive("Get on finished transaction");
-  auto it = writes_.find(key.ToString());
-  if (it != writes_.end()) {
-    *value = it->second;
+  const size_t pos = LowerBound(key);
+  if (pos < writes_.size() && writes_[pos].first == key) {
+    value->assign(writes_[pos].second.data(), writes_[pos].second.size());
     return Status::OK();
   }
   // kMaxCommittedTs, not the watermark: a transaction must observe
@@ -71,21 +103,19 @@ Status TxnManager::Write(const WriteBatch& batch, Timestamp* commit_ts) {
   }
   std::unique_ptr<Transaction> txn;
   TSB_RETURN_IF_ERROR(Begin(&txn));
-  // A later Put of a key wins; the map leaves the keys sorted and
-  // distinct, as the batched tree calls require.
-  for (const auto& [key, value] : batch.ops()) txn->writes_[key] = value;
-  std::vector<tsb_tree::TsbTree::KeyValue> kvs;
-  kvs.reserve(txn->writes_.size());
-  for (const auto& [key, value] : txn->writes_) kvs.emplace_back(key, value);
-  Status s = LockKeys(kvs, txn->id_);
+  // The write set views the batch: sorted and distinct, as the batched
+  // tree calls require.
+  std::vector<Transaction::KeyValue>& writes = txn->writes_;
+  batch.SortedOps(&writes);
+  Status s = locks_.Lock(writes, txn->id_);
   if (!s.ok()) {
     // Nothing reached the tree and nothing was locked: end the
     // transaction without erase descents.
-    txn->writes_.clear();
+    writes.clear();
     txn->Abort();
     return s;
   }
-  s = tree_->PutUncommittedBatch(kvs, txn->id_);
+  s = tree_->PutUncommittedBatch(writes, txn->id_);
   if (!s.ok()) {
     txn->Abort();  // erases whatever part of the batch was inserted
     return ReportInsertError(s);
@@ -101,39 +131,8 @@ Status TxnManager::ReportInsertError(const Status& s) {
   return s;
 }
 
-Status TxnManager::LockKeys(
-    std::span<const tsb_tree::TsbTree::KeyValue> writes, TxnId txn) {
-  std::lock_guard<std::mutex> lock(lock_mu_);
-  // Check every key before taking any, so a conflict leaves nothing to
-  // undo.
-  for (const auto& [key, value] : writes) {
-    auto it = lock_table_.find(key.ToStringView());
-    if (it != lock_table_.end() && it->second != txn) {
-      return Status::TxnConflict("key locked by txn " +
-                                 std::to_string(it->second),
-                                 key.ToString());
-    }
-  }
-  for (const auto& [key, value] : writes) {
-    lock_table_.try_emplace(key.ToString(), txn);
-  }
-  return Status::OK();
-}
-
-void TxnManager::UnlockKey(const Slice& key, TxnId txn) {
-  std::lock_guard<std::mutex> lock(lock_mu_);
-  auto it = lock_table_.find(key.ToStringView());
-  if (it != lock_table_.end() && it->second == txn) lock_table_.erase(it);
-}
-
 void TxnManager::UnlockKeys(const Transaction& txn) {
-  std::lock_guard<std::mutex> lock(lock_mu_);
-  for (const auto& [key, value] : txn.writes_) {
-    auto it = lock_table_.find(key);
-    if (it != lock_table_.end() && it->second == txn.id_) {
-      lock_table_.erase(it);
-    }
-  }
+  locks_.Unlock(txn.writes_, txn.id_);
 }
 
 Status TxnManager::CommitTxn(Transaction* txn, Timestamp* commit_ts) {
@@ -214,26 +213,22 @@ Status TxnManager::CommitInternal(Transaction* txn, Timestamp* commit_ts,
       old_values.emplace_back(had_old, std::move(old_value));
     }
   }
-  // Batched stamping: writes_ is a std::map, so the keys arrive sorted
-  // and every key landing on the same leaf is stamped in one descent
-  // (see TsbTree::StampCommittedBatch). Stamping descents of different
-  // commits run in parallel (optimistic latch coupling inside the tree).
-  std::vector<Slice> keys;
-  keys.reserve(txn->writes_.size());
-  for (const auto& [key, value] : txn->writes_) keys.emplace_back(key);
-  Status status = tree_->StampCommittedBatch(keys, txn->id_, ts);
+  // Batched stamping: the write set is sorted, so every key landing on
+  // the same leaf is stamped in one descent (see
+  // TsbTree::StampCommittedBatch). Stamping descents of different commits
+  // run in parallel (optimistic latch coupling inside the tree).
+  Status status = tree_->StampCommittedBatch(txn->writes_, txn->id_, ts);
   if (status.ok() && wal_ != nullptr) {
     // Group-commit rendezvous: an fdatasync failure poisons before any
     // reader observed the stamp.
     status = wal_->Sync(wal_end_lsn);
   }
   if (status.ok() && hook_) {
-    size_t i = 0;
-    for (const auto& [key, value] : txn->writes_) {
-      status = hook_(key, old_values[i].first ? &old_values[i].second : nullptr,
-                     value, ts);
-      if (!status.ok()) break;
-      ++i;
+    for (size_t i = 0; i < txn->writes_.size() && status.ok(); ++i) {
+      const Slice old_value(old_values[i].second);
+      status = hook_(txn->writes_[i].first,
+                     old_values[i].first ? &old_value : nullptr,
+                     txn->writes_[i].second, ts);
     }
   }
   // Publication advances to the largest timestamp with no smaller commit
@@ -340,7 +335,14 @@ void TxnManager::UnfreezeCommits() {
 Status TxnManager::AbortTxn(Transaction* txn) {
   for (const auto& [key, value] : txn->writes_) {
     Status s = tree_->EraseUncommitted(key, txn->id_);
-    if (!s.ok() && !s.IsNotFound()) return s;
+    if (!s.ok() && !s.IsNotFound()) {
+      // The transaction stays active with its keys locked, but the bytes
+      // the locks view (the caller's WriteBatch, or the Transaction's
+      // arena) may be freed as soon as this returns: hand the locks to
+      // copies the lock table owns.
+      locks_.Detach(txn->writes_, txn->id_);
+      return s;
+    }
   }
   UnlockKeys(*txn);
   txn->active_ = false;

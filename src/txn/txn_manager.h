@@ -11,7 +11,16 @@
 // updater can commit at or before an already-issued timestamp.
 //
 // Write-write conflicts between concurrent transactions are rejected
-// eagerly (first-writer-wins lock table).
+// eagerly (first-writer-wins lock table; see txn/lock_table.h).
+//
+// A transaction's write set is one sorted, distinct vector of (key, value)
+// views. TxnManager::Write views the caller's WriteBatch (so the batch
+// must outlive the call, as it does); Transaction::Put copies into a
+// transaction-owned arena whose bytes never move. Locking, the uncommitted
+// inserts, the WAL frame, stamping, the commit hook, unlocking and abort
+// all read that one span: a batch commit copies no key into any map. An
+// abort that fails leaves the keys locked, on copies the lock table owns,
+// since the write set's bytes may die with the call.
 #ifndef TSBTREE_TXN_TXN_MANAGER_H_
 #define TSBTREE_TXN_TXN_MANAGER_H_
 
@@ -19,7 +28,6 @@
 #include <condition_variable>
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <set>
@@ -27,12 +35,14 @@
 #include <string>
 #include <vector>
 
+#include "common/arena.h"
 #include "common/clock.h"
 #include "common/slice.h"
 #include "common/status.h"
 #include "tsb/cursor.h"
 #include "tsb/pinnable_value.h"
 #include "tsb/tsb_tree.h"
+#include "txn/lock_table.h"
 #include "txn/write_batch.h"
 #include "wal/wal.h"
 
@@ -47,6 +57,12 @@ class TxnManager;
 /// A Transaction object belongs to one thread; different transactions may
 /// run on different threads concurrently (first-writer-wins key locks
 /// resolve conflicts; the tree latches pages internally).
+///
+/// Put keeps the write set sorted by inserting in place, O(n) per new key
+/// that arrives out of key order, and keeps each key's newest value in the
+/// arena (a rewrite that fits reuses the old bytes). Large transactions,
+/// or ones that rewrite values with ever larger ones, belong in a
+/// WriteBatch (TxnManager::Write), which sorts once.
 class Transaction {
  public:
   ~Transaction();
@@ -74,12 +90,24 @@ class Transaction {
 
  private:
   friend class TxnManager;
+  using KeyValue = tsb_tree::TsbTree::KeyValue;
+
   Transaction(TxnManager* mgr, TxnId id) : mgr_(mgr), id_(id) {}
+
+  /// Index of the first write whose key is >= `key`.
+  size_t LowerBound(const Slice& key) const;
+  /// Copies `s` into bytes_.
+  Slice Own(const Slice& s);
 
   TxnManager* mgr_;
   TxnId id_;
   bool active_ = true;
-  std::map<std::string, std::string> writes_;  // key -> newest value
+  /// The write set: sorted by key, distinct, each key's newest value. The
+  /// lock table views these keys until the transaction ends.
+  std::vector<KeyValue> writes_;
+  /// Backs the views Put adds to writes_ (one key copy per locked key,
+  /// values as they grow); arena bytes never move.
+  Arena bytes_;
 };
 
 /// A lock-free read-only transaction: a captured timestamp (section 4.1).
@@ -120,8 +148,9 @@ class ReadTransaction {
   Timestamp ts_;
 };
 
-/// Issues transactions over one TsbTree. Thread-safe: the lock table is
-/// mutex-guarded, transaction ids and the active count are atomic, and
+/// Issues transactions over one TsbTree. Thread-safe: the lock table has
+/// one mutex (a batch takes it once to lock, once to release),
+/// transaction ids and the active count are atomic, and
 /// BeginReadOnly is genuinely lock-free (one atomic clock load — paper
 /// section 4.1: readers never wait for updaters). Commits of different
 /// transactions stamp in parallel; only the timestamp tick and the
@@ -131,10 +160,10 @@ class TxnManager {
  public:
   /// Called once per committed key, after stamping, with the previous
   /// committed value (nullptr if the key is new). Used by the DB layer to
-  /// maintain secondary indexes.
-  using CommitHook = std::function<Status(
-      const std::string& key, const std::string* old_value,
-      const std::string& new_value, Timestamp commit_ts)>;
+  /// maintain secondary indexes. The slices live only for the call.
+  using CommitHook =
+      std::function<Status(const Slice& key, const Slice* old_value,
+                           const Slice& new_value, Timestamp commit_ts)>;
 
   explicit TxnManager(tsb_tree::TsbTree* tree) : tree_(tree) {}
 
@@ -142,7 +171,10 @@ class TxnManager {
   Status Begin(std::unique_ptr<Transaction>* out);
 
   /// Applies `batch` atomically under one commit timestamp. A later Put
-  /// of a key wins. Every key is locked in one lock-table pass
+  /// of a key wins. The write set views the batch's bytes (stable-sorted
+  /// by key, the last Put of a key kept), so nothing is copied per key
+  /// and `batch` must not change during the call. Every key is locked in
+  /// one lock-table pass
   /// (first-writer-wins; a conflict fails the WHOLE batch before anything
   /// reaches the tree), written uncommitted with one descent per leaf
   /// (TsbTree::PutUncommittedBatch), then stamped in place and published
@@ -264,13 +296,7 @@ class TxnManager {
  private:
   friend class Transaction;
 
-  /// Locks the key of every write for `txn` in one lock_mu_ section:
-  /// all of them, or — on a conflict with another transaction — none
-  /// (the table is left as it was). Keys `txn` already holds stay locked.
-  Status LockKeys(std::span<const tsb_tree::TsbTree::KeyValue> writes,
-                  TxnId txn);
-  /// Releases `key` if `txn` holds it (a failed Transaction::Put).
-  void UnlockKey(const Slice& key, TxnId txn);
+  /// Releases every lock `txn` holds.
   void UnlockKeys(const Transaction& txn);
   Status CommitTxn(Transaction* txn, Timestamp* commit_ts);
   /// Shared body of CommitTxn and CommitPrepared. `external_ts` == 0
@@ -296,10 +322,7 @@ class TxnManager {
   std::atomic<uint64_t> wal_appended_lsn_{0};
   std::atomic<TxnId> next_txn_{1};
   std::atomic<size_t> active_count_{0};
-  std::mutex lock_mu_;  // guards lock_table_
-  // Transparent comparator: conflict checks look keys up without
-  // building a std::string.
-  std::map<std::string, TxnId, std::less<>> lock_table_;
+  LockTable locks_;
   // Held for a whole commit (tick -> stamps -> hooks -> bookkeeping) when
   // a commit hook is installed, so index maintenance applies in timestamp
   // order. Acquired before commit_mu_.

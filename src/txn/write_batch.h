@@ -11,6 +11,7 @@
 #ifndef TSBTREE_TXN_WRITE_BATCH_H_
 #define TSBTREE_TXN_WRITE_BATCH_H_
 
+#include <algorithm>
 #include <string>
 #include <utility>
 #include <vector>
@@ -35,6 +36,32 @@ class WriteBatch {
   /// Buffered (key, value) pairs in Put order.
   const std::vector<std::pair<std::string, std::string>>& ops() const {
     return ops_;
+  }
+
+  /// Views of the buffered writes, sorted by key and distinct, each key
+  /// with the value of its LAST Put: the write set a commit locks,
+  /// inserts, logs and stamps. Valid while the batch is unchanged.
+  void SortedOps(std::vector<std::pair<Slice, Slice>>* out) const {
+    out->clear();
+    out->reserve(ops_.size());
+    for (const auto& [key, value] : ops_) out->emplace_back(key, value);
+    auto by_key = [](const std::pair<Slice, Slice>& a,
+                     const std::pair<Slice, Slice>& b) {
+      return a.first < b.first;
+    };
+    // Stable, so the last of a run of equal keys is the last Put.
+    if (!std::is_sorted(out->begin(), out->end(), by_key)) {
+      std::stable_sort(out->begin(), out->end(), by_key);
+    }
+    size_t distinct = 0;
+    for (const auto& op : *out) {
+      if (distinct > 0 && (*out)[distinct - 1].first == op.first) {
+        (*out)[distinct - 1] = op;
+      } else {
+        (*out)[distinct++] = op;
+      }
+    }
+    out->resize(distinct);
   }
 
  private:

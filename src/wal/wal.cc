@@ -3,6 +3,7 @@
 #include <fcntl.h>
 #include <unistd.h>
 
+#include <cassert>
 #include <cerrno>
 #include <chrono>
 #include <cstring>
@@ -125,25 +126,33 @@ Wal::~Wal() {
 }
 
 Status Wal::AppendCommit(Timestamp ts,
-                         const std::map<std::string, std::string>& ops,
+                         std::span<const std::pair<Slice, Slice>> ops,
                          uint64_t* end_lsn) {
-  std::string payload;
-  payload.reserve(16 + ops.size() * 32);
-  payload.push_back(static_cast<char>(kCommitFrame));
-  PutFixed64(&payload, ts);
-  PutVarint32(&payload, static_cast<uint32_t>(ops.size()));
+  const uint32_t count = static_cast<uint32_t>(ops.size());
+  size_t payload_size = 1 + 8 + VarintLength(count);
   for (const auto& [key, value] : ops) {
-    PutVarint32(&payload, static_cast<uint32_t>(key.size()));
-    payload.append(key);
-    PutVarint32(&payload, static_cast<uint32_t>(value.size()));
-    payload.append(value);
+    payload_size += VarintLength(key.size()) + key.size() +
+                    VarintLength(value.size()) + value.size();
   }
-  std::string frame;
-  frame.reserve(kFrameHeaderSize + payload.size());
-  PutFixed32(&frame,
-             crc32c::Mask(crc32c::Value(payload.data(), payload.size())));
-  PutFixed32(&frame, static_cast<uint32_t>(payload.size()));
-  frame.append(payload);
+  // Header first, payload behind it; the CRC and length go into the
+  // reserved header once the payload is in place.
+  std::string frame(kFrameHeaderSize + payload_size, '\0');
+  char* const payload = frame.data() + kFrameHeaderSize;
+  char* p = payload;
+  *p++ = static_cast<char>(kCommitFrame);
+  EncodeFixed64(p, ts);
+  p = EncodeVarint32(p + 8, count);
+  for (const auto& [key, value] : ops) {
+    p = EncodeVarint32(p, static_cast<uint32_t>(key.size()));
+    memcpy(p, key.data(), key.size());
+    p = EncodeVarint32(p + key.size(), static_cast<uint32_t>(value.size()));
+    memcpy(p, value.data(), value.size());
+    p += value.size();
+  }
+  assert(p == payload + payload_size);
+  EncodeFixed32(frame.data(),
+                crc32c::Mask(crc32c::Value(payload, payload_size)));
+  EncodeFixed32(frame.data() + 4, static_cast<uint32_t>(payload_size));
 
   std::lock_guard<std::mutex> lock(append_mu_);
   const uint64_t offset = appended_lsn_.load(std::memory_order_relaxed);

@@ -34,9 +34,9 @@
 #include <condition_variable>
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <string>
 #include <thread>
 #include <utility>
@@ -118,8 +118,10 @@ class Wal {
   /// append to build past, and the "file size == appended_lsn" invariant
   /// is what degraded-mode recovery relies on. Frame CRCs remain the
   /// second line of defense if even the truncate fails.
+  /// The frame is encoded once, into one buffer sized exactly from `ops`
+  /// (a commit's write set: (key, value) views, in frame order).
   Status AppendCommit(Timestamp ts,
-                      const std::map<std::string, std::string>& ops,
+                      std::span<const std::pair<Slice, Slice>> ops,
                       uint64_t* end_lsn);
 
   /// Makes every byte up to `upto_lsn` durable per the sync mode. kGroup:

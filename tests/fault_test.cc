@@ -282,7 +282,7 @@ TEST(WalFaultTest, FailedAppendTruncatesBackToLastGoodFrame) {
   auto plan = std::make_shared<FaultPlan>();
   std::unique_ptr<Wal> wal;
   ASSERT_TRUE(Wal::Open(file, WalSyncMode::kGroup, 0, &wal, plan).ok());
-  std::map<std::string, std::string> ops{{"alpha", "a-value"}};
+  const std::vector<std::pair<Slice, Slice>> ops{{"alpha", "a-value"}};
   uint64_t lsn1 = 0;
   ASSERT_TRUE(wal->AppendCommit(1, ops, &lsn1).ok());
   ASSERT_TRUE(wal->Sync(lsn1).ok());
@@ -306,7 +306,7 @@ TEST(WalFaultTest, FailedAppendTruncatesBackToLastGoodFrame) {
   EXPECT_EQ(1u, plan->fired(FaultOp::kAppend));
 
   // Healed: a SMALLER frame lands exactly at the boundary...
-  std::map<std::string, std::string> small{{"b", ""}};
+  const std::vector<std::pair<Slice, Slice>> small{{"b", ""}};
   uint64_t lsn3 = 0;
   ASSERT_TRUE(wal->AppendCommit(3, small, &lsn3).ok());
   ASSERT_TRUE(wal->SyncAll().ok());
@@ -695,6 +695,74 @@ TEST_F(DegradedModeTest, HistoricalAppendFailureInDataTimeSplit) {
     checker.set_verify_checksums(true);
     Status check = checker.Check();
     EXPECT_TRUE(check.ok()) << check.ToString();
+  }
+}
+
+// An insert that fails on a page read, followed by an abort whose erase
+// fails the same way, leaves the transaction's keys locked by a
+// transaction that is gone. Those locks must not view the freed
+// WriteBatch (or the destroyed Transaction's arena): after Resume(),
+// writing the same key conflicts on the stuck lock without reading freed
+// memory (the check that matters under AddressSanitizer), and other keys
+// write normally.
+TEST_F(DegradedModeTest, FailedAbortKeepsItsLocksOnOwnedKeyBytes) {
+  for (const bool explicit_txn : {false, true}) {
+    SCOPED_TRACE(explicit_txn ? "explicit transaction" : "WriteBatch");
+    db_.reset();
+    MultiVersionDB::Destroy(path_);
+    plan_->Clear();
+    // Without a log the pool may write dirty pages back and evict them,
+    // so even the leaf the transaction dirtied must be read again.
+    DbOptions o = Options();
+    o.enable_wal = false;
+    o.tree.buffer_pool_frames = 8;
+    OpenDb(o);
+    PutBaseline(400);
+    const std::string stuck = DbKey(5);
+    const std::string failing = DbKey(300);
+    // Reads far from both keys push their leaves out of the pool.
+    auto evict = [&] {
+      for (int i = 100; i < 250; ++i) {
+        std::string v;
+        ASSERT_TRUE(db_->Get({}, DbKey(i), &v).ok());
+      }
+    };
+    if (!explicit_txn) {
+      auto batch = std::make_unique<WriteBatch>();
+      batch->Put(stuck, "never");
+      evict();
+      plan_->FailNth(FaultOp::kRead, 1, FaultKind::kEIO, /*sticky=*/true);
+      EXPECT_TRUE(db_->Write(*batch).IsIOError());
+      batch.reset();
+    } else {
+      std::unique_ptr<txn::Transaction> t;
+      ASSERT_TRUE(db_->Begin(&t).ok());
+      ASSERT_TRUE(t->Put(stuck, "never").ok());
+      evict();
+      plan_->FailNth(FaultOp::kRead, 1, FaultKind::kEIO, /*sticky=*/true);
+      EXPECT_TRUE(t->Put(failing, "never").IsIOError());
+      EXPECT_TRUE(t->Abort().IsIOError());
+      EXPECT_TRUE(t->active());
+      t.reset();  // the destructor's abort fails too
+    }
+    EXPECT_GE(plan_->fired(FaultOp::kRead), 2u);
+    EXPECT_TRUE(db_->degraded());
+
+    plan_->Clear();
+    Status resume = db_->Resume();
+    ASSERT_TRUE(resume.ok()) << resume.ToString();
+    WriteBatch retry;
+    retry.Put(stuck, "retry");
+    EXPECT_TRUE(db_->Write(retry).IsTxnConflict());
+    WriteBatch other;
+    other.Put(failing, "other");
+    other.Put("fresh", "other");
+    ASSERT_TRUE(db_->Write(other).ok());
+    std::string v;
+    ASSERT_TRUE(db_->Get({}, failing, &v).ok());
+    EXPECT_EQ("other", v);
+    ASSERT_TRUE(db_->Get({}, stuck, &v).ok());
+    EXPECT_EQ("base-5", v);
   }
 }
 

@@ -139,7 +139,7 @@ TEST(HistDataNodeTest, RoundTrip) {
   Random rnd(7);
   const std::vector<DataEntry> entries = MakePrefixHeavyEntries(&rnd, 40, 5);
   std::string blob;
-  SerializeHistDataNode(entries, &blob);
+  SerializeHistDataNode(ViewsOf(entries), &blob);
 
   std::vector<DataEntry> decoded;
   ASSERT_TRUE(DecodeHistDataNode(Slice(blob), &decoded).ok());
@@ -173,7 +173,7 @@ TEST(HistDataNodeTest, CompressesPrefixHeavyKeys) {
   const std::vector<DataEntry> entries = MakePrefixHeavyEntries(&rnd, 30, 6);
   std::string blob;
   uint64_t raw = 0;
-  SerializeHistDataNode(entries, &blob, &raw);
+  SerializeHistDataNode(ViewsOf(entries), &blob, &raw);
   // raw_bytes is the uncompressed slotted size: header, cells, offsets.
   uint64_t cells = 0;
   for (const DataEntry& e : entries) cells += e.EncodedSize();
@@ -183,8 +183,8 @@ TEST(HistDataNodeTest, CompressesPrefixHeavyKeys) {
   // Smaller blocks must not compress better than bigger ones on this
   // prefix-heavy set (more restarts = more whole cells stored).
   std::string blob4, blob64;
-  SerializeHistDataNode(entries, &blob4, nullptr, 4);
-  SerializeHistDataNode(entries, &blob64, nullptr, 64);
+  SerializeHistDataNode(ViewsOf(entries), &blob4, nullptr, 4);
+  SerializeHistDataNode(ViewsOf(entries), &blob64, nullptr, 64);
   EXPECT_GT(blob4.size(), blob64.size());
 }
 
@@ -198,7 +198,7 @@ TEST(HistDataNodeTest, FindVersionParityRandomizedAcrossIntervals) {
               : MakePrefixHeavyEntries(
                     &rnd, 1 + static_cast<int>(rnd.Uniform(30)), 6);
       std::string blob;
-      SerializeHistDataNode(entries, &blob, nullptr, interval);
+      SerializeHistDataNode(ViewsOf(entries), &blob, nullptr, interval);
       std::vector<DataEntry> decoded;
       ASSERT_TRUE(DecodeHistDataNode(Slice(blob), &decoded).ok());
       ExpectSameEntries(entries, decoded);
@@ -247,7 +247,7 @@ TEST(HistDataNodeTest, FewerCellsThanOneBlock) {
   e.value = "vb";
   entries.push_back(e);
   std::string blob;
-  SerializeHistDataNode(entries, &blob);
+  SerializeHistDataNode(ViewsOf(entries), &blob);
   HistDataNodeRef ref;
   ASSERT_TRUE(ref.Parse(Slice(blob)).ok());
   ASSERT_EQ(2, ref.Count());
@@ -342,7 +342,7 @@ TEST(HistNodeTest, CorruptContainersRejected) {
     entries.push_back(e);
   }
   std::string blob;
-  SerializeHistDataNode(entries, &blob);
+  SerializeHistDataNode(ViewsOf(entries), &blob);
 
   HistNodeRef ref;
   // Truncated below the version byte, then below the fixed header

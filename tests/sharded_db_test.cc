@@ -207,8 +207,12 @@ TEST_F(ShardedDbTest, InDoubtDecisionResolvedAtOpen) {
   // the coordinator log but NO shard stamped its slice. Open must make
   // the whole batch visible.
   const Timestamp decided = last + 100;
-  std::map<std::string, std::string> ops;
-  for (int i = 0; i < 24; ++i) ops[Key(i)] = "indoubt-" + std::to_string(i);
+  std::map<std::string, std::string> decision;
+  for (int i = 0; i < 24; ++i) {
+    decision[Key(i)] = "indoubt-" + std::to_string(i);
+  }
+  const std::vector<std::pair<Slice, Slice>> ops(decision.begin(),
+                                                 decision.end());
   {
     std::unique_ptr<wal::Wal> coord;
     ASSERT_TRUE(wal::Wal::Open(path_ + "/coord.tsb",
@@ -225,7 +229,7 @@ TEST_F(ShardedDbTest, InDoubtDecisionResolvedAtOpen) {
   OpenDb(Options(0));
   EXPECT_EQ(2u, db_->in_doubt_replayed());
   EXPECT_GE(db_->Now(), decided);  // published: visible to plain reads
-  for (const auto& [key, value] : ops) {
+  for (const auto& [key, value] : decision) {
     std::string v;
     Timestamp vts = 0;
     ASSERT_TRUE(db_->Get({}, key, &v, &vts).ok()) << key;
@@ -239,7 +243,7 @@ TEST_F(ShardedDbTest, InDoubtDecisionResolvedAtOpen) {
   // Before the decision's timestamp the batch is fully absent.
   ReadOptions old_read;
   old_read.as_of = decided - 1;
-  for (const auto& [key, value] : ops) {
+  for (const auto& [key, value] : decision) {
     EXPECT_TRUE(db_->Get(old_read, key, &v).IsNotFound()) << key;
   }
 

@@ -121,7 +121,7 @@ TEST(DataPageTest, HistBlobRoundTrip) {
   std::vector<DataEntry> entries = {
       {"a", 1, kNoTxn, "v1"}, {"a", 5, kNoTxn, "v5"}, {"b", 3, kNoTxn, "w"}};
   std::string blob;
-  SerializeHistDataNode(entries, &blob);
+  SerializeHistDataNode(ViewsOf(entries), &blob);
   uint8_t level = 9;
   ASSERT_TRUE(HistNodeLevel(Slice(blob), &level).ok());
   EXPECT_EQ(0, level);

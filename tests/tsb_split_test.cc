@@ -33,7 +33,7 @@ DataEntry U(const std::string& k, TxnId txn, const std::string& v = "v") {
 
 TEST(DataNodeStatsTest, AllInsertsAreCurrent) {
   std::vector<DataEntry> es = {E("a", 1), E("b", 2), E("c", 3)};
-  DataNodeStats s = ComputeDataNodeStats(es);
+  DataNodeStats s = ComputeDataNodeStats(ViewsOf(es));
   EXPECT_EQ(3u, s.total_entries);
   EXPECT_EQ(3u, s.distinct_keys);
   EXPECT_EQ(3u, s.current_entries);
@@ -42,7 +42,7 @@ TEST(DataNodeStatsTest, AllInsertsAreCurrent) {
 
 TEST(DataNodeStatsTest, UpdatesCreateHistory) {
   std::vector<DataEntry> es = {E("a", 1), E("a", 3), E("a", 5), E("b", 2)};
-  DataNodeStats s = ComputeDataNodeStats(es);
+  DataNodeStats s = ComputeDataNodeStats(ViewsOf(es));
   EXPECT_EQ(4u, s.total_entries);
   EXPECT_EQ(2u, s.distinct_keys);
   EXPECT_EQ(2u, s.current_entries);  // a@5 and b@2
@@ -51,7 +51,7 @@ TEST(DataNodeStatsTest, UpdatesCreateHistory) {
 
 TEST(DataNodeStatsTest, UncommittedCountsAsCurrent) {
   std::vector<DataEntry> es = {E("a", 1), U("a", 9), E("b", 2)};
-  DataNodeStats s = ComputeDataNodeStats(es);
+  DataNodeStats s = ComputeDataNodeStats(ViewsOf(es));
   EXPECT_EQ(3u, s.current_entries);  // a@1 (latest committed), a-dirty, b@2
   EXPECT_EQ(1u, s.uncommitted_entries);
   EXPECT_FALSE(s.has_superseded_versions());
@@ -66,7 +66,7 @@ TEST(SplitPolicyTest, BoundaryAllCurrentForcesKeySplit) {
   SplitPolicy policy(cfg);
   std::vector<DataEntry> es = {E("a", 1), E("b", 2), E("c", 3)};
   EXPECT_EQ(SplitKind::kKeySplit,
-            policy.DecideDataSplit(ComputeDataNodeStats(es), 4096));
+            policy.DecideDataSplit(ComputeDataNodeStats(ViewsOf(es)), 4096));
 }
 
 TEST(SplitPolicyTest, BoundarySingleKeyForcesTimeSplit) {
@@ -77,7 +77,7 @@ TEST(SplitPolicyTest, BoundarySingleKeyForcesTimeSplit) {
   SplitPolicy policy(cfg);
   std::vector<DataEntry> es = {E("a", 1), E("a", 2), E("a", 3)};
   EXPECT_EQ(SplitKind::kTimeSplit,
-            policy.DecideDataSplit(ComputeDataNodeStats(es), 4096));
+            policy.DecideDataSplit(ComputeDataNodeStats(ViewsOf(es)), 4096));
 }
 
 TEST(SplitPolicyTest, ThresholdSwitchesOnCurrentFraction) {
@@ -89,18 +89,20 @@ TEST(SplitPolicyTest, ThresholdSwitchesOnCurrentFraction) {
   std::vector<DataEntry> history_heavy = {E("a", 1), E("a", 2), E("a", 3),
                                           E("b", 4), E("b", 5), E("b", 6)};
   EXPECT_EQ(SplitKind::kTimeSplit,
-            policy.DecideDataSplit(ComputeDataNodeStats(history_heavy), 4096));
+            policy.DecideDataSplit(
+                ComputeDataNodeStats(ViewsOf(history_heavy)), 4096));
   // 3 keys, 4 versions: current fraction = 3/4 >= 0.5 -> key split.
   std::vector<DataEntry> current_heavy = {E("a", 1), E("a", 2), E("b", 3),
                                           E("c", 4)};
   EXPECT_EQ(SplitKind::kKeySplit,
-            policy.DecideDataSplit(ComputeDataNodeStats(current_heavy), 4096));
+            policy.DecideDataSplit(
+                ComputeDataNodeStats(ViewsOf(current_heavy)), 4096));
 }
 
 TEST(SplitPolicyTest, CostBasedRespondsToPriceRatio) {
   std::vector<DataEntry> es = {E("a", 1), E("a", 2), E("a", 3),
                                E("b", 4), E("b", 5), E("c", 6)};
-  DataNodeStats stats = ComputeDataNodeStats(es);
+  DataNodeStats stats = ComputeDataNodeStats(ViewsOf(es));
   // Expensive optical storage: migrating history is costly -> key split.
   SplitPolicyConfig pricey;
   pricey.kind_policy = SplitKindPolicy::kCostBased;
@@ -123,11 +125,11 @@ TEST(SplitPolicyTest, RedundantAtMatchesRule3) {
   std::vector<DataEntry> es = {E("joe", 1), E("mary", 4), E("pete", 2)};
   // T=4: joe@1 and pete@2 persist (their latest <= 4 predates 4); mary@4
   // satisfies rule 3 via rule 2 (ts == T) -> 2 redundant.
-  EXPECT_EQ(2u, SplitPolicy::RedundantAt(es, 4));
+  EXPECT_EQ(2u, SplitPolicy::RedundantAt(ViewsOf(es), 4));
   // T=5: all three latest versions predate 5 -> 3 redundant.
-  EXPECT_EQ(3u, SplitPolicy::RedundantAt(es, 5));
+  EXPECT_EQ(3u, SplitPolicy::RedundantAt(ViewsOf(es), 5));
   // T=1: nothing precedes 1 except nothing; joe@1 == T -> 0 redundant.
-  EXPECT_EQ(0u, SplitPolicy::RedundantAt(es, 1));
+  EXPECT_EQ(0u, SplitPolicy::RedundantAt(ViewsOf(es), 1));
 }
 
 TEST(SplitPolicyTest, RestartIntervalAdaptsToNodeShape) {
@@ -146,7 +148,7 @@ TEST(SplitPolicyTest, ChooseSplitTimeCurrentTime) {
   cfg.time_mode = SplitTimeMode::kCurrentTime;
   SplitPolicy policy(cfg);
   std::vector<DataEntry> es = {E("a", 1), E("a", 5), E("b", 3)};
-  EXPECT_EQ(9u, policy.ChooseSplitTime(es, /*t_lo=*/0, /*now=*/9));
+  EXPECT_EQ(9u, policy.ChooseSplitTime(ViewsOf(es), /*t_lo=*/0, /*now=*/9));
 }
 
 TEST(SplitPolicyTest, ChooseSplitTimeLastUpdate) {
@@ -156,7 +158,7 @@ TEST(SplitPolicyTest, ChooseSplitTimeLastUpdate) {
   // a updated at 5 (supersedes a@1); later pure inserts c@7, d@8.
   std::vector<DataEntry> es = {E("a", 1), E("a", 5), E("c", 7), E("d", 8)};
   // T = 5: the trailing inserts stay out of the historical node.
-  EXPECT_EQ(5u, policy.ChooseSplitTime(es, 0, 9));
+  EXPECT_EQ(5u, policy.ChooseSplitTime(ViewsOf(es), 0, 9));
 }
 
 TEST(SplitPolicyTest, ChooseSplitTimeLastUpdateFallsBackToNow) {
@@ -164,7 +166,7 @@ TEST(SplitPolicyTest, ChooseSplitTimeLastUpdateFallsBackToNow) {
   cfg.time_mode = SplitTimeMode::kLastUpdate;
   SplitPolicy policy(cfg);
   std::vector<DataEntry> es = {E("a", 1), E("b", 2)};  // no updates
-  EXPECT_EQ(9u, policy.ChooseSplitTime(es, 0, 9));
+  EXPECT_EQ(9u, policy.ChooseSplitTime(ViewsOf(es), 0, 9));
 }
 
 TEST(SplitPolicyTest, ChooseSplitTimeMinRedundancy) {
@@ -175,14 +177,14 @@ TEST(SplitPolicyTest, ChooseSplitTimeMinRedundancy) {
   // Keys: joe@1 pete@2 mary@4, all superseded by updates at 6,7,8.
   std::vector<DataEntry> es = {E("joe", 1),  E("joe", 6), E("mary", 4),
                                E("mary", 8), E("pete", 2), E("pete", 7)};
-  const Timestamp t = policy.ChooseSplitTime(es, 0, 9);
+  const Timestamp t = policy.ChooseSplitTime(ViewsOf(es), 0, 9);
   // The chosen T must reach the minimum redundancy over the VALID range:
   // T > min committed ts (1), so the sweep starts at 2.
   size_t best = SIZE_MAX;
   for (Timestamp c = 2; c <= 9; ++c) {
-    best = std::min(best, SplitPolicy::RedundantAt(es, c));
+    best = std::min(best, SplitPolicy::RedundantAt(ViewsOf(es), c));
   }
-  EXPECT_EQ(best, SplitPolicy::RedundantAt(es, t));
+  EXPECT_EQ(best, SplitPolicy::RedundantAt(ViewsOf(es), t));
   EXPECT_GT(t, 1u);  // never a no-op split time
 }
 
@@ -192,7 +194,7 @@ TEST(SplitPolicyTest, ChooseSplitTimeRespectsLowerBound) {
   SplitPolicy policy(cfg);
   std::vector<DataEntry> es = {E("a", 4), E("a", 5)};
   // t_lo = 5: T must exceed it.
-  const Timestamp t = policy.ChooseSplitTime(es, 5, 9);
+  const Timestamp t = policy.ChooseSplitTime(ViewsOf(es), 5, 9);
   EXPECT_GT(t, 5u);
 }
 

@@ -32,8 +32,9 @@ TEST(WalConcurrencyTest, ConcurrentAppendAndGroupSync) {
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&, t] {
       for (int i = 0; i < kCommitsPerThread; ++i) {
-        std::map<std::string, std::string> ops;
-        ops["t" + std::to_string(t) + "-" + std::to_string(i)] = "v";
+        const std::string key =
+            "t" + std::to_string(t) + "-" + std::to_string(i);
+        const std::pair<Slice, Slice> ops[] = {{key, "v"}};
         uint64_t end_lsn = 0;
         const Timestamp ts = next_ts.fetch_add(1, std::memory_order_relaxed);
         ASSERT_TRUE(wal->AppendCommit(ts, ops, &end_lsn).ok());
@@ -74,8 +75,8 @@ TEST(WalConcurrencyTest, BackgroundSyncModeAppends) {
   for (int t = 0; t < 4; ++t) {
     threads.emplace_back([&, t] {
       for (int i = 0; i < 100; ++i) {
-        std::map<std::string, std::string> ops;
-        ops["k" + std::to_string(t * 1000 + i)] = "v";
+        const std::string key = "k" + std::to_string(t * 1000 + i);
+        const std::pair<Slice, Slice> ops[] = {{key, "v"}};
         uint64_t end_lsn = 0;
         ASSERT_TRUE(
             wal->AppendCommit(t * 1000 + i + 1, ops, &end_lsn).ok());

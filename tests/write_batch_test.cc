@@ -1,7 +1,8 @@
 // Leaf-batched WriteBatch apply: uncommitted inserts take one descent per
-// leaf (splitting mid-batch when a leaf fills), commit stamps are written
-// in place (rotating the slot when the stamped version must sort earlier),
-// and the lock table is taken in one all-or-nothing pass per batch.
+// leaf (splitting mid-batch when a leaf fills, on the leaf the insert
+// already latched), commit stamps are written in place (rotating the slot
+// when the stamped version must sort earlier), and the hash-partitioned
+// lock table is taken in one all-or-nothing pass per batch.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -42,13 +43,13 @@ uint64_t SplitCount(const TsbTree& tree) {
 
 class WriteBatchTest : public ::testing::Test {
  protected:
-  void Open() {
+  void Open(uint32_t page_size = 512) {
     mgr_.reset();
     tree_.reset();
     magnetic_ = std::make_unique<MemDevice>();
     worm_ = std::make_unique<WormDevice>(512);
     TsbOptions opts;
-    opts.page_size = 512;
+    opts.page_size = page_size;
     opts.buffer_pool_frames = 1024;
     ASSERT_TRUE(TsbTree::Open(magnetic_.get(), worm_.get(), opts, &tree_).ok());
     mgr_ = std::make_unique<TxnManager>(tree_.get());
@@ -152,18 +153,28 @@ TEST_F(WriteBatchTest, SortedBatchDescendsOncePerLeafPlusSplits) {
     batch.Put(keys.back(), std::string(24, 'n'));  // forces splits
   }
   const uint64_t descents = tree_->counters().put_descents;
+  const uint64_t writer_descents = tree_->counters().writer_descents;
   const uint64_t splits = SplitCount(*tree_);
   const uint64_t stamp_descents = tree_->counters().stamp_descents;
   ASSERT_TRUE(mgr_->Write(batch).ok());
   const uint64_t batch_descents = tree_->counters().put_descents - descents;
   const uint64_t batch_splits = SplitCount(*tree_) - splits;
+  const uint64_t batch_stamp_descents =
+      tree_->counters().stamp_descents - stamp_descents;
   const size_t leaves = LeavesHolding(keys);
   EXPECT_GT(batch_splits, 0u);
   EXPECT_LE(batch_descents, leaves + batch_splits);
   EXPECT_LT(batch_descents, 500u);
   // Stamping runs after every split, so it costs exactly one descent per
   // leaf.
-  EXPECT_EQ(leaves, tree_->counters().stamp_descents - stamp_descents);
+  EXPECT_EQ(leaves, batch_stamp_descents);
+  // Every other writer descent of the batch (inserts and splits) is
+  // bounded by leaves + splits: a split works on the leaf its insert
+  // latched instead of descending again.
+  const uint64_t batch_writer_descents =
+      tree_->counters().writer_descents - writer_descents;
+  EXPECT_LE(batch_writer_descents - batch_stamp_descents,
+            leaves + batch_splits);
   EXPECT_EQ(0u, tree_->HistStats().owned_decodes);
   ExpectChecked();
 }
@@ -296,6 +307,250 @@ TEST_F(WriteBatchTest, ConflictingBatchInsertsNothingAndReleasesLocks) {
   ASSERT_TRUE(tree_->Get({}, "b", &v).ok());
   EXPECT_EQ("held", v);
   ExpectChecked();
+}
+
+// The batch's one conflicting key sorts after all 40 of its other keys:
+// the conflict is still found before any key is taken.
+TEST_F(WriteBatchTest, ConflictOnLastKeyLocksAndInsertsNothing) {
+  Open();
+  const std::string held = Key(1000);
+  std::vector<std::string> others;
+  for (int i = 0; i < 40; ++i) others.push_back(Key(i));
+  std::unique_ptr<Transaction> holder;
+  ASSERT_TRUE(mgr_->Begin(&holder).ok());
+  ASSERT_TRUE(holder->Put(held, "held").ok());
+
+  const uint64_t puts = tree_->counters().uncommitted_puts;
+  WriteBatch batch;
+  for (const std::string& k : others) batch.Put(k, "batch");
+  batch.Put(held, "batch");
+  EXPECT_TRUE(mgr_->Write(batch).IsTxnConflict());
+  EXPECT_EQ(puts, tree_->counters().uncommitted_puts);
+  EXPECT_EQ(1u, mgr_->active_txns());
+
+  // Nothing stayed locked: a batch of exactly the other keys commits.
+  WriteBatch rest;
+  for (const std::string& k : others) rest.Put(k, "rest");
+  ASSERT_TRUE(mgr_->Write(rest).ok());
+  ASSERT_TRUE(holder->Commit().ok());
+  std::string v;
+  for (const std::string& k : others) {
+    ASSERT_TRUE(tree_->Get({}, k, &v).ok()) << k;
+    EXPECT_EQ("rest", v);
+  }
+  ASSERT_TRUE(tree_->Get({}, held, &v).ok());
+  EXPECT_EQ("held", v);
+  ExpectChecked();
+}
+
+// 200-byte keys that differ only in their last byte lock, conflict and
+// release by their full bytes.
+TEST_F(WriteBatchTest, LongKeysLockAndConflict) {
+  Open(4096);
+  auto long_key = [](int i) {
+    std::string k(199, 'p');
+    k.push_back(static_cast<char>('a' + i));
+    return k;
+  };
+  std::unique_ptr<Transaction> holder;
+  ASSERT_TRUE(mgr_->Begin(&holder).ok());
+  ASSERT_TRUE(holder->Put(long_key(0), "held").ok());
+  ASSERT_TRUE(holder->Put(long_key(2), "held").ok());
+
+  WriteBatch conflicting;
+  conflicting.Put(long_key(1), "x");
+  conflicting.Put(long_key(2), "x");
+  EXPECT_TRUE(mgr_->Write(conflicting).IsTxnConflict());
+  WriteBatch free_keys;
+  free_keys.Put(long_key(1), "free");
+  free_keys.Put(long_key(3), "free");
+  ASSERT_TRUE(mgr_->Write(free_keys).ok());
+
+  ASSERT_TRUE(holder->Commit().ok());
+  ASSERT_TRUE(mgr_->Write(conflicting).ok());
+  std::string v;
+  ASSERT_TRUE(tree_->Get({}, long_key(0), &v).ok());
+  EXPECT_EQ("held", v);
+  ASSERT_TRUE(tree_->Get({}, long_key(2), &v).ok());
+  EXPECT_EQ("x", v);
+  ASSERT_TRUE(tree_->Get({}, long_key(3), &v).ok());
+  EXPECT_EQ("free", v);
+  ExpectChecked();
+}
+
+// A Put that fails in the tree releases the lock it took for a new key,
+// and keeps the one the transaction already held.
+TEST_F(WriteBatchTest, FailedPutReleasesTheLockItTook) {
+  Open();
+  const std::string too_big(4096, 'v');  // can never fit a 512-byte page
+  std::unique_ptr<Transaction> t;
+  ASSERT_TRUE(mgr_->Begin(&t).ok());
+  EXPECT_FALSE(t->Put("new", too_big).ok());
+  ASSERT_TRUE(t->Put("held", "small").ok());
+  EXPECT_FALSE(t->Put("held", too_big).ok());
+  EXPECT_EQ(1u, t->write_count());
+
+  std::unique_ptr<Transaction> other;
+  ASSERT_TRUE(mgr_->Begin(&other).ok());
+  EXPECT_TRUE(other->Put("new", "other").ok());
+  EXPECT_TRUE(other->Put("held", "other").IsTxnConflict());
+  ASSERT_TRUE(t->Commit().ok());
+  ASSERT_TRUE(other->Commit().ok());
+  std::string v;
+  ASSERT_TRUE(tree_->Get({}, "held", &v).ok());
+  EXPECT_EQ("small", v);
+  ASSERT_TRUE(tree_->Get({}, "new", &v).ok());
+  EXPECT_EQ("other", v);
+}
+
+TEST_F(WriteBatchTest, TransactionGetSeesItsLatestPut) {
+  Open();
+  ASSERT_TRUE(tree_->Put("c", "committed", 1).ok());
+  std::unique_ptr<Transaction> t;
+  ASSERT_TRUE(mgr_->Begin(&t).ok());
+  // Out of key order, with rewrites: the write set stays sorted.
+  ASSERT_TRUE(t->Put("m", "m1").ok());
+  ASSERT_TRUE(t->Put("b", "b1").ok());
+  ASSERT_TRUE(t->Put("m", "m2").ok());
+  ASSERT_TRUE(t->Put("x", "x1").ok());
+  ASSERT_TRUE(t->Put("b", "b2").ok());
+  ASSERT_TRUE(t->Put("m", "m3").ok());
+  EXPECT_EQ(3u, t->write_count());
+  std::string v;
+  ASSERT_TRUE(t->Get("m", &v).ok());
+  EXPECT_EQ("m3", v);
+  ASSERT_TRUE(t->Get("b", &v).ok());
+  EXPECT_EQ("b2", v);
+  ASSERT_TRUE(t->Get("x", &v).ok());
+  EXPECT_EQ("x1", v);
+  ASSERT_TRUE(t->Get("c", &v).ok());  // not written: the committed version
+  EXPECT_EQ("committed", v);
+  EXPECT_TRUE(t->Get("a", &v).IsNotFound());
+  // A value that grows, then shrinks into the bytes it grew into.
+  ASSERT_TRUE(t->Put("x", "x2-is-longer").ok());
+  ASSERT_TRUE(t->Get("x", &v).ok());
+  EXPECT_EQ("x2-is-longer", v);
+  ASSERT_TRUE(t->Put("x", "x3").ok());
+  ASSERT_TRUE(t->Get("x", &v).ok());
+  EXPECT_EQ("x3", v);
+  EXPECT_EQ(3u, t->write_count());
+  Timestamp cts = 0;
+  ASSERT_TRUE(t->Commit(&cts).ok());
+  Timestamp ts = 0;
+  ASSERT_TRUE(tree_->Get({}, "m", &v, &ts).ok());
+  EXPECT_EQ("m3", v);
+  EXPECT_EQ(cts, ts);
+  ASSERT_TRUE(tree_->Get({}, "x", &v).ok());
+  EXPECT_EQ("x3", v);
+}
+
+// Duplicates spread over a batch big enough to split leaves mid-batch:
+// each key gets exactly one version, holding its last Put's value.
+TEST_F(WriteBatchTest, DuplicateKeysSplittingMidBatchKeepOnlyTheLast) {
+  Open();
+  constexpr int kKeys = 300;
+  WriteBatch batch;
+  for (int i = kKeys - 1; i >= 0; --i) batch.Put(Key(i), "first");
+  for (int i = 0; i < kKeys; i += 3) batch.Put(Key(i), "second");
+  for (int i = 0; i < kKeys; i += 6) batch.Put(Key(i), "last");
+  const uint64_t splits = SplitCount(*tree_);
+  const uint64_t puts = tree_->counters().uncommitted_puts;
+  Timestamp cts = 0;
+  ASSERT_TRUE(mgr_->Write(batch, &cts).ok());
+  EXPECT_GT(SplitCount(*tree_), splits);
+  EXPECT_EQ(static_cast<uint64_t>(kKeys),
+            tree_->counters().uncommitted_puts - puts);
+  for (int i = 0; i < kKeys; ++i) {
+    std::string v;
+    Timestamp ts = 0;
+    ASSERT_TRUE(tree_->Get({}, Key(i), &v, &ts).ok()) << Key(i);
+    EXPECT_EQ(i % 6 == 0 ? "last" : i % 3 == 0 ? "second" : "first", v)
+        << Key(i);
+    EXPECT_EQ(cts, ts);
+  }
+  SpaceStats stats;
+  ASSERT_TRUE(tree_->ComputeSpaceStats(&stats).ok());
+  EXPECT_EQ(static_cast<uint64_t>(kKeys), stats.logical_versions);
+  ExpectChecked();
+}
+
+// The open-addressing table erases by backward shift: after locking
+// many keys and releasing every third one in a scattered order, every
+// remaining key still conflicts and every released key is free.
+TEST(LockTableTest, EraseKeepsEveryOtherKeyReachable) {
+  LockTable locks;
+  constexpr int kKeys = 3000;
+  std::vector<std::string> keys;
+  for (int i = 0; i < kKeys; ++i) keys.push_back(Key(i));
+  std::vector<LockTable::KeyValue> all;
+  for (const std::string& k : keys) all.emplace_back(k, Slice());
+  ASSERT_TRUE(locks.Lock(all, 7).ok());
+  std::vector<bool> released(kKeys, false);
+  std::vector<LockTable::KeyValue> release;
+  for (int i = 0; i < kKeys; i += 3) {
+    const int k = (i * 7919) % kKeys;  // a permutation of the multiples
+    released[k] = true;
+    release.push_back(all[k]);
+  }
+  locks.Unlock(release, 7);
+  for (int k = 0; k < kKeys; ++k) {
+    const Status s = locks.Lock({&all[k], 1}, 8);
+    if (released[k]) {
+      EXPECT_TRUE(s.ok()) << keys[k];
+    } else {
+      EXPECT_TRUE(s.IsTxnConflict()) << keys[k];
+    }
+  }
+  // Transaction 8 now holds exactly the released keys: once 7 lets go of
+  // the rest, one batch of every key is free for transaction 9.
+  locks.Unlock(all, 7);
+  EXPECT_TRUE(locks.Lock(all, 9).IsTxnConflict());
+  locks.Unlock(release, 8);
+  ASSERT_TRUE(locks.Lock(all, 9).ok());
+  locks.Unlock(all, 9);
+}
+
+// Locks handed to other bytes keep working after the original bytes are
+// overwritten and freed: Rebind to a copy the caller keeps, Detach to a
+// copy the table keeps.
+TEST(LockTableTest, RebindAndDetachOutliveTheLockingBytes) {
+  LockTable locks;
+  auto scratch = std::make_unique<std::string>("rebound-key");
+  const std::string kept = *scratch;
+  {
+    const LockTable::KeyValue kv(*scratch, Slice());
+    ASSERT_TRUE(locks.Lock({&kv, 1}, 1).ok());
+    locks.Rebind(kv.first, kept.data(), 1);
+  }
+  auto batch = std::make_unique<std::vector<std::string>>(
+      std::vector<std::string>{"detached-a", "detached-b"});
+  {
+    std::vector<LockTable::KeyValue> writes;
+    for (const std::string& k : *batch) writes.emplace_back(k, Slice());
+    ASSERT_TRUE(locks.Lock(writes, 2).ok());
+    locks.Detach(writes, 2);
+    locks.Detach(writes, 2);  // a second failed abort copies nothing more
+  }
+  scratch->assign(scratch->size(), '#');
+  scratch.reset();
+  for (std::string& k : *batch) k.assign(k.size(), '#');
+  batch.reset();
+
+  const std::vector<std::string> keys = {"rebound-key", "detached-a",
+                                         "detached-b"};
+  for (const std::string& k : keys) {
+    const LockTable::KeyValue kv(k, Slice());
+    EXPECT_TRUE(locks.Lock({&kv, 1}, 3).IsTxnConflict()) << k;
+  }
+  const LockTable::KeyValue first(keys[0], Slice());
+  locks.Unlock({&first, 1}, 1);
+  std::vector<LockTable::KeyValue> rest;
+  for (size_t i = 1; i < keys.size(); ++i) rest.emplace_back(keys[i], Slice());
+  locks.Unlock(rest, 2);
+  std::vector<LockTable::KeyValue> all;
+  for (const std::string& k : keys) all.emplace_back(k, Slice());
+  ASSERT_TRUE(locks.Lock(all, 3).ok());
+  locks.Unlock(all, 3);
 }
 
 TEST_F(WriteBatchTest, ConcurrentWritersCommitInterleavedBatches) {
