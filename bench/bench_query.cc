@@ -571,6 +571,14 @@ HistAsOfResult MeasureHistAsOfPinned(
   return r;
 }
 
+/// Interleaved repetitions behind each ratio a CI gate compares.
+constexpr int kRatioReps = 5;
+
+double Median(std::vector<double> v) {
+  std::sort(v.begin(), v.end());
+  return v.empty() ? 0 : v[v.size() / 2];
+}
+
 HistAsOfResult MeasureHistAsOf(
     tsb_tree::TsbTree* tree,
     const std::vector<std::pair<std::string, Timestamp>>& probes,
@@ -656,23 +664,28 @@ void WriteHistAsOfJson() {
   // maps to). Warm reads serve from the buffer pool and the verified-
   // blob memo, so end-to-end checksums must cost ~nothing here; CI
   // gates the ratio at 5%.
-  // Best-of-two per setting, interleaved, so a scheduler hiccup in one
-  // timed window cannot fake a regression against the 5% gate.
-  HistAsOfResult pinned_verify, pinned_noverify;
-  for (int rep = 0; rep < 2; ++rep) {
-    view_f.tree->pager()->set_verify_on_read(false);
-    const HistAsOfResult off =
-        MeasureHistAsOfPinned(view_f.tree.get(), probes, rounds);
-    if (off.ops_per_sec > pinned_noverify.ops_per_sec) pinned_noverify = off;
-    view_f.tree->pager()->set_verify_on_read(true);
-    const HistAsOfResult on =
-        MeasureHistAsOfPinned(view_f.tree.get(), probes, rounds);
-    if (on.ops_per_sec > pinned_verify.ops_per_sec) pinned_verify = on;
+  // kRatioReps interleaved (off, on) pairs, the order flipped every
+  // pair; the gated ratio is the median of the per-pair ratios, so one
+  // scheduler hiccup in one timed window cannot move it.
+  std::vector<double> verify_on, verify_off, verify_ratios;
+  for (int rep = 0; rep < kRatioReps; ++rep) {
+    double pair[2] = {0, 0};  // {off, on}
+    for (int k = 0; k < 2; ++k) {
+      const bool on = (k == 1) != (rep % 2 == 1);
+      view_f.tree->pager()->set_verify_on_read(on);
+      pair[on ? 1 : 0] =
+          MeasureHistAsOfPinned(view_f.tree.get(), probes, rounds)
+              .ops_per_sec;
+    }
+    verify_off.push_back(pair[0]);
+    verify_on.push_back(pair[1]);
+    verify_ratios.push_back(pair[0] > 0 ? pair[1] / pair[0] : 0);
   }
-  const double verify_over_noverify =
-      pinned_noverify.ops_per_sec > 0
-          ? pinned_verify.ops_per_sec / pinned_noverify.ops_per_sec
-          : 0;
+  view_f.tree->pager()->set_verify_on_read(true);
+  HistAsOfResult pinned_verify, pinned_noverify;
+  pinned_verify.ops_per_sec = Median(verify_on);
+  pinned_noverify.ops_per_sec = Median(verify_off);
+  const double verify_over_noverify = Median(verify_ratios);
 
   printf("== historical as-of lookups: zero-copy views ==\n");
   printf("(%zu probes x %d rounds, shared-blob cache covers the working set)\n",
@@ -742,10 +755,32 @@ void WriteHistAsOfJson() {
       MeasureScan(view_f.tree.get(), t_now, /*reverse=*/false, 30, nullptr);
   const ScanResult scan_rev_cur =
       MeasureScan(view_f.tree.get(), t_now, /*reverse=*/true, 30, nullptr);
-  const ScanResult scan_fwd_old =
-      MeasureScan(view_f.tree.get(), t_old, /*reverse=*/false, 30, nullptr);
-  const ScanResult scan_rev_old =
-      MeasureScan(view_f.tree.get(), t_old, /*reverse=*/true, 30, nullptr);
+  // The old-snapshot directions are gated against each other: kRatioReps
+  // interleaved (forward, reverse) pairs, order flipped every pair, and
+  // the median per-pair ratio (each direction reports its median pair).
+  std::vector<ScanResult> old_fwd, old_rev;
+  std::vector<double> old_ratios;
+  for (int rep = 0; rep < kRatioReps; ++rep) {
+    for (int k = 0; k < 2; ++k) {
+      const bool reverse = (k == 1) != (rep % 2 == 1);
+      (reverse ? old_rev : old_fwd)
+          .push_back(MeasureScan(view_f.tree.get(), t_old, reverse, 30,
+                                 nullptr));
+    }
+    old_ratios.push_back(old_fwd.back().entries_per_sec > 0
+                             ? old_rev.back().entries_per_sec /
+                                   old_fwd.back().entries_per_sec
+                             : 0.0);
+  }
+  auto median_scan = [](std::vector<ScanResult> runs) {
+    std::sort(runs.begin(), runs.end(),
+              [](const ScanResult& a, const ScanResult& b) {
+                return a.entries_per_sec < b.entries_per_sec;
+              });
+    return runs[runs.size() / 2];
+  };
+  const ScanResult scan_fwd_old = median_scan(old_fwd);
+  const ScanResult scan_rev_old = median_scan(old_rev);
   const ScanResult scan_fwd_cold = MeasureScan(
       mmap_f.tree.get(), t_old, /*reverse=*/false, 8,
       mmap_f.tree->hist_store());
@@ -757,7 +792,7 @@ void WriteHistAsOfJson() {
                                    : 0.0;
   };
   const double rev_over_fwd_cur = ratio(scan_rev_cur, scan_fwd_cur);
-  const double rev_over_fwd_old = ratio(scan_rev_old, scan_fwd_old);
+  const double rev_over_fwd_old = Median(old_ratios);
   const double rev_over_fwd_cold = ratio(scan_rev_cold, scan_fwd_cold);
 
   printf("== snapshot scans: zero-copy frames + true backward walk ==\n");
@@ -816,7 +851,7 @@ void WriteHistAsOfJson() {
           "  \"floor_ops_per_sec\": %.1f,\n"
           "  \"checksum_overhead\": {\"pinned_verify_ops_per_sec\": %.1f, "
           "\"pinned_noverify_ops_per_sec\": %.1f, "
-          "\"verify_over_noverify\": %.3f},\n"
+          "\"verify_over_noverify\": %.3f, \"reps\": %d},\n"
           "  \"hist_cold_read\": {\"mmap_ops_per_sec\": %.1f, "
           "\"copy_ops_per_sec\": %.1f, \"speedup_mmap_vs_copy\": %.3f, "
           "\"allocs_per_op_repin\": %.4f, \"mapped_bytes\": %llu, "
@@ -836,6 +871,7 @@ void WriteHistAsOfJson() {
           "    \"reverse_old\": {\"entries_per_sec\": %.1f, "
           "\"allocs_per_entry\": %.4f, \"entries_per_scan\": %zu},\n"
           "    \"reverse_over_forward_old\": %.3f,\n"
+          "    \"old_reps\": %d,\n"
           "    \"forward_cold\": {\"entries_per_sec\": %.1f, "
           "\"allocs_per_entry\": %.4f},\n"
           "    \"reverse_cold\": {\"entries_per_sec\": %.1f, "
@@ -853,7 +889,7 @@ void WriteHistAsOfJson() {
           pinned.ops_per_sec, pinned.allocs_per_op, pinned.cache_hit_ratio,
           static_cast<unsigned long long>(pinned.owned_decodes),
           kOwnedDecodeFloorOpsPerSec, pinned_verify.ops_per_sec,
-          pinned_noverify.ops_per_sec, verify_over_noverify,
+          pinned_noverify.ops_per_sec, verify_over_noverify, kRatioReps,
           cold_mmap.ops_per_sec, cold_copy.ops_per_sec, cold_speedup,
           cold_mmap.allocs_per_op,
           static_cast<unsigned long long>(mmap_stats.mapped_bytes),
@@ -870,7 +906,7 @@ void WriteHistAsOfJson() {
           scan_fwd_old.entries_per_sec, scan_fwd_old.allocs_per_entry,
           scan_fwd_old.entries_per_scan,
           scan_rev_old.entries_per_sec, scan_rev_old.allocs_per_entry,
-          scan_rev_old.entries_per_scan, rev_over_fwd_old,
+          scan_rev_old.entries_per_scan, rev_over_fwd_old, kRatioReps,
           scan_fwd_cold.entries_per_sec, scan_fwd_cold.allocs_per_entry,
           scan_rev_cold.entries_per_sec, scan_rev_cold.allocs_per_entry,
           rev_over_fwd_cold, static_cast<unsigned long long>(bw.keys),

@@ -1113,6 +1113,9 @@ Status MultiVersionDB::ResumeImpl() {
       TSB_LOG_INFO("resume: purged %llu records of failed commit t=%llu",
                    (unsigned long long)purged, (unsigned long long)ts);
     }
+    // Finish the aborts that failed on the sick device: their
+    // uncommitted records go and their keys unlock.
+    TSB_RETURN_IF_ERROR(txns_->FinishFailedAborts());
     // 2. Re-establish durability from the trusted in-memory pages with a
     // recovery-grade checkpoint: never re-syncs the poisoned log, always
     // rotates to a fresh log file. After this the acked prefix lives in

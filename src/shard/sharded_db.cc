@@ -5,10 +5,13 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cerrno>
 #include <cinttypes>
 #include <cstdio>
 #include <cstring>
+#include <system_error>
+#include <thread>
 
 #include "common/fsync_dir.h"
 #include "common/hash.h"
@@ -23,6 +26,43 @@ namespace {
 constexpr char kShardsManifestName[] = "SHARDS";
 constexpr char kShardsHeader[] = "tsb-shards v1";
 constexpr char kCoordLogName[] = "coord.tsb";
+
+/// Runs `fn(i)` for every i in [0, n) on min(n, hardware threads)
+/// threads, the caller included. After the first failure no further
+/// index is started; that failure is returned.
+template <typename Fn>
+Status ParallelForEach(size_t n, Fn fn) {
+  std::atomic<size_t> next{0};
+  std::atomic<bool> failed{false};
+  std::mutex mu;
+  Status first_error;
+  auto work = [&] {
+    while (!failed.load(std::memory_order_acquire)) {
+      const size_t i = next.fetch_add(1, std::memory_order_relaxed);
+      if (i >= n) return;
+      Status s = fn(i);
+      if (!s.ok()) {
+        std::lock_guard<std::mutex> lock(mu);
+        if (!failed.exchange(true, std::memory_order_acq_rel)) {
+          first_error = s;
+        }
+      }
+    }
+  };
+  const size_t threads =
+      std::min<size_t>(n, std::max(1u, std::thread::hardware_concurrency()));
+  std::vector<std::thread> helpers;
+  for (size_t t = 1; t < threads; ++t) {
+    try {
+      helpers.emplace_back(work);
+    } catch (const std::system_error&) {
+      break;  // no thread to spare: the ones running finish the work
+    }
+  }
+  work();
+  for (std::thread& t : helpers) t.join();
+  return first_error;
+}
 
 std::string ShardDirName(uint32_t shard) {
   char buf[32];
@@ -191,7 +231,9 @@ Status ShardedDB::Open(const std::string& path, const ShardedOptions& options,
 }
 
 ShardedDB::~ShardedDB() {
-  if (!degraded()) {
+  // A failed Open destroys a facade whose shards did not all open (the
+  // ledger is installed last): there is nothing to fold.
+  if (ledger_ != nullptr && !degraded()) {
     // Clean shutdown: fold every shard and truncate the coordinator log,
     // so the next Open replays nothing. A failure leaves the logs in
     // place — recovery replays them, which is always correct.
@@ -202,9 +244,14 @@ ShardedDB::~ShardedDB() {
                    s.ToString().c_str());
     }
   }
-  // Members tear down in reverse declaration order: the coordinator log
-  // closes first, each shard then runs its own clean shutdown, and the
-  // ledger/clock (which the shards' trees point into) go last.
+  // The coordinator log closes first; then every shard runs its own clean
+  // shutdown (an empty checkpoint plus its MANIFEST), concurrently; the
+  // ledger/clock (which the shards' trees point into) go last as members.
+  coord_wal_.reset();
+  (void)ParallelForEach(shards_.size(), [this](size_t i) {
+    shards_[i].reset();
+    return Status::OK();
+  });
 }
 
 Status ShardedDB::Destroy(const std::string& path) {
@@ -511,10 +558,10 @@ size_t ShardedDB::pending_decisions() const {
 // ---------------------------------------------------------------- repair
 
 Status ShardedDB::CheckpointShards() {
-  for (auto& s : shards_) {
-    TSB_RETURN_IF_ERROR(s->Checkpoint());
-  }
-  return Status::OK();
+  // Shards share no checkpoint state (each has its own locks, devices,
+  // journal and log), so they fold concurrently.
+  return ParallelForEach(shards_.size(),
+                         [this](size_t i) { return shards_[i]->Checkpoint(); });
 }
 
 Status ShardedDB::Checkpoint() {

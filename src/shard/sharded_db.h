@@ -179,8 +179,9 @@ class ShardedDB {
 
   // ---- maintenance ----
 
-  /// Checkpoints every shard, then (when no decision is pending repair)
-  /// truncates the coordinator log. Exclusive with in-flight multi-shard
+  /// Checkpoints every shard (concurrently), then — when every shard
+  /// succeeded and no decision is pending repair — truncates the
+  /// coordinator log. Exclusive with in-flight multi-shard
   /// commits, so no decision record can slip into the dead prefix.
   Status Checkpoint();
 
@@ -250,8 +251,10 @@ class ShardedDB {
   Status RepairDecision(Timestamp ts,
                         const std::map<std::string, std::string>& ops);
 
-  /// Checkpoints every shard (no coordinator-log action). Caller holds
-  /// coord_mu_ exclusive.
+  /// Checkpoints every shard concurrently, on min(shards, hardware
+  /// threads) threads including the caller (no coordinator-log action).
+  /// The first failure stops shards not yet started and is returned.
+  /// Caller holds coord_mu_ exclusive.
   Status CheckpointShards();
 
   /// Replaces the coordinator log with a fresh empty one — the only way

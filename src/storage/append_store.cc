@@ -20,19 +20,20 @@ uint64_t AppendStore::AlignUp(uint64_t offset) const {
 }
 
 Status AppendStore::Append(const Slice& payload, HistAddr* addr) {
-  std::string frame;
-  frame.reserve(kFrameHeaderSize + payload.size());
-  PutFixed32(&frame, static_cast<uint32_t>(payload.size()));
-  PutFixed32(&frame,
-             crc32c::Mask(crc32c::Value(payload.data(), payload.size())));
-  frame.append(payload.data(), payload.size());
+  char header[kFrameHeaderSize];
+  EncodeFixed32(header, static_cast<uint32_t>(payload.size()));
+  EncodeFixed32(header + 4, crc32c::Mask(crc32c::Value(payload.data(),
+                                                       payload.size())));
+  // Header and payload go down as one gather write: one device write per
+  // blob, and no copy of the payload into a frame buffer.
+  const Slice frame[2] = {Slice(header, kFrameHeaderSize), payload};
 
   std::lock_guard<std::mutex> lock(append_mu_);
   const uint64_t offset = AlignUp(next_offset_);
-  TSB_RETURN_IF_ERROR(device_->Write(offset, frame));
+  TSB_RETURN_IF_ERROR(device_->WriteGather(offset, frame, 2));
   addr->offset = offset;
   addr->length = static_cast<uint32_t>(payload.size());
-  next_offset_ = offset + frame.size();
+  next_offset_ = offset + kFrameHeaderSize + payload.size();
   payload_bytes_ += payload.size();
   blob_count_++;
   return Status::OK();

@@ -1,5 +1,7 @@
 #include "storage/device.h"
 
+#include <string>
+
 namespace tsb {
 
 const char* DeviceKindName(DeviceKind kind) {
@@ -21,6 +23,24 @@ Status Device::ReadMapped(uint64_t offset, size_t n, MappedRead* out,
   (void)out;
   (void)pattern;
   return Status::NotSupported("ReadMapped", DeviceKindName(kind_));
+}
+
+Status Device::WriteGather(uint64_t offset, std::span<const Slice> parts,
+                           size_t parts_per_write) {
+  std::string joined;
+  for (size_t i = 0; i < parts.size(); i += parts_per_write) {
+    Slice data = parts[i];
+    if (parts_per_write > 1) {
+      joined.clear();
+      for (size_t j = i; j < i + parts_per_write; ++j) {
+        joined.append(parts[j].data(), parts[j].size());
+      }
+      data = Slice(joined);
+    }
+    TSB_RETURN_IF_ERROR(Write(offset, data));
+    offset += data.size();
+  }
+  return Status::OK();
 }
 
 void Device::AccountAccess(uint64_t offset, size_t n) {

@@ -3,9 +3,12 @@
 #include <fcntl.h>
 #include <sys/mman.h>
 #include <sys/stat.h>
+#include <sys/uio.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
+#include <climits>
 #include <cstring>
 
 namespace tsb {
@@ -65,32 +68,84 @@ Status FileDevice::Read(uint64_t offset, size_t n, char* scratch) {
 }
 
 Status FileDevice::Write(uint64_t offset, const Slice& data) {
-  size_t done = 0;
-  while (done < data.size()) {
-    ssize_t w = ::pwrite(fd_, data.data() + done, data.size() - done,
-                         static_cast<off_t>(offset + done));
+  return WriteParts(offset, {&data, 1}, 1);
+}
+
+Status FileDevice::WriteGather(uint64_t offset, std::span<const Slice> parts,
+                               size_t parts_per_write) {
+  return WriteParts(offset, parts, parts_per_write);
+}
+
+namespace {
+
+/// Writes every byte `iov[0, n)` covers at `offset`, resuming after short
+/// writes. Advances the iovecs it consumes.
+Status PwritevAll(int fd, struct iovec* iov, size_t n, uint64_t offset) {
+  size_t i = 0;
+  while (i < n && iov[i].iov_len == 0) ++i;
+  while (i < n) {
+    ssize_t w = ::pwritev(fd, iov + i, static_cast<int>(n - i),
+                          static_cast<off_t>(offset));
     if (w < 0) {
       if (errno == EINTR) continue;
       if (errno == ENOSPC) {
         // Distinguished so the error handler classifies it transient:
         // freeing space + Resume() heals, unlike a generic EIO surface.
-        return Status::OutOfSpace("pwrite", strerror(errno));
+        return Status::OutOfSpace("pwritev", strerror(errno));
       }
-      return Status::IOError("pwrite", strerror(errno));
+      return Status::IOError("pwritev", strerror(errno));
     }
     if (w == 0) {
-      // pwrite returning 0 for a nonzero count: full device edge case;
-      // retrying would spin forever.
-      return Status::OutOfSpace("pwrite wrote 0 bytes");
+      // Zero bytes for a nonzero count: full device edge case; retrying
+      // would spin forever.
+      return Status::OutOfSpace("pwritev wrote 0 bytes");
     }
-    done += static_cast<size_t>(w);
+    offset += static_cast<uint64_t>(w);
+    size_t left = static_cast<size_t>(w);
+    while (i < n && left >= iov[i].iov_len) left -= iov[i++].iov_len;
+    if (i < n) {
+      iov[i].iov_base = static_cast<char*>(iov[i].iov_base) + left;
+      iov[i].iov_len -= left;
+    }
   }
-  const uint64_t end = offset + data.size();
-  uint64_t cur = size_.load(std::memory_order_relaxed);
-  while (end > cur &&
-         !size_.compare_exchange_weak(cur, end, std::memory_order_release)) {
+  return Status::OK();
+}
+
+}  // namespace
+
+Status FileDevice::WriteParts(uint64_t offset, std::span<const Slice> parts,
+                              size_t parts_per_write) {
+  struct iovec iov[IOV_MAX];
+  uint64_t end = offset;
+  size_t landed = 0;  // parts on the file, [0, landed)
+  size_t counted = 0;  // parts whose write IoStats has counted
+  uint64_t counted_end = offset;
+  while (landed < parts.size()) {
+    const size_t n = std::min<size_t>(parts.size() - landed, IOV_MAX);
+    const uint64_t start = end;
+    for (size_t i = 0; i < n; ++i) {
+      const Slice& p = parts[landed + i];
+      iov[i].iov_base = const_cast<char*>(p.data());
+      iov[i].iov_len = p.size();
+      end += p.size();
+    }
+    TSB_RETURN_IF_ERROR(PwritevAll(fd_, iov, n, start));
+    landed += n;
+    uint64_t cur = size_.load(std::memory_order_relaxed);
+    while (end > cur &&
+           !size_.compare_exchange_weak(cur, end, std::memory_order_release)) {
+    }
+    // Count each write whose parts have all landed, as Write would have.
+    while (counted + parts_per_write <= landed) {
+      uint64_t bytes = 0;
+      for (size_t i = counted; i < counted + parts_per_write; ++i) {
+        bytes += parts[i].size();
+      }
+      AccountWrite(counted_end, bytes);
+      counted_end += bytes;
+      counted += parts_per_write;
+    }
   }
-  AccountWrite(offset, data.size());
   return Status::OK();
 }
 

@@ -11,8 +11,8 @@
 
 namespace tsb {
 
-/// Erasable device backed by a POSIX file (pread/pwrite).
-/// Thread-safe: pread/pwrite are atomic at the OS level; the size
+/// Erasable device backed by a POSIX file (pread/pwritev).
+/// Thread-safe: pread/pwritev are atomic at the OS level; the size
 /// high-water mark is maintained with atomics.
 ///
 /// When mmap is enabled (the default) ReadMapped serves pinned zero-copy
@@ -38,6 +38,9 @@ class FileDevice : public Device {
 
   Status Read(uint64_t offset, size_t n, char* scratch) override;
   Status Write(uint64_t offset, const Slice& data) override;
+  /// One pwritev per IOV_MAX parts; IoStats still count every write.
+  Status WriteGather(uint64_t offset, std::span<const Slice> parts,
+                     size_t parts_per_write = 1) override;
   uint64_t Size() const override { return size_.load(std::memory_order_acquire); }
   Status Truncate(uint64_t size) override;
   Status Sync() override;
@@ -69,6 +72,10 @@ class FileDevice : public Device {
     size_t len = 0;
     ~Mapping();
   };
+
+  /// Body of Write and WriteGather (subclasses check before either).
+  Status WriteParts(uint64_t offset, std::span<const Slice> parts,
+                    size_t parts_per_write);
 
   int fd_;
   std::atomic<uint64_t> size_;

@@ -105,14 +105,29 @@ Status Pager::Read(uint32_t id, char* buf) {
   return VerifyRead(id, buf);
 }
 
-Status Pager::Write(uint32_t id, char* buf) {
+Status Pager::WriteRun(uint32_t first_id, std::span<char* const> bufs) {
+  if (bufs.empty()) return Status::OK();
   const uint64_t lsn = flush_lsn_.load(std::memory_order_relaxed);
-  SealPageWithLsn(buf, page_size_, lsn);
-  Status s = device_->Write(static_cast<uint64_t>(id) * page_size_,
-                            Slice(buf, page_size_));
-  if (s.ok()) {
-    std::lock_guard<std::mutex> lock(lsn_mu_);
-    stamped_lsn_[id] = lsn;
+  for (char* buf : bufs) SealPageWithLsn(buf, page_size_, lsn);
+  // A single page (every eviction write-back) needs no parts vector.
+  const Slice one(bufs[0], page_size_);
+  std::vector<Slice> many;
+  if (bufs.size() > 1) {
+    many.reserve(bufs.size());
+    for (char* buf : bufs) many.emplace_back(buf, page_size_);
+  }
+  Status s = device_->WriteGather(
+      static_cast<uint64_t>(first_id) * page_size_,
+      many.empty() ? std::span<const Slice>(&one, 1) : many);
+  std::lock_guard<std::mutex> lock(lsn_mu_);
+  for (uint32_t i = 0; i < bufs.size(); ++i) {
+    if (s.ok()) {
+      stamped_lsn_[first_id + i] = lsn;
+    } else {
+      // Which pages of a failed run landed is unknown: expect no stamp
+      // rather than flag a landed page as a lost write.
+      stamped_lsn_.erase(first_id + i);
+    }
   }
   return s;
 }
@@ -194,17 +209,6 @@ Status Pager::VerifyStampedPages(
 Status Pager::ReadMeta(char* buf) {
   TSB_RETURN_IF_ERROR(device_->Read(0, page_size_, buf));
   return VerifyRead(0, buf);
-}
-
-Status Pager::WriteMeta(char* buf) {
-  const uint64_t lsn = flush_lsn_.load(std::memory_order_relaxed);
-  SealPageWithLsn(buf, page_size_, lsn);
-  Status s = device_->Write(0, Slice(buf, page_size_));
-  if (s.ok()) {
-    std::lock_guard<std::mutex> lock(lsn_mu_);
-    stamped_lsn_[0] = lsn;
-  }
-  return s;
 }
 
 }  // namespace tsb

@@ -13,6 +13,7 @@
 #include <cstdint>
 #include <functional>
 #include <mutex>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -74,11 +75,15 @@ class Pager {
   Status Read(uint32_t id, char* buf);
 
   /// Seals (checksums) and writes page `id` from `buf`.
-  Status Write(uint32_t id, char* buf);
+  Status Write(uint32_t id, char* buf) { return WriteRun(id, {&buf, 1}); }
+
+  /// Seals pages `first_id`, `first_id` + 1, ... from `bufs` and writes
+  /// them in one device gather write (one IoStats write per page).
+  Status WriteRun(uint32_t first_id, std::span<char* const> bufs);
 
   /// Raw access to the meta page (page 0): read with verification.
   Status ReadMeta(char* buf);
-  Status WriteMeta(char* buf);
+  Status WriteMeta(char* buf) { return Write(0, buf); }
 
   /// Number of page slots ever allocated (excluding meta).
   uint32_t high_water_pages() const {

@@ -235,18 +235,33 @@ Status TsbTree::BeginCheckpoint(CheckpointScope* scope) {
   return Status::OK();
 }
 
+Status TsbTree::WritePageRuns(std::vector<PageHandle>* pages) {
+  // PinDirty hands frames over in hash order; sorted, each run of
+  // consecutive ids is one gather write instead of one write per page.
+  std::sort(pages->begin(), pages->end(),
+            [](const PageHandle& a, const PageHandle& b) {
+              return a.id() < b.id();
+            });
+  std::vector<char*> run;
+  for (size_t i = 0; i < pages->size();) {
+    const uint32_t first = (*pages)[i].id();
+    run.clear();
+    for (; i < pages->size() && (*pages)[i].id() == first + run.size(); ++i) {
+      run.push_back((*pages)[i].data());
+    }
+    TSB_RETURN_IF_ERROR(pager_->WriteRun(first, run));
+  }
+  return Status::OK();
+}
+
 Status TsbTree::WriteFreshPages(CheckpointScope* scope) {
   if (scope->fresh.empty()) return Status::OK();
-  for (PageHandle& h : scope->fresh) {
-    TSB_RETURN_IF_ERROR(pager_->Write(h.id(), h.data()));
-  }
+  TSB_RETURN_IF_ERROR(WritePageRuns(&scope->fresh));
   return pager_->device()->Sync();
 }
 
 Status TsbTree::FinishCheckpoint(CheckpointScope* scope) {
-  for (PageHandle& h : scope->journaled) {
-    TSB_RETURN_IF_ERROR(pager_->Write(h.id(), h.data()));
-  }
+  TSB_RETURN_IF_ERROR(WritePageRuns(&scope->journaled));
   TSB_RETURN_IF_ERROR(pager_->WriteMeta(scope->meta.data()));
   TSB_RETURN_IF_ERROR(pager_->device()->Sync());
   // Clean only now: a failure anywhere above leaves every frame dirty,

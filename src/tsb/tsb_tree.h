@@ -255,12 +255,12 @@ class TsbTree {
   /// `scope`, split into fresh and journaled pages.
   Status BeginCheckpoint(CheckpointScope* scope);
 
-  /// Writes the fresh pages in place and syncs the current device. Runs
-  /// before the journal commits.
+  /// Writes the fresh pages in place, in ascending id order, and syncs
+  /// the current device. Runs before the journal commits.
   Status WriteFreshPages(CheckpointScope* scope);
 
-  /// Runs after the journal commits: writes the journaled pages and the
-  /// meta image in place, syncs the current device and marks every pinned
+  /// Runs after the journal commits: writes the journaled pages (in
+  /// ascending id order) and the meta image in place, syncs the current device and marks every pinned
   /// frame clean. The caller releases the scope.
   Status FinishCheckpoint(CheckpointScope* scope);
 
@@ -381,6 +381,10 @@ class TsbTree {
   /// binary-search descent).
   Status SearchHistPoint(HistAddr addr, const Slice& key, Timestamp t,
                          const BlobReadHints& hints, const PointSink& sink);
+
+  /// Sorts checkpoint-pinned `pages` by id and writes each run of
+  /// consecutive ids with one Pager::WriteRun.
+  Status WritePageRuns(std::vector<PageHandle>* pages);
 
   /// Appends one serialized historical node and maintains the compression
   /// counters.

@@ -101,17 +101,5 @@ void LockTable::Rebind(const Slice& key, const char* bytes, TxnId txn) {
   if (slot >= 0 && slots_[slot].txn == txn) slots_[slot].key = bytes;
 }
 
-void LockTable::Detach(std::span<const KeyValue> writes, TxnId txn) {
-  std::lock_guard<std::mutex> lock(mu_);
-  for (const auto& [key, value] : writes) {
-    const int64_t slot = Find(HashOf(key), key);
-    if (slot < 0) continue;
-    Entry& e = slots_[slot];
-    if (e.txn == txn && e.key == key.data()) {
-      e.key = detached_.AllocateCopy(key.data(), key.size());
-    }
-  }
-}
-
 }  // namespace txn
 }  // namespace tsb

@@ -5,8 +5,8 @@
 // key bytes owned by the locking transaction's write set, so taking a
 // lock copies no key and allocates nothing once the table has grown to
 // its working size. The owner must keep those bytes alive until it
-// releases the lock, or hand the lock over to bytes it does keep (Rebind)
-// or to the table itself (Detach).
+// releases the lock, or hand the lock over to bytes it does keep
+// (Rebind).
 //
 // A batch checks every key before it inserts any: a conflict leaves the
 // table exactly as it was.
@@ -19,7 +19,6 @@
 #include <utility>
 #include <vector>
 
-#include "common/arena.h"
 #include "common/clock.h"
 #include "common/slice.h"
 #include "common/status.h"
@@ -45,12 +44,6 @@ class LockTable {
   /// key that the caller keeps alive until Unlock.
   void Rebind(const Slice& key, const char* bytes, TxnId txn);
 
-  /// Moves every lock `txn` holds on a key of `writes`, through exactly
-  /// those bytes, onto a copy the table owns, so the locks outlive the
-  /// writer's bytes. For a transaction that ends with its locks still
-  /// held (its abort failed); the copies are freed with the table.
-  void Detach(std::span<const KeyValue> writes, TxnId txn);
-
  private:
   struct Entry {
     uint64_t hash = 0;
@@ -67,7 +60,6 @@ class LockTable {
   std::mutex mu_;
   std::vector<Entry> slots_;  // power-of-two size, at most half full
   size_t used_ = 0;
-  Arena detached_;  // key copies made by Detach; guarded by mu_
 };
 
 }  // namespace txn

@@ -30,6 +30,7 @@ Slice Transaction::Own(const Slice& s) {
 
 Status Transaction::Put(const Slice& key, const Slice& value) {
   if (!active_) return Status::TxnNotActive("Put on finished transaction");
+  if (abort_failed_) return Status::TxnNotActive("Put on aborting transaction");
   const size_t pos = LowerBound(key);
   if (pos < writes_.size() && writes_[pos].first == key) {
     // Already locked and owned: only the value changes.
@@ -80,6 +81,9 @@ Status Transaction::Get(const Slice& key, std::string* value) {
 
 Status Transaction::Commit(Timestamp* commit_ts) {
   if (!active_) return Status::TxnNotActive("Commit on finished transaction");
+  if (abort_failed_) {
+    return Status::TxnNotActive("Commit on aborting transaction");
+  }
   return mgr_->CommitTxn(this, commit_ts);
 }
 
@@ -333,20 +337,65 @@ void TxnManager::UnfreezeCommits() {
 }
 
 Status TxnManager::AbortTxn(Transaction* txn) {
+  if (txn->abort_failed_) {
+    // A retry: the manager owns the rest of this abort.
+    std::lock_guard<std::mutex> lock(abort_mu_);
+    auto it = failed_aborts_.find(txn->id_);
+    if (it != failed_aborts_.end()) {
+      TSB_RETURN_IF_ERROR(FinishFailedAbort(it));
+    }
+    txn->active_ = false;  // finished now, or by FinishFailedAborts
+    return Status::OK();
+  }
   for (const auto& [key, value] : txn->writes_) {
     Status s = tree_->EraseUncommitted(key, txn->id_);
     if (!s.ok() && !s.IsNotFound()) {
       // The transaction stays active with its keys locked, but the bytes
       // the locks view (the caller's WriteBatch, or the Transaction's
-      // arena) may be freed as soon as this returns: hand the locks to
-      // copies the lock table owns.
-      locks_.Detach(txn->writes_, txn->id_);
-      return s;
+      // arena) may be freed as soon as this returns: the manager keeps
+      // copies of the keys, for the locks to view and for whoever
+      // finishes the abort.
+      std::vector<std::string> keys;
+      keys.reserve(txn->writes_.size());
+      for (const auto& [k, v] : txn->writes_) keys.push_back(k.ToString());
+      {
+        std::lock_guard<std::mutex> lock(abort_mu_);
+        // Moving the vector keeps each string, and its bytes, in place.
+        const auto& kept = failed_aborts_.emplace(txn->id_, std::move(keys))
+                               .first->second;
+        for (const std::string& k : kept) locks_.Rebind(k, k.data(), txn->id_);
+      }
+      txn->abort_failed_ = true;
+      return ReportInsertError(s);
     }
   }
   UnlockKeys(*txn);
   txn->active_ = false;
   active_count_.fetch_sub(1, std::memory_order_acq_rel);
+  return Status::OK();
+}
+
+Status TxnManager::FinishFailedAbort(
+    std::map<TxnId, std::vector<std::string>>::iterator it) {
+  const TxnId id = it->first;
+  std::vector<LockTable::KeyValue> keys;
+  keys.reserve(it->second.size());
+  for (const std::string& key : it->second) {
+    Status s = tree_->EraseUncommitted(key, id);
+    if (!s.ok() && !s.IsNotFound()) return s;
+    keys.emplace_back(Slice(key), Slice());
+  }
+  locks_.Unlock(keys, id);
+  failed_aborts_.erase(it);
+  active_count_.fetch_sub(1, std::memory_order_acq_rel);
+  return Status::OK();
+}
+
+Status TxnManager::FinishFailedAborts() {
+  std::lock_guard<std::mutex> lock(abort_mu_);
+  while (!failed_aborts_.empty()) {
+    TSB_RETURN_IF_ERROR(FinishFailedAbort(failed_aborts_.begin()));
+  }
   return Status::OK();
 }
 

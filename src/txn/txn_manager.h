@@ -19,8 +19,10 @@
 // transaction-owned arena whose bytes never move. Locking, the uncommitted
 // inserts, the WAL frame, stamping, the commit hook, unlocking and abort
 // all read that one span: a batch commit copies no key into any map. An
-// abort that fails leaves the keys locked, on copies the lock table owns,
-// since the write set's bytes may die with the call.
+// abort that fails hands the transaction to the manager: its keys stay
+// locked, on key copies the manager keeps (the write set's bytes may die
+// with the call), until a retried Abort or the database's Resume finishes
+// the abort (FinishFailedAborts).
 #ifndef TSBTREE_TXN_TXN_MANAGER_H_
 #define TSBTREE_TXN_TXN_MANAGER_H_
 
@@ -28,6 +30,7 @@
 #include <condition_variable>
 #include <cstdint>
 #include <functional>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <set>
@@ -102,6 +105,8 @@ class Transaction {
   TxnManager* mgr_;
   TxnId id_;
   bool active_ = true;
+  /// An abort failed: the manager owns finishing it (see AbortTxn).
+  bool abort_failed_ = false;
   /// The write set: sorted by key, distinct, each key's newest value. The
   /// lock table views these keys until the transaction ends.
   std::vector<KeyValue> writes_;
@@ -288,6 +293,12 @@ class TxnManager {
   void FreezeCommits();
   void UnfreezeCommits();
 
+  /// Finishes every abort that failed (erases the transaction's
+  /// uncommitted records, releases its locks, stops counting it active).
+  /// The database's Resume calls this once the device is healed; an
+  /// abort that fails again stays pending and its error is returned.
+  Status FinishFailedAborts();
+
   size_t active_txns() const {
     return active_count_.load(std::memory_order_acquire);
   }
@@ -305,6 +316,10 @@ class TxnManager {
   Status CommitInternal(Transaction* txn, Timestamp* commit_ts,
                         Timestamp external_ts);
   Status AbortTxn(Transaction* txn);
+  /// Erases the uncommitted records of failed abort `it`, then releases
+  /// its locks and drops it. Caller holds abort_mu_.
+  Status FinishFailedAbort(
+      std::map<TxnId, std::vector<std::string>>::iterator it);
   /// Hands an insert failure to the error reporter when it is a device
   /// I/O error; returns `s`.
   Status ReportInsertError(const Status& s);
@@ -351,6 +366,11 @@ class TxnManager {
   /// the decided slices first and unpoisons afterwards. Guarded by
   /// commit_mu_.
   std::set<Timestamp> failed_external_;
+  /// Transactions whose abort failed, with copies of their keys: still
+  /// counted active, keys still locked, until FinishFailedAbort. Guarded
+  /// by abort_mu_, which also serializes finishing them.
+  std::mutex abort_mu_;
+  std::map<TxnId, std::vector<std::string>> failed_aborts_;
 };
 
 }  // namespace txn

@@ -191,6 +191,21 @@ TEST_F(ShardedDbTest, ShardCountIsFixedAtCreation) {
   OpenDb(Options(4));
 }
 
+TEST_F(ShardedDbTest, FailedShardOpenTearsDownCleanly) {
+  OpenDb(Options(4));
+  db_.reset();
+  // Every shard's MANIFEST pins its page size: the first shard refuses,
+  // and the half-built facade must tear down without touching the shards
+  // that never opened.
+  ShardedOptions o = Options(4);
+  o.base.tree.page_size = 1024;
+  std::unique_ptr<ShardedDB> wrong;
+  Status s = ShardedDB::Open(path_, o, &wrong);
+  EXPECT_TRUE(s.IsInvalidArgument()) << s.ToString();
+  EXPECT_EQ(nullptr, wrong);
+  OpenDb(Options(4));
+}
+
 TEST_F(ShardedDbTest, CreationRequiresAtLeastOneShard) {
   std::unique_ptr<ShardedDB> none;
   EXPECT_TRUE(ShardedDB::Open(path_, Options(0), &none).IsInvalidArgument());

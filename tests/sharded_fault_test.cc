@@ -4,6 +4,7 @@
 // until Resume() or a reopen completes it whole; a coordinator-log fault
 // before the decision point aborts cleanly with nothing committed.
 #include <gtest/gtest.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include <atomic>
@@ -244,6 +245,63 @@ TEST_F(ShardedFaultTest, CrashWithPendingDecisionRecoversWholeBatch) {
   before.as_of = cts - 1;
   for (const auto& k : batch_keys) {
     EXPECT_TRUE(db_->Get(before, k, &v).IsNotFound()) << k;
+  }
+}
+
+// Shards checkpoint in parallel; one shard's device failing mid-fold
+// fails ShardedDB::Checkpoint with that error and keeps the coordinator
+// log (only a fold where every shard succeeded may reset it). A reopen
+// then recovers every acknowledged batch.
+TEST_F(ShardedFaultTest, ParallelCheckpointFaultKeepsCoordinatorLog) {
+  auto device_plan = std::make_shared<FaultPlan>();
+  ShardedOptions o = Options();
+  o.base.wrap_device = [device_plan](const std::string& role,
+                                     std::unique_ptr<Device> device)
+      -> std::unique_ptr<Device> {
+    if (role != "shard-00" + std::to_string(kSick) + "/magnetic") {
+      return device;
+    }
+    return std::make_unique<FaultInjectingDevice>(std::move(device),
+                                                  device_plan);
+  };
+  ASSERT_TRUE(ShardedDB::Open(path_, o, &db_).ok());
+  std::map<std::string, std::pair<std::string, Timestamp>> acked;
+  for (int round = 0; round < 40; ++round) {
+    WriteBatch batch;
+    for (uint32_t s = 0; s < kShards; ++s) {
+      batch.Put(KeyOnShard(s, round), "v" + std::to_string(round));
+    }
+    Timestamp cts = 0;
+    ASSERT_TRUE(db_->Write(batch, &cts).ok());
+    for (uint32_t s = 0; s < kShards; ++s) {
+      acked[KeyOnShard(s, round)] = {"v" + std::to_string(round), cts};
+    }
+  }
+  const std::string coord_log = path_ + "/coord.tsb";
+  struct stat before;
+  ASSERT_EQ(0, ::stat(coord_log.c_str(), &before));
+  ASSERT_GT(before.st_size, 0);
+
+  device_plan->FailNth(FaultOp::kWrite, 1, FaultKind::kEIO, /*sticky=*/true);
+  Status s = db_->Checkpoint();
+  EXPECT_TRUE(s.IsIOError()) << s.ToString();
+  EXPECT_GE(device_plan->fired(FaultOp::kWrite), 1u);
+  EXPECT_TRUE(db_->shard_degraded(kSick));
+  struct stat after;
+  ASSERT_EQ(0, ::stat(coord_log.c_str(), &after));
+  EXPECT_EQ(before.st_size, after.st_size);
+
+  // Close degraded (no fold), heal the disk, reopen.
+  db_.reset();
+  device_plan->Clear();
+  OpenDb();
+  EXPECT_FALSE(db_->degraded());
+  for (const auto& [key, want] : acked) {
+    std::string v;
+    Timestamp vts = 0;
+    ASSERT_TRUE(db_->Get({}, key, &v, &vts).ok()) << key;
+    EXPECT_EQ(want.first, v) << key;
+    EXPECT_EQ(want.second, vts) << key;
   }
 }
 

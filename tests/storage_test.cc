@@ -3,17 +3,24 @@
 // attention: they carry the paper's section-1 hardware argument.
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
+#include <climits>
 #include <cstdio>
 #include <memory>
 #include <string>
+#include <vector>
 
+#include "db/multiversion_db.h"
 #include "storage/device.h"
+#include "storage/fault_device.h"
 #include "storage/file_device.h"
 #include "storage/mem_device.h"
 #include "storage/page.h"
 #include "storage/pager.h"
 #include "storage/slotted.h"
 #include "storage/worm_device.h"
+#include "storage/worm_file_device.h"
 
 namespace tsb {
 namespace {
@@ -133,6 +140,238 @@ TEST_F(FileDeviceTest, TruncateAndSize) {
   char buf[4];
   ASSERT_TRUE(dev->Read(0, 4, buf).ok());
   EXPECT_EQ("0123", std::string(buf, 4));
+}
+
+// ---------- gather writes ----------
+
+/// `n` distinct page images of `size` bytes.
+std::vector<std::string> PageImages(size_t n, size_t size) {
+  std::vector<std::string> pages;
+  for (size_t i = 0; i < n; ++i) {
+    pages.emplace_back(size, static_cast<char>('a' + i % 26));
+    pages.back()[0] = static_cast<char>(i);
+    pages.back()[size - 1] = static_cast<char>(i >> 8);
+  }
+  return pages;
+}
+
+std::string ReadAll(Device* dev) {
+  std::string bytes(dev->Size(), '\0');
+  EXPECT_TRUE(dev->Read(0, bytes.size(), bytes.data()).ok());
+  return bytes;
+}
+
+void ExpectSameStats(const IoStats& a, const IoStats& b) {
+  EXPECT_EQ(a.writes, b.writes);
+  EXPECT_EQ(a.bytes_written, b.bytes_written);
+  EXPECT_EQ(a.seeks, b.seeks);
+  EXPECT_DOUBLE_EQ(a.simulated_ms, b.simulated_ms);
+}
+
+TEST_F(FileDeviceTest, GatherWriteMatchesPerPageWrites) {
+  // Longer than IOV_MAX, so FileDevice splits it over several pwritev
+  // calls; a second run leaves a gap, as a checkpoint's runs do.
+  const size_t kPage = 512;
+  const std::vector<std::string> pages = PageImages(IOV_MAX + 5, kPage);
+  std::vector<Slice> parts(pages.begin(), pages.end());
+  const uint64_t gap_offset = (pages.size() + 3) * kPage;
+
+  FileDevice* raw = nullptr;
+  ASSERT_TRUE(FileDevice::Open(path_, &raw).ok());
+  std::unique_ptr<FileDevice> gathered(raw);
+  ASSERT_TRUE(gathered->WriteGather(kPage, parts).ok());
+  ASSERT_TRUE(gathered->WriteGather(gap_offset, {parts.data(), 3}).ok());
+
+  const std::string per_page_path = path_ + ".per_page";
+  ::remove(per_page_path.c_str());
+  ASSERT_TRUE(FileDevice::Open(per_page_path, &raw).ok());
+  std::unique_ptr<FileDevice> per_page(raw);
+  for (size_t i = 0; i < pages.size(); ++i) {
+    ASSERT_TRUE(per_page->Write(kPage * (i + 1), pages[i]).ok());
+  }
+  for (size_t i = 0; i < 3; ++i) {
+    ASSERT_TRUE(per_page->Write(gap_offset + kPage * i, pages[i]).ok());
+  }
+
+  EXPECT_EQ(pages.size() + 3, gathered->stats().writes);
+  ExpectSameStats(per_page->stats(), gathered->stats());
+  EXPECT_EQ(per_page->Size(), gathered->Size());
+  EXPECT_EQ(ReadAll(per_page.get()), ReadAll(gathered.get()));
+  ::remove(per_page_path.c_str());
+}
+
+TEST_F(FileDeviceTest, MultiPartWriteCountsOnce) {
+  // A framed record: header and payload land as one write.
+  FileDevice* raw = nullptr;
+  ASSERT_TRUE(FileDevice::Open(path_, &raw).ok());
+  std::unique_ptr<FileDevice> dev(raw);
+  const Slice frame[4] = {"hdr1", "payload-one", "hdr2", "payload-two"};
+  ASSERT_TRUE(dev->WriteGather(0, frame, 2).ok());
+  EXPECT_EQ(2u, dev->stats().writes);
+  EXPECT_EQ(1u, dev->stats().seeks);
+
+  MemDevice mem;
+  ASSERT_TRUE(mem.WriteGather(0, frame, 2).ok());
+  ExpectSameStats(mem.stats(), dev->stats());
+  EXPECT_EQ("hdr1payload-onehdr2payload-two", ReadAll(dev.get()));
+  EXPECT_EQ(ReadAll(dev.get()), ReadAll(&mem));
+}
+
+TEST_F(FileDeviceTest, WormFileGatherOverBurnedSectorFails) {
+  WormFileDevice* raw = nullptr;
+  ASSERT_TRUE(WormFileDevice::Open(path_, &raw, /*sector_size=*/512).ok());
+  std::unique_ptr<WormFileDevice> dev(raw);
+  const std::vector<std::string> pages = PageImages(4, 512);
+  std::vector<Slice> parts(pages.begin(), pages.end());
+  ASSERT_TRUE(dev->WriteGather(0, parts).ok());
+  EXPECT_EQ(4u, dev->sectors_burned());
+  // Any run that starts inside the burned region is refused whole.
+  EXPECT_TRUE(dev->WriteGather(3 * 512, parts).IsWriteOnceViolation());
+  EXPECT_TRUE(dev->WriteGather(0, {parts.data(), 1}).IsWriteOnceViolation());
+  EXPECT_EQ(4u * 512, dev->Size());
+  // The next fresh sector still takes a run.
+  ASSERT_TRUE(dev->WriteGather(4 * 512, parts).ok());
+  EXPECT_EQ(8u, dev->sectors_burned());
+
+  // The in-memory WORM checks every page of a run through Write.
+  WormDevice worm(512);
+  ASSERT_TRUE(worm.WriteGather(512, {parts.data(), 2}).ok());
+  EXPECT_TRUE(worm.WriteGather(0, parts).IsWriteOnceViolation());
+}
+
+TEST(FaultDeviceTest, NthWriteFaultFiresOnNthPageOfARun) {
+  MemDevice base;
+  auto plan = std::make_shared<FaultPlan>();
+  FaultInjectingDevice dev(&base, plan);
+  const std::vector<std::string> pages = PageImages(5, 512);
+  std::vector<Slice> parts(pages.begin(), pages.end());
+  plan->FailNth(FaultOp::kWrite, 3);
+  EXPECT_TRUE(dev.WriteGather(0, parts).IsIOError());
+  // Pages 1 and 2 landed, page 3 failed, pages 4 and 5 never started.
+  EXPECT_EQ(3u, plan->ops(FaultOp::kWrite));
+  EXPECT_EQ(1u, plan->fired(FaultOp::kWrite));
+  EXPECT_EQ(2u * 512, base.Size());
+  EXPECT_EQ(pages[0] + pages[1], ReadAll(&base));
+}
+
+// ---------- checkpoint page runs ----------
+
+/// Forwards to the device it wraps and records every write call: how
+/// many calls a checkpoint makes, and the page ids in device order.
+class CountingDevice : public Device {
+ public:
+  CountingDevice(std::unique_ptr<Device> base, uint32_t page_size)
+      : Device(base->kind(), base->cost_params()),
+        base_(std::move(base)),
+        page_size_(page_size) {}
+
+  Status Read(uint64_t offset, size_t n, char* scratch) override {
+    return base_->Read(offset, n, scratch);
+  }
+  Status Write(uint64_t offset, const Slice& data) override {
+    return WriteGather(offset, {&data, 1}, 1);
+  }
+  Status WriteGather(uint64_t offset, std::span<const Slice> parts,
+                     size_t parts_per_write) override {
+    calls++;
+    for (size_t i = 0; i < parts.size(); ++i) {
+      page_ids.push_back(
+          static_cast<uint32_t>(offset / page_size_ + i));
+    }
+    return base_->WriteGather(offset, parts, parts_per_write);
+  }
+  uint64_t Size() const override { return base_->Size(); }
+  Status Truncate(uint64_t size) override { return base_->Truncate(size); }
+  Status Sync() override { return base_->Sync(); }
+
+  void Reset() {
+    calls = 0;
+    page_ids.clear();
+  }
+
+  uint64_t calls = 0;
+  std::vector<uint32_t> page_ids;
+
+ private:
+  std::unique_ptr<Device> base_;
+  uint32_t page_size_;
+};
+
+TEST(CheckpointRunsTest, FreshPagesGoInRunsAndJournaledInIdOrder) {
+  const std::string path = ::testing::TempDir() + "/tsb_checkpoint_runs." +
+                           std::to_string(::getpid());
+  db::MultiVersionDB::Destroy(path);
+  static constexpr uint32_t kPage = 512;
+  CountingDevice* counting = nullptr;
+  db::DbOptions o;
+  o.tree.page_size = kPage;
+  o.tree.buffer_pool_frames = 8192;
+  o.wal_checkpoint_bytes = 1ull << 40;  // only explicit checkpoints
+  o.wrap_device = [&counting](const std::string& role,
+                              std::unique_ptr<Device> device)
+      -> std::unique_ptr<Device> {
+    if (role != "magnetic") return device;
+    auto wrapped = std::make_unique<CountingDevice>(std::move(device), kPage);
+    counting = wrapped.get();
+    return wrapped;
+  };
+  std::unique_ptr<db::MultiVersionDB> db;
+  ASSERT_TRUE(db::MultiVersionDB::Open(path, o, &db).ok());
+  ASSERT_NE(nullptr, counting);
+  auto key = [](int i) {
+    char buf[16];
+    snprintf(buf, sizeof(buf), "key%06d", i);
+    return std::string(buf);
+  };
+  const std::string value(40, 'v');
+  for (int i = 0; i < 6000; i += 50) {
+    db::WriteBatch batch;
+    for (int k = i; k < i + 50; ++k) batch.Put(key(k), value);
+    ASSERT_TRUE(db->Write(batch).ok());
+  }
+
+  // First checkpoint: every node page is fresh and their ids are dense,
+  // so they go down in ceil(N / IOV_MAX) calls, plus one for the meta.
+  counting->Reset();
+  ASSERT_TRUE(db->Checkpoint().ok());
+  std::vector<uint32_t> fresh;
+  for (uint32_t id : counting->page_ids) {
+    if (id != 0) fresh.push_back(id);
+  }
+  const uint64_t n = fresh.size();
+  ASSERT_GT(n, 100u);
+  for (size_t i = 0; i < fresh.size(); ++i) {
+    ASSERT_EQ(i + 1, fresh[i]) << "fresh pages out of order";
+  }
+  EXPECT_LE(counting->calls, (n + IOV_MAX - 1) / IOV_MAX + 1);
+  const uint32_t high_water = static_cast<uint32_t>(n) + 1;
+
+  // Second checkpoint: scattered updates dirty pages below the durable
+  // high-water mark; they are journaled and applied in ascending order.
+  for (int i = 5999; i >= 0; i -= 97) {
+    ASSERT_TRUE(db->Put(key(i), "updated").ok());
+  }
+  counting->Reset();
+  ASSERT_TRUE(db->Checkpoint().ok());
+  std::vector<uint32_t> journaled;
+  for (uint32_t id : counting->page_ids) {
+    if (id != 0 && id < high_water) journaled.push_back(id);
+  }
+  ASSERT_GT(journaled.size(), 5u);
+  for (size_t i = 1; i < journaled.size(); ++i) {
+    EXPECT_LT(journaled[i - 1], journaled[i]);
+  }
+
+  std::string v;
+  db.reset();
+  o.wrap_device = nullptr;
+  ASSERT_TRUE(db::MultiVersionDB::Open(path, o, &db).ok());
+  ASSERT_TRUE(db->Get({}, key(5999), &v).ok());
+  EXPECT_EQ("updated", v);
+  ASSERT_TRUE(db->Get({}, key(1), &v).ok());
+  EXPECT_EQ(value, v);
+  db.reset();
+  db::MultiVersionDB::Destroy(path);
 }
 
 // ---------- WormDevice ----------

@@ -511,9 +511,9 @@ TEST(LockTableTest, EraseKeepsEveryOtherKeyReachable) {
 }
 
 // Locks handed to other bytes keep working after the original bytes are
-// overwritten and freed: Rebind to a copy the caller keeps, Detach to a
-// copy the table keeps.
-TEST(LockTableTest, RebindAndDetachOutliveTheLockingBytes) {
+// overwritten and freed: Rebind to a copy the caller keeps, one key or a
+// whole batch (what a failed abort does).
+TEST(LockTableTest, RebindOutlivesTheLockingBytes) {
   LockTable locks;
   auto scratch = std::make_unique<std::string>("rebound-key");
   const std::string kept = *scratch;
@@ -523,21 +523,21 @@ TEST(LockTableTest, RebindAndDetachOutliveTheLockingBytes) {
     locks.Rebind(kv.first, kept.data(), 1);
   }
   auto batch = std::make_unique<std::vector<std::string>>(
-      std::vector<std::string>{"detached-a", "detached-b"});
+      std::vector<std::string>{"batch-a", "batch-b"});
+  const std::vector<std::string> batch_copy = *batch;
   {
     std::vector<LockTable::KeyValue> writes;
     for (const std::string& k : *batch) writes.emplace_back(k, Slice());
     ASSERT_TRUE(locks.Lock(writes, 2).ok());
-    locks.Detach(writes, 2);
-    locks.Detach(writes, 2);  // a second failed abort copies nothing more
+    for (const std::string& k : batch_copy) locks.Rebind(k, k.data(), 2);
   }
   scratch->assign(scratch->size(), '#');
   scratch.reset();
   for (std::string& k : *batch) k.assign(k.size(), '#');
   batch.reset();
 
-  const std::vector<std::string> keys = {"rebound-key", "detached-a",
-                                         "detached-b"};
+  const std::vector<std::string> keys = {"rebound-key", "batch-a",
+                                         "batch-b"};
   for (const std::string& k : keys) {
     const LockTable::KeyValue kv(k, Slice());
     EXPECT_TRUE(locks.Lock({&kv, 1}, 3).IsTxnConflict()) << k;
