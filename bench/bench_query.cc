@@ -465,42 +465,66 @@ struct BatchWriteResult {
   uint64_t key_splits = 0;
 };
 
-BatchWriteResult MeasureBatchWrite() {
-  const std::string path =
-      "/tmp/tsb_bench_batch_write." + std::to_string(::getpid());
+/// Opens a fresh path-based database for the write rows (4 KiB pages,
+/// WAL on with sync off, checkpoints only when asked) with `frames`
+/// buffer-pool frames; `magnetic`, if set, receives its magnetic device.
+std::unique_ptr<db::MultiVersionDB> OpenWriteDb(const std::string& path,
+                                                size_t frames,
+                                                Device** magnetic = nullptr) {
   (void)db::MultiVersionDB::Destroy(path);
   db::DbOptions o;
   o.tree.page_size = 4096;
-  o.tree.buffer_pool_frames = 8192;  // the current database stays resident
+  o.tree.buffer_pool_frames = frames;
   o.wal_sync = wal::WalSyncMode::kOff;
   o.wal_checkpoint_bytes = 1ull << 30;
+  o.wrap_device = [magnetic](const std::string& role,
+                             std::unique_ptr<Device> device) {
+    if (magnetic != nullptr && role == "magnetic") *magnetic = device.get();
+    return device;
+  };
   std::unique_ptr<db::MultiVersionDB> db;
   Status s = db::MultiVersionDB::Open(path, o, &db);
   if (!s.ok()) {
-    fprintf(stderr, "batch write open failed: %s\n", s.ToString().c_str());
+    fprintf(stderr, "open %s failed: %s\n", path.c_str(),
+            s.ToString().c_str());
     abort();
   }
-  txn::WriteBatch batch;
+  return db;
+}
+
+/// Refills `batch` with version `version` of keys [first, end): 9-byte
+/// keys, 100-byte values.
+void FillBatch(uint64_t first, uint64_t end, int version,
+               txn::WriteBatch* batch) {
   char key[16];
   char value[100];
   memset(value, 'v', sizeof(value));
+  batch->Clear();
+  for (uint64_t id = first; id < end; ++id) {
+    snprintf(key, sizeof(key), "k%08u", static_cast<unsigned>(id));
+    snprintf(value, 25, "%08x-%015u", static_cast<unsigned>(id),
+             static_cast<unsigned>(version));
+    batch->Put(key, Slice(value, sizeof(value)));
+  }
+}
+
+BatchWriteResult MeasureBatchWrite() {
+  const std::string path =
+      "/tmp/tsb_bench_batch_write." + std::to_string(::getpid());
+  // The current database stays resident.
+  std::unique_ptr<db::MultiVersionDB> db = OpenWriteDb(path, 8192);
+  txn::WriteBatch batch;
   uint64_t allocs = 0;
   double secs = 0;
   BatchWriteResult r;
   for (int version = 0; version < kBatchWriteVersions; ++version) {
     for (uint64_t first = 0; first < kBatchWriteKeys;
          first += kBatchWriteBatch) {
-      batch.Clear();
-      for (uint64_t id = first;
-           id < std::min(first + kBatchWriteBatch, kBatchWriteKeys); ++id) {
-        snprintf(key, sizeof(key), "k%08u", static_cast<unsigned>(id));
-        snprintf(value, 25, "%08x-%015u", static_cast<unsigned>(id),
-                 static_cast<unsigned>(version));
-        batch.Put(key, Slice(value, sizeof(value)));
-      }
+      FillBatch(first, std::min(first + kBatchWriteBatch, kBatchWriteKeys),
+                version, &batch);
       const uint64_t before = g_alloc_count.load(std::memory_order_relaxed);
       const auto start = std::chrono::steady_clock::now();
-      s = db->Write(batch);
+      const Status s = db->Write(batch);
       const auto end = std::chrono::steady_clock::now();
       allocs += g_alloc_count.load(std::memory_order_relaxed) - before;
       secs += std::chrono::duration<double>(end - start).count();
@@ -518,6 +542,64 @@ BatchWriteResult MeasureBatchWrite() {
                               static_cast<double>(r.keys);
   r.time_splits = c.data_time_splits;
   r.key_splits = c.data_key_splits;
+  db.reset();
+  (void)db::MultiVersionDB::Destroy(path);
+  return r;
+}
+
+// ---- sorted load: leaf fill after a bulk load of new keys ----
+//
+// One thread loads kSortedLoadKeys new keys in ascending order as
+// kBatchWriteBatch-key WriteBatches (one version each, WAL on, sync off),
+// then checkpoints once. A midpoint key split leaves every leaf of such a
+// load about half full; a run split cuts where the run is inserted, so
+// the leaves fill. fill = magnetic_used_bytes / magnetic_bytes over the
+// pages the checkpoint wrote; the counts repeat exactly.
+constexpr uint64_t kSortedLoadKeys = 200000;
+
+struct SortedLoadResult {
+  double keys_per_sec = 0;
+  uint64_t key_splits = 0;
+  uint64_t run_splits = 0;
+  uint64_t checkpoint_page_writes = 0;  ///< fresh pages + the meta page
+  uint64_t magnetic_pages = 0;
+  double fill = 0;
+};
+
+SortedLoadResult MeasureSortedLoad() {
+  const std::string path =
+      "/tmp/tsb_bench_sorted_load." + std::to_string(::getpid());
+  Device* magnetic = nullptr;
+  // The loaded database stays resident.
+  std::unique_ptr<db::MultiVersionDB> db = OpenWriteDb(path, 16384, &magnetic);
+  txn::WriteBatch batch;
+  Status s;
+  const auto start = std::chrono::steady_clock::now();
+  for (uint64_t first = 0; first < kSortedLoadKeys && s.ok();
+       first += kBatchWriteBatch) {
+    FillBatch(first, std::min(first + kBatchWriteBatch, kSortedLoadKeys), 0,
+              &batch);
+    s = db->Write(batch);
+  }
+  const auto end = std::chrono::steady_clock::now();
+  const uint64_t writes_before = magnetic->stats().writes;
+  if (s.ok()) s = db->Checkpoint();
+  tsb_tree::SpaceStats space;
+  if (s.ok()) s = db->ComputeSpaceStats(&space);
+  if (!s.ok()) {
+    fprintf(stderr, "sorted load failed: %s\n", s.ToString().c_str());
+    abort();
+  }
+  SortedLoadResult r;
+  r.keys_per_sec = static_cast<double>(kSortedLoadKeys) /
+                   std::chrono::duration<double>(end - start).count();
+  const tsb_tree::TsbCounters& c = db->primary()->counters();
+  r.key_splits = c.data_key_splits;
+  r.run_splits = c.data_run_splits;
+  r.checkpoint_page_writes = magnetic->stats().writes - writes_before;
+  r.magnetic_pages = space.magnetic_pages;
+  r.fill = static_cast<double>(space.magnetic_used_bytes) /
+           static_cast<double>(space.magnetic_bytes);
   db.reset();
   (void)db::MultiVersionDB::Destroy(path);
   return r;
@@ -831,6 +913,18 @@ void WriteHistAsOfJson() {
          static_cast<unsigned long long>(bw.time_splits),
          static_cast<unsigned long long>(bw.key_splits));
 
+  // ---- sorted load: leaf fill, key splits and checkpoint pages ----
+  const SortedLoadResult sl = MeasureSortedLoad();
+  printf("== sorted load: %llu new keys as %zu-key WriteBatches, 1 thread "
+         "==\n",
+         static_cast<unsigned long long>(kSortedLoadKeys), kBatchWriteBatch);
+  printf("%12.0f keys/s  fill %.3f  %llu key splits (%llu run splits)  "
+         "%llu checkpoint page writes\n\n",
+         sl.keys_per_sec, sl.fill,
+         static_cast<unsigned long long>(sl.key_splits),
+         static_cast<unsigned long long>(sl.run_splits),
+         static_cast<unsigned long long>(sl.checkpoint_page_writes));
+
   const char* path = std::getenv("BENCH_QUERY_JSON");
   if (path == nullptr) path = "BENCH_query.json";
   FILE* f = fopen(path, "w");
@@ -881,7 +975,11 @@ void WriteHistAsOfJson() {
           "  \"batch_write\": {\"keys\": %llu, \"batch\": %zu, "
           "\"keys_per_sec\": %.1f, \"allocs_per_key\": %.4f, "
           "\"writer_descents_per_key\": %.4f, \"data_time_splits\": %llu, "
-          "\"data_key_splits\": %llu}\n"
+          "\"data_key_splits\": %llu},\n"
+          "  \"sorted_load\": {\"keys\": %llu, \"batch\": %zu, "
+          "\"keys_per_sec\": %.1f, \"data_key_splits\": %llu, "
+          "\"data_run_splits\": %llu, \"checkpoint_page_writes\": %llu, "
+          "\"magnetic_pages\": %llu, \"fill\": %.4f}\n"
           "}\n",
           kOps, kUpdateFraction, probes.size(), rounds, view.ops_per_sec,
           view.allocs_per_op, view.cache_hit_ratio,
@@ -913,7 +1011,12 @@ void WriteHistAsOfJson() {
           kBatchWriteBatch, bw.keys_per_sec, bw.allocs_per_key,
           bw.writer_descents_per_key,
           static_cast<unsigned long long>(bw.time_splits),
-          static_cast<unsigned long long>(bw.key_splits));
+          static_cast<unsigned long long>(bw.key_splits),
+          static_cast<unsigned long long>(kSortedLoadKeys), kBatchWriteBatch,
+          sl.keys_per_sec, static_cast<unsigned long long>(sl.key_splits),
+          static_cast<unsigned long long>(sl.run_splits),
+          static_cast<unsigned long long>(sl.checkpoint_page_writes),
+          static_cast<unsigned long long>(sl.magnetic_pages), sl.fill);
   fclose(f);
   printf("wrote %s\n\n", path);
 }

@@ -7,9 +7,11 @@
 # floor, the checksum overhead on warm pinned Gets, cold mmap reads, node
 # bytes against the uncompressed size, and the scan phase: forward/reverse
 # snapshot scans — warm, old-snapshot and cold — with entries/sec and
-# allocs per emitted entry, and the batch-write row: heap allocations and
-# writer descents per key of a one-thread 500-key-batch load), which is
-# copied to the repo root for CI artifact upload.
+# allocs per emitted entry, the batch-write row: heap allocations and
+# writer descents per key of a one-thread 500-key-batch load, and the
+# sorted-load row: key splits, run splits, checkpoint page writes and leaf
+# fill of a one-thread 200k-key sorted load), which is copied to the repo
+# root for CI artifact upload.
 # bench_concurrency writes BENCH_concurrency.json (N-writer scaling on the
 # optimistic-latch-coupling write path against a recorded 1-writer floor,
 # with conflict/restart/side-step counters). bench_durability

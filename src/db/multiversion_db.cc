@@ -959,112 +959,128 @@ Status MultiVersionDB::CheckpointLocked() {
 }
 
 Status MultiVersionDB::CheckpointFrozen(bool for_resume) {
-  Status status = [&]() -> Status {
-    if (!for_resume) {
-      // Frozen, the WAL end is exactly the committed state of every tree.
-      // The log must be durable before the checkpoint that supersedes its
-      // prefix is (otherwise the base could get ahead of a lost log).
-      TSB_RETURN_IF_ERROR(wal_->SyncAll());
-    }
-    // for_resume skips the sync on purpose: the log already failed an
-    // fdatasync, and after a failed fsync the kernel may have dropped the
-    // dirty tail with the error consumed — a retry that "succeeds" proves
-    // nothing (never retry-and-assume). The in-memory pages being
-    // checkpointed ARE the trusted copy; the poisoned log is abandoned by
-    // the forced rotation below.
-    const uint64_t ckpt_lsn = wal_->appended_lsn();
-
-    struct TreeCkpt {
-      tsb_tree::TsbTree* tree;
-      std::string file;
-      tsb_tree::TsbTree::CheckpointScope scope;
-    };
-    std::vector<TreeCkpt> trees;
-    trees.push_back({tree_.get(), "current.tsb", {}});
-    for (auto& [name, def] : indexes_) {
-      trees.push_back(
-          {def.index->tree(), "index-" + name + ".current.tsb", {}});
-    }
-    for (auto& t : trees) {
-      // Stamp every page this checkpoint flushes with the checkpoint's WAL
-      // position. The stamp is what gives the lost-write check teeth: a
-      // later read (inline or scrub) finding an OLDER stamp under a valid
-      // CRC proves the device acked this flush and then dropped it.
-      t.tree->pager()->set_flush_lsn(ckpt_lsn);
-      TSB_RETURN_IF_ERROR(t.tree->BeginCheckpoint(&t.scope));
-    }
-    // Fresh pages first, synced: no durable page references them, so a
-    // crash from here to the commit point leaves only orphan slots above
-    // each tree's durable high-water mark (truncated at open).
-    for (auto& t : trees) {
-      TSB_RETURN_IF_ERROR(t.tree->WriteFreshPages(&t.scope));
-    }
-    wal::CheckpointJournal journal(path_, options_.tree.page_size);
-    TSB_RETURN_IF_ERROR(journal.Create());
-    for (auto& t : trees) {
-      journal.BeginTree(t.file);
-      journal.AddPage(0, t.scope.meta.data());
-      for (const PageHandle& h : t.scope.journaled) {
-        journal.AddPage(h.id(), h.data());
-      }
-    }
-    // Durability point. After this fsync the checkpoint applies fully —
-    // now, or re-applied by the next Open if we die below. Before it, a
-    // crash discards the journal whole and the old base still matches
-    // the manifest's checkpoint_lsn. Either side is consistent.
-    TSB_RETURN_IF_ERROR(journal.Commit());
-    for (auto& t : trees) {
-      TSB_RETURN_IF_ERROR(t.tree->FinishCheckpoint(&t.scope));
-    }
-    // Retire (not delete) the journal, with the fresh pages' images
-    // appended: they are the repair source for pages that later rot ON
-    // DISK — under no-steal the image recorded here IS the page's base
-    // content until the next checkpoint rewrites it. Recovery ignores the
-    // retired file (only checkpoint.tsb is re-applied).
-    for (auto& t : trees) {
-      if (t.scope.fresh.empty()) continue;
-      journal.BeginTree(t.file);
-      for (const PageHandle& h : t.scope.fresh) {
-        journal.AddPage(h.id(), h.data());
-      }
-    }
-    TSB_RETURN_IF_ERROR(journal.Retire());
-    trees.clear();  // unpins the frames and releases the writer locks
-
-    if (for_resume || ckpt_lsn >= options_.wal_checkpoint_bytes) {
-      // The whole log is dead: rotate to a fresh file. Manifest first —
-      // recovery must never be pointed at an unlinked log. for_resume
-      // ALWAYS rotates: a fresh fd on a fresh file is the only way to
-      // shed a sticky sync error and the never-durable tail behind it.
-      const uint64_t old_seq = wal_seq_;
-      std::unique_ptr<wal::Wal> fresh;
-      TSB_RETURN_IF_ERROR(wal::Wal::Open(
-          WalFilePath(path_, old_seq + 1), options_.wal_sync,
-          options_.wal_background_sync_ms, &fresh,
-          options_.wal_fault_plan));
-      InstallWalReporter(fresh.get());
-      wal_seq_ = old_seq + 1;
-      wal_checkpoint_lsn_ = 0;
-      Status persisted = PersistManifest();
-      if (!persisted.ok()) {
-        // Keep appending to the old log; the checkpoint still counts
-        // (the stale on-disk LSN only means extra, skippable replay).
-        wal_seq_ = old_seq;
-        wal_checkpoint_lsn_ = ckpt_lsn;
-        return persisted;
-      }
-      txns_->SetWal(fresh.get());  // commits frozen: no racing appender
-      wal_ = std::move(fresh);     // the old log closes here
-      ::unlink(WalFilePath(path_, old_seq).c_str());
-      // Best effort: a resurrected dead log is swept at the next Open.
-      (void)SyncDir(path_);
-    } else {
+  // Frozen, the WAL end is exactly the committed state of every tree. A
+  // log that grew nothing since the last checkpoint and no dirty frame
+  // mean the device files already hold this state: the history sync, the
+  // journal and the meta rewrite would write what is there. for_resume
+  // always folds: its job is to rewrite the trusted in-memory pages.
+  uint64_t ckpt_lsn = wal_->appended_lsn();
+  if (for_resume || ckpt_lsn != wal_checkpoint_lsn_ || AnyTreeDirty()) {
+    TSB_RETURN_IF_ERROR(FoldTrees(for_resume, &ckpt_lsn));
+  }
+  if (for_resume || ckpt_lsn >= options_.wal_checkpoint_bytes) {
+    // The whole log is dead: rotate to a fresh file. Manifest first —
+    // recovery must never be pointed at an unlinked log. for_resume
+    // ALWAYS rotates: a fresh fd on a fresh file is the only way to
+    // shed a sticky sync error and the never-durable tail behind it.
+    const uint64_t old_seq = wal_seq_;
+    std::unique_ptr<wal::Wal> fresh;
+    TSB_RETURN_IF_ERROR(wal::Wal::Open(
+        WalFilePath(path_, old_seq + 1), options_.wal_sync,
+        options_.wal_background_sync_ms, &fresh,
+        options_.wal_fault_plan));
+    InstallWalReporter(fresh.get());
+    wal_seq_ = old_seq + 1;
+    wal_checkpoint_lsn_ = 0;
+    Status persisted = PersistManifest();
+    if (!persisted.ok()) {
+      // Keep appending to the old log; the checkpoint still counts
+      // (the stale on-disk LSN only means extra, skippable replay).
+      wal_seq_ = old_seq;
       wal_checkpoint_lsn_ = ckpt_lsn;
-      TSB_RETURN_IF_ERROR(PersistManifest());
+      return persisted;
     }
-    return Status::OK();
-  }();
-  return status;
+    txns_->SetWal(fresh.get());  // commits frozen: no racing appender
+    wal_ = std::move(fresh);     // the old log closes here
+    ::unlink(WalFilePath(path_, old_seq).c_str());
+    // Best effort: a resurrected dead log is swept at the next Open.
+    (void)SyncDir(path_);
+  } else {
+    wal_checkpoint_lsn_ = ckpt_lsn;
+    TSB_RETURN_IF_ERROR(PersistManifest());
+  }
+  return Status::OK();
+}
+
+bool MultiVersionDB::AnyTreeDirty() {
+  if (tree_->HasDirtyPages()) return true;
+  for (auto& [name, def] : indexes_) {
+    if (def.index->tree()->HasDirtyPages()) return true;
+  }
+  return false;
+}
+
+Status MultiVersionDB::FoldTrees(bool for_resume, uint64_t* ckpt_lsn) {
+  if (!for_resume) {
+    // The log must be durable before the checkpoint that supersedes its
+    // prefix is (otherwise the base could get ahead of a lost log).
+    TSB_RETURN_IF_ERROR(wal_->SyncAll());
+  }
+  // for_resume skips the sync on purpose: the log already failed an
+  // fdatasync, and after a failed fsync the kernel may have dropped the
+  // dirty tail with the error consumed — a retry that "succeeds" proves
+  // nothing (never retry-and-assume). The in-memory pages being
+  // checkpointed ARE the trusted copy; the poisoned log is abandoned by
+  // the forced rotation below.
+  *ckpt_lsn = wal_->appended_lsn();
+
+  struct TreeCkpt {
+    tsb_tree::TsbTree* tree;
+    std::string file;
+    tsb_tree::TsbTree::CheckpointScope scope;
+  };
+  std::vector<TreeCkpt> trees;
+  trees.push_back({tree_.get(), "current.tsb", {}});
+  for (auto& [name, def] : indexes_) {
+    trees.push_back(
+        {def.index->tree(), "index-" + name + ".current.tsb", {}});
+  }
+  for (auto& t : trees) {
+    // Stamp every page this checkpoint flushes with the checkpoint's WAL
+    // position. The stamp is what gives the lost-write check teeth: a
+    // later read (inline or scrub) finding an OLDER stamp under a valid
+    // CRC proves the device acked this flush and then dropped it.
+    t.tree->pager()->set_flush_lsn(*ckpt_lsn);
+    TSB_RETURN_IF_ERROR(t.tree->BeginCheckpoint(&t.scope));
+  }
+  // Fresh pages first, synced: no durable page references them, so a
+  // crash from here to the commit point leaves only orphan slots above
+  // each tree's durable high-water mark (truncated at open).
+  for (auto& t : trees) {
+    TSB_RETURN_IF_ERROR(t.tree->WriteFreshPages(&t.scope));
+  }
+  wal::CheckpointJournal journal(path_, options_.tree.page_size);
+  TSB_RETURN_IF_ERROR(journal.Create());
+  for (auto& t : trees) {
+    journal.BeginTree(t.file);
+    journal.AddPage(0, t.scope.meta.data());
+    for (const PageHandle& h : t.scope.journaled) {
+      journal.AddPage(h.id(), h.data());
+    }
+  }
+  // Durability point. After this fsync the checkpoint applies fully —
+  // now, or re-applied by the next Open if we die below. Before it, a
+  // crash discards the journal whole and the old base still matches
+  // the manifest's checkpoint_lsn. Either side is consistent.
+  TSB_RETURN_IF_ERROR(journal.Commit());
+  for (auto& t : trees) {
+    TSB_RETURN_IF_ERROR(t.tree->FinishCheckpoint(&t.scope));
+  }
+  // Retire (not delete) the journal, with the fresh pages' images
+  // appended: they are the repair source for pages that later rot ON
+  // DISK — under no-steal the image recorded here IS the page's base
+  // content until the next checkpoint rewrites it. Recovery ignores the
+  // retired file (only checkpoint.tsb is re-applied).
+  for (auto& t : trees) {
+    if (t.scope.fresh.empty()) continue;
+    journal.BeginTree(t.file);
+    for (const PageHandle& h : t.scope.fresh) {
+      journal.AddPage(h.id(), h.data());
+    }
+  }
+  // Returning destroys the scopes: unpins the frames and releases the
+  // writer locks.
+  return journal.Retire();
 }
 
 // ---------------------------------------------------- degraded-mode repair

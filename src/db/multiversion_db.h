@@ -457,7 +457,18 @@ class MultiVersionDB {
   /// skips Wal::SyncAll (the poisoned log must not be retry-and-trusted;
   /// the in-memory pages being checkpointed are the trusted copy) and
   /// force-rotates to a fresh log file regardless of size.
+  /// Skips the fold (FoldTrees) when no tree has a dirty frame and the
+  /// WAL appended nothing since the last checkpoint; the log rotation
+  /// and the MANIFEST write run either way.
   Status CheckpointFrozen(bool for_resume);
+
+  /// True when a frame of the primary or of an index tree is dirty.
+  bool AnyTreeDirty();
+
+  /// The write half of CheckpointFrozen: syncs the log (unless
+  /// `for_resume`), sets `*ckpt_lsn` to its end and makes every tree's
+  /// dirty pages durable through the checkpoint journal.
+  Status FoldTrees(bool for_resume, uint64_t* ckpt_lsn);
 
   /// The ErrorHandler's resume_fn: the actual degraded-mode repair.
   /// Serialized by the handler; see Resume() for the steps.

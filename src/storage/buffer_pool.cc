@@ -396,6 +396,17 @@ void BufferPool::DirtyIds(std::vector<uint32_t>* out) {
   }
 }
 
+bool BufferPool::HasDirty() const {
+  for (size_t i = 0; i < num_shards_; ++i) {
+    const Shard& shard = shards_[i];
+    std::lock_guard<std::mutex> lock(shard.mu);
+    for (const auto& [id, f] : shard.frames) {
+      if (f.dirty.load(std::memory_order_acquire)) return true;
+    }
+  }
+  return false;
+}
+
 BufferPoolStats BufferPool::stats() const {
   BufferPoolStats total;
   for (size_t i = 0; i < num_shards_; ++i) {

@@ -196,6 +196,8 @@ class BufferPool {
   /// quiesced). Device-side verification uses this to skip pages whose
   /// on-disk copy is legitimately behind the pool (no-steal).
   void DirtyIds(std::vector<uint32_t>* out);
+  /// True when some frame is dirty (exact only when quiesced).
+  bool HasDirty() const;
 
   /// Aggregated snapshot across shards (exact only when quiesced).
   BufferPoolStats stats() const;

@@ -42,6 +42,9 @@ struct TsbCounters {
   std::atomic<uint64_t> writer_descents{0};
 
   std::atomic<uint64_t> data_key_splits{0};
+  /// The key splits that cut where a sorted run of new keys is inserted
+  /// instead of at the byte midpoint (see TsbTree::PlanDataSplit).
+  std::atomic<uint64_t> data_run_splits{0};
   std::atomic<uint64_t> data_time_splits{0};
   std::atomic<uint64_t> index_key_splits{0};
   std::atomic<uint64_t> index_time_splits{0};

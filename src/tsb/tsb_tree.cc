@@ -757,9 +757,15 @@ Status TsbTree::InsertRecords(std::span<const KeyValue> kvs, Timestamp ts,
       return Status::Corruption("insert did not converge after splits");
     }
     // The split takes over the leaf this descent latched: no descent of
-    // its own. The insert of kvs[i] re-descends afterwards.
+    // its own. The insert of kvs[i] re-descends afterwards. When the next
+    // key lands in the same leaf, kvs[i] may start a sorted run, and the
+    // split may cut at it instead of at the byte midpoint.
+    const Slice* next = i + 1 < kvs.size() && pe.ContainsKey(kvs[i + 1].first)
+                            ? &kvs[i + 1].first
+                            : nullptr;
     const Timestamp visible = clock_->Visible();
-    Status split = SplitForInsert(std::move(h), pe, parent_id, kvs[i].first);
+    Status split =
+        SplitForInsert(std::move(h), pe, parent_id, kvs[i].first, next);
     const Timestamp target = clock_->Now();
     if (split.IsOutOfSpace() && visible < target && !waited) {
       // The page looks wedged only because the time-split boundary is
@@ -931,19 +937,22 @@ struct TsbTree::DataSplitPlan {
   IndexEntry leaf_e;
   IndexEntry new_e;  ///< child filled in at install
   std::span<const DataEntryView> keep;
-  // Time split: the TIME-SPLIT RULE survivors `keep` views, and the
-  // serialized historical node.
-  std::vector<DataEntryView> current;
-  std::string blob;
+  // Time split: the serialized historical node. It and the TIME-SPLIT
+  // RULE survivors `keep` views live in PlanDataSplit's per-thread
+  // buffers, which the thread's next split reuses.
+  const std::string* blob = nullptr;
   uint64_t raw_bytes = 0;
   size_t migrated = 0;
   size_t redundant = 0;
-  // Key split: the right sibling's records.
+  // Key split: the right sibling's records (empty when a run split cuts
+  // past the leaf's last key).
+  bool run_split = false;
   std::span<const DataEntryView> right;
 };
 
 Status TsbTree::PlanDataSplit(std::span<const DataEntryView> entries,
-                              const IndexEntry& pe, DataSplitPlan* plan) {
+                              const IndexEntry& pe, const Slice& key,
+                              const Slice* next, DataSplitPlan* plan) {
   const DataNodeStats stats = ComputeDataNodeStats(entries);
   const uint32_t capacity =
       options_.page_size - kTsbSlotBase - kPageTrailerSize;
@@ -960,15 +969,14 @@ Status TsbTree::PlanDataSplit(std::span<const DataEntryView> entries,
     // below t_lo (unreachable for as-of reads).
     const Timestamp split_t =
         policy_.ChooseSplitTime(entries, pe.t_lo, visible);
-    std::vector<DataEntryView> hist_set;
-    hist_set.reserve(entries.size());
-    plan->current.reserve(entries.size());
-    PartitionByTime(entries, split_t, &hist_set, &plan->current,
-                    &plan->redundant);
+    thread_local std::vector<DataEntryView> hist_set;
+    thread_local std::vector<DataEntryView> current;
+    thread_local std::string blob;
+    PartitionByTime(entries, split_t, &hist_set, &current, &plan->redundant);
     // Progress = the current page sheds entries.
-    if (!hist_set.empty() && plan->current.size() < entries.size()) {
+    if (!hist_set.empty() && current.size() < entries.size()) {
       plan->time_split = true;
-      plan->keep = plan->current;
+      plan->keep = current;
       // Parent: the child's region now starts at split_t; the prefix of
       // its old region points at the migrated node. Retained-alive
       // records can predate split_t; with nothing committed, split_t is
@@ -987,8 +995,8 @@ Status TsbTree::PlanDataSplit(std::span<const DataEntryView> entries,
       DataNodeShape(hist_set, &distinct, &key_bytes);
       const uint32_t interval = SplitPolicy::ChooseRestartInterval(
           hist_set.size(), distinct, key_bytes);
-      SerializeHistDataNode(hist_set, &plan->blob, &plan->raw_bytes,
-                            interval);
+      SerializeHistDataNode(hist_set, &blob, &plan->raw_bytes, interval);
+      plan->blob = &blob;
       plan->migrated = hist_set.size();
       return Status::OK();
     }
@@ -1002,31 +1010,55 @@ Status TsbTree::PlanDataSplit(std::span<const DataEntryView> entries,
   if (stats.distinct_keys < 2) {
     return Status::OutOfSpace("cannot key-split a single-key node");
   }
-  // Choose a distinct-key boundary near the byte midpoint.
   size_t total_bytes = 0;
   for (const DataEntryView& e : entries) total_bytes += e.EncodedSize();
-  size_t acc = 0;
   size_t split_at = 0;  // first index of the right node
-  for (size_t i = 0; i < entries.size(); ++i) {
-    acc += entries[i].EncodedSize();
-    if (acc * 2 >= total_bytes) {
-      // Advance to the next key boundary.
-      size_t j = i + 1;
-      while (j < entries.size() && entries[j].key == entries[i].key) ++j;
-      split_at = j;
-      break;
+  Slice split_key;
+  if (next != nullptr) {
+    // Run split: `key` is new to the leaf and `next` follows it here, so a
+    // sorted run is being inserted. Cut where the run goes in, not at the
+    // byte midpoint, so the run fills the node it lands in: the left node
+    // keeps everything below `key` (at least half the bytes), and the
+    // entries above the run, if any, move right once. Past the leaf's last
+    // key the right node starts empty and takes the run.
+    const size_t at = static_cast<size_t>(
+        std::partition_point(entries.begin(), entries.end(),
+                             [&](const DataEntryView& e) { return e.key < key; }) -
+        entries.begin());
+    size_t below = 0;
+    for (size_t i = 0; i < at; ++i) below += entries[i].EncodedSize();
+    if (below * 2 >= total_bytes &&
+        (at == entries.size() ||
+         (key < entries[at].key && *next < entries[at].key))) {
+      split_at = at;
+      split_key = at == entries.size() ? key : entries[at].key;
+      plan->run_split = true;
     }
   }
-  if (split_at == 0 || split_at >= entries.size()) {
-    // Degenerate byte distribution: put the last key run on the right.
-    size_t j = entries.size() - 1;
-    while (j > 0 && entries[j - 1].key == entries.back().key) --j;
-    split_at = j;
+  if (!plan->run_split) {
+    // Choose a distinct-key boundary near the byte midpoint.
+    size_t acc = 0;
+    for (size_t i = 0; i < entries.size(); ++i) {
+      acc += entries[i].EncodedSize();
+      if (acc * 2 >= total_bytes) {
+        // Advance to the next key boundary.
+        size_t j = i + 1;
+        while (j < entries.size() && entries[j].key == entries[i].key) ++j;
+        split_at = j;
+        break;
+      }
+    }
+    if (split_at == 0 || split_at >= entries.size()) {
+      // Degenerate byte distribution: put the last key run on the right.
+      size_t j = entries.size() - 1;
+      while (j > 0 && entries[j - 1].key == entries.back().key) --j;
+      split_at = j;
+    }
+    if (split_at == 0 || split_at >= entries.size()) {
+      return Status::OutOfSpace("no key boundary available for split");
+    }
+    split_key = entries[split_at].key;
   }
-  if (split_at == 0 || split_at >= entries.size()) {
-    return Status::OutOfSpace("no key boundary available for split");
-  }
-  const Slice split_key = entries[split_at].key;
   plan->time_split = false;
   plan->keep = entries.first(split_at);
   plan->right = entries.subspan(split_at);
@@ -1047,7 +1079,8 @@ Status TsbTree::PlanDataSplit(std::span<const DataEntryView> entries,
 }
 
 Status TsbTree::SplitForInsert(PageHandle leaf, const IndexEntry& pe,
-                               uint32_t parent_id, const Slice& key) {
+                               uint32_t parent_id, const Slice& key,
+                               const Slice* next) {
   if (parent_id == kInvalidPageId) {
     // The root is still a data page: grow first, split on the retry.
     leaf.Release();
@@ -1055,16 +1088,19 @@ Status TsbTree::SplitForInsert(PageHandle leaf, const IndexEntry& pe,
   }
   // Copy the leaf once and drop its latch, keeping the pin: the plan's
   // views point into the copy, the frame is not evicted and reloaded,
-  // and the version baseline stays comparable.
-  const std::unique_ptr<char[]> snapshot(new char[options_.page_size]);
-  memcpy(snapshot.get(), leaf.data(), options_.page_size);
+  // and the version baseline stays comparable. The copy and its decoded
+  // views live in per-thread buffers a split never outlives, so a
+  // split allocates nothing for them once the thread has split before.
+  thread_local std::vector<char> snapshot;
+  thread_local std::vector<DataEntryView> entries;
+  snapshot.resize(options_.page_size);
+  memcpy(snapshot.data(), leaf.data(), options_.page_size);
   const uint64_t leaf_ver = leaf.version();
   leaf.Unlatch();
-  std::vector<DataEntryView> entries;
   TSB_RETURN_IF_ERROR(
-      DataPageRef(snapshot.get(), options_.page_size).DecodeViews(&entries));
+      DataPageRef(snapshot.data(), options_.page_size).DecodeViews(&entries));
   DataSplitPlan plan;
-  TSB_RETURN_IF_ERROR(PlanDataSplit(entries, pe, &plan));
+  TSB_RETURN_IF_ERROR(PlanDataSplit(entries, pe, key, next, &plan));
 
   // Install under the parent and leaf exclusive latches, taken top-down
   // as readers couple, so no reader pairs a stale parent entry with the
@@ -1089,7 +1125,7 @@ Status TsbTree::SplitForInsert(PageHandle leaf, const IndexEntry& pe,
   DataPageRef page(leaf.data(), options_.page_size);
   if (plan.time_split) {
     HistAddr addr;
-    TSB_RETURN_IF_ERROR(AppendHistNode(plan.blob, plan.raw_bytes, &addr));
+    TSB_RETURN_IF_ERROR(AppendHistNode(*plan.blob, plan.raw_bytes, &addr));
     plan.new_e.child = NodeRef::Historical(addr);
     // The leaf keeps only the TIME-SPLIT RULE survivors.
     TSB_RETURN_IF_ERROR(page.Load(plan.keep));
@@ -1125,6 +1161,7 @@ Status TsbTree::SplitForInsert(PageHandle leaf, const IndexEntry& pe,
     counters_.redundant_record_copies += plan.redundant;
   } else {
     counters_.data_key_splits++;
+    if (plan.run_split) counters_.data_run_splits++;
   }
   return Status::OK();
 }

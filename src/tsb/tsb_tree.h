@@ -255,6 +255,9 @@ class TsbTree {
   /// `scope`, split into fresh and journaled pages.
   Status BeginCheckpoint(CheckpointScope* scope);
 
+  /// True when a frame is dirty, i.e. a checkpoint has pages to write.
+  bool HasDirtyPages() const { return pool_->HasDirty(); }
+
   /// Writes the fresh pages in place, in ascending id order, and syncs
   /// the current device. Runs before the journal commits.
   Status WriteFreshPages(CheckpointScope* scope);
@@ -422,15 +425,24 @@ class TsbTree {
   /// append the historical node (time split) and install. A failed check
   /// returns OK with nothing written; the caller re-descends and retries.
   /// A full parent or a root leaf goes to GrowIndexFor(`key`) instead.
+  /// `key` is the key that did not fit; `next` is the batch's following
+  /// key when it lands in the same leaf, else null (see PlanDataSplit).
   Status SplitForInsert(PageHandle leaf, const IndexEntry& pe,
-                        uint32_t parent_id, const Slice& key);
+                        uint32_t parent_id, const Slice& key,
+                        const Slice* next);
 
   /// Chooses and prepares the split of a leaf holding `entries` whose
   /// parent entry is `pe`: partitions, serializes the historical node,
   /// sizes the parent entry the install will add. The plan views
-  /// `entries`' bytes, which must outlive it.
+  /// `entries`' bytes, which must outlive it, and per-thread buffers that
+  /// the thread's next call reuses. A key split cuts at the
+  /// byte midpoint, except for a run split: when `key` is new to the leaf
+  /// and `next` follows it below the leaf's next entry, the cut goes
+  /// where the run is inserted, provided the left node keeps at least
+  /// half the bytes.
   Status PlanDataSplit(std::span<const DataEntryView> entries,
-                       const IndexEntry& pe, DataSplitPlan* plan);
+                       const IndexEntry& pe, const Slice& key,
+                       const Slice* next, DataSplitPlan* plan);
 
   /// The only structure_mu_ section: re-descends to the leaf for `key` and
   /// grows the root when it is a leaf, or makes `need` bytes of room in

@@ -7,7 +7,9 @@
 
 #include <climits>
 #include <cstdio>
+#include <fstream>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -282,14 +284,19 @@ class CountingDevice : public Device {
   }
   uint64_t Size() const override { return base_->Size(); }
   Status Truncate(uint64_t size) override { return base_->Truncate(size); }
-  Status Sync() override { return base_->Sync(); }
+  Status Sync() override {
+    syncs++;
+    return base_->Sync();
+  }
 
   void Reset() {
     calls = 0;
+    syncs = 0;
     page_ids.clear();
   }
 
   uint64_t calls = 0;
+  uint64_t syncs = 0;
   std::vector<uint32_t> page_ids;
 
  private:
@@ -370,6 +377,72 @@ TEST(CheckpointRunsTest, FreshPagesGoInRunsAndJournaledInIdOrder) {
   EXPECT_EQ("updated", v);
   ASSERT_TRUE(db->Get({}, key(1), &v).ok());
   EXPECT_EQ(value, v);
+  db.reset();
+  db::MultiVersionDB::Destroy(path);
+}
+
+TEST(CheckpointRunsTest, EmptyCheckpointWritesNothing) {
+  const std::string path = ::testing::TempDir() + "/tsb_checkpoint_empty." +
+                           std::to_string(::getpid());
+  db::MultiVersionDB::Destroy(path);
+  static constexpr uint32_t kPage = 512;
+  CountingDevice* magnetic = nullptr;
+  CountingDevice* historical = nullptr;
+  db::DbOptions o;
+  o.tree.page_size = kPage;
+  o.wal_checkpoint_bytes = 1ull << 40;  // only explicit checkpoints
+  o.wrap_device = [&](const std::string& role, std::unique_ptr<Device> device)
+      -> std::unique_ptr<Device> {
+    auto wrapped = std::make_unique<CountingDevice>(std::move(device), kPage);
+    if (role == "magnetic") magnetic = wrapped.get();
+    if (role == "historical") historical = wrapped.get();
+    return wrapped;
+  };
+  std::unique_ptr<db::MultiVersionDB> db;
+  ASSERT_TRUE(db::MultiVersionDB::Open(path, o, &db).ok());
+  ASSERT_NE(nullptr, magnetic);
+  ASSERT_NE(nullptr, historical);
+  for (int round = 0; round < 3; ++round) {
+    ASSERT_TRUE(db->Put("key" + std::to_string(round), "value").ok());
+    // A commit since the last checkpoint: the fold writes and syncs.
+    magnetic->Reset();
+    ASSERT_TRUE(db->Checkpoint().ok());
+    EXPECT_GT(magnetic->calls, 0u) << round;
+    EXPECT_GT(magnetic->syncs, 0u) << round;
+    // Nothing since: no page, meta page or sync reaches either device.
+    magnetic->Reset();
+    historical->Reset();
+    ASSERT_TRUE(db->Checkpoint().ok());
+    EXPECT_EQ(0u, magnetic->calls) << round;
+    EXPECT_EQ(0u, magnetic->syncs) << round;
+    EXPECT_EQ(0u, historical->syncs) << round;
+  }
+  // An aborted transaction logs nothing but dirties the leaf it erased
+  // from: the checkpoint still folds, so the base never keeps a record
+  // the clean-shutdown flag would stop the next open from purging.
+  std::unique_ptr<txn::Transaction> txn;
+  ASSERT_TRUE(db->Begin(&txn).ok());
+  ASSERT_TRUE(txn->Put("aborted", "value").ok());
+  ASSERT_TRUE(txn->Abort().ok());
+  magnetic->Reset();
+  ASSERT_TRUE(db->Checkpoint().ok());
+  EXPECT_GT(magnetic->calls, 0u);
+  db.reset();  // its shutdown checkpoint is empty
+
+  std::ifstream manifest(path + "/MANIFEST");
+  std::stringstream text;
+  text << manifest.rdbuf();
+  EXPECT_NE(std::string::npos, text.str().find("\nclean_shutdown=1\n"))
+      << text.str();
+  o.wrap_device = nullptr;
+  ASSERT_TRUE(db::MultiVersionDB::Open(path, o, &db).ok());
+  EXPECT_EQ(0u, db->recovery_stats().frames_replayed);
+  EXPECT_EQ(0u, db->recovery_stats().wal_bytes_scanned);
+  std::string v;
+  for (int round = 0; round < 3; ++round) {
+    ASSERT_TRUE(db->Get({}, "key" + std::to_string(round), &v).ok());
+    EXPECT_EQ("value", v);
+  }
   db.reset();
   db::MultiVersionDB::Destroy(path);
 }

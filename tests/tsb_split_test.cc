@@ -3,14 +3,18 @@
 // the TIME-SPLIT RULE itself, and the split policies of sections 3.2-3.3.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "storage/mem_device.h"
 #include "storage/worm_device.h"
+#include "tsb/cursor.h"
 #include "tsb/split_policy.h"
 #include "tsb/tree_check.h"
 #include "tsb/tsb_tree.h"
+#include "txn/txn_manager.h"
 
 namespace tsb {
 namespace tsb_tree {
@@ -409,6 +413,249 @@ TEST_F(TsbSplitTest, MigrationIsOneNodeAtATime) {
   EXPECT_EQ(tree_->hist_store()->blob_count(),
             tree_->counters().hist_data_nodes +
                 tree_->counters().hist_index_nodes);
+}
+
+// ---------------- run splits: sorted batches of new keys ----------------
+
+class RunSplitTest : public ::testing::Test {
+ protected:
+  void Open(uint32_t page_size = 4096) {
+    mgr_.reset();
+    tree_.reset();
+    magnetic_ = std::make_unique<MemDevice>();
+    worm_ = std::make_unique<WormDevice>(512);
+    TsbOptions opts;
+    opts.page_size = page_size;
+    opts.buffer_pool_frames = 1024;
+    ASSERT_TRUE(TsbTree::Open(magnetic_.get(), worm_.get(), opts, &tree_).ok());
+    mgr_ = std::make_unique<txn::TxnManager>(tree_.get());
+  }
+
+  static std::string Value(int i, int version = 0) {
+    std::string v = std::to_string(version) + "-" + Key(i) + "-";
+    v.resize(100, 'v');
+    return v;
+  }
+
+  /// Commits keys [lo, hi) as one batch; returns the commit timestamp.
+  Timestamp WriteRange(int lo, int hi, int version = 0) {
+    txn::WriteBatch batch;
+    for (int i = lo; i < hi; ++i) batch.Put(Key(i), Value(i, version));
+    Timestamp ts = 0;
+    Status s = mgr_->Write(batch, &ts);
+    EXPECT_TRUE(s.ok()) << s.ToString();
+    return ts;
+  }
+
+  Status Check() { return TreeChecker(tree_.get()).Check(); }
+
+  double Fill() {
+    SpaceStats space;
+    EXPECT_TRUE(tree_->ComputeSpaceStats(&space).ok());
+    return static_cast<double>(space.magnetic_used_bytes) /
+           static_cast<double>(space.magnetic_bytes);
+  }
+
+  /// Record counts of the current leaves, in key order.
+  void LeafCounts(const NodeRef& ref, std::vector<size_t>* counts) {
+    DecodedNode node;
+    ASSERT_TRUE(tree_->ReadNode(ref, &node).ok());
+    if (node.is_data()) {
+      counts->push_back(node.data.size());
+      return;
+    }
+    for (const IndexEntry& e : node.index) {
+      if (!e.child.historical) LeafCounts(e.child, counts);
+    }
+  }
+
+  std::unique_ptr<MemDevice> magnetic_;
+  std::unique_ptr<WormDevice> worm_;
+  std::unique_ptr<TsbTree> tree_;
+  std::unique_ptr<txn::TxnManager> mgr_;
+};
+
+TEST_F(RunSplitTest, SortedBatchOfNewKeysFillsItsLeaves) {
+  Open();
+  WriteRange(0, 5000);
+  const TsbCounters& c = tree_->counters();
+  EXPECT_GT(c.data_key_splits, 100u);
+  EXPECT_EQ(c.data_key_splits, c.data_run_splits);
+  EXPECT_GE(Fill(), 0.9);
+  EXPECT_TRUE(Check().ok());
+  std::string v;
+  for (int i = 0; i < 5000; i += 7) {
+    ASSERT_TRUE(tree_->Get({}, Key(i), &v).ok()) << Key(i);
+    EXPECT_EQ(Value(i), v);
+  }
+}
+
+TEST_F(RunSplitTest, SinglePutsKeepTheMidpointSplit) {
+  Open();
+  for (int i = 0; i < 5000; ++i) {
+    ASSERT_TRUE(tree_->Put(Key(i), Value(i), i + 1).ok());
+  }
+  // A one-key insert has no run: every key split cuts at the byte
+  // midpoint, 293 splits into 294 half-full leaves for this load.
+  const TsbCounters& c = tree_->counters();
+  EXPECT_EQ(0u, c.data_run_splits);
+  EXPECT_EQ(293u, c.data_key_splits);
+  std::vector<size_t> counts;
+  LeafCounts(tree_->root(), &counts);
+  EXPECT_EQ(294u, counts.size());
+  EXPECT_LT(Fill(), 0.6);
+  EXPECT_TRUE(Check().ok());
+}
+
+TEST_F(RunSplitTest, UpdateBatchOverFullLeavesTakesNoRunSplit) {
+  Open();
+  WriteRange(0, 3000);
+  const uint64_t run_splits = tree_->counters().data_run_splits;
+  const uint64_t key_splits = tree_->counters().data_key_splits;
+  const uint64_t time_splits = tree_->counters().data_time_splits;
+  // Every key of the batch is already in its (full) leaf.
+  const Timestamp ts = WriteRange(0, 3000, 1);
+  const TsbCounters& c = tree_->counters();
+  EXPECT_GT(c.data_key_splits + c.data_time_splits, key_splits + time_splits);
+  EXPECT_EQ(run_splits, c.data_run_splits);
+  EXPECT_TRUE(Check().ok());
+  std::string v;
+  for (int i = 0; i < 3000; i += 11) {
+    ASSERT_TRUE(tree_->Get({.as_of = ts}, Key(i), &v).ok());
+    EXPECT_EQ(Value(i, 1), v);
+    ASSERT_TRUE(tree_->Get({.as_of = ts - 1}, Key(i), &v).ok());
+    EXPECT_EQ(Value(i), v);
+  }
+}
+
+TEST_F(RunSplitTest, NewKeyFollowedByAnUpdateTakesTheMidpoint) {
+  Open();
+  // Even keys only, loaded in order: full leaves.
+  txn::WriteBatch load;
+  for (int n = 0; n < 3000; ++n) load.Put(Key(2 * n), Value(2 * n));
+  ASSERT_TRUE(mgr_->Write(load).ok());
+  std::vector<size_t> counts;
+  LeafCounts(tree_->root(), &counts);
+  ASSERT_GE(counts.size(), 3u);
+  // A new key three quarters into the second leaf, then an update of the
+  // key after it: the batch's next key lies above the leaf's next entry,
+  // so nothing is a run and the split keeps the byte midpoint.
+  const int n = static_cast<int>(counts[0] + counts[1] * 3 / 4);
+  const uint64_t run_splits = tree_->counters().data_run_splits;
+  const uint64_t key_splits = tree_->counters().data_key_splits;
+  txn::WriteBatch batch;
+  batch.Put(Key(2 * n + 1), Value(2 * n + 1));
+  batch.Put(Key(2 * n + 2), Value(2 * n + 2, 1));
+  ASSERT_TRUE(mgr_->Write(batch).ok());
+  EXPECT_EQ(key_splits + 1, tree_->counters().data_key_splits);
+  EXPECT_EQ(run_splits, tree_->counters().data_run_splits);
+  EXPECT_TRUE(Check().ok());
+}
+
+TEST_F(RunSplitTest, RunBelowHalfTheLeafTakesTheMidpoint) {
+  Open();
+  WriteRange(1000, 4000);
+  const uint64_t run_splits = tree_->counters().data_run_splits;
+  const uint64_t key_splits = tree_->counters().data_key_splits;
+  // A two-key run in front of a full leaf: cutting there would leave the
+  // left node with less than half the bytes (none), so the split keeps
+  // the midpoint.
+  WriteRange(0, 2);
+  EXPECT_EQ(key_splits + 1, tree_->counters().data_key_splits);
+  EXPECT_EQ(run_splits, tree_->counters().data_run_splits);
+  EXPECT_TRUE(Check().ok());
+}
+
+TEST_F(RunSplitTest, RunSplitsAForeignTailOffOnceThenFills) {
+  Open();
+  // Another loader's first keys sit above the run in the same leaf.
+  WriteRange(50000, 50010);
+  WriteRange(0, 4000);
+  const TsbCounters& c = tree_->counters();
+  EXPECT_EQ(c.data_key_splits, c.data_run_splits);
+  EXPECT_TRUE(Check().ok());
+  std::vector<size_t> counts;
+  LeafCounts(tree_->root(), &counts);
+  ASSERT_GE(counts.size(), 3u);
+  // The tail moved right once and was never split again: it is the last
+  // leaf, alone. Every run leaf but the last one the run reached is full.
+  EXPECT_EQ(10u, counts.back());
+  const size_t full = *std::max_element(counts.begin(), counts.end());
+  for (size_t i = 0; i + 2 < counts.size(); ++i) {
+    EXPECT_GE(counts[i] * 10, full * 9) << "leaf " << i << " of "
+                                        << counts.size();
+  }
+}
+
+TEST_F(RunSplitTest, CursorsAndGetsStayExactAcrossEmptyLeaves) {
+  Open();
+  const Timestamp t1 = WriteRange(0, 1000);
+  const Timestamp t2 = WriteRange(5000, 6000);
+  // An aborted batch into the gap: its run splits leave empty leaves
+  // between the populated ones once its records are erased.
+  const TxnId txn = 1u << 30;
+  std::vector<std::string> keys;
+  std::vector<std::string> values;
+  for (int i = 1000; i < 3000; ++i) {
+    keys.push_back(Key(i));
+    values.push_back(Value(i));
+  }
+  std::vector<TsbTree::KeyValue> kvs;
+  for (size_t i = 0; i < keys.size(); ++i) kvs.emplace_back(keys[i], values[i]);
+  const uint64_t run_splits = tree_->counters().data_run_splits;
+  ASSERT_TRUE(tree_->PutUncommittedBatch(kvs, txn).ok());
+  EXPECT_GT(tree_->counters().data_run_splits, run_splits + 5);
+  for (const std::string& k : keys) {
+    ASSERT_TRUE(tree_->EraseUncommitted(k, txn).ok());
+  }
+  const Timestamp t3 = WriteRange(3000, 3001);
+  std::vector<size_t> counts;
+  LeafCounts(tree_->root(), &counts);
+  EXPECT_GE(std::count(counts.begin(), counts.end(), size_t{0}), 5);
+  EXPECT_TRUE(Check().ok());
+
+  // Key i's expected presence as of t.
+  auto present = [&](int i, Timestamp t) {
+    return (i < 1000 && t >= t1) || (i >= 5000 && t >= t2) ||
+           (i == 3000 && t >= t3);
+  };
+  for (const Timestamp t : {t1, t2, t3}) {
+    std::vector<int> expected;
+    for (int i = 0; i < 6000; ++i) {
+      if (present(i, t)) expected.push_back(i);
+    }
+    auto c = tree_->NewCursor({.as_of = t});
+    std::vector<int> forward;
+    ASSERT_TRUE(c->SeekToFirst().ok());
+    while (c->Valid()) {
+      forward.push_back(std::stoi(c->key().ToString().substr(1)));
+      EXPECT_EQ(Value(forward.back()), c->value().ToString());
+      ASSERT_TRUE(c->Next().ok());
+    }
+    EXPECT_EQ(expected, forward) << "as of " << t;
+    std::vector<int> reverse;
+    ASSERT_TRUE(c->SeekToLast().ok());
+    while (c->Valid()) {
+      reverse.push_back(std::stoi(c->key().ToString().substr(1)));
+      ASSERT_TRUE(c->Prev().ok());
+    }
+    std::reverse(reverse.begin(), reverse.end());
+    EXPECT_EQ(expected, reverse) << "as of " << t;
+    // Seeks into the empty stretch land on its neighbours.
+    const auto above = std::lower_bound(expected.begin(), expected.end(), 1500);
+    ASSERT_TRUE(c->Seek(Key(1500)).ok());
+    ASSERT_EQ(above != expected.end(), c->Valid());
+    if (c->Valid()) EXPECT_EQ(Key(*above), c->key().ToString());
+    ASSERT_TRUE(c->SeekForPrev(Key(2500)).ok());
+    ASSERT_TRUE(c->Valid());
+    EXPECT_EQ(Key(999), c->key().ToString());
+    std::string v;
+    for (int i = 0; i < 6000; i += 13) {
+      const Status s = tree_->Get({.as_of = t}, Key(i), &v);
+      EXPECT_EQ(present(i, t), s.ok()) << Key(i) << " as of " << t;
+      EXPECT_TRUE(present(i, t) || s.IsNotFound()) << s.ToString();
+    }
+  }
 }
 
 }  // namespace

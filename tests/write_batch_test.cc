@@ -600,6 +600,59 @@ TEST_F(WriteBatchTest, ConcurrentWritersCommitInterleavedBatches) {
   ExpectChecked();
 }
 
+// Three loaders fill adjacent key ranges in sorted 500-key batches, the
+// bulk-load shape: each run splits its leaves where it is inserted, and
+// meets the next loader's first keys as a foreign tail in a shared leaf.
+TEST_F(WriteBatchTest, AdjacentSortedLoadersRunSplitAndReadBack) {
+  Open(4096);
+  constexpr int kWriters = 3;
+  constexpr int kKeysEach = 3000;
+  constexpr int kBatchKeys = 500;
+  constexpr int kBatches = kKeysEach / kBatchKeys;
+  std::vector<std::vector<Timestamp>> commit_ts(kWriters);
+  std::atomic<int> failures{0};
+  std::vector<std::thread> threads;
+  for (int w = 0; w < kWriters; ++w) {
+    threads.emplace_back([&, w] {
+      for (int b = 0; b < kBatches; ++b) {
+        WriteBatch batch;
+        const int lo = w * kKeysEach + b * kBatchKeys;
+        for (int i = lo; i < lo + kBatchKeys; ++i) {
+          batch.Put(Key(i), "w" + std::to_string(w) + "b" + std::to_string(b));
+        }
+        Timestamp cts = 0;
+        if (!mgr_->Write(batch, &cts).ok()) {
+          failures++;
+          return;
+        }
+        commit_ts[w].push_back(cts);
+      }
+    });
+  }
+  for (auto& t : threads) t.join();
+  ASSERT_EQ(0, failures.load());
+  EXPECT_GT(tree_->counters().data_run_splits, 0u);
+  for (int w = 0; w < kWriters; ++w) {
+    ASSERT_EQ(static_cast<size_t>(kBatches), commit_ts[w].size());
+    for (int b = 0; b < kBatches; ++b) {
+      const Timestamp cts = commit_ts[w][b];
+      const int lo = w * kKeysEach + b * kBatchKeys;
+      for (int i = lo; i < lo + kBatchKeys; ++i) {
+        std::string v;
+        Timestamp ts = 0;
+        ASSERT_TRUE(tree_->Get({.as_of = cts}, Key(i), &v, &ts).ok())
+            << Key(i) << " @" << cts;
+        EXPECT_EQ("w" + std::to_string(w) + "b" + std::to_string(b), v);
+        EXPECT_EQ(cts, ts);
+        EXPECT_TRUE(tree_->Get({.as_of = cts - 1}, Key(i), &v).IsNotFound())
+            << Key(i) << " before " << cts;
+      }
+    }
+  }
+  EXPECT_EQ(0u, mgr_->active_txns());
+  ExpectChecked();
+}
+
 // Parallel commits stamp out of timestamp order: a record can still be
 // uncommitted when a split sees a LATER commit already stamped beside it.
 // The split's content-floor hint must stay at or below the stamp the
