@@ -26,15 +26,19 @@ Status MultiVersionDB::Open(Device* magnetic, Device* historical,
                             const DbOptions& options,
                             std::unique_ptr<MultiVersionDB>* out) {
   std::unique_ptr<MultiVersionDB> mvdb(new MultiVersionDB(options));
-  if (options.shared_clock != nullptr) {
-    // The DB's options_ copy holds the shared_ptr, so the raw pointer the
-    // tree keeps stays valid for the tree's whole life.
-    mvdb->options_.tree.external_clock = options.shared_clock.get();
+  txn::CommitLedger* const ledger = options.shared_ledger.get();
+  if (ledger != nullptr) {
+    // The DB's options_ copy holds the shared_ptr, so the raw pointers the
+    // tree and the manager keep stay valid for their whole lives.
+    mvdb->options_.tree.external_clock = ledger->clock();
   }
   TSB_RETURN_IF_ERROR(tsb_tree::TsbTree::Open(magnetic, historical,
                                               mvdb->options_.tree,
                                               &mvdb->tree_));
-  mvdb->txns_ = std::make_unique<txn::TxnManager>(mvdb->tree_.get());
+  mvdb->txns_ =
+      ledger != nullptr
+          ? std::make_unique<txn::TxnManager>(mvdb->tree_.get(), ledger)
+          : std::make_unique<txn::TxnManager>(mvdb->tree_.get());
   // No commit hook yet: it is installed lazily with the first secondary
   // index (InstallCommitHook). A hook serializes whole commits on the
   // manager's index-order mutex, so an index-less DB never pays for it.

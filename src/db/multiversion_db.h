@@ -60,15 +60,16 @@ using KeyExtractor =
 struct DbOptions {
   tsb_tree::TsbOptions tree;
 
-  /// Commit clock shared with other databases (the sharded facade gives
-  /// every shard one clock so a timestamp allocated on any shard is
-  /// meaningful on all of them). When set it overrides
-  /// tree.external_clock for the PRIMARY tree; secondary-index trees
-  /// keep private clocks either way (index replay publishes its own
-  /// clock, which must never advance the shared watermark past in-flight
-  /// cross-shard commits). The DB holds the shared_ptr, so the clock
-  /// outlives every tree that points at it. nullptr = private clock.
-  std::shared_ptr<LogicalClock> shared_clock;
+  /// Commit ledger shared with other databases: the sharded facade gives
+  /// every shard one, so a timestamp allocated on any shard is meaningful
+  /// on all of them and one watermark spans them. When set, the PRIMARY
+  /// tree runs on the ledger's clock (overriding tree.external_clock) and
+  /// the DB commits through it; secondary-index trees keep private clocks
+  /// either way (index replay publishes its own clock, which must never
+  /// advance the shared watermark past in-flight cross-shard commits).
+  /// The DB holds the shared_ptr, so the ledger outlives its tree and
+  /// manager. nullptr = a one-member ledger over the tree's own clock.
+  std::shared_ptr<txn::CommitLedger> shared_ledger;
 
   // ---- path-based Open only (ignored by the raw-device overload) ----
 

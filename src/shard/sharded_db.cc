@@ -165,11 +165,11 @@ Status ShardedDB::Open(const std::string& path, const ShardedOptions& options,
   sdb->path_ = path;
   sdb->hash_seed_ = manifest.hash_seed;
   sdb->coord_checkpoint_bytes_ = options.coord_checkpoint_bytes;
-  sdb->clock_ = std::make_shared<LogicalClock>();
+  sdb->ledger_ = std::make_shared<txn::CommitLedger>();
   sdb->shards_.resize(manifest.num_shards);
   for (uint32_t i = 0; i < manifest.num_shards; ++i) {
     DbOptions shard_options = options.base;
-    shard_options.shared_clock = sdb->clock_;
+    shard_options.shared_ledger = sdb->ledger_;
     shard_options.create_if_missing = true;  // dirs are facade-managed
     if (options.base.wrap_device) {
       auto base_wrap = options.base.wrap_device;
@@ -206,7 +206,8 @@ Status ShardedDB::Open(const std::string& path, const ShardedOptions& options,
                  rr.tail_truncated ? ", torn tail truncated" : "");
   }
   // Everything recovered is fully applied: publish the watermark.
-  sdb->clock_->Publish(sdb->clock_->Now());
+  LogicalClock* const clock = sdb->ledger_->clock();
+  clock->Publish(clock->Now());
 
   // The coordinator log is the multi-shard commit point, so it syncs per
   // decision (group commit) — unless the shards themselves run unsynced
@@ -222,18 +223,15 @@ Status ShardedDB::Open(const std::string& path, const ShardedOptions& options,
                                      &sdb->coord_wal_,
                                      sdb->coord_fault_plan_));
 
-  sdb->ledger_ = std::make_unique<txn::CommitLedger>(sdb->clock_.get());
-  for (auto& s : sdb->shards_) {
-    s->txn_manager()->SetLedger(sdb->ledger_.get());
-  }
+  sdb->open_ = true;
   *out = std::move(sdb);
   return Status::OK();
 }
 
 ShardedDB::~ShardedDB() {
-  // A failed Open destroys a facade whose shards did not all open (the
-  // ledger is installed last): there is nothing to fold.
-  if (ledger_ != nullptr && !degraded()) {
+  // A failed Open destroys a facade whose shards did not all open: there
+  // is nothing to fold.
+  if (open_ && !degraded()) {
     // Clean shutdown: fold every shard and truncate the coordinator log,
     // so the next Open replays nothing. A failure leaves the logs in
     // place — recovery replays them, which is always correct.
@@ -245,8 +243,9 @@ ShardedDB::~ShardedDB() {
     }
   }
   // The coordinator log closes first; then every shard runs its own clean
-  // shutdown (an empty checkpoint plus its MANIFEST), concurrently; the
-  // ledger/clock (which the shards' trees point into) go last as members.
+  // shutdown (an empty checkpoint plus its MANIFEST), concurrently; each
+  // shard holds the ledger (its trees point into the ledger's clock), so
+  // the ledger goes with the last of them.
   coord_wal_.reset();
   (void)ParallelForEach(shards_.size(), [this](size_t i) {
     shards_[i].reset();
@@ -318,7 +317,7 @@ Status ShardedDB::Put(const Slice& key, const Slice& value,
 
 Status ShardedDB::Write(const WriteBatch& batch, Timestamp* commit_ts) {
   if (batch.empty()) {
-    if (commit_ts != nullptr) *commit_ts = clock_->Visible();
+    if (commit_ts != nullptr) *commit_ts = Now();
     return Status::OK();
   }
   const uint32_t first_shard = ShardOf(batch.ops().front().first);
@@ -491,7 +490,7 @@ std::unique_ptr<ShardedCursor> ShardedDB::NewCursor(
   // watermarks and merge two different database states.
   ReadOptions resolved = options;
   if (resolved.as_of == tsb_tree::kAsOfLatest) {
-    resolved.as_of = clock_->Visible();
+    resolved.as_of = Now();
   }
   std::vector<std::unique_ptr<tsb_tree::VersionCursor>> children;
   children.reserve(shards_.size());
@@ -505,7 +504,7 @@ ShardedReadTransaction ShardedDB::BeginReadOnly() {
   // ordered prefixes of fully-stamped commits, so this timestamp can
   // never observe a torn multi-shard batch (section 4.1, lifted to N
   // trees).
-  return ShardedReadTransaction(this, clock_->Visible());
+  return ShardedReadTransaction(this, Now());
 }
 
 Status ShardedReadTransaction::Get(const Slice& key, std::string* value,

@@ -4,9 +4,10 @@
 // each a full MultiVersionDB in its own subdirectory — own devices, own
 // buffer pool, own WAL, own ErrorHandler — so writers on different
 // shards never contend on a page, a latch, or a log. What makes the
-// ensemble ONE database instead of N is a single injected LogicalClock
-// (DbOptions::shared_clock) plus a CommitLedger computing the published
-// watermark over the GLOBAL in-flight set: a timestamp allocated on any
+// ensemble ONE database instead of N is one shared CommitLedger
+// (DbOptions::shared_ledger): it owns the clock every shard's tree runs
+// on, every shard's TxnManager commits through it, and it publishes the
+// watermark over the GLOBAL in-flight set. A timestamp allocated on any
 // shard is meaningful on all of them, and a reader at the watermark sees
 // whole transactions or nothing — the paper's section 4.1 guarantee,
 // lifted from one tree to N.
@@ -79,8 +80,8 @@ using db::WriteBatch;
 
 struct ShardedOptions {
   /// Options every shard is opened with (per-shard paths, devices and
-  /// WALs are derived internally; base.shared_clock is overwritten with
-  /// the ensemble clock). base.wrap_device, if set, is called with roles
+  /// WALs are derived internally; base.shared_ledger is overwritten with
+  /// the ensemble ledger). base.wrap_device, if set, is called with roles
   /// prefixed "shard-NNN/" so fault tests can target one shard.
   DbOptions base;
   /// Shard count, FIXED at creation (the persisted SHARDS manifest is
@@ -220,10 +221,8 @@ class ShardedDB {
   /// Routing: the shard `key` lives on.
   uint32_t ShardOf(const Slice& key) const;
   MultiVersionDB* shard(uint32_t i) { return shards_[i].get(); }
-  LogicalClock* clock() { return clock_.get(); }
-  txn::CommitLedger* ledger() { return ledger_.get(); }
   /// Committed cross-shard watermark.
-  Timestamp Now() const { return clock_->Visible(); }
+  Timestamp Now() const { return ledger_->clock()->Visible(); }
   const std::string& path() const { return path_; }
   /// Decision records the coordinator replay re-applied at Open (0 after
   /// a clean shutdown).
@@ -265,11 +264,10 @@ class ShardedDB {
   std::string path_;
   uint64_t hash_seed_ = 0;
   uint64_t coord_checkpoint_bytes_ = 0;
-  // Destruction order matters: shards_ holds raw pointers into clock_
-  // and ledger_ (trees and TxnManagers), so both must outlive it —
-  // members destroy in reverse declaration order.
-  std::shared_ptr<LogicalClock> clock_;
-  std::unique_ptr<txn::CommitLedger> ledger_;
+  /// Every shard holds it too (DbOptions::shared_ledger).
+  std::shared_ptr<txn::CommitLedger> ledger_;
+  /// Open finished: only then does destruction fold the shards.
+  bool open_ = false;
   std::vector<std::unique_ptr<MultiVersionDB>> shards_;
   std::unique_ptr<wal::Wal> coord_wal_;
   wal::WalSyncMode coord_sync_mode_ = wal::WalSyncMode::kGroup;

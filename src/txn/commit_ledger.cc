@@ -29,11 +29,12 @@ void CommitLedger::AbortCommit(Timestamp ts) {
   PublishLocked();
 }
 
-void CommitLedger::PoisonCommit(Timestamp ts) {
+Timestamp CommitLedger::PoisonCommit(Timestamp ts) {
   std::lock_guard<std::mutex> lock(mu_);
   inflight_.erase(ts);
   poisoned_.insert(ts);
   PublishLocked();
+  return *poisoned_.begin() - 1;
 }
 
 void CommitLedger::Unpoison(Timestamp ts) {
@@ -42,26 +43,10 @@ void CommitLedger::Unpoison(Timestamp ts) {
   PublishLocked();
 }
 
-Timestamp CommitLedger::PublishableNow() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  Timestamp publish =
-      inflight_.empty() ? completed_max_ : *inflight_.begin() - 1;
-  if (!poisoned_.empty() && publish > *poisoned_.begin() - 1) {
-    publish = *poisoned_.begin() - 1;
-  }
-  return publish;
-}
-
-bool CommitLedger::HasPoisoned() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return !poisoned_.empty();
-}
-
 void CommitLedger::PublishLocked() {
-  // Ordered prefix over the global in-flight set, capped below the oldest
-  // poisoned timestamp. Readers at the result see whole cross-shard
-  // transactions or nothing (the section 4.1 guarantee, lifted from one
-  // tree to N).
+  // Ordered prefix over the in-flight set, capped below the oldest
+  // poisoned timestamp. Readers at the result see whole transactions, on
+  // one tree or across shards, or nothing (the section 4.1 guarantee).
   Timestamp publish =
       inflight_.empty() ? completed_max_ : *inflight_.begin() - 1;
   if (!poisoned_.empty() && publish > *poisoned_.begin() - 1) {

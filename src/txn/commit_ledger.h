@@ -1,26 +1,26 @@
-// CommitLedger: cross-shard commit bookkeeping over ONE shared clock.
+// CommitLedger: the one publisher of the commit watermark.
 //
-// A sharded database gives every shard the same LogicalClock, so a commit
-// timestamp allocated on any shard is meaningful on all of them — but the
-// published watermark then has to be computed GLOBALLY. If each shard
-// published its own completed prefix, shard A finishing ts=10 would make
-// ts=10 visible while shard B is still stamping its slice of the same
-// multi-shard batch: a reader at the watermark would see a torn
-// transaction. The ledger prevents that by owning both the timestamp
-// allocation and the publish decision:
+// Every TxnManager commits through a ledger. A lone database's manager
+// owns a one-member ledger over its tree's clock; a sharded database
+// gives every shard one ledger, which owns the ONE clock all their trees
+// point into, so a commit timestamp allocated on any shard is meaningful
+// on all of them. If each shard published its own completed prefix,
+// shard A finishing ts=10 would make ts=10 visible while shard B is still
+// stamping its slice of the same multi-shard batch: a reader at the
+// watermark would see a torn transaction. The ledger prevents that by
+// owning both the timestamp allocation and the publish decision:
 //
-//   publish = min( ordered prefix over the GLOBAL in-flight set,
+//   publish = min( ordered prefix over the in-flight set,
 //                  smallest poisoned (failed mid-stamp) timestamp - 1 )
 //
 // TickCommit() allocates a timestamp and registers it in-flight in one
 // critical section — the allocate-then-register race is what would let a
 // later commit publish past an unregistered earlier one. EndCommit /
 // AbortCommit / PoisonCommit retire a timestamp and recompute the
-// watermark. Per-shard TxnManagers route every commit through the ledger
-// when one is attached (see TxnManager::SetLedger); the sharded facade
-// drives it directly for multi-shard batches, holding the timestamp
-// in-flight from before the coordinator-log append until every touched
-// shard has stamped — the prepare/commit ts-barrier.
+// watermark. The sharded facade also drives the ledger directly for
+// multi-shard batches, holding the timestamp in-flight from before the
+// coordinator-log append until every touched shard has stamped — the
+// prepare/commit ts-barrier.
 #ifndef TSBTREE_TXN_COMMIT_LEDGER_H_
 #define TSBTREE_TXN_COMMIT_LEDGER_H_
 
@@ -34,11 +34,17 @@ namespace txn {
 
 class CommitLedger {
  public:
-  /// `clock` is the shared commit clock; must outlive the ledger.
+  /// A ledger over a clock of its own, for several trees to share (each
+  /// tree's TsbOptions::external_clock points at clock()).
+  CommitLedger() : clock_(&own_clock_) {}
+  /// A one-member ledger over `clock` (a lone tree's); must outlive the
+  /// ledger.
   explicit CommitLedger(LogicalClock* clock);
 
   CommitLedger(const CommitLedger&) = delete;
   CommitLedger& operator=(const CommitLedger&) = delete;
+
+  LogicalClock* clock() const { return clock_; }
 
   /// Allocates the next commit timestamp and registers it in-flight —
   /// atomically with respect to every publish computation, so no commit
@@ -55,24 +61,22 @@ class CommitLedger {
 
   /// Retires `ts` as failed MID-stamp: some tree may carry a half-stamped
   /// record at `ts`, so the watermark is pinned below it until Unpoison
-  /// (degraded-mode repair purges the records first).
-  void PoisonCommit(Timestamp ts);
+  /// (degraded-mode repair purges the records first). Returns the pin:
+  /// the watermark cannot pass it while any timestamp stays poisoned.
+  Timestamp PoisonCommit(Timestamp ts);
 
   /// Lifts the pin for a repaired timestamp and republishes.
   void Unpoison(Timestamp ts);
-
-  /// The watermark the ledger would publish right now (tests/diagnostics).
-  Timestamp PublishableNow() const;
-
-  bool HasPoisoned() const;
 
  private:
   /// Computes the watermark under mu_ and publishes it (monotone CAS-max
   /// inside the clock, so stale recomputations are harmless).
   void PublishLocked();
 
+  /// Used only by the default constructor.
+  LogicalClock own_clock_;
   LogicalClock* const clock_;
-  mutable std::mutex mu_;
+  std::mutex mu_;
   std::set<Timestamp> inflight_;
   std::set<Timestamp> poisoned_;
   Timestamp completed_max_ = 0;

@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "common/logger.h"
-#include "txn/commit_ledger.h"
 
 namespace tsb {
 namespace txn {
@@ -162,44 +161,42 @@ Status TxnManager::CommitInternal(Transaction* txn, Timestamp* commit_ts,
     serial_fallback_commits_.fetch_add(1, std::memory_order_relaxed);
   }
   // One commit timestamp for the whole transaction (rollback-database
-  // semantics: records are stamped with transaction commit time). With a
-  // ledger, allocation goes through it so registration in the GLOBAL
-  // in-flight set is atomic with the tick; an externally allocated
-  // timestamp is already registered by the caller.
+  // semantics: records are stamped with transaction commit time). The
+  // ledger registers it in-flight atomically with the tick; an externally
+  // allocated timestamp is already registered by the caller.
   Timestamp ts;
   uint64_t wal_end_lsn = 0;
   {
     std::unique_lock<std::mutex> commit_lock(commit_mu_);
     commit_cv_.wait(commit_lock, [&] { return !frozen_; });
     if (gate_) TSB_RETURN_IF_ERROR(gate_());
-    ts = external_ts != 0 ? external_ts
-         : ledger_ != nullptr ? ledger_->TickCommit()
-                              : tree_->clock().Tick();
+    ts = external_ts != 0 ? external_ts : ledger_->TickCommit();
     if (wal_ != nullptr) {
-      // Log BEFORE entering inflight_: append order under commit_mu_ ==
-      // timestamp order, so replay reproduces the one serialization the
-      // watermark could have published. (Cross-shard slices may land out
-      // of global ts order in a SHARD's log, but per key the lock table
-      // serializes writers, so per-key order — all replay depends on —
-      // still holds.) An append failure aborts the commit before any
-      // stamp — the transaction stays active and abortable, nothing is
-      // torn, nothing to poison — but the log itself is sick: escalate.
+      // Log under the tick's commit_mu_: append order == timestamp order,
+      // so replay reproduces the one serialization the watermark could
+      // have published. (Cross-shard slices may land out of global ts
+      // order in a SHARD's log, but per key the lock table serializes
+      // writers, so per-key order — all replay depends on — still holds.)
+      // An append failure aborts the commit before any stamp — the
+      // transaction stays active and abortable, nothing is torn, nothing
+      // to poison — but the log itself is sick: escalate.
       Status append_status =
           wal_->AppendCommit(ts, txn->writes_, &wal_end_lsn);
       if (!append_status.ok()) {
         commit_lock.unlock();
-        if (external_ts == 0 && ledger_ != nullptr) ledger_->AbortCommit(ts);
+        if (external_ts == 0) ledger_->AbortCommit(ts);
         if (reporter_) reporter_("wal append", append_status);
         return append_status;
       }
       wal_appended_lsn_.store(wal_end_lsn, std::memory_order_release);
     }
-    inflight_.insert(ts);
+    ++inflight_;
   }
-  // Everything from here to the bookkeeping runs while `ts` is in
-  // inflight_: the watermark cannot publish past it, a time split (which
-  // caps its boundary at the PUBLISHED watermark) cannot out-run its
-  // stamps, and FreezeCommits waits for it.
+  // Everything from here to the bookkeeping runs while `ts` is in the
+  // ledger's in-flight set and counted in inflight_: the watermark cannot
+  // publish past it, a time split (which caps its boundary at the
+  // PUBLISHED watermark) cannot out-run its stamps, and FreezeCommits
+  // waits for it.
   //
   // Capture the previous committed versions for the hook BEFORE any
   // stamping — and only when a hook is installed (no secondary indexes =
@@ -235,47 +232,40 @@ Status TxnManager::CommitInternal(Transaction* txn, Timestamp* commit_ts,
                      txn->writes_[i].second, ts);
     }
   }
-  // Publication advances to the largest timestamp with no smaller commit
+  // The ledger publishes the largest timestamp with no smaller commit
   // still in flight — an ordered prefix — so a reader at the watermark
   // sees whole transactions (every key stamped, every secondary index
-  // maintained) or nothing (paper section 4.1).
-  Timestamp publish;
-  Timestamp cap;
+  // maintained) or nothing (paper section 4.1). A commit that failed
+  // mid-stamp may leave partial stamps behind, which must never become
+  // reader-visible: the ledger pins the watermark below its timestamp
+  // until degraded-mode Resume purges it; readers keep a consistent
+  // (older) view. The ledger retires `ts` under commit_mu_, so a
+  // freezer finds every drained commit already published or pinned.
+  Timestamp pin = 0;
   {
     std::lock_guard<std::mutex> commit_lock(commit_mu_);
-    inflight_.erase(ts);
-    if (frozen_ && inflight_.empty()) commit_cv_.notify_all();
-    if (!status.ok()) {
-      // A storage/hook error mid-commit may leave partial stamps behind.
-      // Those must never become reader-visible: poison the watermark so
-      // no later commit can publish past this torn timestamp. The
-      // database needs recovery (degraded-mode Resume purges the failed
-      // timestamp); readers keep a consistent (older) view.
-      if (publish_cap_ > ts - 1) publish_cap_ = ts - 1;
+    if (status.ok()) {
+      if (external_ts == 0) ledger_->EndCommit(ts);
+    } else {
+      if (external_ts == 0) pin = ledger_->PoisonCommit(ts);
       failed_commits_.push_back(ts);
-      if (external_ts != 0) failed_external_.insert(ts);
-    } else if (completed_max_ < ts) {
-      completed_max_ = ts;
+      if (external_ts != 0) failed_external_.push_back(ts);
     }
-    publish = inflight_.empty() ? completed_max_ : *inflight_.begin() - 1;
-    cap = publish_cap_;
-    if (publish > cap) publish = cap;
+    if (--inflight_ == 0 && frozen_) commit_cv_.notify_all();
   }
   if (!status.ok()) {
-    if (external_ts == 0 && ledger_ != nullptr) ledger_->PoisonCommit(ts);
-    TSB_LOG_ERROR("commit at t=%llu failed mid-stamp (%s); freezing the "
-                  "read watermark at t=%llu",
-                  (unsigned long long)ts, status.ToString().c_str(),
-                  (unsigned long long)cap);
+    if (external_ts == 0) {
+      TSB_LOG_ERROR("commit at t=%llu failed mid-stamp (%s); the read "
+                    "watermark is pinned at t=%llu until repair",
+                    (unsigned long long)ts, status.ToString().c_str(),
+                    (unsigned long long)pin);
+    } else {
+      TSB_LOG_ERROR("prepared commit at t=%llu failed mid-stamp (%s); its "
+                    "coordinator pins the read watermark below it",
+                    (unsigned long long)ts, status.ToString().c_str());
+    }
     if (reporter_) reporter_("commit", status);
     return status;
-  }
-  if (external_ts == 0) {
-    if (ledger_ != nullptr) {
-      ledger_->EndCommit(ts);  // global ordered prefix; publishes inside
-    } else {
-      tree_->clock().Publish(publish);  // monotone CAS-max inside
-    }
   }
   UnlockKeys(*txn);
   txn->active_ = false;
@@ -290,42 +280,34 @@ std::vector<Timestamp> TxnManager::failed_commits() {
 }
 
 void TxnManager::ResetAfterRepair() {
-  Timestamp publish;
   std::vector<Timestamp> own_failed;
   {
     std::lock_guard<std::mutex> lock(commit_mu_);
-    own_failed.reserve(failed_commits_.size());
     for (const Timestamp ts : failed_commits_) {
-      if (failed_external_.find(ts) == failed_external_.end()) {
+      if (std::find(failed_external_.begin(), failed_external_.end(), ts) ==
+          failed_external_.end()) {
         own_failed.push_back(ts);
       }
     }
     failed_commits_.clear();
     failed_external_.clear();
-    publish_cap_ = kMaxCommittedTs;
-    publish = completed_max_;
   }
-  if (ledger_ != nullptr) {
-    // The ledger owns the watermark. Lift only the pins THIS shard's own
-    // commits set; externally-coordinated failures stay pinned until the
-    // sharded facade has re-applied their decided slices (it unpoisons
-    // them itself afterwards).
-    for (const Timestamp ts : own_failed) ledger_->Unpoison(ts);
-    return;
-  }
-  // Monotone CAS-max inside: commits that completed after the poisoning
-  // (acked, durable, invisible under the cap) become readable here.
-  tree_->clock().Publish(publish);
+  // Lift only the pins this manager's own commits set: commits that
+  // completed after the poisoning (acked, durable, invisible under the
+  // pin) become readable here. Externally-coordinated failures stay
+  // pinned until the sharded facade has re-applied their decided slices
+  // (it unpoisons them itself afterwards).
+  for (const Timestamp ts : own_failed) ledger_->Unpoison(ts);
 }
 
 void TxnManager::FreezeCommits() {
   std::unique_lock<std::mutex> lock(commit_mu_);
-  // Block new commit starts first, then drain the in-flight set with
+  // Block new commit starts first, then drain the in-flight count with
   // commit_mu_ RELEASED inside the wait: finishing committers need the
   // mutex for their bookkeeping, so holding it through the drain would
   // deadlock.
   frozen_ = true;
-  commit_cv_.wait(lock, [&] { return inflight_.empty(); });
+  commit_cv_.wait(lock, [&] { return inflight_ == 0; });
 }
 
 void TxnManager::UnfreezeCommits() {

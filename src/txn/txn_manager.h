@@ -33,7 +33,6 @@
 #include <map>
 #include <memory>
 #include <mutex>
-#include <set>
 #include <span>
 #include <string>
 #include <vector>
@@ -45,6 +44,7 @@
 #include "tsb/cursor.h"
 #include "tsb/pinnable_value.h"
 #include "tsb/tsb_tree.h"
+#include "txn/commit_ledger.h"
 #include "txn/lock_table.h"
 #include "txn/write_batch.h"
 #include "wal/wal.h"
@@ -52,7 +52,6 @@
 namespace tsb {
 namespace txn {
 
-class CommitLedger;
 class TxnManager;
 
 /// An updater transaction. Obtain via TxnManager::Begin; finish with
@@ -158,9 +157,11 @@ class ReadTransaction {
 /// transaction ids and the active count are atomic, and
 /// BeginReadOnly is genuinely lock-free (one atomic clock load — paper
 /// section 4.1: readers never wait for updaters). Commits of different
-/// transactions stamp in parallel; only the timestamp tick and the
-/// watermark bookkeeping serialize — plus, with a commit hook, the whole
-/// commit (see SetCommitHook).
+/// transactions stamp in parallel; only the timestamp tick, the WAL
+/// append and the watermark bookkeeping serialize — plus, with a commit
+/// hook, the whole commit (see SetCommitHook). Commit timestamps come
+/// from, and the watermark is published by, the manager's CommitLedger
+/// (txn/commit_ledger.h).
 class TxnManager {
  public:
   /// Called once per committed key, after stamping, with the previous
@@ -170,7 +171,17 @@ class TxnManager {
       std::function<Status(const Slice& key, const Slice* old_value,
                            const Slice& new_value, Timestamp commit_ts)>;
 
-  explicit TxnManager(tsb_tree::TsbTree* tree) : tree_(tree) {}
+  /// A lone tree's manager: commits tick and publish through a
+  /// one-member ledger over the tree's clock.
+  explicit TxnManager(tsb_tree::TsbTree* tree)
+      : tree_(tree),
+        own_ledger_(std::make_unique<CommitLedger>(&tree->clock())),
+        ledger_(own_ledger_.get()) {}
+  /// A shard's manager: commits tick and publish through `ledger`, shared
+  /// by every shard and owning the clock their trees point into, so one
+  /// watermark spans them all. `ledger` must outlive the manager.
+  TxnManager(tsb_tree::TsbTree* tree, CommitLedger* ledger)
+      : tree_(tree), ledger_(ledger) {}
 
   /// Starts an updater transaction.
   Status Begin(std::unique_ptr<Transaction>* out);
@@ -242,15 +253,6 @@ class TxnManager {
       std::function<void(const std::string& context, const Status& s)>;
   void SetErrorReporter(ErrorReporter fn) { reporter_ = std::move(fn); }
 
-  /// Attaches the cross-shard commit ledger (sharded databases share one
-  /// clock across N trees; see txn/commit_ledger.h). With a ledger,
-  /// commit-timestamp allocation and watermark publication route through
-  /// it — this manager never publishes on its own — so one watermark
-  /// spans every shard. Install before concurrent use (the sharded
-  /// facade does, during Open). nullptr = standalone database.
-  void SetLedger(CommitLedger* ledger) { ledger_ = ledger; }
-  CommitLedger* ledger() const { return ledger_; }
-
   /// Commits `txn` at an EXTERNALLY allocated timestamp — the shard-side
   /// half of a cross-shard commit. The caller has already allocated `ts`
   /// on the shared clock, registered it in the ledger (pinning the
@@ -279,10 +281,11 @@ class TxnManager {
   std::vector<Timestamp> failed_commits();
 
   /// Post-repair reset, called by the DB's Resume with commits frozen and
-  /// the failed timestamps already purged: clears the failed list, lifts
-  /// the poisoned watermark, and publishes the completed maximum — acked
+  /// the failed timestamps already purged: clears the failed list and
+  /// lifts the ledger pins of this manager's own failed commits, so acked
   /// commits that finished AFTER the poisoning (durable but invisible
-  /// until now) become readable again.
+  /// until now) become readable again. Pins of failed CommitPrepared
+  /// timestamps stay until their caller unpoisons them.
   void ResetAfterRepair();
 
   /// Blocks NEW commits and waits until every in-flight commit finishes
@@ -311,8 +314,8 @@ class TxnManager {
   void UnlockKeys(const Transaction& txn);
   Status CommitTxn(Transaction* txn, Timestamp* commit_ts);
   /// Shared body of CommitTxn and CommitPrepared. `external_ts` == 0
-  /// means "allocate one here" (ledger or tree clock); nonzero means the
-  /// caller allocated, pins the watermark, and publishes.
+  /// means "tick one from the ledger here"; nonzero means the caller
+  /// allocated, pins the watermark, and publishes.
   Status CommitInternal(Transaction* txn, Timestamp* commit_ts,
                         Timestamp external_ts);
   Status AbortTxn(Transaction* txn);
@@ -328,7 +331,9 @@ class TxnManager {
   CommitHook hook_;
   CommitGate gate_;        // may be empty (no degraded-mode plumbing)
   ErrorReporter reporter_; // may be empty
-  CommitLedger* ledger_ = nullptr;  // may be null (standalone DB)
+  /// Set only for a lone tree's manager; ledger_ points at it then.
+  std::unique_ptr<CommitLedger> own_ledger_;
+  CommitLedger* const ledger_;
   std::atomic<uint64_t> serial_fallback_commits_{0};
   wal::Wal* wal_ = nullptr;
   /// Mirror of the live log's append offset, written only under
@@ -342,21 +347,18 @@ class TxnManager {
   // a commit hook is installed, so index maintenance applies in timestamp
   // order. Acquired before commit_mu_.
   std::mutex index_order_mu_;
-  // Serializes the tick + WAL append and the watermark bookkeeping around
-  // the stamping phase, which runs unlocked. Guards publish_cap_,
-  // inflight_ and completed_max_.
+  // Serializes the tick + WAL append (so log order is timestamp order)
+  // and the ledger retirement around the stamping phase, which runs
+  // unlocked. Guards frozen_, inflight_, failed_commits_ and
+  // failed_external_. Acquired before the ledger's mutex.
   std::mutex commit_mu_;
   /// Signals commit starts blocked by a freeze and the freezer's drain
   /// wait; guarded by commit_mu_.
   std::condition_variable commit_cv_;
   bool frozen_ = false;
-  Timestamp publish_cap_ = kMaxCommittedTs;
-  // Commit timestamps ticked but not yet fully stamped. The publishable
-  // watermark is the largest timestamp below every member: publishing an
-  // ordered prefix keeps the 4.1 guarantee (readers never see a torn or
-  // skipped commit) without serializing the stamping work itself.
-  std::set<Timestamp> inflight_;
-  Timestamp completed_max_ = 0;
+  /// Commits between their tick and their ledger retirement;
+  /// FreezeCommits waits for it to drain.
+  size_t inflight_ = 0;
   /// Ticked-then-failed commit timestamps awaiting purge; see
   /// failed_commits(). Guarded by commit_mu_.
   std::vector<Timestamp> failed_commits_;
@@ -365,7 +367,7 @@ class TxnManager {
   /// NOT lift their ledger pins — the cross-shard coordinator re-applies
   /// the decided slices first and unpoisons afterwards. Guarded by
   /// commit_mu_.
-  std::set<Timestamp> failed_external_;
+  std::vector<Timestamp> failed_external_;
   /// Transactions whose abort failed, with copies of their keys: still
   /// counted active, keys still locked, until FinishFailedAbort. Guarded
   /// by abort_mu_, which also serializes finishing them.

@@ -1,7 +1,7 @@
 // Transaction layer tests: commit-time stamping, atomic multi-key commits,
-// abort erase, write-write conflicts, and the paper's section 4.1 claim —
+// abort erase, write-write conflicts, the paper's section 4.1 claim —
 // read-only transactions see a consistent snapshot without locks while
-// updaters run.
+// updaters run — and the watermark pin a commit that fails mid-stamp sets.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -10,6 +10,7 @@
 #include "storage/mem_device.h"
 #include "storage/worm_device.h"
 #include "tsb/tree_check.h"
+#include "txn/commit_ledger.h"
 #include "txn/txn_manager.h"
 
 namespace tsb {
@@ -222,6 +223,111 @@ TEST_F(TxnTest, ManyTransactionsUnderSplits) {
   Status s = checker.Check();
   EXPECT_TRUE(s.ok()) << s.ToString();
   EXPECT_EQ(0u, mgr_->active_txns());
+}
+
+// A commit hook that fails every commit of key "bad" — after the keys are
+// stamped, so the failure is mid-stamp.
+Status FailBadKey(const Slice& key, const Slice*, const Slice&, Timestamp) {
+  return key == Slice("bad") ? Status::IOError("injected hook failure")
+                             : Status::OK();
+}
+
+/// Commits one transaction writing `key`; returns its status.
+Status CommitOne(TxnManager* mgr, const std::string& key,
+                 Timestamp* ts = nullptr) {
+  std::unique_ptr<Transaction> t;
+  TSB_RETURN_IF_ERROR(mgr->Begin(&t));
+  TSB_RETURN_IF_ERROR(t->Put(key, "v"));
+  return t->Commit(ts);
+}
+
+TEST_F(TxnTest, MidStampFailurePinsWatermarkUntilRepair) {
+  mgr_->SetCommitHook(FailBadKey);
+  Timestamp before = 0;
+  ASSERT_TRUE(CommitOne(mgr_.get(), "a", &before).ok());
+  EXPECT_EQ(before, tree_->VisibleNow());
+
+  EXPECT_FALSE(CommitOne(mgr_.get(), "bad").ok());
+  ASSERT_EQ(1u, mgr_->failed_commits().size());
+  const Timestamp ts_a = mgr_->failed_commits()[0];
+  EXPECT_GT(ts_a, before);
+
+  // A later commit on other keys succeeds, but the watermark stays below
+  // the torn timestamp.
+  Timestamp later = 0;
+  ASSERT_TRUE(CommitOne(mgr_.get(), "b", &later).ok());
+  EXPECT_GT(later, ts_a);
+  EXPECT_LT(tree_->VisibleNow(), ts_a);
+  std::string v;
+  EXPECT_TRUE(mgr_->BeginReadOnly().Get("b", &v).IsNotFound());
+
+  // Repair as the database's Resume does: purge, then lift the pin.
+  mgr_->FreezeCommits();
+  uint64_t purged = 0;
+  ASSERT_TRUE(tree_->PurgeCommittedAt(ts_a, &purged).ok());
+  EXPECT_EQ(1u, purged);
+  mgr_->ResetAfterRepair();
+  mgr_->UnfreezeCommits();
+  EXPECT_TRUE(mgr_->failed_commits().empty());
+  EXPECT_EQ(later, tree_->VisibleNow());
+  ASSERT_TRUE(mgr_->BeginReadOnly().Get("b", &v).ok());
+  EXPECT_TRUE(mgr_->BeginReadOnly().Get("bad", &v).IsNotFound());
+}
+
+TEST_F(TxnTest, MidStampFailurePinsSharedLedgerUntilRepair) {
+  // Two trees on one clock, two managers committing through one ledger:
+  // the shape of a sharded database.
+  CommitLedger ledger;
+  TsbOptions opts;
+  opts.page_size = 512;
+  opts.external_clock = ledger.clock();
+  MemDevice magnetic_a, magnetic_b;
+  WormDevice worm_a(512), worm_b(512);
+  std::unique_ptr<TsbTree> tree_a, tree_b;
+  ASSERT_TRUE(TsbTree::Open(&magnetic_a, &worm_a, opts, &tree_a).ok());
+  ASSERT_TRUE(TsbTree::Open(&magnetic_b, &worm_b, opts, &tree_b).ok());
+  TxnManager mgr_a(tree_a.get(), &ledger);
+  TxnManager mgr_b(tree_b.get(), &ledger);
+  mgr_a.SetCommitHook(FailBadKey);
+  mgr_b.SetCommitHook(FailBadKey);
+  LogicalClock* clock = ledger.clock();
+
+  // A failure on one manager pins the other manager's publishes.
+  EXPECT_FALSE(CommitOne(&mgr_a, "bad").ok());
+  ASSERT_EQ(1u, mgr_a.failed_commits().size());
+  const Timestamp ts_a = mgr_a.failed_commits()[0];
+  Timestamp on_b = 0;
+  ASSERT_TRUE(CommitOne(&mgr_b, "x", &on_b).ok());
+  EXPECT_GT(on_b, ts_a);
+  EXPECT_LT(clock->Visible(), ts_a);
+  mgr_a.FreezeCommits();
+  uint64_t purged = 0;
+  ASSERT_TRUE(tree_a->PurgeCommittedAt(ts_a, &purged).ok());
+  mgr_a.ResetAfterRepair();
+  mgr_a.UnfreezeCommits();
+  EXPECT_EQ(on_b, clock->Visible());
+
+  // A failed CommitPrepared at an external timestamp stays pinned through
+  // the manager's repair: its caller lifts the pin.
+  const Timestamp ts_e = ledger.TickCommit();
+  std::unique_ptr<Transaction> t;
+  ASSERT_TRUE(mgr_b.Begin(&t).ok());
+  ASSERT_TRUE(t->Put("bad", "v").ok());
+  EXPECT_FALSE(mgr_b.CommitPrepared(t.get(), ts_e).ok());
+  EXPECT_EQ(ts_e - 1, ledger.PoisonCommit(ts_e));
+  Timestamp on_a = 0;
+  ASSERT_TRUE(CommitOne(&mgr_a, "y", &on_a).ok());
+  EXPECT_GT(on_a, ts_e);
+  EXPECT_EQ(ts_e - 1, clock->Visible());
+  ASSERT_EQ(std::vector<Timestamp>{ts_e}, mgr_b.failed_commits());
+  mgr_b.FreezeCommits();
+  ASSERT_TRUE(tree_b->PurgeCommittedAt(ts_e, &purged).ok());
+  mgr_b.ResetAfterRepair();
+  mgr_b.UnfreezeCommits();
+  EXPECT_TRUE(mgr_b.failed_commits().empty());
+  EXPECT_EQ(ts_e - 1, clock->Visible());
+  ledger.Unpoison(ts_e);
+  EXPECT_EQ(on_a, clock->Visible());
 }
 
 }  // namespace
