@@ -43,7 +43,6 @@ class Slice {
   }
 
   std::string ToString() const { return std::string(data_, size_); }
-  std::string_view ToStringView() const { return std::string_view(data_, size_); }
 
   /// Three-way unsigned lexicographic comparison: <0, 0, >0.
   int compare(const Slice& b) const;

@@ -170,7 +170,8 @@ Status BufferPool::PinFrame(uint32_t id, Frame** out) {
       // pinned + marked loading; concurrent fetchers of the same page pin
       // it and wait on the flag. Deliberately NOT a latch handoff: taking
       // the page latch while holding the shard mutex would order mu ->
-      // latch, the inverse of Unpin during latch-coupled descents.
+      // latch, the inverse of a tree descent, which unpins the leaf's
+      // parent while it holds the leaf's latch.
       f->loading.store(true, std::memory_order_release);
       load_here = true;
     }

@@ -54,13 +54,6 @@ enum class FaultKind : uint8_t {
   kLostWrite = 6,        ///< write is dropped entirely, still acked
 };
 
-/// True for the kinds that ack the op and corrupt silently (they never map
-/// to a Status — ToStatus on them is a programming error).
-inline bool IsSilentFault(FaultKind kind) {
-  return kind == FaultKind::kBitFlip || kind == FaultKind::kMisdirectedWrite ||
-         kind == FaultKind::kLostWrite;
-}
-
 /// One armed fault: trip on the `nth` (1-based) operation of class `op`
 /// counted from when the fault was armed; sticky faults keep tripping on
 /// every later matching op until the plan is cleared.

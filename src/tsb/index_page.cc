@@ -71,7 +71,7 @@ bool DecodeIndexCellView(const Slice& cell, IndexEntryView* e) {
 bool DecodeIndexCell(const Slice& cell, IndexEntry* e) {
   IndexEntryView v;
   if (!DecodeIndexCellView(cell, &v)) return false;
-  *e = v.ToOwned();
+  v.CopyTo(e);
   return true;
 }
 

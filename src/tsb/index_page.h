@@ -105,15 +105,20 @@ struct IndexEntryView {
     return ContainsKey(k) && ContainsTime(t);
   }
 
+  /// Copies the entry into `e`, reusing its string buffers.
+  void CopyTo(IndexEntry* e) const {
+    e->key_lo.assign(key_lo.data(), key_lo.size());
+    e->key_hi.assign(key_hi.data(), key_hi.size());
+    e->key_hi_inf = key_hi_inf;
+    e->t_lo = t_lo;
+    e->t_hi = t_hi;
+    e->child = child;
+    e->min_ts = min_ts;
+  }
+
   IndexEntry ToOwned() const {
     IndexEntry e;
-    e.key_lo = key_lo.ToString();
-    e.key_hi = key_hi.ToString();
-    e.key_hi_inf = key_hi_inf;
-    e.t_lo = t_lo;
-    e.t_hi = t_hi;
-    e.child = child;
-    e.min_ts = min_ts;
+    CopyTo(&e);
     return e;
   }
 };

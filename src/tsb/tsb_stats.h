@@ -36,9 +36,11 @@ struct TsbCounters {
   /// this grows with leaves touched, not keys stamped.
   std::atomic<uint64_t> stamp_descents{0};
   std::atomic<uint64_t> erases{0}; ///< uncommitted records erased (aborts)
-  /// Writer descents (LatchLeaf calls) of every kind: inserts, stamps,
-  /// erases. A split works on the leaf its insert already latched, so a
-  /// batch's insert phase costs at most leaves touched plus splits.
+  /// Writer descents (TsbTree::Descend with an exclusive leaf latch) of
+  /// every kind: inserts, stamps, erases. Reads and index splits share the
+  /// routine but count neither here nor in the olc_ counters. A split
+  /// works on the leaf its insert already latched, so a batch's insert
+  /// phase costs at most leaves touched plus splits.
   std::atomic<uint64_t> writer_descents{0};
 
   std::atomic<uint64_t> data_key_splits{0};
@@ -62,11 +64,12 @@ struct TsbCounters {
   /// and local-time-split straddlers).
   std::atomic<uint64_t> redundant_index_copies{0};
 
-  /// Optimistic-latch-coupling writer descents that restarted from the
-  /// root because another writer changed the structure underneath them.
+  /// Restarts from the root of writer descents, because another writer
+  /// changed the structure underneath them.
   std::atomic<uint64_t> olc_restarts{0};
-  /// Descents that resolved a concurrent key split by stepping laterally
-  /// to the just-split page's right sibling instead of restarting.
+  /// Writer descents that resolved a concurrent key split by stepping
+  /// laterally to the just-split page's right sibling instead of
+  /// restarting.
   std::atomic<uint64_t> olc_sidesteps{0};
   /// Acquisitions of the tree-global structure mutex. Only index splits
   /// and root growth take it, so a one-writer load keeps this at or below

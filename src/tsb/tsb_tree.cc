@@ -343,243 +343,157 @@ Status TsbTree::PurgeRecordsRec(
 
 // ---------------------------------------------------------------- descent
 
-Status TsbTree::DescendCurrent(const Slice& key, std::vector<PathElem>* path) {
-  path->clear();
-  uint32_t id = root_.load(std::memory_order_acquire);
-  for (;;) {
-    PageHandle h;
-    // Shared latch per page: under structure_mu_ only the pages at level 2
-    // and above are stable; data splits still rewrite level-1 pages and
-    // writers still mutate leaves.
-    TSB_RETURN_IF_ERROR(pool_->FetchShared(id, &h));
-    if (TsbPageLevel(h.data()) == 0) {
-      path->push_back(PathElem{id, -1});
-      return Status::OK();
-    }
-    IndexPageRef page(h.data(), options_.page_size);
-    const int idx = page.FindContaining(key, kUncommittedTs);
-    if (idx < 0) {
-      return Status::Corruption("current axis not covered",
-                                "page " + std::to_string(id));
-    }
-    IndexEntry e;
-    TSB_RETURN_IF_ERROR(page.At(idx, &e));
-    if (e.child.historical) {
-      return Status::Corruption("current axis routed to historical node");
-    }
-    path->push_back(PathElem{id, idx});
-    id = e.child.page_id;
-  }
-}
-
-// Optimistic latch-coupled writer descent. At most ONE page latch is held at
-// any moment: internal pages are read under a brief shared latch, their routing
-// entry copied out, and only the pin (not the latch) carried to the next level;
-// after latching the child, the parent's mutation counter is revalidated — a
-// change means the routing entry may be stale, so the descent restarts from the
-// root (counters_.olc_restarts). The target leaf is latched exclusively
-// (TryUpgrade, falling back to a blocking exclusive fetch). If the parent
+// The one descent, by optimistic latch coupling. At most ONE page latch is
+// held at any moment: an index page is read under a brief shared latch, its
+// routing entry viewed and only the pin (not the latch) carried to the next
+// level; after latching the child, the parent's version is revalidated. A
+// changed version means the routing entry may be stale, so the descent
+// restarts from the root (counters_.olc_restarts). The root is validated
+// against root_ after it is latched: any restructure of the old root goes
+// through GrowRoot first. A leaf is latched in `mode`; exclusive goes through
+// TryUpgrade, falling back to a blocking exclusive fetch. If the parent
 // changed while the leaf latch was being acquired, the descent first tries to
-// resolve locally: a concurrent key split leaves the shed upper range reachable
-// through the leaf's B-link right sibling, so the parent entry is re-read and a
-// lateral step (counters_.olc_sidesteps) replaces a full restart. The leaf
-// latch is always RELEASED before relatching the parent — a splitter holds
-// parent-exclusive while waiting for leaf-exclusive, so holding the leaf while
-// waiting on the parent would deadlock. On success `*leaf` holds the exclusive
-// latch and `*pe` the parent's routing entry (identity rectangle when the root
-// is the leaf), valid as of a moment at which the leaf latch was already held.
-Status TsbTree::LatchLeaf(const Slice& key, PageHandle* leaf,
-                          IndexEntry* pe, uint32_t* parent_id) {
+// resolve locally: a concurrent key split leaves the shed upper range
+// reachable through the leaf's B-link right sibling, so the parent entry is
+// re-read and a lateral step (counters_.olc_sidesteps) replaces a full
+// restart. The leaf latch is always RELEASED before relatching the parent —
+// a splitter holds parent-exclusive while waiting for leaf-exclusive, so
+// holding the leaf while waiting on the parent would deadlock.
+Status TsbTree::Descend(const Slice& key, Timestamp t, LatchMode mode,
+                        PageHandle* leaf, const DescentOut& out) {
   constexpr int kMaxOlcRestarts = 64;
   constexpr int kMaxSideSteps = 4;
-  counters_.writer_descents++;
+  const bool writer = mode == LatchMode::kExclusive;
+  if (writer) counters_.writer_descents++;
   for (int restart = 0; restart < kMaxOlcRestarts; ++restart) {
-    if (restart > 0) counters_.olc_restarts++;
-    PageHandle parent_h;  // pinned, UNLATCHED between levels
+    if (writer && restart > 0) counters_.olc_restarts++;
+    if (out.path != nullptr) out.path->clear();
+    PageHandle parent;  // pinned, UNLATCHED between levels
     uint64_t parent_ver = 0;
-    bool have_parent = false;
-    pe->key_lo.clear();
-    pe->key_hi.clear();
-    pe->key_hi_inf = true;
-    pe->t_lo = kMinTimestamp;
-    pe->t_hi = kInfiniteTs;
-    pe->child = NodeRef::Current(root_.load(std::memory_order_acquire));
-
-    uint32_t id = pe->child.page_id;
-    bool at_root = true;
-    bool restart_descent = false;
-    while (!restart_descent) {
-      PageHandle h;
-      TSB_RETURN_IF_ERROR(pool_->FetchShared(id, &h));
-      if (at_root) {
-        // Post-latch root validation, same as the reader descent.
+    uint32_t id = root_.load(std::memory_order_acquire);
+    for (;;) {
+      TSB_RETURN_IF_ERROR(pool_->FetchShared(id, leaf));
+      if (!parent.valid()) {
         const uint32_t cur_root = root_.load(std::memory_order_acquire);
         if (cur_root != id) {
-          h.Release();
+          leaf->Release();
           id = cur_root;
-          pe->child = NodeRef::Current(id);
           continue;
         }
-        at_root = false;
-      } else if (parent_h.version() != parent_ver) {
-        // Parent mutated between copying its entry and latching the child:
-        // the child id itself may be stale. Start over.
-        h.Release();
-        restart_descent = true;
-        break;
+      } else if (parent.version() != parent_ver) {
+        break;  // the routing entry may be stale: restart
       }
-      if (TsbPageLevel(h.data()) != 0) {
-        // Internal page: copy the routing entry and the mutation counter
-        // under the shared latch, then carry only the pin downward.
-        IndexPageRef page(h.data(), options_.page_size);
-        const int idx = page.FindContaining(key, kUncommittedTs);
+      if (TsbPageLevel(leaf->data()) != 0) {
+        IndexPageRef page(leaf->data(), options_.page_size);
+        const int idx = page.FindContaining(key, t);
         if (idx < 0) {
-          // Transiently possible mid-restructure; never permanent.
-          h.Release();
-          restart_descent = true;
-          break;
+          if (t != kUncommittedTs) {
+            return Status::NotFound("time precedes database");
+          }
+          break;  // the current axis is always covered, so transient
         }
-        IndexEntry e;
-        TSB_RETURN_IF_ERROR(page.At(idx, &e));
+        // View decode: the walk copies nothing but the POD child ref,
+        // and the parent entry only from the level-1 page.
+        IndexEntryView e;
+        TSB_RETURN_IF_ERROR(page.AtView(idx, &e));
         if (e.child.historical) {
-          return Status::Corruption("current axis routed to historical node");
+          if (t == kUncommittedTs) {
+            return Status::Corruption("current axis routed to historical node");
+          }
+          assert(out.hist != nullptr);
+          *out.hist = e.child.addr;
+          leaf->Release();
+          return Status::OK();
         }
-        const uint64_t ver = h.version();
-        h.Unlatch();  // the pin survives; eviction stays blocked
-        parent_h = std::move(h);
-        parent_ver = ver;
-        have_parent = true;
-        *pe = e;
+        if (out.pe != nullptr && page.Level() == 1) e.CopyTo(out.pe);
+        if (out.path != nullptr) out.path->push_back(PathElem{id, idx});
+        parent_ver = leaf->version();
+        leaf->Unlatch();  // the pin survives; eviction stays blocked
+        parent = std::move(*leaf);
         id = e.child.page_id;
         continue;
       }
-      // Leaf: upgrade to exclusive without blocking; on contention fall
-      // back to a blocking exclusive fetch (we hold no other latch, so
-      // blocking here cannot deadlock).
-      if (!h.TryUpgrade()) {
-        h.Release();
-        TSB_RETURN_IF_ERROR(pool_->FetchExclusive(id, &h));
+      // Leaf. Upgrading cannot deadlock: no other latch is held.
+      if (writer && !leaf->TryUpgrade()) {
+        leaf->Release();
+        TSB_RETURN_IF_ERROR(pool_->FetchExclusive(id, leaf));
       }
-      if (!have_parent) {
+      if (!parent.valid()) {
         // Root leaf: valid iff still the root (a concurrent split moves
         // keys to a sibling reachable only through a new root).
-        if (root_.load(std::memory_order_acquire) != id) {
-          h.Release();
-          restart_descent = true;
-          break;
-        }
-        if (parent_id != nullptr) *parent_id = kInvalidPageId;
-        *leaf = std::move(h);
-        return Status::OK();
-      }
-      if (parent_id != nullptr) *parent_id = parent_h.id();
-      if (parent_h.version() == parent_ver) {
-        *leaf = std::move(h);
-        return Status::OK();
-      }
-      // The parent changed while the leaf latch was being acquired.
-      // Resolve locally: re-read the parent's routing entry; if it now
-      // points at this leaf's right sibling, the key moved in a concurrent
-      // key split — step laterally instead of restarting.
-      for (int step = 0; step < kMaxSideSteps; ++step) {
-        const uint32_t sibling = PageSibling(h.data());
-        h.Release();  // ALWAYS before relatching the parent (lock order)
-        parent_h.LatchShared();
-        IndexPageRef parent(parent_h.data(), options_.page_size);
-        const int idx = parent.FindContaining(key, kUncommittedTs);
-        IndexEntry cand;
-        Status ps = idx >= 0 ? parent.At(idx, &cand) : Status::OK();
-        parent_ver = parent_h.version();
-        parent_h.Unlatch();
-        TSB_RETURN_IF_ERROR(ps);
-        if (idx < 0 || cand.child.historical) break;  // parent restructured
-        const uint32_t target = cand.child.page_id;
-        if (target != id && target != sibling) break;  // non-local change
-        if (target == sibling) counters_.olc_sidesteps++;
-        id = target;
-        *pe = cand;
-        TSB_RETURN_IF_ERROR(pool_->FetchExclusive(id, &h));
-        if (parent_h.version() == parent_ver) {
-          *leaf = std::move(h);
-          return Status::OK();
+        if (root_.load(std::memory_order_acquire) != id) break;
+        if (out.pe != nullptr) {
+          *out.pe = IndexEntry();
+          out.pe->key_hi_inf = true;
+          out.pe->child = NodeRef::Current(id);
         }
       }
-      h.Release();
-      restart_descent = true;
+      for (int step = 0; parent.valid() && parent.version() != parent_ver;
+           ++step) {
+        // The parent changed while the leaf latch was being acquired: if
+        // its entry for the point now names this leaf's right sibling, the
+        // key moved in a concurrent key split — step laterally.
+        const uint32_t sibling = PageSibling(leaf->data());
+        leaf->Release();  // ALWAYS before relatching the parent (lock order)
+        if (step == kMaxSideSteps) break;
+        parent.LatchShared();
+        IndexPageRef page(parent.data(), options_.page_size);
+        const int idx = page.FindContaining(key, t);
+        IndexEntryView cand;
+        if (idx >= 0) TSB_RETURN_IF_ERROR(page.AtView(idx, &cand));
+        const bool local = idx >= 0 && !cand.child.historical &&
+                           (cand.child.page_id == id ||
+                            cand.child.page_id == sibling);
+        if (local) {
+          if (out.pe != nullptr) cand.CopyTo(out.pe);
+          if (out.path != nullptr) out.path->back().entry_idx = idx;
+          if (writer && cand.child.page_id == sibling) {
+            counters_.olc_sidesteps++;
+          }
+          id = cand.child.page_id;
+        }
+        parent_ver = parent.version();
+        parent.Unlatch();
+        if (!local) break;  // parent restructured: restart
+        TSB_RETURN_IF_ERROR(writer ? pool_->FetchExclusive(id, leaf)
+                                   : pool_->FetchShared(id, leaf));
+      }
+      if (!leaf->valid()) break;
+      if (out.parent_id != nullptr) {
+        *out.parent_id = parent.valid() ? parent.id() : kInvalidPageId;
+      }
+      if (out.path != nullptr) out.path->push_back(PathElem{id, -1});
+      return Status::OK();
     }
+    leaf->Release();
   }
-  return Status::Busy("writer descent did not converge");
+  return Status::Busy("descent did not converge");
 }
 
 Status TsbTree::SearchPoint(const Slice& key, Timestamp t, TxnId txn,
                             const BlobReadHints& hints,
                             const PointSink& sink) {
-  // Phase 1: walk current pages until the point leaves the magnetic disk.
-  // Latch coupling: each child's shared latch is acquired before the
-  // parent's is released, so the (parent entry, child content) pair is
-  // always from one structural state — the writer holds both exclusive
-  // latches while it restructures.
-  PageHandle parent_h;
-  uint32_t id = root_.load(std::memory_order_acquire);
-  bool at_root = true;
-  for (;;) {
-    PageHandle h;
-    TSB_RETURN_IF_ERROR(pool_->FetchShared(id, &h));
-    if (at_root) {
-      // Validate the root AFTER latching it: any restructure of the old
-      // root goes through GrowRoot first, so a stale root pointer always
-      // shows up as root_ having moved. Once the check passes the page is
-      // the live root and latch coupling covers the rest of the descent.
-      const uint32_t cur_root = root_.load(std::memory_order_acquire);
-      if (cur_root != id) {
-        h.Release();
-        id = cur_root;
-        continue;
-      }
-      at_root = false;
-    }
-    parent_h.Release();
-    if (TsbPageLevel(h.data()) == 0) {
-      DataPageRef page(h.data(), options_.page_size);
-      int pos;
-      if (txn != kNoTxn) {
-        pos = page.FindUncommitted(key, txn);
-      } else {
-        pos = page.FindVersion(key, t);
-      }
-      if (pos < 0) return Status::NotFound("no version at time");
-      DataEntryView v;
-      TSB_RETURN_IF_ERROR(page.At(pos, &v));
-      // Current pages are mutable: the value must leave the page before
-      // the latch drops. A pinned sink copies into its reused buffer (no
-      // allocation once the capacity is warm), never into a pin.
-      if (sink.pinned != nullptr) {
-        sink.pinned->SetCopied(v.value, v.ts);
-      } else {
-        sink.value->assign(v.value.data(), v.value.size());
-      }
-      if (sink.ts != nullptr) *sink.ts = v.ts;
-      return Status::OK();
-    }
-    IndexPageRef page(h.data(), options_.page_size);
-    const int idx = page.FindContaining(key, t);
-    if (idx < 0) return Status::NotFound("time precedes database");
-    // View decode: only the POD child ref is copied out of the latched
-    // page, so the whole descent performs no per-level heap allocation.
-    IndexEntryView e;
-    TSB_RETURN_IF_ERROR(page.AtView(idx, &e));
-    if (!e.child.historical) {
-      id = e.child.page_id;
-      parent_h = std::move(h);  // hold the latch until the child is latched
-      continue;
-    }
-    // Phase 2: continue inside the historical store; historical index
-    // nodes reference only historical children. Blobs are immutable, so
-    // no latches are needed past this point.
-    const HistAddr addr = e.child.addr;
-    h.Release();
-    return SearchHistPoint(addr, key, t, hints, sink);
+  PageHandle h;
+  HistAddr addr;
+  TSB_RETURN_IF_ERROR(
+      Descend(key, t, LatchMode::kShared, &h, {.hist = &addr}));
+  if (!h.valid()) return SearchHistPoint(addr, key, t, hints, sink);
+  DataPageRef page(h.data(), options_.page_size);
+  const int pos = txn != kNoTxn ? page.FindUncommitted(key, txn)
+                                : page.FindVersion(key, t);
+  if (pos < 0) return Status::NotFound("no version at time");
+  DataEntryView v;
+  TSB_RETURN_IF_ERROR(page.At(pos, &v));
+  // Current pages are mutable: the value must leave the page before the
+  // latch drops. A pinned sink copies into its reused buffer (no
+  // allocation once the capacity is warm), never into a pin.
+  if (sink.pinned != nullptr) {
+    sink.pinned->SetCopied(v.value, v.ts);
+  } else {
+    sink.value->assign(v.value.data(), v.value.size());
   }
+  if (sink.ts != nullptr) *sink.ts = v.ts;
+  return Status::OK();
 }
 
 Status TsbTree::SearchHistPoint(HistAddr addr, const Slice& key, Timestamp t,
@@ -726,7 +640,9 @@ Status TsbTree::InsertRecords(std::span<const KeyValue> kvs, Timestamp ts,
     PageHandle h;
     IndexEntry pe;
     uint32_t parent_id = kInvalidPageId;
-    TSB_RETURN_IF_ERROR(LatchLeaf(kvs[i].first, &h, &pe, &parent_id));
+    TSB_RETURN_IF_ERROR(Descend(kvs[i].first, kUncommittedTs,
+                                LatchMode::kExclusive, &h,
+                                {.pe = &pe, .parent_id = &parent_id}));
     if (uncommitted) counters_.put_descents++;
     // Region lower time bound: committed inserts must not predate it.
     if (!uncommitted && ts < pe.t_lo) {
@@ -802,7 +718,8 @@ Status TsbTree::StampCommittedBatch(std::span<const KeyValue> kvs, TxnId txn,
     assert(i == 0 || kvs[i - 1].first < kvs[i].first);  // sorted + distinct
     PageHandle h;
     IndexEntry pe;
-    TSB_RETURN_IF_ERROR(LatchLeaf(kvs[i].first, &h, &pe));
+    TSB_RETURN_IF_ERROR(Descend(kvs[i].first, kUncommittedTs,
+                                LatchMode::kExclusive, &h, {.pe = &pe}));
     // Defense in depth: stamping below the region's time-split boundary
     // would make the version unreachable for as-of reads (the region
     // [t_lo, inf) no longer covers it). Commits can never legally hit this
@@ -844,7 +761,8 @@ Status TsbTree::EraseUncommitted(const Slice& key, TxnId txn) {
   WriterGuard wl(this);
   PageHandle h;
   IndexEntry pe;
-  TSB_RETURN_IF_ERROR(LatchLeaf(key, &h, &pe));
+  TSB_RETURN_IF_ERROR(
+      Descend(key, kUncommittedTs, LatchMode::kExclusive, &h, {.pe = &pe}));
   DataPageRef page(h.data(), options_.page_size);
   const int pos = page.FindUncommitted(key, txn);
   if (pos < 0) return Status::NotFound("no uncommitted version for txn");
@@ -1102,10 +1020,10 @@ Status TsbTree::SplitForInsert(PageHandle leaf, const IndexEntry& pe,
   DataSplitPlan plan;
   TSB_RETURN_IF_ERROR(PlanDataSplit(entries, pe, key, next, &plan));
 
-  // Install under the parent and leaf exclusive latches, taken top-down
-  // as readers couple, so no reader pairs a stale parent entry with the
-  // rewritten leaf. Every check comes before the first write, so a retry
-  // leaves nothing behind.
+  // Install under the parent and leaf exclusive latches, taken top-down,
+  // marking both dirty: a descent that latched the leaf before this
+  // install sees the parent's version move and re-reads its entry. Every
+  // check comes before the first write, so a retry leaves nothing behind.
   PageHandle parent_h;
   TSB_RETURN_IF_ERROR(pool_->FetchExclusive(parent_id, &parent_h));
   IndexPageRef parent(parent_h.data(), options_.page_size);
@@ -1170,7 +1088,11 @@ Status TsbTree::GrowIndexFor(const Slice& key, uint32_t need) {
   std::lock_guard<std::mutex> sl(structure_mu_);
   counters_.structure_locks++;
   std::vector<PathElem> path;
-  TSB_RETURN_IF_ERROR(DescendCurrent(key, &path));
+  {
+    PageHandle leaf;
+    TSB_RETURN_IF_ERROR(Descend(key, kUncommittedTs, LatchMode::kShared,
+                                &leaf, {.path = &path}));
+  }
   if (path.size() == 1) return GrowRoot();
   bool changed = false;
   return EnsureIndexRoom(path, path.size() - 2, need, &changed);
@@ -1413,10 +1335,10 @@ Status TsbTree::TimeSplitIndexPage(const std::vector<PathElem>& path,
   for (const IndexEntry& e : entries) {
     if (e.t_hi > split_t) keep.push_back(e);
   }
-  // Rewrite the node and repoint the parent under both exclusive latches
-  // (top-down order, matching reader latch coupling). The node is
-  // appended only once the page's version proves the decode current, so
-  // a retry leaves no unreferenced blob behind.
+  // Rewrite the node and repoint the parent under both exclusive latches,
+  // taken top-down and both marked dirty, so every descent revalidates.
+  // The node is appended only once the page's version proves the decode
+  // current, so a retry leaves no unreferenced blob behind.
   {
     PageHandle parent_h;
     TSB_RETURN_IF_ERROR(

@@ -112,16 +112,22 @@ struct DecodedNode {
 ///                                   plus each key's versions (NextVersion)
 ///
 /// Thread model (paper section 4.1 extended with optimistic latch
-/// coupling on the write path):
+/// coupling):
+///  - Every point read, writer and index split reaches its leaf through
+///    one descent (Descend): a brief shared latch per index page, the
+///    parent's PageHandle::version revalidated after each child latch,
+///    and only the leaf latched for the caller — shared for reads,
+///    exclusive for writers. Every structural change marks the parent and
+///    the child dirty under both exclusive latches, so a child checked
+///    against its parent's unchanged version belongs to one structural
+///    state: no reader or writer pairs a parent entry with a child page
+///    from a different one. A descent that loses a race side-steps along
+///    the leaf's B-link sibling pointer (concurrent key split) or
+///    restarts from the root.
 ///  - Mutators hold the writer mutex SHARED, so N writer threads proceed
 ///    in parallel; with one writer this is the paper's single-updater
-///    model. They descend with optimistic latch coupling — brief shared
-///    latch per internal page, PageHandle::version validation after each
-///    child latch, exclusive latch only on the target leaf. A descent
-///    that loses a race side-steps along the leaf's B-link sibling
-///    pointer (concurrent key split) or restarts from the root.
-///    A data split (key or time) takes page latches only: it works on
-///    the leaf its insert already latched (no second descent), copies it
+///    model. A data split (key or time) takes page latches only: it works
+///    on the leaf its insert already latched (no second descent), copies it
 ///    once into a private page-sized buffer, plans over views into that
 ///    copy outside every latch, and installs under the parent and leaf
 ///    exclusive latches after the leaf's version proves the plan current.
@@ -133,13 +139,9 @@ struct DecodedNode {
 ///    either direct Put calls or TxnManager commits, not both interleaved
 ///    (the commit watermark ordering assumes it allocates the timestamps
 ///    it publishes).
-///  - Read entry points never take the writer mutex. Point reads descend
-///    the current pages with latch coupling: the child's shared frame
-///    latch is acquired before the parent's is dropped, and every
-///    structural change holds the parent and child exclusive latches
-///    simultaneously, so a reader can never observe a parent entry and a
-///    child page from different structural states. Historical nodes are
-///    immutable blobs and need no latches.
+///  - Read entry points never take the writer mutex. A point read at a
+///    past time leaves the descent at its first historical child:
+///    historical nodes are immutable blobs and need no latches.
 ///  - Scans go through VersionCursor, the one scan protocol: it keeps
 ///    pinned frames and revalidates per-page mutation counters,
 ///    re-seeking past a page a split rewrote underneath it; as-of-T
@@ -347,24 +349,31 @@ class TsbTree {
     int entry_idx;  // entry followed in THIS page to reach the child (-1 leaf)
   };
 
-  /// Descends the current axis (T = kUncommittedTs) to the leaf for `key`,
-  /// reading every page under a brief shared latch. Index-split only: the
-  /// caller holds structure_mu_, so the pages at level 2 and above and the
-  /// root are stable; level-1 pages still take data-split installs and
-  /// leaves still take inserts, so the level-1 entry_idx may go stale and
-  /// every page the caller rewrites is re-validated by version.
-  Status DescendCurrent(const Slice& key, std::vector<PathElem>* path);
+  /// Optional outputs of Descend: each non-null member is filled.
+  struct DescentOut {
+    /// The leaf's parent entry (identity rectangle for a root leaf),
+    /// copied from the level-1 page and current while the leaf is latched.
+    IndexEntry* pe = nullptr;
+    /// The page holding `pe` (kInvalidPageId for a root leaf).
+    uint32_t* parent_id = nullptr;
+    /// (page, entry followed) per level from the root, the leaf last.
+    std::vector<PathElem>* path = nullptr;
+    /// Where a read at a past `t` stops when the point's child is
+    /// historical; `*leaf` is then left empty.
+    HistAddr* hist = nullptr;
+  };
 
-  /// The writer descent (optimistic latch coupling): descends to the leaf
-  /// for `key` under brief shared latches with per-page version
-  /// validation, and returns the leaf EXCLUSIVELY latched plus the parent
-  /// entry (`pe`, identity rectangle when the leaf is the root) captured
-  /// consistently with the leaf. `parent_id`, when non-null, receives the
-  /// page holding `pe` (kInvalidPageId when the leaf is the root). Lost
-  /// races side-step via the B-link sibling or restart from the root
-  /// (bounded).
-  Status LatchLeaf(const Slice& key, PageHandle* leaf, IndexEntry* pe,
-                   uint32_t* parent_id = nullptr);
+  /// The one descent from root_ to the leaf holding (`key`, `t`) — point
+  /// reads, writers and index splits alike; writers and index splits pass
+  /// t = kUncommittedTs, for which a historical child is Corruption.
+  /// Optimistic latch coupling: index pages are read under brief shared
+  /// latches and each child is validated against its parent's version;
+  /// `*leaf` comes back latched in `mode`. Lost races side-step along the
+  /// B-link sibling or restart from the root, at most 64 times (then
+  /// Busy). Only exclusive descents count in writer_descents, olc_restarts
+  /// and olc_sidesteps.
+  Status Descend(const Slice& key, Timestamp t, LatchMode mode,
+                 PageHandle* leaf, const DescentOut& out);
 
   /// Where a point lookup delivers its result: exactly one of `value`
   /// (copying) or `pinned` (zero-copy blob view) is non-null.
@@ -375,7 +384,7 @@ class TsbTree {
   };
 
   /// Point lookup for (key, t); t <= kUncommittedTs. Fills the sink.
-  /// Lock-free for callers: descends with shared latch coupling.
+  /// Takes no tree lock: one Descend with a shared leaf latch.
   Status SearchPoint(const Slice& key, Timestamp t, TxnId txn,
                      const BlobReadHints& hints, const PointSink& sink);
 
@@ -415,7 +424,7 @@ class TsbTree {
 
   /// The split slow path of InsertRecords. Takes over `leaf`, the leaf
   /// InsertRecords found full (exclusively latched), with the parent entry
-  /// `pe` and parent page `parent_id` its LatchLeaf returned, so a split
+  /// `pe` and parent page `parent_id` its Descend returned, so a split
   /// makes no descent of its own. Splits by time or by key and takes no
   /// tree-global lock when the parent has room for the new entry: copy the
   /// leaf once into a page-sized buffer and drop its latch (keeping the

@@ -236,6 +236,86 @@ TEST(ConcurrencyTest, SnapshotScansStayExactUnderConcurrentSplits) {
   }
 }
 
+// Point reads at past times share the writers' descent: a Get as of a
+// finished round must return exactly that round's value while the writer
+// keeps splitting leaves, index pages and the root underneath it, and
+// whether the version resolves in a current leaf or a historical node.
+TEST(ConcurrencyTest, PointReadsAtPastTimesStayExactUnderConcurrentSplits) {
+  Fixture f;
+  constexpr int kKeys = 120;
+  constexpr int kRounds = 60;
+  constexpr int kReaders = 3;
+
+  // round_ts[r] = the commit ts of round r's last Put; rounds up to
+  // `finished` are complete and their slots written.
+  std::vector<std::atomic<Timestamp>> round_ts(kRounds + 1);
+  std::atomic<int> finished{0};
+  for (int i = 0; i < kKeys; ++i) {
+    Timestamp ts = 0;
+    ASSERT_TRUE(f.db->Put(KeyOf(i), ValueOf(KeyOf(i), 0), &ts).ok());
+    round_ts[0].store(ts, std::memory_order_relaxed);
+  }
+  const tsb_tree::TsbCounters& c = f.db->primary()->counters();
+  const uint64_t index_changes_before =
+      c.index_key_splits + c.index_time_splits + c.root_grows;
+
+  std::atomic<bool> stop{false};
+  std::atomic<bool> failed{false};
+  std::atomic<uint64_t> reads_done{0};
+  std::vector<std::thread> readers;
+  for (int r = 0; r < kReaders; ++r) {
+    readers.emplace_back([&, r] {
+      uint64_t rng = 0x9E3779B97F4A7C15ull * (r + 1);
+      std::string value;
+      db::PinnableValue pinned;
+      while (!stop.load(std::memory_order_acquire) && !failed.load()) {
+        rng = rng * 6364136223846793005ull + 1442695040888963407ull;
+        const int done = finished.load(std::memory_order_acquire);
+        const int round = static_cast<int>((rng >> 40) % (done + 1));
+        const std::string key = KeyOf(static_cast<int>((rng >> 20) % kKeys));
+        db::ReadOptions ro;
+        ro.as_of = round_ts[round].load(std::memory_order_relaxed);
+        Status s;
+        if (rng & 1) {
+          s = f.db->Get(ro, key, &value);
+        } else {
+          s = f.db->Get(ro, key, &pinned);
+          if (s.ok()) value = pinned.data().ToString();
+        }
+        if (!s.ok() || value != ValueOf(key, round)) {
+          ADD_FAILURE() << key << " as of round " << round << ": "
+                        << s.ToString() << " " << value;
+          failed.store(true);
+          break;
+        }
+        reads_done.fetch_add(1, std::memory_order_relaxed);
+      }
+    });
+  }
+
+  for (int round = 1; round <= kRounds && !failed.load(); ++round) {
+    Timestamp ts = 0;
+    for (int i = 0; i < kKeys && !failed.load(); ++i) {
+      Status s = f.db->Put(KeyOf(i), ValueOf(KeyOf(i), round), &ts);
+      if (!s.ok()) {
+        ADD_FAILURE() << "writer Put failed: " << s.ToString();
+        failed.store(true);
+      }
+    }
+    if (failed.load()) break;
+    round_ts[round].store(ts, std::memory_order_relaxed);
+    finished.store(round, std::memory_order_release);
+  }
+  stop.store(true, std::memory_order_release);
+  for (auto& t : readers) t.join();
+
+  EXPECT_FALSE(failed.load());
+  EXPECT_GT(reads_done.load(), 0u);
+  // Index pages and the root changed under the readers, not just leaves.
+  EXPECT_GT(c.index_key_splits + c.index_time_splits + c.root_grows,
+            index_changes_before);
+}
+
 // Reverse scans ride the same pinned-frame machinery as forward ones:
 // current-page frames revalidate a per-page mutation counter and re-seek
 // on invalidation. Under a splitting writer, a backward walk taken inside

@@ -192,6 +192,28 @@ TEST_F(TsbBasicTest, ManyKeysSplitAndStayReachable) {
   ExpectChecked();
 }
 
+// A point read pins each page on its path once: a warm Get at latest
+// costs exactly height() buffer-pool lookups, all hits.
+TEST_F(TsbBasicTest, WarmGetPinsOnePagePerLevel) {
+  Open();
+  const std::string value(40, 'v');
+  int n = 0;
+  for (; tree_->height() < 3 && n < 20000; ++n) {
+    ASSERT_TRUE(tree_->Put(Key(n), value, n + 1).ok()) << n;
+  }
+  ASSERT_GE(tree_->height(), 3u);
+  const std::string key = Key(n / 2);
+  std::string v;
+  ASSERT_TRUE(tree_->Get({}, key, &v).ok());  // warms the path
+  const BufferPoolStats before = tree_->PoolStats();
+  ASSERT_TRUE(tree_->Get({}, key, &v).ok());
+  const BufferPoolStats after = tree_->PoolStats();
+  EXPECT_EQ(value, v);
+  EXPECT_EQ(tree_->height(),
+            (after.hits + after.misses) - (before.hits + before.misses));
+  EXPECT_EQ(before.misses, after.misses);
+}
+
 TEST_F(TsbBasicTest, ManyUpdatesMigrateToHistorical) {
   Open();
   Timestamp ts = 0;
