@@ -13,7 +13,9 @@
 // The deterministic tables are the acceptance artifacts: reader scaling at
 // 4 threads vs 1, 4-writer throughput vs 1-writer on disjoint ranges, and
 // 1-writer throughput against the retired serial write mode's recorded
-// rate.
+// rate. Two counts repeat exactly on any machine: buffer-pool shard
+// lookups per warm Get (the 512-frame pool keeps index pages resident, so
+// only the leaf goes through a shard) and per single-key disjoint commit.
 #include <benchmark/benchmark.h>
 
 #include <atomic>
@@ -149,7 +151,40 @@ RunResult RunMix(tsb_tree::TsbTree* tree, int n_readers) {
   return res;
 }
 
-void PrintTable() {
+struct ReaderRow {
+  int readers;
+  RunResult r;
+};
+
+// Pool fetches per warm Get at latest over every key, on a quiet tree.
+struct GetCounts {
+  uint32_t height = 0;
+  double pages_per_get = 0;
+  double shard_lookups_per_get = 0;
+};
+
+GetCounts CountWarmGets(tsb_tree::TsbTree* tree) {
+  std::string value;
+  auto get_all = [&] {
+    for (int i = 0; i < kKeys; ++i) {
+      if (!tree->Get({}, KeyOf(i), &value).ok()) abort();
+    }
+  };
+  get_all();  // warms the pool
+  const BufferPoolStats before = tree->PoolStats();
+  get_all();
+  const BufferPoolStats after = tree->PoolStats();
+  GetCounts c;
+  c.height = tree->height();
+  c.pages_per_get = static_cast<double>((after.hits + after.misses) -
+                                        (before.hits + before.misses)) /
+                    kKeys;
+  c.shard_lookups_per_get =
+      static_cast<double>(after.shard_lookups - before.shard_lookups) / kKeys;
+  return c;
+}
+
+std::vector<ReaderRow> PrintTable(GetCounts* gets) {
   printf("# E9 concurrency: 1 writer + N lock-free timestamped readers\n");
   printf("# keys=%d page=4096 frames=512 measure=%dms cores=%u\n", kKeys,
          kMeasureMs, std::thread::hardware_concurrency());
@@ -162,6 +197,7 @@ void PrintTable() {
   printf("%-10s %16s %16s %10s\n", "readers", "reads/s", "writes/s",
          "scaling");
   ConcurrencyFixture f = ConcurrencyFixture::Build();
+  std::vector<ReaderRow> rows;
   double base = 0;
   for (int n : {1, 2, 4, 8}) {
     const RunResult r = RunMix(f.tree.get(), n);
@@ -169,8 +205,12 @@ void PrintTable() {
     printf("%-10d %16.0f %16.0f %9.2fx\n", n, r.reader_ops_per_sec,
            r.writer_ops_per_sec,
            base > 0 ? r.reader_ops_per_sec / base : 0.0);
+    rows.push_back({n, r});
   }
-  printf("\n");
+  *gets = CountWarmGets(f.tree.get());
+  printf("warm Get at latest (height %u): %.3f pages, %.3f shard lookups\n\n",
+         gets->height, gets->pages_per_get, gets->shard_lookups_per_get);
+  return rows;
 }
 
 // ---- writer scaling (optimistic latch coupling) -----------------------
@@ -286,7 +326,26 @@ WriterRun RunWriters(WriterFixture* f, int n_writers, bool disjoint) {
   return res;
 }
 
-void PrintWriterTableAndJson() {
+// Shard lookups per single-key commit of one writer walking its keys in
+// order (the disjoint pattern), after one warming pass. Single-threaded,
+// so the count repeats exactly.
+double CountCommitLookups() {
+  WriterFixture f = WriterFixture::Build();
+  constexpr int kCommits = 2 * kKeys;
+  BufferPoolStats before;
+  for (int i = 0; i < kKeys + kCommits; ++i) {
+    if (i == kKeys) before = f.tree->PoolStats();
+    txn::WriteBatch batch;
+    batch.Put(KeyOf(i % kKeys), "w0-v" + std::to_string(i));
+    if (!f.txns->Write(batch).ok()) abort();
+  }
+  const BufferPoolStats after = f.tree->PoolStats();
+  return static_cast<double>(after.shard_lookups - before.shard_lookups) /
+         kCommits;
+}
+
+void PrintWriterTableAndJson(const std::vector<ReaderRow>& readers,
+                             const GetCounts& gets) {
   printf("# E10 writer scaling: N single-key committing writers\n");
   printf("# keys=%d page=4096 frames=512 measure=%dms cores=%u\n", kKeys,
          kMeasureMs, std::thread::hardware_concurrency());
@@ -332,8 +391,10 @@ void PrintWriterTableAndJson() {
   const double over_floor = one_w / kSerialOneWriterFloorCommitsPerSec;
   printf("4 writers vs 1 (disjoint):           %.2fx\n", speedup_4w);
   printf("1 writer vs retired serial floor:    %.2fx (floor %.0f commits/s)"
-         "\n\n",
+         "\n",
          over_floor, kSerialOneWriterFloorCommitsPerSec);
+  const double commit_lookups = CountCommitLookups();
+  printf("shard lookups per disjoint commit:   %.4f\n\n", commit_lookups);
 
   const char* path = std::getenv("BENCH_CONCURRENCY_JSON");
   if (path == nullptr) path = "BENCH_concurrency.json";
@@ -347,8 +408,25 @@ void PrintWriterTableAndJson() {
           "  \"hardware_concurrency\": %u,\n"
           "  \"keys\": %d,\n"
           "  \"measure_ms\": %d,\n"
-          "  \"runs\": [\n",
+          "  \"reader_runs\": [\n",
           std::thread::hardware_concurrency(), kKeys, kMeasureMs);
+  for (size_t i = 0; i < readers.size(); ++i) {
+    fprintf(out,
+            "    {\"readers\": %d, \"reads_per_sec\": %.1f, "
+            "\"writes_per_sec\": %.1f}%s\n",
+            readers[i].readers, readers[i].r.reader_ops_per_sec,
+            readers[i].r.writer_ops_per_sec,
+            i + 1 < readers.size() ? "," : "");
+  }
+  fprintf(out,
+          "  ],\n"
+          "  \"tree_height\": %u,\n"
+          "  \"pages_per_warm_get\": %.4f,\n"
+          "  \"shard_lookups_per_warm_get\": %.4f,\n"
+          "  \"shard_lookups_per_disjoint_commit\": %.4f,\n"
+          "  \"runs\": [\n",
+          gets.height, gets.pages_per_get, gets.shard_lookups_per_get,
+          commit_lookups);
   for (size_t i = 0; i < rows.size(); ++i) {
     const Row& row = rows[i];
     fprintf(out,
@@ -416,8 +494,9 @@ BENCHMARK(BM_ConcurrentReaders)
 }  // namespace tsb
 
 int main(int argc, char** argv) {
-  tsb::bench::PrintTable();
-  tsb::bench::PrintWriterTableAndJson();
+  tsb::bench::GetCounts gets;
+  const auto readers = tsb::bench::PrintTable(&gets);
+  tsb::bench::PrintWriterTableAndJson(readers, gets);
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();
   return 0;

@@ -10,7 +10,8 @@ namespace tsb {
 AppendStore::AppendStore(Device* device, size_t cache_blobs)
     : device_(device), cache_capacity_(cache_blobs) {
   sector_size_ = device->write_once_sector_size();
-  next_offset_ = device->Size();
+  next_offset_.store(device->Size(), std::memory_order_relaxed);
+  flushed_end_.store(device->Size(), std::memory_order_relaxed);
 }
 
 uint64_t AppendStore::AlignUp(uint64_t offset) const {
@@ -24,18 +25,61 @@ Status AppendStore::Append(const Slice& payload, HistAddr* addr) {
   EncodeFixed32(header, static_cast<uint32_t>(payload.size()));
   EncodeFixed32(header + 4, crc32c::Mask(crc32c::Value(payload.data(),
                                                        payload.size())));
-  // Header and payload go down as one gather write: one device write per
-  // blob, and no copy of the payload into a frame buffer.
-  const Slice frame[2] = {Slice(header, kFrameHeaderSize), payload};
 
   std::lock_guard<std::mutex> lock(append_mu_);
-  const uint64_t offset = AlignUp(next_offset_);
-  TSB_RETURN_IF_ERROR(device_->WriteGather(offset, frame, 2));
+  const uint64_t offset = AlignUp(next_offset_.load(std::memory_order_relaxed));
+  const uint64_t end = offset + kFrameHeaderSize + payload.size();
+  // Zero-fill the alignment gap, then the frame, at the blob's offset
+  // relative to the tail's start (the flushed end).
+  tail_.resize(offset - flushed_end_.load(std::memory_order_relaxed));
+  tail_.append(header, kFrameHeaderSize);
+  tail_.append(payload.data(), payload.size());
+  if (sector_size_ != 0) tail_frames_.emplace_back(offset, end - offset);
   addr->offset = offset;
   addr->length = static_cast<uint32_t>(payload.size());
-  next_offset_ = offset + kFrameHeaderSize + payload.size();
+  next_offset_.store(end, std::memory_order_release);
   payload_bytes_ += payload.size();
   blob_count_++;
+  return Status::OK();
+}
+
+Status AppendStore::Flush() {
+  // Lock-free when nothing is staged: every write call ends here.
+  if (flushed_end_.load(std::memory_order_acquire) ==
+      next_offset_.load(std::memory_order_acquire)) {
+    return Status::OK();
+  }
+  std::lock_guard<std::mutex> lock(append_mu_);
+  const uint64_t start = flushed_end_.load(std::memory_order_relaxed);
+  if (tail_.empty()) return Status::OK();
+  if (sector_size_ == 0) {
+    // Erasable: the tail is one byte-contiguous run. A failed write
+    // leaves it staged; rewriting the same offsets is harmless.
+    TSB_RETURN_IF_ERROR(device_->Write(start, Slice(tail_)));
+  } else {
+    for (size_t i = 0; i < tail_frames_.size(); ++i) {
+      const auto [offset, size] = tail_frames_[i];
+      Status s = device_->Write(offset, Slice(tail_.data() + (offset - start),
+                                              size));
+      if (!s.ok()) {
+        // The burned blobs before this one must not be written again:
+        // drop them from the tail and advance the flushed end past them.
+        if (i > 0) {
+          const uint64_t done = tail_frames_[i - 1].first +
+                                tail_frames_[i - 1].second;
+          tail_.erase(0, done - start);
+          tail_frames_.erase(tail_frames_.begin(),
+                             tail_frames_.begin() + static_cast<long>(i));
+          flushed_end_.store(done, std::memory_order_release);
+        }
+        return s;
+      }
+    }
+    tail_frames_.clear();
+  }
+  tail_.clear();
+  flushed_end_.store(next_offset_.load(std::memory_order_relaxed),
+                     std::memory_order_release);
   return Status::OK();
 }
 
@@ -138,6 +182,12 @@ Status AppendStore::PinFromDevice(const HistAddr& addr,
 
 Status AppendStore::ReadView(const HistAddr& addr, BlobHandle* out,
                              const BlobReadHints& hints) {
+  // A staged blob (its writer has not returned yet, or its flush failed)
+  // goes to the device first, so there is one read path.
+  if (addr.offset + kFrameHeaderSize + addr.length >
+      flushed_end_.load(std::memory_order_acquire)) {
+    TSB_RETURN_IF_ERROR(Flush());
+  }
   blob_reads_.fetch_add(1, std::memory_order_relaxed);
   blob_bytes_read_.fetch_add(addr.length, std::memory_order_relaxed);
   // A verifying read must not be satisfied (or influenced) by the shared
@@ -201,11 +251,7 @@ Status AppendStore::ScrubAll(
     BlobScrubResult* result,
     const std::function<void(uint64_t)>& throttle) {
   *result = BlobScrubResult();
-  uint64_t end = 0;
-  {
-    std::lock_guard<std::mutex> lock(append_mu_);
-    end = next_offset_;
-  }
+  const uint64_t end = flushed_end_.load(std::memory_order_acquire);
   uint64_t offset = 0;
   std::string payload;
   while (true) {

@@ -96,7 +96,21 @@ struct BlobReadHints {
 /// read-mostly and slow; the cache models a modest staging buffer, not the
 /// magnetic-disk buffer pool).
 ///
-/// Thread-safe: appends are serialized by a mutex; concurrent reads share
+/// Stage and flush: Append assigns the blob its final address and copies
+/// the framed blob into an in-memory tail; Flush writes the tail to the
+/// device, one write per byte-contiguous run — the whole tail on an
+/// erasable device, one write per blob on a WORM (the sector residue
+/// between blobs is never written). Offsets, alignment and the counters
+/// are the same as if every Append had written through. A write call
+/// that may append (TsbTree::InsertRecords) flushes before it returns, so
+/// every blob is on the device when the write that made it returns, and a
+/// batch that time-splits many leaves makes one device write. A read of a
+/// blob past the flushed end flushes first, then takes the one device
+/// read path. A failed flush keeps the tail; the next Flush rewrites it
+/// at the same offsets.
+///
+/// Thread-safe: appends and flushes are serialized by a mutex; the flushed
+/// end is an atomic that reads check without it. Concurrent reads share
 /// the device (blobs are immutable once written) and the read cache is
 /// latch-guarded. Cache hits never copy or verify the payload under the
 /// latch — they pin the cached blob; misses read and CRC-check outside the
@@ -109,8 +123,19 @@ class AppendStore {
   /// of decoded blobs kept in the read cache (0 disables caching).
   AppendStore(Device* device, size_t cache_blobs = 0);
 
-  /// Appends `payload` and returns its address.
+  /// Stages `payload` in the tail and returns its address. The blob
+  /// reaches the device at the next Flush (or the first read of it).
   Status Append(const Slice& payload, HistAddr* addr);
+
+  /// Writes every staged blob to the device. On failure the unwritten
+  /// blobs stay staged at their addresses and the error is returned.
+  Status Flush();
+
+  /// One past the last byte known to be on the device; blobs ending at or
+  /// below it are readable without a flush.
+  uint64_t flushed_end() const {
+    return flushed_end_.load(std::memory_order_acquire);
+  }
 
   /// Pins the blob at `addr` without copying it. Cache hits pin the cached
   /// buffer (no memcpy, no CRC work under the cache latch). Misses on a
@@ -138,10 +163,10 @@ class AppendStore {
     std::lock_guard<std::mutex> lock(append_mu_);
     return payload_bytes_;
   }
-  /// Total bytes consumed on the device (framing + alignment included).
+  /// Total bytes consumed on the device (framing + alignment included),
+  /// staged blobs included.
   uint64_t device_bytes() const {
-    std::lock_guard<std::mutex> lock(append_mu_);
-    return next_offset_;
+    return next_offset_.load(std::memory_order_acquire);
   }
   /// Number of blobs appended.
   uint64_t blob_count() const {
@@ -183,7 +208,7 @@ class AppendStore {
     uint64_t corruptions = 0;
   };
 
-  /// Walks every frame from offset 0 to the store size captured at entry,
+  /// Walks every frame from offset 0 to the flushed end captured at entry,
   /// re-verifying each blob's CRC against the DEVICE bytes (the verified
   /// memo and the read cache are deliberately bypassed). A mismatch evicts
   /// the offset from the memo and the cache (sticky-detected), invokes
@@ -219,10 +244,19 @@ class AppendStore {
   Device* device_;
   uint32_t sector_size_;  // 0 => no alignment (erasable device)
 
-  mutable std::mutex append_mu_;  // guards the append cursor and counters
-  uint64_t next_offset_ = 0;
+  // Guards the append cursor, the counters and the tail. The atomics are
+  // written under it and read without it.
+  mutable std::mutex append_mu_;
+  std::atomic<uint64_t> next_offset_{0};
+  std::atomic<uint64_t> flushed_end_{0};
   uint64_t payload_bytes_ = 0;
   uint64_t blob_count_ = 0;
+  // Device image of [flushed_end_, next_offset_): framed blobs, with zero
+  // alignment padding on a WORM. Reused across flushes.
+  std::string tail_;
+  // WORM only: (offset, framed size) of each staged blob, written one by
+  // one so the padding never burns a sector.
+  std::vector<std::pair<uint64_t, uint64_t>> tail_frames_;
 
   // Tiny LRU read cache keyed by offset, latch-guarded. Entries are
   // pinned handles so readers pin blobs instead of copying them; eviction

@@ -10,12 +10,16 @@ namespace tsb {
 
 namespace {
 
+constexpr size_t kMaxShards = 16;
+
 // Shards only kick in for pools large enough that per-shard LRU cannot
 // distort eviction behaviour; small pools (unit tests, tools) keep the
-// exact global-LRU semantics of a single shard.
+// exact global-LRU semantics of a single shard. The same bound decides
+// residency: only a pool with kMaxShards shards keeps index pages
+// resident, so small pools keep an exact LRU over every page.
 size_t PickShardCount(size_t capacity) {
   size_t shards = 1;
-  while (shards < 16 && capacity / (shards * 2) >= 32) shards *= 2;
+  while (shards < kMaxShards && capacity / (shards * 2) >= 32) shards *= 2;
   return shards;
 }
 
@@ -29,6 +33,7 @@ PageHandle& PageHandle::operator=(PageHandle&& o) noexcept {
     id_ = o.id_;
     data_ = o.data_;
     mode_ = o.mode_;
+    owns_pin_ = o.owns_pin_;
     o.pool_ = nullptr;
     o.frame_ = nullptr;
     o.data_ = nullptr;
@@ -113,7 +118,7 @@ void PageHandle::Release() {
       case LatchMode::kNone:
         break;
     }
-    pool_->Unpin(frame);
+    if (owns_pin_) pool_->Unpin(frame);
     pool_ = nullptr;
     frame_ = nullptr;
     data_ = nullptr;
@@ -127,6 +132,10 @@ BufferPool::BufferPool(Pager* pager, size_t capacity) : pager_(pager) {
   shard_capacity_ = capacity / num_shards_;
   if (shard_capacity_ == 0) shard_capacity_ = 1;
   shards_.reset(new Shard[num_shards_]);
+  if (num_shards_ == kMaxShards) {
+    resident_budget_ = capacity / kMaxShards;
+    table_.reset(new std::atomic<TableChunk*>[kChunkCount]());
+  }
 }
 
 BufferPool::~BufferPool() {
@@ -145,6 +154,51 @@ BufferPool::~BufferPool() {
   }
 }
 
+std::atomic<BufferPool::Frame*>* BufferPool::ResidentSlot(uint32_t id,
+                                                         bool create) {
+  const uint32_t c = id >> kChunkBits;
+  if (table_ == nullptr || c >= kChunkCount) return nullptr;
+  TableChunk* chunk = table_[c].load(std::memory_order_acquire);
+  if (chunk == nullptr) {
+    if (!create) return nullptr;
+    // resident_mu_ held. Value-initialized: every slot starts null.
+    chunks_.push_back(std::make_unique<TableChunk>());
+    chunk = chunks_.back().get();
+    table_[c].store(chunk, std::memory_order_release);
+  }
+  return &chunk->slots[id & ((uint32_t{1} << kChunkBits) - 1)];
+}
+
+BufferPool::Frame* BufferPool::FindResident(uint32_t id) {
+  std::atomic<Frame*>* slot = ResidentSlot(id, /*create=*/false);
+  if (slot == nullptr) return nullptr;
+  Frame* f = slot->load(std::memory_order_acquire);
+  if (f != nullptr) f->resident_hits.fetch_add(1, std::memory_order_relaxed);
+  return f;
+}
+
+void BufferPool::MaybeMakeResident(Frame* f) {
+  if (table_ == nullptr ||
+      resident_count_.load(std::memory_order_relaxed) >= resident_budget_ ||
+      GetPageType(f->data.get()) != PageType::kTsbIndex) {
+    return;
+  }
+  std::lock_guard<std::mutex> rl(resident_mu_);
+  if (resident_.size() >= resident_budget_) return;
+  Shard& shard = ShardFor(f->id);
+  std::lock_guard<std::mutex> lock(shard.mu);
+  if (f->resident) return;
+  std::atomic<Frame*>* slot = ResidentSlot(f->id, /*create=*/true);
+  if (slot == nullptr) return;
+  // The caller's pin keeps the frame parked in pinned_nodes; this pin is
+  // the pool's own and keeps it there until Drop.
+  f->pins++;
+  f->resident = true;
+  resident_.push_back(f);
+  resident_count_.store(resident_.size(), std::memory_order_release);
+  slot->store(f, std::memory_order_release);
+}
+
 Status BufferPool::PinFrame(uint32_t id, Frame** out) {
   Shard& shard = ShardFor(id);
   Frame* f = nullptr;
@@ -152,6 +206,7 @@ Status BufferPool::PinFrame(uint32_t id, Frame** out) {
   {
     std::lock_guard<std::mutex> lock(shard.mu);
     auto it = shard.frames.find(id);
+    shard.stats.shard_lookups++;
     if (it != shard.frames.end()) {
       f = &it->second;
       PinResident(&shard, f);
@@ -231,27 +286,34 @@ void BufferPool::UnpinDiscard(Frame* frame) {
   }
 }
 
-Status BufferPool::Fetch(uint32_t id, PageHandle* handle) {
-  Frame* f = nullptr;
-  TSB_RETURN_IF_ERROR(PinFrame(id, &f));
-  *handle = PageHandle(this, f, id, f->data.get(), LatchMode::kNone);
+Status BufferPool::FetchLatched(uint32_t id, LatchMode mode,
+                                PageHandle* handle) {
+  Frame* f = FindResident(id);
+  const bool resident = f != nullptr;
+  if (!resident) TSB_RETURN_IF_ERROR(PinFrame(id, &f));
+  // Outside the shard mutex: may block on another latch holder.
+  if (mode == LatchMode::kShared) {
+    f->latch.lock_shared();
+  } else if (mode == LatchMode::kExclusive) {
+    f->latch.lock();
+  }
+  // The latch makes the type read safe (Fetch callers are single-threaded).
+  if (!resident) MaybeMakeResident(f);
+  *handle = PageHandle(this, f, id, f->data.get(), mode,
+                       /*owns_pin=*/!resident);
   return Status::OK();
+}
+
+Status BufferPool::Fetch(uint32_t id, PageHandle* handle) {
+  return FetchLatched(id, LatchMode::kNone, handle);
 }
 
 Status BufferPool::FetchShared(uint32_t id, PageHandle* handle) {
-  Frame* f = nullptr;
-  TSB_RETURN_IF_ERROR(PinFrame(id, &f));
-  f->latch.lock_shared();  // outside the shard mutex: may block on writer
-  *handle = PageHandle(this, f, id, f->data.get(), LatchMode::kShared);
-  return Status::OK();
+  return FetchLatched(id, LatchMode::kShared, handle);
 }
 
 Status BufferPool::FetchExclusive(uint32_t id, PageHandle* handle) {
-  Frame* f = nullptr;
-  TSB_RETURN_IF_ERROR(PinFrame(id, &f));
-  f->latch.lock();  // outside the shard mutex: may block on readers
-  *handle = PageHandle(this, f, id, f->data.get(), LatchMode::kExclusive);
-  return Status::OK();
+  return FetchLatched(id, LatchMode::kExclusive, handle);
 }
 
 Status BufferPool::New(PageType type, PageHandle* handle) {
@@ -294,12 +356,23 @@ Status BufferPool::FlushAll() {
 Status BufferPool::Drop(uint32_t id) {
   Shard& shard = ShardFor(id);
   {
+    std::lock_guard<std::mutex> rl(resident_mu_);
     std::lock_guard<std::mutex> lock(shard.mu);
     auto it = shard.frames.find(id);
     if (it != shard.frames.end()) {
       Frame& f = it->second;
-      if (f.pins > 0) {
+      if (f.pins > (f.resident ? 1 : 0)) {
         return Status::Busy("Drop of pinned page", std::to_string(id));
+      }
+      if (f.resident) {
+        // Unpublish before the frame dies; its hits stay in the totals.
+        ResidentSlot(id, /*create=*/false)
+            ->store(nullptr, std::memory_order_release);
+        shard.stats.hits += f.resident_hits.load(std::memory_order_relaxed);
+        std::erase(resident_, &f);
+        resident_count_.store(resident_.size(), std::memory_order_release);
+        f.resident = false;
+        f.pins--;
       }
       if (f.in_lru) {
         shard.lru.erase(f.lru_pos);
@@ -417,6 +490,11 @@ BufferPoolStats BufferPool::stats() const {
     total.misses += shard.stats.misses;
     total.evictions += shard.stats.evictions;
     total.dirty_writebacks += shard.stats.dirty_writebacks;
+    total.shard_lookups += shard.stats.shard_lookups;
+  }
+  std::lock_guard<std::mutex> rl(resident_mu_);
+  for (const Frame* f : resident_) {
+    total.hits += f->resident_hits.load(std::memory_order_relaxed);
   }
   return total;
 }
@@ -436,6 +514,10 @@ void BufferPool::ResetStats() {
     Shard& shard = shards_[i];
     std::lock_guard<std::mutex> lock(shard.mu);
     shard.stats = BufferPoolStats{};
+  }
+  std::lock_guard<std::mutex> rl(resident_mu_);
+  for (Frame* f : resident_) {
+    f->resident_hits.store(0, std::memory_order_relaxed);
   }
 }
 

@@ -13,6 +13,15 @@
 //    DIFFERENT pages at once). Latches
 //    are acquired AFTER pinning and outside the shard mutex, so a blocked
 //    latch never stalls the shard.
+//  - Resident index pages: in a pool large enough to run all 16 shards
+//    (512 frames or more), a TSB index page becomes resident on the fetch
+//    that loads or first finds it, until resident frames fill one shard's
+//    worth (capacity/16). A resident frame keeps one pool-owned pin for
+//    good and is published in a lock-free page table whose chunks never
+//    move. Every fetch looks there first: a hit takes only the frame
+//    latch (no shard mutex, hash lookup, LRU splice or pin), so above the
+//    leaf a descent writes only each frame's latch and hit counter.
+//    Smaller pools keep the exact LRU of every page.
 //  - Fetch (no latch) remains for strictly single-threaded users (the B+
 //    and WOBT comparison trees, quiesced maintenance walks).
 //
@@ -98,24 +107,36 @@ class PageHandle {
  private:
   friend class BufferPool;
   PageHandle(BufferPool* pool, void* frame, uint32_t id, char* data,
-             LatchMode mode)
-      : pool_(pool), frame_(frame), id_(id), data_(data), mode_(mode) {}
+             LatchMode mode, bool owns_pin = true)
+      : pool_(pool),
+        frame_(frame),
+        id_(id),
+        data_(data),
+        mode_(mode),
+        owns_pin_(owns_pin) {}
 
   BufferPool* pool_ = nullptr;
   void* frame_ = nullptr;  // Frame*, opaque to keep Frame private
   uint32_t id_ = 0;
   char* data_ = nullptr;
   LatchMode mode_ = LatchMode::kNone;
+  // False for a resident-page hit: the pool's own pin keeps the frame, so
+  // releasing the handle only unlatches.
+  bool owns_pin_ = true;
 };
 
 /// Statistics for cache behaviour (benchmarks report these; the tree and
 /// DB surface them next to HistReadStats so the magnetic axis of a mixed
 /// workload is diagnosable alongside the historical one).
 struct BufferPoolStats {
+  /// Pages fetched = hits + misses; resident index-page hits count here.
   uint64_t hits = 0;
   uint64_t misses = 0;
   uint64_t evictions = 0;
   uint64_t dirty_writebacks = 0;
+  /// Fetches that went through a shard (mutex, hash lookup, pin): every
+  /// miss and every hit but the resident ones.
+  uint64_t shard_lookups = 0;
 
   /// Frame-cache hits per lookup; 1.0 when the pool was never consulted.
   double hit_ratio() const {
@@ -130,6 +151,7 @@ struct BufferPoolStats {
     misses += o.misses;
     evictions += o.evictions;
     dirty_writebacks += o.dirty_writebacks;
+    shard_lookups += o.shard_lookups;
   }
 };
 
@@ -167,7 +189,9 @@ class BufferPool {
   Status FlushAll();
 
   /// Drops page `id` from the cache (must be unpinned) and frees it in the
-  /// pager. Used when a current node is erased (e.g. abort cleanup).
+  /// pager. Used when a current node is erased (e.g. abort cleanup). A
+  /// resident page is unpublished first; no other thread may still reach
+  /// it (a dropped page is unreachable by then).
   Status Drop(uint32_t id);
 
   Pager* pager() const { return pager_; }
@@ -204,6 +228,13 @@ class BufferPool {
   void ResetStats();
   size_t resident_frames() const;
   size_t shard_count() const { return num_shards_; }
+  /// Index pages published in the resident page table (at most
+  /// resident_budget()).
+  size_t resident_index_pages() const {
+    return resident_count_.load(std::memory_order_acquire);
+  }
+  /// capacity/16 in a 16-shard pool, 0 (residency off) otherwise.
+  size_t resident_budget() const { return resident_budget_; }
 
  private:
   friend class PageHandle;
@@ -226,6 +257,10 @@ class BufferPool {
     // instead of a generic IOError.
     Status load_error;
     std::shared_mutex latch;         // page-content reader/writer latch
+    // Hits served by the resident page table; beside the latch, whose
+    // cache line the hit writes anyway. Folded by stats().
+    std::atomic<uint64_t> resident_hits{0};
+    bool resident = false;           // guarded by the shard mutex
     // List node carrying this frame's id; lives in `lru` while unpinned
     // (in_lru) and is parked in `pinned_nodes` while pinned, so pin/unpin
     // splice the node instead of freeing and reallocating it.
@@ -256,11 +291,38 @@ class BufferPool {
   Status EvictIfNeeded(Shard* shard);
   Status WriteBack(Frame* f);
 
+  /// The body of Fetch, FetchShared and FetchExclusive: the resident
+  /// table first, else the shard; then the latch in `mode`.
+  Status FetchLatched(uint32_t id, LatchMode mode, PageHandle* handle);
+  /// The resident frame of `id`, counting the hit; null when none.
+  Frame* FindResident(uint32_t id);
+  /// Publishes a pinned, latched (or single-threaded) frame in the
+  /// resident table when it holds an index page and the budget has room.
+  void MaybeMakeResident(Frame* f);
+  /// Slot of `id` in the resident table; null if its chunk is absent.
+  std::atomic<Frame*>* ResidentSlot(uint32_t id, bool create);
+
+  // Resident page table: page id -> frame, two levels so chunks never
+  // move once published. Ids past the table simply stay in the shards.
+  static constexpr uint32_t kChunkBits = 12;
+  static constexpr uint32_t kChunkCount = 4096;  // ids below 2^24
+  struct TableChunk {
+    std::atomic<Frame*> slots[size_t{1} << kChunkBits];
+  };
+
   Pager* pager_;
   size_t shard_capacity_;
   size_t num_shards_;
   std::atomic<bool> no_steal_{false};
   std::unique_ptr<Shard[]> shards_;
+
+  size_t resident_budget_ = 0;
+  std::unique_ptr<std::atomic<TableChunk*>[]> table_;  // null: residency off
+  // Guards resident_ and chunks_; taken before a shard mutex.
+  mutable std::mutex resident_mu_;
+  std::vector<Frame*> resident_;
+  std::vector<std::unique_ptr<TableChunk>> chunks_;  // owns table_'s chunks
+  std::atomic<size_t> resident_count_{0};
 };
 
 }  // namespace tsb

@@ -16,12 +16,11 @@ Status WormFileDevice::Open(const std::string& path, WormFileDevice** out,
 }
 
 Status WormFileDevice::Write(uint64_t offset, const Slice& data) {
-  return WriteGather(offset, {&data, 1}, 1);
+  return WriteGather(offset, {&data, 1});
 }
 
 Status WormFileDevice::WriteGather(uint64_t offset,
-                                   std::span<const Slice> parts,
-                                   size_t parts_per_write) {
+                                   std::span<const Slice> parts) {
   // Burned region = sectors covered by the high-water mark (a trailing
   // partially-filled sector is burned; its residue is the WORM waste the
   // paper describes). A legal write therefore starts in a fresh sector.
@@ -31,7 +30,7 @@ Status WormFileDevice::WriteGather(uint64_t offset,
         "sector already burned",
         "offset " + std::to_string(offset));
   }
-  return FileDevice::WriteGather(offset, parts, parts_per_write);
+  return FileDevice::WriteGather(offset, parts);
 }
 
 Status WormFileDevice::Truncate(uint64_t size) {

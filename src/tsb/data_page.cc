@@ -65,11 +65,11 @@ Status DataPageRef::At(int i, DataEntryView* view) const {
 }
 
 int DataPageRef::LowerBound(const Slice& key, Timestamp t) const {
-  return LowerBound(key, t, Count());
+  return LowerBound(key, t, 0, Count());
 }
 
-int DataPageRef::LowerBound(const Slice& key, Timestamp t, int hi) const {
-  int lo = 0;
+int DataPageRef::LowerBound(const Slice& key, Timestamp t, int lo,
+                            int hi) const {
   while (lo < hi) {
     const int mid = (lo + hi) / 2;
     DataEntryView v;
@@ -82,6 +82,27 @@ int DataPageRef::LowerBound(const Slice& key, Timestamp t, int hi) const {
     }
   }
   return lo;
+}
+
+bool DataPageRef::Precedes(int i, const Slice& key, Timestamp t) const {
+  DataEntryView v;
+  if (!DecodeDataCell(slots_.Cell(i), &v)) return false;
+  const int c = v.key.compare(key);
+  return c < 0 || (c == 0 && v.ts < t);
+}
+
+int DataPageRef::LowerBoundFrom(const Slice& key, Timestamp t,
+                                int from) const {
+  const int n = Count();
+  if (from < 0) return LowerBound(key, t, 0, n);
+  // Invariant: every entry before `lo` precedes (key, t).
+  int lo = from;
+  for (int step = 1;; step *= 2) {
+    const int probe = lo + step - 1;
+    if (probe >= n) return LowerBound(key, t, lo, n);
+    if (!Precedes(probe, key, t)) return LowerBound(key, t, lo, probe);
+    lo = probe + 1;
+  }
 }
 
 int DataPageRef::FindVersion(const Slice& key, Timestamp t) const {
@@ -103,22 +124,26 @@ int DataPageRef::FindVersion(const Slice& key, Timestamp t) const {
   return -1;
 }
 
-int DataPageRef::FindUncommitted(const Slice& key, TxnId txn) const {
+int DataPageRef::FindUncommitted(const Slice& key, TxnId txn,
+                                 int* hint) const {
   // Uncommitted entries sort at the very end of the key's run.
-  int pos = LowerBound(key, kUncommittedTs);
+  int pos = LowerBoundFrom(key, kUncommittedTs, hint != nullptr ? *hint : -1);
   while (pos < Count()) {
     DataEntryView v;
     if (!DecodeDataCell(slots_.Cell(pos), &v)) return -1;
     if (v.key != key) break;
-    if (v.uncommitted() && v.txn == txn) return pos;
+    if (v.uncommitted() && v.txn == txn) {
+      if (hint != nullptr) *hint = pos + 1;
+      return pos;
+    }
     ++pos;
   }
   return -1;
 }
 
 bool DataPageRef::Put(const Slice& key, Timestamp ts, TxnId txn,
-                      const Slice& cell) {
-  const int pos = LowerBound(key, ts);
+                      const Slice& cell, int* hint) {
+  const int pos = LowerBoundFrom(key, ts, hint != nullptr ? *hint : -1);
   for (int i = pos; i < Count(); ++i) {
     DataEntryView v;
     if (!DecodeDataCell(slots_.Cell(i), &v) || v.key != key || v.ts != ts) {
@@ -126,10 +151,16 @@ bool DataPageRef::Put(const Slice& key, Timestamp ts, TxnId txn,
     }
     // Committed: the same (key, ts). Uncommitted: the run of uncommitted
     // versions of the key, one per transaction.
-    if (v.txn == txn) return slots_.Replace(i, cell);
+    if (v.txn == txn) {
+      if (!slots_.Replace(i, cell)) return false;
+      if (hint != nullptr) *hint = i + 1;
+      return true;
+    }
     if (ts != kUncommittedTs) break;
   }
-  return slots_.Insert(pos, cell);
+  if (!slots_.Insert(pos, cell)) return false;
+  if (hint != nullptr) *hint = pos + 1;
+  return true;
 }
 
 Status DataPageRef::StampAt(int pos, Timestamp ts) {
@@ -148,8 +179,10 @@ Status DataPageRef::StampAt(int pos, Timestamp ts) {
   slots_.ShrinkCell(pos, static_cast<uint32_t>(new_value_at - base +
                                                v.value.size()));
   // Everything after `pos` sorts at or after (key, kUncommittedTs), so the
-  // stamped version can only belong further left.
-  const int target = LowerBound(v.key, ts, pos);
+  // stamped version can only belong further left — and almost always
+  // stays put, which one look at its left neighbour proves.
+  if (pos == 0 || Precedes(pos - 1, v.key, ts)) return Status::OK();
+  const int target = LowerBound(v.key, ts, 0, pos);
   if (target < pos) slots_.MoveSlot(pos, target);
   return Status::OK();
 }

@@ -117,7 +117,11 @@ class DataPageRef {
   int FindVersion(const Slice& key, Timestamp t) const;
 
   /// Index of the uncommitted entry for (key, txn); -1 if none.
-  int FindUncommitted(const Slice& key, TxnId txn) const;
+  /// `hint`, when given, is a slot no later than the entry (callers
+  /// walking a sorted key run pass the slot after the previous key's
+  /// entry): the search gallops forward from it instead of bisecting the
+  /// whole page. It is updated to the slot after the entry found.
+  int FindUncommitted(const Slice& key, TxnId txn, int* hint = nullptr) const;
 
   /// True if a cell of `cell_size` encoded bytes fits.
   bool HasRoomFor(size_t cell_size) const {
@@ -127,8 +131,10 @@ class DataPageRef {
   /// Writes `cell` (the encoding of (key, ts, txn)) at its sorted position,
   /// replacing the version already there: the transaction's own uncommitted
   /// version when `ts` is kUncommittedTs, else the committed version with
-  /// the same (key, ts). False when the page is full.
-  bool Put(const Slice& key, Timestamp ts, TxnId txn, const Slice& cell);
+  /// the same (key, ts). False when the page is full. `hint` works as in
+  /// FindUncommitted (the slot after the previous Put of a sorted run).
+  bool Put(const Slice& key, Timestamp ts, TxnId txn, const Slice& cell,
+           int* hint = nullptr);
 
   /// Commits the uncommitted cell at `pos` in place: rewrites its ts,
   /// sets its txn to kNoTxn and slides the value down over the shorter
@@ -160,8 +166,15 @@ class DataPageRef {
   }
 
  private:
-  /// LowerBound restricted to entries [0, hi).
-  int LowerBound(const Slice& key, Timestamp t, int hi) const;
+  /// LowerBound restricted to entries [lo, hi); every entry before `lo`
+  /// must sort before (key, t).
+  int LowerBound(const Slice& key, Timestamp t, int lo, int hi) const;
+  /// LowerBound when the answer is at or after `from`: a forward gallop
+  /// (from, from+1, from+3, ...) brackets it, then a bisection inside the
+  /// bracket. A negative `from` bisects the whole page.
+  int LowerBoundFrom(const Slice& key, Timestamp t, int from) const;
+  /// True when entry `i` sorts before (key, t); a bad cell reads as not.
+  bool Precedes(int i, const Slice& key, Timestamp t) const;
 
   char* buf_;
   SlottedView slots_;

@@ -202,6 +202,7 @@ Status TsbTree::Flush() {
   // Exclusive writer lock: quiesces every mutator so the meta snapshot
   // and the page flush are mutually consistent.
   std::lock_guard<std::shared_mutex> wl(writer_mu_);
+  TSB_RETURN_IF_ERROR(hist_->Flush());  // pages may reference staged blobs
   std::vector<char> meta;
   TSB_RETURN_IF_ERROR(EncodeMeta(/*high_water=*/0, &meta));
   TSB_RETURN_IF_ERROR(pager_->WriteMeta(meta.data()));
@@ -216,7 +217,9 @@ Status TsbTree::BeginCheckpoint(CheckpointScope* scope) {
   scope->quiesce = std::unique_lock<std::shared_mutex>(writer_mu_);
   // Historical blobs referenced by the checkpointed pages must be durable
   // BEFORE the journal commits — recovery re-applies pages verbatim, and
-  // a page pointing at a never-synced blob would dangle.
+  // a page pointing at a never-synced blob would dangle. Blobs still
+  // staged (a write whose history flush failed) are written first.
+  TSB_RETURN_IF_ERROR(hist_->Flush());
   TSB_RETURN_IF_ERROR(hist_->device()->Sync());
   const uint32_t high_water = pager_->high_water_pages() + 1;
   TSB_RETURN_IF_ERROR(EncodeMeta(high_water, &scope->meta));
@@ -597,8 +600,11 @@ Status TsbTree::Put(const Slice& key, const Slice& value, Timestamp ts) {
     return Status::InvalidArgument("timestamps must be non-decreasing");
   }
   const KeyValue kv(key, value);
-  TSB_RETURN_IF_ERROR(InsertRecords({&kv, 1}, ts, kNoTxn));
+  const Status s = InsertRecords({&kv, 1}, ts, kNoTxn);
+  // Advanced even on failure: a failed history flush leaves the version
+  // inserted, and no later Put may slip a version beneath it.
   clock_->AdvanceTo(ts);
+  TSB_RETURN_IF_ERROR(s);
   // A direct Put is a complete single-record commit: publish immediately.
   clock_->Publish(ts);
   counters_.puts++;
@@ -622,6 +628,14 @@ Status TsbTree::PutUncommitted(const Slice& key, const Slice& value,
 
 Status TsbTree::InsertRecords(std::span<const KeyValue> kvs, Timestamp ts,
                               TxnId txn) {
+  const Status s = InsertStaged(kvs, ts, txn);
+  // One history write for every node this call's splits staged.
+  const Status flushed = hist_->Flush();
+  return s.ok() ? flushed : s;
+}
+
+Status TsbTree::InsertStaged(std::span<const KeyValue> kvs, Timestamp ts,
+                             TxnId txn) {
   const bool uncommitted = ts == kUncommittedTs;
   // Reject a record that can never fit before touching any page, so the
   // call fails with nothing inserted.
@@ -654,10 +668,11 @@ Status TsbTree::InsertRecords(std::span<const KeyValue> kvs, Timestamp ts,
     // falls inside the same leaf's key region, while the leaf has room.
     const size_t first = i;
     bool full = false;
+    int hint = -1;  // a run's later keys search forward from the last slot
     do {
       cell.clear();
       EncodeDataCell(&cell, kvs[i].first, ts, txn, kvs[i].second);
-      if (!page.Put(kvs[i].first, ts, txn, cell)) {
+      if (!page.Put(kvs[i].first, ts, txn, cell, &hint)) {
         full = true;
         break;
       }
@@ -738,9 +753,11 @@ Status TsbTree::StampCommittedBatch(std::span<const KeyValue> kvs, TxnId txn,
     h.MarkDirty();
     DataPageRef page(h.data(), options_.page_size);
     // One descent stamps this key and every following key whose point
-    // falls inside the same leaf's key region.
+    // falls inside the same leaf's key region, each searched forward from
+    // the slot after the previous one.
+    int hint = -1;
     do {
-      const int pos = page.FindUncommitted(kvs[i].first, txn);
+      const int pos = page.FindUncommitted(kvs[i].first, txn, &hint);
       if (pos < 0) return Status::NotFound("no uncommitted version for txn");
       TSB_RETURN_IF_ERROR(page.StampAt(pos, ts));
       counters_.stamps++;
@@ -1457,6 +1474,8 @@ Status TsbTree::ComputeSpaceStats(SpaceStats* out) {
   out->magnetic_pages = pager_->live_pages();
   out->magnetic_bytes = pager_->live_bytes();
   out->leaked_free_pages = pager_->leaked_free_pages();
+  // The WORM's burned sectors count only what reached the device.
+  TSB_RETURN_IF_ERROR(hist_->Flush());
   out->optical_payload_bytes = hist_->payload_bytes();
   out->hist_nodes = hist_->blob_count();
   auto* worm = dynamic_cast<WormDevice*>(hist_->device());

@@ -407,9 +407,18 @@ class TsbTree {
   /// PutUncommittedBatch: writes every pair of the sorted, distinct `kvs`
   /// as version (ts, txn) — ts = kUncommittedTs for uncommitted versions —
   /// with one leaf descent per run of keys sharing a leaf, splitting as
-  /// needed. The caller holds the WriterGuard.
+  /// needed. Time splits stage their historical nodes in the append
+  /// store's tail; InsertRecords flushes the tail on every return path, so
+  /// the call makes at most one history write (one per blob on a WORM)
+  /// and its nodes are on the device when it returns. A failed flush is
+  /// returned (the splits stay installed and the nodes staged; the next
+  /// flush, e.g. Resume's checkpoint, writes them). The caller holds the
+  /// WriterGuard.
   Status InsertRecords(std::span<const KeyValue> kvs, Timestamp ts,
                        TxnId txn);
+  /// InsertRecords without the closing flush.
+  Status InsertStaged(std::span<const KeyValue> kvs, Timestamp ts,
+                      TxnId txn);
 
   /// Removes every current-axis record matching `doomed` under the page
   /// `page_id` (historical nodes are immutable; see the public Purge*

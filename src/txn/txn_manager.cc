@@ -51,9 +51,19 @@ Status Transaction::Put(const Slice& key, const Slice& value) {
   TSB_RETURN_IF_ERROR(mgr_->locks_.Lock({&kv, 1}, id_));
   Status s = mgr_->tree_->PutUncommitted(key, value, id_);
   if (!s.ok()) {
-    // The key never enters writes_, so Abort would not release the lock
-    // this call took.
-    mgr_->locks_.Unlock({&kv, 1}, id_);
+    // A split whose history flush failed leaves the record inserted:
+    // erase it (NotFound when the insert never landed). The key never
+    // enters writes_, so Abort would not release the lock this call took.
+    const Status erased = mgr_->tree_->EraseUncommitted(key, id_);
+    if (!erased.ok() && !erased.IsNotFound()) {
+      // The record may still be there: keep the key, locked and owned,
+      // so Abort erases it before it unlocks.
+      const Slice owned_key = Own(key);
+      mgr_->locks_.Rebind(key, owned_key.data(), id_);
+      writes_.insert(writes_.begin() + pos, KeyValue(owned_key, Own(value)));
+    } else {
+      mgr_->locks_.Unlock({&kv, 1}, id_);
+    }
     return mgr_->ReportInsertError(s);
   }
   // The lock table views the key until the transaction ends: move it onto
@@ -127,9 +137,9 @@ Status TxnManager::Write(const WriteBatch& batch, Timestamp* commit_ts) {
 }
 
 Status TxnManager::ReportInsertError(const Status& s) {
-  // A device error under an insert (a split's historical append, a page
-  // read) left the tree as it was, but the device is suspect: escalate as
-  // a WAL append failure does.
+  // A device error under an insert (a page read, or the history flush
+  // that ends a write whose splits staged nodes): the device is suspect,
+  // so escalate as a WAL append failure does.
   if (s.IsIOError() && reporter_) reporter_("insert", s);
   return s;
 }

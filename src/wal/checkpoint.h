@@ -13,8 +13,10 @@
 // points at a slot at or above it. The protocol (commit-frozen, writers
 // quiesced, every page written once):
 //
-//   1. freeze commits, sync the WAL and the historical devices (pages may
-//      reference freshly appended blobs);
+//   1. freeze commits, sync the WAL, write any staged historical blobs
+//      (a write whose history flush failed leaves them staged) and sync
+//      the historical devices (pages may reference freshly appended
+//      blobs);
 //   2. pin every tree's dirty frames and split them by page id: FRESH
 //      pages sit at or above the durable high-water mark, JOURNALED pages
 //      are everything else (pages reused from the free list included);

@@ -11,6 +11,7 @@
 #include <string>
 
 #include "storage/append_store.h"
+#include "storage/fault_device.h"
 #include "storage/file_device.h"
 #include "storage/mem_device.h"
 #include "storage/worm_device.h"
@@ -105,6 +106,7 @@ TEST(AppendStoreTest, CorruptionDetectedOnRead) {
   AppendStore store(&dev);
   HistAddr addr;
   ASSERT_TRUE(store.Append(Slice("precious"), &addr).ok());
+  ASSERT_TRUE(store.Flush().ok());  // on the device before it is damaged
   char evil = 'X';
   ASSERT_TRUE(dev.Write(addr.offset + AppendStore::kFrameHeaderSize + 2,
                         Slice(&evil, 1))
@@ -170,6 +172,7 @@ TEST(AppendStoreTest, ResumesAfterReopenOnSameDevice) {
   {
     AppendStore store(&dev);
     ASSERT_TRUE(store.Append(Slice("first era"), &a).ok());
+    ASSERT_TRUE(store.Flush().ok());
   }
   AppendStore reopened(&dev);
   HistAddr b;
@@ -300,6 +303,7 @@ TEST_F(MmapAppendStoreTest, CorruptionDetectedOnFirstMappedPin) {
   AppendStore store(dev.get(), /*cache_blobs=*/0);
   HistAddr a;
   ASSERT_TRUE(store.Append(Slice("precious"), &a).ok());
+  ASSERT_TRUE(store.Flush().ok());  // on the device before it is damaged
   char evil = 'X';
   ASSERT_TRUE(dev->Write(a.offset + AppendStore::kFrameHeaderSize + 2,
                          Slice(&evil, 1))
@@ -314,6 +318,7 @@ TEST_F(MmapAppendStoreTest, NonMmapFallbackCopiesAndVerifies) {
     AppendStore store(dev.get(), /*cache_blobs=*/0);
     HistAddr a;
     ASSERT_TRUE(store.Append(Slice("fallback bytes"), &a).ok());
+    ASSERT_TRUE(store.Flush().ok());
   }
   auto dev = OpenDevice(/*enable_mmap=*/false);
   EXPECT_FALSE(dev->SupportsMappedReads());
@@ -325,6 +330,140 @@ TEST_F(MmapAppendStoreTest, NonMmapFallbackCopiesAndVerifies) {
   const HistReadStats s = store.hist_stats();
   EXPECT_EQ(0u, s.mapped_bytes);
   EXPECT_EQ(14u, s.copied_bytes);
+}
+
+// A staged blob stays off the device until Flush or its first read; the
+// read flushes it and serves it through the unchanged device path.
+TEST_F(MmapAppendStoreTest, StagedBlobReadsBackThroughBothDevicePaths) {
+  for (const bool mmap : {true, false}) {
+    SCOPED_TRACE(mmap ? "mapped" : "copying");
+    ASSERT_EQ(0, ::truncate(path_.c_str(), 0));
+    auto dev = OpenDevice(mmap);
+    AppendStore store(dev.get(), /*cache_blobs=*/0);
+    HistAddr a, b;
+    ASSERT_TRUE(store.Append(Slice("staged one"), &a).ok());
+    ASSERT_TRUE(store.Append(Slice("staged two"), &b).ok());
+    EXPECT_EQ(0u, dev->Size());
+    EXPECT_EQ(0u, dev->stats().writes);
+    EXPECT_EQ(0u, store.flushed_end());
+    BlobHandle h;
+    ASSERT_TRUE(store.ReadView(b, &h).ok());
+    EXPECT_EQ(Slice("staged two"), h.data());
+    EXPECT_EQ(store.device_bytes(), dev->Size());
+    EXPECT_EQ(store.device_bytes(), store.flushed_end());
+    EXPECT_EQ(1u, dev->stats().writes);  // both blobs in one write
+    ASSERT_TRUE(store.ReadView(a, &h).ok());
+    EXPECT_EQ(Slice("staged one"), h.data());
+    const HistReadStats s = store.hist_stats();
+    EXPECT_EQ(mmap ? 20u : 0u, s.mapped_bytes);
+    EXPECT_EQ(mmap ? 0u : 20u, s.copied_bytes);
+  }
+}
+
+TEST(AppendStoreTest, FlushWritesErasableTailOnce) {
+  MemDevice dev;
+  AppendStore store(&dev);
+  HistAddr addr[5];
+  for (int i = 0; i < 5; ++i) {
+    ASSERT_TRUE(
+        store.Append("blob-" + std::to_string(i) + std::string(i * 7, 'p'),
+                     &addr[i])
+            .ok());
+  }
+  EXPECT_EQ(0u, dev.Size());
+  ASSERT_TRUE(store.Flush().ok());
+  EXPECT_EQ(1u, dev.stats().writes);
+  EXPECT_EQ(store.device_bytes(), dev.Size());
+  ASSERT_TRUE(store.Flush().ok());  // nothing staged: no write
+  EXPECT_EQ(1u, dev.stats().writes);
+  for (int i = 0; i < 5; ++i) {
+    std::string out;
+    ASSERT_TRUE(store.Read(addr[i], &out).ok());
+    EXPECT_EQ("blob-" + std::to_string(i) + std::string(i * 7, 'p'), out);
+  }
+}
+
+// On a WORM a flush writes each blob on its own, so the sector residue
+// between blobs never burns: the device ends up exactly as if every
+// Append had written through.
+TEST(AppendStoreTest, WormFlushWritesEachBlobLikeWriteThrough) {
+  WormDevice through_dev(/*sector_size=*/512);
+  WormDevice staged_dev(/*sector_size=*/512);
+  AppendStore through(&through_dev);
+  AppendStore staged(&staged_dev);
+  for (int i = 0; i < 6; ++i) {
+    const std::string blob(100 + i * 250, static_cast<char>('a' + i));
+    HistAddr a, b;
+    ASSERT_TRUE(through.Append(blob, &a).ok());
+    ASSERT_TRUE(through.Flush().ok());
+    ASSERT_TRUE(staged.Append(blob, &b).ok());
+    EXPECT_EQ(a, b);
+  }
+  EXPECT_EQ(0u, staged_dev.sectors_burned());
+  ASSERT_TRUE(staged.Flush().ok());
+  EXPECT_EQ(6u, staged_dev.stats().writes);
+  EXPECT_EQ(through_dev.stats().writes, staged_dev.stats().writes);
+  EXPECT_EQ(through_dev.sectors_burned(), staged_dev.sectors_burned());
+  EXPECT_EQ(through_dev.payload_bytes(), staged_dev.payload_bytes());
+  EXPECT_DOUBLE_EQ(through_dev.Utilization(), staged_dev.Utilization());
+  EXPECT_EQ(through.device_bytes(), staged.device_bytes());
+}
+
+// A failed flush changes no count or offset and keeps the bytes; the next
+// flush writes them at the same offsets. On a WORM the blobs a failed
+// flush already burned are not written again.
+TEST(AppendStoreTest, FailedFlushKeepsTailForTheNextFlush) {
+  for (const bool worm : {false, true}) {
+    SCOPED_TRACE(worm ? "worm" : "erasable");
+    std::unique_ptr<Device> base;
+    if (worm) {
+      base = std::make_unique<WormDevice>(/*sector_size=*/512);
+    } else {
+      base = std::make_unique<MemDevice>();
+    }
+    auto plan = std::make_shared<FaultPlan>();
+    FaultInjectingDevice dev(base.get(), plan);
+    AppendStore store(&dev);
+    HistAddr addr[3];
+    for (int i = 0; i < 3; ++i) {
+      ASSERT_TRUE(store.Append(std::string(300, 'k' + i), &addr[i]).ok());
+    }
+    const uint64_t bytes = store.device_bytes();
+    // Erasable: the one tail write fails. WORM: the second blob fails
+    // after the first burned.
+    plan->FailNth(FaultOp::kWrite, worm ? 2 : 1);
+    EXPECT_TRUE(store.Flush().IsIOError());
+    EXPECT_EQ(3u, store.blob_count());
+    EXPECT_EQ(900u, store.payload_bytes());
+    EXPECT_EQ(bytes, store.device_bytes());
+    EXPECT_EQ(worm ? addr[0].offset + 308 : 0u, store.flushed_end());
+    ASSERT_TRUE(store.Flush().ok());
+    EXPECT_EQ(bytes, store.flushed_end());
+    EXPECT_EQ(worm ? 3u : 1u, base->stats().writes);
+    for (int i = 0; i < 3; ++i) {
+      std::string out;
+      ASSERT_TRUE(store.Read(addr[i], &out).ok());
+      EXPECT_EQ(std::string(300, 'k' + i), out);
+    }
+    HistAddr next;
+    ASSERT_TRUE(store.Append("after", &next).ok());
+    EXPECT_GE(next.offset, bytes);
+  }
+}
+
+// A read of a staged blob whose flush fails returns the flush's error.
+TEST(AppendStoreTest, ReadOfStagedBlobReturnsFlushError) {
+  MemDevice base;
+  auto plan = std::make_shared<FaultPlan>();
+  FaultInjectingDevice dev(&base, plan);
+  AppendStore store(&dev);
+  HistAddr a;
+  ASSERT_TRUE(store.Append(Slice("unlucky"), &a).ok());
+  plan->FailNth(FaultOp::kWrite, 1);
+  std::string out;
+  EXPECT_TRUE(store.Read(a, &out).IsIOError());
+  ASSERT_TRUE(store.Read(a, &out).ok());  // one-shot fault: the retry lands
+  EXPECT_EQ("unlucky", out);
 }
 
 TEST_F(MmapAppendStoreTest, ClearCacheDropsEntriesButKeepsPins) {

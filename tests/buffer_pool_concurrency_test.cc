@@ -114,6 +114,99 @@ TEST_F(BufferPoolConcurrencyTest, SharedAndExclusiveFetchStress) {
   }
 }
 
+// Resident index pages under contention (a 512-frame pool runs 16 shards):
+// readers and an exclusive writer race on resident index pages while a
+// loader churns data pages through the shards. The writer keeps two copies of a per-page counter equal under
+// its exclusive latch; a reader must never see them differ, and every
+// page keeps its stamp.
+TEST_F(BufferPoolConcurrencyTest, ResidentIndexPagesUnderReadersAndWriter) {
+  constexpr int kIndexPages = 16;
+  constexpr int kReaders = 3;
+  constexpr int kOpsPerThread = 4000;
+  BufferPool pool(&pager_, 512);
+  ASSERT_EQ(32u, pool.resident_budget());
+  std::vector<uint32_t> ids;
+  for (int i = 0; i < kIndexPages; ++i) {
+    PageHandle h;
+    ASSERT_TRUE(pool.New(PageType::kTsbIndex, &h).ok());
+    const uint32_t id = h.id();
+    memcpy(h.data() + kPageHeaderSize, &id, sizeof(uint32_t));
+    h.MarkDirty();
+    ids.push_back(id);
+  }
+  const std::vector<uint32_t> data = SeedPages(&pool, 64);
+  for (uint32_t id : ids) {  // the first fetch publishes each page
+    PageHandle h;
+    ASSERT_TRUE(pool.FetchShared(id, &h).ok());
+  }
+  ASSERT_EQ(static_cast<size_t>(kIndexPages), pool.resident_index_pages());
+  pool.ResetStats();
+
+  std::atomic<bool> failed{false};
+  std::vector<std::thread> threads;
+  for (int r = 0; r < kReaders; ++r) {
+    threads.emplace_back([&, r] {
+      uint64_t rng = 0x9E3779B97F4A7C15ull * (r + 1);
+      for (int i = 0; i < kOpsPerThread && !failed.load(); ++i) {
+        rng = rng * 6364136223846793005ull + 1442695040888963407ull;
+        const uint32_t id = ids[(rng >> 33) % ids.size()];
+        PageHandle h;
+        if (!pool.FetchShared(id, &h).ok() || Stamp(h) != id) {
+          failed.store(true);
+          break;
+        }
+        uint32_t a = 0, b = 0;
+        memcpy(&a, h.data() + kPageHeaderSize + 4, sizeof(uint32_t));
+        memcpy(&b, h.data() + kPageHeaderSize + 8, sizeof(uint32_t));
+        if (a != b) failed.store(true);
+      }
+    });
+  }
+  threads.emplace_back([&] {
+    uint64_t rng = 0xDEADBEEFCAFEF00Dull;
+    for (int i = 0; i < kOpsPerThread && !failed.load(); ++i) {
+      rng = rng * 6364136223846793005ull + 1442695040888963407ull;
+      const uint32_t id = ids[(rng >> 33) % ids.size()];
+      PageHandle h;
+      if (!pool.FetchExclusive(id, &h).ok() || Stamp(h) != id) {
+        failed.store(true);
+        break;
+      }
+      uint32_t counter = 0;
+      memcpy(&counter, h.data() + kPageHeaderSize + 4, sizeof(uint32_t));
+      counter++;
+      memcpy(h.data() + kPageHeaderSize + 4, &counter, sizeof(uint32_t));
+      std::this_thread::yield();  // widen the window between the copies
+      memcpy(h.data() + kPageHeaderSize + 8, &counter, sizeof(uint32_t));
+      h.MarkDirty();
+    }
+  });
+  threads.emplace_back([&] {
+    for (int i = 0; i < kOpsPerThread && !failed.load(); ++i) {
+      PageHandle h;
+      if (i % 4 == 0) {
+        if (!pool.New(PageType::kTsbData, &h).ok()) failed.store(true);
+        h.MarkDirty();
+      } else if (!pool.FetchShared(data[i % data.size()], &h).ok()) {
+        failed.store(true);
+      }
+    }
+  });
+  for (auto& t : threads) t.join();
+  EXPECT_FALSE(failed.load());
+  EXPECT_EQ(static_cast<size_t>(kIndexPages), pool.resident_index_pages());
+  const BufferPoolStats st = pool.stats();
+  EXPECT_EQ((kReaders + 1) * uint64_t{kOpsPerThread} + kOpsPerThread * 3 / 4,
+            st.hits + st.misses);
+  // Only the loader's data-page fetches went through a shard.
+  EXPECT_EQ(uint64_t{kOpsPerThread} * 3 / 4, st.shard_lookups);
+  for (uint32_t id : ids) {
+    PageHandle h;
+    ASSERT_TRUE(pool.Fetch(id, &h).ok());
+    EXPECT_EQ(id, Stamp(h));
+  }
+}
+
 // Concurrent shared fetches of one hot page must all succeed and overlap
 // (shared latches do not exclude each other). Overlap is demonstrated by
 // holding all handles alive simultaneously before releasing any.

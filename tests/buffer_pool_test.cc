@@ -1,5 +1,5 @@
 // Buffer pool behaviour: hit/miss accounting, LRU eviction, pin protection,
-// dirty write-back, drop.
+// dirty write-back, drop, and resident index pages in 16-shard pools.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -155,6 +155,146 @@ TEST_F(BufferPoolTest, FlushSingleKeepsCached) {
   PageHandle h;
   ASSERT_TRUE(pool.Fetch(id, &h).ok());
   EXPECT_EQ(0u, dev_.stats().reads);
+}
+
+// Resident index pages: a pool of 512 frames or more runs 16 shards and
+// keeps TSB index pages in a lock-free page table.
+class ResidentPoolTest : public BufferPoolTest {
+ protected:
+  static constexpr size_t kFrames = 512;
+
+  uint32_t MakeTyped(BufferPool* pool, PageType type, char fill) {
+    PageHandle h;
+    EXPECT_TRUE(pool->New(type, &h).ok());
+    h.data()[kPageHeaderSize] = fill;
+    h.MarkDirty();
+    return h.id();
+  }
+};
+
+TEST_F(ResidentPoolTest, SmallPoolsKeepNoResidentPages) {
+  BufferPool pool(&pager_, 256);
+  EXPECT_EQ(0u, pool.resident_budget());
+  const uint32_t id = MakeTyped(&pool, PageType::kTsbIndex, 'i');
+  PageHandle h;
+  ASSERT_TRUE(pool.FetchShared(id, &h).ok());
+  h.Release();
+  EXPECT_EQ(0u, pool.resident_index_pages());
+  EXPECT_TRUE(pool.Drop(id).ok());  // no pool pin held
+}
+
+TEST_F(ResidentPoolTest, IndexPageIsResidentAfterOneFetch) {
+  BufferPool pool(&pager_, kFrames);
+  ASSERT_EQ(16u, pool.shard_count());
+  EXPECT_EQ(kFrames / 16, pool.resident_budget());
+  const uint32_t index = MakeTyped(&pool, PageType::kTsbIndex, 'i');
+  const uint32_t data = MakeTyped(&pool, PageType::kTsbData, 'd');
+  ASSERT_TRUE(pool.FlushAll().ok());
+  {
+    PageHandle h;
+    ASSERT_TRUE(pool.FetchShared(index, &h).ok());  // shard hit, publishes
+    PageHandle d;
+    ASSERT_TRUE(pool.FetchShared(data, &d).ok());  // data pages never do
+  }
+  EXPECT_EQ(1u, pool.resident_index_pages());
+  pool.ResetStats();
+  for (int i = 0; i < 3; ++i) {
+    PageHandle h;
+    ASSERT_TRUE(pool.FetchExclusive(index, &h).ok());
+    EXPECT_EQ('i', h.data()[kPageHeaderSize]);
+    PageHandle s;
+    h.Release();
+    ASSERT_TRUE(pool.FetchShared(index, &s).ok());
+    s.Release();
+    ASSERT_TRUE(pool.Fetch(index, &s).ok());
+  }
+  BufferPoolStats st = pool.stats();
+  EXPECT_EQ(9u, st.hits);  // resident hits still count as pages fetched
+  EXPECT_EQ(0u, st.misses);
+  EXPECT_EQ(0u, st.shard_lookups);
+  PageHandle d;
+  ASSERT_TRUE(pool.Fetch(data, &d).ok());
+  st = pool.stats();
+  EXPECT_EQ(10u, st.hits);
+  EXPECT_EQ(1u, st.shard_lookups);
+}
+
+TEST_F(ResidentPoolTest, ResidentPageSurvivesEvictionPressure) {
+  BufferPool pool(&pager_, kFrames);
+  const uint32_t index = MakeTyped(&pool, PageType::kTsbIndex, 'r');
+  ASSERT_TRUE(pool.FlushAll().ok());
+  {
+    PageHandle h;
+    ASSERT_TRUE(pool.FetchShared(index, &h).ok());
+  }
+  ASSERT_EQ(1u, pool.resident_index_pages());
+  // Eight pools' worth of data pages through the same shards.
+  for (size_t i = 0; i < 8 * kFrames; ++i) {
+    MakeTyped(&pool, PageType::kTsbData, 'd');
+  }
+  EXPECT_GT(pool.stats().evictions, 0u);
+  dev_.ResetStats();
+  pool.ResetStats();
+  PageHandle h;
+  ASSERT_TRUE(pool.FetchShared(index, &h).ok());
+  EXPECT_EQ('r', h.data()[kPageHeaderSize]);
+  EXPECT_EQ(0u, dev_.stats().reads);
+  EXPECT_EQ(1u, pool.stats().hits);
+  EXPECT_EQ(0u, pool.stats().shard_lookups);
+}
+
+TEST_F(ResidentPoolTest, ResidencyStopsAtOneShardsWorth) {
+  BufferPool pool(&pager_, kFrames);
+  const size_t budget = pool.resident_budget();
+  std::vector<uint32_t> ids;
+  for (size_t i = 0; i < budget + 10; ++i) {
+    ids.push_back(MakeTyped(&pool, PageType::kTsbIndex, 'x'));
+  }
+  for (uint32_t id : ids) {
+    PageHandle h;
+    ASSERT_TRUE(pool.FetchShared(id, &h).ok());
+  }
+  EXPECT_EQ(budget, pool.resident_index_pages());
+  // The pages past the budget still go through their shards.
+  pool.ResetStats();
+  for (uint32_t id : ids) {
+    PageHandle h;
+    ASSERT_TRUE(pool.FetchShared(id, &h).ok());
+  }
+  EXPECT_EQ(ids.size(), pool.stats().hits);
+  EXPECT_EQ(10u, pool.stats().shard_lookups);
+}
+
+TEST_F(ResidentPoolTest, DropUnpublishesResidentPage) {
+  BufferPool pool(&pager_, kFrames);
+  const uint32_t id = MakeTyped(&pool, PageType::kTsbIndex, 'q');
+  {
+    PageHandle h;
+    ASSERT_TRUE(pool.FetchShared(id, &h).ok());
+    ASSERT_EQ(1u, pool.resident_index_pages());
+    h.Release();
+    PageHandle pinned;
+    ASSERT_TRUE(pool.New(PageType::kTsbData, &pinned).ok());
+    EXPECT_TRUE(pool.Drop(pinned.id()).IsBusy());
+  }
+  pool.ResetStats();
+  {
+    PageHandle h;
+    ASSERT_TRUE(pool.Fetch(id, &h).ok());
+  }
+  ASSERT_TRUE(pool.Drop(id).ok());
+  EXPECT_EQ(0u, pool.resident_index_pages());
+  EXPECT_EQ(1u, pool.stats().hits);  // the resident hit outlives the frame
+  // The id is free again; a page reusing it starts in its shard.
+  PageHandle h;
+  ASSERT_TRUE(pool.New(PageType::kTsbData, &h).ok());
+  EXPECT_EQ(id, h.id());
+  h.MarkDirty();
+  h.Release();
+  pool.ResetStats();
+  ASSERT_TRUE(pool.FetchShared(id, &h).ok());
+  EXPECT_EQ(1u, pool.stats().shard_lookups);
+  EXPECT_EQ(0u, pool.resident_index_pages());
 }
 
 }  // namespace

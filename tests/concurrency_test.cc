@@ -165,10 +165,13 @@ bool VersionChainExact(tsb_tree::VersionCursor* it, Timestamp snapshot_ts) {
 
 TEST(ConcurrencyTest, SnapshotScansStayExactUnderConcurrentSplits) {
   // Two inputs: key scans alone, and key scans that also walk every key's
-  // versions with NextVersion inside the same snapshot.
+  // versions with NextVersion inside the same snapshot; each over a
+  // 64-frame pool and a 512-frame one, whose index pages are resident.
+  for (const size_t frames : {size_t{64}, size_t{512}})
   for (const bool walk_versions : {false, true}) {
     SCOPED_TRACE(walk_versions ? "with version walks" : "key scans only");
-    Fixture f;
+    SCOPED_TRACE(std::to_string(frames) + " frames");
+    Fixture f(1024, frames);
     constexpr int kKeys = 150;
     constexpr int kRounds = 25;
     constexpr int kScanners = 3;
@@ -240,8 +243,8 @@ TEST(ConcurrencyTest, SnapshotScansStayExactUnderConcurrentSplits) {
 // finished round must return exactly that round's value while the writer
 // keeps splitting leaves, index pages and the root underneath it, and
 // whether the version resolves in a current leaf or a historical node.
-TEST(ConcurrencyTest, PointReadsAtPastTimesStayExactUnderConcurrentSplits) {
-  Fixture f;
+void PointReadsAtPastTimesStayExact(size_t frames) {
+  Fixture f(1024, frames);
   constexpr int kKeys = 120;
   constexpr int kRounds = 60;
   constexpr int kReaders = 3;
@@ -314,6 +317,107 @@ TEST(ConcurrencyTest, PointReadsAtPastTimesStayExactUnderConcurrentSplits) {
   // Index pages and the root changed under the readers, not just leaves.
   EXPECT_GT(c.index_key_splits + c.index_time_splits + c.root_grows,
             index_changes_before);
+}
+
+TEST(ConcurrencyTest, PointReadsAtPastTimesStayExactUnderConcurrentSplits) {
+  PointReadsAtPastTimesStayExact(64);
+}
+
+// The same with resident index pages: the descent above the leaf takes
+// no shard mutex and no pin.
+TEST(ConcurrencyTest,
+     PointReadsAtPastTimesStayExactUnderConcurrentSplitsResidentIndex) {
+  PointReadsAtPastTimesStayExact(512);
+}
+
+// Three writers time-split their own key ranges with 10-key batches while
+// readers Get at past times. A split installs its historical node before
+// the writing call flushes it, so a reader can meet a node still staged in
+// the append store's tail: that read flushes it and must return exactly
+// the value of the round it asked for. At the end every node is on the
+// device.
+TEST(ConcurrencyTest, PastReadsStayExactWhileWritersStageHistory) {
+  Fixture f(1024, 512);
+  constexpr int kWriters = 3;
+  constexpr int kKeysPerWriter = 40;
+  constexpr int kBatch = 10;
+  constexpr int kRounds = 100;
+  constexpr int kReaders = 3;
+  // round_ts[w][r] = writer w's last commit ts of round r.
+  std::vector<std::vector<std::atomic<Timestamp>>> round_ts(kWriters);
+  std::vector<std::atomic<int>> finished(kWriters);
+  auto key_of = [](int w, int k) { return KeyOf(w * kKeysPerWriter + k); };
+  for (int w = 0; w < kWriters; ++w) {
+    round_ts[w] = std::vector<std::atomic<Timestamp>>(kRounds + 1);
+    for (int k = 0; k < kKeysPerWriter; ++k) {
+      Timestamp ts = 0;
+      ASSERT_TRUE(f.db->Put(key_of(w, k), ValueOf(key_of(w, k), 0), &ts).ok());
+      round_ts[w][0].store(ts, std::memory_order_relaxed);
+    }
+    finished[w].store(0, std::memory_order_relaxed);
+  }
+  const tsb_tree::TsbCounters& c = f.db->primary()->counters();
+  const uint64_t time_splits_before = c.data_time_splits;
+
+  std::atomic<bool> stop{false};
+  std::atomic<bool> failed{false};
+  std::atomic<uint64_t> reads_done{0};
+  std::vector<std::thread> threads;
+  for (int r = 0; r < kReaders; ++r) {
+    threads.emplace_back([&, r] {
+      uint64_t rng = 0x9E3779B97F4A7C15ull * (r + 1);
+      std::string value;
+      while (!stop.load(std::memory_order_acquire) && !failed.load()) {
+        rng = rng * 6364136223846793005ull + 1442695040888963407ull;
+        const int w = static_cast<int>((rng >> 50) % kWriters);
+        const int done = finished[w].load(std::memory_order_acquire);
+        const int round = static_cast<int>((rng >> 40) % (done + 1));
+        const std::string key =
+            key_of(w, static_cast<int>((rng >> 20) % kKeysPerWriter));
+        db::ReadOptions ro;
+        ro.as_of = round_ts[w][round].load(std::memory_order_relaxed);
+        Status s = f.db->Get(ro, key, &value);
+        if (!s.ok() || value != ValueOf(key, round)) {
+          ADD_FAILURE() << key << " as of round " << round << ": "
+                        << s.ToString() << " " << value;
+          failed.store(true);
+          break;
+        }
+        reads_done.fetch_add(1, std::memory_order_relaxed);
+      }
+    });
+  }
+  std::vector<std::thread> writers;
+  for (int w = 0; w < kWriters; ++w) {
+    writers.emplace_back([&, w] {
+      for (int round = 1; round <= kRounds && !failed.load(); ++round) {
+        Timestamp ts = 0;
+        for (int k = 0; k < kKeysPerWriter && !failed.load(); k += kBatch) {
+          db::WriteBatch batch;
+          for (int b = k; b < k + kBatch; ++b) {
+            batch.Put(key_of(w, b), ValueOf(key_of(w, b), round));
+          }
+          Status s = f.db->Write(batch, &ts);
+          if (!s.ok()) {
+            ADD_FAILURE() << "writer " << w << ": " << s.ToString();
+            failed.store(true);
+          }
+        }
+        round_ts[w][round].store(ts, std::memory_order_relaxed);
+        finished[w].store(round, std::memory_order_release);
+      }
+    });
+  }
+  for (auto& t : writers) t.join();
+  stop.store(true, std::memory_order_release);
+  for (auto& t : threads) t.join();
+
+  EXPECT_FALSE(failed.load());
+  EXPECT_GT(reads_done.load(), 0u);
+  EXPECT_GT(c.data_time_splits, time_splits_before);
+  AppendStore* hist = f.db->primary()->hist_store();
+  EXPECT_EQ(hist->device_bytes(), hist->flushed_end());
+  EXPECT_EQ(hist->device_bytes(), f.optical.Size());
 }
 
 // Reverse scans ride the same pinned-frame machinery as forward ones:

@@ -207,6 +207,7 @@ TEST_F(FaultTest, WormViolationSurfacesThroughAppendStore) {
   AppendStore store(&worm);
   HistAddr a;
   ASSERT_TRUE(store.Append(Slice("first"), &a).ok());
+  ASSERT_TRUE(store.Flush().ok());
   // A second store on the same device with stale state would collide:
   ASSERT_TRUE(worm.Write(a.offset, Slice("overwrite")).IsWriteOnceViolation());
 }
@@ -594,34 +595,15 @@ TEST_F(DegradedModeTest, AutoResumeHealsTransientFault) {
   ExpectBaseline(kBase);
 }
 
-// Every current page of `tree` (index entries and data records) in one
-// string, walked under shared latches: equal strings mean no leaf and no
-// parent entry changed, and the walk itself would block on a latch a
-// failed split left held.
-std::string CurrentTreeImage(tsb_tree::TsbTree* tree,
-                             const tsb_tree::NodeRef& ref) {
-  tsb_tree::DecodedNode node;
-  Status s = tree->ReadNode(ref, &node);
-  EXPECT_TRUE(s.ok()) << s.ToString();
-  std::string out = "[" + std::to_string(ref.page_id) + "]";
-  for (const auto& d : node.data) {
-    out += d.key + "@" + std::to_string(d.ts) + "/" + std::to_string(d.txn) +
-           "=" + d.value + ";";
-  }
-  for (const auto& e : node.index) {
-    out += e.ToString() + ";";
-    if (!e.child.historical) out += CurrentTreeImage(tree, e.child);
-  }
-  return out;
-}
-
-// A historical append failure inside a latch-only data time split: the
-// split checks everything before its first write, so the failed append
-// leaves the leaf, its parent entry and the historical store untouched;
-// the commit fails, the DB degrades, and after Resume() the same batch
-// commits into a tree that checks clean. Two inputs drive the same split:
-// a WriteBatch, and an explicit transaction (Begin + Put + Commit), whose
-// failed Put must leave the key unlocked.
+// A data time split stages its historical node and the write that split
+// flushes it before returning. When that flush fails, the split stays
+// installed with the node staged: the commit fails with IOError and the
+// DB degrades, a retry fails fast, and Resume()'s checkpoint writes the
+// staged node at its address, after which the same batch commits and
+// every version, historical ones included, reads back from a tree that
+// checks clean. Two inputs drive the same split: a WriteBatch, and an
+// explicit transaction (Begin + Put + Commit), whose failed Put must
+// leave the key unlocked.
 TEST_F(DegradedModeTest, HistoricalAppendFailureInDataTimeSplit) {
   for (const bool explicit_txn : {false, true}) {
     SCOPED_TRACE(explicit_txn ? "explicit transaction" : "WriteBatch");
@@ -651,46 +633,58 @@ TEST_F(DegradedModeTest, HistoricalAppendFailureInDataTimeSplit) {
     // armed.
     PutBaseline(40);
     ASSERT_EQ(2u, tree->height());
-    // The first historical write is the first data time split's append.
+    // The first historical write is the flush of the first data time
+    // split's node.
     hist_plan->FailNth(FaultOp::kWrite, 1, FaultKind::kEIO,
                        /*sticky=*/false);
 
     constexpr int kHotKeys = 4;
+    struct Committed {
+      std::string key, value;
+      Timestamp ts;
+    };
+    std::vector<Committed> committed;
     WriteBatch failed;
-    std::string before;
-    uint64_t blobs_before = 0;
     for (int i = 0; i < 2000 && hist_plan->fired(FaultOp::kWrite) == 0; ++i) {
-      before = CurrentTreeImage(tree, tree->root());
-      blobs_before = tree->hist_store()->blob_count();
       WriteBatch batch;
-      batch.Put(DbKey(i % kHotKeys),
-                "version-" + std::to_string(i) + "-of-a-hot-key");
-      if (commit(batch, nullptr).ok()) continue;
+      const std::string value =
+          "version-" + std::to_string(i) + "-of-a-hot-key";
+      batch.Put(DbKey(i % kHotKeys), value);
+      Timestamp ts = 0;
+      if (commit(batch, &ts).ok()) {
+        committed.push_back({DbKey(i % kHotKeys), value, ts});
+        continue;
+      }
       failed = batch;
     }
     ASSERT_EQ(1u, hist_plan->fired(FaultOp::kWrite));
     ASSERT_FALSE(failed.empty());
-    EXPECT_EQ(0u, tree->counters().data_time_splits);
+    EXPECT_GT(tree->counters().data_time_splits, 0u);
+    EXPECT_GT(tree->hist_store()->device_bytes(),
+              tree->hist_store()->flushed_end());
     EXPECT_TRUE(db_->degraded());
     EXPECT_TRUE(db_->BackgroundError().IsIOError());
-    EXPECT_EQ(before, CurrentTreeImage(tree, tree->root()));
-    EXPECT_EQ(blobs_before, tree->hist_store()->blob_count());
     Status fast = commit(failed, nullptr);  // fail-fast while degraded
     EXPECT_TRUE(fast.IsIOError()) << fast.ToString();
 
     Status resume = db_->Resume();
     ASSERT_TRUE(resume.ok()) << resume.ToString();
+    EXPECT_EQ(tree->hist_store()->device_bytes(),
+              tree->hist_store()->flushed_end());
     Timestamp ts = 0;
     Status s = commit(failed, &ts);
     ASSERT_TRUE(s.ok()) << s.ToString();
-    EXPECT_GT(tree->counters().data_time_splits, 0u);
+    const auto& [key, value] = failed.ops().front();
+    committed.push_back({key, value, ts});
+    for (const Committed& c : committed) {
+      std::string v;
+      ASSERT_TRUE(db_->Get({.as_of = c.ts}, c.key, &v).ok())
+          << c.key << "@" << c.ts;
+      EXPECT_EQ(c.value, v);
+    }
     EXPECT_EQ(tree->hist_store()->blob_count(),
               uint64_t{tree->counters().hist_data_nodes} +
                   uint64_t{tree->counters().hist_index_nodes});
-    const auto& [key, value] = failed.ops().front();
-    std::string v;
-    ASSERT_TRUE(db_->Get({.as_of = ts}, key, &v).ok());
-    EXPECT_EQ(value, v);
     tsb_tree::TreeChecker checker(tree);
     checker.set_verify_checksums(true);
     Status check = checker.Check();

@@ -23,12 +23,13 @@ std::string Key(int i) {
 class TsbBasicTest : public ::testing::Test {
  protected:
   void Open(uint32_t page_size = 1024,
-            SplitPolicyConfig policy = SplitPolicyConfig{}) {
+            SplitPolicyConfig policy = SplitPolicyConfig{},
+            size_t frames = 64) {
     magnetic_ = std::make_unique<MemDevice>();
     worm_ = std::make_unique<WormDevice>(1024);
     TsbOptions opts;
     opts.page_size = page_size;
-    opts.buffer_pool_frames = 64;
+    opts.buffer_pool_frames = frames;
     opts.policy = policy;
     ASSERT_TRUE(TsbTree::Open(magnetic_.get(), worm_.get(), opts, &tree_).ok());
   }
@@ -212,6 +213,146 @@ TEST_F(TsbBasicTest, WarmGetPinsOnePagePerLevel) {
   EXPECT_EQ(tree_->height(),
             (after.hits + after.misses) - (before.hits + before.misses));
   EXPECT_EQ(before.misses, after.misses);
+  // A pool below 512 frames keeps every page in its LRU shard.
+  EXPECT_EQ(tree_->height(), after.shard_lookups - before.shard_lookups);
+}
+
+// In a pool of 512 frames or more the index pages are resident: a warm
+// Get still fetches height() pages, but only the leaf goes through a
+// shard.
+TEST_F(TsbBasicTest, WarmGetInResidentPoolLooksUpOnlyTheLeaf) {
+  Open(1024, SplitPolicyConfig{}, /*frames=*/512);
+  ASSERT_GT(tree_->buffer_pool()->resident_budget(), 0u);
+  const std::string value(40, 'v');
+  int n = 0;
+  for (; tree_->height() < 3 && n < 20000; ++n) {
+    ASSERT_TRUE(tree_->Put(Key(n), value, n + 1).ok()) << n;
+  }
+  ASSERT_GE(tree_->height(), 3u);
+  for (const int k : {0, n / 3, n / 2, n - 1}) {
+    const std::string key = Key(k);
+    std::string v;
+    ASSERT_TRUE(tree_->Get({}, key, &v).ok());  // warms the path
+    const BufferPoolStats before = tree_->PoolStats();
+    ASSERT_TRUE(tree_->Get({}, key, &v).ok());
+    const BufferPoolStats after = tree_->PoolStats();
+    EXPECT_EQ(value, v);
+    EXPECT_EQ(tree_->height(),
+              (after.hits + after.misses) - (before.hits + before.misses));
+    EXPECT_EQ(before.misses, after.misses);
+    EXPECT_EQ(1u, after.shard_lookups - before.shard_lookups) << key;
+  }
+  ExpectChecked();
+}
+
+// Every write that time-splits leaves its historical nodes on the device
+// when it returns: one history write per Put on an erasable device.
+TEST_F(TsbBasicTest, TimeSplittingWriteReturnsWithHistoryOnDevice) {
+  for (const bool worm : {false, true}) {
+    SCOPED_TRACE(worm ? "worm" : "erasable");
+    auto magnetic = std::make_unique<MemDevice>();
+    std::unique_ptr<Device> hist;
+    if (worm) {
+      hist = std::make_unique<WormDevice>(1024);
+    } else {
+      hist = std::make_unique<MemDevice>(DeviceKind::kOpticalErasable,
+                                         CostParams::OpticalWorm());
+    }
+    TsbOptions opts;
+    opts.page_size = 1024;
+    opts.buffer_pool_frames = 512;
+    std::unique_ptr<TsbTree> tree;
+    ASSERT_TRUE(TsbTree::Open(magnetic.get(), hist.get(), opts, &tree).ok());
+    Timestamp ts = 0;
+    uint64_t splits = 0;
+    for (int round = 0; round < 80; ++round) {
+      for (int i = 0; i < 12; ++i) {
+        const uint64_t writes = hist->stats().writes;
+        const uint64_t blobs = tree->hist_store()->blob_count();
+        ASSERT_TRUE(
+            tree->Put(Key(i), "r" + std::to_string(round), ++ts).ok());
+        const uint64_t staged = tree->hist_store()->blob_count() - blobs;
+        EXPECT_EQ(tree->hist_store()->device_bytes(),
+                  tree->hist_store()->flushed_end());
+        if (staged == 0) continue;
+        splits++;
+        EXPECT_EQ(worm ? staged : 1u, hist->stats().writes - writes);
+        if (!worm) {
+          EXPECT_EQ(tree->hist_store()->device_bytes(), hist->Size());
+        }
+      }
+    }
+    EXPECT_GT(splits, 0u);
+    TreeChecker checker(tree.get());
+    Status s = checker.Check();
+    EXPECT_TRUE(s.ok()) << s.ToString();
+  }
+}
+
+// A sorted run searched forward from the previous key's slot lands every
+// version exactly where a full binary search puts it: Put with a hint
+// builds the same page, and FindUncommitted with a hint finds the same
+// slots. Two transactions' uncommitted versions and committed versions
+// of the same keys make the runs longer than one slot.
+TEST(DataPageHintTest, ForwardSearchMatchesBinarySearch) {
+  constexpr uint32_t kPage = 8192;
+  std::string plain_buf(kPage, '\0'), hinted_buf(kPage, '\0');
+  DataPageRef::Format(plain_buf.data(), kPage);
+  DataPageRef::Format(hinted_buf.data(), kPage);
+  DataPageRef plain(plain_buf.data(), kPage);
+  DataPageRef hinted(hinted_buf.data(), kPage);
+  std::string cell;
+  auto put_run = [&](int first, int step, int n, Timestamp ts, TxnId txn) {
+    int hint = -1;
+    for (int k = first; k < first + n * step; k += step) {
+      cell.clear();
+      EncodeDataCell(&cell, Key(k), ts, txn, "v");
+      ASSERT_TRUE(plain.Put(Key(k), ts, txn, cell));
+      ASSERT_TRUE(hinted.Put(Key(k), ts, txn, cell, &hint));
+    }
+  };
+  put_run(0, 3, 20, 5, kNoTxn);
+  put_run(1, 3, 20, 6, kNoTxn);
+  put_run(0, 1, 60, 7, kNoTxn);
+  put_run(0, 4, 15, kUncommittedTs, 12);
+  put_run(0, 2, 30, kUncommittedTs, 11);  // lands before txn 12's
+  put_run(0, 2, 30, kUncommittedTs, 11);  // replaces txn 11's versions
+  ASSERT_EQ(plain.Count(), hinted.Count());
+  for (int i = 0; i < plain.Count(); ++i) {
+    DataEntryView a, b;
+    ASSERT_TRUE(plain.At(i, &a).ok());
+    ASSERT_TRUE(hinted.At(i, &b).ok());
+    EXPECT_EQ(a.key, b.key);
+    EXPECT_EQ(a.ts, b.ts);
+    EXPECT_EQ(a.txn, b.txn);
+  }
+  for (const TxnId txn : {TxnId{11}, TxnId{12}}) {
+    int hint = -1;
+    for (int k = 0; k < 60; ++k) {
+      const int expect = plain.FindUncommitted(Key(k), txn);
+      EXPECT_EQ(expect, hinted.FindUncommitted(Key(k), txn, &hint)) << k;
+    }
+  }
+  // Stamping in key order keeps every slot where the binary search
+  // would put it, including when txn 12's stamp must rotate left past
+  // txn 11's still-uncommitted version.
+  int hint = -1;
+  for (int k = 0; k < 60; k += 4) {
+    const int pos = hinted.FindUncommitted(Key(k), 12, &hint);
+    ASSERT_GT(pos, 0);
+    DataEntryView left;
+    ASSERT_TRUE(hinted.At(pos - 1, &left).ok());
+    EXPECT_EQ(TxnId{11}, left.txn);  // the stamp has to rotate past it
+    ASSERT_TRUE(hinted.StampAt(pos, 8).ok());
+    EXPECT_EQ(hinted.FindVersion(Key(k), 8),
+              hinted.LowerBound(Key(k), 8));
+  }
+  for (int i = 1; i < hinted.Count(); ++i) {
+    DataEntryView a, b;
+    ASSERT_TRUE(hinted.At(i - 1, &a).ok());
+    ASSERT_TRUE(hinted.At(i, &b).ok());
+    EXPECT_TRUE(a.key < b.key || (a.key == b.key && a.ts <= b.ts)) << i;
+  }
 }
 
 TEST_F(TsbBasicTest, ManyUpdatesMigrateToHistorical) {
