@@ -29,12 +29,19 @@ Status AppendStore::Append(const Slice& payload, HistAddr* addr) {
   std::lock_guard<std::mutex> lock(append_mu_);
   const uint64_t offset = AlignUp(next_offset_.load(std::memory_order_relaxed));
   const uint64_t end = offset + kFrameHeaderSize + payload.size();
-  // Zero-fill the alignment gap, then the frame, at the blob's offset
-  // relative to the tail's start (the flushed end).
-  tail_.resize(offset - flushed_end_.load(std::memory_order_relaxed));
-  tail_.append(header, kFrameHeaderSize);
-  tail_.append(payload.data(), payload.size());
-  if (sector_size_ != 0) tail_frames_.emplace_back(offset, end - offset);
+  if (sector_size_ != 0) {
+    // WORM: every blob is its own write either way (a write spanning the
+    // sector residue would burn it), so staging saves nothing. Header and
+    // payload go down as one gather write, without a frame copy.
+    const Slice frame[2] = {Slice(header, kFrameHeaderSize), payload};
+    TSB_RETURN_IF_ERROR(device_->WriteGather(offset, frame, 2));
+    flushed_end_.store(end, std::memory_order_release);
+  } else {
+    // Erasable: blobs pack byte-contiguously, so the tail is the device
+    // image of [flushed_end_, next_offset_).
+    tail_.append(header, kFrameHeaderSize);
+    tail_.append(payload.data(), payload.size());
+  }
   addr->offset = offset;
   addr->length = static_cast<uint32_t>(payload.size());
   next_offset_.store(end, std::memory_order_release);
@@ -50,33 +57,11 @@ Status AppendStore::Flush() {
     return Status::OK();
   }
   std::lock_guard<std::mutex> lock(append_mu_);
-  const uint64_t start = flushed_end_.load(std::memory_order_relaxed);
   if (tail_.empty()) return Status::OK();
-  if (sector_size_ == 0) {
-    // Erasable: the tail is one byte-contiguous run. A failed write
-    // leaves it staged; rewriting the same offsets is harmless.
-    TSB_RETURN_IF_ERROR(device_->Write(start, Slice(tail_)));
-  } else {
-    for (size_t i = 0; i < tail_frames_.size(); ++i) {
-      const auto [offset, size] = tail_frames_[i];
-      Status s = device_->Write(offset, Slice(tail_.data() + (offset - start),
-                                              size));
-      if (!s.ok()) {
-        // The burned blobs before this one must not be written again:
-        // drop them from the tail and advance the flushed end past them.
-        if (i > 0) {
-          const uint64_t done = tail_frames_[i - 1].first +
-                                tail_frames_[i - 1].second;
-          tail_.erase(0, done - start);
-          tail_frames_.erase(tail_frames_.begin(),
-                             tail_frames_.begin() + static_cast<long>(i));
-          flushed_end_.store(done, std::memory_order_release);
-        }
-        return s;
-      }
-    }
-    tail_frames_.clear();
-  }
+  // One write for the whole tail. A failed write leaves it staged;
+  // rewriting the same offsets is harmless on an erasable device.
+  TSB_RETURN_IF_ERROR(device_->Write(
+      flushed_end_.load(std::memory_order_relaxed), Slice(tail_)));
   tail_.clear();
   flushed_end_.store(next_offset_.load(std::memory_order_relaxed),
                      std::memory_order_release);

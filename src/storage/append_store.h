@@ -96,18 +96,19 @@ struct BlobReadHints {
 /// read-mostly and slow; the cache models a modest staging buffer, not the
 /// magnetic-disk buffer pool).
 ///
-/// Stage and flush: Append assigns the blob its final address and copies
-/// the framed blob into an in-memory tail; Flush writes the tail to the
-/// device, one write per byte-contiguous run — the whole tail on an
-/// erasable device, one write per blob on a WORM (the sector residue
-/// between blobs is never written). Offsets, alignment and the counters
-/// are the same as if every Append had written through. A write call
-/// that may append (TsbTree::InsertRecords) flushes before it returns, so
-/// every blob is on the device when the write that made it returns, and a
-/// batch that time-splits many leaves makes one device write. A read of a
-/// blob past the flushed end flushes first, then takes the one device
-/// read path. A failed flush keeps the tail; the next Flush rewrites it
-/// at the same offsets.
+/// Stage and flush (erasable devices): Append assigns the blob its final
+/// address and copies the framed blob into an in-memory tail; Flush
+/// writes the whole tail in one device write. Offsets and the counters
+/// are the same as if every Append had written through. A write call that
+/// may append (TsbTree::InsertRecords) flushes before it returns, so every
+/// blob is on the device when the write that made it returns, and a batch
+/// that time-splits many leaves makes one device write. A read of a blob
+/// past the flushed end flushes first, then takes the one device read
+/// path. A failed flush keeps the tail; the next Flush rewrites it at the
+/// same offsets. On a WORM, Append writes each blob through at once, as
+/// one write: a write spanning the sector residue between blobs would
+/// burn it, so staging would save no write there, and Flush has nothing
+/// to do.
 ///
 /// Thread-safe: appends and flushes are serialized by a mutex; the flushed
 /// end is an atomic that reads check without it. Concurrent reads share
@@ -123,12 +124,13 @@ class AppendStore {
   /// of decoded blobs kept in the read cache (0 disables caching).
   AppendStore(Device* device, size_t cache_blobs = 0);
 
-  /// Stages `payload` in the tail and returns its address. The blob
-  /// reaches the device at the next Flush (or the first read of it).
+  /// Stages `payload` in the tail (erasable device) or writes it through
+  /// (WORM) and returns its address. A staged blob reaches the device at
+  /// the next Flush (or the first read of it).
   Status Append(const Slice& payload, HistAddr* addr);
 
-  /// Writes every staged blob to the device. On failure the unwritten
-  /// blobs stay staged at their addresses and the error is returned.
+  /// Writes every staged blob to the device. On failure the blobs stay
+  /// staged at their addresses and the error is returned.
   Status Flush();
 
   /// One past the last byte known to be on the device; blobs ending at or
@@ -251,12 +253,9 @@ class AppendStore {
   std::atomic<uint64_t> flushed_end_{0};
   uint64_t payload_bytes_ = 0;
   uint64_t blob_count_ = 0;
-  // Device image of [flushed_end_, next_offset_): framed blobs, with zero
-  // alignment padding on a WORM. Reused across flushes.
+  // Device image of [flushed_end_, next_offset_) on an erasable device
+  // (empty on a WORM). Reused across flushes.
   std::string tail_;
-  // WORM only: (offset, framed size) of each staged blob, written one by
-  // one so the padding never burns a sector.
-  std::vector<std::pair<uint64_t, uint64_t>> tail_frames_;
 
   // Tiny LRU read cache keyed by offset, latch-guarded. Entries are
   // pinned handles so readers pin blobs instead of copying them; eviction

@@ -1,5 +1,6 @@
 #include "storage/buffer_pool.h"
 
+#include <algorithm>
 #include <cassert>
 #include <iterator>
 #include <thread>
@@ -177,14 +178,24 @@ BufferPool::Frame* BufferPool::FindResident(uint32_t id) {
   return f;
 }
 
+size_t BufferPool::ResidentLimit(uint8_t level) const {
+  // Upper levels first: a level-L page may take a slot only while fewer
+  // than budget - budget/2^L are taken, so every level keeps a reserve
+  // for the levels above it, and a root that grows after the budget
+  // filled still finds a slot. Level counts shrink by the fanout, so the
+  // halving reserves stay ample.
+  return resident_budget_ - (resident_budget_ >> std::min<uint8_t>(level, 63));
+}
+
 void BufferPool::MaybeMakeResident(Frame* f) {
   if (table_ == nullptr ||
-      resident_count_.load(std::memory_order_relaxed) >= resident_budget_ ||
       GetPageType(f->data.get()) != PageType::kTsbIndex) {
     return;
   }
+  const size_t limit = ResidentLimit(TsbPageLevel(f->data.get()));
+  if (resident_count_.load(std::memory_order_relaxed) >= limit) return;
   std::lock_guard<std::mutex> rl(resident_mu_);
-  if (resident_.size() >= resident_budget_) return;
+  if (resident_.size() >= limit) return;
   Shard& shard = ShardFor(f->id);
   std::lock_guard<std::mutex> lock(shard.mu);
   if (f->resident) return;

@@ -16,7 +16,10 @@
 //  - Resident index pages: in a pool large enough to run all 16 shards
 //    (512 frames or more), a TSB index page becomes resident on the fetch
 //    that loads or first finds it, until resident frames fill one shard's
-//    worth (capacity/16). A resident frame keeps one pool-owned pin for
+//    worth (capacity/16). Upper levels come first: a level-L page takes a
+//    slot only while fewer than budget - budget/2^L are taken, so level-1
+//    pages fill at most half the budget and a root that grows late still
+//    finds a slot. A resident frame keeps one pool-owned pin for
 //    good and is published in a lock-free page table whose chunks never
 //    move. Every fetch looks there first: a hit takes only the frame
 //    latch (no shard mutex, hash lookup, LRU splice or pin), so above the
@@ -297,8 +300,11 @@ class BufferPool {
   /// The resident frame of `id`, counting the hit; null when none.
   Frame* FindResident(uint32_t id);
   /// Publishes a pinned, latched (or single-threaded) frame in the
-  /// resident table when it holds an index page and the budget has room.
+  /// resident table when it holds an index page and its level's share of
+  /// the budget has room.
   void MaybeMakeResident(Frame* f);
+  /// Resident pages below which a level-`level` index page may join.
+  size_t ResidentLimit(uint8_t level) const;
   /// Slot of `id` in the resident table; null if its chunk is absent.
   std::atomic<Frame*>* ResidentSlot(uint32_t id, bool create);
 

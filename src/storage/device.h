@@ -64,13 +64,16 @@ class Device {
   /// devices fail with WriteOnceViolation when a burned sector is touched.
   virtual Status Write(uint64_t offset, const Slice& data) = 0;
 
-  /// Gather write: `parts` land back to back from `offset`, each part
-  /// one write (a page run). IoStats count each part as if it came
-  /// through Write. Stops at the first write that fails; the writes
-  /// before it have landed. The default issues one Write per part, so
-  /// decorators and write-once checks keep their per-write semantics;
-  /// devices override it to save syscalls.
-  virtual Status WriteGather(uint64_t offset, std::span<const Slice> parts);
+  /// Gather write: `parts` land back to back from `offset`, and every
+  /// `parts_per_write` consecutive parts form one write (a page run
+  /// passes 1, a framed record its part count; parts.size() must be a
+  /// multiple). IoStats count each write as if it came through Write.
+  /// Stops at the first write that fails; the writes before it have
+  /// landed. The default issues one Write per write (concatenating a
+  /// multi-part one), so decorators and write-once checks keep their
+  /// per-write semantics; devices override it to save syscalls.
+  virtual Status WriteGather(uint64_t offset, std::span<const Slice> parts,
+                             size_t parts_per_write = 1);
 
   /// True when ReadMapped is available (memory-mappable devices).
   virtual bool SupportsMappedReads() const { return false; }

@@ -68,11 +68,12 @@ Status FileDevice::Read(uint64_t offset, size_t n, char* scratch) {
 }
 
 Status FileDevice::Write(uint64_t offset, const Slice& data) {
-  return WriteParts(offset, {&data, 1});
+  return WriteParts(offset, {&data, 1}, 1);
 }
 
-Status FileDevice::WriteGather(uint64_t offset, std::span<const Slice> parts) {
-  return WriteParts(offset, parts);
+Status FileDevice::WriteGather(uint64_t offset, std::span<const Slice> parts,
+                               size_t parts_per_write) {
+  return WriteParts(offset, parts, parts_per_write);
 }
 
 namespace {
@@ -112,11 +113,13 @@ Status PwritevAll(int fd, struct iovec* iov, size_t n, uint64_t offset) {
 
 }  // namespace
 
-Status FileDevice::WriteParts(uint64_t offset,
-                              std::span<const Slice> parts) {
+Status FileDevice::WriteParts(uint64_t offset, std::span<const Slice> parts,
+                              size_t parts_per_write) {
   struct iovec iov[IOV_MAX];
   uint64_t end = offset;
   size_t landed = 0;  // parts on the file, [0, landed)
+  size_t counted = 0;  // parts whose write IoStats has counted
+  uint64_t counted_end = offset;
   while (landed < parts.size()) {
     const size_t n = std::min<size_t>(parts.size() - landed, IOV_MAX);
     const uint64_t start = end;
@@ -127,17 +130,21 @@ Status FileDevice::WriteParts(uint64_t offset,
       end += p.size();
     }
     TSB_RETURN_IF_ERROR(PwritevAll(fd_, iov, n, start));
+    landed += n;
     uint64_t cur = size_.load(std::memory_order_relaxed);
     while (end > cur &&
            !size_.compare_exchange_weak(cur, end, std::memory_order_release)) {
     }
-    // Count each part as the write Write would have made.
-    uint64_t at = start;
-    for (size_t i = landed; i < landed + n; ++i) {
-      AccountWrite(at, parts[i].size());
-      at += parts[i].size();
+    // Count each write whose parts have all landed, as Write would have.
+    while (counted + parts_per_write <= landed) {
+      uint64_t bytes = 0;
+      for (size_t i = counted; i < counted + parts_per_write; ++i) {
+        bytes += parts[i].size();
+      }
+      AccountWrite(counted_end, bytes);
+      counted_end += bytes;
+      counted += parts_per_write;
     }
-    landed += n;
   }
   return Status::OK();
 }

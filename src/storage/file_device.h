@@ -39,7 +39,8 @@ class FileDevice : public Device {
   Status Read(uint64_t offset, size_t n, char* scratch) override;
   Status Write(uint64_t offset, const Slice& data) override;
   /// One pwritev per IOV_MAX parts; IoStats still count every write.
-  Status WriteGather(uint64_t offset, std::span<const Slice> parts) override;
+  Status WriteGather(uint64_t offset, std::span<const Slice> parts,
+                     size_t parts_per_write = 1) override;
   uint64_t Size() const override { return size_.load(std::memory_order_acquire); }
   Status Truncate(uint64_t size) override;
   Status Sync() override;
@@ -73,7 +74,8 @@ class FileDevice : public Device {
   };
 
   /// Body of Write and WriteGather (subclasses check before either).
-  Status WriteParts(uint64_t offset, std::span<const Slice> parts);
+  Status WriteParts(uint64_t offset, std::span<const Slice> parts,
+                    size_t parts_per_write);
 
   int fd_;
   std::atomic<uint64_t> size_;

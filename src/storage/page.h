@@ -83,6 +83,16 @@ void SetPageType(char* buf, PageType type);
 uint16_t PageFlags(const char* buf);
 void SetPageFlags(char* buf, uint16_t flags);
 
+/// Level of a TSB page (0 = data, an index page one above its children):
+/// the first byte of the TSB sub-header after the page header. The buffer
+/// pool ranks index pages by it for residency.
+inline uint8_t TsbPageLevel(const char* buf) {
+  return static_cast<uint8_t>(buf[kPageHeaderSize]);
+}
+inline void SetTsbPageLevel(char* buf, uint8_t level) {
+  buf[kPageHeaderSize] = static_cast<char>(level);
+}
+
 /// Right-sibling page id set when a key split creates a sibling to this
 /// page's right (B-link link; covered by the page CRC, so it persists).
 /// kInvalidPageId (0, the meta page — never a node) means "none": fresh

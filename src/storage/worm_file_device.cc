@@ -16,11 +16,12 @@ Status WormFileDevice::Open(const std::string& path, WormFileDevice** out,
 }
 
 Status WormFileDevice::Write(uint64_t offset, const Slice& data) {
-  return WriteGather(offset, {&data, 1});
+  return WriteGather(offset, {&data, 1}, 1);
 }
 
 Status WormFileDevice::WriteGather(uint64_t offset,
-                                   std::span<const Slice> parts) {
+                                   std::span<const Slice> parts,
+                                   size_t parts_per_write) {
   // Burned region = sectors covered by the high-water mark (a trailing
   // partially-filled sector is burned; its residue is the WORM waste the
   // paper describes). A legal write therefore starts in a fresh sector.
@@ -30,7 +31,7 @@ Status WormFileDevice::WriteGather(uint64_t offset,
         "sector already burned",
         "offset " + std::to_string(offset));
   }
-  return FileDevice::WriteGather(offset, parts);
+  return FileDevice::WriteGather(offset, parts, parts_per_write);
 }
 
 Status WormFileDevice::Truncate(uint64_t size) {

@@ -33,7 +33,8 @@ class WormFileDevice : public FileDevice {
   Status Write(uint64_t offset, const Slice& data) override;
   /// Same check, made once for the run: a legal run starts in a fresh
   /// sector, and everything past its start is then fresh too.
-  Status WriteGather(uint64_t offset, std::span<const Slice> parts) override;
+  Status WriteGather(uint64_t offset, std::span<const Slice> parts,
+                     size_t parts_per_write = 1) override;
 
   /// A WORM never truncates (burned sectors cannot be un-burned).
   Status Truncate(uint64_t size) override;

@@ -34,13 +34,6 @@ namespace tsb_tree {
 inline constexpr uint32_t kTsbSubHeader = 2;
 inline constexpr uint32_t kTsbSlotBase = kPageHeaderSize + kTsbSubHeader;
 
-inline uint8_t TsbPageLevel(const char* buf) {
-  return static_cast<uint8_t>(buf[24]);
-}
-inline void SetTsbPageLevel(char* buf, uint8_t level) {
-  buf[24] = static_cast<char>(level);
-}
-
 /// Encoded size of the record cell for (key, txn, value); the ts is a
 /// fixed64, so the size does not depend on it.
 size_t DataCellSize(const Slice& key, TxnId txn, const Slice& value);

@@ -126,6 +126,11 @@ TsbTree::~TsbTree() {
   Status s = Flush();
   if (!s.ok()) {
     TSB_LOG_ERROR("tree close flush failed: %s", s.ToString().c_str());
+    if (hist_->flushed_end() != hist_->device_bytes()) {
+      // Flush stopped at the history: pages may point at blobs that never
+      // reached the device, so the pool's own close must not write them.
+      pool_->set_no_steal(true);
+    }
   }
 }
 

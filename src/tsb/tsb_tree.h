@@ -407,12 +407,14 @@ class TsbTree {
   /// PutUncommittedBatch: writes every pair of the sorted, distinct `kvs`
   /// as version (ts, txn) — ts = kUncommittedTs for uncommitted versions —
   /// with one leaf descent per run of keys sharing a leaf, splitting as
-  /// needed. Time splits stage their historical nodes in the append
-  /// store's tail; InsertRecords flushes the tail on every return path, so
-  /// the call makes at most one history write (one per blob on a WORM)
-  /// and its nodes are on the device when it returns. A failed flush is
-  /// returned (the splits stay installed and the nodes staged; the next
-  /// flush, e.g. Resume's checkpoint, writes them). The caller holds the
+  /// needed. On an erasable historical device time splits stage their
+  /// nodes in the append store's tail; InsertRecords flushes the tail on
+  /// every return path, so the call makes at most one history write and
+  /// its nodes are on the device when it returns. A failed flush is
+  /// returned with the record in place (the splits stay installed and the
+  /// nodes staged; the next flush, e.g. Resume's checkpoint, writes
+  /// them). On a WORM each node is written as its split appends it, and
+  /// a failed append leaves the split undone. The caller holds the
   /// WriterGuard.
   Status InsertRecords(std::span<const KeyValue> kvs, Timestamp ts,
                        TxnId txn);

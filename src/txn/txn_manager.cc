@@ -30,11 +30,21 @@ Slice Transaction::Own(const Slice& s) {
 Status Transaction::Put(const Slice& key, const Slice& value) {
   if (!active_) return Status::TxnNotActive("Put on finished transaction");
   if (abort_failed_) return Status::TxnNotActive("Put on aborting transaction");
+  if (abort_only_) {
+    return Status::TxnNotActive("Put on abort-only transaction");
+  }
   const size_t pos = LowerBound(key);
   if (pos < writes_.size() && writes_[pos].first == key) {
     // Already locked and owned: only the value changes.
-    TSB_RETURN_IF_ERROR(mgr_->ReportInsertError(
-        mgr_->tree_->PutUncommitted(key, value, id_)));
+    const Status s = mgr_->tree_->PutUncommitted(key, value, id_);
+    if (!s.ok()) {
+      // The history flush that ends an insert can fail after the new
+      // value replaced the old one in the tree, which writes_ (the WAL
+      // frame, the hooks) would then contradict: only Abort is left. A
+      // record that can never fit is rejected before any page changes.
+      if (!s.IsInvalidArgument()) abort_only_ = true;
+      return mgr_->ReportInsertError(s);
+    }
     Slice& old_value = writes_[pos].second;
     if (value.size() <= old_value.size()) {
       // Rewrite in place: a rewritten key costs the arena nothing.
@@ -57,10 +67,12 @@ Status Transaction::Put(const Slice& key, const Slice& value) {
     const Status erased = mgr_->tree_->EraseUncommitted(key, id_);
     if (!erased.ok() && !erased.IsNotFound()) {
       // The record may still be there: keep the key, locked and owned,
-      // so Abort erases it before it unlocks.
+      // so Abort erases it before it unlocks. A Put that failed must not
+      // commit, so only Abort is left.
       const Slice owned_key = Own(key);
       mgr_->locks_.Rebind(key, owned_key.data(), id_);
       writes_.insert(writes_.begin() + pos, KeyValue(owned_key, Own(value)));
+      abort_only_ = true;
     } else {
       mgr_->locks_.Unlock({&kv, 1}, id_);
     }
@@ -92,6 +104,9 @@ Status Transaction::Commit(Timestamp* commit_ts) {
   if (!active_) return Status::TxnNotActive("Commit on finished transaction");
   if (abort_failed_) {
     return Status::TxnNotActive("Commit on aborting transaction");
+  }
+  if (abort_only_) {
+    return Status::TxnNotActive("Commit on abort-only transaction");
   }
   return mgr_->CommitTxn(this, commit_ts);
 }
@@ -155,6 +170,9 @@ Status TxnManager::CommitTxn(Transaction* txn, Timestamp* commit_ts) {
 Status TxnManager::CommitPrepared(Transaction* txn, Timestamp ts) {
   if (!txn->active_) {
     return Status::TxnNotActive("CommitPrepared on finished transaction");
+  }
+  if (txn->abort_only_) {
+    return Status::TxnNotActive("CommitPrepared on abort-only transaction");
   }
   return CommitInternal(txn, nullptr, ts);
 }

@@ -75,7 +75,11 @@ class Transaction {
   bool active() const { return active_; }
 
   /// Buffers an uncommitted version of `key`. Fails with TxnConflict if
-  /// another active transaction wrote the key first.
+  /// another active transaction wrote the key first. A failed Put that may
+  /// have left its value in the tree (a rewrite of a key this transaction
+  /// already wrote, or a new key whose cleanup failed) makes the
+  /// transaction abort-only: Put and Commit then fail, and Abort erases
+  /// every key and unlocks it.
   Status Put(const Slice& key, const Slice& value);
 
   /// Reads through the transaction: own uncommitted write first, then the
@@ -106,6 +110,8 @@ class Transaction {
   bool active_ = true;
   /// An abort failed: the manager owns finishing it (see AbortTxn).
   bool abort_failed_ = false;
+  /// A failed Put may have left the tree ahead of writes_ (see Put).
+  bool abort_only_ = false;
   /// The write set: sorted by key, distinct, each key's newest value. The
   /// lock table views these keys until the transaction ends.
   std::vector<KeyValue> writes_;

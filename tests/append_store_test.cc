@@ -383,72 +383,80 @@ TEST(AppendStoreTest, FlushWritesErasableTailOnce) {
   }
 }
 
-// On a WORM a flush writes each blob on its own, so the sector residue
-// between blobs never burns: the device ends up exactly as if every
-// Append had written through.
-TEST(AppendStoreTest, WormFlushWritesEachBlobLikeWriteThrough) {
-  WormDevice through_dev(/*sector_size=*/512);
-  WormDevice staged_dev(/*sector_size=*/512);
-  AppendStore through(&through_dev);
-  AppendStore staged(&staged_dev);
+// On a WORM each Append writes its blob through at once, as one write
+// (the sector residue between blobs never burns), and Flush has nothing
+// left to write.
+TEST(AppendStoreTest, WormAppendWritesEachBlobThrough) {
+  WormDevice dev(/*sector_size=*/512);
+  AppendStore store(&dev);
+  uint64_t sectors = 0;
   for (int i = 0; i < 6; ++i) {
     const std::string blob(100 + i * 250, static_cast<char>('a' + i));
-    HistAddr a, b;
-    ASSERT_TRUE(through.Append(blob, &a).ok());
-    ASSERT_TRUE(through.Flush().ok());
-    ASSERT_TRUE(staged.Append(blob, &b).ok());
-    EXPECT_EQ(a, b);
+    HistAddr a;
+    ASSERT_TRUE(store.Append(blob, &a).ok());
+    EXPECT_EQ(0u, a.offset % 512);
+    sectors += (AppendStore::kFrameHeaderSize + blob.size() + 511) / 512;
+    EXPECT_EQ(static_cast<uint64_t>(i + 1), dev.stats().writes);
+    EXPECT_EQ(sectors, dev.sectors_burned());
+    EXPECT_EQ(store.device_bytes(), store.flushed_end());
   }
-  EXPECT_EQ(0u, staged_dev.sectors_burned());
-  ASSERT_TRUE(staged.Flush().ok());
-  EXPECT_EQ(6u, staged_dev.stats().writes);
-  EXPECT_EQ(through_dev.stats().writes, staged_dev.stats().writes);
-  EXPECT_EQ(through_dev.sectors_burned(), staged_dev.sectors_burned());
-  EXPECT_EQ(through_dev.payload_bytes(), staged_dev.payload_bytes());
-  EXPECT_DOUBLE_EQ(through_dev.Utilization(), staged_dev.Utilization());
-  EXPECT_EQ(through.device_bytes(), staged.device_bytes());
+  ASSERT_TRUE(store.Flush().ok());
+  EXPECT_EQ(6u, dev.stats().writes);
+  EXPECT_EQ(sectors, dev.sectors_burned());
 }
 
 // A failed flush changes no count or offset and keeps the bytes; the next
-// flush writes them at the same offsets. On a WORM the blobs a failed
-// flush already burned are not written again.
+// flush writes them at the same offsets, in one write.
 TEST(AppendStoreTest, FailedFlushKeepsTailForTheNextFlush) {
-  for (const bool worm : {false, true}) {
-    SCOPED_TRACE(worm ? "worm" : "erasable");
-    std::unique_ptr<Device> base;
-    if (worm) {
-      base = std::make_unique<WormDevice>(/*sector_size=*/512);
-    } else {
-      base = std::make_unique<MemDevice>();
-    }
-    auto plan = std::make_shared<FaultPlan>();
-    FaultInjectingDevice dev(base.get(), plan);
-    AppendStore store(&dev);
-    HistAddr addr[3];
-    for (int i = 0; i < 3; ++i) {
-      ASSERT_TRUE(store.Append(std::string(300, 'k' + i), &addr[i]).ok());
-    }
-    const uint64_t bytes = store.device_bytes();
-    // Erasable: the one tail write fails. WORM: the second blob fails
-    // after the first burned.
-    plan->FailNth(FaultOp::kWrite, worm ? 2 : 1);
-    EXPECT_TRUE(store.Flush().IsIOError());
-    EXPECT_EQ(3u, store.blob_count());
-    EXPECT_EQ(900u, store.payload_bytes());
-    EXPECT_EQ(bytes, store.device_bytes());
-    EXPECT_EQ(worm ? addr[0].offset + 308 : 0u, store.flushed_end());
-    ASSERT_TRUE(store.Flush().ok());
-    EXPECT_EQ(bytes, store.flushed_end());
-    EXPECT_EQ(worm ? 3u : 1u, base->stats().writes);
-    for (int i = 0; i < 3; ++i) {
-      std::string out;
-      ASSERT_TRUE(store.Read(addr[i], &out).ok());
-      EXPECT_EQ(std::string(300, 'k' + i), out);
-    }
-    HistAddr next;
-    ASSERT_TRUE(store.Append("after", &next).ok());
-    EXPECT_GE(next.offset, bytes);
+  MemDevice base;
+  auto plan = std::make_shared<FaultPlan>();
+  FaultInjectingDevice dev(&base, plan);
+  AppendStore store(&dev);
+  HistAddr addr[3];
+  for (int i = 0; i < 3; ++i) {
+    ASSERT_TRUE(store.Append(std::string(300, 'k' + i), &addr[i]).ok());
   }
+  const uint64_t bytes = store.device_bytes();
+  plan->FailNth(FaultOp::kWrite, 1);
+  EXPECT_TRUE(store.Flush().IsIOError());
+  EXPECT_EQ(3u, store.blob_count());
+  EXPECT_EQ(900u, store.payload_bytes());
+  EXPECT_EQ(bytes, store.device_bytes());
+  EXPECT_EQ(0u, store.flushed_end());
+  ASSERT_TRUE(store.Flush().ok());
+  EXPECT_EQ(bytes, store.flushed_end());
+  EXPECT_EQ(1u, base.stats().writes);
+  for (int i = 0; i < 3; ++i) {
+    std::string out;
+    ASSERT_TRUE(store.Read(addr[i], &out).ok());
+    EXPECT_EQ(std::string(300, 'k' + i), out);
+  }
+  HistAddr next;
+  ASSERT_TRUE(store.Append("after", &next).ok());
+  EXPECT_EQ(bytes, next.offset);
+}
+
+// A WORM append that fails changes no count or offset: the next append
+// takes the same address.
+TEST(AppendStoreTest, FailedWormAppendLeavesStoreUnchanged) {
+  WormDevice base(/*sector_size=*/512);
+  auto plan = std::make_shared<FaultPlan>();
+  FaultInjectingDevice dev(&base, plan);
+  AppendStore store(&dev);
+  HistAddr first, failed, retried;
+  ASSERT_TRUE(store.Append(std::string(300, 'a'), &first).ok());
+  const uint64_t bytes = store.device_bytes();
+  plan->FailNth(FaultOp::kWrite, 1);
+  EXPECT_TRUE(store.Append(std::string(300, 'b'), &failed).IsIOError());
+  EXPECT_EQ(1u, store.blob_count());
+  EXPECT_EQ(300u, store.payload_bytes());
+  EXPECT_EQ(bytes, store.device_bytes());
+  EXPECT_EQ(bytes, store.flushed_end());
+  ASSERT_TRUE(store.Append(std::string(300, 'b'), &retried).ok());
+  EXPECT_EQ(512u, retried.offset);
+  std::string out;
+  ASSERT_TRUE(store.Read(retried, &out).ok());
+  EXPECT_EQ(std::string(300, 'b'), out);
 }
 
 // A read of a staged blob whose flush fails returns the flush's error.

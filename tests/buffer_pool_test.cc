@@ -163,13 +163,18 @@ class ResidentPoolTest : public BufferPoolTest {
  protected:
   static constexpr size_t kFrames = 512;
 
-  uint32_t MakeTyped(BufferPool* pool, PageType type, char fill) {
+  // `fill` goes after the TSB sub-header; index pages are at `level`.
+  uint32_t MakeTyped(BufferPool* pool, PageType type, char fill,
+                     uint8_t level = 1) {
     PageHandle h;
     EXPECT_TRUE(pool->New(type, &h).ok());
-    h.data()[kPageHeaderSize] = fill;
+    SetTsbPageLevel(h.data(), type == PageType::kTsbIndex ? level : 0);
+    h.data()[kFillAt] = fill;
     h.MarkDirty();
     return h.id();
   }
+
+  static constexpr uint32_t kFillAt = kPageHeaderSize + 2;
 };
 
 TEST_F(ResidentPoolTest, SmallPoolsKeepNoResidentPages) {
@@ -201,7 +206,7 @@ TEST_F(ResidentPoolTest, IndexPageIsResidentAfterOneFetch) {
   for (int i = 0; i < 3; ++i) {
     PageHandle h;
     ASSERT_TRUE(pool.FetchExclusive(index, &h).ok());
-    EXPECT_EQ('i', h.data()[kPageHeaderSize]);
+    EXPECT_EQ('i', h.data()[kFillAt]);
     PageHandle s;
     h.Release();
     ASSERT_TRUE(pool.FetchShared(index, &s).ok());
@@ -237,32 +242,42 @@ TEST_F(ResidentPoolTest, ResidentPageSurvivesEvictionPressure) {
   pool.ResetStats();
   PageHandle h;
   ASSERT_TRUE(pool.FetchShared(index, &h).ok());
-  EXPECT_EQ('r', h.data()[kPageHeaderSize]);
+  EXPECT_EQ('r', h.data()[kFillAt]);
   EXPECT_EQ(0u, dev_.stats().reads);
   EXPECT_EQ(1u, pool.stats().hits);
   EXPECT_EQ(0u, pool.stats().shard_lookups);
 }
 
-TEST_F(ResidentPoolTest, ResidencyStopsAtOneShardsWorth) {
+// Residency stops at one shard's worth (capacity/16), upper levels first:
+// a level-L page joins only while fewer than budget - budget/2^L pages are
+// resident, so level 1 fills half the budget, level 2 three quarters, and
+// a high level (a late root) still finds a slot.
+TEST_F(ResidentPoolTest, ResidencyStopsAtOneShardsWorthUpperLevelsFirst) {
   BufferPool pool(&pager_, kFrames);
   const size_t budget = pool.resident_budget();
+  ASSERT_EQ(32u, budget);
   std::vector<uint32_t> ids;
-  for (size_t i = 0; i < budget + 10; ++i) {
-    ids.push_back(MakeTyped(&pool, PageType::kTsbIndex, 'x'));
-  }
-  for (uint32_t id : ids) {
-    PageHandle h;
-    ASSERT_TRUE(pool.FetchShared(id, &h).ok());
-  }
+  auto fetch_new = [&](size_t n, uint8_t level) {
+    for (size_t i = 0; i < n; ++i) {
+      ids.push_back(MakeTyped(&pool, PageType::kTsbIndex, 'x', level));
+      PageHandle h;
+      ASSERT_TRUE(pool.FetchShared(ids.back(), &h).ok());
+    }
+  };
+  fetch_new(budget, /*level=*/1);
+  EXPECT_EQ(budget / 2, pool.resident_index_pages());
+  fetch_new(budget, /*level=*/2);
+  EXPECT_EQ(budget * 3 / 4, pool.resident_index_pages());
+  fetch_new(budget, /*level=*/9);
   EXPECT_EQ(budget, pool.resident_index_pages());
-  // The pages past the budget still go through their shards.
+  // The pages past their share still go through their shards.
   pool.ResetStats();
   for (uint32_t id : ids) {
     PageHandle h;
     ASSERT_TRUE(pool.FetchShared(id, &h).ok());
   }
   EXPECT_EQ(ids.size(), pool.stats().hits);
-  EXPECT_EQ(10u, pool.stats().shard_lookups);
+  EXPECT_EQ(ids.size() - budget, pool.stats().shard_lookups);
 }
 
 TEST_F(ResidentPoolTest, DropUnpublishesResidentPage) {

@@ -212,6 +212,32 @@ TEST_F(FaultTest, WormViolationSurfacesThroughAppendStore) {
   ASSERT_TRUE(worm.Write(a.offset, Slice("overwrite")).IsWriteOnceViolation());
 }
 
+// A tree without a WAL writes its pages back at close. When the history
+// flush fails first, the pages may point at blobs that never reached the
+// device, so the close writes no page at all.
+TEST(TreeCloseTest, FailedHistoryFlushWritesNoPageAtClose) {
+  MemDevice magnetic;
+  MemDevice hist_base(DeviceKind::kOpticalErasable, CostParams::OpticalWorm());
+  auto plan = std::make_shared<FaultPlan>();
+  FaultInjectingDevice hist(&hist_base, plan);
+  TsbOptions opts;
+  opts.page_size = 512;
+  std::unique_ptr<TsbTree> tree;
+  ASSERT_TRUE(TsbTree::Open(&magnetic, &hist, opts, &tree).ok());
+  plan->FailNth(FaultOp::kWrite, 1, FaultKind::kEIO, /*sticky=*/true);
+  Status s;
+  Timestamp ts = 0;
+  for (int i = 0; i < 400 && s.ok(); ++i) {
+    s = tree->Put(Key(i % 8), "v" + std::to_string(i), ++ts);
+  }
+  ASSERT_TRUE(s.IsIOError()) << s.ToString();
+  ASSERT_GT(tree->hist_store()->device_bytes(),
+            tree->hist_store()->flushed_end());
+  const uint64_t writes = magnetic.stats().writes;
+  tree.reset();
+  EXPECT_EQ(writes, magnetic.stats().writes);
+}
+
 TEST_F(FaultTest, TruncatedHistoricalStoreYieldsIOError) {
   // Cut the historical device short; reads past the cut fail with IOError
   // (device-level) rather than returning partial frames.
@@ -689,6 +715,82 @@ TEST_F(DegradedModeTest, HistoricalAppendFailureInDataTimeSplit) {
     checker.set_verify_checksums(true);
     Status check = checker.Check();
     EXPECT_TRUE(check.ok()) << check.ToString();
+  }
+}
+
+// A rewrite of a key the transaction already wrote replaces its
+// uncommitted record in place. When the rewrite overflows the leaf, the
+// time split stages a node, and the flush that ends the Put fails, the
+// tree holds the new value while the Put reports failure: the transaction
+// is abort-only. After Resume() its Commit is refused, its Abort erases
+// the record and unlocks the key, no value of it is ever visible, and the
+// key takes a new commit, before and after a reopen.
+TEST_F(DegradedModeTest, FailedRewriteOfOwnedKeyMakesTransactionAbortOnly) {
+  DbOptions o = Options();
+  auto hist_plan = std::make_shared<FaultPlan>();
+  o.wrap_device = [hist_plan](const std::string& role,
+                              std::unique_ptr<Device> dev)
+      -> std::unique_ptr<Device> {
+    if (role != "historical") return dev;
+    return std::make_unique<FaultInjectingDevice>(std::move(dev), hist_plan);
+  };
+  OpenDb(o);
+  tsb_tree::TsbTree* tree = db_->primary();
+  PutBaseline(40);
+
+  constexpr int kHotKeys = 4;
+  std::map<std::string, std::string> committed;
+  for (int i = 0; i < kHotKeys; ++i) {
+    committed[DbKey(i)] = "base-" + std::to_string(i);
+  }
+  std::unique_ptr<txn::Transaction> doomed;
+  std::string key;
+  for (int i = 0; i < 2000 && doomed == nullptr; ++i) {
+    key = DbKey(i % kHotKeys);
+    std::unique_ptr<txn::Transaction> txn;
+    ASSERT_TRUE(db_->Begin(&txn).ok());
+    ASSERT_TRUE(txn->Put(key, "short-" + std::to_string(i)).ok());
+    // The grown rewrite is the first to touch the history from here on.
+    hist_plan->FailNth(FaultOp::kWrite, 1, FaultKind::kEIO,
+                       /*sticky=*/false);
+    const std::string grown =
+        "rewritten-" + std::to_string(i) + std::string(60, 'g');
+    Status s = txn->Put(key, grown);
+    if (!s.ok()) {
+      ASSERT_TRUE(s.IsIOError()) << s.ToString();
+      doomed = std::move(txn);
+      break;
+    }
+    hist_plan->Clear();
+    ASSERT_TRUE(txn->Commit().ok());
+    committed[key] = grown;
+  }
+  ASSERT_NE(nullptr, doomed);
+  ASSERT_EQ(1u, hist_plan->fired(FaultOp::kWrite));
+  EXPECT_GT(tree->counters().data_time_splits, 0u);
+  EXPECT_TRUE(db_->degraded());
+
+  Status resume = db_->Resume();
+  ASSERT_TRUE(resume.ok()) << resume.ToString();
+  EXPECT_EQ(tree->hist_store()->device_bytes(),
+            tree->hist_store()->flushed_end());
+  EXPECT_TRUE(doomed->Commit().IsTxnNotActive());
+  EXPECT_TRUE(doomed->Put(key, "late").IsTxnNotActive());
+  ASSERT_TRUE(doomed->Abort().ok());
+  std::string v;
+  ASSERT_TRUE(db_->Get({}, key, &v).ok());
+  EXPECT_EQ(committed[key], v);
+
+  ASSERT_TRUE(db_->Put(key, "after").ok());
+  tsb_tree::TreeChecker checker(tree);
+  checker.set_verify_checksums(true);
+  Status check = checker.Check();
+  EXPECT_TRUE(check.ok()) << check.ToString();
+  db_.reset();
+  OpenDb(o);
+  for (const auto& [k, value] : committed) {
+    ASSERT_TRUE(db_->Get({}, k, &v).ok()) << k;
+    EXPECT_EQ(k == key ? "after" : value, v);
   }
 }
 

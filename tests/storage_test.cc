@@ -202,6 +202,23 @@ TEST_F(FileDeviceTest, GatherWriteMatchesPerPageWrites) {
   ::remove(per_page_path.c_str());
 }
 
+TEST_F(FileDeviceTest, MultiPartWriteCountsOnce) {
+  // A framed record: header and payload land as one write.
+  FileDevice* raw = nullptr;
+  ASSERT_TRUE(FileDevice::Open(path_, &raw).ok());
+  std::unique_ptr<FileDevice> dev(raw);
+  const Slice frame[4] = {"hdr1", "payload-one", "hdr2", "payload-two"};
+  ASSERT_TRUE(dev->WriteGather(0, frame, 2).ok());
+  EXPECT_EQ(2u, dev->stats().writes);
+  EXPECT_EQ(1u, dev->stats().seeks);
+
+  MemDevice mem;
+  ASSERT_TRUE(mem.WriteGather(0, frame, 2).ok());
+  ExpectSameStats(mem.stats(), dev->stats());
+  EXPECT_EQ("hdr1payload-onehdr2payload-two", ReadAll(dev.get()));
+  EXPECT_EQ(ReadAll(dev.get()), ReadAll(&mem));
+}
+
 TEST_F(FileDeviceTest, WormFileGatherOverBurnedSectorFails) {
   WormFileDevice* raw = nullptr;
   ASSERT_TRUE(WormFileDevice::Open(path_, &raw, /*sector_size=*/512).ok());
@@ -254,16 +271,16 @@ class CountingDevice : public Device {
     return base_->Read(offset, n, scratch);
   }
   Status Write(uint64_t offset, const Slice& data) override {
-    return WriteGather(offset, {&data, 1});
+    return WriteGather(offset, {&data, 1}, 1);
   }
-  Status WriteGather(uint64_t offset,
-                     std::span<const Slice> parts) override {
+  Status WriteGather(uint64_t offset, std::span<const Slice> parts,
+                     size_t parts_per_write) override {
     calls++;
     for (size_t i = 0; i < parts.size(); ++i) {
       page_ids.push_back(
           static_cast<uint32_t>(offset / page_size_ + i));
     }
-    return base_->WriteGather(offset, parts);
+    return base_->WriteGather(offset, parts, parts_per_write);
   }
   uint64_t Size() const override { return base_->Size(); }
   Status Truncate(uint64_t size) override { return base_->Truncate(size); }

@@ -245,6 +245,49 @@ TEST_F(TsbBasicTest, WarmGetInResidentPoolLooksUpOnlyTheLeaf) {
   ExpectChecked();
 }
 
+// Upper levels come first in the resident budget: with keys inserted in a
+// scattered order, level-1 pages fill their half of the budget long
+// before the root grows, and the late root and level-2 pages still find
+// slots. A warm Get then looks up at most its level-1 page and its leaf
+// in a shard, and only the leaf when its level-1 page is resident.
+TEST_F(TsbBasicTest, LateRootStaysResidentAfterLevelOneFillsItsShare) {
+  Open(1024, SplitPolicyConfig{}, /*frames=*/512);
+  BufferPool* pool = tree_->buffer_pool();
+  const size_t budget = pool->resident_budget();
+  ASSERT_EQ(32u, budget);
+  const std::string value(40, 'v');
+  constexpr int kKeys = 12007;
+  std::string v;
+  size_t resident_before_root = 0;  // when the last root grew
+  for (int i = 0; i < kKeys; ++i) {
+    const uint32_t height = tree_->height();
+    ASSERT_TRUE(tree_->Put(Key((i * 7919) % kKeys), value, i + 1).ok());
+    // Every descent fetches (and so ranks) the whole path.
+    ASSERT_TRUE(tree_->Get({}, Key((i * 7919) % kKeys), &v).ok());
+    if (tree_->height() != height) {
+      resident_before_root = pool->resident_index_pages();
+    }
+  }
+  const uint32_t height = tree_->height();
+  ASSERT_GE(height, 3u);
+  EXPECT_GE(resident_before_root, budget / 2);  // level 1 took its share
+  EXPECT_LT(pool->resident_index_pages(), budget);
+  int leaf_only = 0;
+  for (int k = 0; k < kKeys; k += 97) {
+    ASSERT_TRUE(tree_->Get({}, Key(k), &v).ok());  // warms the path
+    const BufferPoolStats before = tree_->PoolStats();
+    ASSERT_TRUE(tree_->Get({}, Key(k), &v).ok());
+    const BufferPoolStats after = tree_->PoolStats();
+    EXPECT_EQ(height,
+              (after.hits + after.misses) - (before.hits + before.misses));
+    const uint64_t lookups = after.shard_lookups - before.shard_lookups;
+    EXPECT_LE(lookups, 2u) << k;
+    if (lookups == 1) leaf_only++;
+  }
+  EXPECT_GT(leaf_only, 0);
+  ExpectChecked();
+}
+
 // Every write that time-splits leaves its historical nodes on the device
 // when it returns: one history write per Put on an erasable device.
 TEST_F(TsbBasicTest, TimeSplittingWriteReturnsWithHistoryOnDevice) {
