@@ -15,10 +15,16 @@
 // SIGKILLs itself; the parent times MultiVersionDB::Open and reports
 // recovery throughput in MB of log replayed per second.
 //
+// Phase 4 (bulk close): a kOff bulk load, then a clean close; counts the
+// WAL fdatasyncs (through the WAL fault plan) and every fsync(2) and
+// fdatasync(2) the close makes — counts, not times, so CI can gate them
+// on any host.
+//
 // Emits BENCH_durability.json (BENCH_DURABILITY_JSON overrides the path).
 #include <benchmark/benchmark.h>
 #include <fcntl.h>
 #include <signal.h>
+#include <sys/syscall.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -35,6 +41,23 @@
 #include "db/multiversion_db.h"
 #include "storage/fault_device.h"
 #include "wal/wal.h"
+
+// Every fsync(2) and fdatasync(2) in this process — the engine's
+// included, since it links statically — passes through these
+// definitions, which count it and make the system call.
+namespace {
+std::atomic<uint64_t> g_fsync_calls{0};
+}  // namespace
+
+extern "C" int fsync(int fd) noexcept {
+  g_fsync_calls.fetch_add(1, std::memory_order_relaxed);
+  return static_cast<int>(::syscall(SYS_fsync, fd));
+}
+
+extern "C" int fdatasync(int fd) noexcept {
+  g_fsync_calls.fetch_add(1, std::memory_order_relaxed);
+  return static_cast<int>(::syscall(SYS_fdatasync, fd));
+}
 
 namespace tsb {
 namespace bench {
@@ -238,6 +261,56 @@ FaultRun MeasureFault() {
   return r;
 }
 
+struct BulkCloseRun {
+  int keys = 0;
+  uint64_t wal_syncs = 0;  // WAL fdatasyncs (FaultOp::kSync) at close
+  uint64_t fsyncs = 0;     // every fsync/fdatasync call the close made
+  double close_ms = 0;
+  bool reopened_whole = false;  // every key read back, nothing replayed
+};
+
+/// Loads `keys` keys into a kOff database in 100-key batches, then times
+/// and counts its clean close; reopens to check the load is whole.
+BulkCloseRun MeasureBulkClose(int keys) {
+  const std::string path = Root() + ".bulk";
+  db::MultiVersionDB::Destroy(path);
+  db::DbOptions opts = Options(true, wal::WalSyncMode::kOff);
+  auto plan = std::make_shared<FaultPlan>();
+  opts.wal_fault_plan = plan;
+  std::unique_ptr<db::MultiVersionDB> db;
+  Status s = db::MultiVersionDB::Open(path, opts, &db);
+  if (!s.ok()) {
+    fprintf(stderr, "bulk open failed: %s\n", s.ToString().c_str());
+    abort();
+  }
+  const std::string value(kValueBytes, 'v');
+  for (int n = 0; n < keys; n += 100) {
+    db::WriteBatch batch;
+    for (int i = n; i < n + 100 && i < keys; ++i) batch.Put(KeyOf(0, i), value);
+    if (!db->Write(batch).ok()) abort();
+  }
+  BulkCloseRun r;
+  r.keys = keys;
+  const uint64_t wal_syncs = plan->ops(FaultOp::kSync);
+  const uint64_t fsyncs = g_fsync_calls.load();
+  const auto t0 = std::chrono::steady_clock::now();
+  db.reset();
+  r.close_ms = std::chrono::duration<double, std::milli>(
+                   std::chrono::steady_clock::now() - t0)
+                   .count();
+  r.wal_syncs = plan->ops(FaultOp::kSync) - wal_syncs;
+  r.fsyncs = g_fsync_calls.load() - fsyncs;
+  s = db::MultiVersionDB::Open(path, opts, &db);
+  r.reopened_whole = s.ok() && db->recovery_stats().frames_replayed == 0;
+  std::string got;
+  for (int i = 0; i < keys && r.reopened_whole; ++i) {
+    r.reopened_whole = db->Get({}, KeyOf(0, i), &got).ok() && got == value;
+  }
+  db.reset();
+  db::MultiVersionDB::Destroy(path);
+  return r;
+}
+
 struct ScrubRun {
   uint64_t injected_cycles = 0;   // cycles where a silent fault fired
   uint64_t detected_cycles = 0;   // cycles where scrub caught it
@@ -397,6 +470,14 @@ void PrintTablesAndJson() {
          (unsigned long long)scrub.false_positives,
          (unsigned long long)scrub.pages_repaired, scrub.mb_per_sec);
 
+  printf("=== Bulk close: clean close of a kOff load ===\n");
+  const BulkCloseRun bulk = MeasureBulkClose(40000);
+  printf("keys=%d wal_syncs=%llu fsyncs=%llu close_ms=%.1f "
+         "reopened_whole=%d\n\n",
+         bulk.keys, (unsigned long long)bulk.wal_syncs,
+         (unsigned long long)bulk.fsyncs, bulk.close_ms,
+         bulk.reopened_whole ? 1 : 0);
+
   const char* path = std::getenv("BENCH_DURABILITY_JSON");
   if (path == nullptr) path = "BENCH_durability.json";
   FILE* out = fopen(path, "w");
@@ -455,8 +536,7 @@ void PrintTablesAndJson() {
           "\"detected_cycles\": %llu, \"injected\": %llu, "
           "\"detected\": %llu, \"false_positives\": %llu, "
           "\"pages_repaired\": %llu, \"bytes_scanned\": %llu, "
-          "\"mb_per_sec\": %.2f}\n"
-          "}\n",
+          "\"mb_per_sec\": %.2f},\n",
           (unsigned long long)scrub.injected_cycles,
           (unsigned long long)scrub.detected_cycles,
           (unsigned long long)scrub.injected,
@@ -464,6 +544,13 @@ void PrintTablesAndJson() {
           (unsigned long long)scrub.false_positives,
           (unsigned long long)scrub.pages_repaired,
           (unsigned long long)scrub.bytes_scanned, scrub.mb_per_sec);
+  fprintf(out,
+          "  \"bulk_close\": {\"keys\": %d, \"wal_syncs\": %llu, "
+          "\"fsyncs\": %llu, \"close_ms\": %.2f, \"reopened_whole\": %s}\n"
+          "}\n",
+          bulk.keys, (unsigned long long)bulk.wal_syncs,
+          (unsigned long long)bulk.fsyncs, bulk.close_ms,
+          bulk.reopened_whole ? "true" : "false");
   fclose(out);
   printf("wrote %s\n\n", path);
 }

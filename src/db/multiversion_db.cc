@@ -4,6 +4,7 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <cinttypes>
@@ -450,17 +451,15 @@ MultiVersionDB::~MultiVersionDB() {
                    errors_->BackgroundError().ToString().c_str());
     } else {
       // Clean shutdown: one final checkpoint folds the log into the
-      // device files, then the manifest records clean_shutdown=1 so the
-      // next Open skips the ghost purge. A failure here must NOT mark the
-      // shutdown clean: the on-disk manifest keeps clean_shutdown=0 and
-      // the next Open runs crash recovery, which is always correct.
-      Status s = Checkpoint();
+      // device files, and its MANIFEST write records clean_shutdown=1 so
+      // the next Open skips the ghost purge. A failure here must NOT mark
+      // the shutdown clean: the on-disk manifest keeps clean_shutdown=0
+      // and the next Open runs crash recovery, which is always correct.
+      Status s = RunCheckpoint(CheckpointKind::kClose);
       if (s.ok()) {
-        clean_shutdown_ = true;
-        s = PersistManifest();
-        if (!s.ok()) clean_shutdown_ = false;
-      }
-      if (!s.ok()) {
+        // Every frame is in the synced base: the log needs no final sync.
+        wal_->MarkSuperseded();
+      } else {
         TSB_LOG_WARN("clean shutdown incomplete (%s); next open will recover",
                      s.ToString().c_str());
         if (errors_ != nullptr) errors_->Report("shutdown checkpoint", s);
@@ -674,6 +673,22 @@ SecondaryIndex* MultiVersionDB::index(const std::string& name) {
 
 Status MultiVersionDB::OnCommit(const Slice& key, const Slice* old_value,
                                 const Slice& new_value, Timestamp ts) {
+  // Index trees publish one commit behind (see SecondaryIndex), so `ts`
+  // is not visible in any of them yet. If any part of this commit's
+  // maintenance failed, pin every index below `ts`, not only the one that
+  // failed: Resume purges `ts` from all of them.
+  Status s = MaintainIndexes(key, old_value, new_value, ts);
+  if (!s.ok()) {
+    for (auto& [name, def] : indexes_) {
+      def.index->tree()->put_ledger().PoisonCommit(ts);
+    }
+  }
+  return s;
+}
+
+Status MultiVersionDB::MaintainIndexes(const Slice& key,
+                                       const Slice* old_value,
+                                       const Slice& new_value, Timestamp ts) {
   for (auto& [name, def] : indexes_) {
     if (!def.extract) {
       // Letting the write through would silently leave this index stale
@@ -813,6 +828,12 @@ Status MultiVersionDB::RecoverWal(bool manifest_clean, bool journal_applied) {
   TSB_RETURN_IF_ERROR(wal::Wal::Open(wal_file, options_.wal_sync,
                                      options_.wal_background_sync_ms, &wal_,
                                      options_.wal_fault_plan));
+  // Checkpoints do not sync the log they supersede, so a power cut can
+  // leave it shorter than checkpoint_lsn. Appends resume at the log's
+  // end; left above it, checkpoint_lsn would make the next recovery skip
+  // commits acknowledged from here on. The MANIFEST write below persists
+  // the clamp before the first append.
+  wal_checkpoint_lsn_ = std::min(wal_checkpoint_lsn_, wal_->appended_lsn());
   InstallWalReporter(wal_.get());
   wal_enabled_ = true;  // immutable from here: hot paths gate on this
   txns_->SetWal(wal_.get());
@@ -922,6 +943,10 @@ Status MultiVersionDB::PurgeCommittedAt(Timestamp ts, uint64_t* purged) {
 }
 
 Status MultiVersionDB::Checkpoint() {
+  return RunCheckpoint(CheckpointKind::kLive);
+}
+
+Status MultiVersionDB::RunCheckpoint(CheckpointKind kind) {
   if (!wal_enabled_) return Status::OK();  // raw-device / WAL-disabled
   if (errors_ != nullptr) {
     // Degraded: a checkpoint would advance the base over state whose
@@ -933,7 +958,9 @@ Status MultiVersionDB::Checkpoint() {
   Status status;
   {
     std::lock_guard<std::mutex> lock(checkpoint_mu_);
-    status = CheckpointLocked();
+    txns_->FreezeCommits();
+    status = CheckpointFrozen(kind);
+    txns_->UnfreezeCommits();
   }
   {
     // Sticky health record: Write() swallows automatic-checkpoint
@@ -955,14 +982,8 @@ Status MultiVersionDB::LastCheckpointError() const {
   return last_checkpoint_error_;
 }
 
-Status MultiVersionDB::CheckpointLocked() {
-  txns_->FreezeCommits();
-  Status status = CheckpointFrozen(/*for_resume=*/false);
-  txns_->UnfreezeCommits();
-  return status;
-}
-
-Status MultiVersionDB::CheckpointFrozen(bool for_resume) {
+Status MultiVersionDB::CheckpointFrozen(CheckpointKind kind) {
+  const bool for_resume = kind == CheckpointKind::kResume;
   // Frozen, the WAL end is exactly the committed state of every tree. A
   // log that grew nothing since the last checkpoint and no dirty frame
   // mean the device files already hold this state: the history sync, the
@@ -986,7 +1007,7 @@ Status MultiVersionDB::CheckpointFrozen(bool for_resume) {
     InstallWalReporter(fresh.get());
     wal_seq_ = old_seq + 1;
     wal_checkpoint_lsn_ = 0;
-    Status persisted = PersistManifest();
+    Status persisted = PersistCheckpointManifest(kind);
     if (!persisted.ok()) {
       // Keep appending to the old log; the checkpoint still counts
       // (the stale on-disk LSN only means extra, skippable replay).
@@ -995,15 +1016,26 @@ Status MultiVersionDB::CheckpointFrozen(bool for_resume) {
       return persisted;
     }
     txns_->SetWal(fresh.get());  // commits frozen: no racing appender
+    wal_->MarkSuperseded();      // unlinked below: no final sync
     wal_ = std::move(fresh);     // the old log closes here
     ::unlink(WalFilePath(path_, old_seq).c_str());
     // Best effort: a resurrected dead log is swept at the next Open.
     (void)SyncDir(path_);
   } else {
     wal_checkpoint_lsn_ = ckpt_lsn;
-    TSB_RETURN_IF_ERROR(PersistManifest());
+    TSB_RETURN_IF_ERROR(PersistCheckpointManifest(kind));
   }
   return Status::OK();
+}
+
+Status MultiVersionDB::PersistCheckpointManifest(CheckpointKind kind) {
+  // A clean close marks the shutdown clean in this same write. If the
+  // write fails, the file on disk still says clean_shutdown=0 (set at
+  // Open), and so does memory.
+  if (kind == CheckpointKind::kClose) clean_shutdown_ = true;
+  Status s = PersistManifest();
+  if (!s.ok()) clean_shutdown_ = false;
+  return s;
 }
 
 bool MultiVersionDB::AnyTreeDirty() {
@@ -1015,17 +1047,21 @@ bool MultiVersionDB::AnyTreeDirty() {
 }
 
 Status MultiVersionDB::FoldTrees(bool for_resume, uint64_t* ckpt_lsn) {
-  if (!for_resume) {
-    // The log must be durable before the checkpoint that supersedes its
-    // prefix is (otherwise the base could get ahead of a lost log).
-    TSB_RETURN_IF_ERROR(wal_->SyncAll());
+  // No sync of the log: commits are frozen, so every frame it holds goes
+  // into the base below, and the base is synced before the MANIFEST moves
+  // checkpoint_lsn past them. kGroup already synced every acknowledged
+  // frame; kOff and kBackground promise nothing before this returns. A
+  // power cut can then leave the log shorter than checkpoint_lsn, which
+  // RecoverWal clamps.
+  if (!for_resume && wal_->has_sync_error()) {
+    // A failed fdatasync may have dropped acknowledged bytes: only the
+    // degraded-mode repair may fold over this log. for_resume does so on
+    // purpose — after a failed fsync the kernel may have dropped the
+    // dirty tail with the error consumed, so the in-memory pages being
+    // checkpointed ARE the trusted copy, and the poisoned log is
+    // abandoned by the forced rotation.
+    return wal_->sync_error();
   }
-  // for_resume skips the sync on purpose: the log already failed an
-  // fdatasync, and after a failed fsync the kernel may have dropped the
-  // dirty tail with the error consumed — a retry that "succeeds" proves
-  // nothing (never retry-and-assume). The in-memory pages being
-  // checkpointed ARE the trusted copy; the poisoned log is abandoned by
-  // the forced rotation below.
   *ckpt_lsn = wal_->appended_lsn();
 
   struct TreeCkpt {
@@ -1079,7 +1115,7 @@ Status MultiVersionDB::FoldTrees(bool for_resume, uint64_t* ckpt_lsn) {
     if (t.scope.fresh.empty()) continue;
     journal.BeginTree(t.file);
     for (const PageHandle& h : t.scope.fresh) {
-      journal.AddPage(h.id(), h.data());
+      journal.AddSealedPage(h.id(), h.data());  // sealed by WriteFreshPages
     }
   }
   // Returning destroys the scopes: unpins the frames and releases the
@@ -1141,7 +1177,7 @@ Status MultiVersionDB::ResumeImpl() {
     // rotates to a fresh log file. After this the acked prefix lives in
     // the checkpointed base and the fsync question is moot.
     if (wal_enabled_) {
-      TSB_RETURN_IF_ERROR(CheckpointFrozen(/*for_resume=*/true));
+      TSB_RETURN_IF_ERROR(CheckpointFrozen(CheckpointKind::kResume));
     }
     return Status::OK();
   }();

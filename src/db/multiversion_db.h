@@ -287,10 +287,11 @@ class MultiVersionDB {
   };
   const RecoveryStats& recovery_stats() const { return recovery_stats_; }
 
-  /// Forces a checkpoint: freezes commits, makes the WAL durable, writes
-  /// every tree's dirty pages + metadata crash-atomically (pages above the
-  /// durable high-water mark in place, the rest through the checkpoint
-  /// journal; see wal/checkpoint.h), then truncates or rotates the log.
+  /// Forces a checkpoint: freezes commits, writes every tree's dirty
+  /// pages + metadata crash-atomically (pages above the durable
+  /// high-water mark in place, the rest through the checkpoint journal;
+  /// see wal/checkpoint.h) — which makes every logged commit durable
+  /// without syncing the log itself — then advances or rotates the log.
   /// Runs automatically when the WAL exceeds
   /// DbOptions::wal_checkpoint_bytes and at clean close. No-op for DBs
   /// without a WAL.
@@ -405,8 +406,11 @@ class MultiVersionDB {
  private:
   explicit MultiVersionDB(const DbOptions& options) : options_(options) {}
 
+  /// The commit hook: maintains every index for one committed key.
   Status OnCommit(const Slice& key, const Slice* old_value,
                   const Slice& new_value, Timestamp ts);
+  Status MaintainIndexes(const Slice& key, const Slice* old_value,
+                         const Slice& new_value, Timestamp ts);
 
   struct IndexEntryDef {
     KeyExtractor extract;
@@ -449,26 +453,39 @@ class MultiVersionDB {
   /// pre-image. Skips frames already present in the checkpointed base.
   Status ApplyWalCommit(const wal::WalCommit& commit);
 
-  /// Checkpoint body; caller holds checkpoint_mu_. Freezes commits around
-  /// CheckpointFrozen.
-  Status CheckpointLocked();
+  enum class CheckpointKind {
+    kLive,    ///< Checkpoint(): the database stays open
+    kClose,   ///< the clean-close checkpoint in ~MultiVersionDB
+    kResume,  ///< degraded-mode repair (ResumeImpl)
+  };
+
+  /// Checkpoint() for `kind` (kLive or kClose): fails fast while
+  /// degraded, serializes on checkpoint_mu_, freezes commits around
+  /// CheckpointFrozen and records the outcome.
+  Status RunCheckpoint(CheckpointKind kind);
 
   /// Checkpoint with commits already frozen (caller holds checkpoint_mu_
-  /// AND the freeze). `for_resume` is the degraded-mode repair variant:
-  /// skips Wal::SyncAll (the poisoned log must not be retry-and-trusted;
-  /// the in-memory pages being checkpointed are the trusted copy) and
-  /// force-rotates to a fresh log file regardless of size.
-  /// Skips the fold (FoldTrees) when no tree has a dirty frame and the
-  /// WAL appended nothing since the last checkpoint; the log rotation
-  /// and the MANIFEST write run either way.
-  Status CheckpointFrozen(bool for_resume);
+  /// AND the freeze). kResume is the degraded-mode repair variant: it
+  /// folds over a log whose sync failed (the poisoned log must not be
+  /// retry-and-trusted; the in-memory pages being checkpointed are the
+  /// trusted copy) and force-rotates to a fresh log file regardless of
+  /// size. kClose carries clean_shutdown=1 in the checkpoint's own
+  /// MANIFEST write. Skips the fold (FoldTrees) when no tree has a dirty
+  /// frame and the WAL appended nothing since the last checkpoint; the
+  /// log rotation and the MANIFEST write run either way.
+  Status CheckpointFrozen(CheckpointKind kind);
+
+  /// PersistManifest for a checkpoint of `kind`; see CheckpointFrozen.
+  Status PersistCheckpointManifest(CheckpointKind kind);
 
   /// True when a frame of the primary or of an index tree is dirty.
   bool AnyTreeDirty();
 
-  /// The write half of CheckpointFrozen: syncs the log (unless
-  /// `for_resume`), sets `*ckpt_lsn` to its end and makes every tree's
-  /// dirty pages durable through the checkpoint journal.
+  /// The write half of CheckpointFrozen: sets `*ckpt_lsn` to the log's
+  /// end and makes every tree's dirty pages durable through the
+  /// checkpoint journal. The log is not synced: with commits frozen every
+  /// frame it holds goes into the base. Unless `for_resume`, a log whose
+  /// sync failed is refused.
   Status FoldTrees(bool for_resume, uint64_t* ckpt_lsn);
 
   /// The ErrorHandler's resume_fn: the actual degraded-mode repair.

@@ -51,12 +51,22 @@ bool DecodeCompositeKey(const Slice& composite, std::string* secondary,
 
 Status SecondaryIndex::Add(const Slice& secondary, const Slice& primary,
                            Timestamp ts) {
-  return tree_->Put(EncodeCompositeKey(secondary, primary), kLinked, ts);
+  return Write(EncodeCompositeKey(secondary, primary), kLinked, ts);
 }
 
 Status SecondaryIndex::Remove(const Slice& secondary, const Slice& primary,
                               Timestamp ts) {
-  return tree_->Put(EncodeCompositeKey(secondary, primary), kUnlinked, ts);
+  return Write(EncodeCompositeKey(secondary, primary), kUnlinked, ts);
+}
+
+Status SecondaryIndex::Write(const Slice& composite, const Slice& marker,
+                             Timestamp ts) {
+  // Updates arrive in timestamp order, so the first write at `ts` proves
+  // every earlier commit whole: publish those. `ts` waits for the next
+  // commit, so no reader at the latest time and no time split sees a
+  // commit whose other entries are still to come — or failed.
+  tree_->put_ledger().EndCommit(ts - 1);
+  return tree_->PutUnpublished(composite, marker, ts);
 }
 
 Status SecondaryIndex::ReplayAdd(const Slice& secondary, const Slice& primary,

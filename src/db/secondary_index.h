@@ -41,7 +41,11 @@ std::string CompositePrefix(const Slice& secondary);
 /// A secondary index over a primary TSB-tree. Thread-safe with the same
 /// guarantees as the underlying TsbTree: lock-free timestamped lookups,
 /// serialized updates (Add/Remove run inside the commit hook, on the
-/// committing transaction's thread).
+/// committing transaction's thread, in timestamp order). One commit
+/// writes several entries at its timestamp, so the index tree's watermark
+/// runs one commit behind: a write at `ts` publishes every timestamp
+/// before it, and a failed write pins it below `ts` until the purge of
+/// `ts` (see TsbTree::PurgeCommittedAt). Lookups take explicit times.
 class SecondaryIndex {
  public:
   /// `tree` is the index's own TSB-tree (the index spans both devices just
@@ -81,6 +85,9 @@ class SecondaryIndex {
  private:
   static constexpr char kLinked[] = "1";
   static constexpr char kUnlinked[] = "0";
+
+  /// Add and Remove: writes the composite key's link marker at `ts`.
+  Status Write(const Slice& composite, const Slice& marker, Timestamp ts);
 
   std::unique_ptr<tsb_tree::TsbTree> tree_;
 };

@@ -120,6 +120,7 @@ Status FileDevice::WriteParts(uint64_t offset, std::span<const Slice> parts,
   size_t landed = 0;  // parts on the file, [0, landed)
   size_t counted = 0;  // parts whose write IoStats has counted
   uint64_t counted_end = offset;
+  uint64_t writeback_from = offset;  // landed, writeback not started
   while (landed < parts.size()) {
     const size_t n = std::min<size_t>(parts.size() - landed, IOV_MAX);
     const uint64_t start = end;
@@ -130,6 +131,10 @@ Status FileDevice::WriteParts(uint64_t offset, std::span<const Slice> parts,
       end += p.size();
     }
     TSB_RETURN_IF_ERROR(PwritevAll(fd_, iov, n, start));
+    if (end - writeback_from >= kWritebackBytes) {
+      StartWriteback(writeback_from, end);
+      writeback_from = end;
+    }
     landed += n;
     uint64_t cur = size_.load(std::memory_order_relaxed);
     while (end > cur &&
@@ -147,6 +152,18 @@ Status FileDevice::WriteParts(uint64_t offset, std::span<const Slice> parts,
     }
   }
   return Status::OK();
+}
+
+void FileDevice::StartWriteback(uint64_t from, uint64_t end) {
+#ifdef SYNC_FILE_RANGE_WRITE
+  // Best effort: an error here shows up again at Sync.
+  (void)::sync_file_range(fd_, static_cast<off_t>(from),
+                          static_cast<off_t>(end - from),
+                          SYNC_FILE_RANGE_WRITE);
+#else
+  (void)from;
+  (void)end;
+#endif
 }
 
 Status FileDevice::ReadMapped(uint64_t offset, size_t n, MappedRead* out,

@@ -15,6 +15,14 @@ namespace tsb {
 /// Thread-safe: pread/pwritev are atomic at the OS level; the size
 /// high-water mark is maintained with atomics.
 ///
+/// A large write starts its own writeback: once a write call (a
+/// checkpoint's run of pages) has landed 1 MiB, those bytes go to
+/// sync_file_range(SYNC_FILE_RANGE_WRITE), which waits for nothing, so
+/// the Sync that follows waits only for the tail. Small writes are left
+/// to the page cache: kicking the history appends of a commit window
+/// would queue device writes ahead of group commit's fdatasync. Where
+/// the call does not exist this does nothing.
+///
 /// When mmap is enabled (the default) ReadMapped serves pinned zero-copy
 /// views out of a PROT_READ MAP_SHARED mapping of the file. The mapping is
 /// refcounted: when the file grows past the mapped length a fresh mapping
@@ -76,6 +84,10 @@ class FileDevice : public Device {
   /// Body of Write and WriteGather (subclasses check before either).
   Status WriteParts(uint64_t offset, std::span<const Slice> parts,
                     size_t parts_per_write);
+
+  /// Starts writeback of [from, end), which just landed.
+  void StartWriteback(uint64_t from, uint64_t end);
+  static constexpr uint64_t kWritebackBytes = 1 << 20;
 
   int fd_;
   std::atomic<uint64_t> size_;

@@ -7,6 +7,17 @@
 
 namespace tsb {
 
+namespace {
+
+/// The trailer CRC covers [0, ps-4): the first 8 bytes (magic and the
+/// masked header CRC), then exactly the header CRC's range [8, ps-4). So
+/// it follows from the header CRC without a second pass over the page.
+uint32_t TrailerCrc(const char* buf, uint32_t hcrc, uint32_t page_size) {
+  return crc32c::Combine(crc32c::Value(buf, 8), hcrc, page_size - 8 - 4);
+}
+
+}  // namespace
+
 void InitPage(char* buf, uint32_t page_size, uint32_t page_id, PageType type) {
   memset(buf, 0, page_size);
   EncodeFixed32(buf, kPageMagic);
@@ -26,8 +37,8 @@ void SealPage(char* buf, uint32_t page_size) {
   EncodeFixed32(trailer + 4, PageId(buf));
   const uint32_t hcrc = crc32c::Value(buf + 8, page_size - 8 - 4);
   EncodeFixed32(buf + 4, crc32c::Mask(hcrc));
-  const uint32_t tcrc = crc32c::Value(buf, page_size - 4);
-  EncodeFixed32(buf + page_size - 4, crc32c::Mask(tcrc));
+  EncodeFixed32(buf + page_size - 4,
+                crc32c::Mask(TrailerCrc(buf, hcrc, page_size)));
 }
 
 void SealPageWithLsn(char* buf, uint32_t page_size, uint64_t flush_lsn) {
@@ -55,7 +66,7 @@ Status VerifyPage(const char* buf, uint32_t page_size, uint32_t expected_id) {
                               "page " + std::to_string(PageId(buf)));
   }
   const uint32_t tstored = crc32c::Unmask(DecodeFixed32(buf + page_size - 4));
-  const uint32_t tactual = crc32c::Value(buf, page_size - 4);
+  const uint32_t tactual = TrailerCrc(buf, actual, page_size);
   if (tstored != tactual) {
     return Status::Corruption("page trailer checksum mismatch",
                               "page " + std::to_string(PageId(buf)));

@@ -56,6 +56,7 @@ void InitPage(char* buf, uint32_t page_size, uint32_t page_id, PageType type);
 
 /// Computes and stores the header and trailer CRCs (the trailer's flush LSN
 /// bytes are preserved as-is — use SealPageWithLsn to stamp a new one).
+/// Reads the page once: the trailer CRC is derived from the header CRC.
 void SealPage(char* buf, uint32_t page_size);
 
 /// SealPage plus stamping `flush_lsn` into the trailer. The pager uses this
@@ -64,7 +65,7 @@ void SealPageWithLsn(char* buf, uint32_t page_size, uint64_t flush_lsn);
 
 /// Verifies magic, format flag, both CRCs, the trailer magic and the
 /// redundant trailer page id. `expected_id` checks the stored page id (pass
-/// UINT32_MAX to skip).
+/// UINT32_MAX to skip). Like SealPage, reads the page once.
 Status VerifyPage(const char* buf, uint32_t page_size, uint32_t expected_id);
 
 /// The flush LSN stamped in the trailer.

@@ -121,16 +121,6 @@ int IndexPageRef::FindContaining(const Slice& key, Timestamp t) const {
   return -1;
 }
 
-int IndexPageRef::FindChild(uint32_t page_id) const {
-  const int n = Count();
-  for (int i = 0; i < n; ++i) {
-    IndexEntryView e;
-    if (!DecodeIndexCellView(slots_.Cell(i), &e)) return -1;
-    if (!e.child.historical && e.child.page_id == page_id) return i;
-  }
-  return -1;
-}
-
 bool IndexPageRef::Insert(const IndexEntry& e) {
   std::string cell;
   EncodeIndexCell(&cell, e);

@@ -148,10 +148,6 @@ class IndexPageRef {
   /// prefix — the same algorithm historical index nodes use.
   int FindContaining(const Slice& key, Timestamp t) const;
 
-  /// Index of the entry referencing the current page `page_id`; -1 if
-  /// absent. (Current children have exactly one parent.)
-  int FindChild(uint32_t page_id) const;
-
   bool HasRoomFor(const IndexEntry& e) const {
     return slots_.HasRoomFor(static_cast<uint32_t>(e.EncodedSize()));
   }

@@ -113,7 +113,8 @@ TsbTree::TsbTree(Device* magnetic, Device* historical,
                                           options.hist_cache_blobs)),
       policy_(options.policy),
       clock_(options.external_clock != nullptr ? options.external_clock
-                                               : &own_clock_) {}
+                                               : &own_clock_),
+      put_ledger_(clock_) {}
 
 TsbTree::~TsbTree() {
   if (pool_->no_steal()) {
@@ -312,9 +313,11 @@ Status TsbTree::PurgeCommittedAt(Timestamp ts, uint64_t* purged) {
   // A failed commit's timestamp sits above the published watermark, and
   // time splits cap their boundary at that watermark: nothing stamped
   // `ts` can live under a historical child.
-  return PurgeRecordsRec(
+  TSB_RETURN_IF_ERROR(PurgeRecordsRec(
       root_.load(std::memory_order_acquire),
-      [ts](const DataEntryView& v) { return v.ts == ts; }, purged);
+      [ts](const DataEntryView& v) { return v.ts == ts; }, purged));
+  put_ledger_.Unpoison(ts);
+  return Status::OK();
 }
 
 Status TsbTree::PurgeRecordsRec(
@@ -597,6 +600,14 @@ Status TsbTree::GetUncommitted(const Slice& key, TxnId txn,
 // ---------------------------------------------------------------- writes
 
 Status TsbTree::Put(const Slice& key, const Slice& value, Timestamp ts) {
+  TSB_RETURN_IF_ERROR(PutUnpublished(key, value, ts));
+  // A direct Put is a complete single-record commit: publish immediately.
+  put_ledger_.EndCommit(ts);
+  return Status::OK();
+}
+
+Status TsbTree::PutUnpublished(const Slice& key, const Slice& value,
+                               Timestamp ts) {
   WriterGuard wl(this);
   if (ts == kMinTimestamp || ts > kMaxCommittedTs) {
     return Status::InvalidArgument("timestamp out of committed range");
@@ -609,9 +620,14 @@ Status TsbTree::Put(const Slice& key, const Slice& value, Timestamp ts) {
   // Advanced even on failure: a failed history flush leaves the version
   // inserted, and no later Put may slip a version beneath it.
   clock_->AdvanceTo(ts);
-  TSB_RETURN_IF_ERROR(s);
-  // A direct Put is a complete single-record commit: publish immediately.
-  clock_->Publish(ts);
+  if (!s.ok()) {
+    // InvalidArgument is raised before any page changes. Any other
+    // failure may have left the version in place: readers must never see
+    // it, and time splits (capped at the watermark) must never move it
+    // out of PurgeCommittedAt's reach.
+    if (!s.IsInvalidArgument()) put_ledger_.PoisonCommit(ts);
+    return s;
+  }
   counters_.puts++;
   return Status::OK();
 }
@@ -1049,9 +1065,18 @@ Status TsbTree::SplitForInsert(PageHandle leaf, const IndexEntry& pe,
   PageHandle parent_h;
   TSB_RETURN_IF_ERROR(pool_->FetchExclusive(parent_id, &parent_h));
   IndexPageRef parent(parent_h.data(), options_.page_size);
-  // An index split moved the leaf's entry to a new sibling of the parent.
-  const int pe_pos = parent.FindChild(leaf.id());
+  // The entry whose region holds the leaf's must be the leaf's own; any
+  // other answer means an index split moved it to a new sibling of the
+  // parent, and the insert retries.
+  const int pe_pos = parent.FindContaining(pe.key_lo, pe.t_lo);
   if (pe_pos < 0) return Status::OK();
+  {
+    IndexEntryView e;
+    TSB_RETURN_IF_ERROR(parent.AtView(pe_pos, &e));
+    if (e.child.historical || e.child.page_id != leaf.id()) {
+      return Status::OK();
+    }
+  }
   if (parent.FreeBytes() < plan.need) {
     parent_h.Release();
     leaf.Release();

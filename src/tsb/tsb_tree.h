@@ -27,6 +27,7 @@
 #include "tsb/pinnable_value.h"
 #include "tsb/split_policy.h"
 #include "tsb/tsb_stats.h"
+#include "txn/commit_ledger.h"
 
 namespace tsb {
 namespace tsb_tree {
@@ -161,8 +162,21 @@ class TsbTree {
   // ---- writes ----
 
   /// Inserts a committed version. `ts` must be >= every previously written
-  /// timestamp (commit order; the tree advances its clock to ts).
+  /// timestamp (commit order; the tree advances its clock to ts) and the
+  /// watermark publishes it. A Put that fails after its version may have
+  /// landed (the history flush that ends an insert runs after it) pins
+  /// the watermark below `ts` until PurgeCommittedAt(ts) removes the
+  /// version, so no later Put publishes past it.
   Status Put(const Slice& key, const Slice& value, Timestamp ts);
+
+  /// Put without the publish, for one write of a commit that writes
+  /// several at `ts`: the caller publishes the commit whole through
+  /// put_ledger().EndCommit once every write landed. A failure pins the
+  /// watermark as a failed Put does.
+  Status PutUnpublished(const Slice& key, const Slice& value, Timestamp ts);
+
+  /// The ledger Put and PutUnpublished publish through, over clock().
+  txn::CommitLedger& put_ledger() { return put_ledger_; }
 
   /// One key/value pair of a batched insert (views; the caller keeps the
   /// bytes alive for the call).
@@ -292,6 +306,7 @@ class TsbTree {
   /// nodes (split boundaries cap at the published watermark). Degraded-
   /// mode Resume runs this, with commits frozen, for each failed commit
   /// timestamp before lifting the watermark. `*purged` counts removals.
+  /// Also lifts the pin a failed Put at `ts` set.
   Status PurgeCommittedAt(Timestamp ts, uint64_t* purged);
 
   /// Walks the whole DAG and computes the section-5 space metrics.
@@ -520,6 +535,8 @@ class TsbTree {
   /// The clock every timestamp decision goes through: &own_clock_ or
   /// TsbOptions::external_clock.
   LogicalClock* clock_;
+  /// Publishes direct Puts, and keeps the watermark below a failed one.
+  txn::CommitLedger put_ledger_;
 
   /// Mutators hold it SHARED — parallelism comes from per-page latches —
   /// while quiescing maintenance (Flush, checkpoints, purges,

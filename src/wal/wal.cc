@@ -115,10 +115,11 @@ Wal::~Wal() {
     if (background_.joinable()) background_.join();
   }
   // Best-effort final sync: a clean close should not leave acknowledged
-  // commits hostage to the page cache.
+  // commits hostage to the page cache. A superseded log holds none.
   if (fd_ >= 0) {
-    if (appended_lsn_.load(std::memory_order_acquire) >
-        synced_lsn_.load(std::memory_order_acquire)) {
+    if (!superseded_.load(std::memory_order_acquire) &&
+        appended_lsn_.load(std::memory_order_acquire) >
+            synced_lsn_.load(std::memory_order_acquire)) {
       (void)DataSync(fd_);
     }
     ::close(fd_);
@@ -249,28 +250,6 @@ Status Wal::Sync(uint64_t upto_lsn) {
     // acknowledge later commits either.
     last_sync_error_ = s;
   }
-  sync_cv_.notify_all();
-  if (!s.ok()) {
-    lock.unlock();
-    if (sync_error_reporter_) sync_error_reporter_(s);
-  }
-  return s;
-}
-
-Status Wal::SyncAll() {
-  std::unique_lock<std::mutex> lock(sync_mu_);
-  while (sync_in_progress_) sync_cv_.wait(lock);
-  if (!last_sync_error_.ok()) return last_sync_error_;
-  if (synced_lsn_.load(std::memory_order_acquire) >=
-      appended_lsn_.load(std::memory_order_acquire)) {
-    return Status::OK();
-  }
-  sync_in_progress_ = true;
-  lock.unlock();
-  Status s = SyncFile();
-  lock.lock();
-  sync_in_progress_ = false;
-  if (!s.ok()) last_sync_error_ = s;
   sync_cv_.notify_all();
   if (!s.ok()) {
     lock.unlock();

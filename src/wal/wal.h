@@ -129,9 +129,12 @@ class Wal {
   /// returns immediately.
   Status Sync(uint64_t upto_lsn);
 
-  /// Unconditional fdatasync of everything appended (checkpoints call
-  /// this regardless of mode before declaring the log prefix dead).
-  Status SyncAll();
+  /// Declares every appended frame dead: a checkpoint folded them into
+  /// the synced base (or the caller is about to unlink the file). The
+  /// destructor then skips its best-effort final sync.
+  void MarkSuperseded() {
+    superseded_.store(true, std::memory_order_release);
+  }
 
   /// Truncates the log to empty and rewinds the append/synced offsets —
   /// for logs whose whole prefix just became dead at once (the sharded
@@ -209,6 +212,7 @@ class Wal {
 
   std::mutex append_mu_;  // serializes appends (offset + pwrite)
   std::atomic<uint64_t> appended_lsn_{0};
+  std::atomic<bool> superseded_{false};  // see MarkSuperseded
 
   // Group-commit rendezvous state.
   mutable std::mutex sync_mu_;

@@ -2,6 +2,7 @@
 // arena, logger.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 #include <string>
 #include <utility>
@@ -245,6 +246,74 @@ TEST(Crc32cTest, ExtendChainsAtEverySplit) {
     EXPECT_EQ(whole, crc32c::Extend(head, buf + split, sizeof(buf) - split))
         << "split " << split;
   }
+}
+
+// The hardware path runs three interleaved lanes over blocks of 384 and
+// 3072 bytes. Around every block edge, around page sizes, and far past a
+// page, at random offsets and seeds, it must equal the portable loop —
+// whole and chained across random splits.
+TEST(Crc32cTest, ThreeLaneKernelMatchesPortableAroundBlockEdges) {
+  Random rnd(4242);
+  std::string buf(40000 + 8, '\0');
+  for (char& c : buf) c = static_cast<char>(rnd.Next());
+  std::vector<size_t> lengths;
+  for (size_t block : {384, 3072}) {
+    for (size_t k = 1; k <= 12; ++k) {
+      for (int d = -9; d <= 9; ++d) lengths.push_back(block * k + d);
+    }
+  }
+  for (size_t page : {4096, 8192, 16384, 32768}) {
+    for (size_t d : {0, 4, 8, 12, 20}) {
+      lengths.push_back(page - d);
+      lengths.push_back(page + d);
+    }
+  }
+  lengths.push_back(3 * 3072 + 2 * 384 + 7);
+  lengths.push_back(40000);
+  for (const size_t n : lengths) {
+    const size_t offset = rnd.Uniform(8);
+    const char* p = buf.data() + offset;
+    const auto seed = static_cast<uint32_t>(rnd.Next());
+    const uint32_t want = crc32c::ExtendPortable(seed, p, n);
+    ASSERT_EQ(want, crc32c::Extend(seed, p, n))
+        << "offset " << offset << " length " << n;
+    uint32_t chained = seed;
+    for (size_t done = 0; done < n;) {
+      const size_t piece = std::min<size_t>(n - done, 1 + rnd.Uniform(5000));
+      chained = crc32c::Extend(chained, p + done, piece);
+      done += piece;
+    }
+    ASSERT_EQ(want, chained) << "chained, length " << n;
+  }
+}
+
+// Combine joins the CRCs of adjacent pieces without their bytes.
+TEST(Crc32cTest, CombineEqualsValueOfConcatenation) {
+  Random rnd(77);
+  std::string buf(9000, '\0');
+  for (char& c : buf) c = static_cast<char>(rnd.Next());
+  for (int i = 0; i < 300; ++i) {
+    const size_t n = rnd.Uniform(buf.size() + 1);
+    // Split points at the ends and at random, and the page-shaped ones
+    // SealPage and the journal use.
+    size_t split = rnd.Uniform(n + 1);
+    if (i % 10 == 0) split = 0;
+    if (i % 10 == 1) split = n;
+    if (i % 10 == 2 && n >= 8) split = 8;
+    const char* a = buf.data();
+    const char* b = buf.data() + split;
+    ASSERT_EQ(crc32c::Value(a, n),
+              crc32c::Combine(crc32c::Value(a, split),
+                              crc32c::Value(b, n - split), n - split))
+        << "length " << n << " split " << split;
+  }
+  // Lengths past the cache's 32-bit key take the uncached path: shifting
+  // over L1 then L2 bytes is shifting over L1 + L2.
+  const uint32_t c = crc32c::Value(buf.data(), 100);
+  const uint64_t l1 = (1ull << 32) + 12345, l2 = 987654321;
+  EXPECT_EQ(crc32c::Combine(c, 0, l1 + l2),
+            crc32c::Combine(crc32c::Combine(c, 0, l1), 0, l2));
+  EXPECT_EQ(c, crc32c::Combine(c, 0, 0));
 }
 
 // RFC 3720 (iSCSI) appendix B.4 test vectors, through both paths.

@@ -30,9 +30,12 @@
 #include <thread>
 #include <vector>
 
+#include "common/coding.h"
 #include "common/crc32c.h"
 #include "db/multiversion_db.h"
+#include "storage/page.h"
 #include "tsb/tree_check.h"
+#include "wal/checkpoint.h"
 
 namespace tsb {
 namespace db {
@@ -244,6 +247,168 @@ TEST_F(CrashRecoveryTest, CleanShutdownReplaysNothing) {
   ASSERT_TRUE(db->Get({}, Key(0, 199), &value).ok());
   EXPECT_EQ(value, Value(0, 199));
   EXPECT_EQ(db->Now(), last_ts);
+}
+
+// A kOff bulk load promises nothing until a checkpoint returns; the
+// clean close's checkpoint is what makes it durable. The next open
+// replays nothing and reads every key.
+TEST_F(CrashRecoveryTest, UnsyncedBulkLoadIsWholeAfterCleanClose) {
+  DbOptions opts = SmallPageOptions();
+  opts.wal_sync = wal::WalSyncMode::kOff;
+  constexpr int kKeys = 3000;
+  {
+    std::unique_ptr<MultiVersionDB> db;
+    ASSERT_TRUE(MultiVersionDB::Open(path_, opts, &db).ok());
+    for (int i = 0; i < kKeys; i += 10) {
+      WriteBatch batch;
+      for (int j = i; j < i + 10; ++j) batch.Put(Key(0, j), Value(0, j));
+      ASSERT_TRUE(db->Write(batch).ok());
+    }
+  }
+  std::unique_ptr<MultiVersionDB> db;
+  ASSERT_TRUE(MultiVersionDB::Open(path_, opts, &db).ok());
+  EXPECT_EQ(0u, db->recovery_stats().frames_replayed);
+  EXPECT_EQ(0u, db->recovery_stats().wal_bytes_scanned);
+  for (int i = 0; i < kKeys; ++i) {
+    std::string value;
+    ASSERT_TRUE(db->Get({}, Key(0, i), &value).ok()) << i;
+    EXPECT_EQ(Value(0, i), value);
+  }
+  tsb_tree::TreeChecker checker(db->primary());
+  EXPECT_TRUE(checker.Check().ok());
+}
+
+// A clean close does not sync the log its checkpoint supersedes, so a
+// power cut after it can leave the log shorter than the MANIFEST's
+// checkpoint_lsn. Cut the log in half to play that cut, reopen with
+// group commit, acknowledge more commits and crash: recovery must have
+// clamped checkpoint_lsn to the log's end, or the next open starts
+// replay past the acknowledged frames and loses them.
+TEST_F(CrashRecoveryTest, LogCutShortAfterCleanCloseKeepsLaterAckedCommits) {
+  DbOptions opts = SmallPageOptions();
+  opts.wal_sync = wal::WalSyncMode::kOff;
+  opts.wal_checkpoint_bytes = 1ull << 40;  // no rotation: the log stays
+  constexpr int kLoaded = 5000;
+  constexpr int kLater = 1000;
+  {
+    std::unique_ptr<MultiVersionDB> db;
+    ASSERT_TRUE(MultiVersionDB::Open(path_, opts, &db).ok());
+    for (int i = 0; i < kLoaded; i += 10) {
+      WriteBatch batch;
+      for (int j = i; j < i + 10; ++j) batch.Put(Key(0, j), Value(0, j));
+      ASSERT_TRUE(db->Write(batch).ok());
+    }
+  }
+  const std::string wal_file = path_ + "/wal-000000.tsb";
+  struct stat st;
+  ASSERT_EQ(0, ::stat(wal_file.c_str(), &st));
+  ASSERT_GT(st.st_size, 10000);
+  ASSERT_EQ(0, ::truncate(wal_file.c_str(), st.st_size / 2));
+
+  opts.wal_sync = wal::WalSyncMode::kGroup;
+  const pid_t pid = ::fork();
+  if (pid == 0) {
+    std::unique_ptr<MultiVersionDB> db;
+    if (!MultiVersionDB::Open(path_, opts, &db).ok()) ::_exit(2);
+    for (int i = 0; i < kLater; ++i) {
+      if (!db->Put(Key(1, i), Value(1, i)).ok()) ::_exit(3);  // acked
+    }
+    ::kill(::getpid(), SIGKILL);
+    ::_exit(4);
+  }
+  int wstatus = 0;
+  ::waitpid(pid, &wstatus, 0);
+  ASSERT_TRUE(WIFSIGNALED(wstatus)) << "child exited " << wstatus;
+
+  std::unique_ptr<MultiVersionDB> db;
+  ASSERT_TRUE(MultiVersionDB::Open(path_, opts, &db).ok());
+  int missing = 0;
+  for (int w = 0; w < 2; ++w) {
+    for (int i = 0; i < (w == 0 ? kLoaded : kLater); ++i) {
+      std::string value;
+      if (!db->Get({}, Key(w, i), &value).ok() || value != Value(w, i)) {
+        ++missing;
+      }
+    }
+  }
+  EXPECT_EQ(0, missing) << "of " << kLoaded + kLater << " keys";
+  tsb_tree::TreeChecker checker(db->primary());
+  EXPECT_TRUE(checker.Check().ok());
+}
+
+// The retired journal takes the CRC of a sealed fresh-page image from its
+// seal instead of a second pass over it. Its bytes must be exactly the
+// format's (header, both sections, one trailer CRC over the whole file),
+// and LoadImages must accept it.
+TEST_F(CrashRecoveryTest, RetiredJournalBytesMatchTheFormat) {
+  constexpr uint32_t kPs = 512;
+  ASSERT_EQ(0, ::mkdir(path_.c_str(), 0755));
+  auto image = [](uint32_t id, bool seal) {
+    std::string page(kPs, '\0');
+    InitPage(page.data(), kPs, id, PageType::kTsbData);
+    for (uint32_t i = kPageHeaderSize; i < PageUsableSize(kPs); ++i) {
+      page[i] = static_cast<char>(id * 31 + i);
+    }
+    if (seal) SealPageWithLsn(page.data(), kPs, 40 + id);
+    return page;
+  };
+  const std::string meta = image(0, false), journaled = image(5, false);
+  const std::string fresh[] = {image(7, true), image(8, true)};
+  wal::CheckpointJournal journal(path_, kPs);
+  ASSERT_TRUE(journal.Create().ok());
+  journal.BeginTree("current.tsb");
+  journal.AddPage(0, meta.data());
+  journal.AddPage(5, journaled.data());
+  ASSERT_TRUE(journal.Commit().ok());
+  journal.BeginTree("current.tsb");
+  for (const std::string& page : fresh) {
+    journal.AddSealedPage(PageId(page.data()), page.data());
+  }
+  ASSERT_TRUE(journal.Retire().ok());
+
+  std::string want;
+  PutFixed32(&want, wal::CheckpointJournal::kMagic);
+  PutFixed32(&want, wal::CheckpointJournal::kVersion);
+  PutFixed32(&want, kPs);
+  auto tree = [&want] {
+    want.push_back(static_cast<char>(wal::CheckpointJournal::kTreeRecord));
+    PutVarint32(&want, 11);
+    want.append("current.tsb");
+  };
+  auto page = [&want](uint32_t id, const std::string& bytes) {
+    want.push_back(static_cast<char>(wal::CheckpointJournal::kPageRecord));
+    PutFixed32(&want, id);
+    PutFixed32(&want, kPs);
+    want.append(bytes);
+  };
+  tree();
+  page(0, meta);
+  page(5, journaled);
+  tree();
+  page(7, fresh[0]);
+  page(8, fresh[1]);
+  want.push_back(static_cast<char>(wal::CheckpointJournal::kEndRecord));
+  PutFixed64(&want, 6);
+  PutFixed32(&want, crc32c::Mask(crc32c::Value(want.data(), want.size())));
+
+  const std::string retired = wal::CheckpointJournal::RetiredPath(path_);
+  std::string got;
+  {
+    FILE* f = fopen(retired.c_str(), "rb");
+    ASSERT_NE(nullptr, f);
+    char buf[4096];
+    size_t n;
+    while ((n = fread(buf, 1, sizeof(buf), f)) > 0) got.append(buf, n);
+    fclose(f);
+  }
+  EXPECT_EQ(want, got);
+  std::map<std::pair<std::string, uint32_t>, std::string> images;
+  ASSERT_TRUE(
+      wal::CheckpointJournal::LoadImages(retired, kPs, &images).ok());
+  ASSERT_EQ(4u, images.size());
+  EXPECT_EQ(fresh[1], (images[{"current.tsb", 8}]));
+  ::unlink(retired.c_str());
+  ::rmdir(path_.c_str());
 }
 
 TEST_F(CrashRecoveryTest, TornWalTailIsTruncatedNotFatal) {

@@ -8,9 +8,11 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -238,6 +240,76 @@ TEST(TreeCloseTest, FailedHistoryFlushWritesNoPageAtClose) {
   EXPECT_EQ(writes, magnetic.stats().writes);
 }
 
+// A direct Put whose history flush fails may leave its version in the
+// tree with the clock advanced. No later Put may publish past it: a Get
+// at latest never returns the failed value, and once PurgeCommittedAt has
+// removed it (the repair step degraded-mode Resume runs) the later Puts
+// publish and the failed value stays gone across a reopen.
+TEST(TreePutFaultTest, FailedPutNeverBecomesReadable) {
+  MemDevice magnetic;
+  MemDevice hist_base(DeviceKind::kOpticalErasable, CostParams::OpticalWorm());
+  auto plan = std::make_shared<FaultPlan>();
+  FaultInjectingDevice hist(&hist_base, plan);
+  TsbOptions opts;
+  opts.page_size = 512;
+  std::unique_ptr<TsbTree> tree;
+  ASSERT_TRUE(TsbTree::Open(&magnetic, &hist, opts, &tree).ok());
+  // The first history write is the flush of the first time split's node.
+  plan->FailNth(FaultOp::kWrite, 1, FaultKind::kEIO, /*sticky=*/false);
+  std::map<std::string, std::string> good;  // newest good value per key
+  Status s;
+  Timestamp ts = 0;
+  std::string failed_key, failed_value;
+  for (int i = 0; i < 400; ++i) {
+    const std::string key = Key(i % 8), value = "v" + std::to_string(i);
+    s = tree->Put(key, value, ++ts);
+    if (!s.ok()) {
+      failed_key = key;
+      failed_value = value;
+      break;
+    }
+    good[key] = value;
+  }
+  ASSERT_TRUE(s.IsIOError()) << s.ToString();
+  ASSERT_EQ(1u, plan->fired(FaultOp::kWrite));
+  ASSERT_GT(tree->counters().data_time_splits, 0u);
+  const Timestamp failed_ts = ts;
+  EXPECT_EQ(failed_ts - 1, tree->VisibleNow());
+
+  // Later good Puts, of the failed key and of another, stay invisible.
+  const std::string other = failed_key == Key(0) ? Key(1) : Key(0);
+  ASSERT_TRUE(tree->Put(other, "later-other", ++ts).ok());
+  ASSERT_TRUE(tree->Put(failed_key, "later-same", ++ts).ok());
+  EXPECT_EQ(failed_ts - 1, tree->VisibleNow());
+  std::string v;
+  ASSERT_TRUE(tree->Get({}, failed_key, &v).ok());
+  EXPECT_EQ(good[failed_key], v);
+  ASSERT_TRUE(tree->Get({}, other, &v).ok());
+  EXPECT_EQ(good[other], v);
+
+  uint64_t purged = 0;
+  ASSERT_TRUE(tree->PurgeCommittedAt(failed_ts, &purged).ok());
+  EXPECT_EQ(1u, purged);
+  EXPECT_EQ(ts, tree->VisibleNow());
+  auto expect_repaired = [&](TsbTree* t) {
+    std::string got;
+    ASSERT_TRUE(t->Get({}, failed_key, &got).ok());
+    EXPECT_EQ("later-same", got);
+    ASSERT_TRUE(t->Get({.as_of = failed_ts}, failed_key, &got).ok());
+    EXPECT_EQ(good[failed_key], got);
+    ASSERT_TRUE(t->Get({}, other, &got).ok());
+    EXPECT_EQ("later-other", got);
+    TreeChecker checker(t);
+    Status check = checker.Check();
+    EXPECT_TRUE(check.ok()) << check.ToString();
+  };
+  expect_repaired(tree.get());
+  ASSERT_TRUE(tree->Flush().ok());
+  tree.reset();
+  ASSERT_TRUE(TsbTree::Open(&magnetic, &hist, opts, &tree).ok());
+  expect_repaired(tree.get());
+}
+
 TEST_F(FaultTest, TruncatedHistoricalStoreYieldsIOError) {
   // Cut the historical device short; reads past the cut fail with IOError
   // (device-level) rather than returning partial frames.
@@ -336,7 +408,7 @@ TEST(WalFaultTest, FailedAppendTruncatesBackToLastGoodFrame) {
   const std::vector<std::pair<Slice, Slice>> small{{"b", ""}};
   uint64_t lsn3 = 0;
   ASSERT_TRUE(wal->AppendCommit(3, small, &lsn3).ok());
-  ASSERT_TRUE(wal->SyncAll().ok());
+  ASSERT_TRUE(wal->Sync(lsn3).ok());
   wal.reset();
 
   // ...and replay sees exactly commits 1 and 3 with a clean tail.
@@ -792,6 +864,73 @@ TEST_F(DegradedModeTest, FailedRewriteOfOwnedKeyMakesTransactionAbortOnly) {
     ASSERT_TRUE(db_->Get({}, k, &v).ok()) << k;
     EXPECT_EQ(k == key ? "after" : value, v);
   }
+}
+
+// Secondary-index maintenance writes the index tree by direct Put. When
+// that Put's history flush fails, the commit fails with the index entry
+// possibly in place. Neither FindBySecondary nor the index itself may
+// ever return the failed mapping — not while degraded, not after
+// Resume() purges it, not after a reopen.
+TEST_F(DegradedModeTest, FailedIndexPutNeverBecomesReadable) {
+  auto extract = [](const Slice& value) -> std::optional<std::string> {
+    return value.ToString().substr(0, 1);
+  };
+  DbOptions o = Options();
+  o.index_extractors["sk"] = extract;
+  auto hist_plan = std::make_shared<FaultPlan>();
+  o.wrap_device = [hist_plan](const std::string& role,
+                              std::unique_ptr<Device> dev)
+      -> std::unique_ptr<Device> {
+    if (role != "index-sk.historical") return dev;
+    return std::make_unique<FaultInjectingDevice>(std::move(dev), hist_plan);
+  };
+  OpenDb(o);
+  ASSERT_TRUE(db_->CreateSecondaryIndex("sk", extract).ok());
+  // Hot keys flip between secondary values "a" and "b": every commit
+  // writes two versions into the index tree, which soon time-splits.
+  constexpr int kHotKeys = 4;
+  std::map<std::string, std::string> sk_of;
+  hist_plan->FailNth(FaultOp::kWrite, 1, FaultKind::kEIO, /*sticky=*/false);
+  std::string failed_key, failed_sk;
+  for (int i = 0; i < 2000 && failed_key.empty(); ++i) {
+    const std::string key = DbKey(i % kHotKeys);
+    const std::string sk = (i / kHotKeys) % 2 == 0 ? "a" : "b";
+    if (db_->Put(key, sk + "-" + std::to_string(i)).ok()) {
+      sk_of[key] = sk;
+    } else {
+      failed_key = key;
+      failed_sk = sk;
+    }
+  }
+  ASSERT_FALSE(failed_key.empty());
+  ASSERT_EQ(1u, hist_plan->fired(FaultOp::kWrite));
+  EXPECT_TRUE(db_->degraded());
+  SecondaryIndex* idx = db_->index("sk");
+  auto expect_absent = [&] {
+    std::vector<std::pair<std::string, std::string>> rows;
+    ASSERT_TRUE(db_->FindBySecondary({}, "sk", failed_sk, &rows).ok());
+    for (const auto& [key, value] : rows) EXPECT_NE(failed_key, key);
+    // Whichever of the commit's two index Puts failed, the index at its
+    // latest still maps the key to its old secondary value only.
+    const Timestamp latest = idx->tree()->VisibleNow();
+    std::vector<std::string> pks;
+    ASSERT_TRUE(idx->LookupAsOf(failed_sk, latest, &pks).ok());
+    EXPECT_EQ(pks.end(), std::find(pks.begin(), pks.end(), failed_key));
+    ASSERT_TRUE(idx->LookupAsOf(sk_of[failed_key], latest, &pks).ok());
+    EXPECT_NE(pks.end(), std::find(pks.begin(), pks.end(), failed_key));
+  };
+  expect_absent();
+  Status resume = db_->Resume();
+  ASSERT_TRUE(resume.ok()) << resume.ToString();
+  expect_absent();
+  // A later commit publishes the index clock past the failed timestamp.
+  ASSERT_TRUE(db_->Put(DbKey(kHotKeys), failed_sk + "-later").ok());
+  expect_absent();
+  db_.reset();
+  OpenDb(o);
+  idx = db_->index("sk");
+  ASSERT_NE(nullptr, idx);
+  expect_absent();
 }
 
 // An insert that fails on a page read, followed by an abort whose erase

@@ -13,6 +13,9 @@
 #include <string>
 #include <vector>
 
+#include "common/coding.h"
+#include "common/crc32c.h"
+#include "common/random.h"
 #include "db/multiversion_db.h"
 #include "storage/device.h"
 #include "storage/fault_device.h"
@@ -580,6 +583,71 @@ TEST(PageTest, PageWithoutTrailerFlagFailsVerification) {
   const Status s = VerifyPage(buf.data(), kDefaultPageSize, 5);
   EXPECT_TRUE(s.IsCorruption());
   EXPECT_NE(std::string::npos, s.ToString().find("unknown page format"))
+      << s.ToString();
+}
+
+// The seal reads the page once, deriving the trailer CRC from the header
+// CRC. The bytes must equal the two-pass formula: the header CRC over
+// [8, ps-4), then the trailer CRC over [0, ps-4).
+TEST(PageTest, SealMatchesTwoPassFormula) {
+  Random rnd(9);
+  for (const uint32_t ps : {512u, 4096u, 8192u, 16384u}) {
+    std::string buf(ps, 0);
+    InitPage(buf.data(), ps, 11, PageType::kTsbData);
+    for (uint32_t i = kPageHeaderSize; i < PageUsableSize(ps); ++i) {
+      buf[i] = static_cast<char>(rnd.Next());
+    }
+    std::string want = buf;
+    SealPageWithLsn(buf.data(), ps, 0x1122334455667788ull);
+    EncodeFixed64(want.data() + ps - kPageTrailerSize + 8,
+                  0x1122334455667788ull);
+    EncodeFixed32(want.data() + 4,
+                  crc32c::Mask(crc32c::Value(want.data() + 8, ps - 12)));
+    EncodeFixed32(want.data() + ps - 4,
+                  crc32c::Mask(crc32c::Value(want.data(), ps - 4)));
+    EXPECT_EQ(want, buf) << "page size " << ps;
+    EXPECT_TRUE(VerifyPage(buf.data(), ps, 11).ok());
+  }
+}
+
+// Every byte of a sealed page is vouched for: a flip in the header, the
+// body, the trailer or either CRC field fails verification, with the
+// verdict the two full passes give.
+TEST(PageTest, VerifyRejectsAFlipAnywhere) {
+  std::string sealed(kDefaultPageSize, 0);
+  InitPage(sealed.data(), kDefaultPageSize, 3, PageType::kTsbData);
+  for (uint32_t i = kPageHeaderSize; i < 1000; ++i) {
+    sealed[i] = static_cast<char>(i);
+  }
+  SealPage(sealed.data(), kDefaultPageSize);
+  const uint32_t ps = kDefaultPageSize;
+  const std::pair<uint32_t, const char*> flips[] = {
+      {1, "bad page magic"},
+      {5, "page checksum mismatch"},          // header CRC field
+      {9, "page checksum mismatch"},          // page id
+      {17, "page checksum mismatch"},         // sibling link
+      {2000, "page checksum mismatch"},       // body
+      {ps - 14, "page checksum mismatch"},    // trailer page id
+      {ps - 9, "page checksum mismatch"},     // trailer flush LSN
+      {ps - 2, "page trailer checksum mismatch"},  // trailer CRC field
+  };
+  for (const auto& [at, verdict] : flips) {
+    std::string buf = sealed;
+    buf[at] ^= 0x10;
+    const Status s = VerifyPage(buf.data(), ps, 3);
+    EXPECT_TRUE(s.IsCorruption()) << "byte " << at;
+    EXPECT_NE(std::string::npos, s.ToString().find(verdict))
+        << "byte " << at << ": " << s.ToString();
+  }
+  // A header whose CRC field was resealed by hand (the trailer left
+  // stale) trips the trailer check only.
+  std::string buf = sealed;
+  buf[3000] ^= 1;
+  EncodeFixed32(buf.data() + 4,
+                crc32c::Mask(crc32c::Value(buf.data() + 8, ps - 12)));
+  const Status s = VerifyPage(buf.data(), ps, 3);
+  EXPECT_NE(std::string::npos,
+            s.ToString().find("page trailer checksum mismatch"))
       << s.ToString();
 }
 
