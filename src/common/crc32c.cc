@@ -70,13 +70,14 @@ constexpr uint32_t ShiftOperator(uint64_t len) {
 // previous result. Runs of 3 * kLane bytes therefore go through three
 // lanes at once, the second and third starting from a zero register; the
 // lane results are joined by shifting the earlier lanes over kLane bytes,
-// a byte-table lookup per register byte. Only called when the CPU reports
-// SSE4.2; the rest of the build stays baseline x86-64.
-constexpr size_t kLongLane = 1024;
-constexpr size_t kShortLane = 128;
+// a byte-table lookup per register byte. With 680-byte lanes a 4 KiB
+// page's header range (4084 bytes) is two blocks and a 4-byte tail.
+// Only called when the CPU reports SSE4.2; the rest of the build stays
+// baseline x86-64.
+constexpr size_t kLane = 680;
 
-/// Shifts a raw CRC register over `lane` bytes by table lookup; the
-/// tables are built at compile time.
+/// Shifts a raw CRC register over kLane bytes by table lookup; the table
+/// is built at compile time.
 struct LaneShift {
   uint32_t t[4][256];
   uint32_t operator()(uint32_t crc) const {
@@ -85,9 +86,9 @@ struct LaneShift {
   }
 };
 
-constexpr LaneShift MakeLaneShift(size_t lane) {
+constexpr LaneShift MakeLaneShift() {
   LaneShift shift{};
-  const uint32_t op = ShiftOperator(lane);
+  const uint32_t op = ShiftOperator(kLane);
   for (int k = 0; k < 4; ++k) {
     for (uint32_t v = 0; v < 256; ++v) {
       shift.t[k][v] = MultModP(op, v << (8 * k));
@@ -96,8 +97,7 @@ constexpr LaneShift MakeLaneShift(size_t lane) {
   return shift;
 }
 
-constexpr LaneShift kLongShift = MakeLaneShift(kLongLane);
-constexpr LaneShift kShortShift = MakeLaneShift(kShortLane);
+constexpr LaneShift kLaneShift = MakeLaneShift();
 
 inline uint64_t LoadWord(const char* p) {
   uint64_t word;
@@ -105,35 +105,20 @@ inline uint64_t LoadWord(const char* p) {
   return word;
 }
 
-/// Folds every whole 3 * lane block at the front of [*data, *data + *n)
-/// into `crc` (a raw register) and advances past them.
-__attribute__((target("sse4.2"))) inline uint64_t ThreeLanes(
-    uint64_t crc, size_t lane, const LaneShift& shift, const char** data,
-    size_t* n) {
-  const char* p = *data;
-  size_t left = *n;
-  for (; left >= 3 * lane; p += 3 * lane, left -= 3 * lane) {
-    uint64_t c0 = crc, c1 = 0, c2 = 0;
-    for (size_t i = 0; i < lane; i += 8) {
-      c0 = _mm_crc32_u64(c0, LoadWord(p + i));
-      c1 = _mm_crc32_u64(c1, LoadWord(p + lane + i));
-      c2 = _mm_crc32_u64(c2, LoadWord(p + 2 * lane + i));
-    }
-    crc = shift(shift(static_cast<uint32_t>(c0)) ^ static_cast<uint32_t>(c1)) ^
-          static_cast<uint32_t>(c2);
-  }
-  *data = p;
-  *n = left;
-  return crc;
-}
-
 __attribute__((target("sse4.2"))) uint32_t ExtendSse42(uint32_t init_crc,
                                                        const char* data,
                                                        size_t n) {
   uint64_t crc = init_crc ^ 0xffffffffu;
-  if (n >= 3 * kShortLane) {
-    crc = ThreeLanes(crc, kLongLane, kLongShift, &data, &n);
-    crc = ThreeLanes(crc, kShortLane, kShortShift, &data, &n);
+  for (; n >= 3 * kLane; data += 3 * kLane, n -= 3 * kLane) {
+    uint64_t c0 = crc, c1 = 0, c2 = 0;
+    for (size_t i = 0; i < kLane; i += 8) {
+      c0 = _mm_crc32_u64(c0, LoadWord(data + i));
+      c1 = _mm_crc32_u64(c1, LoadWord(data + kLane + i));
+      c2 = _mm_crc32_u64(c2, LoadWord(data + 2 * kLane + i));
+    }
+    crc = kLaneShift(kLaneShift(static_cast<uint32_t>(c0)) ^
+                     static_cast<uint32_t>(c1)) ^
+          static_cast<uint32_t>(c2);
   }
   for (; n >= 8; data += 8, n -= 8) crc = _mm_crc32_u64(crc, LoadWord(data));
   auto crc32 = static_cast<uint32_t>(crc);

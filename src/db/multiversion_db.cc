@@ -829,11 +829,17 @@ Status MultiVersionDB::RecoverWal(bool manifest_clean, bool journal_applied) {
                                      options_.wal_background_sync_ms, &wal_,
                                      options_.wal_fault_plan));
   // Checkpoints do not sync the log they supersede, so a power cut can
-  // leave it shorter than checkpoint_lsn. Appends resume at the log's
-  // end; left above it, checkpoint_lsn would make the next recovery skip
-  // commits acknowledged from here on. The MANIFEST write below persists
-  // the clamp before the first append.
-  wal_checkpoint_lsn_ = std::min(wal_checkpoint_lsn_, wal_->appended_lsn());
+  // leave it shorter than checkpoint_lsn, possibly ending mid-frame.
+  // Every frame in it is then in the base: empty the log and rewind
+  // checkpoint_lsn. Left above the log's end, checkpoint_lsn would make
+  // the next recovery skip commits acknowledged from here on; appends
+  // after the torn frame would break the frame chain that scrub and
+  // salvage walk from byte 0. The MANIFEST write below persists the
+  // rewind before the first append.
+  if (wal_->appended_lsn() < wal_checkpoint_lsn_) {
+    TSB_RETURN_IF_ERROR(wal_->Reset());
+    wal_checkpoint_lsn_ = 0;
+  }
   InstallWalReporter(wal_.get());
   wal_enabled_ = true;  // immutable from here: hot paths gate on this
   txns_->SetWal(wal_.get());
@@ -1052,7 +1058,7 @@ Status MultiVersionDB::FoldTrees(bool for_resume, uint64_t* ckpt_lsn) {
   // checkpoint_lsn past them. kGroup already synced every acknowledged
   // frame; kOff and kBackground promise nothing before this returns. A
   // power cut can then leave the log shorter than checkpoint_lsn, which
-  // RecoverWal clamps.
+  // RecoverWal answers by emptying the log.
   if (!for_resume && wal_->has_sync_error()) {
     // A failed fdatasync may have dropped acknowledged bytes: only the
     // degraded-mode repair may fold over this log. for_resume does so on
@@ -1115,7 +1121,7 @@ Status MultiVersionDB::FoldTrees(bool for_resume, uint64_t* ckpt_lsn) {
     if (t.scope.fresh.empty()) continue;
     journal.BeginTree(t.file);
     for (const PageHandle& h : t.scope.fresh) {
-      journal.AddSealedPage(h.id(), h.data());  // sealed by WriteFreshPages
+      journal.AddPage(h.id(), h.data());
     }
   }
   // Returning destroys the scopes: unpins the frames and releases the

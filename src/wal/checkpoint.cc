@@ -65,21 +65,12 @@ void CheckpointJournal::BeginTree(const std::string& device_file) {
 }
 
 void CheckpointJournal::AddPage(uint32_t page_id, const char* image) {
-  AddImage(page_id, image, /*sealed=*/false);
-}
-
-void CheckpointJournal::AddSealedPage(uint32_t page_id, const char* image) {
-  AddImage(page_id, image, /*sealed=*/true);
-}
-
-void CheckpointJournal::AddImage(uint32_t page_id, const char* image,
-                                 bool sealed) {
   char header[9];
   header[0] = static_cast<char>(kPageRecord);
   EncodeFixed32(header + 1, page_id);
   EncodeFixed32(header + 5, page_size_);
   Stage(header, sizeof(header));
-  pieces_.push_back({image, 0, page_size_, sealed});
+  pieces_.push_back({image, 0, page_size_});
   records_++;
 }
 
@@ -88,16 +79,7 @@ Status CheckpointJournal::WritePieces() {
   iov.reserve(pieces_.size());
   for (const Piece& p : pieces_) {
     const char* data = p.image != nullptr ? p.image : staged_.data() + p.offset;
-    if (p.sealed) {
-      // The trailer's CRC covers the image up to itself; extending it
-      // over its own 4 bytes gives the CRC of the whole image.
-      const char* trailer_crc = data + p.len - 4;
-      const uint32_t image_crc = crc32c::Extend(
-          crc32c::Unmask(DecodeFixed32(trailer_crc)), trailer_crc, 4);
-      crc_ = crc32c::Combine(crc_, image_crc, p.len);
-    } else {
-      crc_ = crc32c::Extend(crc_, data, p.len);
-    }
+    crc_ = crc32c::Extend(crc_, data, p.len);
     iov.push_back({const_cast<char*>(data), p.len});
   }
   size_t next = 0;

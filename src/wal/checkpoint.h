@@ -86,11 +86,6 @@ class CheckpointJournal {
   /// until the next Commit() or Retire() has written it.
   void AddPage(uint32_t page_id, const char* image);
 
-  /// AddPage for an image the Pager sealed since its last change (a fresh
-  /// page written in place): the file bytes are the same, but the journal
-  /// CRC takes the image's CRC from its trailer instead of reading it.
-  void AddSealedPage(uint32_t page_id, const char* image);
-
   /// Writes the queued records and the trailer, then fsyncs the file and
   /// its directory entry. After Commit returns OK the checkpoint is
   /// guaranteed to complete (either by the in-place phase or by recovery
@@ -140,11 +135,9 @@ class CheckpointJournal {
     const char* image;
     size_t offset;
     size_t len;
-    bool sealed = false;  ///< a sealed page image (see AddSealedPage)
   };
 
   void Stage(const char* data, size_t len);
-  void AddImage(uint32_t page_id, const char* image, bool sealed);
   /// Writes every queued piece at `offset_` (IOV_MAX per pwritev) and
   /// folds it into `crc_`.
   Status WritePieces();

@@ -248,8 +248,8 @@ TEST(Crc32cTest, ExtendChainsAtEverySplit) {
   }
 }
 
-// The hardware path runs three interleaved lanes over blocks of 384 and
-// 3072 bytes. Around every block edge, around page sizes, and far past a
+// The hardware path runs three interleaved 680-byte lanes over blocks of
+// 2040 bytes. Around every block edge, around page sizes, and far past a
 // page, at random offsets and seeds, it must equal the portable loop —
 // whole and chained across random splits.
 TEST(Crc32cTest, ThreeLaneKernelMatchesPortableAroundBlockEdges) {
@@ -257,8 +257,8 @@ TEST(Crc32cTest, ThreeLaneKernelMatchesPortableAroundBlockEdges) {
   std::string buf(40000 + 8, '\0');
   for (char& c : buf) c = static_cast<char>(rnd.Next());
   std::vector<size_t> lengths;
-  for (size_t block : {384, 3072}) {
-    for (size_t k = 1; k <= 12; ++k) {
+  for (size_t block : {680, 2040}) {
+    for (size_t k = 1; k <= 19; ++k) {
       for (int d = -9; d <= 9; ++d) lengths.push_back(block * k + d);
     }
   }
@@ -268,7 +268,7 @@ TEST(Crc32cTest, ThreeLaneKernelMatchesPortableAroundBlockEdges) {
       lengths.push_back(page + d);
     }
   }
-  lengths.push_back(3 * 3072 + 2 * 384 + 7);
+  lengths.push_back(3 * 2040 + 7);
   lengths.push_back(40000);
   for (const size_t n : lengths) {
     const size_t offset = rnd.Uniform(8);

@@ -33,6 +33,8 @@
 #include "common/coding.h"
 #include "common/crc32c.h"
 #include "db/multiversion_db.h"
+#include "db/salvage.h"
+#include "db/scrubber.h"
 #include "storage/page.h"
 #include "tsb/tree_check.h"
 #include "wal/checkpoint.h"
@@ -280,10 +282,13 @@ TEST_F(CrashRecoveryTest, UnsyncedBulkLoadIsWholeAfterCleanClose) {
 
 // A clean close does not sync the log its checkpoint supersedes, so a
 // power cut after it can leave the log shorter than the MANIFEST's
-// checkpoint_lsn. Cut the log in half to play that cut, reopen with
-// group commit, acknowledge more commits and crash: recovery must have
-// clamped checkpoint_lsn to the log's end, or the next open starts
-// replay past the acknowledged frames and loses them.
+// checkpoint_lsn, ending mid-frame. Cut the log in half to play that
+// cut, reopen with group commit, acknowledge more commits and crash.
+// Recovery must have emptied the log (every frame in it was in the base)
+// and rewound checkpoint_lsn: a checkpoint_lsn past the log's end makes
+// the next open start replay past the acknowledged frames, and appends
+// placed after the torn frame break the frame chain that scrub and
+// salvage walk from byte 0.
 TEST_F(CrashRecoveryTest, LogCutShortAfterCleanCloseKeepsLaterAckedCommits) {
   DbOptions opts = SmallPageOptions();
   opts.wal_sync = wal::WalSyncMode::kOff;
@@ -303,7 +308,9 @@ TEST_F(CrashRecoveryTest, LogCutShortAfterCleanCloseKeepsLaterAckedCommits) {
   struct stat st;
   ASSERT_EQ(0, ::stat(wal_file.c_str(), &st));
   ASSERT_GT(st.st_size, 10000);
-  ASSERT_EQ(0, ::truncate(wal_file.c_str(), st.st_size / 2));
+  // Every frame is the same size, so half the log is a frame boundary;
+  // 20 bytes past it is inside the next frame's payload.
+  ASSERT_EQ(0, ::truncate(wal_file.c_str(), st.st_size / 2 + 20));
 
   opts.wal_sync = wal::WalSyncMode::kGroup;
   const pid_t pid = ::fork();
@@ -313,12 +320,41 @@ TEST_F(CrashRecoveryTest, LogCutShortAfterCleanCloseKeepsLaterAckedCommits) {
     for (int i = 0; i < kLater; ++i) {
       if (!db->Put(Key(1, i), Value(1, i)).ok()) ::_exit(3);  // acked
     }
+    ScrubStats scrub;
+    if (!db->Scrub(&scrub).ok() || scrub.corruptions_detected != 0) {
+      ::_exit(5);
+    }
+    if (db->degraded()) ::_exit(6);
     ::kill(::getpid(), SIGKILL);
-    ::_exit(4);
+    ::_exit(7);
   }
   int wstatus = 0;
   ::waitpid(pid, &wstatus, 0);
-  ASSERT_TRUE(WIFSIGNALED(wstatus)) << "child exited " << wstatus;
+  ASSERT_TRUE(WIFSIGNALED(wstatus))
+      << "child exited " << WEXITSTATUS(wstatus)
+      << " (5: scrub found corruption, 6: degraded)";
+
+  // Salvage reads the crashed directory physically: the acknowledged
+  // commits live only in the log, so it must walk the log's frames.
+  const std::string salvaged = path_ + ".salvaged";
+  MultiVersionDB::Destroy(salvaged);
+  SalvageReport report;
+  ASSERT_TRUE(SalvageDatabase(path_, salvaged, {}, &report).ok());
+  EXPECT_EQ(0u, report.wal_frames_rejected);
+  EXPECT_EQ(static_cast<uint64_t>(kLater), report.wal_frames_salvaged);
+  {
+    std::unique_ptr<MultiVersionDB> out;
+    ASSERT_TRUE(MultiVersionDB::Open(salvaged, opts, &out).ok());
+    int lost = 0;
+    for (int i = 0; i < kLater; ++i) {
+      std::string value;
+      if (!out->Get({}, Key(1, i), &value).ok() || value != Value(1, i)) {
+        ++lost;
+      }
+    }
+    EXPECT_EQ(0, lost) << "of " << kLater << " later keys salvaged";
+  }
+  MultiVersionDB::Destroy(salvaged);
 
   std::unique_ptr<MultiVersionDB> db;
   ASSERT_TRUE(MultiVersionDB::Open(path_, opts, &db).ok());
@@ -332,83 +368,12 @@ TEST_F(CrashRecoveryTest, LogCutShortAfterCleanCloseKeepsLaterAckedCommits) {
     }
   }
   EXPECT_EQ(0, missing) << "of " << kLoaded + kLater << " keys";
+  ScrubStats scrub;
+  ASSERT_TRUE(db->Scrub(&scrub).ok());
+  EXPECT_EQ(0u, scrub.corruptions_detected);
+  EXPECT_FALSE(db->degraded());
   tsb_tree::TreeChecker checker(db->primary());
   EXPECT_TRUE(checker.Check().ok());
-}
-
-// The retired journal takes the CRC of a sealed fresh-page image from its
-// seal instead of a second pass over it. Its bytes must be exactly the
-// format's (header, both sections, one trailer CRC over the whole file),
-// and LoadImages must accept it.
-TEST_F(CrashRecoveryTest, RetiredJournalBytesMatchTheFormat) {
-  constexpr uint32_t kPs = 512;
-  ASSERT_EQ(0, ::mkdir(path_.c_str(), 0755));
-  auto image = [](uint32_t id, bool seal) {
-    std::string page(kPs, '\0');
-    InitPage(page.data(), kPs, id, PageType::kTsbData);
-    for (uint32_t i = kPageHeaderSize; i < PageUsableSize(kPs); ++i) {
-      page[i] = static_cast<char>(id * 31 + i);
-    }
-    if (seal) SealPageWithLsn(page.data(), kPs, 40 + id);
-    return page;
-  };
-  const std::string meta = image(0, false), journaled = image(5, false);
-  const std::string fresh[] = {image(7, true), image(8, true)};
-  wal::CheckpointJournal journal(path_, kPs);
-  ASSERT_TRUE(journal.Create().ok());
-  journal.BeginTree("current.tsb");
-  journal.AddPage(0, meta.data());
-  journal.AddPage(5, journaled.data());
-  ASSERT_TRUE(journal.Commit().ok());
-  journal.BeginTree("current.tsb");
-  for (const std::string& page : fresh) {
-    journal.AddSealedPage(PageId(page.data()), page.data());
-  }
-  ASSERT_TRUE(journal.Retire().ok());
-
-  std::string want;
-  PutFixed32(&want, wal::CheckpointJournal::kMagic);
-  PutFixed32(&want, wal::CheckpointJournal::kVersion);
-  PutFixed32(&want, kPs);
-  auto tree = [&want] {
-    want.push_back(static_cast<char>(wal::CheckpointJournal::kTreeRecord));
-    PutVarint32(&want, 11);
-    want.append("current.tsb");
-  };
-  auto page = [&want](uint32_t id, const std::string& bytes) {
-    want.push_back(static_cast<char>(wal::CheckpointJournal::kPageRecord));
-    PutFixed32(&want, id);
-    PutFixed32(&want, kPs);
-    want.append(bytes);
-  };
-  tree();
-  page(0, meta);
-  page(5, journaled);
-  tree();
-  page(7, fresh[0]);
-  page(8, fresh[1]);
-  want.push_back(static_cast<char>(wal::CheckpointJournal::kEndRecord));
-  PutFixed64(&want, 6);
-  PutFixed32(&want, crc32c::Mask(crc32c::Value(want.data(), want.size())));
-
-  const std::string retired = wal::CheckpointJournal::RetiredPath(path_);
-  std::string got;
-  {
-    FILE* f = fopen(retired.c_str(), "rb");
-    ASSERT_NE(nullptr, f);
-    char buf[4096];
-    size_t n;
-    while ((n = fread(buf, 1, sizeof(buf), f)) > 0) got.append(buf, n);
-    fclose(f);
-  }
-  EXPECT_EQ(want, got);
-  std::map<std::pair<std::string, uint32_t>, std::string> images;
-  ASSERT_TRUE(
-      wal::CheckpointJournal::LoadImages(retired, kPs, &images).ok());
-  ASSERT_EQ(4u, images.size());
-  EXPECT_EQ(fresh[1], (images[{"current.tsb", 8}]));
-  ::unlink(retired.c_str());
-  ::rmdir(path_.c_str());
 }
 
 TEST_F(CrashRecoveryTest, TornWalTailIsTruncatedNotFatal) {
